@@ -3,7 +3,7 @@
  * The repository benchmark driver.
  *
  *   perfbench_driver --workload NAME --seed N --seconds S --trace 0|1
- *                    --pinned FILE --out-dir DIR [--cli PATH]
+ *                    --pinned FILE --out-dir DIR --cli PATH
  *                    [--commit SHA] [--print-digests]
  *
  * Runs one named workload through the library's public entry points
@@ -25,8 +25,6 @@
  * against the workload's reference run or, failing one, the first
  * iteration.  A throw or a broken workload invariant fails it too.
  */
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -51,6 +49,7 @@
 #include "core/shardplan.hh"
 #include "harness.hh"
 #include "net/coordinator.hh"
+#include "net/protocol.hh"
 #include "net/worker.hh"
 #include "obs/metrics.hh"
 #include "probes.hh"
@@ -105,14 +104,9 @@ addStats(ResultCache::Stats &into, const ResultCache::Stats &s)
 }
 
 /** What the traced pass learns from the structs the library
- *  returns.  Fill fields come from set-up, the rest from the last
- *  traced iteration. */
+ *  returns in the last traced iteration. */
 struct LayerStats
 {
-    ResultCache::Stats fillCache;
-    double fillSeconds = 0.0;
-    double storeMb = 0.0;
-
     ResultCache::Stats cache;
     bool distributed = false;
     net::CoordinatorStats coord;
@@ -142,18 +136,11 @@ class Workload
     /** Simulation threads an iteration keeps busy. */
     virtual unsigned jobs() const = 0;
 
-    /** Set-ups to time after an iteration, given the samples so
-     *  far (setup_s is the median of all of them). */
-    virtual unsigned setupsAfterIteration(std::size_t) const
-    {
-        return 3;
-    }
-
     /** Undo the previous set-up (untimed). */
     virtual void reset() {}
 
     /** Everything before the first iteration (timed as setup_s). */
-    virtual void setup(const SpanScope &scope) = 0;
+    virtual void setup() = 0;
 
     virtual Iteration iterate(const SpanScope &scope) = 0;
 
@@ -177,7 +164,6 @@ class Workload
     }
 
     const WorkloadSet &workloadSet() const { return *workload_; }
-    const Adders &adders() const { return *adders_; }
     const Seeds &seeds() const { return seeds_; }
     LayerStats &layers() { return layers_; }
 
@@ -187,9 +173,9 @@ class Workload
     /** The options of one iteration. */
     virtual ExperimentOptions options() const = 0;
 
-    /** The set-up every workload shares: the registry, the seeded
-     *  WorkloadSet and the 32-bit adder netlists the adder
-     *  experiments build, compiled by Netlist::finalize(). */
+    /** The set-up every workload shares: the registry and the
+     *  seeded WorkloadSet.  (Each experiment compiles the netlists it
+     *  needs inside run(), so they are iteration work.) */
     void
     setupCommon()
     {
@@ -199,12 +185,10 @@ class Workload
             workload_.emplace();
         else
             workload_.emplace(mixSeed(kWorkloadSeedBase, seeds_.seed));
-        adders_ = std::make_unique<Adders>();
     }
 
     Seeds seeds_;
     std::optional<WorkloadSet> workload_;
-    std::unique_ptr<Adders> adders_;
     LayerStats layers_;
 };
 
@@ -227,7 +211,7 @@ class CatalogCold final : public Workload
     void reset() override { pool_.reset(); }
 
     void
-    setup(const SpanScope &) override
+    setup() override
     {
         setupCommon();
         pool_ = std::make_unique<ThreadPool>(4);
@@ -247,8 +231,6 @@ class CatalogCold final : public Workload
     extraChecks(const CheckContext &ctx,
                 std::vector<std::string> &failures) override
     {
-        if (cli_.empty())
-            return 0;
         const std::string command = "'" + cli_ +
             "' --all --stride 4 --uops 10000 --jobs 4 2>/dev/null";
         std::string out;
@@ -297,112 +279,6 @@ class CatalogCold final : public Workload
     std::unique_ptr<ThreadPool> pool_;
 };
 
-/** Re-rendering everything from a filled disk store, as a re-run
- *  with --cache-dir does: every iteration opens a fresh ResultCache
- *  on the directory the set-up filled. */
-class CatalogWarm final : public Workload
-{
-  public:
-    CatalogWarm(Seeds seeds, std::string dir)
-        : Workload(seeds), dir_(std::move(dir))
-    {
-    }
-
-    const char *name() const override { return "catalog-warm"; }
-    std::vector<std::string> experiments() const override
-    {
-        return catalogNames();
-    }
-    unsigned jobs() const override { return 1; }
-
-    /** A fill takes seconds: three in all. */
-    unsigned
-    setupsAfterIteration(std::size_t samples) const override
-    {
-        return samples < 3 ? 1 : 0;
-    }
-
-    void
-    reset() override
-    {
-        std::filesystem::remove_all(dir_);
-    }
-
-    /** Fill the store at jobs 4; its output is the reference. */
-    void
-    setup(const SpanScope &scope) override
-    {
-        setupCommon();
-        ThreadPool pool(4);
-        ExperimentOptions o = options();
-        o.jobs = 4;
-        o.pool = &pool;
-        Iteration fill;
-        {
-            ResultCache cache(dir_);
-            o.cache = &cache;
-            const int span = scope.traced()
-                ? scope.spans->begin("resultcache.fill", scope.parent,
-                                     scope.iteration)
-                : -1;
-            runExperiments(experiments(), *workload_, o,
-                           {scope.spans, span, scope.iteration}, fill);
-            if (scope.traced()) {
-                scope.spans->end(span);
-                layers_.fillSeconds = scope.spans->seconds(span);
-                layers_.fillCache = cache.stats();
-            }
-        }
-        if (scope.traced())
-            layers_.storeMb =
-                static_cast<double>(directoryBytes(dir_)) / 1e6;
-        fillDigests_ = fill.digests;
-        for (std::size_t e = 0; e < fill.errors.size(); ++e) {
-            if (!fill.errors[e].empty())
-                fillDigests_[e] = "set-up fill " + fill.errors[e];
-        }
-    }
-
-    Iteration
-    iterate(const SpanScope &scope) override
-    {
-        ResultCache cache(dir_);
-        ExperimentOptions o = options();
-        o.cache = &cache;
-        Iteration it;
-        runExperiments(experiments(), *workload_, o, scope, it);
-        const ResultCache::Stats s = cache.stats();
-        if (s.misses || s.stores) {
-            it.invariant = "warm render took " +
-                std::to_string(s.misses) + " misses and " +
-                std::to_string(s.stores) + " stores";
-        }
-        if (scope.traced())
-            layers_.cache = s;
-        return it;
-    }
-
-    std::vector<std::string> reference() override
-    {
-        return fillDigests_;
-    }
-
-  protected:
-    ExperimentOptions
-    options() const override
-    {
-        ExperimentOptions o;
-        o.traceStride = 2;
-        o.uopsPerTrace = o.cacheUops = 1'000;
-        o.jobs = 1;
-        return o;
-    }
-
-  private:
-    std::string dir_;
-    std::vector<std::string> fillDigests_;
-};
-
 /** The worst-case operand search, then Figures 5 and 4: netlist
  *  evaluation, aging trackers and the surrogate, on one thread. */
 class AdderSearch final : public Workload
@@ -417,7 +293,7 @@ class AdderSearch final : public Workload
     }
     unsigned jobs() const override { return 1; }
 
-    void setup(const SpanScope &) override { setupCommon(); }
+    void setup() override { setupCommon(); }
 
     Iteration
     iterate(const SpanScope &scope) override
@@ -458,7 +334,7 @@ class ReplayLoopback final : public Workload
     }
     unsigned jobs() const override { return kWorkers; }
 
-    void setup(const SpanScope &) override { setupCommon(); }
+    void setup() override { setupCommon(); }
 
     Iteration
     iterate(const SpanScope &scope) override
@@ -474,6 +350,12 @@ class ReplayLoopback final : public Workload
         {
             const ScopedSpan span(scope.spans, "coord.run",
                                   scope.parent, scope.iteration);
+            // A worker turns the process-wide metrics registry on when
+            // its coordinator advertises telemetry; an untraced
+            // iteration's coordinator does not, so obs stays off.
+            const std::optional<NoTelemetry> quiet = scope.traced()
+                ? std::nullopt
+                : std::optional<NoTelemetry>(std::in_place);
             const ShardPlan plan =
                 ShardPlan::fromOptions(experiments(), o, kSlices);
             net::CoordinatorConfig config;
@@ -519,18 +401,13 @@ class ReplayLoopback final : public Workload
             }
             if (!coordinator.incompleteSlices(0).empty())
                 it.invariant = "the job finished Partial";
+            if (!scope.traced() && obs::enabled())
+                it.invariant = kObsOnInTimedRun;
             if (scope.traced()) {
                 layers_.distributed = true;
                 layers_.coord = coordinator.stats();
             }
         }
-        // A worker turns the metrics registry on when its
-        // coordinator asks for telemetry.  Separate worker processes
-        // keep that to themselves; in one process the render would
-        // inherit it, so a timed run switches it back off.
-        if (!scope.traced())
-            obs::Registry::instance().setEnabled(false);
-
         const ResultCache::Stats before = collected.stats();
         const int render = scope.traced()
             ? scope.spans->begin("coord.render", scope.parent,
@@ -595,6 +472,16 @@ class ReplayLoopback final : public Workload
     static constexpr unsigned kWorkers = 2;
     static constexpr unsigned kSlices = 8;
 
+    /** Coordinators and workers leave kCapMetrics out of their
+     *  capabilities while alive. */
+    struct NoTelemetry
+    {
+        NoTelemetry() { net::setCapabilityMaskForTest(net::kCapMetrics); }
+        ~NoTelemetry() { net::setCapabilityMaskForTest(0); }
+        NoTelemetry(const NoTelemetry &) = delete;
+        NoTelemetry &operator=(const NoTelemetry &) = delete;
+    };
+
     void
     fail(Iteration &it) const
     {
@@ -622,10 +509,9 @@ struct Args
 
 const char *const kUsage =
     "usage: perfbench_driver --workload NAME --seed N --seconds S "
-    "--trace 0|1 --pinned FILE --out-dir DIR [--cli PATH] "
+    "--trace 0|1 --pinned FILE --out-dir DIR --cli PATH "
     "[--commit SHA] [--print-digests]\n"
-    "workloads: catalog-cold catalog-warm adder-search "
-    "replay-loopback\n";
+    "workloads: catalog-cold adder-search replay-loopback\n";
 
 bool
 parseArgs(int argc, char **argv, Args &args, std::string &error)
@@ -675,9 +561,10 @@ parseArgs(int argc, char **argv, Args &args, std::string &error)
         }
     }
     if (args.workload.empty() || !have_seed || !have_seconds ||
-        !have_trace || args.pinned.empty() || args.outDir.empty()) {
+        !have_trace || args.pinned.empty() || args.outDir.empty() ||
+        args.cli.empty()) {
         error = "missing or invalid --workload/--seed/--seconds/"
-                "--trace/--pinned/--out-dir";
+                "--trace/--pinned/--out-dir/--cli";
         return false;
     }
     return true;
@@ -688,11 +575,6 @@ makeWorkload(const Args &args, const Seeds &seeds)
 {
     if (args.workload == "catalog-cold")
         return std::make_unique<CatalogCold>(seeds, args.cli);
-    if (args.workload == "catalog-warm") {
-        return std::make_unique<CatalogWarm>(
-            seeds, args.outDir + "/warm-store-" +
-                std::to_string(getpid()));
-    }
     if (args.workload == "adder-search")
         return std::make_unique<AdderSearch>(seeds);
     if (args.workload == "replay-loopback")
@@ -875,6 +757,10 @@ constexpr double kIterationCutoffSeconds = 140.0;
  */
 constexpr double kStealLimit = 0.05;
 
+/** Set-ups timed after each iteration.  A set-up takes micro- to
+ *  milliseconds, so setup_s is the median of many. */
+constexpr unsigned kSetupsPerIteration = 9;
+
 /** @p clean counts the undisturbed iterations among @p done. */
 bool
 mayStartIteration(std::size_t done, std::size_t clean, double elapsed,
@@ -924,7 +810,7 @@ timedRun(const Args &args, Workload &workload,
     auto timed_setup = [&] {
         workload.reset();
         const Clock::time_point t0 = Clock::now();
-        workload.setup({});
+        workload.setup();
         setup_s.push_back(secondsSince(t0));
     };
     timed_setup();
@@ -954,8 +840,7 @@ timedRun(const Args &args, Workload &workload,
         if (obs_was_on || obs::enabled())
             it.invariant = kObsOnInTimedRun;
         its.push_back(std::move(it));
-        for (unsigned k = workload.setupsAfterIteration(setup_s.size());
-             k > 0; --k)
+        for (unsigned k = 0; k < kSetupsPerIteration; ++k)
             timed_setup();
     }
     if (clean_iter_s.empty()) {
@@ -977,6 +862,8 @@ timedRun(const Args &args, Workload &workload,
                       << its.front().allDigest << "\n";
     }
 
+    // Read before verify(): its reference runs are not the workload's.
+    const double peak_rss_mb = peakRssMb();
     const double loop_s = secondsSince(loop);
     const Verdict v = verify(workload, its, pins);
     workload.reset();
@@ -985,7 +872,7 @@ timedRun(const Args &args, Workload &workload,
     metrics.add("setup_s", "s", summarize(setup_s).median);
     metrics.add("iter_s", "s", summarize(clean_iter_s).median);
     metrics.add("cpu_s", "s", summarize(clean_cpu_s).median);
-    metrics.add("peak_rss_mb", "MB", peakRssMb());
+    metrics.add("peak_rss_mb", "MB", peak_rss_mb);
     say("workload " + args.workload + ", seed " +
         std::to_string(args.seed) + ", " + std::to_string(its.size()) +
         " iterations in " + fixed(loop_s, 2) + " s, " +
@@ -1058,7 +945,7 @@ ratio(double num, double den)
 
 /** Per-layer metrics read from the library's own counters. */
 void
-addObsMetrics(MetricSet &m, const ObsDelta &setup, const ObsDelta &iter)
+addObsMetrics(MetricSet &m, const ObsDelta &iter)
 {
     const std::vector<std::tuple<const char *, const char *>> names = {
         {"engine.tasks", "count"},
@@ -1084,24 +971,20 @@ addObsMetrics(MetricSet &m, const ObsDelta &setup, const ObsDelta &iter)
                             "no metrics");
         return;
     }
-    // Cache latency covers the set-up fill too (catalog-warm's
-    // writes happen there).
-    auto both_mean = [&](const char *hist) {
-        return ratio(setup.sum(hist) + iter.sum(hist),
-                     setup.count(hist) + iter.count(hist));
+    auto mean = [&](const char *hist) {
+        return ratio(iter.sum(hist), iter.count(hist));
     };
     const double values[] = {
         iter.counter("engine.tasks"),
-        both_mean("cache.lookup_latency"),
-        both_mean("cache.store_latency"),
+        mean("cache.lookup_latency"),
+        mean("cache.store_latency"),
         iter.counter("scheduler.drains"),
         iter.counter("regfile.drains"),
         iter.counter("cache_model.drains"),
         iter.counter("netlist.batch_evals"),
         ratio(iter.counter("netlist.lanes_used"),
               iter.counter("netlist.lane_capacity")),
-        ratio(iter.sum("surrogate.fit_latency"),
-              iter.count("surrogate.fit_latency")) / 1e3,
+        mean("surrogate.fit_latency") / 1e3,
         iter.counter("surrogate.scored"),
         iter.counter("surrogate.train_evals"),
         ratio(iter.counter("surrogate.exact_evals"),
@@ -1109,8 +992,7 @@ addObsMetrics(MetricSet &m, const ObsDelta &setup, const ObsDelta &iter)
         iter.counter("net.bytes_sent"),
         iter.counter("net.frames_sent"),
         iter.counter("net.frames_corrupt"),
-        ratio(iter.sum("net.heartbeat_rtt_us"),
-              iter.count("net.heartbeat_rtt_us")),
+        mean("net.heartbeat_rtt_us"),
     };
     for (std::size_t i = 0; i < names.size(); ++i)
         m.add(std::get<0>(names[i]), std::get<1>(names[i]), values[i]);
@@ -1123,14 +1005,10 @@ tracedRun(const Args &args, Workload &workload,
     SpanRecorder spans;
     obs::Registry &registry = obs::Registry::instance();
 
-    registry.setEnabled(true);
-    const obs::Snapshot before_setup = registry.scrape();
     const int setup_span = spans.begin("setup", -1, 0);
     workload.reset();
-    workload.setup({&spans, setup_span, 0});
+    workload.setup();
     spans.end(setup_span);
-    registry.setEnabled(false);
-    const ObsDelta setup_delta(before_setup, registry.scrape());
 
     // Untraced iterations for half the budget, then traced ones;
     // at least one of each.
@@ -1209,8 +1087,7 @@ tracedRun(const Args &args, Workload &workload,
     m.add("engine.pool_util", "ratio",
           ratio(plain_cpu.median, plain.median * workload.jobs()));
 
-    ResultCache::Stats cache = l.cache;
-    addStats(cache, l.fillCache);
+    const ResultCache::Stats &cache = l.cache;
     m.add("resultcache.hits", "count", static_cast<double>(cache.hits));
     m.add("resultcache.misses", "count",
           static_cast<double>(cache.misses));
@@ -1223,8 +1100,8 @@ tracedRun(const Args &args, Workload &workload,
     // store lands, so misses - stores is the duplicated work.
     m.add("resultcache.dup_misses", "count",
           static_cast<double>(cache.misses - cache.stores));
-    m.add("resultcache.store_mb", "MB", l.storeMb);
-    m.add("resultcache.fill_s", "s", l.fillSeconds);
+    for (const char *name : {"resultcache.store_mb", "resultcache.fill_s"})
+        m.missing(name, "no workload fills a disk store");
 
     const double workers = 2.0;
     m.add("coord.worker_sim_s", "s", l.coord.workerSimSeconds);
@@ -1241,11 +1118,10 @@ tracedRun(const Args &args, Workload &workload,
           ratio(static_cast<double>(l.sentBytes),
                 static_cast<double>(l.fullExportBytes)));
 
-    addObsMetrics(m, setup_delta, *iter_delta);
+    addObsMetrics(m, *iter_delta);
 
     // Probes run last, with observability off.
-    ProbeInputs inputs{workload.workloadSet(), workload.adders(),
-                       workload.probeTraces()};
+    ProbeInputs inputs{workload.workloadSet(), workload.probeTraces()};
     runProbes(inputs, m);
 
     m.add("obs.trace_overhead", "ratio",

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -455,19 +454,6 @@ peakRssMb()
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
     return static_cast<double>(ru.ru_maxrss) / 1024.0; // KB on Linux
-}
-
-std::uint64_t
-directoryBytes(const std::string &dir)
-{
-    std::uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::recursive_directory_iterator(dir, ec)) {
-        if (entry.is_regular_file(ec))
-            total += entry.file_size(ec);
-    }
-    return total;
 }
 
 std::string

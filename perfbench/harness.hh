@@ -283,9 +283,6 @@ double processCpuSeconds();
 /** ru_maxrss of this process in MB. */
 double peakRssMb();
 
-/** Total size of the regular files under @p dir, in bytes. */
-std::uint64_t directoryBytes(const std::string &dir);
-
 /** Build type the driver was compiled as (CMAKE_BUILD_TYPE). */
 std::string buildType();
 

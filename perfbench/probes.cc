@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "adder/adder.hh"
 #include "adder/analysis.hh"
 #include "cache/timing.hh"
 #include "circuit/aging.hh"
@@ -144,8 +145,9 @@ runProbes(const ProbeInputs &in, MetricSet &metrics)
         if (ops[i].cin)
             cin[i / 64] |= std::uint64_t(1) << (i % 64);
     }
-    const Adder &lf = in.adders.lf;
-    const Adder &ks = in.adders.ks;
+    // The 32-bit adders of Figures 4 and 5.
+    const LadnerFischerAdder lf(32);
+    const KoggeStoneAdder ks(32);
     double netlist_s = 0.0;
     for (const Adder *adder :
          {static_cast<const Adder *>(&lf),

@@ -12,24 +12,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "adder/adder.hh"
 #include "harness.hh"
 
 namespace perfbench {
 
-/** The 32-bit adder netlists of Figures 4 and 5, compiled once per
- *  set-up. */
-struct Adders
-{
-    penelope::LadnerFischerAdder lf{32};
-    penelope::KoggeStoneAdder ks{32};
-    penelope::RippleCarryAdder rc{32};
-};
-
 struct ProbeInputs
 {
     const penelope::WorkloadSet &workload;
-    const Adders &adders;
     /** The workload's evaluation traces (probes use the first few). */
     std::vector<unsigned> traces;
 };

@@ -27,7 +27,7 @@ import re
 import subprocess
 import sys
 
-WORKLOADS = ["catalog-cold", "catalog-warm", "adder-search", "replay-loopback"]
+WORKLOADS = ["catalog-cold", "adder-search", "replay-loopback"]
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
