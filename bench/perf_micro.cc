@@ -82,8 +82,7 @@ BENCHMARK(BM_NetlistEvaluateBatch);
 /** Wide netlist pass: W lane words per net in one op-stream walk
  *  (arg = W).  items/s counts vectors, so comparing against
  *  BM_NetlistEvaluateBatch shows the per-vector gain from
- *  amortising the op-stream decode (and, at W=4 with AVX2, from
- *  the vector kernel). */
+ *  amortising the op-stream decode. */
 void
 BM_NetlistEvaluateBatchWide(benchmark::State &state)
 {
@@ -422,7 +421,7 @@ BENCHMARK(BM_SchedulerReplay);
 
 /** The unbatched accounting path of the same replay: every slot
  *  flush charges the wide accumulators immediately.  The CI perf
- *  floor asserts the batched default stays >= 2x this per item. */
+ *  floor asserts the batched default stays >= 1.6x this per item. */
 void
 BM_SchedulerReplayScalar(benchmark::State &state)
 {
@@ -450,24 +449,6 @@ BM_RegFileReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_RegFileReplay);
-
-/** The unbatched bias-accounting path of the same replay: every
- *  value change charges the tracker immediately.  The CI perf
- *  floor asserts the batched default stays >= 2x this per item. */
-void
-BM_RegFileReplayScalar(benchmark::State &state)
-{
-    WorkloadSet workload;
-    RegisterFile rf{RegFileConfig()};
-    rf.enableIsv(true);
-    rf.setBatchedAccounting(false);
-    RegFileReplay replay(rf, RegReplayConfig{});
-    TraceGenerator gen = workload.generator(1);
-    for (auto _ : state)
-        replay.run(gen, 256);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_RegFileReplayScalar);
 
 // ------------------------------------ parallel experiment engine
 

@@ -80,7 +80,7 @@ class Adder
      * PmosAgingTracker::observeBatchWide.  Word w of every net is
      * bit-for-bit what evaluateBatch() over that word's operands
      * would produce.  @p net_w must be 1, 2, 4 or 8
-     * (Netlist::preferredBatchWords() picks the fastest).
+     * (the batch feeders use Netlist::preferredBatchWords()).
      */
     void evaluateBatchWide(const std::uint64_t *a,
                            const std::uint64_t *b,

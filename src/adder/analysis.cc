@@ -144,12 +144,11 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // Chunk by the cache-blocked wide-batch width for this netlist:
-    // one op-stream pass covers net_w * 64 operand samples.
+    // One op-stream pass covers net_w * 64 operand samples.
     // Padding lanes carry zero operands and are masked out of the
     // accounting, so the per-device counts -- hence the returned
     // probabilities -- are identical at every net_w.
-    const unsigned net_w = adder_.netlist().blockedBatchWords();
+    const unsigned net_w = Netlist::preferredBatchWords();
     const std::size_t chunk = std::size_t(64) * net_w;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;

@@ -143,8 +143,7 @@ Cache::drainBiasBatch()
         static_cast<unsigned>(std::countl_zero(dt_or | 1));
 
     transpose64x64(biasImage_);
-    dataBias_.observeBatchWeighted(biasImage_, nullptr, biasDt_,
-                                   num_planes);
+    dataBias_.observeBatchWeighted(biasImage_, biasDt_, num_planes);
 }
 
 void

@@ -176,8 +176,10 @@ class Cache
     const BitBiasTracker &finalizeDataBias(Cycle now);
 
     /**
-     * Toggle batched image-bias accounting (default on; same
-     * contract as RegisterFile::setBatchedAccounting).  Both paths
+     * Toggle batched image-bias accounting (default on).  When on,
+     * image residences are parked in a 64-record batch and folded
+     * with one transposed observeBatchWeighted; when off, every
+     * image change charges the tracker immediately.  Both paths
      * add the identical integers, and the data-bias tracker feeds
      * no mid-run decision, so all statistics and the RNG draw
      * stream are bit-identical either way.  Disabling drains the
@@ -250,10 +252,10 @@ class Cache
 
     BitBiasTracker dataBias_;
 
-    /** Pending image residences, struct-of-arrays (same batching
-     *  as RegisterFile: nothing reads dataBias_ mid-run, so
-     *  records simply accumulate until a batch of 64 fills or
-     *  finalizeDataBias folds the remainder). */
+    /** Pending image residences, struct-of-arrays: nothing reads
+     *  dataBias_ mid-run, so records simply accumulate until a
+     *  batch of 64 fills or finalizeDataBias folds the
+     *  remainder. */
     bool biasBatched_ = true;
     unsigned biasCount_ = 0;
     std::uint64_t biasImage_[64];

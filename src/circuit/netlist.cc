@@ -322,12 +322,11 @@ Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
     }
 }
 
-// netlist_simd.cc dispatches back to the portable loops when the
-// AVX2 / AVX-512 kernels are not compiled in.
-template void Netlist::evaluateBatchImpl<4>(
-    const std::uint64_t *, std::uint64_t *) const;
-template void Netlist::evaluateBatchImpl<8>(
-    const std::uint64_t *, std::uint64_t *) const;
+unsigned
+Netlist::preferredBatchWords()
+{
+    return 4;
+}
 
 void
 Netlist::evaluateBatchWide(const std::uint64_t *input_words,
@@ -348,16 +347,10 @@ Netlist::evaluateBatchWide(const std::uint64_t *input_words,
         evaluateBatchImpl<2>(input_words, w);
         break;
       case 4:
-        if (avx2Supported())
-            evaluateBatchAvx2(input_words, w);
-        else
-            evaluateBatchImpl<4>(input_words, w);
+        evaluateBatchImpl<4>(input_words, w);
         break;
       default:
-        if (avx512Supported())
-            evaluateBatchAvx512(input_words, w);
-        else
-            evaluateBatchImpl<8>(input_words, w);
+        evaluateBatchImpl<8>(input_words, w);
         break;
     }
 }

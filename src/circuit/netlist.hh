@@ -175,35 +175,19 @@ class Netlist
      * wordCount() * net_w with the same interleaving (use
      * laneWordWide() to read a net).  Word w of every net is
      * bit-for-bit what evaluateBatch() over the inputs' w-th words
-     * would produce: the wide engine (and the AVX2/AVX-512 kernels,
-     * when built in and supported by the host) only changes how
-     * many lanes one op-stream pass covers, never any lane's value.
+     * would produce: the width only changes how many lanes one
+     * op-stream pass covers, never any lane's value.
      * @p net_w must be 1, 2, 4 or 8.
      */
     void evaluateBatchWide(const std::uint64_t *input_words,
                            std::vector<std::uint64_t> &net_words,
                            unsigned net_w) const;
 
-    /** Preferred evaluateBatchWide word count on this host: 8 where
-     *  the AVX-512 kernel is compiled in and the CPU supports it, 4
-     *  for AVX2, else 2 (the portable wide loop still amortises the
-     *  op stream decode over more lanes than one word). */
+    /** The evaluateBatchWide word count the batch feeders use: 4,
+     *  which amortises the op-stream decode over 256 lanes and
+     *  measured no slower than W = 8 while keeping a mid-size
+     *  adder's lane-word array L1-resident. */
     static unsigned preferredBatchWords();
-
-    /** preferredBatchWords() clamped by cache blocking for THIS
-     *  netlist (valid after finalize()): W = 8 is taken only when
-     *  the pass's resident lane-word array fits the L1 budget,
-     *  otherwise the choice steps down to 4.  This is what the
-     *  batch feeders should use. */
-    unsigned blockedBatchWords() const;
-
-    /** Whether the AVX2 kernel is compiled in and usable on this
-     *  host (false in PENELOPE_ENABLE_AVX2=OFF builds). */
-    static bool avx2Supported();
-
-    /** Whether the AVX-512 kernel is compiled in and usable on this
-     *  host (false in PENELOPE_ENABLE_AVX512=OFF builds). */
-    static bool avx512Supported();
 
     /**
      * Finalise the netlist: derive fanout counts, assign width
@@ -299,16 +283,6 @@ class Netlist
     template <unsigned W>
     void evaluateBatchImpl(const std::uint64_t *input_words,
                            std::uint64_t *net_words) const;
-
-    /** AVX2 4-word pass (netlist_simd.cc; falls back to the
-     *  portable loop when the kernel is not compiled in). */
-    void evaluateBatchAvx2(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const;
-
-    /** AVX-512 8-word pass (netlist_simd.cc; falls back to the
-     *  portable loop when the kernel is not compiled in). */
-    void evaluateBatchAvx512(const std::uint64_t *input_words,
-                             std::uint64_t *net_words) const;
 
     std::vector<Gate> gates_;
     std::vector<CompiledOp> ops_;

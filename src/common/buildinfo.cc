@@ -1,6 +1,5 @@
 #include "common/buildinfo.hh"
 
-#include "circuit/netlist.hh"
 #include "core/resultcache.hh"
 #include "obs/metrics.hh"
 
@@ -10,14 +9,6 @@ BuildInfo
 buildInfo()
 {
     BuildInfo info;
-#ifdef PENELOPE_ENABLE_AVX2
-    info.avx2Compiled = true;
-#endif
-#ifdef PENELOPE_ENABLE_AVX512
-    info.avx512Compiled = true;
-#endif
-    info.avx2Runtime = Netlist::avx2Supported();
-    info.avx512Runtime = Netlist::avx512Supported();
     info.obsCompiled = obs::kCompiledIn;
     info.cacheSalt = kResultCacheSalt;
     return info;
@@ -27,16 +18,7 @@ std::string
 buildInfoText()
 {
     const BuildInfo info = buildInfo();
-    const auto onoff = [](bool compiled, bool runtime) {
-        return !compiled ? std::string("off")
-            : runtime    ? std::string("on (host supported)")
-                         : std::string("on (host unsupported)");
-    };
     std::string out = "penelope_bench\n";
-    out += "  avx2:       " +
-        onoff(info.avx2Compiled, info.avx2Runtime) + "\n";
-    out += "  avx512:     " +
-        onoff(info.avx512Compiled, info.avx512Runtime) + "\n";
     out += "  obs:        ";
     out += info.obsCompiled ? "compiled in" : "compiled out";
     out += "\n";

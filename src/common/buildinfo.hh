@@ -1,10 +1,9 @@
 /**
  * @file
  * Build-configuration introspection for `penelope_bench
- * --version`: which optional kernels this binary was compiled
- * with, whether the observability layer is compiled in, and the
- * result-cache salt -- enough to attribute a BENCH_perf.json row
- * or a metrics snapshot to a binary configuration.
+ * --version`: whether the observability layer is compiled in, and
+ * the result-cache salt -- enough to attribute a BENCH_perf.json
+ * row or a metrics snapshot to a binary configuration.
  */
 
 #ifndef PENELOPE_COMMON_BUILDINFO_HH
@@ -16,10 +15,6 @@ namespace penelope {
 
 struct BuildInfo
 {
-    bool avx2Compiled = false;    ///< AVX2 kernel in the binary
-    bool avx2Runtime = false;     ///< ... and this host runs it
-    bool avx512Compiled = false;
-    bool avx512Runtime = false;
     bool obsCompiled = false;     ///< observability layer present
     std::string cacheSalt;        ///< kResultCacheSalt
 };

@@ -201,30 +201,6 @@ BitBiasTracker::observeBatchWeighted(const std::uint64_t *bit_words,
     totalTime_ += batch_time;
 }
 
-void
-BitBiasTracker::observeBatchWeighted(const std::uint64_t *lo_words,
-                                     const std::uint64_t *hi_words,
-                                     const std::uint64_t *dt_planes,
-                                     unsigned num_planes)
-{
-    std::uint64_t batch_time = 0;
-    for (unsigned l = 0; l < num_planes; ++l) {
-        batch_time += static_cast<std::uint64_t>(
-                          std::popcount(dt_planes[l]))
-            << l;
-    }
-    if (batch_time == 0)
-        return;
-    const unsigned lo_bits = width_ < 64 ? width_ : 64;
-    for (unsigned b = 0; b < lo_bits; ++b)
-        one_.addBitWeighted(b, lo_words[b], dt_planes, num_planes);
-    for (unsigned b = 64; b < width_; ++b) {
-        one_.addBitWeighted(b, hi_words[b - 64], dt_planes,
-                            num_planes);
-    }
-    totalTime_ += batch_time;
-}
-
 double
 BitBiasTracker::probability(std::uint64_t one_time) const
 {

@@ -452,18 +452,6 @@ class BitBiasTracker
                               const std::uint64_t *dt_planes,
                               unsigned num_planes);
 
-    /**
-     * Split-plane form of observeBatchWeighted for callers whose
-     * low and high value columns live in separate 64-word arrays
-     * (transposed in place): bits [0, 64) read @p lo_words, bits
-     * [64, width) read @p hi_words.  @p hi_words may be null when
-     * width() <= 64.
-     */
-    void observeBatchWeighted(const std::uint64_t *lo_words,
-                              const std::uint64_t *hi_words,
-                              const std::uint64_t *dt_planes,
-                              unsigned num_planes);
-
     /** Per-bit zero probability. */
     double zeroProbability(unsigned bit) const;
 

@@ -1,23 +1,10 @@
 #include "regfile.hh"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 
 #include "common/bitword.hh"
-#include "obs/metrics.hh"
 
 namespace penelope {
-
-namespace {
-
-/** Batch drains of the register-file bias accumulator.  File-scope handle: the drain runs once per 64
- *  replayed cycles, and the disabled cost must stay one
- *  relaxed branch. */
-const obs::Counter g_regfileDrains =
-    obs::Registry::instance().counter("regfile.drains");
-
-} // namespace
 
 RegisterFile::RegisterFile(const RegFileConfig &config)
     : config_(config),
@@ -137,51 +124,11 @@ RegisterFile::occupancy(Cycle now) const
          static_cast<double>(now));
 }
 
-void
-RegisterFile::drainBiasBatch()
-{
-    const unsigned n = biasCount_;
-    if (n == 0)
-        return;
-    g_regfileDrains.add();
-    biasCount_ = 0;
-
-    // Transpose the duration column into bit-planes and the value
-    // columns into per-bit lane words (the observeBatchWeighted
-    // layout), in place: the parked records are dead once folded.
-    // Padding lanes keep dt = 0 and are ignored by the tracker, so
-    // their value words may hold stale data.
-    std::uint64_t dt_or = 0;
-    for (unsigned v = 0; v < n; ++v)
-        dt_or |= biasDt_[v];
-    for (unsigned v = n; v < 64; ++v)
-        biasDt_[v] = 0;
-    transpose64x64(biasDt_);
-    const unsigned num_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(dt_or | 1));
-
-    transpose64x64(biasLo_);
-    if (config_.width > 64)
-        transpose64x64(biasHi_);
-    bias_.observeBatchWeighted(
-        biasLo_, config_.width > 64 ? biasHi_ : nullptr, biasDt_,
-        num_planes);
-}
-
-void
-RegisterFile::setBatchedAccounting(bool batched)
-{
-    if (batched_ && !batched)
-        drainBiasBatch();
-    batched_ = batched;
-}
-
 const BitBiasTracker &
 RegisterFile::finalizeBias(Cycle now)
 {
     for (auto &e : entries_)
         flushEntry(e, now);
-    drainBiasBatch();
     meterFlush(now);
     occupancyFlush(now);
     return bias_;

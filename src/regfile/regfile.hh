@@ -109,20 +109,6 @@ class RegisterFile
      *  bias tracker. */
     const BitBiasTracker &finalizeBias(Cycle now);
 
-    /**
-     * Toggle batched bias accounting (default on).  When on, value
-     * residences are parked in a 64-record batch and folded into
-     * the tracker with one transposed observeBatchWeighted per
-     * batch; when off, every value change charges the tracker
-     * immediately.  Both paths add the identical integers
-     * (addition commutes), so every derived statistic -- and,
-     * since the bias tracker feeds no mid-run decision, the RNG
-     * draw stream -- is bit-identical either way.  Disabling
-     * drains the pending batch first.
-     */
-    void setBatchedAccounting(bool batched);
-    bool batchedAccounting() const { return batched_; }
-
     const RegFileConfig &config() const { return config_; }
 
   private:
@@ -135,31 +121,18 @@ class RegisterFile
     };
 
     /** Account @p entry's current value up to @p now (inline: runs
-     *  once per value change on the replay hot path).  Batched
-     *  mode parks the (value, dt) record; the tracker is only
-     *  charged at drain. */
+     *  once per value change on the replay hot path).  Charged
+     *  eagerly: parking residences in a 64-record batch measured
+     *  slower, because observe() already picks a cheap sliced add
+     *  per call. */
     void
     flushEntry(Entry &e, Cycle now)
     {
         if (now > e.valueSince) {
-            const std::uint64_t dt = now - e.valueSince;
-            if (batched_) {
-                const unsigned v = biasCount_;
-                biasLo_[v] = e.value.lo();
-                if (config_.width > 64)
-                    biasHi_[v] = e.value.hi();
-                biasDt_[v] = dt;
-                if (++biasCount_ == 64)
-                    drainBiasBatch();
-            } else {
-                bias_.observe(e.value, dt);
-            }
+            bias_.observe(e.value, now - e.valueSince);
             e.valueSince = now;
         }
     }
-
-    /** Fold the pending value-residence batch into the tracker. */
-    void drainBiasBatch();
 
     /** Update the sampled-entry balance meter on a state change. */
     void
@@ -207,17 +180,6 @@ class RegisterFile
 
     IsvStats isvStats_;
     BitBiasTracker bias_;
-
-    /** Pending value residences, struct-of-arrays: lane v holds
-     *  value words (lo, and hi when width > 64) and duration.
-     *  Nothing reads bias_ mid-run, so unlike the scheduler no
-     *  deferred-release bookkeeping is needed -- records just
-     *  accumulate until a batch fills or finalizeBias folds. */
-    bool batched_ = true;
-    unsigned biasCount_ = 0;
-    std::uint64_t biasLo_[64];
-    std::uint64_t biasHi_[64];
-    std::uint64_t biasDt_[64];
 };
 
 } // namespace penelope

@@ -8,10 +8,6 @@
 #include "common/bitword.hh"
 #include "obs/metrics.hh"
 
-#if defined(PENELOPE_ENABLE_AVX2)
-#include <immintrin.h>
-#endif
-
 namespace penelope {
 
 namespace {
@@ -402,114 +398,6 @@ csaFlush(const Csa3 &a, std::uint64_t (*bank)[3], unsigned level)
         bankAdd(bank, level + 2, a.fours[0], a.fours[1], a.fours[2]);
 }
 
-#if defined(PENELOPE_ENABLE_AVX2)
-
-/** Same gate as the netlist kernel's: one compile definition plus
- *  one runtime probe. */
-bool
-drainAvx2Supported()
-{
-    static const bool supported = __builtin_cpu_supports("avx2");
-    return supported;
-}
-
-// A lambda would not inherit the enclosing function's target
-// attribute, so the aligned load lives in its own AVX2 helper
-// (same pattern as netlist_simd.cc).
-__attribute__((target("avx2"))) inline __m256i
-load256(const std::uint64_t *p)
-{
-    return _mm256_load_si256(reinterpret_cast<const __m256i *>(p));
-}
-
-/** Carry-save chain held in ymm registers.  One step is the
- *  identical XOR/AND recurrence as the scalar Csa3 path, so the
- *  banked counters come out the same. */
-struct CsaYmm
-{
-    __m256i ones, twos, fours;
-};
-
-__attribute__((target("avx2"))) inline void
-csaStep(CsaYmm &a, __m256i x, std::uint64_t (*bank)[3],
-        unsigned level)
-{
-    const __m256i c = _mm256_and_si256(a.ones, x);
-    a.ones = _mm256_xor_si256(a.ones, x);
-    const __m256i d = _mm256_and_si256(a.twos, c);
-    a.twos = _mm256_xor_si256(a.twos, c);
-    const __m256i e = _mm256_and_si256(a.fours, d);
-    a.fours = _mm256_xor_si256(a.fours, d);
-    if (!_mm256_testz_si256(e, e)) {
-        alignas(32) std::uint64_t t[4];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(t), e);
-        bankAdd(bank, level + 3, t[0], t[1], t[2]);
-    }
-}
-
-__attribute__((target("avx2"))) inline void
-csaFlushYmm(const CsaYmm &a, std::uint64_t (*bank)[3],
-            unsigned level)
-{
-    alignas(32) std::uint64_t t[4];
-    if (!_mm256_testz_si256(a.ones, a.ones)) {
-        _mm256_store_si256(reinterpret_cast<__m256i *>(t), a.ones);
-        bankAdd(bank, level, t[0], t[1], t[2]);
-    }
-    if (!_mm256_testz_si256(a.twos, a.twos)) {
-        _mm256_store_si256(reinterpret_cast<__m256i *>(t), a.twos);
-        bankAdd(bank, level + 1, t[0], t[1], t[2]);
-    }
-    if (!_mm256_testz_si256(a.fours, a.fours)) {
-        _mm256_store_si256(reinterpret_cast<__m256i *>(t), a.fours);
-        bankAdd(bank, level + 2, t[0], t[1], t[2]);
-    }
-}
-
-/**
- * Vector form of the plane-major CSA loop: each record is one
- * aligned 4-word row (the pad word is always zero, so it never
- * carries).  Two independent chains take alternate lanes -- the
- * six-op recurrence is a serial dependency, so interleaving hides
- * its latency on dense planes -- and both flush into the bank at
- * plane end (equal-weight adds commute).
- */
-__attribute__((target("avx2"))) void
-drainPlanesAvx2(const std::uint64_t *planes, unsigned num_planes,
-                const std::uint64_t (*rows)[4],
-                std::uint64_t (*bank)[3])
-{
-    for (unsigned l = 0; l < num_planes; ++l) {
-        const std::uint64_t lanes = planes[l];
-        if (!lanes)
-            continue;
-        CsaYmm a{_mm256_setzero_si256(), _mm256_setzero_si256(),
-                 _mm256_setzero_si256()};
-        CsaYmm b = a;
-        std::uint64_t m = lanes;
-        while (m) {
-            const unsigned v0 =
-                static_cast<unsigned>(std::countr_zero(m));
-            m &= m - 1;
-            if (m) {
-                const unsigned v1 =
-                    static_cast<unsigned>(std::countr_zero(m));
-                m &= m - 1;
-                const __m256i x0 = load256(rows[v0]);
-                const __m256i x1 = load256(rows[v1]);
-                csaStep(a, x0, bank, l);
-                csaStep(b, x1, bank, l);
-            } else {
-                csaStep(a, load256(rows[v0]), bank, l);
-            }
-        }
-        csaFlushYmm(a, bank, l);
-        csaFlushYmm(b, bank, l);
-    }
-}
-
-#endif // PENELOPE_ENABLE_AVX2
-
 } // namespace
 
 void
@@ -558,7 +446,7 @@ Scheduler::drainBatch() const
     // rebuilt from the three capture-field lanes -- a busy record
     // always has the whole always-used group live (asserted at
     // append).
-    alignas(32) std::uint64_t z[kBatchDepth][4];
+    std::uint64_t z[kBatchDepth][kLayoutWords];
     for (std::uint64_t m = busy; m; m &= m - 1) {
         const unsigned v =
             static_cast<unsigned>(std::countr_zero(m));
@@ -584,7 +472,6 @@ Scheduler::drainBatch() const
         z[v][0] = ~batchImage_[v][0] & um0;
         z[v][1] = ~batchImage_[v][1] & um1;
         z[v][2] = ~batchImage_[v][2] & um2;
-        z[v][3] = 0;
     }
 
     // Plane-major accumulation: every record in plane l adds its
@@ -592,14 +479,6 @@ Scheduler::drainBatch() const
     // busy-span planes do the same with the zeroed in-use
     // complements (their lanes are busy by construction -- an idle
     // record's busy span is 0).
-#if defined(PENELOPE_ENABLE_AVX2)
-    if (drainAvx2Supported()) {
-        drainPlanesAvx2(planes, num_planes, batchImage_, oneBank_);
-        drainPlanesAvx2(busy_planes, num_busy_planes, z,
-                        busyZeroBank_);
-        return;
-    }
-#endif
     for (unsigned l = 0; l < num_planes; ++l) {
         const std::uint64_t lanes = planes[l];
         if (!lanes)

@@ -345,10 +345,8 @@ class Scheduler
      * in use), all maintained bit-at-append.
      */
     static constexpr unsigned kBatchDepth = 64;
-    /** Lane-major, padded to four words per record so a lane's
-     *  image is one aligned 32-byte load in the vector drain; the
-     *  pad word is zero-initialised and never written. */
-    alignas(32) mutable std::uint64_t batchImage_[kBatchDepth][4]{};
+    /** Lane-major: record v's slot image is batchImage_[v]. */
+    mutable std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
     mutable std::uint64_t batchDt_[kBatchDepth];
     /** Busy-span duration per record: equal to batchDt_ for a busy
      *  flush, 0 for an idle flush, and the parked release duration

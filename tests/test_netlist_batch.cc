@@ -526,15 +526,7 @@ TEST(AgingWide, ObserveBatchWideIdentity)
 
 TEST(NetlistWide, PreferredBatchWordsIsSupported)
 {
-    const unsigned net_w = Netlist::preferredBatchWords();
-    EXPECT_TRUE(net_w == 2 || net_w == 4 || net_w == 8);
-    if (Netlist::avx512Supported()) {
-        EXPECT_EQ(net_w, 8u);
-    } else if (Netlist::avx2Supported()) {
-        EXPECT_EQ(net_w, 4u);
-    } else {
-        EXPECT_EQ(net_w, 2u);
-    }
+    EXPECT_EQ(Netlist::preferredBatchWords(), 4u);
 }
 
 TEST(AgingBatch, PaddedLanesIgnored)

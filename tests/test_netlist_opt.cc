@@ -463,27 +463,6 @@ TEST(NetlistOpt, KoggeStoneReductionMeetsCiFloor)
     EXPECT_GT(stats.invFused, 0u);
 }
 
-TEST(NetlistOpt, BlockedBatchWordsRespectsCapabilityAndBudget)
-{
-    // The cache-blocked width never exceeds the host capability,
-    // steps down from 8 only (to 4), and tiny netlists always get
-    // the full capability width.
-    Netlist tiny;
-    buildFigure2Circuit(tiny);
-    tiny.finalize();
-    EXPECT_EQ(tiny.blockedBatchWords(),
-              Netlist::preferredBatchWords());
-
-    KoggeStoneAdder ks(32);
-    const unsigned w = ks.netlist().blockedBatchWords();
-    EXPECT_TRUE(w == 2 || w == 4 || w == 8);
-    EXPECT_LE(w, Netlist::preferredBatchWords());
-    if (Netlist::preferredBatchWords() == 8 &&
-        ks.netlist().wordCount() * 64 > 24 * 1024) {
-        EXPECT_EQ(w, 4u);
-    }
-}
-
 // -------------------------------------- result-cache compatibility
 
 TEST(NetlistOptCache, SaltUnchangedByOptimizingCompiler)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "regfile/driver.hh"
 #include "regfile/regfile.hh"
 #include "trace/workload.hh"
@@ -265,6 +268,129 @@ TEST(RegReplay, IsvImprovesWorstStress)
     const double isv = run(true);
     EXPECT_GT(baseline, 0.75);
     EXPECT_LT(isv, 0.62);
+}
+
+// ------------------------------------------------ absolute anchors
+//
+// Literal accounting of fixed workload traces, so a change to the
+// residence bookkeeping cannot pass by agreeing with itself.  The
+// values are exact integers; they move only if a statistic moves,
+// which also requires a kResultCacheSalt bump.
+
+struct RegAnchor
+{
+    std::vector<std::uint64_t> zeroTimes;
+    std::uint64_t totalTime = 0;
+    IsvStats isv;
+};
+
+RegAnchor
+replayAnchor(const RegFileConfig &cfg, const RegReplayConfig &rcfg,
+             bool isv, unsigned trace, std::size_t num_uops)
+{
+    WorkloadSet w;
+    RegisterFile rf(cfg);
+    rf.enableIsv(isv);
+    RegFileReplay replay(rf, rcfg);
+    TraceGenerator gen = w.generator(trace);
+    const RegReplayResult r = replay.run(gen, num_uops);
+    const BitBiasTracker &bias = rf.finalizeBias(r.cycles);
+    RegAnchor out;
+    for (unsigned bit = 0; bit < bias.width(); ++bit)
+        out.zeroTimes.push_back(bias.zeroTime(bit));
+    out.totalTime = bias.totalTime();
+    out.isv = rf.isvStats();
+    return out;
+}
+
+/** FNV-1a over the little-endian bytes of every zero-time. */
+std::uint64_t
+zeroTimeDigest(const std::vector<std::uint64_t> &zero_times)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t v : zero_times) {
+        for (unsigned k = 0; k < 8; ++k) {
+            h ^= (v >> (8 * k)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+void
+expectIsv(const IsvStats &s, std::uint64_t applied,
+          std::uint64_t discarded, std::uint64_t skipped)
+{
+    EXPECT_EQ(s.updatesApplied, applied);
+    EXPECT_EQ(s.updatesDiscarded, discarded);
+    EXPECT_EQ(s.updatesSkipped, skipped);
+}
+
+TEST(RegFileAnchor, IntTracesPinned)
+{
+    // Default 32-bit INT-RF, trace 1, 4567 uops.
+    const RegAnchor off = replayAnchor(RegFileConfig(),
+                                       RegReplayConfig{}, false, 1,
+                                       4567);
+    EXPECT_EQ(off.totalTime, 584576u);
+    EXPECT_EQ(off.zeroTimes,
+              (std::vector<std::uint64_t>{
+                  364718, 359015, 357959, 359620, 342626, 356169,
+                  366751, 383980, 419955, 446891, 454605, 466301,
+                  463092, 454500, 453122, 453200, 454908, 464540,
+                  464700, 456982, 457424, 457964, 464433, 465589,
+                  462957, 464728, 457440, 461250, 468003, 469991,
+                  469964, 468525}));
+    expectIsv(off.isv, 0, 0, 0);
+
+    const RegAnchor on = replayAnchor(RegFileConfig(),
+                                      RegReplayConfig{}, true, 1,
+                                      4567);
+    EXPECT_EQ(on.totalTime, 584576u);
+    EXPECT_EQ(on.zeroTimes,
+              (std::vector<std::uint64_t>{
+                  325929, 321727, 319520, 310016, 323711, 329121,
+                  284952, 302179, 319314, 331326, 344885, 333026,
+                  349045, 347987, 338984, 356414, 339812, 348662,
+                  344574, 351854, 348049, 346306, 336447, 336948,
+                  337861, 344574, 332471, 353650, 348965, 341091,
+                  349288, 350369}));
+    expectIsv(on.isv, 2987, 255, 0);
+}
+
+TEST(RegFileAnchor, FpWideTracesPinned)
+{
+    // 80-bit FP-RF: bits 64..79 live in BitWord's high word, so the
+    // high-bit slice is pinned literally next to the full digest.
+    RegFileConfig cfg;
+    cfg.name = "FP-RF";
+    cfg.numEntries = 64;
+    cfg.width = 80;
+    RegReplayConfig rcfg;
+    rcfg.fp = true;
+    rcfg.portFreeProb = 0.86;
+
+    const RegAnchor off = replayAnchor(cfg, rcfg, false, 2, 3000);
+    EXPECT_EQ(off.totalTime, 192000u);
+    EXPECT_EQ(zeroTimeDigest(off.zeroTimes), 0x15b3836e48dd9712ull);
+    EXPECT_EQ(std::vector<std::uint64_t>(off.zeroTimes.begin() + 64,
+                                         off.zeroTimes.end()),
+              (std::vector<std::uint64_t>{
+                  135709, 125000, 87319, 77942, 102488, 102488,
+                  102488, 102488, 102488, 102488, 102488, 102488,
+                  102488, 102488, 132577, 178935}));
+    expectIsv(off.isv, 0, 0, 0);
+
+    const RegAnchor on = replayAnchor(cfg, rcfg, true, 2, 3000);
+    EXPECT_EQ(on.totalTime, 192000u);
+    EXPECT_EQ(zeroTimeDigest(on.zeroTimes), 0x6170a33167dc5eb1ull);
+    EXPECT_EQ(std::vector<std::uint64_t>(on.zeroTimes.begin() + 64,
+                                         on.zeroTimes.end()),
+              (std::vector<std::uint64_t>{
+                  90274, 117824, 94932, 86185, 100064, 100064, 100064,
+                  100064, 100064, 100064, 100064, 100064, 100064,
+                  100064, 90269, 113240}));
+    expectIsv(on.isv, 114, 14, 48);
 }
 
 } // namespace

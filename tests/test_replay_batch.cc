@@ -2,15 +2,17 @@
  * @file
  * Batched-vs-scalar replay identity suites.
  *
- * The replay drivers accumulate slot/register/line images into
- * 64-record batches and fold them with one transposed drain; the
- * scalar path charges the accumulators on every event.  Both paths
- * add the identical modular integers in a different order, so every
- * derived statistic -- and the RNG draw stream, since the trackers
- * feed no mid-run decision -- must match bit for bit.  These suites
- * assert exactly that over random workload traces, with protection
- * and ISV on and off, across partial final batches, mid-run reader
- * folds, mid-run mode toggles, and snapshot merge interleavings.
+ * The scheduler and cache replay drivers accumulate slot/line images
+ * into 64-record batches and fold them with one transposed drain;
+ * the scalar path charges the accumulators on every event.  Both
+ * paths add the identical modular integers in a different order, so
+ * every derived statistic -- and the RNG draw stream, since the
+ * trackers feed no mid-run decision -- must match bit for bit.
+ * These suites assert exactly that over random workload traces,
+ * with protection and ISV on and off, across partial final batches,
+ * mid-run reader folds, mid-run mode toggles, and snapshot merge
+ * interleavings.  (The register file charges eagerly; its absolute
+ * anchors live in test_regfile.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +22,6 @@
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
-#include "regfile/driver.hh"
-#include "regfile/regfile.hh"
 #include "scheduler/driver.hh"
 #include "scheduler/profile.hh"
 #include "scheduler/scheduler.hh"
@@ -199,118 +199,6 @@ TEST(SchedulerReplayBatch, MergeOrderInterleavings)
     // merge() sums commutative integers, so even the reversed
     // interleaving agrees.
     expectStressEqual(m3, m1);
-}
-
-// -------------------------------------------------------- regfile
-
-RegFileConfig
-fpConfig()
-{
-    RegFileConfig cfg;
-    cfg.name = "FP-RF";
-    cfg.numEntries = 64;
-    cfg.width = 80; // > 64: exercises the hi-word batch column
-    return cfg;
-}
-
-/** Replay against a register file in the requested mode; returns
- *  the finalized tracker by value alongside the stats. */
-struct RegRunOut
-{
-    std::vector<std::uint64_t> zeroTimes;
-    std::uint64_t totalTime = 0;
-    IsvStats isv;
-    double occupancy = 0.0;
-};
-
-RegRunOut
-runRegFile(bool batched, const RegFileConfig &cfg,
-           const RegReplayConfig &rcfg, bool isv, unsigned trace,
-           std::size_t num_uops)
-{
-    WorkloadSet w;
-    RegisterFile rf(cfg);
-    rf.setBatchedAccounting(batched);
-    rf.enableIsv(isv);
-    RegFileReplay replay(rf, rcfg);
-    TraceGenerator gen = w.generator(trace);
-    const RegReplayResult r = replay.run(gen, num_uops);
-    const BitBiasTracker &bias = rf.finalizeBias(r.cycles);
-    RegRunOut out;
-    for (unsigned bit = 0; bit < bias.width(); ++bit)
-        out.zeroTimes.push_back(bias.zeroTime(bit));
-    out.totalTime = bias.totalTime();
-    out.isv = rf.isvStats();
-    out.occupancy = r.occupancy;
-    return out;
-}
-
-void
-expectRegRunsEqual(const RegRunOut &a, const RegRunOut &b)
-{
-    EXPECT_EQ(a.zeroTimes, b.zeroTimes);
-    EXPECT_EQ(a.totalTime, b.totalTime);
-    EXPECT_EQ(a.isv.updatesApplied, b.isv.updatesApplied);
-    EXPECT_EQ(a.isv.updatesDiscarded, b.isv.updatesDiscarded);
-    EXPECT_EQ(a.isv.updatesSkipped, b.isv.updatesSkipped);
-    EXPECT_EQ(a.occupancy, b.occupancy);
-}
-
-TEST(RegFileReplayBatch, IntTracesMatchScalar)
-{
-    // Partial final batches and multi-batch runs, ISV off and on.
-    const std::size_t counts[] = {100, 1000, 4567};
-    for (const std::size_t uops : counts) {
-        for (const bool isv : {false, true}) {
-            const RegRunOut batched =
-                runRegFile(true, RegFileConfig(), RegReplayConfig{},
-                           isv, 1, uops);
-            const RegRunOut scalar =
-                runRegFile(false, RegFileConfig(), RegReplayConfig{},
-                           isv, 1, uops);
-            expectRegRunsEqual(batched, scalar);
-        }
-    }
-}
-
-TEST(RegFileReplayBatch, FpWideTracesMatchScalar)
-{
-    RegReplayConfig rcfg;
-    rcfg.fp = true;
-    rcfg.portFreeProb = 0.86;
-    for (const bool isv : {false, true}) {
-        const RegRunOut batched =
-            runRegFile(true, fpConfig(), rcfg, isv, 2, 3000);
-        const RegRunOut scalar =
-            runRegFile(false, fpConfig(), rcfg, isv, 2, 3000);
-        expectRegRunsEqual(batched, scalar);
-    }
-}
-
-TEST(RegFileReplayBatch, MidRunToggleDrains)
-{
-    WorkloadSet w;
-    RegisterFile toggled{RegFileConfig()};
-    RegisterFile scalar{RegFileConfig()};
-    scalar.setBatchedAccounting(false);
-    toggled.enableIsv(true);
-    scalar.enableIsv(true);
-    RegFileReplay rt(toggled, RegReplayConfig{});
-    RegFileReplay rs(scalar, RegReplayConfig{});
-    TraceGenerator gt = w.generator(0);
-    TraceGenerator gs = w.generator(0);
-
-    Cycle t_end = 0, s_end = 0;
-    bool mode = true;
-    for (int leg = 0; leg < 4; ++leg) {
-        toggled.setBatchedAccounting(mode);
-        mode = !mode;
-        t_end = rt.run(gt, 801).cycles;
-        s_end = rs.run(gs, 801).cycles;
-    }
-    const BitBiasTracker &tb = toggled.finalizeBias(t_end);
-    const BitBiasTracker &sb = scalar.finalizeBias(s_end);
-    expectTrackersEqual(tb, sb);
 }
 
 // ---------------------------------------------------------- cache
