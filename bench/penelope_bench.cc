@@ -94,15 +94,6 @@ usage(std::ostream &os, int exit_code)
           "               statistics are identical for any N)\n"
           "  --full       full workload (stride 1) at paper-scale "
           "uop counts\n"
-          "  --no-netlist-opt\n"
-          "               compile netlists with the 1:1 gate "
-          "translation instead of\n"
-          "               the optimizing compiler (CSE, constant "
-          "folding, INV fusion,\n"
-          "               cache-blocked scheduling); statistics "
-          "and stdout are\n"
-          "               byte-identical either way -- this only "
-          "trades speed\n"
           "  --netlist-opt-stats\n"
           "               print per-adder-topology op-count "
           "accounting of the\n"
@@ -518,8 +509,6 @@ listExperiments(std::ostream &os)
 /**
  * The --netlist-opt-stats report: one parsable line per adder
  * topology with the optimizing compiler's per-pass accounting.
- * Honors --no-netlist-opt (reduction is then 0%), so the flag
- * ordering on the command line does not matter.
  */
 void
 printNetlistOptStats(std::ostream &os)
@@ -846,8 +835,6 @@ main(int argc, char **argv)
             options.jobs = value == 0
                 ? defaultJobs()
                 : static_cast<unsigned>(value);
-        } else if (!std::strcmp(arg, "--no-netlist-opt")) {
-            setNetlistOptEnabled(false);
         } else if (!std::strcmp(arg, "--netlist-opt-stats")) {
             opt_stats_mode = true;
         } else if (!std::strcmp(arg, "--no-surrogate")) {
@@ -1099,8 +1086,6 @@ main(int argc, char **argv)
     }
 
     if (opt_stats_mode) {
-        // After the parse loop so --no-netlist-opt applies in any
-        // argument order.
         printNetlistOptStats(std::cout);
         return 0;
     }

@@ -113,14 +113,12 @@ BENCHMARK(BM_NetlistEvaluateBatchWide)
     ->Arg(4)
     ->Arg(8);
 
-/** Optimized vs --no-netlist-opt throughput on the Kogge-Stone
- *  adder, the INV-heaviest topology (arg: 1 = optimizing compiler,
- *  0 = 1:1 gate translation).  items/s counts vectors; the CI perf
- *  floor asserts optimized >= 1.2x unoptimized per vector. */
+/** Batched throughput on the Kogge-Stone adder, the INV-heaviest
+ *  topology and the one the optimizing compiler shrinks most.
+ *  items/s counts vectors. */
 void
 BM_KoggeStoneEvaluateBatch(benchmark::State &state)
 {
-    const ScopedNetlistOpt toggle(state.range(0) != 0);
     KoggeStoneAdder adder(32);
     Rng rng(1);
     std::uint64_t a[64];
@@ -139,7 +137,7 @@ BM_KoggeStoneEvaluateBatch(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_KoggeStoneEvaluateBatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_KoggeStoneEvaluateBatch);
 
 /** Scalar aging observe: one evaluated vector, one pass over the
  *  per-net slots. */
@@ -185,14 +183,9 @@ BENCHMARK(BM_AgingObserveBatch);
 /** End-to-end batched aging of real operand samples (the Figure-5
  *  real-input path): transpose + netlist batch + popcount observe
  *  per 64 samples. */
-// Arg 1 = optimizing compiler on (the default build behaviour),
-// arg 0 = disabled.  Both variants live in one process so the
-// opt/no-opt ratio is a same-run comparison, which is the only kind
-// the shared reference host resolves reliably.
 void
 BM_AdderAgingPipeline(benchmark::State &state)
 {
-    const ScopedNetlistOpt toggle(state.range(0) != 0);
     WorkloadSet workload;
     TraceGenerator gen = workload.generator(0);
     const auto ops = collectAdderOperands(gen, 2048);
@@ -205,10 +198,7 @@ BM_AdderAgingPipeline(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * ops.size());
 }
-BENCHMARK(BM_AdderAgingPipeline)
-    ->Unit(benchmark::kMicrosecond)
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_AdderAgingPipeline)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------- surrogate triage
 
@@ -418,23 +408,6 @@ BM_SchedulerReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_SchedulerReplay);
-
-/** The unbatched accounting path of the same replay: every slot
- *  flush charges the wide accumulators immediately.  The CI perf
- *  floor asserts the batched default stays >= 1.6x this per item. */
-void
-BM_SchedulerReplayScalar(benchmark::State &state)
-{
-    WorkloadSet workload;
-    Scheduler sched{SchedulerConfig{}};
-    sched.setBatchedAccounting(false);
-    SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
-    for (auto _ : state)
-        replay.run(gen, 256);
-    state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_SchedulerReplayScalar);
 
 void
 BM_RegFileReplay(benchmark::State &state)

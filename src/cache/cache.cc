@@ -1,24 +1,11 @@
 #include "cache.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
-#include "common/bitword.hh"
-#include "obs/metrics.hh"
 #include "inversion.hh"
 
 namespace penelope {
-
-namespace {
-
-/** Batch drains of the cache-model bias accumulator.  File-scope handle: the drain runs once per 64
- *  replayed cycles, and the disabled cost must stay one
- *  relaxed branch. */
-const obs::Counter g_cacheModelDrains =
-    obs::Registry::instance().counter("cache_model.drains");
-
-} // namespace
 
 CacheConfig
 CacheConfig::tlb(std::uint32_t entries, std::uint32_t ways,
@@ -107,51 +94,9 @@ void
 Cache::flushImage(Line &line, Cycle now)
 {
     if (now > line.imageSince) {
-        const std::uint64_t dt = now - line.imageSince;
-        if (biasBatched_) {
-            const unsigned v = biasCount_;
-            biasImage_[v] = line.image;
-            biasDt_[v] = dt;
-            if (++biasCount_ == 64)
-                drainBiasBatch();
-        } else {
-            dataBias_.observe(line.image, dt);
-        }
+        dataBias_.observe(line.image, now - line.imageSince);
         line.imageSince = now;
     }
-}
-
-void
-Cache::drainBiasBatch()
-{
-    const unsigned n = biasCount_;
-    if (n == 0)
-        return;
-    g_cacheModelDrains.add();
-    biasCount_ = 0;
-
-    // In-place transpose into the observeBatchWeighted layout; the
-    // parked records are dead once folded.  Padding lanes keep
-    // dt = 0 and contribute nothing.
-    std::uint64_t dt_or = 0;
-    for (unsigned v = 0; v < n; ++v)
-        dt_or |= biasDt_[v];
-    for (unsigned v = n; v < 64; ++v)
-        biasDt_[v] = 0;
-    transpose64x64(biasDt_);
-    const unsigned num_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(dt_or | 1));
-
-    transpose64x64(biasImage_);
-    dataBias_.observeBatchWeighted(biasImage_, biasDt_, num_planes);
-}
-
-void
-Cache::setBatchedAccounting(bool batched)
-{
-    if (biasBatched_ && !batched)
-        drainBiasBatch();
-    biasBatched_ = batched;
 }
 
 void
@@ -462,7 +407,6 @@ Cache::finalizeDataBias(Cycle now)
 {
     for (auto &line : lines_)
         flushImage(line, now);
-    drainBiasBatch();
     return dataBias_;
 }
 

@@ -5,8 +5,6 @@
 #include <cassert>
 #include <vector>
 
-#include "common/duty.hh"
-
 namespace penelope {
 
 PmosAgingTracker::PmosAgingTracker(const Netlist &netlist)
@@ -119,35 +117,6 @@ PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
     for (std::size_t s = invEnd_; s < const0End_; ++s)
         slotZeroTime_[s] += lane_time;
     totalTime_ += lane_time;
-}
-
-void
-PmosAgingTracker::observeBatchWeighted(
-    const std::uint64_t *net_words, const std::uint64_t *dt_planes,
-    unsigned num_planes)
-{
-    std::uint64_t batch_time = 0;
-    for (unsigned l = 0; l < num_planes; ++l) {
-        batch_time += static_cast<std::uint64_t>(
-                          std::popcount(dt_planes[l]))
-            << l;
-    }
-    if (batch_time == 0)
-        return;
-    // A lane charges zero-time when its net value is CLEAR; lanes
-    // with dt = 0 sit in no plane, so the complement's garbage
-    // bits there are harmless.
-    for (std::size_t s = 0; s < wordEnd_; ++s) {
-        slotZeroTime_[s] += weightedLaneTime(
-            ~net_words[slotWord_[s]], dt_planes, num_planes);
-    }
-    for (std::size_t s = wordEnd_; s < invEnd_; ++s) {
-        slotZeroTime_[s] += weightedLaneTime(
-            net_words[slotWord_[s]], dt_planes, num_planes);
-    }
-    for (std::size_t s = invEnd_; s < const0End_; ++s)
-        slotZeroTime_[s] += batch_time;
-    totalTime_ += batch_time;
 }
 
 void

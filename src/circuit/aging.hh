@@ -24,11 +24,13 @@
  * charges a whole 64-vector lane word in one step -- the zero-time
  * of a class is popcount of its complemented lane word (masked to
  * the valid lanes) -- so a batch costs a couple of word ops per
- * *class* instead of 64 branchy updates per *device*.  All paths
- * add exactly the same integers, so every probability (and
- * everything downstream: summaries, guardbands, experiment stdout)
- * is bit-identical between scalar and batched accounting, and
- * between optimized and --no-netlist-opt compilation.
+ * *class* instead of 64 branchy updates per *device*.  Scalar
+ * observe() (fed by the gate-list interpreter Netlist::evaluate)
+ * and the batched forms add exactly the same integers, so every
+ * probability (and everything downstream: summaries, guardbands,
+ * experiment stdout) is bit-identical between them; the AgingBatch
+ * suites in tests/test_netlist_batch.cc pin that on the Figure-2
+ * circuit and all three adder topologies.
  */
 
 #ifndef PENELOPE_CIRCUIT_AGING_HH
@@ -88,17 +90,6 @@ class PmosAgingTracker
      */
     void observeBatch(const std::uint64_t *net_words,
                       std::uint64_t lane_mask, std::uint64_t dt = 1);
-
-    /**
-     * Weighted form of observeBatch(): each lane carries its own
-     * duration, transposed into @p dt_planes bit-planes (the
-     * weighted-lane representation of common/duty.hh).  Lanes with
-     * dt = 0 contribute nothing.  Exactly equivalent to one
-     * observe() per lane with that lane's dt.
-     */
-    void observeBatchWeighted(const std::uint64_t *net_words,
-                              const std::uint64_t *dt_planes,
-                              unsigned num_planes);
 
     /**
      * Wide form of observeBatch() for the W-word netlist engine
@@ -175,7 +166,7 @@ class PmosAgingTracker
     /** Shared total observed time (identical for every device). */
     std::uint64_t totalTime_ = 0;
 
-    mutable std::vector<std::uint8_t> scratch_;
+    std::vector<std::uint8_t> scratch_; ///< applyInput net values
 };
 
 } // namespace penelope

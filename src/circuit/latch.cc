@@ -19,21 +19,6 @@ LatchBank::hold(Word value, std::uint64_t dt)
     bias_.observe(value, dt);
 }
 
-void
-LatchBank::holdBatch(const std::uint64_t *bit_words,
-                     std::uint64_t lane_mask, std::uint64_t dt)
-{
-    bias_.observeBatch(bit_words, lane_mask, dt);
-}
-
-void
-LatchBank::holdBatchWeighted(const std::uint64_t *bit_words,
-                             const std::uint64_t *dt_planes,
-                             unsigned num_planes)
-{
-    bias_.observeBatchWeighted(bit_words, dt_planes, num_planes);
-}
-
 double
 LatchBank::worstCaseStress() const
 {

@@ -43,29 +43,6 @@ class LatchBank
     /** Hold a plain word (LSB-first) for @p dt cycles. */
     void hold(Word value, std::uint64_t dt = 1);
 
-    /**
-     * Hold 64 values at once, each for @p dt cycles -- the
-     * latch-bank sibling of PmosAgingTracker::observeBatch.
-     * @p bit_words holds width() per-bit lane words (bit v of word
-     * b = bit b of value v, the layout Netlist::evaluateBatch
-     * produces and transpose64x64 packs), and only the lanes
-     * selected by @p lane_mask count (padding of a partial batch
-     * is ignored).  Bit-identical to 64 scalar hold() calls: both
-     * paths add exactly the same integers (see
-     * BitBiasTracker::observeBatch).
-     */
-    void holdBatch(const std::uint64_t *bit_words,
-                   std::uint64_t lane_mask, std::uint64_t dt = 1);
-
-    /**
-     * Weighted form of holdBatch(): per-lane durations transposed
-     * into dt bit-planes (the weighted-lane representation of
-     * common/duty.hh).  Lanes with dt = 0 are ignored.
-     */
-    void holdBatchWeighted(const std::uint64_t *bit_words,
-                           const std::uint64_t *dt_planes,
-                           unsigned num_planes);
-
     /** Worst-case stress over all bit cells. */
     double worstCaseStress() const;
 

@@ -258,14 +258,6 @@ Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
                 out[k] = in[k];
             break;
           }
-          case CompiledOp::Kind::Const0:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = 0;
-            break;
-          case CompiledOp::Kind::Const1:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~std::uint64_t(0);
-            break;
           case CompiledOp::Kind::Inv:
             for (unsigned k = 0; k < W; ++k)
                 out[k] = ~a[k];
@@ -273,10 +265,6 @@ Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
           case CompiledOp::Kind::Nand2:
             for (unsigned k = 0; k < W; ++k)
                 out[k] = ~(a[k] & b[k]);
-            break;
-          case CompiledOp::Kind::Nor2:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~(a[k] | b[k]);
             break;
           case CompiledOp::Kind::NandK: {
             std::uint64_t all[W];

@@ -21,8 +21,8 @@
  * op kind, fanin word slots, output word slot -- with the common
  * arities specialised, so the evaluator is a single switch over a
  * contiguous array with no per-gate heap indirection and no
- * `vector<bool>` proxy objects).  By default the stream is run
- * through the optimizing compiler of netlist_opt.{hh,cc} (CSE,
+ * `vector<bool>` proxy objects).  The stream is built by the
+ * optimizing compiler of netlist_opt.{hh,cc} (CSE,
  * constant folding, INV fusion, cache-blocked scheduling), which
  * shrinks it well below one op per gate; ops therefore address
  * *physical lane words*, and a net's value is recovered through its
@@ -32,7 +32,8 @@
  * Lane words are exact: bit v of every net's resolved word equals
  * what a scalar evaluate() of vector v would produce, which is what
  * keeps the batched aging statistics bit-identical to the scalar
- * ones -- optimized or not.
+ * ones.  evaluate() interprets the gate list directly and is the
+ * reference the batched engine is tested against.
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_HH
@@ -268,16 +269,9 @@ class Netlist
   private:
     SignalId newSignal(std::uint32_t producer_gate);
 
-    /** Build ops_/extraFanins_/refs_ from gates_ (netlist_opt.cc):
-     *  the optimizing pipeline, or the 1:1 translation when the
-     *  process-wide toggle is off. */
+    /** Build ops_/extraFanins_/refs_ from gates_ with the
+     *  optimizing pipeline (netlist_opt.cc). */
     void compile();
-
-    /** 1:1 gate-to-op translation (netlist_opt.cc). */
-    void compileDirect();
-
-    /** The optimizing pipeline (netlist_opt.cc). */
-    void compileOptimized();
 
     /** Portable W-word op-stream pass (W lane words per net). */
     template <unsigned W>

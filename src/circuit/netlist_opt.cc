@@ -2,9 +2,7 @@
  * @file
  * The optimizing netlist compiler (see netlist_opt.hh for the
  * contract).  Netlist::compile() builds ops_/extraFanins_/refs_
- * from gates_: either the 1:1 translation (compileDirect) or the
- * optimizing pipeline (compileOptimized), selected by the
- * process-wide toggle.
+ * from gates_.
  *
  * The optimizer works on a literal algebra: every net folds to a
  * Lit = (node, complemented?) where a node is a value-numbered
@@ -43,31 +41,14 @@
 #include "netlist.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <map>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace penelope {
 
 namespace {
-
-bool
-envDisablesOpt()
-{
-    const char *e = std::getenv("PENELOPE_NO_NETLIST_OPT");
-    return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
-
-std::atomic<bool> &
-optFlag()
-{
-    static std::atomic<bool> flag(!envDisablesOpt());
-    return flag;
-}
 
 constexpr std::uint32_t kConstNode = 0xFFFFFFFFu;
 constexpr std::uint32_t kNoWord = 0xFFFFFFFFu;
@@ -318,8 +299,6 @@ operandDistance(const std::vector<CompiledOp> &ops,
     for (const CompiledOp &op : ops) {
         switch (op.kind) {
           case CompiledOp::Kind::Input:
-          case CompiledOp::Kind::Const0:
-          case CompiledOp::Kind::Const1:
             break;
           case CompiledOp::Kind::Inv:
             add(op.out, op.a);
@@ -342,104 +321,12 @@ operandDistance(const std::vector<CompiledOp> &ops,
 
 } // namespace
 
-bool
-netlistOptEnabled()
-{
-    return optFlag().load(std::memory_order_relaxed);
-}
-
-void
-setNetlistOptEnabled(bool enabled)
-{
-    optFlag().store(enabled, std::memory_order_relaxed);
-}
-
 void
 Netlist::compile()
 {
     assert(ops_.empty() &&
            "compiled op stream must be built exactly once");
-    if (netlistOptEnabled())
-        compileOptimized();
-    else
-        compileDirect();
-}
-
-void
-Netlist::compileDirect()
-{
-    // The 1:1 translation: one op per gate, words ARE SignalIds,
-    // every NetRef is the identity.  This is the --no-netlist-opt
-    // reference stream the optimizer is tested bit-for-bit against.
     optStats_ = {};
-    optStats_.opsBaseline = gates_.size();
-
-    ops_.reserve(gates_.size());
-    extraFanins_.clear();
-    std::uint32_t next_input = 0;
-    for (const Gate &g : gates_) {
-        CompiledOp op;
-        op.out = g.output;
-        switch (g.type) {
-          case GateType::Input:
-            op.kind = CompiledOp::Kind::Input;
-            op.a = next_input++;
-            break;
-          case GateType::Const0:
-            op.kind = CompiledOp::Kind::Const0;
-            break;
-          case GateType::Const1:
-            op.kind = CompiledOp::Kind::Const1;
-            break;
-          case GateType::Inv:
-            op.kind = CompiledOp::Kind::Inv;
-            op.a = g.inputs[0];
-            break;
-          case GateType::Nand:
-          case GateType::Nor: {
-            const bool nand = g.type == GateType::Nand;
-            op.a = g.inputs[0];
-            op.b = g.inputs[1];
-            if (g.inputs.size() == 2) {
-                op.kind = nand ? CompiledOp::Kind::Nand2
-                               : CompiledOp::Kind::Nor2;
-            } else {
-                op.kind = nand ? CompiledOp::Kind::NandK
-                               : CompiledOp::Kind::NorK;
-                op.extra = static_cast<std::uint32_t>(
-                    extraFanins_.size());
-                op.extraCount = static_cast<std::uint32_t>(
-                    g.inputs.size() - 2);
-                extraFanins_.insert(extraFanins_.end(),
-                                    g.inputs.begin() + 2,
-                                    g.inputs.end());
-            }
-            break;
-          }
-          case GateType::TgPass:
-            op.kind = CompiledOp::Kind::TgPass;
-            op.a = g.inputs[0];
-            op.b = g.inputs[1];
-            break;
-        }
-        ops_.push_back(op);
-    }
-
-    wordCount_ = static_cast<std::uint32_t>(producers_.size());
-    refs_.resize(producers_.size());
-    for (std::size_t s = 0; s < producers_.size(); ++s)
-        refs_[s] = {static_cast<std::uint32_t>(s), NetRefKind::Word};
-
-    optStats_.opsFinal = ops_.size();
-    optStats_.avgOperandDistance =
-        operandDistance(ops_, extraFanins_);
-}
-
-void
-Netlist::compileOptimized()
-{
-    optStats_ = {};
-    optStats_.optimized = true;
     optStats_.opsBaseline = gates_.size();
 
     // ---- Fold every gate to a literal (CSE + folding + INV

@@ -3,10 +3,9 @@
  * The optimizing netlist compiler: types shared between the Netlist
  * front-end and the pass pipeline in netlist_opt.cc.
  *
- * finalize() compiles the gate list into a flat op stream.  With
- * optimization enabled (the default) the stream is not the 1:1 gate
- * translation of PR 4 but the output of four classic netlist
- * transforms, run in one deterministic walk:
+ * finalize() compiles the gate list into a flat op stream: the
+ * output of four classic netlist transforms, run in one
+ * deterministic walk:
  *
  *  1. Structural hashing / CSE -- ops with identical (kind,
  *     canonicalized fanins) collapse to one evaluation.  Commutative
@@ -33,20 +32,20 @@
  *     op*, which is what lets wide (W=4/8) batches stay cache
  *     resident.
  *
- * Because nets no longer own words 1:1, every consumer resolves a
+ * Because nets do not own words 1:1, every consumer resolves a
  * SignalId through a NetRef {word, kind}: the net's value is the
  * word, its complement, or a constant.  Statistics stay bit-identical
- * to the unoptimized engine: an aliased net's resolved lane word
- * equals what the 1:1 stream would have computed for it, and
- * PmosAgingTracker charges one popcount per *equivalence class* of
- * nets (aliased zero-time slots) -- the same integers in the same
- * modular arithmetic, so kResultCacheSalt did NOT bump and warm
- * result caches keep replaying with zero stores.
+ * to the gate-by-gate form: an aliased net's resolved lane word
+ * equals what the scalar interpreter Netlist::evaluate computes for
+ * it, and PmosAgingTracker charges one popcount per *equivalence
+ * class* of nets (aliased zero-time slots) -- the same integers in
+ * the same modular arithmetic.
  *
- * The escape hatch: setNetlistOptEnabled(false) (wired to
- * penelope_bench --no-netlist-opt, or the PENELOPE_NO_NETLIST_OPT
- * environment variable) reverts finalize() to the 1:1 translation,
- * where every net owns the word with its own SignalId.
+ * There is no unoptimized mode.  The scalar gate-list interpreter
+ * is the reference: tests/test_netlist_batch.cc checks every net's
+ * lane word against it on random netlists, and every batched aging
+ * probability on the Figure-2 circuit and all three adders.  A
+ * second, 1:1 op stream only duplicated that oracle.
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_OPT_HH
@@ -60,8 +59,7 @@ namespace penelope {
 /**
  * One record of the compiled op stream.  All operand/output fields
  * address *physical lane words* (positions in the evaluated word
- * array), not SignalIds; with optimization disabled the two
- * numberings coincide.  The two-input forms are specialised so the
+ * array), not SignalIds.  The two-input forms are specialised so the
  * evaluator loop never touches the spill array for them; wider
  * gates read their remaining fanins from the extra-fanin array.
  */
@@ -70,11 +68,8 @@ struct CompiledOp
     enum class Kind : std::uint8_t
     {
         Input,   ///< out = input word [a = input ordinal]
-        Const0,  ///< out = 0   (unoptimized streams only)
-        Const1,  ///< out = ~0  (unoptimized streams only)
         Inv,     ///< out = ~a
         Nand2,   ///< out = ~(a & b)
-        Nor2,    ///< out = ~(a | b) (unoptimized streams only)
         NandK,   ///< out = ~(a & b & extras...)
         NorK,    ///< out = ~(a | b | extras...)
         TgPass,  ///< out = a ^ b
@@ -115,10 +110,8 @@ struct NetRef
 /** Per-pass op accounting of one finalize() compilation. */
 struct NetlistOptStats
 {
-    bool optimized = false;
-
-    /** Primitive gates (including inputs and constants) = the
-     *  unoptimized op-stream length. */
+    /** Primitive gates (including inputs and constants): one op
+     *  per gate before optimization. */
     std::size_t opsBaseline = 0;
 
     /** Ops surviving in the optimized stream (= physical words). */
@@ -151,34 +144,6 @@ struct NetlistOptStats
              static_cast<double>(opsFinal) /
                  static_cast<double>(opsBaseline));
     }
-};
-
-/**
- * Process-wide optimizer toggle consulted by Netlist::finalize().
- * Defaults to enabled unless the PENELOPE_NO_NETLIST_OPT
- * environment variable is set (to anything but "0").  The toggle
- * only changes how the op stream is compiled, never any statistic,
- * so it is deliberately NOT part of ShardPlan or any cache key:
- * optimized and unoptimized runs share result-cache entries.
- */
-bool netlistOptEnabled();
-void setNetlistOptEnabled(bool enabled);
-
-/** RAII toggle for tests and benchmarks. */
-class ScopedNetlistOpt
-{
-  public:
-    explicit ScopedNetlistOpt(bool enabled)
-        : saved_(netlistOptEnabled())
-    {
-        setNetlistOptEnabled(enabled);
-    }
-    ~ScopedNetlistOpt() { setNetlistOptEnabled(saved_); }
-    ScopedNetlistOpt(const ScopedNetlistOpt &) = delete;
-    ScopedNetlistOpt &operator=(const ScopedNetlistOpt &) = delete;
-
-  private:
-    bool saved_;
 };
 
 } // namespace penelope

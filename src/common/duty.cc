@@ -40,65 +40,12 @@ MaskedTimeAccumulator::MaskedTimeAccumulator(unsigned width)
     : width_(width), lanes_((width + 63) / 64), time_(width, 0)
 {
     assert(width >= 1 && width <= kMaxWidth);
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
-        const unsigned bits = std::min(64u, width_ - lane * 64);
-        laneMask_[lane] = bits == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << bits) - 1;
-    }
-}
-
-void
-MaskedTimeAccumulator::flushPlanes() const
-{
-    if (planePending_ == 0)
-        return;
-    for (unsigned lane = 0; lane < lanes_; ++lane) {
-        const unsigned base = lane * 64;
-        for (unsigned l = 0; l < kPlanes; ++l) {
-            for (std::uint64_t m = planes_[lane][l]; m;
-                 m &= m - 1) {
-                const unsigned i = static_cast<unsigned>(
-                    std::countr_zero(m));
-                time_[base + i] += std::uint64_t(1) << l;
-            }
-            planes_[lane][l] = 0;
-        }
-    }
-    planePending_ = 0;
-}
-
-void
-MaskedTimeAccumulator::normalize() const
-{
-    flushPlanes();
-    if (base_ != 0) {
-        for (std::uint64_t &t : time_)
-            t += base_;
-        base_ = 0;
-    }
-}
-
-std::uint64_t
-MaskedTimeAccumulator::time(unsigned bit) const
-{
-    normalize();
-    return time_.at(bit);
-}
-
-const std::vector<std::uint64_t> &
-MaskedTimeAccumulator::times() const
-{
-    normalize();
-    return time_;
 }
 
 void
 MaskedTimeAccumulator::merge(const MaskedTimeAccumulator &other)
 {
     assert(other.width_ == width_);
-    normalize();
-    other.normalize();
     for (unsigned i = 0; i < width_; ++i)
         time_[i] += other.time_[i];
 }
@@ -106,7 +53,6 @@ MaskedTimeAccumulator::merge(const MaskedTimeAccumulator &other)
 void
 MaskedTimeAccumulator::loadTimes(const std::uint64_t *times)
 {
-    reset();
     std::copy(times, times + width_, time_.begin());
 }
 
@@ -114,10 +60,6 @@ void
 MaskedTimeAccumulator::reset()
 {
     std::fill(time_.begin(), time_.end(), 0);
-    base_ = 0;
-    planePending_ = 0;
-    for (auto &lane : planes_)
-        std::fill(lane, lane + kPlanes, 0);
 }
 
 // -------------------------------------------------- BitBiasTracker
@@ -125,7 +67,7 @@ MaskedTimeAccumulator::reset()
 BitBiasTracker::BitBiasTracker(unsigned width)
     : width_(width), one_(width)
 {
-    assert(width >= 1 && width <= 128);
+    assert(width >= 1 && width <= kMaxWidth);
     maskLo_ = width_ >= 64
         ? ~std::uint64_t(0)
         : (std::uint64_t(1) << width_) - 1;
@@ -172,33 +114,6 @@ BitBiasTracker::observeBatch(const std::uint64_t *bit_words,
             one_.addBit(b, ones * dt);
     }
     totalTime_ += static_cast<std::uint64_t>(lanes) * dt;
-}
-
-void
-BitBiasTracker::observeBatchWeighted(const std::uint64_t *bit_words,
-                                     const std::uint64_t *dt_planes,
-                                     unsigned num_planes)
-{
-    // Total time of the batch: every lane contributes its dt to
-    // every bit's total, and the planes are exactly the lanes' dt
-    // values transposed.
-    std::uint64_t batch_time = 0;
-    for (unsigned l = 0; l < num_planes; ++l) {
-        batch_time += static_cast<std::uint64_t>(
-                          std::popcount(dt_planes[l]))
-            << l;
-    }
-    if (batch_time == 0)
-        return;
-    // Per bit, the lanes holding "1" each contribute their own dt
-    // of one-time.  Same integers as per-lane observe() calls --
-    // addition commutes -- so all derived statistics match the
-    // scalar path bit for bit.
-    for (unsigned b = 0; b < width_; ++b) {
-        one_.addBitWeighted(b, bit_words[b], dt_planes,
-                            num_planes);
-    }
-    totalTime_ += batch_time;
 }
 
 double

@@ -82,7 +82,7 @@ decodeResult(ByteReader &r, BitBiasTracker &v)
     const std::uint32_t width = r.u32();
     const std::uint64_t total = r.u64();
     if (!r.ok() || width == 0 ||
-        width > MaskedTimeAccumulator::kMaxWidth) {
+        width > BitBiasTracker::kMaxWidth) {
         r.fail();
         return false;
     }

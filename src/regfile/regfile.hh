@@ -123,8 +123,8 @@ class RegisterFile
     /** Account @p entry's current value up to @p now (inline: runs
      *  once per value change on the replay hot path).  Charged
      *  eagerly: parking residences in a 64-record batch measured
-     *  slower, because observe() already picks a cheap sliced add
-     *  per call. */
+     *  slower, because observe() is already one direct add per set
+     *  bit. */
     void
     flushEntry(Entry &e, Cycle now)
     {

@@ -12,15 +12,11 @@ namespace penelope {
 
 namespace {
 
-/** Batch drains of the 64-cycle slot-image accumulator.  File-scope handle: the drain runs once per 64
- *  replayed cycles, and the disabled cost must stay one
- *  relaxed branch. */
+/** Batch drains of the 64-record slot-image accumulator.
+ *  File-scope handle: a drain runs once per 64 slot flushes, and
+ *  the disabled cost must stay one relaxed branch. */
 const obs::Counter g_schedulerDrains =
     obs::Registry::instance().counter("scheduler.drains");
-
-} // namespace
-
-namespace {
 
 /**
  * Table-2 layout constants for the fused allocate path: the packed
@@ -90,7 +86,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
     dutyGens_.assign(layout.totalBits(), DutyGenerator(1.0));
 
     slots_.reserve(layout.count());
-    fieldMasks_.reserve(layout.count());
     rinv_.reserve(layout.count());
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
@@ -102,15 +97,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
         s.bitsInWord0 = std::min(spec.width, 64 - s.shift0);
         s.straddles = s.bitsInWord0 < spec.width;
         slots_.push_back(s);
-
-        LayoutWords mask{};
-        mask[s.word0] |= s.widthMask << s.shift0;
-        if (s.straddles)
-            mask[s.word0 + 1] |= s.widthMask >> s.bitsInWord0;
-        for (unsigned w = 0; w < kLayoutWords; ++w)
-            layoutMask_[w] |= mask[w];
-        fieldMasks_.push_back(mask);
-
         rinv_.push_back(BitWord(spec.width).inverted());
     }
 
@@ -240,72 +226,52 @@ Scheduler::flushEntry(Entry &e, Cycle now)
     const std::uint64_t pend = e.pendingBusyDt;
     if (dt == 0 && pend == 0)
         return;
-    if (batched_) {
-        // Defer the wide accumulator adds: park the image, the
-        // durations and the in-use group lanes in the record batch.
-        // Everything a decision reads mid-run (entryTime_, the ISV
-        // balance meters, the timestamp) is still charged eagerly,
-        // so repair behaviour -- and with it the RNG draw stream --
-        // cannot depend on batching.
-        const unsigned v = batchCount_;
-        for (unsigned w = 0; w < kLayoutWords; ++w)
-            batchImage_[v][w] = e.image[w];
-        // A busy flush has all the always-used fields live (the
-        // fused allocate deposits them as one group), so per-field
-        // lanes reduce to one busy mask plus the three capture
-        // fields' own masks.
-        const std::uint32_t uf = e.inUseFields;
-        assert(uf == 0 ||
-               (uf & kAlwaysUsedFields) == kAlwaysUsedFields);
-        const std::uint64_t lane = std::uint64_t(1) << v;
-        if (pend) {
-            // Merged record: the deferred busy span plus the idle
-            // span since.  The parked image (valid still up) stands
-            // for both -- an unprotected release changes nothing
-            // else -- and the valid bit's idle zero-time is
-            // credited at fold.  Converting the entry here is the
-            // release epilogue the eager path ran at release time.
-            assert(uf != 0);
-            batchDt_[v] = pend + dt;
-            batchBusyDt_[v] = pend;
-            validIdleGrand_ += dt;
-            e.pendingBusyDt = 0;
-            pendingMask_ &= ~(std::uint64_t(1) << (&e - entries_.data()));
-            e.inUse = LayoutWords{};
-            e.inUseFields = 0;
-            e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-        } else {
-            batchDt_[v] = dt;
-            batchBusyDt_[v] = uf ? dt : 0;
-        }
-        if (uf) {
-            batchBusy_ |= lane;
-            if (uf & (std::uint32_t(1) << kSrc1DataField))
-                batchS1_ |= lane;
-            if (uf & (std::uint32_t(1) << kSrc2DataField))
-                batchS2_ |= lane;
-            if (uf & (std::uint32_t(1) << kImmField))
-                batchImm_ |= lane;
-        }
-        if (++batchCount_ == kBatchDepth)
-            drainBatch();
+    // Defer the wide accumulator adds: park the image, the durations
+    // and the in-use group lanes in the record batch.  Everything a
+    // decision reads mid-run (entryTime_, the ISV balance meters,
+    // the timestamp) is charged eagerly, so repair behaviour -- and
+    // with it the RNG draw stream -- never depends on drain timing.
+    const unsigned v = batchCount_;
+    for (unsigned w = 0; w < kLayoutWords; ++w)
+        batchImage_[v][w] = e.image[w];
+    // A busy flush has all the always-used fields live (the fused
+    // allocate deposits them as one group), so per-field lanes
+    // reduce to one busy mask plus the three capture fields' own
+    // masks.
+    const std::uint32_t uf = e.inUseFields;
+    assert(uf == 0 ||
+           (uf & kAlwaysUsedFields) == kAlwaysUsedFields);
+    const std::uint64_t lane = std::uint64_t(1) << v;
+    if (pend) {
+        // Merged record: the deferred busy span plus the idle span
+        // since.  The parked image (valid still up) stands for both
+        // -- an unprotected release changes nothing else -- and the
+        // valid bit's idle zero-time is credited at fold.
+        // Converting the entry here is the release epilogue an
+        // undeferred release runs at release time.
+        assert(uf != 0);
+        batchDt_[v] = pend + dt;
+        batchBusyDt_[v] = pend;
+        validIdleGrand_ += dt;
+        e.pendingBusyDt = 0;
+        pendingMask_ &= ~(std::uint64_t(1) << (&e - entries_.data()));
+        e.inUseFields = 0;
+        e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
     } else {
-        assert(pend == 0); // leaving batched mode sweeps deferrals
-        std::uint64_t zero[kLayoutWords];
-        for (unsigned w = 0; w < kLayoutWords; ++w)
-            zero[w] = ~e.image[w] & layoutMask_[w];
-        zeroTotal_.add(zero, dt);
-        if (e.inUseFields) {
-            std::uint64_t busy_zero[kLayoutWords];
-            for (unsigned w = 0; w < kLayoutWords; ++w)
-                busy_zero[w] = zero[w] & e.inUse[w];
-            busyZero_.add(busy_zero, dt);
-            for (std::uint32_t m = e.inUseFields; m; m &= m - 1) {
-                fieldBusyTime_[static_cast<unsigned>(
-                    std::countr_zero(m))] += dt;
-            }
-        }
+        batchDt_[v] = dt;
+        batchBusyDt_[v] = uf ? dt : 0;
     }
+    if (uf) {
+        batchBusy_ |= lane;
+        if (uf & (std::uint32_t(1) << kSrc1DataField))
+            batchS1_ |= lane;
+        if (uf & (std::uint32_t(1) << kSrc2DataField))
+            batchS2_ |= lane;
+        if (uf & (std::uint32_t(1) << kImmField))
+            batchImm_ |= lane;
+    }
+    if (++batchCount_ == kBatchDepth)
+        drainBatch();
     entryTime_ += dt;
     if (dt) {
         for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
@@ -510,12 +476,12 @@ Scheduler::drainBatch() const
 void
 Scheduler::sweepPending() const
 {
-    // Emit the busy-only record the eager path would have emitted
-    // at release time for every parked release, and run the release
-    // epilogue (valid drop, in-use clear).  The entry's timestamp
-    // is untouched: its idle span keeps accruing and flushes as a
-    // plain idle record later -- the same two records, just split
-    // where the immediate path split them.
+    // Emit the busy-only record an undeferred release would have
+    // emitted at release time for every parked release, and run the
+    // release epilogue (valid drop, in-use clear).  The entry's
+    // timestamp is untouched: its idle span keeps accruing and
+    // flushes as a plain idle record later -- the same two records,
+    // split where an undeferred release splits them.
     for (std::uint64_t p = pendingMask_; p; p &= p - 1) {
         Entry &e = entries_[static_cast<unsigned>(
             std::countr_zero(p))];
@@ -535,7 +501,6 @@ Scheduler::sweepPending() const
         if (uf & (std::uint32_t(1) << kImmField))
             batchImm_ |= lane;
         e.pendingBusyDt = 0;
-        e.inUse = LayoutWords{};
         e.inUseFields = 0;
         e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
         if (++batchCount_ == kBatchDepth)
@@ -555,13 +520,11 @@ Scheduler::foldBatch() const
     const FieldLayout &layout = fieldLayout();
     const unsigned total_bits = layout.totalBits();
 
-    // zeroTotal_: charge every bit the grand duration total, minus
-    // its banked one-time -- the complement-split form of the scalar
-    // zero-mask add.  Transposing a bank word's 64 levels yields
-    // each bit's exact total directly: transposed word b has bit l
-    // set iff level l held bit b, i.e. it *is* sum_l 2^l.
-    zeroTotal_.addBase(dtGrand_);
-    dtGrand_ = 0;
+    // zeroTotal_: charge every bit the grand duration total minus
+    // its banked one-time (modular, like every accumulator add).
+    // Transposing a bank word's 64 levels yields each bit's exact
+    // total directly: transposed word b has bit l set iff level l
+    // held bit b, i.e. it *is* sum_l 2^l.
     if (validIdleGrand_) {
         // Merged records keep valid = 1 over their idle span;
         // credit the one bit their release would have dropped.
@@ -576,10 +539,8 @@ Scheduler::foldBatch() const
         }
         transpose64x64(col);
         const unsigned hi = std::min(64u, total_bits - w * 64);
-        for (unsigned b = 0; b < hi; ++b) {
-            if (col[b])
-                zeroTotal_.subBit(w * 64 + b, col[b]);
-        }
+        for (unsigned b = 0; b < hi; ++b)
+            zeroTotal_.addBit(w * 64 + b, dtGrand_ - col[b]);
 
         for (unsigned l = 0; l < kBatchDepth; ++l) {
             col[l] = busyZeroBank_[l][w];
@@ -592,6 +553,8 @@ Scheduler::foldBatch() const
         }
     }
 
+    dtGrand_ = 0;
+
     // In-use time: fields are used whole, so the always-used group
     // shares one duration sum and each capture field has its own.
     for (std::uint32_t m = kAlwaysUsedFields; m; m &= m - 1) {
@@ -602,14 +565,6 @@ Scheduler::foldBatch() const
     fieldBusyTime_[kSrc2DataField] += s2DtGrand_;
     fieldBusyTime_[kImmField] += immDtGrand_;
     busyDtGrand_ = s1DtGrand_ = s2DtGrand_ = immDtGrand_ = 0;
-}
-
-void
-Scheduler::setBatchedAccounting(bool enabled)
-{
-    if (batched_ && !enabled)
-        foldBatch();
-    batched_ = enabled;
 }
 
 void
@@ -773,9 +728,6 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     e.image[0] = (e.image[0] & ~um0) | (b0 & um0);
     e.image[1] = (e.image[1] & ~um1) | (b1 & um1);
     e.image[2] = (e.image[2] & ~um2) | (b2 & um2);
-    e.inUse[0] = um0;
-    e.inUse[1] = um1;
-    e.inUse[2] = um2;
     e.inUseFields = used;
     e.holdsInverted &= ~used;
 
@@ -806,13 +758,12 @@ Scheduler::release(unsigned entry, Cycle now, bool port_available)
     if (++freeTail_ == config_.numEntries)
         freeTail_ = 0;
 
-    // Unprotected release in batched mode: the only image change is
-    // the valid drop, so park the busy span and let the next flush
-    // of this entry emit one merged busy+idle record.  The
-    // decision-feeding state (entryTime_, ISV meters, timestamp)
-    // is still charged eagerly, exactly like a flush.
-    if (batched_ && deferRelease_ && !protectionEnabled_ &&
-        now > e.since) {
+    // Unprotected release: the only image change is the valid drop,
+    // so park the busy span and let the next flush of this entry
+    // emit one merged busy+idle record.  The decision-feeding state
+    // (entryTime_, ISV meters, timestamp) is still charged eagerly,
+    // exactly like a flush.
+    if (deferRelease_ && !protectionEnabled_ && now > e.since) {
         const std::uint64_t dt = now - e.since;
         e.pendingBusyDt = dt;
         pendingMask_ |= std::uint64_t(1) << entry;
@@ -827,7 +778,6 @@ Scheduler::release(unsigned entry, Cycle now, bool port_available)
 
     const FieldLayout &layout = fieldLayout();
     flushEntry(e, now);
-    e.inUse = LayoutWords{};
     e.inUseFields = 0;
 
     // The valid bit drops to 0 on release; its contents are always

@@ -11,13 +11,16 @@
  *
  * Duty accounting is word-parallel: every entry packs its 18 fields
  * into one 144-bit slot image (three 64-bit words) with a single
- * residence timestamp, and a flush charges the whole image into
- * 144-bit-wide MaskedTimeAccumulators (total zero-time, in-use
- * zero-time, in-use time) with a handful of mask operations --
- * instead of walking 18 fields x width per-bit counters.  Per-field
- * BitBiasTracker views are materialised only when a snapshot is
- * taken; the sums are exact unsigned integers, so the statistics
- * are bit-identical to the per-bit form.
+ * residence timestamp.  A flush parks the {image, in-use, dt} record
+ * in a 64-deep batch; a full batch drains into bit-sliced counter
+ * banks through a carry-save adder chain, and any reader folds the
+ * banks into 144-bit per-bit accumulators (total zero-time, in-use
+ * zero-time) with one 64x64 transpose per layout word.  This is the
+ * only accounting path: it replays about 2x faster than charging
+ * the accumulators on every flush.  Per-field BitBiasTracker views
+ * are materialised only when a snapshot is taken; the sums are
+ * exact unsigned integers, so the statistics equal the per-bit,
+ * per-event form (tests/test_replay_batch.cc pins them).
  */
 
 #ifndef PENELOPE_SCHEDULER_SCHEDULER_HH
@@ -138,20 +141,6 @@ class Scheduler
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
 
-    /**
-     * Toggle batched duty accounting (default on).  When on, a slot
-     * flush appends its {image, in-use, dt} record to a 64-deep
-     * batch instead of charging the accumulators immediately; a
-     * full batch drains into bit-sliced counter banks, and any
-     * reader of the accumulators folds the banks into them with one
-     * 64x64 transpose per layout word.  The deferred adds are the
-     * same modular-integer sums in a different order, so every
-     * statistic is bit-identical to the immediate path -- which the
-     * off position exists to check (and to benchmark against).
-     */
-    void setBatchedAccounting(bool enabled);
-    bool batchedAccounting() const { return batched_; }
-
     const SchedulerConfig &config() const { return config_; }
 
     /** Build the repair value for one field at this instant.
@@ -176,12 +165,8 @@ class Scheduler
         /** Packed field values in layout order. */
         LayoutWords image{};
 
-        /** Per-bit in-use mask (whole fields at a time). */
-        LayoutWords inUse{};
-
-        /** Per-field mirror of inUse (bit f = field f in use): the
-         *  batched flush reads this one word instead of the three
-         *  expanded per-bit mask words. */
+        /** Fields in use (bit f = field f; fields are used whole,
+         *  so the drain rebuilds per-bit in-use masks from this). */
         std::uint32_t inUseFields = 0;
 
         /** Per-field "last repair wrote RINV" bits. */
@@ -264,10 +249,10 @@ class Scheduler
     void foldBatch() const;
 
     /** Flush the parked busy span of every deferred release (the
-     *  busy-only record the eager path would have emitted at
-     *  release time) so readers see exactly the immediate path's
-     *  accounting.  Needs no "now": the idle span keeps accruing
-     *  from the entry's timestamp. */
+     *  busy-only record an undeferred release emits at release
+     *  time) so readers see the same records either way.  Needs
+     *  no "now": the idle span keeps accruing from the entry's
+     *  timestamp. */
     void sweepPending() const;
 
     /** Recompute repairPlans_/fieldHasIsv_ from decisions_. */
@@ -293,12 +278,6 @@ class Scheduler
 
     /** Per-field packed-layout placement. */
     std::vector<FieldSlot> slots_;
-
-    /** Per-field full in-use masks (field bits set in all words). */
-    std::vector<LayoutWords> fieldMasks_;
-
-    /** Valid bits of the whole layout (masks image complements). */
-    LayoutWords layoutMask_{};
 
     /** FIFO free list: slots rotate evenly, so every entry sees
      *  repair writes (and tag/slot usage is self-balanced).  A
@@ -357,7 +336,6 @@ class Scheduler
     mutable std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
     mutable std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
     mutable unsigned batchCount_ = 0;
-    bool batched_ = true;
 
     /** Entries with a deferred release parked (bit = entry index).
      *  Release merging is only worth a bounded sweep list, so it is

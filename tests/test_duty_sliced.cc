@@ -1,15 +1,15 @@
 /**
  * @file
- * Property tests pinning the bit-sliced duty accounting to a scalar
- * reference.
+ * Property tests pinning the word-parallel duty accounting to a
+ * scalar reference.
  *
- * ScalarBitBiasTracker is the pre-sliced implementation (one branchy
+ * ScalarBitBiasTracker is the per-bit implementation (one branchy
  * DutyCycleCounter per bit), kept verbatim as the executable
- * specification.  The sliced BitBiasTracker must match it bit for
+ * specification.  BitBiasTracker -- whose MaskedTimeAccumulator has
+ * one strategy, a direct add per set bit -- must match it bit for
  * bit -- same integers, same doubles -- across widths 1..128,
- * arbitrary dt (including the carry-save planes' overflow-flush
- * boundaries), interleaved reads (which force plane flushes), both
- * observe overloads, and any merge order.
+ * arbitrary dt (from 0 to beyond 2^40), interleaved reads, both
+ * observe overloads, the batched observe, and any merge order.
  */
 
 #include <gtest/gtest.h>
@@ -127,9 +127,9 @@ randomDt(Rng &rng)
       case 4:
         return 1 + rng.nextInt(1000);  // typical residences
       case 5:
-        return 65534 + rng.nextInt(4); // plane-capacity boundary
+        return 65534 + rng.nextInt(4); // around 2^16
       case 6:
-        return 65536 + rng.nextInt(1 << 20); // beyond the planes
+        return 65536 + rng.nextInt(1 << 20); // long residences
       default:
         return 1 + rng.nextInt(100);
     }
@@ -153,8 +153,7 @@ TEST(SlicedDuty, MatchesScalarAcrossWidthsAndDts)
                 sliced.observe(v, dt);
                 scalar.observe(v, dt);
             }
-            // Interleaved reads force plane flushes mid-stream; the
-            // totals must not depend on when flushes happen.
+            // Interleaved reads must not disturb the totals.
             if (rng.nextBool(0.05)) {
                 const unsigned bit =
                     static_cast<unsigned>(rng.nextInt(width));
@@ -168,8 +167,8 @@ TEST(SlicedDuty, MatchesScalarAcrossWidthsAndDts)
 
 TEST(SlicedDuty, OverflowFlushBoundaryIsExact)
 {
-    // Drive the pending plane count exactly to, across, and far
-    // beyond the kPlaneCap = 65535 flush boundary.
+    // Residences at, across and far beyond 2^16, mixed with dt = 1:
+    // each add is exact whatever its magnitude.
     for (std::uint64_t first : {65534ull, 65535ull, 65536ull}) {
         BitBiasTracker sliced(4);
         ScalarBitBiasTracker scalar(4);
@@ -241,7 +240,7 @@ TEST(SlicedDuty, ResetClearsEverything)
 {
     BitBiasTracker t(32);
     t.observe(Word(0x1234), 100);
-    t.observe(Word(0xffff), 65535); // leave pending plane state
+    t.observe(Word(0xffff), 65535);
     t.reset();
     for (unsigned b = 0; b < 32; ++b) {
         EXPECT_EQ(t.zeroTime(b), 0u);

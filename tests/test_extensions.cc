@@ -84,51 +84,6 @@ TEST(Latch, BitWordOverloadMatchesWordOverload)
                          b.bias().zeroProbability(i));
 }
 
-TEST(Latch, HoldBatchMatchesScalarHoldsBitForBit)
-{
-    // The 64-wide path must add exactly the integers 64 scalar
-    // hold() calls add, for full and partial batches, any dt, and
-    // widths beyond one lane word (the 65-bit adder-input bank).
-    for (unsigned width : {8u, 32u, 65u, 80u}) {
-        Rng rng(0x1a7c + width);
-        LatchBank batched(width);
-        LatchBank scalar(width);
-        for (int round = 0; round < 30; ++round) {
-            std::vector<BitWord> values;
-            std::vector<std::uint64_t> words(width, 0);
-            for (unsigned v = 0; v < 64; ++v) {
-                values.emplace_back(width, rng(), rng());
-                for (unsigned b = 0; b < width; ++b) {
-                    if (values[v].bit(b))
-                        words[b] |= std::uint64_t(1) << v;
-                }
-            }
-            const std::uint64_t lane_mask =
-                round % 3 == 0 ? ~std::uint64_t(0) : rng() | 1;
-            const std::uint64_t dt = 1 + rng.nextInt(1000);
-            batched.holdBatch(words.data(), lane_mask, dt);
-            for (unsigned v = 0; v < 64; ++v) {
-                if ((lane_mask >> v) & 1)
-                    scalar.hold(values[v], dt);
-            }
-        }
-        ASSERT_EQ(batched.bias().totalTime(),
-                  scalar.bias().totalTime());
-        for (unsigned b = 0; b < width; ++b)
-            ASSERT_EQ(batched.bias().zeroTime(b),
-                      scalar.bias().zeroTime(b))
-                << "width " << width << " bit " << b;
-        EXPECT_EQ(batched.worstCaseStress(),
-                  scalar.worstCaseStress());
-        const GuardbandModel model =
-            GuardbandModel::paperCalibrated();
-        EXPECT_EQ(batched.guardband(model),
-                  scalar.guardband(model));
-        EXPECT_EQ(batched.needsMitigation(model),
-                  scalar.needsMitigation(model));
-    }
-}
-
 // ------------------------------------------------- BranchPredictor
 
 TEST(BranchPredictor, LearnsStableBranch)

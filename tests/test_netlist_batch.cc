@@ -1,14 +1,17 @@
 /**
  * @file
  * Property tests for the word-parallel netlist engine: evaluateBatch
- * against scalar evaluate bit-for-bit on random netlists (every gate
- * type, batch sizes 1..128 including partial final batches), batched
- * adder sums against scalar sums, and batched-vs-scalar AgingSummary
- * identity on the Figure-2 circuit and the Ladner-Fischer adder.
+ * of the optimized op stream against the scalar gate-list
+ * interpreter bit-for-bit on random netlists (every gate type, batch
+ * sizes 1..128 including partial final batches), batched adder sums
+ * against scalar sums, and batched-vs-scalar aging identity on the
+ * Figure-2 circuit and all three adder topologies.  The scalar
+ * interpreter is the one reference the compiled stream is held to.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "adder/adder.hh"
@@ -166,6 +169,8 @@ TEST(NetlistBatch, RandomNetlistsMatchScalar)
         const unsigned num_inputs = 1 + rng.nextInt(12);
         const unsigned num_gates = 1 + rng.nextInt(60);
         Netlist n = randomNetlist(rng, num_inputs, num_gates);
+        // The optimizer never needs more words than nets.
+        EXPECT_LE(n.wordCount(), n.numSignals());
         // Batch sizes spanning partial, exact and multi-word
         // batches.
         for (std::size_t vectors : {std::size_t(1), std::size_t(7),
@@ -309,29 +314,45 @@ TEST(AgingBatch, Figure2SummaryIdentity)
                              batched.summarize(model));
 }
 
+/** One adder of each topology at @p width bits. */
+std::vector<std::unique_ptr<Adder>>
+allTopologies(unsigned width)
+{
+    std::vector<std::unique_ptr<Adder>> adders;
+    adders.push_back(std::make_unique<LadnerFischerAdder>(width));
+    adders.push_back(std::make_unique<RippleCarryAdder>(width));
+    adders.push_back(std::make_unique<KoggeStoneAdder>(width));
+    return adders;
+}
+
 TEST(AgingBatch, LadnerFischerOperandIdentity)
 {
     // The Figure-5 real-input path: batched zeroProbsForOperands
-    // must equal one scalar applyInput per sample, bit for bit.
+    // must equal one scalar applyInput per sample, bit for bit --
+    // on the Ladner-Fischer adder the paper studies and on the
+    // ripple-carry and Kogge-Stone topologies too.
     WorkloadSet workload;
     TraceGenerator gen = workload.generator(2);
     const auto ops = collectAdderOperands(gen, 333);
     ASSERT_FALSE(ops.empty());
 
-    LadnerFischerAdder adder(32);
-    AdderAgingAnalysis analysis(adder,
-                                GuardbandModel::paperCalibrated());
-    const auto batched = analysis.zeroProbsForOperands(ops);
+    for (const auto &adder : allTopologies(32)) {
+        AdderAgingAnalysis analysis(
+            *adder, GuardbandModel::paperCalibrated());
+        const auto batched = analysis.zeroProbsForOperands(ops);
 
-    PmosAgingTracker scalar(adder.netlist());
-    std::vector<bool> in;
-    for (const auto &op : ops) {
-        adder.fillInputVector(in, op.a, op.b, op.cin);
-        scalar.applyInput(in);
+        PmosAgingTracker scalar(adder->netlist());
+        std::vector<bool> in;
+        for (const auto &op : ops) {
+            adder->fillInputVector(in, op.a, op.b, op.cin);
+            scalar.applyInput(in);
+        }
+        ASSERT_EQ(batched.size(), scalar.numDevices());
+        for (std::size_t i = 0; i < batched.size(); ++i) {
+            EXPECT_EQ(batched[i], scalar.zeroProb(i))
+                << adder->name() << " device " << i;
+        }
     }
-    ASSERT_EQ(batched.size(), scalar.numDevices());
-    for (std::size_t i = 0; i < batched.size(); ++i)
-        EXPECT_EQ(batched[i], scalar.zeroProb(i)) << "device " << i;
 }
 
 TEST(AgingBatch, SyntheticRotationIdentity)
@@ -360,23 +381,24 @@ TEST(AgingBatch, SyntheticRotationIdentity)
 TEST(AgingBatch, PairSweepMatchesScalarSweep)
 {
     // The single-pass Figure-4 sweep equals 28 scalar two-input
-    // sweeps exactly.
-    LadnerFischerAdder adder(32);
+    // sweeps exactly, on every adder topology.
     const GuardbandModel model = GuardbandModel::paperCalibrated();
-    AdderAgingAnalysis analysis(adder, model);
-    const auto sweep = analysis.sweepPairs();
-    ASSERT_EQ(sweep.size(), 28u);
-    std::vector<bool> in;
-    for (const auto &entry : sweep) {
-        PmosAgingTracker scalar(adder.netlist());
-        syntheticVector(adder, entry.pair.first, in);
-        scalar.applyInput(in);
-        syntheticVector(adder, entry.pair.second, in);
-        scalar.applyInput(in);
-        const AgingSummary s = scalar.summarize(model);
-        EXPECT_EQ(entry.narrowFullyStressedFraction,
-                  s.narrowFullyStressedFraction)
-            << "pair " << pairLabel(entry.pair);
+    for (const auto &adder : allTopologies(32)) {
+        AdderAgingAnalysis analysis(*adder, model);
+        const auto sweep = analysis.sweepPairs();
+        ASSERT_EQ(sweep.size(), 28u);
+        std::vector<bool> in;
+        for (const auto &entry : sweep) {
+            PmosAgingTracker scalar(adder->netlist());
+            syntheticVector(*adder, entry.pair.first, in);
+            scalar.applyInput(in);
+            syntheticVector(*adder, entry.pair.second, in);
+            scalar.applyInput(in);
+            const AgingSummary s = scalar.summarize(model);
+            EXPECT_EQ(entry.narrowFullyStressedFraction,
+                      s.narrowFullyStressedFraction)
+                << adder->name() << " pair " << pairLabel(entry.pair);
+        }
     }
 }
 

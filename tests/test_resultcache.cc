@@ -131,8 +131,8 @@ TEST(ResultCodec, IsvStatsRoundTrip)
 TEST(ResultCodec, BitBiasTrackerRoundTripAcrossWidths)
 {
     Rng rng(0xc0dec);
-    for (unsigned width : {1u, 7u, 32u, 64u, 65u, 80u, 128u,
-                           144u, 192u}) {
+    for (unsigned width : {1u, 7u, 32u, 64u, 65u, 80u, 127u,
+                           BitBiasTracker::kMaxWidth}) {
         BitBiasTracker tracker(width);
         for (int i = 0; i < 200; ++i) {
             BitWord value(width);
@@ -285,6 +285,29 @@ TEST(ResultCodec, RejectsTruncationWrongTagAndBadInvariants)
         ByteReader r(blob);
         BitBiasTracker out(1);
         EXPECT_FALSE(decodeResult(r, out));
+    }
+
+    // A well-formed record wider than any tracker (a crafted stripe
+    // file or network frame) is rejected before construction; the
+    // widest valid record decodes.
+    {
+        const std::string header =
+            encodeToString(BitBiasTracker(4)).substr(0, 2);
+        for (std::uint32_t width : {BitBiasTracker::kMaxWidth,
+                                    BitBiasTracker::kMaxWidth + 1,
+                                    144u, 192u}) {
+            ByteWriter w;
+            w.bytes(header.data(), header.size());
+            w.u32(width);
+            w.u64(10); // total time
+            for (std::uint32_t bit = 0; bit < width; ++bit)
+                w.u64(bit % 11); // zero-times within the total
+            ByteReader r(w.view());
+            BitBiasTracker out(1);
+            EXPECT_EQ(decodeResult(r, out),
+                      width <= BitBiasTracker::kMaxWidth)
+                << "width " << width;
+        }
     }
 }
 
