@@ -20,11 +20,15 @@
  * serves them all.  Slots are partitioned by ref kind (plain,
  * complemented, const-0, const-1) and sorted by word index inside
  * each partition, so the batch observe loops are branch-free
- * sequential sweeps over the lane-word array.  observeBatch()
- * charges a whole 64-vector lane word in one step -- the zero-time
- * of a class is popcount of its complemented lane word (masked to
- * the valid lanes) -- so a batch costs a couple of word ops per
- * *class* instead of 64 branchy updates per *device*.  Scalar
+ * sequential sweeps over the lane-word array.  That layout
+ * (PmosSlotMap) depends only on the compiled netlist, so
+ * Netlist::finalize() builds it once and every tracker on the
+ * netlist reads it shared: a tracker owns only its zero-time array
+ * and total time, and constructing one is a single allocation.
+ * observeBatch() charges a whole 64-vector lane word in one step --
+ * the zero-time of a class is popcount of its complemented lane
+ * word (masked to the valid lanes) -- so a batch costs a couple of
+ * word ops per *class* instead of 64 branchy updates per *device*.  Scalar
  * observe() (fed by the gate-list interpreter Netlist::evaluate)
  * and the batched forms add exactly the same integers, so every
  * probability (and everything downstream: summaries, guardbands,
@@ -71,7 +75,9 @@ struct AgingSummary
 class PmosAgingTracker
 {
   public:
-    /** The netlist must already be finalized. */
+    /** The netlist must already be finalized.  Construction only
+     *  allocates the zero-time array: the slot layout is the
+     *  netlist's own, built once by finalize(). */
     explicit PmosAgingTracker(const Netlist &netlist);
 
     /**
@@ -110,7 +116,7 @@ class PmosAgingTracker
     /** Zero-signal probability of device @p i. */
     double zeroProb(std::size_t i) const;
 
-    std::size_t numDevices() const { return deviceSlot_.size(); }
+    std::size_t numDevices() const { return slots_.deviceSlot.size(); }
 
     const Netlist &netlist() const { return netlist_; }
 
@@ -145,23 +151,11 @@ class PmosAgingTracker
   private:
     const Netlist &netlist_;
 
-    /** Per device: index into the shared per-class slot arrays. */
-    std::vector<std::uint32_t> deviceSlot_;
+    /** The netlist's shared slot layout (Netlist::pmosSlots()). */
+    const PmosSlotMap &slots_;
 
-    /** Per slot: a representative gate net (for the scalar path),
-     *  the physical lane word it reads (plain/complemented
-     *  partitions only), and the accumulated zero-time. */
-    std::vector<SignalId> slotNet_;
-    std::vector<std::uint32_t> slotWord_;
+    /** Per slot: accumulated zero-time. */
     std::vector<std::uint64_t> slotZeroTime_;
-
-    /** Partition boundaries: slots [0, wordEnd_) read their word
-     *  directly, [wordEnd_, invEnd_) read its complement,
-     *  [invEnd_, const0End_) are constant-0 (always stressed), and
-     *  the rest constant-1 (never stressed). */
-    std::size_t wordEnd_ = 0;
-    std::size_t invEnd_ = 0;
-    std::size_t const0End_ = 0;
 
     /** Shared total observed time (identical for every device). */
     std::uint64_t totalTime_ = 0;

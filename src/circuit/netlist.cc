@@ -411,7 +411,64 @@ Netlist::finalize(unsigned wide_fanout)
     }
 
     compile();
+    buildPmosSlots();
     finalized_ = true;
+}
+
+void
+Netlist::buildPmosSlots()
+{
+    // Rank keys so the sorted order is exactly the partition order:
+    // plain words, complemented words, const-0, const-1.
+    auto keyOf = [](NetRef r) -> std::uint64_t {
+        switch (r.kind) {
+          case NetRefKind::Word:
+            return r.word;
+          case NetRefKind::InvWord:
+            return (std::uint64_t(1) << 32) | r.word;
+          case NetRefKind::Const0:
+            return std::uint64_t(2) << 32;
+          default:
+            return std::uint64_t(3) << 32;
+        }
+    };
+
+    // Sort-based grouping rather than a map: the optimizer's
+    // schedule renumbers words into an order that defeats a
+    // node-based tree's nearly-sorted-insert fast path.  Built once
+    // here, so every tracker on this netlist shares the layout and
+    // costs one zero-time allocation to construct.
+    PmosSlotMap &m = pmosSlots_;
+    std::vector<std::uint64_t> keys(pmos_.size());
+    for (std::size_t i = 0; i < pmos_.size(); ++i)
+        keys[i] = keyOf(refs_[pmos_[i].gateSignal]);
+    std::vector<std::uint64_t> uniq(keys);
+    std::sort(uniq.begin(), uniq.end());
+    uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
+    for (std::uint64_t key : uniq) {
+        const auto rank = key >> 32;
+        if (rank == 0)
+            ++m.wordEnd;
+        if (rank <= 1)
+            ++m.invEnd;
+        if (rank <= 2)
+            ++m.const0End;
+    }
+
+    m.slotNet.assign(uniq.size(), invalidSignal);
+    m.slotWord.assign(uniq.size(), 0);
+    m.deviceSlot.resize(pmos_.size());
+    for (std::size_t i = 0; i < pmos_.size(); ++i) {
+        const auto slot = static_cast<std::uint32_t>(
+            std::lower_bound(uniq.begin(), uniq.end(), keys[i]) -
+            uniq.begin());
+        if (m.slotNet[slot] == invalidSignal) {
+            m.slotNet[slot] = pmos_[i].gateSignal;
+            m.slotWord[slot] =
+                static_cast<std::uint32_t>(keys[i] & 0xffffffffu);
+        }
+        m.deviceSlot[i] = slot;
+    }
 }
 
 const std::vector<PmosDevice> &
@@ -419,6 +476,13 @@ Netlist::pmosDevices() const
 {
     assert(finalized_);
     return pmos_;
+}
+
+const PmosSlotMap &
+Netlist::pmosSlots() const
+{
+    assert(finalized_);
+    return pmosSlots_;
 }
 
 SignalId

@@ -81,6 +81,41 @@ struct PmosDevice
 };
 
 /**
+ * Stress-slot layout of a netlist's PMOS devices, built once by
+ * Netlist::finalize() and shared read-only by every
+ * PmosAgingTracker on that netlist.  Devices whose gate nets
+ * resolve to the same canonical NetRef share one slot: equal refs
+ * mean provably equal values under every input (CSE/aliasing of the
+ * optimizing compiler, or simple net sharing).  Slots are
+ * partitioned by ref kind and sorted by word index inside each
+ * partition, so the batch observe loops sweep the word array in
+ * order with no per-slot branching.
+ */
+struct PmosSlotMap
+{
+    /** Per device: its slot. */
+    std::vector<std::uint32_t> deviceSlot;
+
+    /** Per slot: a representative gate net (for the scalar path)
+     *  and the physical lane word it reads (plain/complemented
+     *  partitions only; 0 for constants). */
+    std::vector<SignalId> slotNet;
+    std::vector<std::uint32_t> slotWord;
+
+    /** Partition ends: slots [0, wordEnd) read their word directly,
+     *  [wordEnd, invEnd) read its complement, [invEnd, const0End)
+     *  are constant-0 (always stressed), and the rest constant-1
+     *  (never stressed). */
+    std::size_t wordEnd = 0;
+    std::size_t invEnd = 0;
+    std::size_t const0End = 0;
+
+    std::size_t numSlots() const { return slotNet.size(); }
+
+    bool operator==(const PmosSlotMap &) const = default;
+};
+
+/**
  * A combinational netlist.  Gates must be created in topological
  * order (inputs before consumers), which the builder API enforces
  * naturally because operands are SignalIds of existing nets.
@@ -193,8 +228,9 @@ class Netlist
     /**
      * Finalise the netlist: derive fanout counts, assign width
      * classes (gates with output fanout >= @p wide_fanout become
-     * wide), extract the PMOS device list and compile the op
-     * stream.  Must be called before pmosDevices(); idempotent --
+     * wide), extract the PMOS device list, compile the op stream
+     * and group the devices into stress slots (pmosSlots()).  Must
+     * be called before pmosDevices(); idempotent --
      * a second call is a no-op (same fanout threshold or not), so
      * wrappers can finalize defensively without double-extracting
      * devices or recompiling the stream.
@@ -206,6 +242,9 @@ class Netlist
 
     /** Total PMOS count (valid after finalize()). */
     std::size_t numPmos() const { return pmos_.size(); }
+
+    /** PMOS stress-slot layout (valid after finalize()). */
+    const PmosSlotMap &pmosSlots() const;
 
     /** Fanout (number of gate inputs fed) of a signal. */
     unsigned fanout(SignalId s) const { return fanout_.at(s); }
@@ -273,6 +312,10 @@ class Netlist
      *  optimizing pipeline (netlist_opt.cc). */
     void compile();
 
+    /** Group pmos_ into pmosSlots_ by canonical NetRef (after
+     *  compile()). */
+    void buildPmosSlots();
+
     /** Portable W-word op-stream pass (W lane words per net). */
     template <unsigned W>
     void evaluateBatchImpl(const std::uint64_t *input_words,
@@ -283,6 +326,8 @@ class Netlist
     std::vector<std::uint32_t> extraFanins_;
     /** Per-net readout of the physical word array. */
     std::vector<NetRef> refs_;
+    /** PMOS devices grouped by refs_ (see PmosSlotMap). */
+    PmosSlotMap pmosSlots_;
     /** Producing gate index for each signal. */
     std::vector<std::uint32_t> producers_;
     std::vector<SignalId> inputs_;

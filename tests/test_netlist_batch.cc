@@ -5,7 +5,9 @@
  * interpreter bit-for-bit on random netlists (every gate type, batch
  * sizes 1..128 including partial final batches), batched adder sums
  * against scalar sums, and batched-vs-scalar aging identity on the
- * Figure-2 circuit and all three adder topologies.  The scalar
+ * Figure-2 circuit and all three adder topologies, plus the
+ * invariants of the shared PMOS slot map (grouping, partition
+ * order, copy equality, concurrent trackers).  The scalar
  * interpreter is the one reference the compiled stream is held to.
  */
 
@@ -21,6 +23,7 @@
 #include "circuit/netlist.hh"
 #include "common/bitword.hh"
 #include "common/rng.hh"
+#include "common/threadpool.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -549,6 +552,140 @@ TEST(AgingWide, ObserveBatchWideIdentity)
 TEST(NetlistWide, PreferredBatchWordsIsSupported)
 {
     EXPECT_EQ(Netlist::preferredBatchWords(), 4u);
+}
+
+// ------------------------------------------------- PMOS slot map
+
+/** Canonical-ref equality: constants carry no word. */
+bool
+sameRef(NetRef x, NetRef y)
+{
+    const bool has_word =
+        x.kind == NetRefKind::Word || x.kind == NetRefKind::InvWord;
+    return x.kind == y.kind && (!has_word || x.word == y.word);
+}
+
+/** Structural invariants of @p n's slot map. */
+void
+checkSlotMap(const Netlist &n, const char *what)
+{
+    SCOPED_TRACE(what);
+    const PmosSlotMap &m = n.pmosSlots();
+    const auto &devices = n.pmosDevices();
+    ASSERT_EQ(m.deviceSlot.size(), devices.size());
+    ASSERT_EQ(m.slotWord.size(), m.numSlots());
+    ASSERT_LE(m.wordEnd, m.invEnd);
+    ASSERT_LE(m.invEnd, m.const0End);
+    ASSERT_LE(m.const0End, m.numSlots());
+    // Each device's representative net reads out exactly like the
+    // device's own gate net, and every slot serves some device.
+    std::vector<bool> used(m.numSlots(), false);
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const std::uint32_t slot = m.deviceSlot[i];
+        ASSERT_LT(slot, m.numSlots()) << "device " << i;
+        used[slot] = true;
+        EXPECT_TRUE(sameRef(n.ref(m.slotNet[slot]),
+                            n.ref(devices[i].gateSignal)))
+            << "device " << i;
+    }
+    for (std::size_t s = 0; s < used.size(); ++s)
+        EXPECT_TRUE(used[s]) << "slot " << s;
+    // Word | InvWord | Const0 | Const1, strictly ascending words
+    // inside the word partitions, at most one slot per constant.
+    EXPECT_LE(m.const0End - m.invEnd, 1u);
+    EXPECT_LE(m.numSlots() - m.const0End, 1u);
+    for (std::size_t s = 0; s < m.numSlots(); ++s) {
+        const NetRef r = n.ref(m.slotNet[s]);
+        const NetRefKind kind = s < m.wordEnd ? NetRefKind::Word
+            : s < m.invEnd                    ? NetRefKind::InvWord
+            : s < m.const0End                 ? NetRefKind::Const0
+                                              : NetRefKind::Const1;
+        EXPECT_EQ(r.kind, kind) << "slot " << s;
+        if (s >= m.invEnd) {
+            EXPECT_EQ(m.slotWord[s], 0u) << "slot " << s;
+            continue;
+        }
+        EXPECT_EQ(m.slotWord[s], r.word) << "slot " << s;
+        if (s != 0 && s != m.wordEnd) {
+            EXPECT_LT(m.slotWord[s - 1], m.slotWord[s])
+                << "slot " << s;
+        }
+    }
+}
+
+TEST(PmosSlotMap, InvariantsHoldOnEveryNetlistFamily)
+{
+    Netlist fig2;
+    buildFigure2Circuit(fig2);
+    fig2.finalize();
+    checkSlotMap(fig2, "figure-2");
+    for (const auto &adder : allTopologies(32))
+        checkSlotMap(adder->netlist(), adder->name());
+    Rng rng(0x5107);
+    for (int trial = 0; trial < 20; ++trial) {
+        const unsigned num_inputs = 1 + rng.nextInt(12);
+        const unsigned num_gates = 1 + rng.nextInt(60);
+        checkSlotMap(randomNetlist(rng, num_inputs, num_gates),
+                     "random");
+    }
+}
+
+TEST(PmosSlotMap, CopiedNetlistYieldsEqualMap)
+{
+    // A copy carries its own equal layout (trackers on the copy
+    // never read the original's), and the layout is a pure function
+    // of the netlist: rebuilding the same netlist reproduces it.
+    const LadnerFischerAdder adder(32);
+    const Netlist copy = adder.netlist();
+    EXPECT_NE(&copy.pmosSlots(), &adder.netlist().pmosSlots());
+    EXPECT_EQ(copy.pmosSlots(), adder.netlist().pmosSlots());
+
+    Rng rng(0xc0b1);
+    for (int trial = 0; trial < 10; ++trial) {
+        Rng replay = rng;
+        const Netlist original = randomNetlist(rng, 6, 50);
+        const Netlist rebuilt = randomNetlist(replay, 6, 50);
+        const Netlist copied = original;
+        EXPECT_EQ(rebuilt.pmosSlots(), original.pmosSlots());
+        EXPECT_EQ(copied.pmosSlots(), original.pmosSlots());
+    }
+}
+
+TEST(PmosSlotMap, ConcurrentTrackersAgree)
+{
+    // Trackers built and fed concurrently on one shared netlist
+    // (the engine's pattern: one const analysis, many workers) must
+    // each produce the serial summary exactly.
+    const LadnerFischerAdder adder(32);
+    const GuardbandModel model = GuardbandModel::paperCalibrated();
+    constexpr unsigned kNetW = 4;
+    Rng rng(0x7a5c);
+    std::uint64_t a[64 * kNetW];
+    std::uint64_t b[64 * kNetW];
+    std::uint64_t cin_masks[kNetW];
+    for (unsigned i = 0; i < 64 * kNetW; ++i) {
+        a[i] = rng() & 0xffffffff;
+        b[i] = rng() & 0xffffffff;
+    }
+    for (auto &m : cin_masks)
+        m = rng();
+    const std::uint64_t lane_masks[kNetW] = {
+        ~std::uint64_t(0), ~std::uint64_t(0), 0xffff, 0};
+
+    const auto run = [&] {
+        PmosAgingTracker tracker(adder.netlist());
+        std::vector<std::uint64_t> words;
+        adder.evaluateBatchWide(a, b, cin_masks, kNetW, words);
+        tracker.observeBatchWide(words.data(), kNetW, lane_masks);
+        return tracker.summarize(model);
+    };
+    const AgingSummary serial = run();
+    std::vector<AgingSummary> parallel(32);
+    ThreadPool pool(4);
+    pool.parallelFor(parallel.size(),
+                     [&](std::size_t i) { parallel[i] = run(); });
+    for (const AgingSummary &s : parallel)
+        expectSummariesIdentical(s, serial);
 }
 
 TEST(AgingBatch, PaddedLanesIgnored)

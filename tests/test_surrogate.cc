@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adder/adder.hh"
@@ -376,6 +378,92 @@ TEST(RngStreams, CacheSaltUnchangedBySurrogate)
     // its options and its payload codecs are untouched -- so the
     // cache salt must NOT have bumped with this feature.
     EXPECT_EQ(kResultCacheSalt, "penelope-result-cache-v1");
+}
+
+// ------------------------------------------- absolute exact anchors
+
+TEST(ExactPricingAnchor, LadnerFischerCandidatesPinned)
+{
+    // Absolute values of the exact pricing kernel, not just
+    // self-consistency: four candidates drawn from the stream the
+    // benchmark probes, priced on the 32-bit Ladner-Fischer adder.
+    // Every field derives from integer stress counts, so any change
+    // to slot grouping, lane masking or popcount accounting that
+    // moves a single count moves one of these doubles.
+    const LadnerFischerAdder adder(32);
+    const AdderAgingAnalysis analysis(
+        adder, GuardbandModel::paperCalibrated());
+    Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
+    struct Pinned
+    {
+        double score;
+        double guardband;
+        double wideFullyStressed;
+        double narrowFullyStressed;
+    };
+    const Pinned pinned[4] = {
+        {0.02770189502571126, 0.2, 0.33811475409836067,
+         0.030063291139240507},
+        {0.026712411614912324, 0.2, 0.34221311475409838,
+         0.028481012658227847},
+        {0.027028413024129064, 0.2, 0.35553278688524592,
+         0.028481012658227847},
+        {0.028684335443037119, 0.2, 0.35143442622950821,
+         0.031645569620253167},
+    };
+    for (unsigned c = 0; c < 4; ++c) {
+        const CandidateEval eval = evaluateCandidateExact(
+            analysis, randomAttackCandidate(rng), 2048);
+        EXPECT_EQ(eval.score, pinned[c].score) << "candidate " << c;
+        EXPECT_EQ(eval.guardband, pinned[c].guardband)
+            << "candidate " << c;
+        EXPECT_EQ(eval.wideFullyStressed, pinned[c].wideFullyStressed)
+            << "candidate " << c;
+        EXPECT_EQ(eval.narrowFullyStressed,
+                  pinned[c].narrowFullyStressed)
+            << "candidate " << c;
+    }
+}
+
+/** FNV-1a over the little-endian IEEE-754 bytes of @p probs. */
+std::uint64_t
+probsDigest(const std::vector<double> &probs)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const double p : probs) {
+        const auto v = std::bit_cast<std::uint64_t>(p);
+        for (unsigned k = 0; k < 8; ++k) {
+            h ^= (v >> (8 * k)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(ExactPricingAnchor, OperandZeroProbDigestsPinned)
+{
+    // Per-device zero probabilities of one workload operand stream
+    // (1000 samples: three full wide chunks plus a partial one) on
+    // every 32-bit topology, pinned as digests.
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(2);
+    const auto ops = collectAdderOperands(gen, 1000);
+    ASSERT_EQ(ops.size(), 1000u);
+    const LadnerFischerAdder lf(32);
+    const KoggeStoneAdder ks(32);
+    const RippleCarryAdder rc(32);
+    const std::pair<const Adder *, std::uint64_t> pinned[] = {
+        {&lf, 0xeaef861b5bb229fdull},
+        {&ks, 0xa61846e34df8a207ull},
+        {&rc, 0x605e116840f3eb2aull},
+    };
+    for (const auto &[adder, digest] : pinned) {
+        const AdderAgingAnalysis analysis(
+            *adder, GuardbandModel::paperCalibrated());
+        EXPECT_EQ(probsDigest(analysis.zeroProbsForOperands(ops)),
+                  digest)
+            << adder->name();
+    }
 }
 
 } // namespace
