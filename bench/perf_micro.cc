@@ -482,6 +482,25 @@ BENCHMARK(BM_EnginePerfLoss)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_Table3Grid(benchmark::State &state)
+{
+    // The whole Table-3 grid plus its ablation and combined CPI: one
+    // shared trace pass per trace drives all 29 configurations.
+    WorkloadSet workload;
+    const ExperimentOptions options =
+        engineOptions(static_cast<unsigned>(state.range(0)));
+    for (auto _ : state) {
+        const Table3Result r = runTable3Experiment(workload, options);
+        benchmark::DoNotOptimize(r.combinedCpi);
+    }
+}
+BENCHMARK(BM_Table3Grid)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void
 BM_ParallelForOverhead(benchmark::State &state)
 {
     // Empty bodies: measures pure pool spin-up/teardown per call,

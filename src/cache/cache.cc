@@ -99,15 +99,6 @@ Cache::flushImage(Line &line, Cycle now)
     }
 }
 
-void
-Cache::sampleRinv(Word value)
-{
-    // RINV samples (and inverts) a value flowing through a write
-    // port periodically (Section 3.2, situation I).
-    if ((rinvUpdateCounter_++ & 0x3ff) == 0)
-        rinv_ = ~value;
-}
-
 unsigned
 Cache::recencyPosition(unsigned set, unsigned way) const
 {
@@ -209,7 +200,6 @@ Cache::access(Addr addr, bool is_write, Cycle now,
             if (is_write && data) {
                 flushImage(line, now);
                 line.image = *data;
-                sampleRinv(*data);
             }
             if (line.shadow) {
                 result.shadowExtraMiss = true;
@@ -242,7 +232,6 @@ Cache::access(Addr addr, bool is_write, Cycle now,
     line.inverted = false;
     line.lastUse = now;
     line.image = data.value_or(rng_());
-    sampleRinv(line.image);
 
     if (policy_)
         policy_->onFill(*this, set, victim, now,

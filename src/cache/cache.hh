@@ -207,9 +207,6 @@ class Cache
     /** Account the line's image residency up to @p now. */
     void flushImage(Line &line, Cycle now);
 
-    /** Update RINV with the inversion of a value being stored. */
-    void sampleRinv(Word value);
-
     CacheConfig config_;
     unsigned numSets_;
     std::vector<Line> lines_;
@@ -226,10 +223,6 @@ class Cache
     unsigned usableSetCount_;
     unsigned usableWayFirst_ = 0;
     unsigned usableWayCount_;
-
-    /** Inverted sampled value register (Section 3.2). */
-    Word rinv_ = ~Word(0);
-    std::uint64_t rinvUpdateCounter_ = 0;
 
     /** Invert-ratio time integral for averageInvertRatio(). */
     double invertRatioIntegral_ = 0.0;

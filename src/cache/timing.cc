@@ -1,7 +1,8 @@
 #include "timing.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <deque>
+#include <string>
 
 #include "common/threadpool.hh"
 #include "core/engine.hh"
@@ -26,19 +27,15 @@ keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
 /** Content hash of one trace's baseline-vs-mechanism pair. */
 Hash128
 memLossKey(const TraceSpec &spec, unsigned index,
-           std::size_t uops_per_trace,
-           const CacheConfig &dl0_config,
-           const CacheConfig &dtlb_config,
-           MechanismKind dl0_mechanism,
-           MechanismKind dtlb_mechanism,
+           std::size_t uops_per_trace, const MemLossQuery &query,
            const MemTimingParams &params, double time_scale)
 {
     CacheKeyBuilder key("mem-loss");
     key.u32(index).u64(spec.seed).u64(uops_per_trace);
-    keyCacheConfig(key, dl0_config);
-    keyCacheConfig(key, dtlb_config);
-    key.u32(static_cast<std::uint32_t>(dl0_mechanism))
-        .u32(static_cast<std::uint32_t>(dtlb_mechanism))
+    keyCacheConfig(key, query.dl0);
+    keyCacheConfig(key, query.dtlb);
+    key.u32(static_cast<std::uint32_t>(query.dl0Mechanism))
+        .u32(static_cast<std::uint32_t>(query.dtlbMechanism))
         .f64(params.baseCpi)
         .u32(params.dl0MissPenalty)
         .u32(params.dtlbMissPenalty)
@@ -46,55 +43,39 @@ memLossKey(const TraceSpec &spec, unsigned index,
     return key.digest();
 }
 
-/**
- * Run every trace's baseline and mechanism simulation on the pool,
- * consulting the result cache per trace.  Each index gets private
- * MemTimingSim instances, so bodies share nothing; results land in
- * a slot per trace for ordered folding.
- */
-std::vector<MemLossSample>
-simulateTraceLosses(const WorkloadSet &workload,
-                    const std::vector<unsigned> &trace_indices,
-                    std::size_t uops_per_trace,
-                    const CacheConfig &dl0_config,
-                    const CacheConfig &dtlb_config,
-                    MechanismKind dl0_mechanism,
-                    MechanismKind dtlb_mechanism,
-                    const MemTimingParams &params,
-                    double time_scale, unsigned jobs,
-                    ThreadPool *pool, ResultCache *cache)
+/** Uops generated per chunk of the shared trace pass. */
+constexpr std::size_t kFeedChunk = 1024;
+
+/** Geometries equal in every keyed field simulate identically. */
+bool
+sameGeometry(const CacheConfig &a, const CacheConfig &b)
 {
-    const Engine engine(jobs, pool);
-    return engine.mapCached<MemLossSample>(
-        trace_indices, cache,
-        [&](unsigned index, std::size_t) {
-            return memLossKey(workload.spec(index), index,
-                              uops_per_trace, dl0_config,
-                              dtlb_config, dl0_mechanism,
-                              dtlb_mechanism, params, time_scale);
-        },
-        [&](unsigned index, std::size_t) {
-            TraceGenerator base_gen = workload.generator(index);
-            MemTimingSim base(dl0_config, dtlb_config, params,
-                              MechanismKind::None,
-                              MechanismKind::None, time_scale);
-            const MemSimResult rb =
-                base.run(base_gen, uops_per_trace);
+    return a.sizeBytes == b.sizeBytes && a.ways == b.ways &&
+        a.lineBytes == b.lineBytes &&
+        a.replacement == b.replacement &&
+        a.writePortFreeProb == b.writePortFreeProb;
+}
 
-            TraceGenerator mech_gen = workload.generator(index);
-            MemTimingSim mech(dl0_config, dtlb_config, params,
-                              dl0_mechanism, dtlb_mechanism,
-                              time_scale);
-            const MemSimResult rm =
-                mech.run(mech_gen, uops_per_trace);
+bool
+sameGeometry(const MemLossQuery &a, const MemLossQuery &b)
+{
+    return sameGeometry(a.dl0, b.dl0) && sameGeometry(a.dtlb, b.dtlb);
+}
 
-            MemLossSample r;
-            r.loss = rm.cycles / rb.cycles - 1.0;
-            r.normalizedCycles = rm.cycles / rb.cycles;
-            r.dl0InvertRatio = rm.dl0AvgInvertRatio;
-            r.dtlbInvertRatio = rm.dtlbAvgInvertRatio;
-            return r;
-        });
+/** Generate @p num_uops uops from @p gen in chunks, handing each
+ *  chunk to @p sink. */
+template <class Sink>
+void
+streamChunks(TraceGenerator &gen, std::size_t num_uops, Sink &&sink)
+{
+    std::vector<Uop> chunk(std::min(num_uops, kFeedChunk));
+    for (std::size_t done = 0; done < num_uops;) {
+        const std::size_t n = std::min(num_uops - done, kFeedChunk);
+        for (std::size_t i = 0; i < n; ++i)
+            chunk[i] = gen.next();
+        sink(chunk.data(), n);
+        done += n;
+    }
 }
 
 } // namespace
@@ -165,19 +146,18 @@ MemTimingSim::MemTimingSim(const CacheConfig &dl0_config,
                       time_scale));
 }
 
-MemSimResult
-MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
+void
+MemTimingSim::feed(const Uop *uops, std::size_t n)
 {
-    MemSimResult r;
-    double cycles = 0.0;
-    for (std::size_t i = 0; i < num_uops; ++i) {
-        const Uop uop = gen.next();
+    double cycles = cycles_;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Uop &uop = uops[i];
         const Cycle now = static_cast<Cycle>(cycles);
         dl0_.tick(now);
         dtlb_.tick(now);
         cycles += params_.baseCpi;
         if (isMemory(uop.cls)) {
-            ++r.memOps;
+            ++memOps_;
             const bool is_write = uop.cls == UopClass::Store;
             const Word data =
                 is_write ? uop.srcVal1 : uop.dstVal;
@@ -191,16 +171,189 @@ MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
                 cycles += params_.dl0MissPenalty;
         }
     }
-    r.uops = num_uops;
-    r.cycles = cycles;
+    cycles_ = cycles;
+    uops_ += n;
+}
+
+MemSimResult
+MemTimingSim::result() const
+{
+    MemSimResult r;
+    r.uops = uops_;
+    r.memOps = memOps_;
+    r.cycles = cycles_;
     r.dl0Hits = dl0_.hits();
     r.dl0Misses = dl0_.misses();
     r.dtlbHits = dtlb_.hits();
     r.dtlbMisses = dtlb_.misses();
-    const Cycle end = static_cast<Cycle>(cycles);
+    const Cycle end = static_cast<Cycle>(cycles_);
     r.dl0AvgInvertRatio = dl0_.averageInvertRatio(end);
     r.dtlbAvgInvertRatio = dtlb_.averageInvertRatio(end);
     return r;
+}
+
+MemSimResult
+MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
+{
+    streamChunks(gen, num_uops, [&](const Uop *uops, std::size_t n) {
+        feed(uops, n);
+    });
+    return result();
+}
+
+std::vector<std::vector<MemLossSample>>
+simulateMemLosses(const WorkloadSet &workload,
+                  const std::vector<unsigned> &trace_indices,
+                  std::size_t uops_per_trace,
+                  const std::vector<MemLossQuery> &queries,
+                  const MemTimingParams &params, double time_scale,
+                  unsigned jobs, ThreadPool *pool, ResultCache *cache)
+{
+    const std::size_t num_queries = queries.size();
+    // Per query: the first query on its geometry (they share one
+    // baseline run) and the first query equal to it (they share a
+    // key on every trace, so one simulation).  Both scans stop at q
+    // itself at the latest.
+    std::vector<std::size_t> base(num_queries);
+    std::vector<std::size_t> first(num_queries);
+    for (std::size_t q = 0; q < num_queries; ++q) {
+        const MemLossQuery &query = queries[q];
+        base[q] = 0;
+        while (!sameGeometry(queries[base[q]], query))
+            ++base[q];
+        first[q] = base[q];
+        while (queries[first[q]].dl0Mechanism != query.dl0Mechanism ||
+               queries[first[q]].dtlbMechanism != query.dtlbMechanism ||
+               !sameGeometry(queries[first[q]], query))
+            ++first[q];
+    }
+
+    const Engine engine(jobs, pool);
+    const auto per_trace = engine.map<std::vector<MemLossSample>>(
+        trace_indices, [&](unsigned index, std::size_t) {
+            std::vector<MemLossSample> out(num_queries);
+            std::vector<Hash128> keys(num_queries);
+            std::vector<std::size_t> missing;
+            for (std::size_t q = 0; q < num_queries; ++q) {
+                if (first[q] != q)
+                    continue;
+                if (cache) {
+                    keys[q] = memLossKey(workload.spec(index), index,
+                                         uops_per_trace, queries[q],
+                                         params, time_scale);
+                    std::string payload;
+                    if (cache->lookup(keys[q], payload)) {
+                        ByteReader reader(payload);
+                        if (decodeResult(reader, out[q]) &&
+                            reader.atEnd())
+                            continue;
+                        cache->noteDecodeFailure();
+                    }
+                }
+                missing.push_back(q);
+            }
+
+            if (!missing.empty()) {
+                // One baseline per geometry the missing queries
+                // use, one mechanism sim per missing query; a deque
+                // because the sims are neither copyable nor movable.
+                std::vector<int> baseline_of(num_queries, -1);
+                std::deque<MemTimingSim> baselines;
+                std::deque<MemTimingSim> mechs;
+                for (const std::size_t q : missing) {
+                    const MemLossQuery &query = queries[q];
+                    int &b = baseline_of[base[q]];
+                    if (b < 0) {
+                        b = static_cast<int>(baselines.size());
+                        baselines.emplace_back(
+                            query.dl0, query.dtlb, params,
+                            MechanismKind::None, MechanismKind::None,
+                            time_scale);
+                    }
+                    mechs.emplace_back(query.dl0, query.dtlb, params,
+                                       query.dl0Mechanism,
+                                       query.dtlbMechanism,
+                                       time_scale);
+                }
+
+                TraceGenerator gen = workload.generator(index);
+                streamChunks(gen, uops_per_trace,
+                             [&](const Uop *uops, std::size_t n) {
+                                 for (MemTimingSim &sim : baselines)
+                                     sim.feed(uops, n);
+                                 for (MemTimingSim &sim : mechs)
+                                     sim.feed(uops, n);
+                             });
+
+                for (std::size_t m = 0; m < missing.size(); ++m) {
+                    const std::size_t q = missing[m];
+                    const MemSimResult rb =
+                        baselines[baseline_of[base[q]]].result();
+                    const MemSimResult rm = mechs[m].result();
+                    MemLossSample &r = out[q];
+                    r.loss = rm.cycles / rb.cycles - 1.0;
+                    r.normalizedCycles = rm.cycles / rb.cycles;
+                    r.dl0InvertRatio = rm.dl0AvgInvertRatio;
+                    r.dtlbInvertRatio = rm.dtlbAvgInvertRatio;
+                    if (cache) {
+                        ByteWriter writer;
+                        encodeResult(writer, r);
+                        cache->store(keys[q], writer.view());
+                    }
+                }
+            }
+
+            for (std::size_t q = 0; q < num_queries; ++q)
+                out[q] = out[first[q]];
+            return out;
+        });
+
+    std::vector<std::vector<MemLossSample>> samples(
+        num_queries, std::vector<MemLossSample>(trace_indices.size()));
+    for (std::size_t t = 0; t < per_trace.size(); ++t)
+        for (std::size_t q = 0; q < num_queries; ++q)
+            samples[q][t] = per_trace[t][q];
+    return samples;
+}
+
+PerfLossStats
+foldPerfLoss(const std::vector<MemLossSample> &samples,
+             bool apply_to_dl0)
+{
+    PerfLossStats stats;
+    RunningStats loss;
+    RunningStats ratio;
+    unsigned above5 = 0;
+    unsigned above10 = 0;
+    for (const MemLossSample &r : samples) {
+        loss.add(r.loss);
+        ratio.add(apply_to_dl0 ? r.dl0InvertRatio
+                               : r.dtlbInvertRatio);
+        if (r.loss > 0.05)
+            ++above5;
+        if (r.loss > 0.10)
+            ++above10;
+    }
+    stats.meanLoss = loss.mean();
+    stats.maxLoss = loss.count() ? loss.max() : 0.0;
+    stats.meanInvertRatio = ratio.mean();
+    stats.traces = static_cast<unsigned>(samples.size());
+    if (stats.traces > 0) {
+        stats.fracAbove5Pct =
+            static_cast<double>(above5) / stats.traces;
+        stats.fracAbove10Pct =
+            static_cast<double>(above10) / stats.traces;
+    }
+    return stats;
+}
+
+double
+foldNormalizedCpi(const std::vector<MemLossSample> &samples)
+{
+    RunningStats norm;
+    for (const MemLossSample &r : samples)
+        norm.add(r.normalizedCycles);
+    return norm.mean();
 }
 
 PerfLossStats
@@ -213,37 +366,16 @@ measurePerfLoss(const WorkloadSet &workload,
                 const MemTimingParams &params, double time_scale,
                 unsigned jobs, ThreadPool *pool, ResultCache *cache)
 {
-    PerfLossStats stats;
-    RunningStats loss;
-    RunningStats ratio;
-    unsigned above5 = 0;
-    unsigned above10 = 0;
-    const auto results = simulateTraceLosses(
-        workload, trace_indices, uops_per_trace, dl0_config,
-        dtlb_config,
+    const MemLossQuery query{
+        dl0_config, dtlb_config,
         apply_to_dl0 ? mechanism : MechanismKind::None,
-        apply_to_dl0 ? MechanismKind::None : mechanism,
-        params, time_scale, jobs, pool, cache);
-    for (const MemLossSample &r : results) {
-        loss.add(r.loss);
-        ratio.add(apply_to_dl0 ? r.dl0InvertRatio
-                               : r.dtlbInvertRatio);
-        if (r.loss > 0.05)
-            ++above5;
-        if (r.loss > 0.10)
-            ++above10;
-    }
-    stats.meanLoss = loss.mean();
-    stats.maxLoss = loss.count() ? loss.max() : 0.0;
-    stats.meanInvertRatio = ratio.mean();
-    stats.traces = static_cast<unsigned>(trace_indices.size());
-    if (stats.traces > 0) {
-        stats.fracAbove5Pct =
-            static_cast<double>(above5) / stats.traces;
-        stats.fracAbove10Pct =
-            static_cast<double>(above10) / stats.traces;
-    }
-    return stats;
+        apply_to_dl0 ? MechanismKind::None : mechanism};
+    return foldPerfLoss(
+        simulateMemLosses(workload, trace_indices, uops_per_trace,
+                          {query}, params, time_scale, jobs, pool,
+                          cache)
+            .front(),
+        apply_to_dl0);
 }
 
 double
@@ -257,14 +389,13 @@ combinedNormalizedCpi(const WorkloadSet &workload,
                       double time_scale, unsigned jobs,
                       ThreadPool *pool, ResultCache *cache)
 {
-    RunningStats norm;
-    const auto results = simulateTraceLosses(
-        workload, trace_indices, uops_per_trace, dl0_config,
-        dtlb_config, mechanism, mechanism, params,
-        time_scale, jobs, pool, cache);
-    for (const MemLossSample &r : results)
-        norm.add(r.normalizedCycles);
-    return norm.mean();
+    const MemLossQuery query{dl0_config, dtlb_config, mechanism,
+                             mechanism};
+    return foldNormalizedCpi(
+        simulateMemLosses(workload, trace_indices, uops_per_trace,
+                          {query}, params, time_scale, jobs, pool,
+                          cache)
+            .front());
 }
 
 } // namespace penelope

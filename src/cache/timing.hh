@@ -9,6 +9,17 @@
  * quantity Table 3 reports (the paper's absolute CPI depends on its
  * proprietary core model; the additive model preserves orderings and
  * magnitudes of the deltas).
+ *
+ * One pass per trace: simulateMemLosses() prices a whole list of
+ * MemLossQuery configurations in one Engine task per trace.  The
+ * task generates the trace once, in fixed chunks, and feeds every
+ * chunk to one baseline MemTimingSim per distinct (DL0, DTLB)
+ * geometry and one mechanism MemTimingSim per query, in order.
+ * Every sim therefore consumes exactly the uop sequence a private
+ * generator would have produced, so each MemLossSample is
+ * bit-identical to two independent MemTimingSim::run() calls, and
+ * per-query cache keys and payloads are those of a one-query call.
+ * Whole traces are never materialised.
  */
 
 #ifndef PENELOPE_CACHE_TIMING_HH
@@ -79,7 +90,9 @@ struct MemSimResult
 };
 
 /**
- * One DL0 + DTLB pair driven by a uop stream.
+ * One DL0 + DTLB pair driven by a uop stream.  The stream may
+ * arrive in any number of feed() calls; the simulated state (cycle
+ * count included) carries across them.
  */
 class MemTimingSim
 {
@@ -91,7 +104,13 @@ class MemTimingSim
                  MechanismKind dtlb_mechanism,
                  double time_scale = 1.0);
 
-    /** Run @p num_uops uops from @p gen. */
+    /** Simulate the next @p n uops of the stream. */
+    void feed(const Uop *uops, std::size_t n);
+
+    /** Statistics of everything fed so far. */
+    MemSimResult result() const;
+
+    /** Feed @p num_uops uops from @p gen; returns result(). */
     MemSimResult run(TraceGenerator &gen, std::size_t num_uops);
 
     Cache &dl0() { return dl0_; }
@@ -101,13 +120,18 @@ class MemTimingSim
     MemTimingParams params_;
     Cache dl0_;
     Cache dtlb_;
+    double cycles_ = 0.0;
+    std::uint64_t uops_ = 0;
+    std::uint64_t memOps_ = 0;
 };
 
 /**
  * Per-trace outcome of one baseline-vs-mechanism pair of runs: the
  * unit the Table-3 folds consume and the result cache stores.  Both
- * invert ratios are carried so the same cached entry serves a
- * DL0-applied and a DTLB-applied fold alike.
+ * invert ratios are carried so a query with mechanisms on both DL0
+ * and DTLB can be folded for either structure (foldPerfLoss's
+ * @p apply_to_dl0).  A DL0-only and a DTLB-only query never share
+ * an entry: the key covers both mechanisms.
  */
 struct MemLossSample
 {
@@ -129,15 +153,57 @@ struct PerfLossStats
 };
 
 /**
+ * One baseline-vs-mechanism configuration: the mechanism run uses
+ * @p dl0Mechanism / @p dtlbMechanism, the baseline run the same
+ * geometries with no mechanism.
+ */
+struct MemLossQuery
+{
+    CacheConfig dl0;
+    CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    MechanismKind dl0Mechanism = MechanismKind::None;
+    MechanismKind dtlbMechanism = MechanismKind::None;
+};
+
+/**
+ * Price every query on every trace in one pass per trace (see the
+ * file comment).  Returns the samples as [query][trace], traces in
+ * @p trace_indices order.
+ *
+ * One Engine task per trace on @p jobs workers; each task owns its
+ * sims, so the result is bit-identical for any jobs value.  With
+ * @p cache set, each (query, trace) sample is looked up by content
+ * hash first; a task simulates only the queries that missed (plus
+ * their baselines) and stores each missing key once.  Equal queries
+ * share one simulation.
+ */
+std::vector<std::vector<MemLossSample>>
+simulateMemLosses(const WorkloadSet &workload,
+                  const std::vector<unsigned> &trace_indices,
+                  std::size_t uops_per_trace,
+                  const std::vector<MemLossQuery> &queries,
+                  const MemTimingParams &params = MemTimingParams(),
+                  double time_scale = 0.1, unsigned jobs = 1,
+                  ThreadPool *pool = nullptr,
+                  ResultCache *cache = nullptr);
+
+/**
+ * Fold one query's per-trace samples, in order, into Table-3
+ * statistics; the invert ratio is the DL0's (@p apply_to_dl0) or
+ * the DTLB's.
+ */
+PerfLossStats foldPerfLoss(const std::vector<MemLossSample> &samples,
+                           bool apply_to_dl0);
+
+/** Mean normalised cycles of one query's per-trace samples. */
+double foldNormalizedCpi(const std::vector<MemLossSample> &samples);
+
+/**
  * Measure the performance loss of @p mechanism applied to the DL0
  * (@p apply_to_dl0 true) or the DTLB (false), against a
  * no-mechanism baseline, averaged over the given workload traces.
  *
- * Traces are simulated concurrently on @p jobs workers (each trace
- * drives its own private cache pair) and per-trace losses are
- * folded in trace order, so the result is bit-identical for any
- * jobs value.  With @p cache set, each per-trace MemLossSample is
- * looked up by content hash before simulating and stored after.
+ * A fold over a one-query simulateMemLosses() call.
  */
 PerfLossStats
 measurePerfLoss(const WorkloadSet &workload,
@@ -154,7 +220,7 @@ measurePerfLoss(const WorkloadSet &workload,
 /**
  * Combined normalised CPI with mechanisms on both DL0 and DTLB
  * (the Section-4.7 input: 1.007 for LineFixed50% on both).
- * Parallel over traces like measurePerfLoss.
+ * A fold over a one-query simulateMemLosses() call.
  */
 double
 combinedNormalizedCpi(const WorkloadSet &workload,

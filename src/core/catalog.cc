@@ -435,7 +435,9 @@ runTable3(const ExperimentContext &ctx)
 
     printHeader(os,
                 "Table 3: average performance loss per mechanism");
-    const auto rows = runTable3Experiment(ctx.workload, options);
+    const Table3Result result =
+        runTable3Experiment(ctx.workload, options);
+    const auto &rows = result.rows;
 
     TextTable table({"configuration", "SetFixed50%", "LineFixed50%",
                      "LineDynamic60%", "paper (S/L/D)"});
@@ -470,26 +472,14 @@ runTable3(const ExperimentContext &ctx)
     // WayFixed ablation (described in Section 3.2.1, unmeasured).
     printHeader(os, "Ablation: WayFixed50% (paper describes, "
                     "does not measure)");
-    const auto traces = evaluationTraces(ctx.workload, options);
     TextTable wf({"configuration", "WayFixed50% loss"});
-    CacheConfig dl0;
-    const PerfLossStats stats = measurePerfLoss(
-        ctx.workload, traces, options.cacheUops, dl0,
-        CacheConfig::tlb(128, 8), MechanismKind::WayFixed50, true,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
-    wf.addRow({"DL0 8-way 32KB", TextTable::pct(stats.meanLoss)});
+    wf.addRow({"DL0 8-way 32KB", TextTable::pct(result.wayFixedLoss)});
     wf.print(os);
 
     // Combined CPI for Section 4.7.
-    const double cpi = combinedNormalizedCpi(
-        ctx.workload, traces, options.cacheUops, dl0,
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
     os << "\nCombined normalised CPI, LineFixed50% on DL0 + "
           "DTLB: "
-       << TextTable::num(cpi, 3) << " (paper: 1.007)\n";
+       << TextTable::num(result.combinedCpi, 3) << " (paper: 1.007)\n";
 }
 
 // -------------------------------------------------------- Table 4

@@ -454,13 +454,13 @@ runSchedulerExperiment(const WorkloadSet &workload,
 
 // -------------------------------------------------------------- cache
 
-std::vector<Table3Row>
+Table3Result
 runTable3Experiment(const WorkloadSet &workload,
                     const ExperimentOptions &options)
 {
-    std::vector<Table3Row> rows;
+    Table3Result result;
+    std::vector<Table3Row> &rows = result.rows;
     const auto traces = evalTraces(workload, options);
-    const MemTimingParams params;
 
     auto add_dl0_row = [&](unsigned ways, unsigned kb) {
         Table3Row row;
@@ -497,22 +497,44 @@ runTable3Experiment(const WorkloadSet &workload,
     const CacheConfig default_dl0 = CacheConfig();
     const CacheConfig default_dtlb = CacheConfig::tlb(128, 8);
 
-    for (Table3Row &row : rows) {
-        const CacheConfig &dl0 =
-            row.isTlb ? default_dl0 : row.config;
-        const CacheConfig &dtlb =
-            row.isTlb ? row.config : default_dtlb;
-        for (unsigned m = 0; m < 3; ++m) {
-            const PerfLossStats stats = measurePerfLoss(
-                workload, traces, options.cacheUops, dl0, dtlb,
-                mechanisms[m], !row.isTlb, params,
-                options.mechanismTimeScale, options.jobs,
-                options.pool, options.cache);
-            row.loss[m] = stats.meanLoss;
-            row.invertRatio[m] = stats.meanInvertRatio;
+    // Queries 0..26 are the grid (row-major, mechanism minor), then
+    // the WayFixed ablation and the combined CPI.
+    std::vector<MemLossQuery> queries;
+    for (const Table3Row &row : rows) {
+        for (const MechanismKind mechanism : mechanisms) {
+            if (row.isTlb)
+                queries.push_back({default_dl0, row.config,
+                                   MechanismKind::None, mechanism});
+            else
+                queries.push_back({row.config, default_dtlb,
+                                   mechanism, MechanismKind::None});
         }
     }
-    return rows;
+    const std::size_t way_fixed = queries.size();
+    queries.push_back({default_dl0, default_dtlb,
+                       MechanismKind::WayFixed50,
+                       MechanismKind::None});
+    const std::size_t combined = queries.size();
+    queries.push_back({default_dl0, default_dtlb,
+                       MechanismKind::LineFixed50,
+                       MechanismKind::LineFixed50});
+
+    const auto samples = simulateMemLosses(
+        workload, traces, options.cacheUops, queries,
+        MemTimingParams(), options.mechanismTimeScale, options.jobs,
+        options.pool, options.cache);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        for (unsigned m = 0; m < 3; ++m) {
+            const PerfLossStats stats =
+                foldPerfLoss(samples[r * 3 + m], !rows[r].isTlb);
+            rows[r].loss[m] = stats.meanLoss;
+            rows[r].invertRatio[m] = stats.meanInvertRatio;
+        }
+    }
+    result.wayFixedLoss =
+        foldPerfLoss(samples[way_fixed], true).meanLoss;
+    result.combinedCpi = foldNormalizedCpi(samples[combined]);
+    return result;
 }
 
 // ---------------------------------------------------- processor (4.7)
@@ -531,17 +553,18 @@ buildProcessorSummary(const AdderExperimentResult &adder,
     // cross-impact of the two mechanisms requires a joint run;
     // Section 4.2).  LineFixed50% is the paper's 4.7 configuration;
     // LineDynamic60% is the best Table-3 mechanism.
-    const auto traces = evalTraces(workload, options);
-    summary.combinedCpi = combinedNormalizedCpi(
-        workload, traces, options.cacheUops, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
-    summary.combinedCpiDynamic = combinedNormalizedCpi(
-        workload, traces, options.cacheUops, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineDynamic60,
-        MemTimingParams(), options.mechanismTimeScale,
-        options.jobs, options.pool, options.cache);
+    const CacheConfig dl0;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    const auto samples = simulateMemLosses(
+        workload, evalTraces(workload, options), options.cacheUops,
+        {{dl0, dtlb, MechanismKind::LineFixed50,
+          MechanismKind::LineFixed50},
+         {dl0, dtlb, MechanismKind::LineDynamic60,
+          MechanismKind::LineDynamic60}},
+        MemTimingParams(), options.mechanismTimeScale, options.jobs,
+        options.pool, options.cache);
+    summary.combinedCpi = foldNormalizedCpi(samples[0]);
+    summary.combinedCpiDynamic = foldNormalizedCpi(samples[1]);
 
     // Per-block costs.  TDP factors are the paper's stated
     // overheads: RINV+timestamps <1% (RF), RINV+counters <2%

@@ -253,7 +253,23 @@ struct Table3Row
     double invertRatio[3] = {0, 0, 0};
 };
 
-std::vector<Table3Row>
+/** Table 3 plus the two runs priced alongside it. */
+struct Table3Result
+{
+    std::vector<Table3Row> rows;
+
+    /** WayFixed50% loss on the default DL0 (the Section-3.2.1
+     *  ablation the paper describes but does not measure). */
+    double wayFixedLoss = 0.0;
+
+    /** Combined normalised CPI, LineFixed50% on DL0 + DTLB
+     *  (the Section-4.7 input; paper: 1.007). */
+    double combinedCpi = 1.0;
+};
+
+/** Every Table-3 cell, the ablation and the combined CPI, priced in
+ *  one simulateMemLosses() pass per trace. */
+Table3Result
 runTable3Experiment(const WorkloadSet &workload,
                     const ExperimentOptions &options);
 

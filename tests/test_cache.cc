@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/inversion.hh"
 #include "cache/timing.hh"
+#include "core/experiments.hh"
+#include "core/resultcache.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -432,6 +437,231 @@ TEST(Timing, DynamicLosesLessThanFixed)
     EXPECT_LT(dynamic.meanLoss, fixed.meanLoss);
 }
 
+
+// ------------------------------------------------- batched timing
+
+/** Two fresh single-query runs: what one batched sample must equal. */
+MemLossSample
+referenceSample(const WorkloadSet &workload, unsigned index,
+                std::size_t uops, const MemLossQuery &query,
+                double time_scale)
+{
+    TraceGenerator base_gen = workload.generator(index);
+    MemTimingSim base(query.dl0, query.dtlb, MemTimingParams(),
+                      MechanismKind::None, MechanismKind::None,
+                      time_scale);
+    const MemSimResult rb = base.run(base_gen, uops);
+    TraceGenerator mech_gen = workload.generator(index);
+    MemTimingSim mech(query.dl0, query.dtlb, MemTimingParams(),
+                      query.dl0Mechanism, query.dtlbMechanism,
+                      time_scale);
+    const MemSimResult rm = mech.run(mech_gen, uops);
+    MemLossSample r;
+    r.loss = rm.cycles / rb.cycles - 1.0;
+    r.normalizedCycles = rm.cycles / rb.cycles;
+    r.dl0InvertRatio = rm.dl0AvgInvertRatio;
+    r.dtlbInvertRatio = rm.dtlbAvgInvertRatio;
+    return r;
+}
+
+void
+expectSamplesEqual(const MemLossSample &got, const MemLossSample &want)
+{
+    EXPECT_EQ(got.loss, want.loss);
+    EXPECT_EQ(got.normalizedCycles, want.normalizedCycles);
+    EXPECT_EQ(got.dl0InvertRatio, want.dl0InvertRatio);
+    EXPECT_EQ(got.dtlbInvertRatio, want.dtlbInvertRatio);
+}
+
+TEST(Timing, BatchedPassMatchesFreshRuns)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 97, 311};
+    const double time_scale = 0.005; // dynamic decisions fire early
+    CacheConfig dl0_small;
+    dl0_small.sizeBytes = 16 * 1024;
+    dl0_small.ways = 4;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    const std::vector<MemLossQuery> queries = {
+        // 0 and 1 share a baseline geometry; 2 duplicates 0.
+        {CacheConfig(), dtlb, MechanismKind::LineFixed50,
+         MechanismKind::None},
+        {CacheConfig(), dtlb, MechanismKind::SetFixed50,
+         MechanismKind::None},
+        {CacheConfig(), dtlb, MechanismKind::LineFixed50,
+         MechanismKind::None},
+        // DTLB-applied, then both-applied on another geometry.
+        {CacheConfig(), CacheConfig::tlb(64, 8), MechanismKind::None,
+         MechanismKind::LineDynamic60},
+        {dl0_small, CacheConfig::tlb(32, 8),
+         MechanismKind::LineDynamic60, MechanismKind::LineFixed50},
+    };
+
+    // 1 uop, a partial last chunk, and an exact multiple of it.
+    for (const std::size_t uops : {std::size_t{1}, std::size_t{2500},
+                                   std::size_t{4096}}) {
+        std::vector<std::vector<MemLossSample>> want(queries.size());
+        for (std::size_t q = 0; q < queries.size(); ++q)
+            for (const unsigned index : traces)
+                want[q].push_back(referenceSample(
+                    workload, index, uops, queries[q], time_scale));
+        if (uops == 4096) {
+            // The both-applied query really inverts on both sides.
+            EXPECT_GT(want[4][0].dl0InvertRatio, 0.0);
+            EXPECT_GT(want[4][0].dtlbInvertRatio, 0.0);
+        }
+
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE("uops " + std::to_string(uops) + " jobs " +
+                         std::to_string(jobs));
+            const auto got =
+                simulateMemLosses(workload, traces, uops, queries,
+                                  MemTimingParams(), time_scale, jobs);
+            ASSERT_EQ(got.size(), queries.size());
+            for (std::size_t q = 0; q < queries.size(); ++q) {
+                ASSERT_EQ(got[q].size(), traces.size());
+                for (std::size_t t = 0; t < traces.size(); ++t)
+                    expectSamplesEqual(got[q][t], want[q][t]);
+            }
+
+            // Half-filled cache: queries 1 and 3 priced one at a time
+            // first; the batched call then stores only the two keys
+            // per trace still missing (0 and 4; 2 aliases 0).
+            ResultCache cache;
+            measurePerfLoss(workload, traces, uops, CacheConfig(), dtlb,
+                            MechanismKind::SetFixed50, true,
+                            MemTimingParams(), time_scale, jobs,
+                            nullptr, &cache);
+            measurePerfLoss(workload, traces, uops, CacheConfig(),
+                            CacheConfig::tlb(64, 8),
+                            MechanismKind::LineDynamic60, false,
+                            MemTimingParams(), time_scale, jobs,
+                            nullptr, &cache);
+            const auto before = cache.stats();
+            EXPECT_EQ(before.stores, 2 * traces.size());
+            const auto warm = simulateMemLosses(
+                workload, traces, uops, queries, MemTimingParams(),
+                time_scale, jobs, nullptr, &cache);
+            // One lookup per distinct query and trace.
+            EXPECT_EQ(cache.stats().hits - before.hits, 2 * traces.size());
+            EXPECT_EQ(cache.stats().misses - before.misses,
+                      2 * traces.size());
+            EXPECT_EQ(cache.stats().stores - before.stores,
+                      2 * traces.size());
+            for (std::size_t q = 0; q < queries.size(); ++q)
+                for (std::size_t t = 0; t < traces.size(); ++t)
+                    expectSamplesEqual(warm[q][t], want[q][t]);
+
+            // Now fully warm: nothing left to store.
+            const std::uint64_t full = cache.stats().stores;
+            simulateMemLosses(workload, traces, uops, queries,
+                              MemTimingParams(), time_scale, jobs,
+                              nullptr, &cache);
+            EXPECT_EQ(cache.stats().stores, full);
+        }
+    }
+}
+
+// ------------------------------------------- absolute Table 3 anchor
+
+struct Table3Pin
+{
+    double loss[3];
+    double invertRatio[3];
+};
+
+void
+expectTable3Pinned(const Table3Result &result, const Table3Pin (&rows)[9],
+                   double way_fixed_loss, double combined_cpi)
+{
+    ASSERT_EQ(result.rows.size(), 9u);
+    for (unsigned r = 0; r < 9; ++r) {
+        for (unsigned m = 0; m < 3; ++m) {
+            EXPECT_EQ(result.rows[r].loss[m], rows[r].loss[m])
+                << result.rows[r].label << " mechanism " << m;
+            EXPECT_EQ(result.rows[r].invertRatio[m],
+                      rows[r].invertRatio[m])
+                << result.rows[r].label << " mechanism " << m;
+        }
+    }
+    EXPECT_EQ(result.wayFixedLoss, way_fixed_loss);
+    EXPECT_EQ(result.combinedCpi, combined_cpi);
+}
+
+TEST(Table3Anchor, GridAblationAndCombinedCpiPinned)
+{
+    // Absolute values of every Table-3 cell at a small scale, so a
+    // change to trace generation, chunking, baseline sharing or the
+    // folds that moves any cycle count moves one of these doubles.
+    // At the default time scale the dynamic mechanism never leaves
+    // its warmup within 3000 uops, hence its zeros.
+    const WorkloadSet workload;
+    ExperimentOptions options;
+    options.traceStride = 64;
+    options.cacheUops = 3000;
+    const Table3Pin pinned[9] = {
+        {{0.00027728533690337304, 0.007429938471541447, 0},
+         {0.5, 0.4601192908698673, 0}},
+        {{0.013270787483124156, 0.02536728343736051, 0},
+         {0.5, 0.47492202603395917, 0}},
+        {{0.052172075176177973, 0.035551055161444682, 0},
+         {0.5, 0.48204544630299706, 0}},
+        {{0, 0.019856372328307788, 0}, {0.5, 0.45880424896042477, 0}},
+        {{0.010411387099853899, 0.031444073368859432, 0},
+         {0.5, 0.47574639833800664, 0}},
+        {{0.044680306286980449, 0.059607086027042754, 0},
+         {0.5, 0.48277339237149947, 0}},
+        {{0.004546558313138228, 0.010150235646587482, 0},
+         {0.5, 0.48449482947377726, 0}},
+        {{0.0077259306645817523, 0.022229856026605453, 0},
+         {0.5, 0.48578415790343432, 0}},
+        {{0.023363134301968978, 0.04269949199739001, 0},
+         {0.5, 0.48208938689998032, 0}},
+    };
+    expectTable3Pinned(runTable3Experiment(workload, options), pinned,
+                       0.00045534801496605048, 1.017580174118129);
+}
+
+TEST(Table3Anchor, DynamicMechanismPinned)
+{
+    // Same grid with time constants short enough for LineDynamic60%
+    // to run its warmup/test/decide cycle inside 3000 uops.
+    const WorkloadSet workload;
+    ExperimentOptions options;
+    options.traceStride = 64;
+    options.cacheUops = 3000;
+    options.mechanismTimeScale = 0.002;
+    const Table3Pin pinned[9] = {
+        {{0.00027728533690337304, 0.007429938471541447,
+          0.02975356438627403},
+         {0.5, 0.4601192908698673, 0.46616767423416017}},
+        {{0.013270787483124156, 0.02536728343736051,
+          0.039177646969883934},
+         {0.5, 0.47492202603395917, 0.43596330730499605}},
+        {{0.052172075176177973, 0.035551055161444682,
+          0.068749872910422685},
+         {0.5, 0.48204544630299706, 0.50033660865702911}},
+        {{0, 0.019856372328307788, 0.026907785593093606},
+         {0.5, 0.45880424896042477, 0.46495135439528906}},
+        {{0.010411387099853899, 0.031444073368859432,
+          0.055170126664577289},
+         {0.5, 0.47574639833800664, 0.49011844541564847}},
+        {{0.044680306286980449, 0.059607086027042754,
+          0.079251543732490062},
+         {0.5, 0.48277339237149947, 0.45374754349109248}},
+        {{0.004546558313138228, 0.010150235646587482,
+          0.020626623114417826},
+         {0.5, 0.48449482947377726, 0.49684852477394831}},
+        {{0.0077259306645817523, 0.022229856026605453,
+          0.04450109076799226},
+         {0.5, 0.48578415790343432, 0.43738358187225823}},
+        {{0.023363134301968978, 0.04269949199739001,
+          0.037943286285848837},
+         {0.5, 0.48208938689998032, 0.27014078882223203}},
+    };
+    expectTable3Pinned(runTable3Experiment(workload, options), pinned,
+                       0.00045534801496605048, 1.017580174118129);
+}
 
 /** Parameterised geometry sweep: core invariants must hold for
  *  every (size, ways, replacement, mechanism) combination. */

@@ -19,6 +19,7 @@
 
 #include "cache/timing.hh"
 #include "common/rng.hh"
+#include "common/stats.hh"
 #include "core/engine.hh"
 #include "core/experiments.hh"
 #include "core/resultcache.hh"
@@ -740,30 +741,44 @@ TEST(CachedEngine, ShardMergeReproducesUnshardedRun)
 
 TEST(CachedEngine, MemLossSampleServesBothFoldDirections)
 {
+    // A query with mechanisms on both DL0 and DTLB caches one
+    // sample per trace carrying both invert ratios; a warm call
+    // folded for the DTLB must hit those entries and report the
+    // DTLB ratio.
     const WorkloadSet workload;
     const std::vector<unsigned> traces = {0, 97, 311};
+    const MemLossQuery both{CacheConfig(), CacheConfig::tlb(128, 8),
+                            MechanismKind::LineFixed50,
+                            MechanismKind::LineFixed50};
     ResultCache cache;
-
-    const PerfLossStats dl0_ref = measurePerfLoss(
-        workload, traces, 2'000, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        true);
-    const PerfLossStats dl0_cached = measurePerfLoss(
-        workload, traces, 2'000, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        true, MemTimingParams(), 0.1, 1, nullptr, &cache);
-    EXPECT_EQ(dl0_cached.meanLoss, dl0_ref.meanLoss);
-    EXPECT_EQ(dl0_cached.meanInvertRatio, dl0_ref.meanInvertRatio);
-
-    // Same (config, mechanism) pair folded for the DTLB must hit
-    // the same entries yet report the DTLB ratio.
+    const auto cold =
+        simulateMemLosses(workload, traces, 2'000, {both},
+                          MemTimingParams(), 0.1, 1, nullptr, &cache);
     const std::uint64_t stores = cache.stats().stores;
-    const PerfLossStats warm = measurePerfLoss(
-        workload, traces, 2'000, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-        true, MemTimingParams(), 0.1, 1, nullptr, &cache);
+    EXPECT_EQ(stores, traces.size());
+
+    RunningStats dl0_ratio;
+    RunningStats dtlb_ratio;
+    for (const unsigned index : traces) {
+        TraceGenerator gen = workload.generator(index);
+        MemTimingSim sim(both.dl0, both.dtlb, MemTimingParams(),
+                         both.dl0Mechanism, both.dtlbMechanism, 0.1);
+        const MemSimResult r = sim.run(gen, 2'000);
+        dl0_ratio.add(r.dl0AvgInvertRatio);
+        dtlb_ratio.add(r.dtlbAvgInvertRatio);
+    }
+    ASSERT_NE(dtlb_ratio.mean(), dl0_ratio.mean());
+
+    const auto warm =
+        simulateMemLosses(workload, traces, 2'000, {both},
+                          MemTimingParams(), 0.1, 1, nullptr, &cache);
     EXPECT_EQ(cache.stats().stores, stores);
-    EXPECT_EQ(warm.meanLoss, dl0_ref.meanLoss);
+    const PerfLossStats dtlb_fold = foldPerfLoss(warm.front(), false);
+    const PerfLossStats dl0_fold = foldPerfLoss(warm.front(), true);
+    EXPECT_EQ(dtlb_fold.meanInvertRatio, dtlb_ratio.mean());
+    EXPECT_EQ(dl0_fold.meanInvertRatio, dl0_ratio.mean());
+    EXPECT_EQ(dtlb_fold.meanLoss,
+              foldPerfLoss(cold.front(), false).meanLoss);
 }
 
 } // namespace
