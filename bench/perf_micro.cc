@@ -445,10 +445,12 @@ BM_EngineRegFileExperiment(benchmark::State &state)
     WorkloadSet workload;
     const ExperimentOptions options =
         engineOptions(static_cast<unsigned>(state.range(0)));
+    // INT and FP, ISV off and on: one streamed pass per trace feeds
+    // all four register-file variants.
     for (auto _ : state) {
         const auto r =
-            runRegFileExperiment(workload, false, options);
-        benchmark::DoNotOptimize(r.baselineWorst);
+            runRegFileExperiment(workload, {false, true}, options);
+        benchmark::DoNotOptimize(r.back().baselineWorst);
     }
 }
 BENCHMARK(BM_EngineRegFileExperiment)

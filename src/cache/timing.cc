@@ -1,10 +1,7 @@
 #include "timing.hh"
 
-#include <algorithm>
-#include <deque>
-#include <string>
+#include <memory>
 
-#include "common/threadpool.hh"
 #include "core/engine.hh"
 #include "core/serialize.hh"
 
@@ -43,40 +40,43 @@ memLossKey(const TraceSpec &spec, unsigned index,
     return key.digest();
 }
 
-/** Uops generated per chunk of the shared trace pass. */
-constexpr std::size_t kFeedChunk = 1024;
-
-/** Geometries equal in every keyed field simulate identically. */
-bool
-sameGeometry(const CacheConfig &a, const CacheConfig &b)
+/** Digest of a query's keyed (DL0, DTLB) geometry: queries with
+ *  equal digests drive identical baseline runs. */
+Hash128
+geometryKey(const MemLossQuery &query)
 {
-    return a.sizeBytes == b.sizeBytes && a.ways == b.ways &&
-        a.lineBytes == b.lineBytes &&
-        a.replacement == b.replacement &&
-        a.writePortFreeProb == b.writePortFreeProb;
+    CacheKeyBuilder key("mem-geometry");
+    keyCacheConfig(key, query.dl0);
+    keyCacheConfig(key, query.dtlb);
+    return key.digest();
 }
 
-bool
-sameGeometry(const MemLossQuery &a, const MemLossQuery &b)
+/** One query's consumer of the shared trace pass: its mechanism sim
+ *  and the baseline it shares with every query on the same geometry
+ *  (the first of them feeds it). */
+struct MemLossRun
 {
-    return sameGeometry(a.dl0, b.dl0) && sameGeometry(a.dtlb, b.dtlb);
-}
+    std::shared_ptr<MemTimingSim> baseline;
+    bool feedsBaseline;
+    std::unique_ptr<MemTimingSim> mech;
 
-/** Generate @p num_uops uops from @p gen in chunks, handing each
- *  chunk to @p sink. */
-template <class Sink>
-void
-streamChunks(TraceGenerator &gen, std::size_t num_uops, Sink &&sink)
-{
-    std::vector<Uop> chunk(std::min(num_uops, kFeedChunk));
-    for (std::size_t done = 0; done < num_uops;) {
-        const std::size_t n = std::min(num_uops - done, kFeedChunk);
-        for (std::size_t i = 0; i < n; ++i)
-            chunk[i] = gen.next();
-        sink(chunk.data(), n);
-        done += n;
+    void
+    feed(const Uop *uops, std::size_t n)
+    {
+        if (feedsBaseline)
+            baseline->feed(uops, n);
+        mech->feed(uops, n);
     }
-}
+
+    MemLossSample
+    result() const
+    {
+        const double base_cycles = baseline->result().cycles;
+        const MemSimResult rm = mech->result();
+        return {rm.cycles / base_cycles - 1.0, rm.cycles / base_cycles,
+                rm.dl0AvgInvertRatio, rm.dtlbAvgInvertRatio};
+    }
+};
 
 } // namespace
 
@@ -192,15 +192,6 @@ MemTimingSim::result() const
     return r;
 }
 
-MemSimResult
-MemTimingSim::run(TraceGenerator &gen, std::size_t num_uops)
-{
-    streamChunks(gen, num_uops, [&](const Uop *uops, std::size_t n) {
-        feed(uops, n);
-    });
-    return result();
-}
-
 std::vector<std::vector<MemLossSample>>
 simulateMemLosses(const WorkloadSet &workload,
                   const std::vector<unsigned> &trace_indices,
@@ -209,111 +200,45 @@ simulateMemLosses(const WorkloadSet &workload,
                   const MemTimingParams &params, double time_scale,
                   unsigned jobs, ThreadPool *pool, ResultCache *cache)
 {
-    const std::size_t num_queries = queries.size();
-    // Per query: the first query on its geometry (they share one
-    // baseline run) and the first query equal to it (they share a
-    // key on every trace, so one simulation).  Both scans stop at q
-    // itself at the latest.
-    std::vector<std::size_t> base(num_queries);
-    std::vector<std::size_t> first(num_queries);
-    for (std::size_t q = 0; q < num_queries; ++q) {
-        const MemLossQuery &query = queries[q];
-        base[q] = 0;
-        while (!sameGeometry(queries[base[q]], query))
+    // Per query: the first query on its geometry; they share one
+    // baseline run.
+    std::vector<std::size_t> base(queries.size(), 0);
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        while (geometryKey(queries[base[q]]) != geometryKey(queries[q]))
             ++base[q];
-        first[q] = base[q];
-        while (queries[first[q]].dl0Mechanism != query.dl0Mechanism ||
-               queries[first[q]].dtlbMechanism != query.dtlbMechanism ||
-               !sameGeometry(queries[first[q]], query))
-            ++first[q];
-    }
 
     const Engine engine(jobs, pool);
-    const auto per_trace = engine.map<std::vector<MemLossSample>>(
-        trace_indices, [&](unsigned index, std::size_t) {
-            std::vector<MemLossSample> out(num_queries);
-            std::vector<Hash128> keys(num_queries);
-            std::vector<std::size_t> missing;
-            for (std::size_t q = 0; q < num_queries; ++q) {
-                if (first[q] != q)
-                    continue;
-                if (cache) {
-                    keys[q] = memLossKey(workload.spec(index), index,
-                                         uops_per_trace, queries[q],
-                                         params, time_scale);
-                    std::string payload;
-                    if (cache->lookup(keys[q], payload)) {
-                        ByteReader reader(payload);
-                        if (decodeResult(reader, out[q]) &&
-                            reader.atEnd())
-                            continue;
-                        cache->noteDecodeFailure();
-                    }
-                }
-                missing.push_back(q);
-            }
-
-            if (!missing.empty()) {
-                // One baseline per geometry the missing queries
-                // use, one mechanism sim per missing query; a deque
-                // because the sims are neither copyable nor movable.
-                std::vector<int> baseline_of(num_queries, -1);
-                std::deque<MemTimingSim> baselines;
-                std::deque<MemTimingSim> mechs;
-                for (const std::size_t q : missing) {
-                    const MemLossQuery &query = queries[q];
-                    int &b = baseline_of[base[q]];
-                    if (b < 0) {
-                        b = static_cast<int>(baselines.size());
-                        baselines.emplace_back(
-                            query.dl0, query.dtlb, params,
-                            MechanismKind::None, MechanismKind::None,
-                            time_scale);
-                    }
-                    mechs.emplace_back(query.dl0, query.dtlb, params,
-                                       query.dl0Mechanism,
-                                       query.dtlbMechanism,
-                                       time_scale);
-                }
-
-                TraceGenerator gen = workload.generator(index);
-                streamChunks(gen, uops_per_trace,
-                             [&](const Uop *uops, std::size_t n) {
-                                 for (MemTimingSim &sim : baselines)
-                                     sim.feed(uops, n);
-                                 for (MemTimingSim &sim : mechs)
-                                     sim.feed(uops, n);
-                             });
-
-                for (std::size_t m = 0; m < missing.size(); ++m) {
-                    const std::size_t q = missing[m];
-                    const MemSimResult rb =
-                        baselines[baseline_of[base[q]]].result();
-                    const MemSimResult rm = mechs[m].result();
-                    MemLossSample &r = out[q];
-                    r.loss = rm.cycles / rb.cycles - 1.0;
-                    r.normalizedCycles = rm.cycles / rb.cycles;
-                    r.dl0InvertRatio = rm.dl0AvgInvertRatio;
-                    r.dtlbInvertRatio = rm.dtlbAvgInvertRatio;
-                    if (cache) {
-                        ByteWriter writer;
-                        encodeResult(writer, r);
-                        cache->store(keys[q], writer.view());
-                    }
-                }
-            }
-
-            for (std::size_t q = 0; q < num_queries; ++q)
-                out[q] = out[first[q]];
-            return out;
+    return engine.streamCached<MemLossSample>(
+        trace_indices, queries.size(), uops_per_trace, cache,
+        [&](unsigned index, std::size_t q) {
+            return memLossKey(workload.spec(index), index,
+                              uops_per_trace, queries[q], params,
+                              time_scale);
+        },
+        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned) {
+            // Baselines are built for the geometries of the missing
+            // queries only, one per geometry.
+            return [&, baselines = std::vector<std::shared_ptr<
+                           MemTimingSim>>(queries.size())](
+                       std::size_t q) mutable {
+                const MemLossQuery &query = queries[q];
+                std::shared_ptr<MemTimingSim> &baseline =
+                    baselines[base[q]];
+                const bool feeds = !baseline;
+                if (feeds)
+                    baseline = std::make_shared<MemTimingSim>(
+                        query.dl0, query.dtlb, params,
+                        MechanismKind::None, MechanismKind::None,
+                        time_scale);
+                return std::make_unique<MemLossRun>(MemLossRun{
+                    baseline, feeds,
+                    std::make_unique<MemTimingSim>(
+                        query.dl0, query.dtlb, params,
+                        query.dl0Mechanism, query.dtlbMechanism,
+                        time_scale)});
+            };
         });
-
-    std::vector<std::vector<MemLossSample>> samples(
-        num_queries, std::vector<MemLossSample>(trace_indices.size()));
-    for (std::size_t t = 0; t < per_trace.size(); ++t)
-        for (std::size_t q = 0; q < num_queries; ++q)
-            samples[q][t] = per_trace[t][q];
-    return samples;
 }
 
 PerfLossStats

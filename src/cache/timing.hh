@@ -11,15 +11,15 @@
  * magnitudes of the deltas).
  *
  * One pass per trace: simulateMemLosses() prices a whole list of
- * MemLossQuery configurations in one Engine task per trace.  The
- * task generates the trace once, in fixed chunks, and feeds every
- * chunk to one baseline MemTimingSim per distinct (DL0, DTLB)
- * geometry and one mechanism MemTimingSim per query, in order.
- * Every sim therefore consumes exactly the uop sequence a private
- * generator would have produced, so each MemLossSample is
- * bit-identical to two independent MemTimingSim::run() calls, and
- * per-query cache keys and payloads are those of a one-query call.
- * Whole traces are never materialised.
+ * MemLossQuery configurations as one client of the engine's
+ * streamed pass (Engine::streamCached): each query is a slot with
+ * its own key, and each missing query's consumer is a mechanism
+ * MemTimingSim plus the baseline MemTimingSim it shares with every
+ * query on the same (DL0, DTLB) geometry.  Every sim consumes
+ * exactly the uop sequence a private generator would have produced,
+ * so each MemLossSample is bit-identical to two independent
+ * MemTimingSim::run() calls, and per-query cache keys and payloads
+ * are those of a one-query call.
  */
 
 #ifndef PENELOPE_CACHE_TIMING_HH
@@ -111,7 +111,16 @@ class MemTimingSim
     MemSimResult result() const;
 
     /** Feed @p num_uops uops from @p gen; returns result(). */
-    MemSimResult run(TraceGenerator &gen, std::size_t num_uops);
+    template <class Gen>
+    MemSimResult
+    run(Gen &gen, std::size_t num_uops)
+    {
+        streamChunks(gen, num_uops,
+                     [&](const Uop *uops, std::size_t n) {
+                         feed(uops, n);
+                     });
+        return result();
+    }
 
     Cache &dl0() { return dl0_; }
     Cache &dtlb() { return dtlb_; }
@@ -172,10 +181,8 @@ struct MemLossQuery
  *
  * One Engine task per trace on @p jobs workers; each task owns its
  * sims, so the result is bit-identical for any jobs value.  With
- * @p cache set, each (query, trace) sample is looked up by content
- * hash first; a task simulates only the queries that missed (plus
- * their baselines) and stores each missing key once.  Equal queries
- * share one simulation.
+ * @p cache set, a task simulates only the queries that missed (plus
+ * their baselines).  Equal queries share one simulation.
  */
 std::vector<std::vector<MemLossSample>>
 simulateMemLosses(const WorkloadSet &workload,

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <ostream>
 
 #include "adder/adder.hh"
@@ -258,10 +259,10 @@ void
 runFig6(const ExperimentContext &ctx)
 {
     std::ostream &os = ctx.out;
-    const auto int_rf =
-        runRegFileExperiment(ctx.workload, false, ctx.options);
-    const auto fp_rf =
-        runRegFileExperiment(ctx.workload, true, ctx.options);
+    const auto files =
+        runRegFileExperiment(ctx.workload, {false, true}, ctx.options);
+    const RegFileExperimentResult &int_rf = files[0];
+    const RegFileExperimentResult &fp_rf = files[1];
 
     printBiasSeries(os, "INT register file (32 bits)", int_rf);
     printBiasSeries(os, "FP register file (80 bits)", fp_rf);
@@ -508,10 +509,10 @@ runTable4(const ExperimentContext &ctx)
     // Run all block experiments.
     os << "\nrunning block experiments...\n";
     const auto adder = runAdderExperiment(workload, options);
-    const auto int_rf =
-        runRegFileExperiment(workload, false, options);
-    const auto fp_rf =
-        runRegFileExperiment(workload, true, options);
+    const auto files =
+        runRegFileExperiment(workload, {false, true}, options);
+    const RegFileExperimentResult &int_rf = files[0];
+    const RegFileExperimentResult &fp_rf = files[1];
     const auto sched = runSchedulerExperiment(workload, options);
     const auto summary = buildProcessorSummary(
         adder, int_rf, fp_rf, sched, workload, options);
@@ -610,7 +611,7 @@ runSec11(const ExperimentContext &ctx)
 
     // Register-file bias range.
     const auto int_rf =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
     double bias_min = 1.0;
     double bias_max = 0.0;
     for (double b : int_rf.baselineBias) {
@@ -794,20 +795,6 @@ runAblations(const ExperimentContext &ctx)
 
 // --------------------------------------------------- wearout attack
 
-/** One adversarial scheduler replay to schedule on the engine. */
-struct AttackRun
-{
-    const char *label;
-    AttackConfig attack;
-    bool protect;
-
-    /** Replay seed stream: shared by the unprotected and protected
-     *  arms of a variant so their comparison is seed-controlled
-     *  (the same arrival/residence/port-availability draws), just
-     *  as the Figure-8 runner reuses one seed per trace. */
-    unsigned id;
-};
-
 /** Per-replay shard of the register-file attack arms (and their
  *  normal-workload reference): the aggregated per-bit bias. */
 struct RfAttackShard
@@ -903,7 +890,7 @@ Hash128
 attackReplayKey(const SchedReplayConfig &replay_config,
                 std::size_t uops,
                 const std::vector<BitDecision> &decisions,
-                const AttackRun &run)
+                const AttackConfig &attack, unsigned id, bool protect)
 {
     CacheKeyBuilder key("sched-attack");
     key.f64(replay_config.arrivalRate)
@@ -911,18 +898,18 @@ attackReplayKey(const SchedReplayConfig &replay_config,
         .f64(replay_config.portFreeProb)
         .u64(replay_config.seed)
         .u64(uops)
-        .u32(run.id)
-        .u64(run.attack.dataValue)
-        .u32(run.attack.imm)
-        .u32(run.attack.latency)
-        .u32(run.attack.port)
-        .u32(run.attack.mobId)
-        .u32(run.attack.flags)
-        .u32(run.attack.opcode)
-        .b(run.attack.taken)
-        .u32(run.attack.branchPeriod)
-        .u32(run.attack.hotRegs)
-        .b(run.protect);
+        .u32(id)
+        .u64(attack.dataValue)
+        .u32(attack.imm)
+        .u32(attack.latency)
+        .u32(attack.port)
+        .u32(attack.mobId)
+        .u32(attack.flags)
+        .u32(attack.opcode)
+        .b(attack.taken)
+        .u32(attack.branchPeriod)
+        .u32(attack.hotRegs)
+        .b(protect);
     key.u64(decisions.size());
     for (const BitDecision &d : decisions) {
         key.u32(static_cast<std::uint32_t>(d.technique))
@@ -975,24 +962,23 @@ runAttack(const ExperimentContext &ctx)
 
     // Normal-workload reference: one trace per suite, unprotected.
     const SchedReplayConfig normal_replay;
-    const auto normal_shards = engine.mapCached<SchedulerStress>(
-        workload.firstPerSuite(), options.cache,
+    const auto normal_shards = engine.streamCached<SchedulerStress>(
+        workload.firstPerSuite(), 1, options.uopsPerTrace,
+        options.cache,
         [&](unsigned index, std::size_t) {
             return schedulerReplayKey(
                 SchedulerConfig(), normal_replay,
                 options.uopsPerTrace, no_decisions,
                 workload.spec(index).seed, index);
         },
-        [&](unsigned index, std::size_t) {
-            Scheduler sched{SchedulerConfig{}};
-            SchedReplayConfig cfg = normal_replay;
-            cfg.seed = mixSeed(normal_replay.seed, index);
-            SchedulerReplay replay(sched, cfg);
-            TraceGenerator gen = workload.generator(index);
-            const SchedReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            return sched.snapshotStress(r.cycles);
-        });
+        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) {
+            return [&, index](std::size_t) {
+                SchedReplayConfig cfg = normal_replay;
+                cfg.seed = mixSeed(normal_replay.seed, index);
+                return std::make_unique<SchedulerRun>(nullptr, cfg);
+            };
+        }).front();
     SchedulerStress normal = normal_shards.front();
     for (std::size_t k = 1; k < normal_shards.size(); ++k)
         normal.merge(normal_shards[k]);
@@ -1018,34 +1004,31 @@ runAttack(const ExperimentContext &ctx)
         {"all-zeros", zeros},
         {"all-ones", ones},
         {"alternating", alternating}};
-    std::vector<AttackRun> runs;
-    unsigned variant_id = 0;
-    for (const auto &[label, attack] : variants) {
-        runs.push_back({label, attack, false, variant_id});
-        runs.push_back({label, attack, true, variant_id});
-        ++variant_id;
-    }
+    const std::vector<unsigned> variant_ids = {0, 1, 2};
 
-    const auto stresses = engine.mapCached<SchedulerStress>(
-        runs, options.cache,
-        [&](const AttackRun &run, std::size_t) {
+    // Slot 0 unprotected, slot 1 protected, fed by one stream per
+    // variant.  Both arms draw the replay seed stream of the variant
+    // id, so their comparison is seed-controlled (the same
+    // arrival/residence/port-availability draws), just as the
+    // Figure-8 runner reuses one seed per trace.
+    const auto stresses = engine.streamCached<SchedulerStress>(
+        variant_ids, 2, options.uopsPerTrace, options.cache,
+        [&](unsigned v, std::size_t protect) {
             return attackReplayKey(
                 attack_replay, options.uopsPerTrace,
-                run.protect ? decisions : no_decisions, run);
+                protect ? decisions : no_decisions,
+                variants[v].second, v, protect);
         },
-        [&](const AttackRun &run, std::size_t) {
-            Scheduler sched{SchedulerConfig{}};
-            if (run.protect) {
-                sched.configureProtection(decisions);
-                sched.enableProtection(true);
-            }
-            SchedReplayConfig cfg = attack_replay;
-            cfg.seed = mixSeed(attack_replay.seed, run.id);
-            SchedulerReplay replay(sched, cfg);
-            AttackTraceGenerator gen(run.attack);
-            const SchedReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            return sched.snapshotStress(r.cycles);
+        [&](unsigned v) {
+            return AttackTraceGenerator(variants[v].second);
+        },
+        [&](unsigned v) {
+            return [&, v](std::size_t protect) {
+                SchedReplayConfig cfg = attack_replay;
+                cfg.seed = mixSeed(attack_replay.seed, v);
+                return std::make_unique<SchedulerRun>(
+                    protect ? &decisions : nullptr, cfg);
+            };
         });
 
     // Per-field bias, Figure-6/8 style: the normal workload next
@@ -1053,9 +1036,9 @@ runAttack(const ExperimentContext &ctx)
     const FieldLayout &layout = fieldLayout();
     const auto normal_worst = fieldWorstBias(normal.biasVector());
     const auto attacked_worst =
-        fieldWorstBias(stresses[0].biasVector());
+        fieldWorstBias(stresses[0][0].biasVector());
     const auto protected_worst =
-        fieldWorstBias(stresses[1].biasVector());
+        fieldWorstBias(stresses[1][0].biasVector());
     TextTable fields({"field", "normal worst", "all-zeros attack",
                       "attack vs protection"});
     for (unsigned f = 0; f < layout.count(); ++f) {
@@ -1079,11 +1062,11 @@ runAttack(const ExperimentContext &ctx)
               TextTable::pct(model.guardbandForZeroProb(
                   normal.worstFigure8Bias())),
               "-"});
-    for (std::size_t k = 0; k + 1 < stresses.size(); k += 2) {
-        const SchedulerStress &unprot = stresses[k];
-        const SchedulerStress &prot = stresses[k + 1];
+    for (const unsigned v : variant_ids) {
+        const SchedulerStress &unprot = stresses[0][v];
+        const SchedulerStress &prot = stresses[1][v];
         s.addRow(
-            {runs[k].label,
+            {variants[v].first,
              TextTable::pct(unprot.occupancy(), 1),
              TextTable::pct(unprot.worstFigure8Bias(), 1),
              TextTable::pct(prot.worstFigure8Bias(), 1),
@@ -1188,32 +1171,40 @@ runAttack(const ExperimentContext &ctx)
     rf_replay.portFreeProb = 0.92;
     rf_replay.commitDelay = 64;
 
-    // Normal-workload reference: one trace per suite, baseline
-    // and ISV-protected, merged in suite order.
-    RfAttackShard normal_rf[2];
-    for (const bool isv : {false, true}) {
-        const auto shards = engine.mapCached<RfAttackShard>(
-            workload.firstPerSuite(), options.cache,
-            [&](unsigned index, std::size_t) {
-                return regfileNormalKey(
-                    rf_config, rf_replay, isv,
-                    options.uopsPerTrace,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                RegisterFile rf(rf_config);
-                rf.enableIsv(isv);
+    // Slot 0 is the baseline, slot 1 ISV-protected (ISV is the
+    // defence here); both are fed by one stream per item.
+    struct RfRun : RegFileRun
+    {
+        using RegFileRun::RegFileRun;
+
+        RfAttackShard
+        result()
+        {
+            const RegReplayResult r = replay.result();
+            return {rf.finalizeBias(r.cycles), r.freeFraction};
+        }
+    };
+    // Normal-workload reference: one trace per suite, merged in
+    // suite order.
+    const auto normal_shards_rf = engine.streamCached<RfAttackShard>(
+        workload.firstPerSuite(), 2, options.uopsPerTrace,
+        options.cache,
+        [&](unsigned index, std::size_t isv) {
+            return regfileNormalKey(rf_config, rf_replay, isv,
+                                    options.uopsPerTrace,
+                                    workload.spec(index).seed, index);
+        },
+        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) {
+            return [&, index](std::size_t isv) {
                 RegReplayConfig cfg = rf_replay;
                 cfg.seed = mixSeed(rf_replay.seed, index);
-                RegFileReplay replay(rf, cfg);
-                TraceGenerator gen = workload.generator(index);
-                const RegReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                RfAttackShard shard;
-                shard.bias = rf.finalizeBias(r.cycles);
-                shard.freeFraction = r.freeFraction;
-                return shard;
-            });
+                return std::make_unique<RfRun>(rf_config, isv, cfg);
+            };
+        });
+    RfAttackShard normal_rf[2];
+    for (const bool isv : {false, true}) {
+        const auto &shards = normal_shards_rf[isv];
         RfAttackShard merged;
         merged.bias = BitBiasTracker(rf_config.width);
         for (const RfAttackShard &shard : shards) {
@@ -1222,7 +1213,7 @@ runAttack(const ExperimentContext &ctx)
         }
         merged.freeFraction /=
             static_cast<double>(shards.size());
-        normal_rf[isv ? 1 : 0] = merged;
+        normal_rf[isv] = merged;
     }
 
     // Attack arms: the same three pinned values as above, but the
@@ -1240,34 +1231,22 @@ runAttack(const ExperimentContext &ctx)
         {"all-zeros", rf_zeros},
         {"all-ones", rf_ones},
         {"alternating", rf_alternating}};
-    std::vector<AttackRun> rf_runs;
-    unsigned rf_variant_id = 0;
-    for (const auto &[label, attack] : rf_variants) {
-        rf_runs.push_back({label, attack, false, rf_variant_id});
-        rf_runs.push_back({label, attack, true, rf_variant_id});
-        ++rf_variant_id;
-    }
-
-    const auto rf_results = engine.mapCached<RfAttackShard>(
-        rf_runs, options.cache,
-        [&](const AttackRun &run, std::size_t) {
-            return regfileAttackKey(
-                rf_config, rf_replay, run.protect,
-                options.uopsPerTrace, run.attack, run.id);
+    const auto rf_results = engine.streamCached<RfAttackShard>(
+        variant_ids, 2, options.uopsPerTrace, options.cache,
+        [&](unsigned v, std::size_t isv) {
+            return regfileAttackKey(rf_config, rf_replay, isv,
+                                    options.uopsPerTrace,
+                                    rf_variants[v].second, v);
         },
-        [&](const AttackRun &run, std::size_t) {
-            RegisterFile rf(rf_config);
-            rf.enableIsv(run.protect); // ISV is the defence here
-            RegReplayConfig cfg = rf_replay;
-            cfg.seed = mixSeed(rf_replay.seed, run.id);
-            RegFileReplay replay(rf, cfg);
-            AttackTraceGenerator gen(run.attack);
-            const RegReplayResult r =
-                replay.run(gen, options.uopsPerTrace);
-            RfAttackShard shard;
-            shard.bias = rf.finalizeBias(r.cycles);
-            shard.freeFraction = r.freeFraction;
-            return shard;
+        [&](unsigned v) {
+            return AttackTraceGenerator(rf_variants[v].second);
+        },
+        [&](unsigned v) {
+            return [&, v](std::size_t isv) {
+                RegReplayConfig cfg = rf_replay;
+                cfg.seed = mixSeed(rf_replay.seed, v);
+                return std::make_unique<RfRun>(rf_config, isv, cfg);
+            };
         });
 
     TextTable rt({"stream", "pinned bits", "worst stress",
@@ -1288,10 +1267,9 @@ runAttack(const ExperimentContext &ctx)
                      isv.bias.maxWorstCaseStress()))});
     };
     add_rf_row("normal workload", normal_rf[0], normal_rf[1]);
-    for (std::size_t k = 0; k + 1 < rf_results.size(); k += 2) {
-        add_rf_row(rf_runs[k].label, rf_results[k],
-                   rf_results[k + 1]);
-    }
+    for (const unsigned v : variant_ids)
+        add_rf_row(rf_variants[v].first, rf_results[0][v],
+                   rf_results[1][v]);
     rt.print(os);
 
     os << "\nA hot-register stream overwrites a "

@@ -16,18 +16,32 @@
  * Given 1-3, `--jobs N` produces bit-identical statistics to
  * `--jobs 1` for any N.
  *
- * mapCached() adds the content-addressed result layer on top: the
- * per-trace slot is looked up in a ResultCache before simulating
- * and stored after.  Because a key identifies the computation
+ * Both entry points put a content-addressed result layer in front
+ * of the simulation: each per-trace slot is looked up in a
+ * ResultCache before simulating and stored after.  Because a key identifies the computation
  * completely (see resultcache.hh) and a hit deserializes the exact
  * bytes a previous identical computation produced, the trace-order
  * merge -- and therefore every printed statistic -- is bit-identical
  * with a cold cache, a warm cache, or no cache at all.
+ *
+ * mapCached() runs one computation per trace.  streamCached() is
+ * the streamed pass for simulations that replay a trace: each trace
+ * carries several result slots (say a register file with ISV off
+ * and on), each with its own key.  One task per trace looks every
+ * distinct key up, builds a consumer only for each miss, generates
+ * the trace once in kFeedChunk chunks and feeds every chunk to
+ * every consumer in slot order, then stores each miss.  Each consumer owns its models and its own Rng (seeded
+ * as its single-variant run would seed it), and every consumer sees
+ * exactly the uop sequence a private generator would have produced,
+ * so a slot's result -- and its cached payload -- is bit-identical
+ * to running that variant alone.  Whole traces are never
+ * materialised.
  */
 
 #ifndef PENELOPE_CORE_ENGINE_HH
 #define PENELOPE_CORE_ENGINE_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <utility>
@@ -36,6 +50,7 @@
 #include "common/threadpool.hh"
 #include "core/resultcache.hh"
 #include "obs/metrics.hh"
+#include "trace/generator.hh"
 
 namespace penelope {
 
@@ -52,11 +67,6 @@ class Engine
         : jobs_(jobs ? jobs : 1), pool_(pool)
     {
     }
-
-    unsigned jobs() const { return jobs_; }
-
-    /** Shared worker pool, or nullptr (per-call pools). */
-    ThreadPool *pool() const { return pool_; }
 
     /**
      * Materialise fn(item, slot) for every item, in parallel;
@@ -101,27 +111,110 @@ class Engine
             [&](std::size_t k) {
                 PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
                 const Hash128 key = keyOf(items[k], k);
-                std::string payload;
-                if (cache->lookup(key, payload)) {
-                    ByteReader reader(payload);
-                    R value{};
-                    if (decodeResult(reader, value) &&
-                        reader.atEnd()) {
-                        out[k] = std::move(value);
-                        return;
-                    }
-                    cache->noteDecodeFailure();
-                }
+                if (lookup(cache, key, out[k]))
+                    return;
                 out[k] = fn(items[k], k);
-                ByteWriter writer;
-                encodeResult(writer, out[k]);
-                cache->store(key, writer.view());
+                store(cache, key, out[k]);
+            },
+            pool_);
+        return out;
+    }
+
+    /**
+     * One streamed pass per item for @p num_slots result slots (see
+     * the file comment); results are returned as [slot][item].
+     *
+     * keyOf(item, slot) follows the mapCached() key contract; slots
+     * with equal keys simulate once.  consumersOf(item) returns the
+     * item's factory, called with each missing slot in slot order;
+     * it returns an owning pointer to a consumer with
+     * feed(const Uop *, n) and result() -> R, and may share state
+     * among one item's consumers.  sourceOf(item) returns the uop
+     * source (anything with `Uop next()`), of which @p num_uops are
+     * streamed only when some slot missed.
+     */
+    template <class R, class Items, class KeyFn, class SourceFn,
+              class ConsumersFn>
+    std::vector<std::vector<R>>
+    streamCached(const Items &items, std::size_t num_slots,
+                 std::size_t num_uops, ResultCache *cache,
+                 KeyFn &&keyOf, SourceFn &&sourceOf,
+                 ConsumersFn &&consumersOf) const
+    {
+        std::vector<std::vector<R>> out(num_slots,
+                                        std::vector<R>(items.size()));
+        parallelFor(
+            items.size(), jobs_,
+            [&](std::size_t k) {
+                PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
+                std::vector<Hash128> keys(num_slots);
+                std::vector<std::size_t> first(num_slots);
+                std::vector<std::size_t> missing;
+                for (std::size_t s = 0; s < num_slots; ++s) {
+                    keys[s] = keyOf(items[k], s);
+                    first[s] = static_cast<std::size_t>(
+                        std::find(keys.begin(), keys.end(), keys[s]) -
+                        keys.begin());
+                    if (first[s] == s &&
+                        !lookup(cache, keys[s], out[s][k]))
+                        missing.push_back(s);
+                }
+                if (!missing.empty()) {
+                    auto make = consumersOf(items[k]);
+                    std::vector<decltype(make(0))> consumers;
+                    for (const std::size_t s : missing)
+                        consumers.push_back(make(s));
+                    auto source = sourceOf(items[k]);
+                    streamChunks(source, num_uops,
+                                 [&](const Uop *uops, std::size_t n) {
+                                     for (auto &c : consumers)
+                                         c->feed(uops, n);
+                                 });
+                    for (std::size_t m = 0; m < missing.size(); ++m) {
+                        R &slot = out[missing[m]][k];
+                        slot = consumers[m]->result();
+                        store(cache, keys[missing[m]], slot);
+                    }
+                }
+                for (std::size_t s = 0; s < num_slots; ++s)
+                    if (first[s] != s)
+                        out[s][k] = out[first[s]][k];
             },
             pool_);
         return out;
     }
 
   private:
+    /** Decode @p key's cached payload into @p out; false on a miss
+     *  or a payload that fails to decode (counted, then a miss). */
+    template <class R>
+    static bool
+    lookup(ResultCache *cache, const Hash128 &key, R &out)
+    {
+        std::string payload;
+        if (!cache || !cache->lookup(key, payload))
+            return false;
+        ByteReader reader(payload);
+        R value{};
+        if (decodeResult(reader, value) && reader.atEnd()) {
+            out = std::move(value);
+            return true;
+        }
+        cache->noteDecodeFailure();
+        return false;
+    }
+
+    template <class R>
+    static void
+    store(ResultCache *cache, const Hash128 &key, const R &value)
+    {
+        if (!cache)
+            return;
+        ByteWriter writer;
+        encodeResult(writer, value);
+        cache->store(key, writer.view());
+    }
+
     unsigned jobs_;
     ThreadPool *pool_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 #include "adder/adder.hh"
 #include "core/engine.hh"
@@ -284,82 +285,102 @@ runAdderExperiment(const WorkloadSet &workload,
 
 // ------------------------------------------------------ register file
 
-RegFileExperimentResult
-runRegFileExperiment(const WorkloadSet &workload, bool fp,
+std::vector<RegFileExperimentResult>
+runRegFileExperiment(const WorkloadSet &workload,
+                     const std::vector<bool> &fp_files,
                      const ExperimentOptions &options)
 {
-    RegFileExperimentResult result;
     const GuardbandModel model = GuardbandModel::paperCalibrated();
     const Engine engine(options.jobs, options.pool);
 
-    RegFileConfig rf_config;
-    rf_config.name = fp ? "FP-RF" : "INT-RF";
-    rf_config.numEntries = fp ? 64 : 128;
-    rf_config.width = fp ? 80 : 32;
-    result.name = rf_config.name;
+    struct Setup
+    {
+        RegFileConfig rf;
+        RegReplayConfig replay;
+    };
+    std::vector<Setup> setups;
+    for (const bool fp : fp_files) {
+        Setup setup;
+        setup.rf.name = fp ? "FP-RF" : "INT-RF";
+        setup.rf.numEntries = fp ? 64 : 128;
+        setup.rf.width = fp ? 80 : 32;
+        setup.replay.fp = fp;
+        setup.replay.portFreeProb = fp ? 0.86 : 0.92;
+        // Rename-to-commit depth calibrated so the free fractions
+        // land near the paper's 54% (INT) / 69% (FP).
+        setup.replay.commitDelay = fp ? 110 : 64;
+        setups.push_back(setup);
+    }
 
-    RegReplayConfig replay_config;
-    replay_config.fp = fp;
-    replay_config.portFreeProb = fp ? 0.86 : 0.92;
-    // Rename-to-commit depth calibrated so the free fractions land
-    // near the paper's 54% (INT) / 69% (FP).
-    replay_config.commitDelay = fp ? 110 : 64;
+    // Every trace ages its own register file per slot: slot 2f + isv
+    // is file f with ISV off or on, all fed by one pass per trace.
+    struct Run : RegFileRun
+    {
+        using RegFileRun::RegFileRun;
 
-    const auto traces = evalTraces(workload, options);
-
-    for (const bool isv : {false, true}) {
-        // Every trace ages its own register file; the per-bit duty
-        // times merge in trace order into the aggregate bias.
-        const auto shards = engine.mapCached<RegFileShard>(
-            traces, options.cache,
-            [&](unsigned index, std::size_t) {
-                return regfileReplayKey(
-                    rf_config, replay_config, isv,
-                    options.uopsPerTrace,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                RegisterFile rf(rf_config);
-                rf.enableIsv(isv);
-                RegReplayConfig cfg = replay_config;
-                cfg.seed = mixSeed(replay_config.seed, index);
-                RegFileReplay replay(rf, cfg);
-                TraceGenerator gen = workload.generator(index);
-                const RegReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                RegFileShard shard;
-                shard.bias = rf.finalizeBias(r.cycles);
-                shard.freeFraction = r.freeFraction;
-                shard.isv = rf.isvStats();
-                return shard;
-            });
-
-        BitBiasTracker bias(rf_config.width);
-        RunningStats free_frac;
-        IsvStats isv_stats;
-        for (const RegFileShard &shard : shards) {
-            bias.merge(shard.bias);
-            free_frac.add(shard.freeFraction);
-            isv_stats.merge(shard.isv);
+        RegFileShard
+        result()
+        {
+            const RegReplayResult r = replay.result();
+            RegFileShard shard;
+            shard.bias = rf.finalizeBias(r.cycles);
+            shard.freeFraction = r.freeFraction;
+            shard.isv = rf.isvStats();
+            return shard;
         }
+    };
+    const auto shards = engine.streamCached<RegFileShard>(
+        evalTraces(workload, options), 2 * setups.size(),
+        options.uopsPerTrace, options.cache,
+        [&](unsigned index, std::size_t slot) {
+            const Setup &setup = setups[slot / 2];
+            return regfileReplayKey(setup.rf, setup.replay, slot % 2,
+                                    options.uopsPerTrace,
+                                    workload.spec(index).seed, index);
+        },
+        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) {
+            return [&, index](std::size_t slot) {
+                const Setup &setup = setups[slot / 2];
+                RegReplayConfig cfg = setup.replay;
+                cfg.seed = mixSeed(setup.replay.seed, index);
+                return std::make_unique<Run>(setup.rf, slot % 2, cfg);
+            };
+        });
 
-        const auto vec = bias.biasVector();
-        const double worst = bias.maxWorstCaseStress();
-        if (isv) {
-            result.isvBias = vec;
-            result.isvWorst = worst;
-            result.guardbandIsv =
-                model.guardbandForZeroProb(worst);
-            result.isvStats = isv_stats;
-        } else {
-            result.baselineBias = vec;
-            result.baselineWorst = worst;
-            result.guardbandBaseline =
-                model.guardbandForZeroProb(worst);
-            result.freeFraction = free_frac.mean();
+    // The per-bit duty times merge in trace order into the aggregate
+    // bias.
+    std::vector<RegFileExperimentResult> results(setups.size());
+    for (std::size_t f = 0; f < setups.size(); ++f) {
+        RegFileExperimentResult &result = results[f];
+        result.name = setups[f].rf.name;
+        for (const bool isv : {false, true}) {
+            BitBiasTracker bias(setups[f].rf.width);
+            RunningStats free_frac;
+            IsvStats isv_stats;
+            for (const RegFileShard &shard : shards[2 * f + isv]) {
+                bias.merge(shard.bias);
+                free_frac.add(shard.freeFraction);
+                isv_stats.merge(shard.isv);
+            }
+
+            const auto vec = bias.biasVector();
+            const double worst = bias.maxWorstCaseStress();
+            if (isv) {
+                result.isvBias = vec;
+                result.isvWorst = worst;
+                result.guardbandIsv = model.guardbandForZeroProb(worst);
+                result.isvStats = isv_stats;
+            } else {
+                result.baselineBias = vec;
+                result.baselineWorst = worst;
+                result.guardbandBaseline =
+                    model.guardbandForZeroProb(worst);
+                result.freeFraction = free_frac.mean();
+            }
         }
     }
-    return result;
+    return results;
 }
 
 // ---------------------------------------------------------- scheduler
@@ -397,40 +418,37 @@ runSchedulerExperiment(const WorkloadSet &workload,
     const auto decisions = decideProtection(profile.bits);
     result.techniques = summarizeDecisions(decisions);
 
+    // Slot 0 unprotected, slot 1 protected, fed by one pass per
+    // trace.
+    const SchedReplayConfig replay_config;
     const std::vector<BitDecision> no_decisions;
-    for (const bool protect : {false, true}) {
-        const SchedReplayConfig replay_config;
-        const auto shards = engine.mapCached<SchedulerStress>(
-            eval_set, options.cache,
-            [&](unsigned index, std::size_t) {
-                // The installed decisions are key material: a
-                // protected replay's statistics depend on them.
-                return schedulerReplayKey(
-                    SchedulerConfig(), replay_config,
-                    options.uopsPerTrace,
-                    protect ? decisions : no_decisions,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                Scheduler sched{SchedulerConfig{}};
-                if (protect) {
-                    sched.configureProtection(decisions);
-                    sched.enableProtection(true);
-                }
+    const auto shards = engine.streamCached<SchedulerStress>(
+        eval_set, 2, options.uopsPerTrace, options.cache,
+        [&](unsigned index, std::size_t protect) {
+            // The installed decisions are key material: a protected
+            // replay's statistics depend on them.
+            return schedulerReplayKey(
+                SchedulerConfig(), replay_config, options.uopsPerTrace,
+                protect ? decisions : no_decisions,
+                workload.spec(index).seed, index);
+        },
+        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) {
+            return [&, index](std::size_t protect) {
                 SchedReplayConfig cfg = replay_config;
                 cfg.seed = mixSeed(replay_config.seed, index);
-                SchedulerReplay replay(sched, cfg);
-                TraceGenerator gen = workload.generator(index);
-                const SchedReplayResult r =
-                    replay.run(gen, options.uopsPerTrace);
-                return sched.snapshotStress(r.cycles);
-            });
+                return std::make_unique<SchedulerRun>(
+                    protect ? &decisions : nullptr, cfg);
+            };
+        });
 
-        if (shards.empty())
+    for (const bool protect : {false, true}) {
+        const auto &slot = shards[protect];
+        if (slot.empty())
             continue;
-        SchedulerStress merged = shards.front();
-        for (std::size_t k = 1; k < shards.size(); ++k)
-            merged.merge(shards[k]);
+        SchedulerStress merged = slot.front();
+        for (std::size_t k = 1; k < slot.size(); ++k)
+            merged.merge(slot[k]);
 
         const auto bias = merged.biasVector();
         const double worst = merged.worstFigure8Bias();

@@ -206,8 +206,15 @@ struct RegFileExperimentResult
     IsvStats isvStats;
 };
 
-RegFileExperimentResult
-runRegFileExperiment(const WorkloadSet &workload, bool fp,
+/**
+ * Figure 6 for each register file of @p fp_files (false = INT,
+ * true = FP), with ISV off and on: every variant of a trace is fed
+ * by one streamed pass (Engine::streamCached).  Results follow
+ * @p fp_files order.
+ */
+std::vector<RegFileExperimentResult>
+runRegFileExperiment(const WorkloadSet &workload,
+                     const std::vector<bool> &fp_files,
                      const ExperimentOptions &options);
 
 // ---------------------------------------------------------- scheduler
@@ -236,6 +243,8 @@ struct SchedulerExperimentResult
     double efficiency = 0.0;
 };
 
+/** Figure 8: protection off and on, fed by one streamed pass per
+ *  evaluation trace. */
 SchedulerExperimentResult
 runSchedulerExperiment(const WorkloadSet &workload,
                        const ExperimentOptions &options);

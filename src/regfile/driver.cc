@@ -23,6 +23,58 @@ RegFileReplay::RegFileReplay(RegisterFile &rf,
 }
 
 void
+RegFileReplay::feed(const Uop *uops, std::size_t n)
+{
+    Cycle now = clock_;
+    for (std::size_t i = 0; i < n; ++i, ++now) {
+        // Inline front-due guard: most cycles have no release due,
+        // so the drain loop is only entered when the oldest pending
+        // entry has matured.
+        if (!pending_.empty() && pending_.front().due <= now)
+            drainReleases(now, false);
+        const Uop &uop = uops[i];
+        if (!uop.writesReg())
+            continue;
+        if (isFp(uop.cls) != config_.fp)
+            continue;
+
+        int phys = rf_.allocate(now);
+        if (phys < 0) {
+            // Free-list pressure: force the oldest pending release
+            // (the pipeline would have stalled until commit).
+            drainReleases(now, true);
+            phys = rf_.allocate(now);
+            if (phys < 0)
+                continue; // nothing to release; drop the write
+        }
+        const BitWord value = config_.fp
+            ? BitWord(rf_.width(), uop.dstVal, uop.dstValHi)
+            : BitWord(rf_.width(), uop.dstVal);
+        rf_.write(static_cast<unsigned>(phys), value, now);
+        ++result_.writes;
+
+        const unsigned arch = uop.dstReg;
+        assert(arch < archMap_.size());
+        if (archMap_[arch] >= 0) {
+            pending_.push_back({now + config_.commitDelay,
+                                static_cast<unsigned>(archMap_[arch])});
+        }
+        archMap_[arch] = phys;
+    }
+    clock_ = now;
+}
+
+RegReplayResult
+RegFileReplay::result() const
+{
+    RegReplayResult r = result_;
+    r.cycles = clock_;
+    r.occupancy = rf_.occupancy(clock_);
+    r.freeFraction = 1.0 - r.occupancy;
+    return r;
+}
+
+void
 RegFileReplay::drainReleases(Cycle now, bool force)
 {
     while (!pending_.empty() &&

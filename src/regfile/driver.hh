@@ -14,7 +14,7 @@
 #ifndef PENELOPE_REGFILE_DRIVER_HH
 #define PENELOPE_REGFILE_DRIVER_HH
 
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/ring.hh"
@@ -65,54 +65,23 @@ class RegFileReplay
   public:
     RegFileReplay(RegisterFile &rf, const RegReplayConfig &config);
 
-    /** Consume @p num_uops uops from @p gen. */
+    /** Replay the next @p n uops of the stream (one cycle each). */
+    void feed(const Uop *uops, std::size_t n);
+
+    /** Counters of everything fed so far; the clock is the cycle
+     *  after the last uop. */
+    RegReplayResult result() const;
+
+    /** Consume @p num_uops uops from @p gen; returns result(). */
     template <class Gen>
     RegReplayResult
     run(Gen &gen, std::size_t num_uops)
     {
-        Cycle now = clock_;
-        for (std::size_t i = 0; i < num_uops; ++i, ++now) {
-            // Inline front-due guard: most cycles have no release
-            // due, so the out-of-line drain loop is only entered
-            // when the oldest pending entry has matured.
-            if (!pending_.empty() && pending_.front().due <= now)
-                drainReleases(now, false);
-            const Uop uop = gen.next();
-            if (!uop.writesReg())
-                continue;
-            if (isFp(uop.cls) != config_.fp)
-                continue;
-
-            int phys = rf_.allocate(now);
-            if (phys < 0) {
-                // Free-list pressure: force the oldest pending
-                // release (the pipeline would have stalled until
-                // commit).
-                drainReleases(now, true);
-                phys = rf_.allocate(now);
-                if (phys < 0)
-                    continue; // nothing to release; drop the write
-            }
-            const BitWord value = config_.fp
-                ? BitWord(rf_.width(), uop.dstVal, uop.dstValHi)
-                : BitWord(rf_.width(), uop.dstVal);
-            rf_.write(static_cast<unsigned>(phys), value, now);
-            ++result_.writes;
-
-            const unsigned arch = uop.dstReg;
-            assert(arch < archMap_.size());
-            if (archMap_[arch] >= 0) {
-                pending_.push_back(
-                    {now + config_.commitDelay,
-                     static_cast<unsigned>(archMap_[arch])});
-            }
-            archMap_[arch] = phys;
-        }
-        clock_ = now;
-        result_.cycles = now;
-        result_.occupancy = rf_.occupancy(now);
-        result_.freeFraction = 1.0 - result_.occupancy;
-        return result_;
+        streamChunks(gen, num_uops,
+                     [&](const Uop *uops, std::size_t n) {
+                         feed(uops, n);
+                     });
+        return result();
     }
 
   private:
@@ -136,9 +105,34 @@ class RegFileReplay
     RingQueue<PendingRelease> pending_;
     RegReplayResult result_;
 
-    /** Persistent clock: successive run() calls continue time so a
-     *  register file can accumulate aging across many traces. */
+    /** Persistent clock: successive feed() and run() calls
+     *  continue time so a register file can accumulate aging across
+     *  many traces. */
     Cycle clock_ = 0;
+};
+
+/**
+ * A register file with its own replay: the unit a streamed trace
+ * pass feeds (Engine::streamCached).  Callers add the result() that
+ * packs the shard they cache.  Not copyable: the replay refers to
+ * the register file.
+ */
+struct RegFileRun
+{
+    RegFileRun(const RegFileConfig &rf_config, bool isv,
+               const RegReplayConfig &replay_config)
+        : rf(rf_config), replay(rf, replay_config)
+    {
+        rf.enableIsv(isv); // ISV acts at release only
+    }
+
+    RegFileRun(const RegFileRun &) = delete;
+    RegFileRun &operator=(const RegFileRun &) = delete;
+
+    void feed(const Uop *uops, std::size_t n) { replay.feed(uops, n); }
+
+    RegisterFile rf;
+    RegFileReplay replay;
 };
 
 } // namespace penelope

@@ -1,6 +1,7 @@
 #include "driver.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 
 namespace penelope {
 
@@ -10,6 +11,125 @@ SchedulerReplay::SchedulerReplay(Scheduler &scheduler,
 {
     releaseAt_.assign(sched_.numEntries(), 0);
     useWheel_ = sched_.numEntries() <= 64;
+}
+
+void
+SchedulerReplay::release(unsigned e, Cycle now)
+{
+    sched_.release(e, now, rng_.nextBool(config_.portFreeProb));
+    releaseAt_[e] = 0;
+    ++result_.released;
+}
+
+void
+SchedulerReplay::releaseDue(Cycle now)
+{
+    // The calendar wheel holds each pending entry whose release
+    // falls inside the next 64 cycles in the bucket of its due
+    // cycle, so a cycle reads one word instead of scanning every
+    // slot; entries further out wait in far_ and are promoted at
+    // wheel-period boundaries, always before they fall due.  Due
+    // entries are drained in ascending slot order -- the order the
+    // linear scan releases them -- so the RNG draw sequence is the
+    // same either way.
+    if (useWheel_) {
+        if ((now & 63) == 0 && !far_.empty())
+            promoteFar(now);
+        std::uint64_t due = wheel_[now & 63];
+        wheel_[now & 63] = 0;
+        for (; due; due &= due - 1)
+            release(static_cast<unsigned>(std::countr_zero(due)), now);
+        return;
+    }
+    for (unsigned e = 0; e < releaseAt_.size(); ++e) {
+        if (releaseAt_[e] != 0 && releaseAt_[e] <= now)
+            release(e, now);
+    }
+}
+
+void
+SchedulerReplay::feed(const Uop *uops, std::size_t n)
+{
+    std::size_t next = 0;
+    for (;;) {
+        if (!cycleOpen_) {
+            // Wait at the cycle boundary until there is a uop to
+            // dispatch: if the stream ends here, result() drains
+            // instead of running another cycle.
+            if (next == n && !pending_)
+                return;
+            releaseDue(clock_);
+            arrivalAcc_ += config_.arrivalRate;
+            cycleOpen_ = true;
+        }
+
+        // Arrivals.
+        bool stalled = false;
+        while (arrivalAcc_ >= 1.0) {
+            Uop uop;
+            if (pending_) {
+                uop = *pending_;
+                pending_.reset();
+            } else if (next < n) {
+                uop = uops[next++];
+            } else {
+                return; // the cycle stays open for the next feed
+            }
+            const int entry = sched_.allocate(uop, nextTags(uop), clock_);
+            if (entry < 0) {
+                pending_ = uop;
+                stalled = true;
+                break;
+            }
+            arrivalAcc_ -= 1.0;
+            ++result_.allocated;
+            const Cycle residence =
+                1 + rng_.nextGeometric(1.0 / config_.meanResidence);
+            const Cycle at = clock_ + residence;
+            releaseAt_[static_cast<unsigned>(entry)] = at;
+            if (useWheel_) {
+                if (residence < 64) {
+                    wheel_[at & 63] |= std::uint64_t(1)
+                        << static_cast<unsigned>(entry);
+                } else {
+                    far_.push_back(static_cast<unsigned>(entry));
+                }
+            }
+        }
+        if (stalled) {
+            ++result_.stallCycles;
+            // Cap the backlog so a long stall does not burst later.
+            arrivalAcc_ = std::min(arrivalAcc_, 4.0);
+        }
+        ++clock_;
+        cycleOpen_ = false;
+    }
+}
+
+SchedReplayResult
+SchedulerReplay::result()
+{
+    if (cycleOpen_) {
+        ++clock_;
+        cycleOpen_ = false;
+    }
+    // Drain outstanding entries (releaseAt_ stays authoritative for
+    // the wheel, so the drain scan and its RNG draw order are the
+    // same either way).
+    for (unsigned e = 0; e < releaseAt_.size(); ++e) {
+        if (releaseAt_[e] != 0) {
+            clock_ = std::max(clock_, releaseAt_[e]);
+            release(e, clock_);
+        }
+    }
+    wheel_.fill(0);
+    far_.clear();
+
+    SchedReplayResult r = result_;
+    result_ = SchedReplayResult();
+    r.cycles = clock_;
+    r.occupancy = sched_.occupancy(clock_);
+    return r;
 }
 
 void

@@ -13,9 +13,7 @@
 #ifndef PENELOPE_SCHEDULER_DRIVER_HH
 #define PENELOPE_SCHEDULER_DRIVER_HH
 
-#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -68,123 +66,39 @@ class SchedulerReplay
     SchedulerReplay(Scheduler &scheduler,
                     const SchedReplayConfig &config);
 
+    /**
+     * Replay the next @p n uops of the stream.  Cycles run until the
+     * fed uops are used up; a cycle whose arrivals ran out of uops
+     * stays open, and the next feed() continues its arrivals.
+     */
+    void feed(const Uop *uops, std::size_t n);
+
+    /**
+     * Close the stream: finish the open cycle, release every
+     * outstanding entry and return the counters since the previous
+     * result().  The clock carries on into the next stream.
+     */
+    SchedReplayResult result();
+
+    /** Consume @p num_uops uops from @p gen; returns result(). */
     template <class Gen>
     SchedReplayResult
     run(Gen &gen, std::size_t num_uops)
     {
-        SchedReplayResult result;
-        std::optional<Uop> pending;
-        std::size_t consumed = 0;
-        Cycle now = clock_;
-        double &arrival_acc = arrivalAcc_;
-
-        while (consumed < num_uops) {
-            // Releases due this cycle.  The calendar wheel holds
-            // each pending entry whose release falls inside the
-            // next 64 cycles in the bucket of its due cycle, so a
-            // cycle reads one word instead of scanning every slot;
-            // entries further out wait in far_ and are promoted at
-            // wheel-period boundaries, always before they fall due.
-            // Due entries are drained in ascending slot order -- the
-            // order the linear scan releases them -- so the RNG
-            // draw sequence is unchanged.
-            if (useWheel_) {
-                if ((now & 63) == 0 && !far_.empty())
-                    promoteFar(now);
-                std::uint64_t due = wheel_[now & 63];
-                wheel_[now & 63] = 0;
-                for (; due; due &= due - 1) {
-                    const unsigned e = static_cast<unsigned>(
-                        std::countr_zero(due));
-                    sched_.release(
-                        e, now,
-                        rng_.nextBool(config_.portFreeProb));
-                    releaseAt_[e] = 0;
-                    ++result.released;
-                }
-            } else {
-                for (unsigned e = 0; e < releaseAt_.size(); ++e) {
-                    if (releaseAt_[e] != 0 && releaseAt_[e] <= now) {
-                        sched_.release(
-                            e, now,
-                            rng_.nextBool(config_.portFreeProb));
-                        releaseAt_[e] = 0;
-                        ++result.released;
-                    }
-                }
-            }
-
-            // Arrivals.
-            arrival_acc += config_.arrivalRate;
-            bool stalled = false;
-            while (arrival_acc >= 1.0 && consumed < num_uops) {
-                Uop uop;
-                if (pending) {
-                    uop = *pending;
-                    pending.reset();
-                } else {
-                    uop = gen.next();
-                }
-                const int entry =
-                    sched_.allocate(uop, nextTags(uop), now);
-                if (entry < 0) {
-                    pending = uop;
-                    stalled = true;
-                    break;
-                }
-                arrival_acc -= 1.0;
-                ++consumed;
-                ++result.allocated;
-                const Cycle residence = 1 +
-                    rng_.nextGeometric(
-                        1.0 / config_.meanResidence);
-                const Cycle at = now + residence;
-                releaseAt_[static_cast<unsigned>(entry)] = at;
-                if (useWheel_) {
-                    if (residence < 64) {
-                        wheel_[at & 63] |= std::uint64_t(1)
-                            << static_cast<unsigned>(entry);
-                    } else {
-                        far_.push_back(
-                            static_cast<unsigned>(entry));
-                    }
-                }
-            }
-            if (stalled) {
-                ++result.stallCycles;
-                // Cap the backlog so a long stall does not burst
-                // later.
-                arrival_acc = std::min(arrival_acc, 4.0);
-            }
-            ++now;
-        }
-
-        // Drain outstanding entries (releaseAt_ stays authoritative
-        // for the wheel, so the drain scan and its RNG draw order
-        // are identical either way).
-        for (unsigned e = 0; e < releaseAt_.size(); ++e) {
-            if (releaseAt_[e] != 0) {
-                const Cycle at = std::max(now, releaseAt_[e]);
-                now = std::max(now, at);
-                sched_.release(
-                    e, at, rng_.nextBool(config_.portFreeProb));
-                releaseAt_[e] = 0;
-                ++result.released;
-            }
-        }
-        if (useWheel_) {
-            wheel_.fill(0);
-            far_.clear();
-        }
-
-        clock_ = now;
-        result.cycles = now;
-        result.occupancy = sched_.occupancy(now);
-        return result;
+        streamChunks(gen, num_uops,
+                     [&](const Uop *uops, std::size_t n) {
+                         feed(uops, n);
+                     });
+        return result();
     }
 
   private:
     RenameTags nextTags(const Uop &uop);
+
+    void release(unsigned e, Cycle now);
+
+    /** Release every entry due at @p now. */
+    void releaseDue(Cycle now);
 
     /** Move far-off pending releases whose due cycle now falls
      *  inside the wheel window into their buckets. */
@@ -205,9 +119,53 @@ class SchedulerReplay
 
     std::uint8_t tagCounter_ = 0;
 
-    /** Persistent clock so successive run() calls continue time. */
+    /** Persistent clock so successive streams continue time. */
     Cycle clock_ = 0;
     double arrivalAcc_ = 0.0;
+
+    /** A fed uop that found no free slot; it retries next cycle. */
+    std::optional<Uop> pending_;
+
+    /** Releases and the arrival credit of cycle clock_ are done;
+     *  its arrivals wait for more uops. */
+    bool cycleOpen_ = false;
+
+    SchedReplayResult result_; ///< counters since the last result()
+};
+
+/**
+ * A default-configured scheduler with its own replay: the unit a
+ * streamed trace pass feeds (Engine::streamCached).  With
+ * @p decisions set the protection they describe is installed and
+ * enabled.  Not copyable: the replay refers to the scheduler.
+ */
+class SchedulerRun
+{
+  public:
+    SchedulerRun(const std::vector<BitDecision> *decisions,
+                 const SchedReplayConfig &config)
+        : sched_(SchedulerConfig{}), replay_(sched_, config)
+    {
+        if (decisions) {
+            sched_.configureProtection(*decisions);
+            sched_.enableProtection(true);
+        }
+    }
+
+    SchedulerRun(const SchedulerRun &) = delete;
+    SchedulerRun &operator=(const SchedulerRun &) = delete;
+
+    void feed(const Uop *uops, std::size_t n) { replay_.feed(uops, n); }
+
+    SchedulerStress
+    result()
+    {
+        return sched_.snapshotStress(replay_.result().cycles);
+    }
+
+  private:
+    Scheduler sched_;
+    SchedulerReplay replay_;
 };
 
 } // namespace penelope

@@ -13,6 +13,8 @@
 #ifndef PENELOPE_TRACE_GENERATOR_HH
 #define PENELOPE_TRACE_GENERATOR_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
@@ -150,6 +152,28 @@ class TraceGenerator
     std::uint8_t mobCounter_;
     std::uint8_t tos_;
 };
+
+/** Uops generated per chunk of a streamed trace pass. */
+constexpr std::size_t kFeedChunk = 1024;
+
+/**
+ * Pull @p num_uops uops from @p source (any type with a `Uop next()`
+ * member) in chunks of kFeedChunk, handing each chunk to
+ * @p sink(const Uop *, n).  Whole traces are never materialised.
+ */
+template <class Source, class Sink>
+void
+streamChunks(Source &source, std::size_t num_uops, Sink &&sink)
+{
+    std::vector<Uop> chunk(std::min(num_uops, kFeedChunk));
+    for (std::size_t done = 0; done < num_uops;) {
+        const std::size_t n = std::min(num_uops - done, kFeedChunk);
+        for (std::size_t i = 0; i < n; ++i)
+            chunk[i] = source.next();
+        sink(chunk.data(), n);
+        done += n;
+    }
+}
 
 } // namespace penelope
 

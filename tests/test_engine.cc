@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "common/stats.hh"
 #include "common/threadpool.hh"
 #include "core/engine.hh"
+#include "core/serialize.hh"
 #include "core/registry.hh"
 #include "scheduler/profile.hh"
 #include "trace/workload.hh"
@@ -189,6 +191,202 @@ TEST(Engine, MapPreservesItemOrder)
         EXPECT_EQ(squares[i], items[i] * items[i]);
 }
 
+// ------------------------------------------------- streamed passes
+
+/** A toy streamed-pass consumer: folds the uops it is fed, scaled
+ *  by its weight, into counters that have a result-cache codec. */
+struct FoldRun
+{
+    std::uint64_t weight;
+    IsvStats folded;
+
+    void
+    feed(const Uop *uops, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            folded.updatesApplied =
+                folded.updatesApplied * 31 + uops[i].dstVal * weight;
+        folded.updatesDiscarded += n;
+        folded.updatesSkipped = weight;
+    }
+
+    IsvStats result() const { return folded; }
+};
+
+constexpr std::size_t kFoldUops = 2'500; // spans three chunks
+
+/** What one slot of a pass must produce: a private generator fed
+ *  one uop at a time. */
+IsvStats
+foldReference(const WorkloadSet &workload, unsigned index,
+              std::uint64_t weight)
+{
+    FoldRun run{weight, {}};
+    TraceGenerator gen = workload.generator(index);
+    for (std::size_t i = 0; i < kFoldUops; ++i) {
+        const Uop uop = gen.next();
+        run.feed(&uop, 1);
+    }
+    return run.result();
+}
+
+/** Trace sources and consumers one pass built. */
+struct PassCounts
+{
+    std::atomic<unsigned> sources{0};
+    std::atomic<unsigned> consumers{0};
+};
+
+/** One streamCached() pass with a slot per weight; a slot's key is
+ *  (trace, weight), so equal weights share a key. */
+std::vector<std::vector<IsvStats>>
+foldPass(const Engine &engine, const WorkloadSet &workload,
+         const std::vector<unsigned> &traces,
+         const std::vector<std::uint64_t> &weights, ResultCache *cache,
+         PassCounts &counts)
+{
+    return engine.streamCached<IsvStats>(
+        traces, weights.size(), kFoldUops, cache,
+        [&](unsigned index, std::size_t slot) {
+            return CacheKeyBuilder("fold-test")
+                .u32(index)
+                .u64(weights[slot])
+                .digest();
+        },
+        [&](unsigned index) {
+            ++counts.sources;
+            return workload.generator(index);
+        },
+        [&](unsigned) {
+            return [&](std::size_t slot) {
+                ++counts.consumers;
+                return std::make_unique<FoldRun>(
+                    FoldRun{weights[slot], {}});
+            };
+        });
+}
+
+void
+expectFoldsMatch(const std::vector<std::vector<IsvStats>> &got,
+                 const WorkloadSet &workload,
+                 const std::vector<unsigned> &traces,
+                 const std::vector<std::uint64_t> &weights)
+{
+    ASSERT_EQ(got.size(), weights.size());
+    for (std::size_t s = 0; s < weights.size(); ++s) {
+        ASSERT_EQ(got[s].size(), traces.size());
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            const IsvStats want =
+                foldReference(workload, traces[t], weights[s]);
+            EXPECT_EQ(got[s][t].updatesApplied, want.updatesApplied);
+            EXPECT_EQ(got[s][t].updatesDiscarded,
+                      want.updatesDiscarded);
+            EXPECT_EQ(got[s][t].updatesSkipped, want.updatesSkipped);
+        }
+    }
+}
+
+TEST(StreamCached, NoCacheSimulatesEverySlotFromOneStream)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 5, 9};
+    const std::vector<std::uint64_t> weights = {1, 2, 3};
+    PassCounts counts;
+    const auto folds = foldPass(Engine(2), workload, traces, weights,
+                                nullptr, counts);
+    EXPECT_EQ(counts.sources, traces.size());
+    EXPECT_EQ(counts.consumers, traces.size() * weights.size());
+    expectFoldsMatch(folds, workload, traces, weights);
+}
+
+TEST(StreamCached, HalfFilledCacheSimulatesExactlyTheMisses)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 5, 9};
+    const Engine engine(2);
+    ResultCache cache;
+    PassCounts fill;
+    foldPass(engine, workload, traces, {1, 3}, &cache, fill);
+    ASSERT_EQ(cache.stats().stores, 6u);
+
+    // Weights 1 and 3 hit; only 2 and 4 are simulated and stored.
+    const std::vector<std::uint64_t> weights = {1, 2, 3, 4};
+    const ResultCache::Stats before = cache.stats();
+    PassCounts half;
+    expectFoldsMatch(
+        foldPass(engine, workload, traces, weights, &cache, half),
+        workload, traces, weights);
+    EXPECT_EQ(half.sources, traces.size());
+    EXPECT_EQ(half.consumers, 2 * traces.size());
+    EXPECT_EQ(cache.stats().hits - before.hits, 2 * traces.size());
+    EXPECT_EQ(cache.stats().misses - before.misses, 2 * traces.size());
+    EXPECT_EQ(cache.stats().stores - before.stores, 2 * traces.size());
+
+    // Every key hits: nothing is generated, built or stored.
+    const ResultCache::Stats warm = cache.stats();
+    PassCounts all_hit;
+    expectFoldsMatch(
+        foldPass(engine, workload, traces, weights, &cache, all_hit),
+        workload, traces, weights);
+    EXPECT_EQ(all_hit.sources, 0u);
+    EXPECT_EQ(all_hit.consumers, 0u);
+    EXPECT_EQ(cache.stats().stores, warm.stores);
+    EXPECT_EQ(cache.stats().misses, warm.misses);
+}
+
+TEST(StreamCached, CorruptPayloadIsRecomputed)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {7};
+    const std::vector<std::uint64_t> weights = {2, 5};
+    ResultCache cache;
+    cache.store(CacheKeyBuilder("fold-test").u32(7).u64(2).digest(),
+                "not a payload");
+    PassCounts counts;
+    expectFoldsMatch(
+        foldPass(Engine(1), workload, traces, weights, &cache, counts),
+        workload, traces, weights);
+    EXPECT_EQ(cache.stats().decodeFailures, 1u);
+    EXPECT_EQ(counts.sources, 1u);
+    EXPECT_EQ(counts.consumers, 2u);
+    // The planted entry plus the clean miss's store.
+    EXPECT_EQ(cache.stats().stores, 2u);
+}
+
+TEST(StreamCached, DuplicateKeysSimulateOnce)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 5, 9};
+    const std::vector<std::uint64_t> weights = {2, 2, 5, 2};
+    ResultCache cache;
+    for (ResultCache *c : {static_cast<ResultCache *>(nullptr),
+                           &cache}) {
+        PassCounts counts;
+        expectFoldsMatch(
+            foldPass(Engine(2), workload, traces, weights, c, counts),
+            workload, traces, weights);
+        EXPECT_EQ(counts.consumers, 2 * traces.size());
+    }
+    EXPECT_EQ(cache.stats().misses, 2 * traces.size());
+    EXPECT_EQ(cache.stats().stores, 2 * traces.size());
+}
+
+TEST(StreamCached, JobsAndPoolAgree)
+{
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 3, 17, 40, 99, 200, 311};
+    const std::vector<std::uint64_t> weights = {1, 7, 9};
+    ThreadPool pool(3);
+    for (const Engine &engine :
+         {Engine(1), Engine(4), Engine(4, &pool)}) {
+        PassCounts counts;
+        expectFoldsMatch(
+            foldPass(engine, workload, traces, weights, nullptr, counts),
+            workload, traces, weights);
+        EXPECT_EQ(counts.sources, traces.size());
+    }
+}
+
 // ---------------------------------------------------------- merges
 
 TEST(StatsMerge, MatchesSequentialAccumulation)
@@ -277,9 +475,9 @@ TEST(JobsDeterminism, RegFileExperiment)
 {
     const WorkloadSet workload;
     const auto serial =
-        runRegFileExperiment(workload, false, tinyOptions(1));
+        runRegFileExperiment(workload, {false}, tinyOptions(1)).front();
     const auto parallel =
-        runRegFileExperiment(workload, false, tinyOptions(8));
+        runRegFileExperiment(workload, {false}, tinyOptions(8)).front();
 
     EXPECT_EQ(serial.baselineBias, parallel.baselineBias);
     EXPECT_EQ(serial.isvBias, parallel.isvBias);
@@ -357,9 +555,9 @@ TEST(JobsDeterminism, PersistentPoolMatchesPerCallPools)
     pooled.pool = &pool;
 
     const auto rf_serial =
-        runRegFileExperiment(workload, false, tinyOptions(1));
+        runRegFileExperiment(workload, {false}, tinyOptions(1)).front();
     const auto rf_pooled =
-        runRegFileExperiment(workload, false, pooled);
+        runRegFileExperiment(workload, {false}, pooled).front();
     EXPECT_EQ(rf_serial.baselineBias, rf_pooled.baselineBias);
     EXPECT_EQ(rf_serial.isvBias, rf_pooled.isvBias);
     EXPECT_EQ(rf_serial.isvStats.updatesApplied,

@@ -145,7 +145,7 @@ TEST(Experiments, RegFileEndToEnd)
     ExperimentOptions opt;
     opt.traceStride = 64;
     opt.uopsPerTrace = 15000;
-    const auto r = runRegFileExperiment(w, false, opt);
+    const auto r = runRegFileExperiment(w, {false}, opt).front();
     EXPECT_EQ(r.baselineBias.size(), 32u);
     EXPECT_EQ(r.isvBias.size(), 32u);
     EXPECT_GT(r.baselineWorst, 0.75);
@@ -178,8 +178,8 @@ TEST(Experiments, ProcessorSummaryOrdering)
     opt.cacheUops = 15000;
     opt.adderOperandSamples = 600;
     const auto adder = runAdderExperiment(w, opt);
-    const auto int_rf = runRegFileExperiment(w, false, opt);
-    const auto fp_rf = runRegFileExperiment(w, true, opt);
+    const auto int_rf = runRegFileExperiment(w, {false}, opt).front();
+    const auto fp_rf = runRegFileExperiment(w, {true}, opt).front();
     const auto sched = runSchedulerExperiment(w, opt);
     const auto summary = buildProcessorSummary(
         adder, int_rf, fp_rf, sched, w, opt);

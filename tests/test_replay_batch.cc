@@ -15,19 +15,25 @@
  * and on.  The batched-only properties -- mid-run reads fold the
  * pending batch without changing the final snapshot, and snapshots
  * merge in any order -- are checked alongside.  (The register file's
- * anchors live in test_regfile.cc.)
+ * anchors live in test_regfile.cc.)  Both replays' streamed feeds
+ * are held to one run() over the same uops, for any chunking.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
+#include "core/serialize.hh"
+#include "regfile/driver.hh"
 #include "scheduler/driver.hh"
 #include "scheduler/profile.hh"
 #include "scheduler/scheduler.hh"
+#include "trace/attack.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
 
@@ -295,6 +301,283 @@ TEST(CacheReplayBatch, InvertedLinesMatchScalar)
     EXPECT_EQ(zeroTimeDigest({bias}), 0x427190f40f46bad1ull);
     EXPECT_EQ(bias.zeroTime(0), 192964u);
     EXPECT_EQ(bias.zeroTime(63), 192755u);
+}
+
+// --------------------------------------------------- streamed feeds
+//
+// A replay fed its stream in chunks of any size must end exactly
+// where one run() over the same uops ends: the streamed trace pass
+// (Engine::streamCached) relies on it.  The comparison covers every
+// result counter and the cached payload bytes.
+
+template <class T>
+std::string
+payloadBytes(const T &value)
+{
+    ByteWriter w;
+    encodeResult(w, value);
+    return std::string(w.view());
+}
+
+/** Feed @p uops to @p replay in chunks of @p chunk uops. */
+template <class Replay>
+void
+feedInChunks(Replay &replay, const std::vector<Uop> &uops,
+             std::size_t chunk)
+{
+    for (std::size_t i = 0; i < uops.size(); i += chunk)
+        replay.feed(uops.data() + i, std::min(chunk, uops.size() - i));
+}
+
+/** @p n uops of @p source, in order. */
+template <class Source>
+std::vector<Uop>
+takeUops(Source source, std::size_t n)
+{
+    std::vector<Uop> uops(n);
+    for (Uop &uop : uops)
+        uop = source.next();
+    return uops;
+}
+
+/** Chunk sizes around one and the 64-wide wheel and batch words. */
+std::vector<std::size_t>
+chunkSizes(std::size_t n)
+{
+    return {1, 2, 3, 63, 64, 65, 1024, n};
+}
+
+void
+expectSameCounters(const SchedReplayResult &a, const SchedReplayResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.allocated, b.allocated);
+    EXPECT_EQ(a.released, b.released);
+    EXPECT_EQ(a.stallCycles, b.stallCycles);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+}
+
+void
+expectSameCounters(const RegReplayResult &a, const RegReplayResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.releases, b.releases);
+    EXPECT_EQ(a.forcedReleases, b.forcedReleases);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+    EXPECT_EQ(a.freeFraction, b.freeFraction);
+}
+
+/** A fresh scheduler and its replay, protected when @p decisions is
+ *  set. */
+struct SchedUnderTest
+{
+    SchedUnderTest(const std::vector<BitDecision> *decisions,
+                   const SchedReplayConfig &config)
+        : replay(sched, config)
+    {
+        if (decisions) {
+            sched.configureProtection(*decisions);
+            sched.enableProtection(true);
+        }
+    }
+
+    Scheduler sched{SchedulerConfig{}};
+    SchedulerReplay replay;
+};
+
+/** Compare chunked feeds of @p uops against one run() over
+ *  @p source (which yields the same uops). */
+template <class Source>
+void
+expectSchedFeedsMatchRun(Source source, const std::vector<Uop> &uops,
+                         const std::vector<BitDecision> *decisions,
+                         const SchedReplayConfig &config)
+{
+    SchedUnderTest ref(decisions, config);
+    const SchedReplayResult r = ref.replay.run(source, uops.size());
+    const std::string bytes =
+        payloadBytes(ref.sched.snapshotStress(r.cycles));
+    for (const std::size_t chunk : chunkSizes(uops.size())) {
+        SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+        SchedUnderTest t(decisions, config);
+        feedInChunks(t.replay, uops, chunk);
+        const SchedReplayResult fed = t.replay.result();
+        expectSameCounters(fed, r);
+        EXPECT_EQ(payloadBytes(t.sched.snapshotStress(fed.cycles)),
+                  bytes);
+    }
+}
+
+TEST(StreamedFeed, SchedulerChunksMatchRun)
+{
+    // arrivalRate 4 keeps the scheduler saturated, so stalls and
+    // cycles left open by a chunk's last uop land on chunk edges.
+    WorkloadSet w;
+    const auto decisions =
+        decideProtection(profileScheduler(w, {4}, 4000).bits);
+    for (const bool protect : {false, true}) {
+        for (const double rate : {2.5, 4.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "protect " << protect << " rate " << rate);
+            SchedReplayConfig config;
+            config.arrivalRate = rate;
+            const std::vector<Uop> uops = takeUops(w.generator(4), 3001);
+            expectSchedFeedsMatchRun(w.generator(4), uops,
+                                     protect ? &decisions : nullptr,
+                                     config);
+        }
+    }
+}
+
+TEST(StreamedFeed, SchedulerAttackSourceChunksMatchRun)
+{
+    WorkloadSet w;
+    const auto decisions =
+        decideProtection(profileScheduler(w, {4}, 4000).bits);
+    AttackConfig attack;
+    attack.dataValue = 0xaaaaaaaaULL;
+    SchedReplayConfig config;
+    config.arrivalRate = 4.0;
+    const std::vector<Uop> uops =
+        takeUops(AttackTraceGenerator(attack), 2500);
+    for (const bool protect : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "protect " << protect);
+        expectSchedFeedsMatchRun(AttackTraceGenerator(attack), uops,
+                                 protect ? &decisions : nullptr,
+                                 config);
+    }
+}
+
+TEST(StreamedFeed, SchedulerStreamsContinueTheClock)
+{
+    // Two streams back to back: the clock carries over and each
+    // result() reports the counters of its own stream only.
+    WorkloadSet w;
+    SchedReplayConfig config;
+    config.arrivalRate = 4.0;
+    SchedUnderTest ref(nullptr, config);
+    TraceGenerator gen = w.generator(6);
+    const SchedReplayResult r1 = ref.replay.run(gen, 1500);
+    const SchedReplayResult r2 = ref.replay.run(gen, 1700);
+    EXPECT_EQ(r1.allocated, 1500u);
+    EXPECT_EQ(r2.allocated, 1700u);
+    EXPECT_GT(r2.cycles, r1.cycles);
+
+    const std::vector<Uop> uops = takeUops(w.generator(6), 3200);
+    SchedUnderTest t(nullptr, config);
+    feedInChunks(t.replay, {uops.begin(), uops.begin() + 1500}, 64);
+    expectSameCounters(t.replay.result(), r1);
+    feedInChunks(t.replay, {uops.begin() + 1500, uops.end()}, 65);
+    expectSameCounters(t.replay.result(), r2);
+    EXPECT_EQ(payloadBytes(t.sched.snapshotStress(r2.cycles)),
+              payloadBytes(ref.sched.snapshotStress(r2.cycles)));
+}
+
+/** A fresh register file and its replay. */
+struct RegFileUnderTest
+{
+    RegFileUnderTest(bool fp, bool isv)
+        : rf(config(fp)), replay(rf, replayConfig(fp))
+    {
+        rf.enableIsv(isv);
+    }
+
+    static RegFileConfig
+    config(bool fp)
+    {
+        RegFileConfig cfg;
+        cfg.numEntries = fp ? 64 : 128;
+        cfg.width = fp ? 80 : 32;
+        return cfg;
+    }
+
+    static RegReplayConfig
+    replayConfig(bool fp)
+    {
+        RegReplayConfig cfg;
+        cfg.fp = fp;
+        return cfg;
+    }
+
+    /** Payload bytes of the bias and the ISV counters. */
+    std::string
+    state(Cycle now)
+    {
+        return payloadBytes(rf.finalizeBias(now)) +
+            payloadBytes(rf.isvStats());
+    }
+
+    RegisterFile rf;
+    RegFileReplay replay;
+};
+
+template <class Source>
+void
+expectRegFileFeedsMatchRun(Source source, const std::vector<Uop> &uops,
+                           bool fp, bool isv)
+{
+    RegFileUnderTest ref(fp, isv);
+    const RegReplayResult r = ref.replay.run(source, uops.size());
+    const std::string bytes = ref.state(r.cycles);
+    for (const std::size_t chunk : chunkSizes(uops.size())) {
+        SCOPED_TRACE(::testing::Message() << "chunk " << chunk);
+        RegFileUnderTest t(fp, isv);
+        feedInChunks(t.replay, uops, chunk);
+        const RegReplayResult fed = t.replay.result();
+        expectSameCounters(fed, r);
+        EXPECT_EQ(t.state(fed.cycles), bytes);
+    }
+}
+
+TEST(StreamedFeed, RegFileChunksMatchRun)
+{
+    WorkloadSet w;
+    const unsigned trace = w.indicesForSuite(SuiteId::SpecFp2000).front();
+    const std::vector<Uop> uops = takeUops(w.generator(trace), 3001);
+    for (const bool fp : {false, true}) {
+        for (const bool isv : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "fp " << fp << " isv " << isv);
+            expectRegFileFeedsMatchRun(w.generator(trace), uops, fp,
+                                       isv);
+        }
+    }
+}
+
+TEST(StreamedFeed, RegFileAttackSourceChunksMatchRun)
+{
+    AttackConfig attack;
+    attack.dataValue = 0xffffffffULL;
+    attack.hotRegs = 4;
+    const std::vector<Uop> uops =
+        takeUops(AttackTraceGenerator(attack), 2500);
+    for (const bool isv : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "isv " << isv);
+        expectRegFileFeedsMatchRun(AttackTraceGenerator(attack), uops,
+                                   false, isv);
+    }
+}
+
+TEST(StreamedFeed, RegFileStreamsAccumulate)
+{
+    // Two streams back to back: the clock carries over and the
+    // counters accumulate across them.
+    WorkloadSet w;
+    RegFileUnderTest ref(false, true);
+    TraceGenerator gen = w.generator(6);
+    const RegReplayResult r1 = ref.replay.run(gen, 1500);
+    const RegReplayResult r2 = ref.replay.run(gen, 1700);
+    EXPECT_EQ(r2.cycles, 3200u);
+    EXPECT_GT(r2.writes, r1.writes);
+
+    const std::vector<Uop> uops = takeUops(w.generator(6), 3200);
+    RegFileUnderTest t(false, true);
+    feedInChunks(t.replay, {uops.begin(), uops.begin() + 1500}, 64);
+    expectSameCounters(t.replay.result(), r1);
+    feedInChunks(t.replay, {uops.begin() + 1500, uops.end()}, 65);
+    expectSameCounters(t.replay.result(), r2);
+    EXPECT_EQ(t.state(r2.cycles), ref.state(r2.cycles));
 }
 
 } // namespace

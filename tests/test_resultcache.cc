@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -569,22 +570,22 @@ TEST(CachedEngine, ColdWarmUncachedAndJobsAllBitIdentical)
     ExperimentOptions options = fastOptions();
 
     const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
 
     ResultCache cache;
     options.cache = &cache;
     const RegFileExperimentResult cold =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
     const std::uint64_t stores = cache.stats().stores;
     EXPECT_GT(stores, 0u);
 
     const RegFileExperimentResult warm =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
     EXPECT_EQ(cache.stats().stores, stores); // pure hits
 
     options.jobs = 4;
     const RegFileExperimentResult warm4 =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
 
     expectIdentical(cold, uncached);
     expectIdentical(warm, uncached);
@@ -602,23 +603,27 @@ TEST(CachedEngine, ChangedOptionsNeverPoisonResults)
 
     // Uncached references.
     const auto ref_small =
-        runRegFileExperiment(workload, false, small);
+        runRegFileExperiment(workload, {false}, small).front();
     const auto ref_large =
-        runRegFileExperiment(workload, false, large);
+        runRegFileExperiment(workload, {false}, large).front();
     ASSERT_NE(ref_small.baselineWorst, ref_large.baselineWorst);
 
     // One shared cache across both option sets, run twice each:
     // every run must match its own uncached reference.
     small.cache = &cache;
     large.cache = &cache;
-    expectIdentical(runRegFileExperiment(workload, false, small),
-                    ref_small);
-    expectIdentical(runRegFileExperiment(workload, false, large),
-                    ref_large);
-    expectIdentical(runRegFileExperiment(workload, false, small),
-                    ref_small);
-    expectIdentical(runRegFileExperiment(workload, false, large),
-                    ref_large);
+    expectIdentical(
+        runRegFileExperiment(workload, {false}, small).front(),
+        ref_small);
+    expectIdentical(
+        runRegFileExperiment(workload, {false}, large).front(),
+        ref_large);
+    expectIdentical(
+        runRegFileExperiment(workload, {false}, small).front(),
+        ref_small);
+    expectIdentical(
+        runRegFileExperiment(workload, {false}, large).front(),
+        ref_large);
 }
 
 TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
@@ -628,7 +633,7 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
 
     ExperimentOptions options = fastOptions();
     const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
 
     // Fill the store with the current options AND a stale
     // generation (an options mix that will "no longer occur").
@@ -638,9 +643,9 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
         ExperimentOptions stale = fastOptions();
         stale.uopsPerTrace = 3'000;
         stale.cache = &cache;
-        runRegFileExperiment(workload, false, stale);
+        runRegFileExperiment(workload, {false}, stale);
         options.cache = &cache;
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options);
         entries_with_stale = cache.size();
     }
 
@@ -650,7 +655,7 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
         ResultCache cache(dir);
         options.cache = &cache;
         const RegFileExperimentResult warm =
-            runRegFileExperiment(workload, false, options);
+            runRegFileExperiment(workload, {false}, options).front();
         expectIdentical(warm, uncached);
         EXPECT_EQ(cache.stats().stores, 0u);
         EXPECT_GT(cache.compact(), 0u);
@@ -662,7 +667,7 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
     ResultCache cache(dir);
     options.cache = &cache;
     const RegFileExperimentResult warm_after_gc =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
     expectIdentical(warm_after_gc, uncached);
     EXPECT_EQ(cache.stats().stores, 0u);
     EXPECT_GT(cache.stats().hits, 0u);
@@ -676,12 +681,12 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
 
     ExperimentOptions options = fastOptions();
     const auto reference =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
 
     {
         ResultCache cache(dir);
         options.cache = &cache;
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options);
     }
 
     // Bit-flip one payload byte in every stored stripe file.
@@ -699,7 +704,7 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
     ResultCache cache(dir);
     options.cache = &cache;
     const auto after =
-        runRegFileExperiment(workload, false, options);
+        runRegFileExperiment(workload, {false}, options).front();
     expectIdentical(after, reference);
 }
 
@@ -779,6 +784,71 @@ TEST(CachedEngine, MemLossSampleServesBothFoldDirections)
     EXPECT_EQ(dl0_fold.meanInvertRatio, dl0_ratio.mean());
     EXPECT_EQ(dtlb_fold.meanLoss,
               foldPerfLoss(cold.front(), false).meanLoss);
+}
+
+// A streamed pass prices several variants per trace, but each
+// variant keeps the key and payload it had when priced alone: entries
+// written by a one-variant call serve their half of a joint pass.
+
+TEST(CachedEngine, IntOnlyEntriesServeTheIntHalfOfTheIntFpPass)
+{
+    const WorkloadSet workload;
+    ExperimentOptions options = fastOptions();
+    const std::size_t traces = evaluationTraces(workload, options).size();
+    const auto reference =
+        runRegFileExperiment(workload, {false, true}, options);
+
+    ResultCache cache;
+    options.cache = &cache;
+    expectIdentical(
+        runRegFileExperiment(workload, {false}, options).front(),
+        reference[0]);
+    ASSERT_EQ(cache.stats().stores, 2 * traces); // ISV off and on
+
+    const ResultCache::Stats before = cache.stats();
+    const auto both =
+        runRegFileExperiment(workload, {false, true}, options);
+    expectIdentical(both[0], reference[0]);
+    expectIdentical(both[1], reference[1]);
+    EXPECT_EQ(cache.stats().hits - before.hits, 2 * traces);
+    EXPECT_EQ(cache.stats().misses - before.misses, 2 * traces);
+    EXPECT_EQ(cache.stats().stores - before.stores, 2 * traces);
+}
+
+TEST(CachedEngine, UnprotectedEntriesServeTheSchedulerPass)
+{
+    const WorkloadSet workload;
+    ExperimentOptions options = fastOptions();
+    const auto reference = runSchedulerExperiment(workload, options);
+
+    // The Figure-8 evaluation set: every traceStride-th trace
+    // outside the profiling sample.
+    const auto complement = workload.complement(workload.sampleIndices(
+        std::min(options.profilingTraces, workload.size() / 2), 0xbead));
+    std::vector<unsigned> eval;
+    for (std::size_t i = 0; i < complement.size();
+         i += options.traceStride)
+        eval.push_back(complement[i]);
+    const auto profiled = schedulerProfilingSubset(workload, options);
+
+    // An unprotected replay is keyed like a profiling replay of the
+    // same trace and length, so profiling the evaluation set fills
+    // exactly the unprotected half of the pass.
+    ResultCache cache;
+    profileScheduler(workload, eval, options.uopsPerTrace,
+                     SchedulerConfig(), SchedReplayConfig(), 1, nullptr,
+                     &cache);
+    profileScheduler(workload, profiled, options.uopsPerTrace / 2,
+                     SchedulerConfig(), SchedReplayConfig(), 1, nullptr,
+                     &cache);
+    const ResultCache::Stats before = cache.stats();
+    options.cache = &cache;
+    expectIdentical(runSchedulerExperiment(workload, options),
+                    reference);
+    EXPECT_EQ(cache.stats().hits - before.hits,
+              profiled.size() + eval.size());
+    EXPECT_EQ(cache.stats().misses - before.misses, eval.size());
+    EXPECT_EQ(cache.stats().stores - before.stores, eval.size());
 }
 
 } // namespace
