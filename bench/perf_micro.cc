@@ -297,6 +297,24 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/** What BM_TraceGeneration leaves out of its timed loop: building a
+ *  generator (its Rngs, value and address generators, Zipf table)
+ *  and its first 1k uops, as every per-trace simulation does. */
+void
+BM_TraceGeneratorSetup(benchmark::State &state)
+{
+    WorkloadSet workload;
+    std::uint64_t acc = 0;
+    for (auto _ : state) {
+        TraceGenerator gen = workload.generator(7);
+        for (int i = 0; i < 1000; ++i)
+            acc += gen.next().addr;
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_TraceGeneratorSetup)->Unit(benchmark::kMicrosecond);
+
 void
 BM_CacheAccess(benchmark::State &state)
 {
@@ -326,6 +344,38 @@ BM_CacheAccessLineFixed(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccessLineFixed);
+
+/** The Table 3 unit of work on the hit path: one DL0 + DTLB timing
+ *  sim (arg 0 = baseline, 1 = LineFixed50% on both) built and fed
+ *  10k pre-generated uops of workload trace 7, which hit the
+ *  baseline DL0 92% and the DTLB 98% of the time, about Table 3's
+ *  rates (BM_CacheAccess almost always misses).  time_per_uop is
+ *  the time per fed uop. */
+void
+BM_MemTimingSim(benchmark::State &state)
+{
+    constexpr std::size_t kUops = 10'000;
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(7);
+    std::vector<Uop> uops(kUops);
+    for (Uop &uop : uops)
+        uop = gen.next();
+    const MechanismKind mechanism = state.range(0) == 0
+        ? MechanismKind::None : MechanismKind::LineFixed50;
+    double cycles = 0.0;
+    for (auto _ : state) {
+        MemTimingSim sim(CacheConfig(), CacheConfig::tlb(128, 8),
+                         MemTimingParams(), mechanism, mechanism);
+        sim.feed(uops.data(), uops.size());
+        cycles += sim.result().cycles;
+    }
+    benchmark::DoNotOptimize(cycles);
+    state.SetItemsProcessed(state.iterations() * kUops);
+    state.counters["time_per_uop"] = benchmark::Counter(
+        static_cast<double>(state.iterations() * kUops),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MemTimingSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /** The duty-accounting kernel itself: observe values of mixed
  *  density at mixed dt, the pattern the replay drivers produce.

@@ -1,6 +1,7 @@
 #include "cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "inversion.hh"
@@ -22,20 +23,62 @@ CacheConfig::tlb(std::uint32_t entries, std::uint32_t ways,
 Cache::Cache(const CacheConfig &config)
     : config_(config),
       numSets_(config.numSets()),
-      lines_(static_cast<std::size_t>(config.numSets()) *
-             config.ways),
+      lineShift_(static_cast<unsigned>(
+          std::countr_zero(config.lineBytes))),
+      key_(static_cast<std::size_t>(config.numSets()) * config.ways,
+           kNoLine),
+      lastUse_(key_.size(), 0),
+      lines_(key_.size()),
       mruHits_(config.ways),
       usableSetCount_(config.numSets()),
+      usableSetsPow2_(std::has_single_bit(config.numSets())),
       usableWayCount_(config.ways),
       dataBias_(64),
       rng_(0xcac4e + config.sizeBytes + config.ways)
 {
     assert(numSets_ >= 1);
     assert(config_.ways >= 1);
-    assert((config_.lineBytes & (config_.lineBytes - 1)) == 0);
+    assert(std::has_single_bit(config_.lineBytes));
+    // Line numbers stay below 2^63, so none equals kNoLine.
+    assert(config_.lineBytes >= 2);
 }
 
 Cache::~Cache() = default;
+
+void
+InversionPolicy::attach(Cache &cache, Cycle now)
+{
+    (void)cache;
+    (void)now;
+}
+
+void
+InversionPolicy::onCycle(Cache &cache, Cycle now)
+{
+    (void)cache;
+    (void)now;
+}
+
+void
+InversionPolicy::onFill(Cache &cache, unsigned set, unsigned way,
+                        Cycle now, bool consumed_inverted)
+{
+    (void)cache;
+    (void)set;
+    (void)way;
+    (void)now;
+    (void)consumed_inverted;
+}
+
+void
+InversionPolicy::onShadowHit(Cache &cache, unsigned set,
+                             unsigned way, Cycle now)
+{
+    (void)cache;
+    (void)set;
+    (void)way;
+    (void)now;
+}
 
 void
 Cache::setPolicy(std::unique_ptr<InversionPolicy> policy)
@@ -45,22 +88,17 @@ Cache::setPolicy(std::unique_ptr<InversionPolicy> policy)
         policy_->attach(*this, lastRatioUpdate_);
 }
 
-Cache::Line &
-Cache::lineAt(unsigned set, unsigned way)
-{
-    return lines_[static_cast<std::size_t>(set) * config_.ways + way];
-}
-
-const Cache::Line &
-Cache::lineAt(unsigned set, unsigned way) const
-{
-    return lines_[static_cast<std::size_t>(set) * config_.ways + way];
-}
-
 unsigned
 Cache::indexOf(std::uint64_t line_no) const
 {
-    return (usableSetFirst_ + line_no % usableSetCount_) % numSets_;
+    // (usableSetFirst_ + line_no % usableSetCount_) % numSets_,
+    // without a division on the catalog's power-of-two windows: the
+    // sum is below 2 * numSets_, so one subtract wraps it.
+    const unsigned offset = usableSetsPow2_
+        ? static_cast<unsigned>(line_no & (usableSetCount_ - 1))
+        : static_cast<unsigned>(line_no % usableSetCount_);
+    const unsigned set = usableSetFirst_ + offset;
+    return set >= numSets_ ? set - numSets_ : set;
 }
 
 double
@@ -102,15 +140,14 @@ Cache::flushImage(Line &line, Cycle now)
 unsigned
 Cache::recencyPosition(unsigned set, unsigned way) const
 {
-    const Line &ref = lineAt(set, way);
+    // Valid ways used after @p way; @p way itself never counts (its
+    // last use is not after itself).
+    const std::uint64_t *key = &key_[slot(set, 0)];
+    const Cycle *last_use = &lastUse_[slot(set, 0)];
+    const Cycle ref = last_use[way];
     unsigned pos = 0;
-    for (unsigned w = 0; w < config_.ways; ++w) {
-        if (w == way)
-            continue;
-        const Line &other = lineAt(set, w);
-        if (other.valid && other.lastUse > ref.lastUse)
-            ++pos;
-    }
+    for (unsigned w = 0; w < config_.ways; ++w)
+        pos += unsigned(key[w] != kNoLine) & unsigned(last_use[w] > ref);
     return pos;
 }
 
@@ -119,15 +156,15 @@ Cache::lruValidWay(unsigned set, bool skip_shadow) const
 {
     int best = -1;
     Cycle best_use = ~Cycle(0);
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid || line.inverted)
+    unsigned w = usableWayFirst_;
+    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
+        const std::size_t at = slot(set, w);
+        if (key_[at] == kNoLine)
             continue;
-        if (skip_shadow && line.shadow)
+        if (skip_shadow && lines_[at].shadow)
             continue;
-        if (line.lastUse < best_use) {
-            best_use = line.lastUse;
+        if (lastUse_[at] < best_use) {
+            best_use = lastUse_[at];
             best = static_cast<int>(w);
         }
     }
@@ -140,17 +177,16 @@ Cache::pickVictim(unsigned set, Cycle now)
     (void)now;
     // Invalid (including inverted) lines first: consuming an
     // inverted line is the designed refill path (Section 3.2.1).
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        if (!lineAt(set, w).valid)
+    unsigned w = usableWayFirst_;
+    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
+        if (key_[slot(set, w)] == kNoLine)
             return w;
     }
 
     switch (config_.replacement) {
       case ReplacementPolicy::Random: {
-        const unsigned i =
-            static_cast<unsigned>(rng_.nextInt(usableWayCount_));
-        return (usableWayFirst_ + i) % config_.ways;
+        return windowWay(
+            static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
       }
       case ReplacementPolicy::PseudoLru:
       case ReplacementPolicy::Lru:
@@ -160,15 +196,11 @@ Cache::pickVictim(unsigned set, Cycle now)
         // behaves statistically like this at our granularity).
         if (config_.replacement == ReplacementPolicy::PseudoLru &&
             usableWayCount_ > 2) {
-            unsigned w1 = (usableWayFirst_ +
-                           static_cast<unsigned>(
-                               rng_.nextInt(usableWayCount_))) %
-                config_.ways;
-            unsigned w2 = (usableWayFirst_ +
-                           static_cast<unsigned>(
-                               rng_.nextInt(usableWayCount_))) %
-                config_.ways;
-            return lineAt(set, w1).lastUse <= lineAt(set, w2).lastUse
+            const unsigned w1 = windowWay(
+                static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
+            const unsigned w2 = windowWay(
+                static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
+            return lastUse_[slot(set, w1)] <= lastUse_[slot(set, w2)]
                 ? w1 : w2;
         }
         const int lru = lruValidWay(set, false);
@@ -182,38 +214,42 @@ AccessResult
 Cache::access(Addr addr, bool is_write, Cycle now,
               std::optional<Word> data)
 {
-    const std::uint64_t line_no = addr / config_.lineBytes;
+    const std::uint64_t line_no = addr >> lineShift_;
     const unsigned set = indexOf(line_no);
 
     AccessResult result;
 
-    // Lookup in the usable ways.
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        Line &line = lineAt(set, w);
-        if (line.valid && !line.inverted && line.tag == line_no) {
-            result.hit = true;
-            result.mruPosition = recencyPosition(set, w);
-            ++hits_;
-            mruHits_.add(result.mruPosition);
-            line.lastUse = now;
-            if (is_write && data) {
-                flushImage(line, now);
-                line.image = *data;
-            }
-            if (line.shadow) {
-                result.shadowExtraMiss = true;
-                if (policy_)
-                    policy_->onShadowHit(*this, set, w, now);
-            }
-            return result;
+    // Lookup in the usable ways: an inverted line is never valid,
+    // so a key match is a valid, non-inverted line holding line_no.
+    const std::uint64_t *key = &key_[slot(set, 0)];
+    unsigned w = usableWayFirst_;
+    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
+        if (key[w] != line_no)
+            continue;
+        const std::size_t at = slot(set, w);
+        assert(!lines_[at].inverted);
+        result.hit = true;
+        result.mruPosition = recencyPosition(set, w);
+        ++hits_;
+        mruHits_.add(result.mruPosition);
+        lastUse_[at] = now;
+        if (is_write && data) {
+            flushImage(lines_[at], now);
+            lines_[at].image = *data;
         }
+        if (shadowCount_ != 0 && lines_[at].shadow) {
+            result.shadowExtraMiss = true;
+            if (policy_)
+                policy_->onShadowHit(*this, set, w, now);
+        }
+        return result;
     }
 
     // Miss: allocate.
     ++misses_;
     const unsigned victim = pickVictim(set, now);
-    Line &line = lineAt(set, victim);
+    const std::size_t at = slot(set, victim);
+    Line &line = lines_[at];
     if (line.inverted) {
         // Ratio bookkeeping before the state change.
         invertRatioIntegral_ += invertRatio() *
@@ -227,10 +263,9 @@ Cache::access(Addr addr, bool is_write, Cycle now,
         --shadowCount_;
     }
     flushImage(line, now);
-    line.tag = line_no;
-    line.valid = true;
+    key_[at] = line_no;
     line.inverted = false;
-    line.lastUse = now;
+    lastUse_[at] = now;
     line.image = data.value_or(rng_());
 
     if (policy_)
@@ -239,19 +274,15 @@ Cache::access(Addr addr, bool is_write, Cycle now,
     return result;
 }
 
-void
-Cache::tick(Cycle now)
-{
-    if (policy_)
-        policy_->onCycle(*this, now);
-}
-
 bool
 Cache::invertLine(unsigned set, unsigned way, Cycle now)
 {
-    Line &line = lineAt(set, way);
-    if (line.inverted)
+    const std::size_t at = slot(set, way);
+    Line &line = lines_[at];
+    if (line.inverted) {
+        assert(key_[at] == kNoLine);
         return false;
+    }
     invertRatioIntegral_ += invertRatio() *
         static_cast<double>(now - lastRatioUpdate_);
     lastRatioUpdate_ = now;
@@ -259,7 +290,7 @@ Cache::invertLine(unsigned set, unsigned way, Cycle now)
     // Invalidate and store complemented contents so the opposite
     // PMOS of every bit cell ages during the inverted residence.
     line.image = ~line.image;
-    line.valid = false;
+    key_[at] = kNoLine;
     line.inverted = true;
     if (line.shadow) {
         line.shadow = false;
@@ -276,10 +307,10 @@ Cache::invertLruLineOfSet(unsigned set, Cycle now)
     // Only a fully valid set sacrifices its LRU line, which is the
     // steady-state case the paper describes (most cache contents
     // are useless and about to be evicted anyway).
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid && !line.inverted)
+    unsigned w = usableWayFirst_;
+    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
+        const std::size_t at = slot(set, w);
+        if (key_[at] == kNoLine && !lines_[at].inverted)
             return invertLine(set, w, now);
     }
     const int way = lruValidWay(set, false);
@@ -295,6 +326,7 @@ Cache::setUsableSets(unsigned first, unsigned count, Cycle now)
     assert(first < numSets_);
     usableSetFirst_ = first;
     usableSetCount_ = count;
+    usableSetsPow2_ = std::has_single_bit(count);
     // Every line in the now-unusable sets becomes inverted (valid
     // contents are complemented in place; dead lines hold inverted
     // garbage, which balances their cells just the same).
@@ -364,10 +396,11 @@ Cache::shadowMarkLruLineOfSet(unsigned set)
     // Mirror invertLruLineOfSet: the shadow test must model the
     // same target preference (dead lines first) or it would
     // overestimate the induced extra misses.
-    for (unsigned i = 0; i < usableWayCount_; ++i) {
-        const unsigned w = (usableWayFirst_ + i) % config_.ways;
-        const Line &line = lineAt(set, w);
-        if (!line.valid && !line.inverted && !line.shadow) {
+    unsigned w = usableWayFirst_;
+    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
+        const std::size_t at = slot(set, w);
+        if (key_[at] == kNoLine && !lines_[at].inverted &&
+            !lines_[at].shadow) {
             setShadow(set, w, true);
             return true;
         }
@@ -382,7 +415,7 @@ Cache::shadowMarkLruLineOfSet(unsigned set)
 bool
 Cache::lineValid(unsigned set, unsigned way) const
 {
-    return lineAt(set, way).valid;
+    return key_[slot(set, way)] != kNoLine;
 }
 
 bool

@@ -14,11 +14,21 @@
  * complement of a sampled value so both PMOS devices of every cell
  * age evenly.  The valid/state bits encode valid+non-inverted or
  * invalid+inverted, exactly as the paper describes.
+ *
+ * Layout: the state a lookup reads lives in two dense arrays indexed
+ * set * ways + way -- the key (the line number of a valid line, the
+ * sentinel ~0 otherwise) and the last-use cycle -- so a lookup is one
+ * compare per usable way.  The cold per-line state (inverted and
+ * shadow bits, the data image) stays in Line.  An inverted line is
+ * never valid (inverted => key == ~0), so "valid, not inverted and
+ * holding line_no" is exactly key == line_no; lines are at least 2
+ * bytes, so no line number equals the sentinel.
  */
 
 #ifndef PENELOPE_CACHE_CACHE_HH
 #define PENELOPE_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -32,7 +42,35 @@
 
 namespace penelope {
 
-class InversionPolicy;
+class Cache;
+
+/** Hook interface caches drive; implementations mutate the cache
+ *  through its public inversion manipulators (the mechanisms live
+ *  in inversion.hh). */
+class InversionPolicy
+{
+  public:
+    virtual ~InversionPolicy() = default;
+
+    /** Called once when installed. */
+    virtual void attach(Cache &cache, Cycle now);
+
+    /** Called every cycle by Cache::tick. */
+    virtual void onCycle(Cache &cache, Cycle now);
+
+    /** Called after a miss fill. */
+    virtual void onFill(Cache &cache, unsigned set, unsigned way,
+                        Cycle now, bool consumed_inverted);
+
+    /** Called on a hit to a shadow-marked line (test phase). */
+    virtual void onShadowHit(Cache &cache, unsigned set,
+                             unsigned way, Cycle now);
+
+    virtual std::string name() const = 0;
+
+    /** Whether the mechanism is currently inverting. */
+    virtual bool active() const { return true; }
+};
 
 /** Replacement policy selection. */
 enum class ReplacementPolicy : std::uint8_t
@@ -110,8 +148,14 @@ class Cache
     AccessResult access(Addr addr, bool is_write, Cycle now,
                         std::optional<Word> data = std::nullopt);
 
-    /** Advance policy machinery by one cycle. */
-    void tick(Cycle now);
+    /** Advance policy machinery by one cycle.  Inline: the timing
+     *  model ticks every cache once per simulated uop. */
+    void
+    tick(Cycle now)
+    {
+        if (policy_)
+            policy_->onCycle(*this, now);
+    }
 
     /** @name Inversion manipulators (used by policies) */
     /// @{
@@ -178,22 +222,53 @@ class Cache
     /// @}
 
   private:
+    /** key_ of an invalid (plain-invalid or inverted) line. */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t(0);
+
+    /** The cold per-line state; the key and last use are in key_
+     *  and lastUse_. */
     struct Line
     {
-        std::uint64_t tag = 0; ///< full line number
-        bool valid = false;
         bool inverted = false;
         bool shadow = false;
-        Cycle lastUse = 0;
         Word image = 0;        ///< stored data image (bias only)
         Cycle imageSince = 0;
     };
 
-    Line &lineAt(unsigned set, unsigned way);
-    const Line &lineAt(unsigned set, unsigned way) const;
+    std::size_t
+    slot(unsigned set, unsigned way) const
+    {
+        return static_cast<std::size_t>(set) * config_.ways + way;
+    }
+
+    Line &
+    lineAt(unsigned set, unsigned way)
+    {
+        return lines_[slot(set, way)];
+    }
+    const Line &
+    lineAt(unsigned set, unsigned way) const
+    {
+        return lines_[slot(set, way)];
+    }
 
     /** Map a line number to its (possibly remapped) set. */
     unsigned indexOf(std::uint64_t line_no) const;
+
+    /** Way @p i of the usable way window (i < usableWayCount_). */
+    unsigned
+    windowWay(unsigned i) const
+    {
+        const unsigned w = usableWayFirst_ + i;
+        return w >= config_.ways ? w - config_.ways : w;
+    }
+
+    /** The way after @p way in scan order (wraps to way 0). */
+    unsigned
+    nextWay(unsigned way) const
+    {
+        return ++way == config_.ways ? 0 : way;
+    }
 
     /** Pick a victim way among usable ways of @p set. */
     unsigned pickVictim(unsigned set, Cycle now);
@@ -209,6 +284,9 @@ class Cache
 
     CacheConfig config_;
     unsigned numSets_;
+    unsigned lineShift_; ///< log2(lineBytes)
+    std::vector<std::uint64_t> key_;
+    std::vector<Cycle> lastUse_;
     std::vector<Line> lines_;
     std::unique_ptr<InversionPolicy> policy_;
 
@@ -221,6 +299,10 @@ class Cache
     /** Rotating usable windows (set/way fixed mechanisms). */
     unsigned usableSetFirst_ = 0;
     unsigned usableSetCount_;
+    /** usableSetCount_ is a power of two (every catalog geometry,
+     *  SetFixed50's half window included): indexOf masks instead of
+     *  taking the modulo. */
+    bool usableSetsPow2_;
     unsigned usableWayFirst_ = 0;
     unsigned usableWayCount_;
 

@@ -6,41 +6,6 @@
 
 namespace penelope {
 
-void
-InversionPolicy::attach(Cache &cache, Cycle now)
-{
-    (void)cache;
-    (void)now;
-}
-
-void
-InversionPolicy::onCycle(Cache &cache, Cycle now)
-{
-    (void)cache;
-    (void)now;
-}
-
-void
-InversionPolicy::onFill(Cache &cache, unsigned set, unsigned way,
-                        Cycle now, bool consumed_inverted)
-{
-    (void)cache;
-    (void)set;
-    (void)way;
-    (void)now;
-    (void)consumed_inverted;
-}
-
-void
-InversionPolicy::onShadowHit(Cache &cache, unsigned set,
-                             unsigned way, Cycle now)
-{
-    (void)cache;
-    (void)set;
-    (void)way;
-    (void)now;
-}
-
 // ---------------------------------------------------------------- Set
 
 SetFixedInversion::SetFixedInversion(double invert_ratio,

@@ -25,33 +25,6 @@
 
 namespace penelope {
 
-/** Hook interface caches drive; implementations mutate the cache
- *  through its public inversion manipulators. */
-class InversionPolicy
-{
-  public:
-    virtual ~InversionPolicy() = default;
-
-    /** Called once when installed. */
-    virtual void attach(Cache &cache, Cycle now);
-
-    /** Called every cycle by Cache::tick. */
-    virtual void onCycle(Cache &cache, Cycle now);
-
-    /** Called after a miss fill. */
-    virtual void onFill(Cache &cache, unsigned set, unsigned way,
-                        Cycle now, bool consumed_inverted);
-
-    /** Called on a hit to a shadow-marked line (test phase). */
-    virtual void onShadowHit(Cache &cache, unsigned set,
-                             unsigned way, Cycle now);
-
-    virtual std::string name() const = 0;
-
-    /** Whether the mechanism is currently inverting. */
-    virtual bool active() const { return true; }
-};
-
 /** Rotating inverted-set window. */
 class SetFixedInversion : public InversionPolicy
 {

@@ -1,7 +1,12 @@
 #include "rng.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 namespace penelope {
@@ -90,10 +95,18 @@ geomFromDraw(std::uint64_t m, double log_q)
         std::floor(std::log(u) / log_q));
 }
 
-/** The tableState == 1 branch of nextGeometric, replicated so the
- *  bucket index below can be precomputed from it; the two must stay
- *  in lockstep.  @p tail is returned for the deep-tail region
- *  (m <= thresh[count - 1]) that nextGeometric computes directly. */
+/** Quantile thresholds per table (covers all but the q^48 deep
+ *  tail for the hot p values). */
+constexpr unsigned kGeomThresholds = 48;
+
+/** Bucket answer sentinel: m at or below the last threshold (the
+ *  deep tail, computed directly). */
+constexpr std::uint8_t kGeomTail = 0xff;
+
+/** The table lookup of GeomTable::draw, replicated so the bucket
+ *  index can be precomputed from it; the two must stay in
+ *  lockstep.  @p tail is returned for the deep-tail region
+ *  (m <= thresh[count - 1]) that draw() computes directly. */
 std::uint8_t
 geomTableAnswer(const std::uint64_t *thresh, unsigned count,
                 std::uint64_t m, std::uint8_t tail)
@@ -116,31 +129,63 @@ geomTableAnswer(const std::uint64_t *thresh, unsigned count,
 
 } // namespace
 
-void
-Rng::buildGeomTable(GeomSlot &slot) const
+/**
+ * log1p(-p), plus a threshold table that maps the 53-bit uniform
+ * draw m (u = m * 2^-53) straight to the result without log/floor.
+ * thresh[k-1] is the largest m whose result is >= k under the
+ * *original* floor(log(u)/logQ) expression; the boundaries are
+ * located with that exact expression and verified over a +-64 m
+ * window, so table answers are bit-identical to the direct
+ * computation (usable stays false, and every draw takes the direct
+ * path, if verification ever fails).
+ */
+struct Rng::GeomTable
+{
+    explicit GeomTable(double p);
+
+    /** The registry's table for @p p, built on first request. */
+    static const GeomTable &shared(double p);
+
+    /** The geometric result for the nonzero 53-bit draw @p m. */
+    std::uint64_t draw(std::uint64_t m) const;
+
+    double logQ;
+    bool usable = false;
+    std::uint64_t thresh[kGeomThresholds];
+
+    /** Direct index on the top 8 bits of m: the table answers at
+     *  the bucket's two ends (the quantile is non-increasing in m).
+     *  Equal ends -- the common case, thresholds are geometrically
+     *  spaced -- resolve the draw with one load instead of the
+     *  bisection. */
+    std::uint8_t bucketLo[256];
+    std::uint8_t bucketHi[256];
+};
+
+Rng::GeomTable::GeomTable(double p) : logQ(std::log1p(-p))
 {
     // thresh[k-1] = largest m in [1, 2^53) with geomFromDraw >= k.
     // The quantile is non-increasing in m up to log()'s sub-ulp
     // rounding, so bisect for each boundary and then settle it by
     // exhaustive scan of a +-64 window (faithful rounding can blur
     // a boundary by at most a couple of grid points).  Any
-    // inconsistency disables the table for this p -- the direct
-    // path is always available and bit-identical.
+    // inconsistency leaves the table unusable -- the direct path is
+    // always available and bit-identical.
     constexpr std::uint64_t max_m = (std::uint64_t(1) << 53) - 1;
-    const double log_q = slot.logQ;
+    const double log_q = logQ;
     std::uint64_t prev = max_m;
     for (unsigned k = 1; k <= kGeomThresholds; ++k) {
         if (geomFromDraw(1, log_q) < k) {
             // Even the smallest u stays below k: no draw reaches
             // this or any later quantile.
             for (unsigned j = k; j <= kGeomThresholds; ++j)
-                slot.thresh[j - 1] = 0;
+                thresh[j - 1] = 0;
             break;
         }
         std::uint64_t lo = 1;
         std::uint64_t hi = prev;
         if (geomFromDraw(hi, log_q) >= k) {
-            slot.thresh[k - 1] = hi;
+            thresh[k - 1] = hi;
             continue;
         }
         while (hi - lo > 1) {
@@ -157,12 +202,9 @@ Rng::buildGeomTable(GeomSlot &slot) const
             if (geomFromDraw(m, log_q) >= k)
                 best = m;
         }
-        if (best == 0 || best == whi ||
-            geomFromDraw(wlo, log_q) < k) {
-            slot.tableState = -1;
+        if (best == 0 || best == whi || geomFromDraw(wlo, log_q) < k)
             return;
-        }
-        slot.thresh[k - 1] = best;
+        thresh[k - 1] = best;
         prev = best;
     }
     // Bucket index on the top 8 bits of m: store the table answer
@@ -176,12 +218,74 @@ Rng::buildGeomTable(GeomSlot &slot) const
             b == 0 ? 1 : std::uint64_t(b) * bucket_span;
         const std::uint64_t m_hi =
             (std::uint64_t(b) + 1) * bucket_span - 1;
-        slot.bucketLo[b] = geomTableAnswer(
-            slot.thresh, kGeomThresholds, m_hi, GeomSlot::kGeomTail);
-        slot.bucketHi[b] = geomTableAnswer(
-            slot.thresh, kGeomThresholds, m_lo, GeomSlot::kGeomTail);
+        bucketLo[b] =
+            geomTableAnswer(thresh, kGeomThresholds, m_hi, kGeomTail);
+        bucketHi[b] =
+            geomTableAnswer(thresh, kGeomThresholds, m_lo, kGeomTail);
     }
-    slot.tableState = 1;
+    usable = true;
+}
+
+const Rng::GeomTable &
+Rng::GeomTable::shared(double p)
+{
+    // Deliberately never freed: Rngs on any thread may hold table
+    // pointers until the process exits.  Keyed on p's bits, so the
+    // same double always finds the same table.
+    struct Registry
+    {
+        std::mutex mutex;
+        std::map<std::uint64_t, std::unique_ptr<const GeomTable>> tables;
+    };
+    static Registry *const registry = new Registry;
+    const std::lock_guard<std::mutex> lock(registry->mutex);
+    std::unique_ptr<const GeomTable> &table =
+        registry->tables[std::bit_cast<std::uint64_t>(p)];
+    if (!table)
+        table = std::make_unique<const GeomTable>(p);
+    return *table;
+}
+
+std::uint64_t
+Rng::GeomTable::draw(std::uint64_t m) const
+{
+    if (!usable)
+        return geomFromDraw(m, logQ);
+    // Bucket fast path: when both ends of m's top-8-bit bucket
+    // agree (and it is not the deep tail), that is the answer.
+    const unsigned b = static_cast<unsigned>(m >> 45);
+    const std::uint8_t kq = bucketLo[b];
+    if (kq == bucketHi[b] && kq != kGeomTail)
+        return kq;
+    if (m > thresh[0])
+        return 0;
+    if (m <= thresh[kGeomThresholds - 1])
+        return geomFromDraw(m, logQ); // deep tail
+    // Largest k with m <= thresh[k-1]; thresh is descending.
+    unsigned lo = 0;
+    unsigned hi = kGeomThresholds - 1;
+    while (hi - lo > 1) {
+        const unsigned mid = (lo + hi) / 2;
+        if (m <= thresh[mid])
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo + 1;
+}
+
+const Rng::GeomTable &
+Rng::geomTable(double p)
+{
+    for (const GeomSlot &slot : geomSlots_) {
+        if (slot.p == p)
+            return *slot.table;
+    }
+    GeomSlot &slot = geomSlots_[geomNext_];
+    geomNext_ = static_cast<std::uint8_t>((geomNext_ + 1) % kGeomSlots);
+    slot.table = &GeomTable::shared(p);
+    slot.p = p;
+    return *slot.table;
 }
 
 std::uint64_t
@@ -190,53 +294,15 @@ Rng::nextGeometric(double p)
     assert(p > 0.0 && p <= 1.0);
     if (p >= 1.0)
         return 0;
-    // log1p(-p) (and the quantile table) depends only on p, and
-    // every hot caller draws with a fixed p (mean residence /
-    // dependency distance / run length), so memoise the last two.
-    // Identical p gives the identical double, so draws are
-    // bit-identical to recomputing it every call.
-    GeomSlot *slot = &geomSlots_[geomMru_];
-    if (p != slot->p) {
-        GeomSlot *other = &geomSlots_[geomMru_ ^ 1];
-        geomMru_ ^= 1;
-        slot = other;
-        if (p != other->p) {
-            *other = GeomSlot{};
-            other->p = p;
-            other->logQ = std::log1p(-p);
-        }
-    }
+    // The table depends only on p, and every hot caller draws with
+    // a fixed p (mean residence / dependency distance / run
+    // length), so the lookup is a scan of the memo slots.
+    const GeomTable &table = geomTable(p);
     std::uint64_t m = 0;
     do {
         m = (*this)() >> 11; // the 53 mantissa bits of nextDouble()
     } while (m == 0);
-    if (slot->tableState == 1) {
-        // Bucket fast path: when both ends of m's top-8-bit bucket
-        // agree (and it is not the deep tail), that is the answer.
-        const unsigned b = static_cast<unsigned>(m >> 45);
-        const std::uint8_t kq = slot->bucketLo[b];
-        if (kq == slot->bucketHi[b] && kq != GeomSlot::kGeomTail)
-            return kq;
-        const std::uint64_t *thresh = slot->thresh;
-        if (m > thresh[0])
-            return 0;
-        if (m <= thresh[kGeomThresholds - 1])
-            return geomFromDraw(m, slot->logQ); // deep tail
-        // Largest k with m <= thresh[k-1]; thresh is descending.
-        unsigned lo = 0;
-        unsigned hi = kGeomThresholds - 1;
-        while (hi - lo > 1) {
-            const unsigned mid = (lo + hi) / 2;
-            if (m <= thresh[mid])
-                lo = mid;
-            else
-                hi = mid;
-        }
-        return lo + 1;
-    }
-    if (slot->tableState == 0 && ++slot->hits >= 32)
-        buildGeomTable(*slot);
-    return geomFromDraw(m, slot->logQ);
+    return table.draw(m);
 }
 
 std::uint64_t

@@ -6,6 +6,11 @@
  * seeded Rng so that experiments are exactly reproducible.  The
  * generator is xoshiro256** seeded through SplitMix64, which is fast,
  * has a 256-bit state and passes BigCrush.
+ *
+ * An Rng is small (about 100 bytes) because nextGeometric's quantile
+ * tables are not part of it: each is a pure function of p, built once
+ * per process in a registry that is never freed, locked only on an
+ * Rng's first draw with a given p, and shared by pointer.
  */
 
 #ifndef PENELOPE_COMMON_RNG_HH
@@ -132,48 +137,35 @@ class Rng
     double cachedGaussian_;
     bool hasCachedGaussian_;
 
-    /** Quantile thresholds kept per memoised geometric p (covers
-     *  all but the q^48 deep tail for the hot p values). */
-    static constexpr unsigned kGeomThresholds = 48;
+    /** Next geomSlots_ entry to replace (round robin). */
+    std::uint8_t geomNext_ = 0;
 
     /**
-     * Memoised per-p state for nextGeometric: log1p(-p), plus a
-     * lazily built threshold table that maps the 53-bit uniform
-     * draw m (u = m * 2^-53) straight to the result without
-     * log/floor.  thresh[k-1] is the largest m whose result is
-     * >= k under the *original* floor(log(u)/logQ) expression;
-     * the boundaries are located with that exact expression and
-     * verified over a +-64 m window, so table answers are
-     * bit-identical to the direct computation (tableState stays
-     * -1 and the direct path is used if verification ever fails).
-     * Pure value cache either way: the draw stream is unchanged.
+     * The quantile table of one p for nextGeometric (defined in
+     * rng.cc).  A pure function of p, so one immutable copy serves
+     * every Rng: a process-wide registry builds each distinct p's
+     * table once, under a mutex, and never frees it.  Its size is
+     * bounded by the p values in the tree, each a constant of a
+     * suite profile or a model parameter: `penelope_bench --all`
+     * builds 18 tables of about 0.9 KB.  Draws through a table are
+     * bit-identical to the direct floor(log(u) / log1p(-p))
+     * computation.
      */
+    struct GeomTable;
+
+    /** Per-Rng memo of the registry lookups: only the first draw
+     *  with a p not held here takes the registry lock.  Four slots
+     *  hold every caller's hot p set (two values at most today). */
     struct GeomSlot
     {
-        /** bucketLo/Hi sentinel: m at or below the last threshold
-         *  (the deep tail, computed directly). */
-        static constexpr std::uint8_t kGeomTail = 0xff;
-
         double p = -1.0;
-        double logQ = 0.0;
-        /** 0 = not built yet, 1 = built, -1 = do not build. */
-        std::int8_t tableState = 0;
-        std::uint32_t hits = 0;
-        std::uint64_t thresh[kGeomThresholds];
-
-        /** Direct index on the top 8 bits of m: the table answers
-         *  at the bucket's two ends (the quantile is non-increasing
-         *  in m).  Equal ends -- the common case, thresholds are
-         *  geometrically spaced -- resolve the draw with one load
-         *  instead of the bisection. */
-        std::uint8_t bucketLo[256];
-        std::uint8_t bucketHi[256];
+        const GeomTable *table = nullptr;
     };
+    static constexpr unsigned kGeomSlots = 4;
 
-    void buildGeomTable(GeomSlot &slot) const;
+    const GeomTable &geomTable(double p);
 
-    GeomSlot geomSlots_[2];
-    unsigned geomMru_ = 0;
+    GeomSlot geomSlots_[kGeomSlots];
 };
 
 /**

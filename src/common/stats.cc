@@ -112,13 +112,6 @@ Histogram::quantile(double q) const
     return hi_;
 }
 
-void
-CategoryCounter::add(std::size_t category, std::uint64_t weight)
-{
-    counts_.at(category) += weight;
-    total_ += weight;
-}
-
 double
 CategoryCounter::fraction(std::size_t i) const
 {

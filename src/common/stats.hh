@@ -90,7 +90,13 @@ class CategoryCounter
         : counts_(categories, 0), total_(0)
     {}
 
-    void add(std::size_t category, std::uint64_t weight = 1);
+    /** Inline: the cache counts every hit's recency position. */
+    void
+    add(std::size_t category, std::uint64_t weight = 1)
+    {
+        counts_.at(category) += weight;
+        total_ += weight;
+    }
 
     std::size_t categories() const { return counts_.size(); }
     std::uint64_t count(std::size_t i) const { return counts_.at(i); }

@@ -34,15 +34,31 @@ enum class UopClass : std::uint8_t
 /** Number of UopClass values (for iteration). */
 inline constexpr unsigned numUopClasses = 8;
 
-/** True when the class reads or writes memory. */
-bool isMemory(UopClass cls);
+/** True when the class reads or writes memory.  Inline, like the
+ *  other class predicates: the replay loops test every uop. */
+inline bool
+isMemory(UopClass cls)
+{
+    return cls == UopClass::Load || cls == UopClass::Store;
+}
 
 /** True when the class operates on FP registers. */
-bool isFp(UopClass cls);
+inline bool
+isFp(UopClass cls)
+{
+    return cls == UopClass::FpAdd || cls == UopClass::FpMul;
+}
 
 /** True when an integer adder performs the op or its address
- *  generation. */
-bool usesAdder(UopClass cls);
+ *  generation.  Integer ALU ops execute on an adder; loads and
+ *  stores use one for address generation (the paper assumes an
+ *  adder in each integer and address-generation port). */
+inline bool
+usesAdder(UopClass cls)
+{
+    return cls == UopClass::IntAlu || cls == UopClass::Load ||
+        cls == UopClass::Store;
+}
 
 /**
  * One micro-operation, as delivered by a trace.

@@ -562,6 +562,158 @@ TEST(Timing, BatchedPassMatchesFreshRuns)
     }
 }
 
+// ------------------------------------ paths Table 3 never reaches
+//
+// Table 3 runs power-of-two set windows, full way windows and LRU
+// only.  These anchors pin literal results for the other lookup and
+// victim paths, so a rewrite of the access path cannot drift them
+// unseen.
+
+/** What one anchor stream pins. */
+struct CacheAnchor
+{
+    std::uint64_t hits;
+    std::uint64_t misses;
+    std::vector<std::uint64_t> mruHits; ///< per recency position
+    unsigned inverted;
+    double avgInvertRatio;
+    std::uint64_t shadowExtraMisses;
+    std::uint64_t consumedInverted;
+    std::uint64_t biasDigest; ///< finalizeDataBias, FNV-1a
+};
+
+/** FNV-1a over the total time and every per-bit zero-time. */
+std::uint64_t
+biasDigest(const BitBiasTracker &bias)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (unsigned k = 0; k < 8; ++k) {
+            h ^= (v >> (8 * k)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    mix(bias.totalTime());
+    for (unsigned bit = 0; bit < bias.width(); ++bit)
+        mix(bias.zeroTime(bit));
+    return h;
+}
+
+/**
+ * Drive @p cache with a seeded stream of @p accesses: 1-3 ticked
+ * cycles apart, 30% writes, three quarters of them to the hot
+ * quarter of a @p footprint_lines footprint; then compare every
+ * pinned statistic with @p want.
+ */
+void
+expectAnchorStream(Cache &cache, std::uint64_t seed, int accesses,
+                   std::uint64_t footprint_lines,
+                   const CacheAnchor &want)
+{
+    Rng rng(seed);
+    Cycle now = 0;
+    std::uint64_t shadow_extra = 0;
+    std::uint64_t consumed = 0;
+    for (int i = 0; i < accesses; ++i) {
+        for (Cycle step = 1 + rng.nextInt(3); step > 0; --step)
+            cache.tick(++now);
+        const std::uint64_t span = rng.nextBool(0.75)
+            ? footprint_lines / 4 : footprint_lines;
+        const Addr addr = rng.nextInt(span) * cache.config().lineBytes +
+            rng.nextInt(8) * 8;
+        const AccessResult r =
+            cache.access(addr, rng.nextBool(0.3), now, rng());
+        shadow_extra += r.shadowExtraMiss;
+        consumed += r.consumedInvertedLine;
+    }
+    EXPECT_EQ(cache.hits(), want.hits);
+    EXPECT_EQ(cache.misses(), want.misses);
+    const CategoryCounter &mru = cache.mruHitPositions();
+    ASSERT_EQ(mru.categories(), want.mruHits.size());
+    for (std::size_t i = 0; i < want.mruHits.size(); ++i)
+        EXPECT_EQ(mru.count(i), want.mruHits[i]) << "position " << i;
+    EXPECT_EQ(cache.invertedCount(), want.inverted);
+    EXPECT_EQ(cache.averageInvertRatio(now), want.avgInvertRatio);
+    EXPECT_EQ(shadow_extra, want.shadowExtraMisses);
+    EXPECT_EQ(consumed, want.consumedInverted);
+    EXPECT_EQ(biasDigest(cache.finalizeDataBias(now)), want.biasDigest);
+}
+
+TEST(CacheAnchor, SetFixedNonPowerOfTwoWindow)
+{
+    // 16 sets, a quarter inverted: 12 usable sets (the modulo
+    // fallback), rotating every 5000 cycles so the window wraps
+    // past the last set.
+    Cache c(smallCache());
+    c.setPolicy(std::make_unique<SetFixedInversion>(0.25, 5000));
+    EXPECT_EQ(c.invertedCount(), 16u);
+    expectAnchorStream(c, 0x5e7f, 20000, 128,
+                       {15274, 4726, {4946, 4545, 3629, 2154}, 17,
+                        0.25156417478874293, 0, 31,
+                        0x91a84d74610c364dull});
+}
+
+TEST(CacheAnchor, WayFixedWindowWraps)
+{
+    // 8 ways, 2 inverted: the 6-way window rotates every 3000
+    // cycles, so the usable ways wrap past way 7.
+    CacheConfig cfg = smallCache();
+    cfg.sizeBytes = 8 * 1024;
+    cfg.ways = 8;
+    Cache c(cfg);
+    c.setPolicy(std::make_unique<WayFixedInversion>(0.25, 3000));
+    EXPECT_EQ(c.invertedCount(), 32u);
+    expectAnchorStream(c, 0x3a7f, 20000, 192,
+                       {17126, 2874,
+                        {4422, 4204, 3726, 2493, 1425, 856, 0, 0}, 32,
+                        0.25575803083992787, 0, 208,
+                        0x0ffd5aead81fce4bull});
+}
+
+TEST(CacheAnchor, PseudoLruReplacement)
+{
+    CacheConfig cfg = smallCache();
+    cfg.replacement = ReplacementPolicy::PseudoLru;
+    Cache c(cfg);
+    c.setPolicy(std::make_unique<LineFixedInversion>(0.5));
+    expectAnchorStream(c, 0x971u, 20000, 96,
+                       {13708, 6292, {7977, 4274, 1234, 223}, 32,
+                        0.49715823923253721, 0, 6075,
+                        0xb9aefd792e421f16ull});
+}
+
+TEST(CacheAnchor, RandomReplacement)
+{
+    CacheConfig cfg = smallCache();
+    cfg.replacement = ReplacementPolicy::Random;
+    Cache c(cfg);
+    expectAnchorStream(c, 0x4a2d, 20000, 96,
+                       {17750, 2250, {8800, 5804, 2139, 1007}, 0, 0.0,
+                        0, 0, 0x6fee27d7114bb806ull});
+}
+
+TEST(CacheAnchor, LineDynamicShadowMarking)
+{
+    // Short warmup/test/decide periods: the test phase shadow-marks
+    // lines and counts the hits on them as induced extra misses.
+    Cache c(smallCache());
+    DynamicInversionParams p;
+    p.warmupCycles = 1000;
+    p.testCycles = 2000;
+    p.periodCycles = 6000;
+    p.extraMissThreshold = 0.2;
+    auto policy = std::make_unique<LineDynamicInversion>(p);
+    const LineDynamicInversion *dyn = policy.get();
+    c.setPolicy(std::move(policy));
+    expectAnchorStream(c, 0xd1a, 20000, 48,
+                       {19661, 339, {14657, 3357, 1647, 0}, 16,
+                        0.25840159966520088, 3234, 291,
+                        0x898229443824e894ull});
+    // One of the seven decisions found the extra-miss rate low
+    // enough to invert.
+    EXPECT_EQ(dyn->activeFraction(), 1.0 / 7.0);
+}
+
 // ------------------------------------------- absolute Table 3 anchor
 
 struct Table3Pin

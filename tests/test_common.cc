@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <latch>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/bitword.hh"
 #include "common/duty.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/threadpool.hh"
 
 namespace penelope {
 namespace {
@@ -118,6 +121,93 @@ TEST(Rng, GeometricWithPOneIsZero)
     Rng rng(29);
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(rng.nextGeometric(1.0), 0u);
+}
+
+/** The direct geometric quantile: what nextGeometric(p) returns
+ *  for the next draw of @p rng, computed without any table. */
+std::uint64_t
+directGeometric(Rng &rng, double p)
+{
+    std::uint64_t m = 0;
+    do {
+        m = rng() >> 11;
+    } while (m == 0);
+    const double u = static_cast<double>(m) * 0x1.0p-53;
+    return static_cast<std::uint64_t>(
+        std::floor(std::log(u) / std::log1p(-p)));
+}
+
+TEST(Rng, GeometricTablesMatchDirectFormula)
+{
+    // From the catalog's p values out to p small enough that most
+    // draws land beyond the tables' 48 thresholds (the deep tail).
+    const double ps[] = {0.999, 0.9, 0.5, 0.25, 0.125, 1.0 / 24.0,
+                         1.0 / 96.0, 0.01, 0.002};
+    for (const double p : ps) {
+        Rng rng(0x6e0);
+        Rng twin(0x6e0);
+        std::uint64_t tail = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t want = directGeometric(twin, p);
+            tail += want >= 48;
+            ASSERT_EQ(rng.nextGeometric(p), want)
+                << "p " << p << " draw " << i;
+        }
+        if (p <= 0.01) {
+            EXPECT_GT(tail, 1000u) << "p " << p;
+        }
+    }
+}
+
+TEST(Rng, GeometricInterleavedPValues)
+{
+    // One Rng cycling through four p values, then five: the second
+    // loop outnumbers the per-Rng memo, which must evict and refetch.
+    const double ps[] = {1.0 / 128.0, 0.125, 1.0 / 24.0, 0.3, 0.7};
+    Rng rng(0x17e);
+    Rng twin(0x17e);
+    for (const unsigned count : {4u, 5u}) {
+        for (unsigned i = 0; i < 20000; ++i) {
+            const double p = ps[i % count];
+            ASSERT_EQ(rng.nextGeometric(p), directGeometric(twin, p))
+                << count << " values, draw " << i;
+        }
+    }
+}
+
+TEST(Rng, GeometricSharedTableConcurrentFirstUse)
+{
+    // Eight pool workers touch a p no other test uses at the same
+    // moment: the one shared table they race to build must serve
+    // each of them the identical stream.
+    constexpr unsigned kWorkers = 8;
+    const double p = 0.0123456789;
+    std::vector<std::vector<std::uint64_t>> streams(kWorkers);
+    std::latch start(kWorkers);
+    {
+        ThreadPool pool(kWorkers);
+        for (unsigned t = 0; t < kWorkers; ++t) {
+            pool.submit([&, t] {
+                Rng rng(0xc0c0);
+                start.arrive_and_wait();
+                for (int i = 0; i < 2000; ++i)
+                    streams[t].push_back(rng.nextGeometric(p));
+            });
+        }
+        pool.wait();
+    }
+    Rng twin(0xc0c0);
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_EQ(streams[0][i], directGeometric(twin, p));
+    for (unsigned t = 1; t < kWorkers; ++t)
+        EXPECT_EQ(streams[t], streams[0]) << "worker " << t;
+}
+
+TEST(Rng, StaysSmall)
+{
+    // Generators, replays and caches each embed Rngs; the geometric
+    // tables are shared by pointer, never embedded.
+    EXPECT_LE(sizeof(Rng), 128u);
 }
 
 TEST(Rng, ForkProducesIndependentStream)

@@ -490,10 +490,13 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     WorkerConfig good;
     good.host = "127.0.0.1";
     good.port = coordinator.port();
-    good.heartbeatIntervalMs = 50;
     // Stretch each slice well past the heartbeat interval: the
     // rescuer is slow but heartbeating, so the deadline must not
-    // forfeit it -- and the coordinator must see its beats.
+    // forfeit it -- and the coordinator must see its beats.  The
+    // stretch is 19x a slice's run time, and a sample-plan slice
+    // runs in about a millisecond, so the interval is set far below
+    // that rather than tied to how fast the simulator is.
+    good.heartbeatIntervalMs = 2;
     good.slowFactor = 20.0;
     ResultCache good_cache;
     WorkerStats good_stats;
