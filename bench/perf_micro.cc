@@ -321,10 +321,8 @@ BM_CacheAccess(benchmark::State &state)
     Cache cache{CacheConfig()};
     Rng rng(2);
     Cycle now = 0;
-    for (auto _ : state) {
-        cache.access(rng.nextInt(1 << 20) * 64, false, ++now,
-                     rng());
-    }
+    for (auto _ : state)
+        cache.access(rng.nextInt(1 << 20) * 64, ++now);
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
@@ -338,8 +336,7 @@ BM_CacheAccessLineFixed(benchmark::State &state)
     Cycle now = 0;
     for (auto _ : state) {
         cache.tick(now);
-        cache.access(rng.nextInt(1 << 20) * 64, false, ++now,
-                     rng());
+        cache.access(rng.nextInt(1 << 20) * 64, ++now);
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -458,6 +455,32 @@ BM_SchedulerReplay(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_SchedulerReplay);
+
+/** BM_SchedulerReplay with protection on, as fig8's protected arm
+ *  runs it: decisions from a two-trace profile, so every release
+ *  repairs the slot (Section 4.5).  The uops are generated up front;
+ *  each iteration feeds the next 256. */
+void
+BM_SchedulerReplayProtected(benchmark::State &state)
+{
+    constexpr std::size_t kUops = 16'384;
+    WorkloadSet workload;
+    const std::vector<BitDecision> decisions = decideProtection(
+        profileScheduler(workload, {0, 200}, 10'000).bits);
+    SchedulerRun run(&decisions, SchedReplayConfig{});
+    TraceGenerator gen = workload.generator(0);
+    std::vector<Uop> uops(kUops);
+    for (Uop &u : uops)
+        u = gen.next();
+    std::size_t at = 0;
+    for (auto _ : state) {
+        run.feed(uops.data() + at, 256);
+        at = (at + 256) % kUops;
+    }
+    benchmark::DoNotOptimize(run.result().cycles);
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_SchedulerReplayProtected);
 
 void
 BM_RegFileReplay(benchmark::State &state)

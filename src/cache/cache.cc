@@ -29,11 +29,9 @@ Cache::Cache(const CacheConfig &config)
            kNoLine),
       lastUse_(key_.size(), 0),
       lines_(key_.size()),
-      mruHits_(config.ways),
       usableSetCount_(config.numSets()),
       usableSetsPow2_(std::has_single_bit(config.numSets())),
       usableWayCount_(config.ways),
-      dataBias_(64),
       rng_(0xcac4e + config.sizeBytes + config.ways)
 {
     assert(numSets_ >= 1);
@@ -128,27 +126,19 @@ Cache::averageInvertRatio(Cycle now) const
         static_cast<double>(now);
 }
 
-void
-Cache::flushImage(Line &line, Cycle now)
-{
-    if (now > line.imageSince) {
-        dataBias_.observe(line.image, now - line.imageSince);
-        line.imageSince = now;
-    }
-}
-
 unsigned
-Cache::recencyPosition(unsigned set, unsigned way) const
+Cache::hitRecency(const AccessResult &hit) const
 {
-    // Valid ways used after @p way; @p way itself never counts (its
-    // last use is not after itself).
-    const std::uint64_t *key = &key_[slot(set, 0)];
-    const Cycle *last_use = &lastUse_[slot(set, 0)];
-    const Cycle ref = last_use[way];
+    assert(hit.hit);
+    // Valid ways used after the line's previous use, less the hit
+    // way itself (its last use is now the access time).
+    const std::uint64_t *key = &key_[slot(hit.set, 0)];
+    const Cycle *last_use = &lastUse_[slot(hit.set, 0)];
+    const Cycle ref = hit.prevLastUse;
     unsigned pos = 0;
     for (unsigned w = 0; w < config_.ways; ++w)
         pos += unsigned(key[w] != kNoLine) & unsigned(last_use[w] > ref);
-    return pos;
+    return pos - unsigned(last_use[hit.way] > ref);
 }
 
 int
@@ -211,8 +201,7 @@ Cache::pickVictim(unsigned set, Cycle now)
 }
 
 AccessResult
-Cache::access(Addr addr, bool is_write, Cycle now,
-              std::optional<Word> data)
+Cache::access(Addr addr, Cycle now)
 {
     const std::uint64_t line_no = addr >> lineShift_;
     const unsigned set = indexOf(line_no);
@@ -229,14 +218,11 @@ Cache::access(Addr addr, bool is_write, Cycle now,
         const std::size_t at = slot(set, w);
         assert(!lines_[at].inverted);
         result.hit = true;
-        result.mruPosition = recencyPosition(set, w);
+        result.set = set;
+        result.way = w;
+        result.prevLastUse = lastUse_[at];
         ++hits_;
-        mruHits_.add(result.mruPosition);
         lastUse_[at] = now;
-        if (is_write && data) {
-            flushImage(lines_[at], now);
-            lines_[at].image = *data;
-        }
         if (shadowCount_ != 0 && lines_[at].shadow) {
             result.shadowExtraMiss = true;
             if (policy_)
@@ -262,11 +248,13 @@ Cache::access(Addr addr, bool is_write, Cycle now,
         line.shadow = false;
         --shadowCount_;
     }
-    flushImage(line, now);
     key_[at] = line_no;
     line.inverted = false;
     lastUse_[at] = now;
-    line.image = data.value_or(rng_());
+    // Every fill draws once, discarding the value (it was the line's
+    // data image): the mechanisms share this stream, and Table 3's
+    // results depend on its position.
+    (void)rng_();
 
     if (policy_)
         policy_->onFill(*this, set, victim, now,
@@ -286,10 +274,8 @@ Cache::invertLine(unsigned set, unsigned way, Cycle now)
     invertRatioIntegral_ += invertRatio() *
         static_cast<double>(now - lastRatioUpdate_);
     lastRatioUpdate_ = now;
-    flushImage(line, now);
-    // Invalidate and store complemented contents so the opposite
-    // PMOS of every bit cell ages during the inverted residence.
-    line.image = ~line.image;
+    // Invalidate; the cells hold the complemented contents, so the
+    // opposite PMOS of every bit cell ages during the residence.
     key_[at] = kNoLine;
     line.inverted = true;
     if (line.shadow) {
@@ -422,14 +408,6 @@ bool
 Cache::lineInverted(unsigned set, unsigned way) const
 {
     return lineAt(set, way).inverted;
-}
-
-const BitBiasTracker &
-Cache::finalizeDataBias(Cycle now)
-{
-    for (auto &line : lines_)
-        flushImage(line, now);
-    return dataBias_;
 }
 
 } // namespace penelope

@@ -3,11 +3,10 @@
  * Set-associative cache model with NBTI inversion support
  * (Section 3.2.1 / 4.6).
  *
- * The model serves two purposes: (i) performance evaluation of the
- * inversion mechanisms (hits/misses/MRU-position statistics feeding
- * the Table-3 experiment) and (ii) bit-cell stress accounting (each
- * line carries a 64-bit data image whose per-bit residence time
- * feeds a BitBiasTracker, demonstrating the bias 90% -> ~50% claim).
+ * The model evaluates the performance of the inversion mechanisms:
+ * hit/miss statistics feeding the Table-3 experiment, and on demand
+ * the recency position of a hit (hitRecency) for the pipeline's MRU
+ * survey.
  *
  * Inversion state: a line is either valid (holding program data) or
  * *inverted* -- invalid for lookups, its cells holding the bitwise
@@ -19,7 +18,7 @@
  * set * ways + way -- the key (the line number of a valid line, the
  * sentinel ~0 otherwise) and the last-use cycle -- so a lookup is one
  * compare per usable way.  The cold per-line state (inverted and
- * shadow bits, the data image) stays in Line.  An inverted line is
+ * shadow bits) stays in Line.  An inverted line is
  * never valid (inverted => key == ~0), so "valid, not inverted and
  * holding line_no" is exactly key == line_no; lines are at least 2
  * bytes, so no line number equals the sentinel.
@@ -31,13 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/duty.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace penelope {
@@ -112,15 +108,18 @@ struct AccessResult
 {
     bool hit = false;
 
-    /** Recency position of the hit way (0 = MRU). */
-    unsigned mruPosition = 0;
-
     /** The replaced victim was an inverted line (on miss). */
     bool consumedInvertedLine = false;
 
     /** Hit landed on a shadow-marked line (dynamic-mechanism test
      *  phase induced extra miss). */
     bool shadowExtraMiss = false;
+
+    /** On a hit: the line's set and way and its last use before
+     *  this access (what Cache::hitRecency ranks). */
+    unsigned set = 0;
+    unsigned way = 0;
+    Cycle prevLastUse = 0;
 };
 
 /**
@@ -141,12 +140,8 @@ class Cache
     void setPolicy(std::unique_ptr<InversionPolicy> policy);
     InversionPolicy *policy() { return policy_.get(); }
 
-    /**
-     * Look up @p addr; allocate on miss.  @p data is the value image
-     * stored on a fill/write (used only for bias accounting).
-     */
-    AccessResult access(Addr addr, bool is_write, Cycle now,
-                        std::optional<Word> data = std::nullopt);
+    /** Look up @p addr; allocate on miss. */
+    AccessResult access(Addr addr, Cycle now);
 
     /** Advance policy machinery by one cycle.  Inline: the timing
      *  model ticks every cache once per simulated uop. */
@@ -196,8 +191,15 @@ class Cache
     std::uint64_t accesses() const { return hits_ + misses_; }
     double missRate() const;
 
-    /** Histogram of hit recency positions (Section 3.2.1). */
-    const CategoryCounter &mruHitPositions() const { return mruHits_; }
+    /**
+     * Recency position (0 = MRU) of the line @p hit found, as it
+     * stood before that access: the valid ways other than the hit
+     * way used after the line's previous use.  Exact only until the
+     * next access or inversion -- a hit changes no state but the hit
+     * way's last use (and shadow bits).  Section 3.2.1's MRU
+     * histogram; access() itself does not rank hits.
+     */
+    unsigned hitRecency(const AccessResult &hit) const;
 
     /** Number of currently inverted lines. */
     unsigned invertedCount() const { return invertedCount_; }
@@ -214,11 +216,6 @@ class Cache
 
     /** Deterministic RNG used for random picks (seeded per cache). */
     Rng &rng() { return rng_; }
-
-    /** Finish bias accounting up to @p now and return the per-bit
-     *  tracker for the stored data images. */
-    const BitBiasTracker &finalizeDataBias(Cycle now);
-
     /// @}
 
   private:
@@ -231,8 +228,6 @@ class Cache
     {
         bool inverted = false;
         bool shadow = false;
-        Word image = 0;        ///< stored data image (bias only)
-        Cycle imageSince = 0;
     };
 
     std::size_t
@@ -273,14 +268,8 @@ class Cache
     /** Pick a victim way among usable ways of @p set. */
     unsigned pickVictim(unsigned set, Cycle now);
 
-    /** Recency position of @p way within @p set (0 = MRU). */
-    unsigned recencyPosition(unsigned set, unsigned way) const;
-
     /** LRU valid non-inverted way of @p set, or -1. */
     int lruValidWay(unsigned set, bool skip_shadow) const;
-
-    /** Account the line's image residency up to @p now. */
-    void flushImage(Line &line, Cycle now);
 
     CacheConfig config_;
     unsigned numSets_;
@@ -292,7 +281,6 @@ class Cache
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-    CategoryCounter mruHits_;
     unsigned invertedCount_ = 0;
     unsigned shadowCount_ = 0;
 
@@ -309,12 +297,6 @@ class Cache
     /** Invert-ratio time integral for averageInvertRatio(). */
     double invertRatioIntegral_ = 0.0;
     Cycle lastRatioUpdate_ = 0;
-
-    /** Per-bit bias of the stored data images, charged eagerly on
-     *  every image change (read only by finalizeDataBias).  A
-     *  64-record batch drain measured slower: BM_CacheAccess 206 ns
-     *  batched vs 173 ns eager, median of 5 on a 4-core Xeon. */
-    BitBiasTracker dataBias_;
 
     Rng rng_;
 };

@@ -158,16 +158,9 @@ MemTimingSim::feed(const Uop *uops, std::size_t n)
         cycles += params_.baseCpi;
         if (isMemory(uop.cls)) {
             ++memOps_;
-            const bool is_write = uop.cls == UopClass::Store;
-            const Word data =
-                is_write ? uop.srcVal1 : uop.dstVal;
-            const AccessResult tlb =
-                dtlb_.access(uop.addr, false, now, uop.addr >> 12);
-            if (!tlb.hit)
+            if (!dtlb_.access(uop.addr, now).hit)
                 cycles += params_.dtlbMissPenalty;
-            const AccessResult l1 =
-                dl0_.access(uop.addr, is_write, now, data);
-            if (!l1.hit)
+            if (!dl0_.access(uop.addr, now).hit)
                 cycles += params_.dl0MissPenalty;
         }
     }

@@ -29,6 +29,7 @@ Pipeline::Pipeline(const PipelineConfig &config)
       sched_(config.sched),
       dl0_(config.dl0),
       dtlb_(config.dtlb),
+      dl0Mru_(config.dl0.ways),
       rng_(0x9090)
 {
     intRf_.enableIsv(config_.intRfIsv);
@@ -161,13 +162,10 @@ Pipeline::doIssue(Cycle now)
             // scheduler (Table 2), so they have no entry to free.
             f.issued = true;
             if (f.schedEntry >= 0) {
-                const bool alloc_port_free =
-                    allocsThisCycle_ < config_.allocWidth;
                 sched_.release(
-                    static_cast<unsigned>(f.schedEntry), now,
-                    alloc_port_free);
+                    static_cast<unsigned>(f.schedEntry), now);
                 ++schedReleaseTotal_;
-                if (alloc_port_free)
+                if (allocsThisCycle_ < config_.allocWidth)
                     ++schedReleaseFree_;
                 f.schedEntry = -1;
             }
@@ -175,17 +173,12 @@ Pipeline::doIssue(Cycle now)
             unsigned latency = f.uop.latency;
             if (f.uop.cls == UopClass::Load ||
                 f.uop.cls == UopClass::Store) {
-                const bool is_write =
-                    f.uop.cls == UopClass::Store;
-                const Word data =
-                    is_write ? f.uop.srcVal1 : f.uop.dstVal;
-                const AccessResult tlb = dtlb_.access(
-                    f.uop.addr, false, now, f.uop.addr >> 12);
-                if (!tlb.hit)
+                if (!dtlb_.access(f.uop.addr, now).hit)
                     latency += config_.dtlbMissPenalty;
-                const AccessResult l1 =
-                    dl0_.access(f.uop.addr, is_write, now, data);
-                if (!l1.hit)
+                const AccessResult l1 = dl0_.access(f.uop.addr, now);
+                if (l1.hit)
+                    dl0Mru_.add(dl0_.hitRecency(l1));
+                else
                     latency += config_.dl0MissPenalty;
                 if (f.uop.cls == UopClass::Load)
                     latency += config_.loadHitLatency - 1;
@@ -363,7 +356,7 @@ Pipeline::run(TraceGenerator &gen, std::size_t num_uops)
     stats.dl0Hits = dl0_.hits();
     stats.dl0Misses = dl0_.misses();
     stats.dtlbMisses = dtlb_.misses();
-    const CategoryCounter &mru = dl0_.mruHitPositions();
+    const CategoryCounter &mru = dl0Mru_;
     stats.mruHitFraction[0] = mru.fraction(0);
     stats.mruHitFraction[1] =
         mru.categories() > 1 ? mru.fraction(1) : 0.0;

@@ -24,6 +24,7 @@
 
 #include "cache/timing.hh"
 #include "common/ring.hh"
+#include "common/stats.hh"
 #include "regfile/regfile.hh"
 #include "scheduler/scheduler.hh"
 #include "trace/generator.hh"
@@ -125,6 +126,9 @@ class Pipeline
     Cache &dl0() { return dl0_; }
     Cache &dtlb() { return dtlb_; }
 
+    /** Histogram of DL0 hit recency positions (Section 3.2.1). */
+    const CategoryCounter &dl0MruHits() const { return dl0Mru_; }
+
     const PipelineConfig &config() const { return config_; }
 
   private:
@@ -155,6 +159,7 @@ class Pipeline
     Scheduler sched_;
     Cache dl0_;
     Cache dtlb_;
+    CategoryCounter dl0Mru_;
     Rng rng_;
 
     /** Rename maps: architectural -> physical. */

@@ -16,7 +16,10 @@ SchedulerReplay::SchedulerReplay(Scheduler &scheduler,
 void
 SchedulerReplay::release(unsigned e, Cycle now)
 {
-    sched_.release(e, now, rng_.nextBool(config_.portFreeProb));
+    // A busy port only delays the repair, which the scheduler models
+    // as applied; the draw stays so the replay stream is unchanged.
+    rng_.nextBool(config_.portFreeProb);
+    sched_.release(e, now);
     releaseAt_[e] = 0;
     ++result_.released;
 }

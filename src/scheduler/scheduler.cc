@@ -86,7 +86,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
     dutyGens_.assign(layout.totalBits(), DutyGenerator(1.0));
 
     slots_.reserve(layout.count());
-    rinv_.reserve(layout.count());
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
         assert(spec.width >= 1 && spec.width < 64);
@@ -97,11 +96,9 @@ Scheduler::Scheduler(const SchedulerConfig &config)
         s.bitsInWord0 = std::min(spec.width, 64 - s.shift0);
         s.straddles = s.bitsInWord0 < spec.width;
         slots_.push_back(s);
-        rinv_.push_back(BitWord(spec.width).inverted());
     }
 
     fieldInvertedTime_.assign(layout.count(), 0);
-    fieldHasIsv_.assign(layout.count(), false);
     rebuildRepairPlans();
 
     // The fused allocate path composes images from the layout
@@ -149,41 +146,49 @@ void
 Scheduler::rebuildRepairPlans()
 {
     const FieldLayout &layout = fieldLayout();
-    repairPlans_.assign(layout.count(), FieldRepairPlan{});
+    repairKeep_ = repairAll1_ = repairIsv_ = LayoutWords{};
+    isvFields_.clear();
+    isvFieldBits_ = 0;
+    kBits_.clear();
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
-        FieldRepairPlan &plan = repairPlans_[f];
-        plan.keepMask = 0;
+        kBegin_[f] = static_cast<std::uint16_t>(kBits_.size());
+        LayoutWords isv{};
         for (unsigned b = 0; b < spec.width; ++b) {
             const unsigned global = spec.offset + b;
-            const std::uint64_t bit = std::uint64_t(1) << b;
-            switch (decisions_[global].technique) {
+            const std::uint64_t bit = std::uint64_t(1) << (global % 64);
+            // The valid bit's contents are always live: never
+            // repaired, whatever its decision says.
+            const Technique t = f == static_cast<unsigned>(FieldId::Valid)
+                ? Technique::None : decisions_[global].technique;
+            switch (t) {
               case Technique::All1:
-                plan.all1Mask |= bit;
+                repairAll1_[global / 64] |= bit;
                 break;
               case Technique::All0:
                 break; // uncovered bits come out 0
               case Technique::All1K:
-                plan.kBits.push_back(
-                    {static_cast<std::uint8_t>(b),
-                     static_cast<std::uint16_t>(global), false});
-                break;
               case Technique::All0K:
-                plan.kBits.push_back(
-                    {static_cast<std::uint8_t>(b),
-                     static_cast<std::uint16_t>(global), true});
+                kBits_.push_back({static_cast<std::uint16_t>(global),
+                                  t == Technique::All0K});
                 break;
               case Technique::Isv:
-                plan.isvMask |= bit;
+                isv[global / 64] |= bit;
                 break;
               case Technique::None:
               case Technique::Unprotectable:
-                plan.keepMask |= bit;
+                repairKeep_[global / 64] |= bit;
                 break;
             }
         }
-        fieldHasIsv_[f] = plan.isvMask != 0;
+        if ((isv[0] | isv[1] | isv[2]) != 0) {
+            isvFields_.push_back({f, isv});
+            isvFieldBits_ |= std::uint32_t(1) << f;
+            for (unsigned w = 0; w < kLayoutWords; ++w)
+                repairIsv_[w] |= isv[w];
+        }
     }
+    kBegin_[layout.count()] = static_cast<std::uint16_t>(kBits_.size());
 }
 
 void
@@ -193,28 +198,27 @@ Scheduler::enableProtection(bool enabled)
 }
 
 std::uint64_t
-Scheduler::extractField(const Entry &e, unsigned field) const
+Scheduler::extractField(const LayoutWords &image,
+                        unsigned field) const
 {
     const FieldSlot &s = slots_[field];
-    std::uint64_t v = e.image[s.word0] >> s.shift0;
+    std::uint64_t v = image[s.word0] >> s.shift0;
     if (s.straddles)
-        v |= e.image[s.word0 + 1] << s.bitsInWord0;
+        v |= image[s.word0 + 1] << s.bitsInWord0;
     return v & s.widthMask;
 }
 
 void
-Scheduler::depositField(Entry &e, unsigned field,
+Scheduler::depositField(LayoutWords &image, unsigned field,
                         std::uint64_t value)
 {
     const FieldSlot &s = slots_[field];
     value &= s.widthMask;
-    e.image[s.word0] =
-        (e.image[s.word0] & ~(s.widthMask << s.shift0)) |
+    image[s.word0] = (image[s.word0] & ~(s.widthMask << s.shift0)) |
         (value << s.shift0);
     if (s.straddles) {
-        e.image[s.word0 + 1] =
-            (e.image[s.word0 + 1] &
-             ~(s.widthMask >> s.bitsInWord0)) |
+        image[s.word0 + 1] =
+            (image[s.word0 + 1] & ~(s.widthMask >> s.bitsInWord0)) |
             (value >> s.bitsInWord0);
     }
 }
@@ -590,19 +594,19 @@ std::uint64_t
 Scheduler::repairBits(unsigned field, std::uint64_t current,
                       bool write_isv)
 {
-    const FieldRepairPlan &plan = repairPlans_[field];
-    std::uint64_t out = (current & plan.keepMask) | plan.all1Mask;
+    std::uint64_t out = (current & extractField(repairKeep_, field)) |
+        extractField(repairAll1_, field);
     // The balance meter alternates polarity so entries hold
     // inverted contents 50% of the overall time: write the
     // inverted sample, or the plain (re-inverted) sample when
     // inverted residence already leads.
-    const std::uint64_t isv_src = write_isv
-        ? rinv_[field].lo()
-        : ~rinv_[field].lo();
-    out |= isv_src & plan.isvMask;
-    for (const FieldRepairPlan::KBit &kb : plan.kBits) {
-        const bool one = dutyGens_[kb.global].next() != kb.inverted;
-        out |= std::uint64_t(one) << kb.bit;
+    const std::uint64_t rinv = extractField(rinv_, field);
+    out |= (write_isv ? rinv : ~rinv) & extractField(repairIsv_, field);
+    const unsigned offset = fieldLayout().spec(field).offset;
+    for (unsigned k = kBegin_[field]; k < kBegin_[field + 1]; ++k) {
+        const bool one =
+            dutyGens_[kBits_[k].global].next() != kBits_[k].inverted;
+        out |= std::uint64_t(one) << (kBits_[k].global - offset);
     }
     return out;
 }
@@ -615,6 +619,26 @@ Scheduler::repairValue(unsigned field, const BitWord &current,
                    repairBits(field, current.lo(), write_isv));
 }
 
+Scheduler::LayoutWords
+Scheduler::repairImage(const LayoutWords &current,
+                       std::uint32_t write_isv)
+{
+    LayoutWords out;
+    for (unsigned w = 0; w < kLayoutWords; ++w)
+        out[w] = (current[w] & repairKeep_[w]) | repairAll1_[w];
+    for (const IsvField &f : isvFields_) {
+        const std::uint64_t flip =
+            (write_isv >> f.field) & 1 ? 0 : ~std::uint64_t(0);
+        for (unsigned w = 0; w < kLayoutWords; ++w)
+            out[w] |= (rinv_[w] ^ flip) & f.mask[w];
+    }
+    for (const KBit &kb : kBits_) {
+        const bool one = dutyGens_[kb.global].next() != kb.inverted;
+        out[kb.global / 64] |= std::uint64_t(one) << (kb.global % 64);
+    }
+    return out;
+}
+
 void
 Scheduler::applyRepair(Entry &e, unsigned field)
 {
@@ -622,18 +646,15 @@ Scheduler::applyRepair(Entry &e, unsigned field)
     // contents while non-inverted residence leads, plain samples
     // otherwise, so entries hold inverted values 50% of the
     // overall time.
-    const bool write_isv = fieldHasIsv_[field] &&
-        entryTime_ - fieldInvertedTime_[field] >=
-            fieldInvertedTime_[field];
-    depositField(e, field,
-                 repairBits(field, extractField(e, field),
+    const std::uint32_t bit = std::uint32_t(1) << field;
+    const bool write_isv =
+        (isvFieldBits_ & bit) && meterWantsInverted(field);
+    depositField(e.image, field,
+                 repairBits(field, extractField(e.image, field),
                             write_isv));
-    if (fieldHasIsv_[field]) {
-        if (write_isv)
-            e.holdsInverted |= std::uint32_t(1) << field;
-        else
-            e.holdsInverted &= ~(std::uint32_t(1) << field);
-    }
+    if (isvFieldBits_ & bit)
+        e.holdsInverted = write_isv ? e.holdsInverted | bit
+                                    : e.holdsInverted & ~bit;
 }
 
 void
@@ -644,15 +665,11 @@ Scheduler::sampleRinv(const Uop &uop, const RenameTags &tags)
     // register file reads/bypasses and instruction immediates).
     // Only fields the sampled uop actually populates are refreshed:
     // inverting a dont-care zero would bias RINV to all-ones.
-    const FieldLayout &layout = fieldLayout();
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        const FieldSpec &spec = layout.spec(f);
-        if (!fieldHasIsv_[f])
-            continue;
-        if (!fieldUsedByUop(spec.id, uop, tags))
-            continue;
-        rinv_[f] =
-            fieldValue(spec.id, uop, tags).inverted();
+    for (std::uint32_t m = isvFieldBits_; m; m &= m - 1) {
+        const unsigned f = static_cast<unsigned>(std::countr_zero(m));
+        const FieldSpec &spec = fieldLayout().spec(f);
+        if (fieldUsedByUop(spec.id, uop, tags))
+            depositField(rinv_, f, ~fieldValue(spec.id, uop, tags).lo());
     }
 }
 
@@ -745,7 +762,7 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
 }
 
 void
-Scheduler::release(unsigned entry, Cycle now, bool port_available)
+Scheduler::release(unsigned entry, Cycle now)
 {
     assert(entry < entries_.size());
     Entry &e = entries_[entry];
@@ -776,29 +793,26 @@ Scheduler::release(unsigned entry, Cycle now, bool port_available)
         return;
     }
 
-    const FieldLayout &layout = fieldLayout();
     flushEntry(e, now);
     e.inUseFields = 0;
 
     // The valid bit drops to 0 on release; its contents are always
     // live, so it cannot be repaired.
-    const unsigned valid_field =
-        static_cast<unsigned>(FieldId::Valid);
-    depositField(e, valid_field, 0);
-    e.holdsInverted &= ~(std::uint32_t(1) << valid_field);
+    e.image[0] &= ~(std::uint64_t(1) << kValidOff);
+    e.holdsInverted &=
+        ~(std::uint32_t(1) << static_cast<unsigned>(FieldId::Valid));
 
     if (!protectionEnabled_)
         return;
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        if (f == valid_field)
-            continue;
-        // Without a free allocate port the update is delayed by a
-        // cycle or two, which is negligible against multi-cycle
-        // residences (Section 3.2); model it as applied.
-        if (!port_available)
-            ++repairsDelayed_;
-        applyRepair(e, f);
+    // Every other field at once: the meters do not move during a
+    // release, so each ISV field's polarity is read up front.
+    std::uint32_t write_isv = 0;
+    for (const IsvField &f : isvFields_) {
+        if (meterWantsInverted(f.field))
+            write_isv |= std::uint32_t(1) << f.field;
     }
+    e.image = repairImage(e.image, write_isv);
+    e.holdsInverted = (e.holdsInverted & ~isvFieldBits_) | write_isv;
 }
 
 double

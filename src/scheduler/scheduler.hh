@@ -96,6 +96,11 @@ struct SchedulerStress
 class Scheduler
 {
   public:
+    /** 64-bit words in the packed 144-bit slot layout. */
+    static constexpr unsigned kLayoutWords = 3;
+
+    using LayoutWords = std::array<std::uint64_t, kLayoutWords>;
+
     explicit Scheduler(const SchedulerConfig &config);
 
     /** Install per-bit protection decisions (layout order; size
@@ -113,9 +118,12 @@ class Scheduler
     /** Allocate a slot for @p uop; returns -1 when full. */
     int allocate(const Uop &uop, const RenameTags &tags, Cycle now);
 
-    /** Release a slot (issue); repair values are written through a
-     *  spare allocate port when @p port_available. */
-    void release(unsigned entry, Cycle now, bool port_available);
+    /** Release a slot (issue).  With protection on, the repair
+     *  values are written through an allocate port; when none is
+     *  free the update is delayed by a cycle or two, negligible
+     *  against multi-cycle residences (Section 3.2), so it is
+     *  modelled as applied. */
+    void release(unsigned entry, Cycle now);
 
     unsigned numEntries() const { return config_.numEntries; }
     unsigned busyCount() const { return busyCount_; }
@@ -146,18 +154,22 @@ class Scheduler
     /** Build the repair value for one field at this instant.
      *  @p write_isv gates the ISV bits (the 50%-of-overall-time
      *  balance meter, Section 3.2.2).  Branch-free: the per-bit
-     *  technique switch is precomputed into per-field masks; only
+     *  technique switch is precomputed into layout masks; only
      *  the K%-duty bits keep per-bit generator state (public so
-     *  tests can pin the mask recipe against the scalar form). */
+     *  tests can pin the mask recipe against the scalar form).
+     *  The valid bit is never repaired: it comes back unchanged. */
     BitWord repairValue(unsigned field, const BitWord &current,
                         bool write_isv);
 
+    /** The whole released image in one pass: repairValue applied to
+     *  every field of @p current, with bit f of @p write_isv as
+     *  field f's write_isv.  Every bit has its own duty generator,
+     *  so this equals the field-by-field form (public so tests can
+     *  pin that). */
+    LayoutWords repairImage(const LayoutWords &current,
+                            std::uint32_t write_isv);
+
   private:
-    /** 64-bit words in the packed 144-bit slot layout. */
-    static constexpr unsigned kLayoutWords = 3;
-
-    using LayoutWords = std::array<std::uint64_t, kLayoutWords>;
-
     struct Entry
     {
         bool busy = false;
@@ -196,37 +208,26 @@ class Scheduler
         bool straddles;
     };
 
-    /**
-     * Word-level repair recipe for one field, precomputed from the
-     * per-bit decisions so repairValue needs no per-bit technique
-     * dispatch.  Bits not covered by any mask (ALL0) stay 0.
-     */
-    struct FieldRepairPlan
+    /** One ALL1-K%/ALL0-K% bit (these keep per-bit duty generator
+     *  state). */
+    struct KBit
     {
-        /** None/Unprotectable bits: keep the current contents. */
-        std::uint64_t keepMask = ~std::uint64_t(0);
-
-        /** ALL1 bits: pin to 1. */
-        std::uint64_t all1Mask = 0;
-
-        /** ISV bits: written from RINV (or its inversion). */
-        std::uint64_t isvMask = 0;
-
-        /** One ALL1-K%/ALL0-K% bit (these keep per-bit duty
-         *  generator state; listed in ascending bit order so the
-         *  generators advance exactly as in the per-bit loop). */
-        struct KBit
-        {
-            std::uint8_t bit;     ///< bit index within the field
-            std::uint16_t global; ///< layout-order bit index
-            bool inverted;        ///< ALL0-K%: write !next()
-        };
-        std::vector<KBit> kBits;
+        std::uint16_t global; ///< layout-order bit index
+        bool inverted;        ///< ALL0-K%: write !next()
     };
 
-    /** Extract/deposit one field of an entry's packed image. */
-    std::uint64_t extractField(const Entry &e, unsigned field) const;
-    void depositField(Entry &e, unsigned field, std::uint64_t value);
+    /** An ISV field and its bits in the packed layout. */
+    struct IsvField
+    {
+        unsigned field;
+        LayoutWords mask;
+    };
+
+    /** Extract/deposit one field of a packed image. */
+    std::uint64_t extractField(const LayoutWords &image,
+                               unsigned field) const;
+    void depositField(LayoutWords &image, unsigned field,
+                      std::uint64_t value);
 
     /** Charge the entry's image residence up to @p now into the
      *  sliced accumulators. */
@@ -255,8 +256,18 @@ class Scheduler
      *  timestamp. */
     void sweepPending() const;
 
-    /** Recompute repairPlans_/fieldHasIsv_ from decisions_. */
+    /** Recompute the repair masks and lists from decisions_. */
     void rebuildRepairPlans();
+
+    /** Field @p field's ISV balance meter: true while non-inverted
+     *  residence leads, i.e. the next repair writes the inverted
+     *  sample. */
+    bool
+    meterWantsInverted(unsigned field) const
+    {
+        return entryTime_ - fieldInvertedTime_[field] >=
+            fieldInvertedTime_[field];
+    }
 
     /** repairValue on packed field bits. */
     std::uint64_t repairBits(unsigned field, std::uint64_t current,
@@ -292,17 +303,33 @@ class Scheduler
     std::vector<BitDecision> decisions_;
     std::vector<DutyGenerator> dutyGens_; ///< per layout bit
 
-    /** RINV register, one BitWord per field. */
-    std::vector<BitWord> rinv_;
+    /** RINV register in the packed layout (the inversion of zero
+     *  until first sampled). */
+    LayoutWords rinv_{~std::uint64_t(0), ~std::uint64_t(0),
+                      ~std::uint64_t(0)};
     std::uint64_t allocCount_ = 0;
-    std::uint64_t repairsDelayed_ = 0;
 
     /** Per-field ISV balance meters.  Only inverted residence is
      *  accumulated; non-inverted residence is entryTime_ minus it
      *  (every flush charges each field exactly once). */
     std::vector<std::uint64_t> fieldInvertedTime_;
-    std::vector<bool> fieldHasIsv_;
-    std::vector<FieldRepairPlan> repairPlans_; ///< per field
+
+    /**
+     * The repair recipe, precomputed from the per-bit decisions in
+     * the packed layout so no repair dispatches on a technique.
+     * None/Unprotectable bits (and the valid bit) are kept, ALL1
+     * bits pinned to 1, ISV bits written from RINV or its
+     * inversion; bits in no mask (ALL0) come out 0.  K% bits are
+     * listed in ascending layout order, field f's at
+     * kBits_[kBegin_[f] .. kBegin_[f + 1]).
+     */
+    LayoutWords repairKeep_{};
+    LayoutWords repairAll1_{};
+    LayoutWords repairIsv_{};
+    std::vector<IsvField> isvFields_;
+    std::uint32_t isvFieldBits_ = 0; ///< bit f = field f has ISV
+    std::vector<KBit> kBits_;
+    std::array<std::uint16_t, numFields + 1> kBegin_{};
 
     /** Sliced duty accounting over the 144-bit layout.  Mutable:
      *  const readers drain the pending batch into them. */

@@ -43,9 +43,9 @@ TEST(Cache, Geometry)
 TEST(Cache, ColdMissThenHit)
 {
     Cache c(smallCache());
-    EXPECT_FALSE(c.access(0x1000, false, 1).hit);
-    EXPECT_TRUE(c.access(0x1000, false, 2).hit);
-    EXPECT_TRUE(c.access(0x1020, false, 3).hit); // same line
+    EXPECT_FALSE(c.access(0x1000, 1).hit);
+    EXPECT_TRUE(c.access(0x1000, 2).hit);
+    EXPECT_TRUE(c.access(0x1020, 3).hit); // same line
     EXPECT_EQ(c.hits(), 2u);
     EXPECT_EQ(c.misses(), 1u);
 }
@@ -53,10 +53,10 @@ TEST(Cache, ColdMissThenHit)
 TEST(Cache, DistinctLinesDistinctEntries)
 {
     Cache c(smallCache());
-    c.access(0x0, false, 1);
-    c.access(0x40, false, 2);
-    EXPECT_TRUE(c.access(0x0, false, 3).hit);
-    EXPECT_TRUE(c.access(0x40, false, 4).hit);
+    c.access(0x0, 1);
+    c.access(0x40, 2);
+    EXPECT_TRUE(c.access(0x0, 3).hit);
+    EXPECT_TRUE(c.access(0x40, 4).hit);
 }
 
 TEST(Cache, LruEviction)
@@ -64,36 +64,38 @@ TEST(Cache, LruEviction)
     Cache c(smallCache());
     // Fill one set (stride = numSets * lineBytes = 1024).
     for (int i = 0; i < 4; ++i)
-        c.access(i * 1024, false, i + 1);
+        c.access(i * 1024, i + 1);
     // Touch line 0 so line 1 becomes LRU.
-    c.access(0, false, 10);
+    c.access(0, 10);
     // Allocate a 5th line: victim must be line 1.
-    c.access(4 * 1024, false, 11);
-    EXPECT_TRUE(c.access(0, false, 12).hit);
-    EXPECT_FALSE(c.access(1 * 1024, false, 13).hit);
+    c.access(4 * 1024, 11);
+    EXPECT_TRUE(c.access(0, 12).hit);
+    EXPECT_FALSE(c.access(1 * 1024, 13).hit);
 }
 
 TEST(Cache, MruPositionTracking)
 {
     Cache c(smallCache());
-    c.access(0, false, 1);
-    c.access(1024, false, 2);
+    c.access(0, 1);
+    c.access(1024, 2);
     // Line 0 is now at position 1; hit it.
-    const AccessResult r = c.access(0, false, 3);
+    const AccessResult r = c.access(0, 3);
     EXPECT_TRUE(r.hit);
-    EXPECT_EQ(r.mruPosition, 1u);
+    EXPECT_EQ(c.hitRecency(r), 1u);
     // Immediately re-hit: now MRU.
-    EXPECT_EQ(c.access(0, false, 4).mruPosition, 0u);
-    EXPECT_EQ(c.mruHitPositions().count(1), 1u);
+    EXPECT_EQ(c.hitRecency(c.access(0, 4)), 0u);
+    // A same-cycle re-hit is MRU too.
+    EXPECT_EQ(c.hitRecency(c.access(0, 4)), 0u);
+    EXPECT_EQ(c.hitRecency(c.access(1024, 5)), 1u);
 }
 
 TEST(Cache, MissRate)
 {
     Cache c(smallCache());
-    c.access(0, false, 1);
-    c.access(0, false, 2);
-    c.access(64, false, 3);
-    c.access(64, false, 4);
+    c.access(0, 1);
+    c.access(0, 2);
+    c.access(64, 3);
+    c.access(64, 4);
     EXPECT_DOUBLE_EQ(c.missRate(), 0.5);
 }
 
@@ -104,9 +106,9 @@ TEST(Cache, TlbConfigGeometry)
     EXPECT_EQ(tlb.numLines(), 128u);
     EXPECT_EQ(tlb.lineBytes, 4096u);
     Cache c(tlb);
-    EXPECT_FALSE(c.access(0x1234, false, 1).hit);
-    EXPECT_TRUE(c.access(0x1ffc, false, 2).hit); // same page
-    EXPECT_FALSE(c.access(0x2000, false, 3).hit);
+    EXPECT_FALSE(c.access(0x1234, 1).hit);
+    EXPECT_TRUE(c.access(0x1ffc, 2).hit); // same page
+    EXPECT_FALSE(c.access(0x2000, 3).hit);
 }
 
 TEST(Cache, RandomReplacementStillCorrect)
@@ -115,11 +117,11 @@ TEST(Cache, RandomReplacementStillCorrect)
     cfg.replacement = ReplacementPolicy::Random;
     Cache c(cfg);
     for (int i = 0; i < 100; ++i)
-        c.access(i * 1024, false, i + 1);
+        c.access(i * 1024, i + 1);
     // All 100 lines mapped to set 0; only 4 can be resident.
     unsigned resident = 0;
     for (int i = 0; i < 100; ++i)
-        resident += c.access(i * 1024, false, 200 + i).hit;
+        resident += c.access(i * 1024, 200 + i).hit;
     EXPECT_LE(resident, 4u);
 }
 
@@ -128,7 +130,7 @@ TEST(Cache, RandomReplacementStillCorrect)
 TEST(Inversion, InvertLineInvariants)
 {
     Cache c(smallCache());
-    c.access(0, false, 1);
+    c.access(0, 1);
     EXPECT_TRUE(c.lineValid(0, 0));
     EXPECT_TRUE(c.invertLine(0, 0, 2));
     EXPECT_FALSE(c.lineValid(0, 0));
@@ -142,9 +144,9 @@ TEST(Inversion, InvertLineInvariants)
 TEST(Inversion, InvertedLineMissesAndIsConsumed)
 {
     Cache c(smallCache());
-    c.access(0, false, 1);
+    c.access(0, 1);
     c.invertLine(0, 0, 2);
-    const AccessResult miss = c.access(0, false, 3);
+    const AccessResult miss = c.access(0, 3);
     EXPECT_FALSE(miss.hit);
     EXPECT_TRUE(miss.consumedInvertedLine);
     EXPECT_EQ(c.invertedCount(), 0u);
@@ -153,11 +155,11 @@ TEST(Inversion, InvertedLineMissesAndIsConsumed)
 TEST(Inversion, InvertPrefersDeadLines)
 {
     Cache c(smallCache());
-    c.access(0, false, 1); // one valid line in set 0
+    c.access(0, 1); // one valid line in set 0
     // Set has 3 plain-invalid ways: inversion must take one of
     // those, keeping the valid line resident.
     EXPECT_TRUE(c.invertLruLineOfSet(0, 2));
-    EXPECT_TRUE(c.access(0, false, 3).hit);
+    EXPECT_TRUE(c.access(0, 3).hit);
     EXPECT_EQ(c.invertedCount(), 1u);
 }
 
@@ -165,10 +167,10 @@ TEST(Inversion, InvertFallsBackToLruValid)
 {
     Cache c(smallCache());
     for (int w = 0; w < 4; ++w)
-        c.access(w * 1024, false, w + 1);
+        c.access(w * 1024, w + 1);
     // Set 0 fully valid; LRU is line 0 (oldest).
     EXPECT_TRUE(c.invertLruLineOfSet(0, 10));
-    EXPECT_FALSE(c.access(0, false, 11).hit);
+    EXPECT_FALSE(c.access(0, 11).hit);
 }
 
 TEST(Inversion, LineFixedReachesThreshold)
@@ -183,7 +185,7 @@ TEST(Inversion, LineFixedReachesThreshold)
         c.tick(now);
         const Uop uop = gen.next();
         if (isMemory(uop.cls))
-            c.access(uop.addr, uop.cls == UopClass::Store, now);
+            c.access(uop.addr, now);
     }
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.05);
     EXPECT_EQ(c.invertedCount(),
@@ -199,10 +201,10 @@ TEST(Inversion, SetFixedHalvesCapacity)
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.01);
     // 64 distinct lines exceed the 32-line effective capacity.
     for (int i = 0; i < 64; ++i)
-        c.access(i * 64, false, i + 1);
+        c.access(i * 64, i + 1);
     unsigned hits = 0;
     for (int i = 0; i < 64; ++i)
-        hits += c.access(i * 64, false, 100 + i).hit;
+        hits += c.access(i * 64, 100 + i).hit;
     EXPECT_LE(hits, 32u);
 }
 
@@ -213,10 +215,10 @@ TEST(Inversion, WayFixedHalvesAssociativity)
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.01);
     // 4 lines in one set, only 2 usable ways.
     for (int i = 0; i < 4; ++i)
-        c.access(i * 1024, false, i + 1);
+        c.access(i * 1024, i + 1);
     unsigned hits = 0;
     for (int i = 0; i < 4; ++i)
-        hits += c.access(i * 1024, false, 10 + i).hit;
+        hits += c.access(i * 1024, 10 + i).hit;
     EXPECT_LE(hits, 2u);
 }
 
@@ -224,7 +226,7 @@ TEST(Inversion, SetRotationMovesWindow)
 {
     Cache c(smallCache());
     c.setPolicy(std::make_unique<SetFixedInversion>(0.5, 100));
-    c.access(0, false, 1);
+    c.access(0, 1);
     // Force a rotation.
     c.tick(200);
     // The window moved: newly unusable sets are inverted right
@@ -237,7 +239,7 @@ TEST(Inversion, SetRotationMovesWindow)
 TEST(Inversion, ShadowMarking)
 {
     Cache c(smallCache());
-    c.access(0, false, 1);
+    c.access(0, 1);
     EXPECT_TRUE(c.shadowMarkLruLineOfSet(0));
     EXPECT_EQ(c.shadowCount(), 1u);
     c.clearShadows();
@@ -260,13 +262,13 @@ TEST(Inversion, ShadowHitCountsExtraMiss)
     // phase: some hits must be flagged as induced extra misses.
     Cycle now = 1;
     for (int i = 0; i < 64; ++i)
-        c.access(i * 64, false, now++);
+        c.access(i * 64, now++);
     bool shadow_hit = false;
     for (int round = 0; round < 200 && !shadow_hit; ++round) {
         c.tick(now);
         for (int i = 0; i < 64 && !shadow_hit; ++i) {
             shadow_hit =
-                c.access(i * 64, false, now).shadowExtraMiss;
+                c.access(i * 64, now).shadowExtraMiss;
         }
         ++now;
     }
@@ -292,7 +294,7 @@ TEST(Inversion, DynamicDeactivatesForCacheHungryProgram)
         ++now;
         c.tick(now);
         // Uniform sweep over exactly the cache capacity.
-        c.access((i % 64) * 64, false, now);
+        c.access((i % 64) * 64, now);
     }
     EXPECT_LT(c.averageInvertRatio(now), 0.15);
 }
@@ -314,35 +316,10 @@ TEST(Inversion, DynamicActivatesForSmallFootprint)
         ++now;
         c.tick(now);
         // Footprint of 8 lines: trivially fits half the cache.
-        c.access((i % 8) * 64, false, now);
+        c.access((i % 8) * 64, now);
     }
     EXPECT_GT(dyn->activeFraction(), 0.9);
     EXPECT_GT(c.invertRatio(), 0.4);
-}
-
-TEST(Inversion, DataBiasBalancedByInversion)
-{
-    // The stored-image bias moves towards 50% when lines spend half
-    // their time inverted.
-    CacheConfig cfg = smallCache();
-    Cache c(cfg);
-    Cycle now = 0;
-    Rng rng(9);
-    for (int i = 0; i < 20000; ++i) {
-        ++now;
-        // Biased data: mostly zero words.
-        const Word data = rng.nextBool(0.9) ? 0 : ~Word(0);
-        c.access((i % 64) * 64, true, now, data);
-        if ((i % 2) == 0) {
-            const unsigned set =
-                static_cast<unsigned>(rng.nextInt(c.numSets()));
-            c.invertLruLineOfSet(set, now);
-        }
-    }
-    const BitBiasTracker &bias = c.finalizeDataBias(now);
-    // Unprotected, the 90%-zero stream leaves cells near 90%
-    // stress; inversion pulls the worst cell well below that.
-    EXPECT_LT(bias.maxWorstCaseStress(), 0.84);
 }
 
 TEST(Inversion, MechanismNames)
@@ -579,31 +556,13 @@ struct CacheAnchor
     double avgInvertRatio;
     std::uint64_t shadowExtraMisses;
     std::uint64_t consumedInverted;
-    std::uint64_t biasDigest; ///< finalizeDataBias, FNV-1a
 };
-
-/** FNV-1a over the total time and every per-bit zero-time. */
-std::uint64_t
-biasDigest(const BitBiasTracker &bias)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned k = 0; k < 8; ++k) {
-            h ^= (v >> (8 * k)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(bias.totalTime());
-    for (unsigned bit = 0; bit < bias.width(); ++bit)
-        mix(bias.zeroTime(bit));
-    return h;
-}
 
 /**
  * Drive @p cache with a seeded stream of @p accesses: 1-3 ticked
- * cycles apart, 30% writes, three quarters of them to the hot
- * quarter of a @p footprint_lines footprint; then compare every
- * pinned statistic with @p want.
+ * cycles apart, three quarters of them to the hot quarter of a
+ * @p footprint_lines footprint; then compare every pinned statistic
+ * with @p want.
  */
 void
 expectAnchorStream(Cache &cache, std::uint64_t seed, int accesses,
@@ -614,6 +573,7 @@ expectAnchorStream(Cache &cache, std::uint64_t seed, int accesses,
     Cycle now = 0;
     std::uint64_t shadow_extra = 0;
     std::uint64_t consumed = 0;
+    CategoryCounter mru(cache.numWays());
     for (int i = 0; i < accesses; ++i) {
         for (Cycle step = 1 + rng.nextInt(3); step > 0; --step)
             cache.tick(++now);
@@ -621,14 +581,16 @@ expectAnchorStream(Cache &cache, std::uint64_t seed, int accesses,
             ? footprint_lines / 4 : footprint_lines;
         const Addr addr = rng.nextInt(span) * cache.config().lineBytes +
             rng.nextInt(8) * 8;
-        const AccessResult r =
-            cache.access(addr, rng.nextBool(0.3), now, rng());
+        rng();
+        rng(); // the stream's former write flag and data word
+        const AccessResult r = cache.access(addr, now);
+        if (r.hit)
+            mru.add(cache.hitRecency(r));
         shadow_extra += r.shadowExtraMiss;
         consumed += r.consumedInvertedLine;
     }
     EXPECT_EQ(cache.hits(), want.hits);
     EXPECT_EQ(cache.misses(), want.misses);
-    const CategoryCounter &mru = cache.mruHitPositions();
     ASSERT_EQ(mru.categories(), want.mruHits.size());
     for (std::size_t i = 0; i < want.mruHits.size(); ++i)
         EXPECT_EQ(mru.count(i), want.mruHits[i]) << "position " << i;
@@ -636,7 +598,6 @@ expectAnchorStream(Cache &cache, std::uint64_t seed, int accesses,
     EXPECT_EQ(cache.averageInvertRatio(now), want.avgInvertRatio);
     EXPECT_EQ(shadow_extra, want.shadowExtraMisses);
     EXPECT_EQ(consumed, want.consumedInverted);
-    EXPECT_EQ(biasDigest(cache.finalizeDataBias(now)), want.biasDigest);
 }
 
 TEST(CacheAnchor, SetFixedNonPowerOfTwoWindow)
@@ -649,8 +610,7 @@ TEST(CacheAnchor, SetFixedNonPowerOfTwoWindow)
     EXPECT_EQ(c.invertedCount(), 16u);
     expectAnchorStream(c, 0x5e7f, 20000, 128,
                        {15274, 4726, {4946, 4545, 3629, 2154}, 17,
-                        0.25156417478874293, 0, 31,
-                        0x91a84d74610c364dull});
+                        0.25156417478874293, 0, 31});
 }
 
 TEST(CacheAnchor, WayFixedWindowWraps)
@@ -666,8 +626,7 @@ TEST(CacheAnchor, WayFixedWindowWraps)
     expectAnchorStream(c, 0x3a7f, 20000, 192,
                        {17126, 2874,
                         {4422, 4204, 3726, 2493, 1425, 856, 0, 0}, 32,
-                        0.25575803083992787, 0, 208,
-                        0x0ffd5aead81fce4bull});
+                        0.25575803083992787, 0, 208});
 }
 
 TEST(CacheAnchor, PseudoLruReplacement)
@@ -678,8 +637,7 @@ TEST(CacheAnchor, PseudoLruReplacement)
     c.setPolicy(std::make_unique<LineFixedInversion>(0.5));
     expectAnchorStream(c, 0x971u, 20000, 96,
                        {13708, 6292, {7977, 4274, 1234, 223}, 32,
-                        0.49715823923253721, 0, 6075,
-                        0xb9aefd792e421f16ull});
+                        0.49715823923253721, 0, 6075});
 }
 
 TEST(CacheAnchor, RandomReplacement)
@@ -689,7 +647,7 @@ TEST(CacheAnchor, RandomReplacement)
     Cache c(cfg);
     expectAnchorStream(c, 0x4a2d, 20000, 96,
                        {17750, 2250, {8800, 5804, 2139, 1007}, 0, 0.0,
-                        0, 0, 0x6fee27d7114bb806ull});
+                        0, 0});
 }
 
 TEST(CacheAnchor, LineDynamicShadowMarking)
@@ -707,8 +665,7 @@ TEST(CacheAnchor, LineDynamicShadowMarking)
     c.setPolicy(std::move(policy));
     expectAnchorStream(c, 0xd1a, 20000, 48,
                        {19661, 339, {14657, 3357, 1647, 0}, 16,
-                        0.25840159966520088, 3234, 291,
-                        0x898229443824e894ull});
+                        0.25840159966520088, 3234, 291});
     // One of the seven decisions found the extra-miss rate low
     // enough to invert.
     EXPECT_EQ(dyn->activeFraction(), 1.0 / 7.0);
@@ -841,7 +798,9 @@ TEST_P(CacheGeometry, InvariantsHold)
         c.tick(now);
         const Addr addr =
             rng.nextInt(4 * cfg.sizeBytes / 64) * 64;
-        c.access(addr, rng.nextBool(0.3), now, rng());
+        rng();
+        rng(); // the stream's former write flag and data word
+        c.access(addr, now);
 
         // Invariants checked continuously:
         ASSERT_LE(c.invertedCount(), c.numLines());
@@ -866,8 +825,8 @@ TEST_P(CacheGeometry, InvariantsHold)
     EXPECT_LE(avg, 1.0);
     // Hitting the cache again must still work after all churn.
     const Addr probe = 0x40;
-    c.access(probe, false, ++now);
-    EXPECT_TRUE(c.access(probe, false, ++now).hit);
+    c.access(probe, ++now);
+    EXPECT_TRUE(c.access(probe, ++now).hit);
 }
 
 INSTANTIATE_TEST_SUITE_P(

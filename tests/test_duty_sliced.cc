@@ -21,6 +21,7 @@
 #include "common/rng.hh"
 #include "scheduler/scheduler.hh"
 #include "scheduler/techniques.hh"
+#include "trace/workload.hh"
 
 namespace penelope {
 namespace {
@@ -433,6 +434,124 @@ TEST(RepairKernel, MaskRecipeMatchesPerBitSwitch)
         const BitWord got =
             fresh.repairValue(field, current, write_isv);
         EXPECT_EQ(got, expected) << "write_isv = " << write_isv;
+    }
+}
+
+/** Field @p f of a packed slot image (test-local layout walk). */
+std::uint64_t
+imageField(const Scheduler::LayoutWords &image, unsigned f)
+{
+    const FieldSpec &spec = fieldLayout().spec(f);
+    std::uint64_t v = 0;
+    for (unsigned b = 0; b < spec.width; ++b) {
+        const unsigned g = spec.offset + b;
+        v |= ((image[g / 64] >> (g % 64)) & 1) << b;
+    }
+    return v;
+}
+
+void
+setImageField(Scheduler::LayoutWords &image, unsigned f,
+              std::uint64_t v)
+{
+    const FieldSpec &spec = fieldLayout().spec(f);
+    for (unsigned b = 0; b < spec.width; ++b) {
+        const unsigned g = spec.offset + b;
+        const std::uint64_t bit = std::uint64_t(1) << (g % 64);
+        image[g / 64] = ((v >> b) & 1) ? image[g / 64] | bit
+                                       : image[g / 64] & ~bit;
+    }
+}
+
+/**
+ * The one-pass release repair equals repairValue applied field by
+ * field (valid bit kept): random decisions over every technique,
+ * both ISV polarities per field, K% bits, and the fields straddling
+ * layout words (Src1Data across words 0/1, Imm across 1/2).  Two
+ * schedulers fed the same allocations carry the same RINV samples
+ * and duty-generator states; one repairs whole images, the other
+ * field by field.
+ */
+TEST(RepairKernel, WordMaskReleaseMatchesPerField)
+{
+    const FieldLayout &layout = fieldLayout();
+    const unsigned valid = static_cast<unsigned>(FieldId::Valid);
+    const Technique kinds[7] = {
+        Technique::Isv,  Technique::All1K, Technique::None,
+        Technique::All0K, Technique::All1, Technique::All0,
+        Technique::Unprotectable,
+    };
+    WorkloadSet workload;
+    Rng rng(0x5e1ea5e);
+    for (int round = 0; round < 24; ++round) {
+        // Round 0 cycles every technique through the straddling
+        // fields so both words of each hold ISV and K% bits; the
+        // other rounds draw every bit's technique and duty factor.
+        std::vector<BitDecision> decisions(layout.totalBits());
+        for (unsigned g = 0; g < decisions.size(); ++g) {
+            decisions[g].technique = kinds[rng.nextInt(7)];
+            decisions[g].k = rng.nextDouble();
+        }
+        if (round == 0) {
+            for (const FieldId id : {FieldId::Src1Data, FieldId::Imm}) {
+                const FieldSpec &spec = layout.spec(id);
+                for (unsigned b = 0; b < spec.width; ++b)
+                    decisions[spec.offset + b].technique = kinds[b % 7];
+            }
+        }
+
+        SchedulerConfig cfg;
+        cfg.isvSampleInterval = 1;
+        Scheduler word_mask(cfg);
+        Scheduler per_field(cfg);
+        for (Scheduler *s : {&word_mask, &per_field}) {
+            s->configureProtection(decisions);
+            s->enableProtection(true);
+        }
+
+        TraceGenerator gen = workload.generator(round % 8);
+        Cycle now = 0;
+        for (int step = 0; step < 40; ++step) {
+            // Refresh RINV from a real uop (with random capture
+            // fields live), then repair random images both ways.
+            const Uop uop = gen.next();
+            RenameTags tags;
+            tags.dstTag = static_cast<std::uint8_t>(rng.nextInt(128));
+            tags.src1Tag = static_cast<std::uint8_t>(rng.nextInt(128));
+            tags.src2Tag = static_cast<std::uint8_t>(rng.nextInt(128));
+            tags.ready1 = rng.nextBool();
+            tags.ready2 = rng.nextBool();
+            now += 1 + rng.nextInt(4);
+            const int a = word_mask.allocate(uop, tags, now);
+            const int b = per_field.allocate(uop, tags, now);
+            ASSERT_EQ(a, b);
+            now += 1 + rng.nextInt(4);
+            word_mask.release(static_cast<unsigned>(a), now);
+            per_field.release(static_cast<unsigned>(b), now);
+
+            Scheduler::LayoutWords current{rng(), rng(), rng() & 0xffff};
+            // Polarity: all inverted, all plain, then random per field.
+            const std::uint32_t write_isv = step == 0 ? 0x3ffffu
+                : step == 1 ? 0u
+                : static_cast<std::uint32_t>(rng()) & 0x3ffffu;
+            const Scheduler::LayoutWords got =
+                word_mask.repairImage(current, write_isv);
+
+            Scheduler::LayoutWords want = current;
+            for (unsigned f = 0; f < layout.count(); ++f) {
+                if (f == valid)
+                    continue;
+                const BitWord v = per_field.repairValue(
+                    f, BitWord(layout.spec(f).width, imageField(current, f)),
+                    (write_isv >> f) & 1);
+                setImageField(want, f, v.lo());
+            }
+            for (unsigned w = 0; w < Scheduler::kLayoutWords; ++w) {
+                ASSERT_EQ(got[w], want[w])
+                    << "round " << round << " step " << step
+                    << " word " << w;
+            }
+        }
     }
 }
 

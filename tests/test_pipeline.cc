@@ -46,6 +46,49 @@ TEST(Pipeline, StatsInPhysicalRange)
                 1.0, 1e-6);
 }
 
+/** Run one pipeline and pin its DL0 hit-recency histogram and the
+ *  survey fractions (sec11's DL0 MRU rows) as literals. */
+void
+expectDl0MruPinned(const PipelineConfig &config, unsigned trace,
+                   const std::vector<std::uint64_t> &want_counts,
+                   const double (&want_fraction)[3])
+{
+    WorkloadSet w;
+    Pipeline pipe(config);
+    TraceGenerator gen = w.generator(trace);
+    const PipelineStats s = pipe.run(gen, 10000);
+    const CategoryCounter &mru = pipe.dl0MruHits();
+    ASSERT_EQ(mru.categories(), want_counts.size());
+    std::uint64_t hits = 0;
+    for (std::size_t i = 0; i < want_counts.size(); ++i) {
+        EXPECT_EQ(mru.count(i), want_counts[i]) << "position " << i;
+        hits += mru.count(i);
+    }
+    EXPECT_EQ(hits, s.dl0Hits);
+    for (unsigned m = 0; m < 3; ++m)
+        EXPECT_EQ(s.mruHitFraction[m], want_fraction[m]) << m;
+}
+
+TEST(PipelineAnchor, Dl0MruPositionsPinned)
+{
+    // The survey's configuration (no cache inversion).
+    expectDl0MruPinned(PipelineConfig(), 3,
+                       {3268, 154, 39, 21, 5, 3, 0, 0},
+                       {0.93638968481375362, 0.044126074498567334,
+                        0.019484240687679084});
+}
+
+TEST(PipelineAnchor, Dl0MruPositionsWithInvertedLinesPinned)
+{
+    // LineFixed50% keeps half of every set inverted: inverted ways
+    // never count towards a hit's recency position.
+    PipelineConfig cfg;
+    cfg.dl0Mechanism = MechanismKind::LineFixed50;
+    expectDl0MruPinned(cfg, 11, {3301, 136, 37, 5, 9, 0, 1, 0},
+                       {0.9461163657208369, 0.038979650329607339,
+                        0.014903983949555746});
+}
+
 TEST(Pipeline, PriorityPolicySkewsAdders)
 {
     WorkloadSet w;
