@@ -22,7 +22,8 @@
  * completely (see resultcache.hh) and a hit deserializes the exact
  * bytes a previous identical computation produced, the trace-order
  * merge -- and therefore every printed statistic -- is bit-identical
- * with a cold cache, a warm cache, or no cache at all.
+ * with a cold cache, a warm cache, or (for library callers that pass
+ * none; the CLI always passes its run-scoped memo) no cache at all.
  *
  * mapCached() runs one computation per trace.  streamCached() is
  * the streamed pass for simulations that replay a trace: each trace

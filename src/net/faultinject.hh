@@ -8,8 +8,8 @@
  * is producible on demand through this seam, so the test suite and
  * the CI chaos step *script* failures instead of hoping to observe
  * them.  The seam is compiled in always and costs one predicate
- * per frame when disabled; it is enabled by `--fault-inject SPEC`
- * or the `PENELOPE_FAULTS` environment variable.
+ * per frame when disabled; it is enabled by the `PENELOPE_FAULTS`
+ * environment variable (or configure() from code).
  *
  * Determinism: every decision is a pure function of
  * (seed, connection id, frame-op index), via the same splitmix /
