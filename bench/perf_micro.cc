@@ -297,6 +297,21 @@ BM_TraceGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGeneration);
 
+/** BM_TraceGeneration on the replay stream the scheduler and
+ *  register-file experiments read (no address generator). */
+void
+BM_ReplayTraceGeneration(benchmark::State &state)
+{
+    WorkloadSet workload;
+    TraceGenerator gen = workload.replayGenerator(0);
+    std::uint64_t acc = 0;
+    for (auto _ : state)
+        acc += static_cast<std::uint64_t>(gen.next().cls);
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReplayTraceGeneration);
+
 /** What BM_TraceGeneration leaves out of its timed loop: building a
  *  generator (its Rngs, value and address generators, Zipf table)
  *  and its first 1k uops, as every per-trace simulation does. */
@@ -314,6 +329,23 @@ BM_TraceGeneratorSetup(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_TraceGeneratorSetup)->Unit(benchmark::kMicrosecond);
+
+/** BM_TraceGeneratorSetup for a replay generator: no Zipf table. */
+void
+BM_ReplayTraceGeneratorSetup(benchmark::State &state)
+{
+    WorkloadSet workload;
+    std::uint64_t acc = 0;
+    for (auto _ : state) {
+        TraceGenerator gen = workload.replayGenerator(7);
+        for (int i = 0; i < 1000; ++i)
+            acc += gen.next().srcVal1;
+    }
+    benchmark::DoNotOptimize(acc);
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ReplayTraceGeneratorSetup)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -449,7 +481,7 @@ BM_SchedulerReplay(benchmark::State &state)
     WorkloadSet workload;
     Scheduler sched{SchedulerConfig{}};
     SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
+    TraceGenerator gen = workload.replayGenerator(0);
     for (auto _ : state)
         replay.run(gen, 256);
     state.SetItemsProcessed(state.iterations() * 256);
@@ -468,7 +500,7 @@ BM_SchedulerReplayProtected(benchmark::State &state)
     const std::vector<BitDecision> decisions = decideProtection(
         profileScheduler(workload, {0, 200}, 10'000).bits);
     SchedulerRun run(&decisions, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
+    TraceGenerator gen = workload.replayGenerator(0);
     std::vector<Uop> uops(kUops);
     for (Uop &u : uops)
         u = gen.next();
@@ -489,7 +521,7 @@ BM_RegFileReplay(benchmark::State &state)
     RegisterFile rf{RegFileConfig()};
     rf.enableIsv(true);
     RegFileReplay replay(rf, RegReplayConfig{});
-    TraceGenerator gen = workload.generator(1);
+    TraceGenerator gen = workload.replayGenerator(1);
     for (auto _ : state)
         replay.run(gen, 256);
     state.SetItemsProcessed(state.iterations() * 256);
@@ -768,7 +800,7 @@ BM_SchedulerReplayObsOn(benchmark::State &state)
     WorkloadSet workload;
     Scheduler sched{SchedulerConfig{}};
     SchedulerReplay replay(sched, SchedReplayConfig{});
-    TraceGenerator gen = workload.generator(0);
+    TraceGenerator gen = workload.replayGenerator(0);
     for (auto _ : state)
         replay.run(gen, 256);
     state.SetItemsProcessed(state.iterations() * 256);

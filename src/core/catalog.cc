@@ -971,7 +971,7 @@ runAttack(const ExperimentContext &ctx)
                 options.uopsPerTrace, no_decisions,
                 workload.spec(index).seed, index);
         },
-        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
             return [&, index](std::size_t) {
                 SchedReplayConfig cfg = normal_replay;
@@ -1194,7 +1194,7 @@ runAttack(const ExperimentContext &ctx)
                                     options.uopsPerTrace,
                                     workload.spec(index).seed, index);
         },
-        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
             return [&, index](std::size_t isv) {
                 RegReplayConfig cfg = rf_replay;

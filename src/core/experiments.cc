@@ -338,7 +338,7 @@ runRegFileExperiment(const WorkloadSet &workload,
                                     options.uopsPerTrace,
                                     workload.spec(index).seed, index);
         },
-        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
             return [&, index](std::size_t slot) {
                 const Setup &setup = setups[slot / 2];
@@ -432,7 +432,7 @@ runSchedulerExperiment(const WorkloadSet &workload,
                 protect ? decisions : no_decisions,
                 workload.spec(index).seed, index);
         },
-        [&](unsigned index) { return workload.generator(index); },
+        [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
             return [&, index](std::size_t protect) {
                 SchedReplayConfig cfg = replay_config;

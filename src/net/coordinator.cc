@@ -1,5 +1,8 @@
 #include "coordinator.hh"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 
 #include "obs/trace.hh"
@@ -10,7 +13,8 @@ namespace net {
 namespace {
 
 /** Listener/handler poll granularity: how often blocked loops
- *  re-check for completion, stop requests and deadlines. */
+ *  re-check deadlines and the external stop predicate (job
+ *  completion and requestStop() wake the listener at once). */
 constexpr int kPollMs = 100;
 
 /** jobId carried by a Rejected update that answers a request whose
@@ -78,6 +82,10 @@ Coordinator::~Coordinator()
         if (handler.joinable())
             handler.join();
     }
+    for (const int fd : wake_) {
+        if (fd >= 0)
+            ::close(fd);
+    }
 }
 
 bool
@@ -87,7 +95,18 @@ Coordinator::start(std::string *error)
     if (!listener_.valid())
         return false;
     port_ = listener_.boundPort();
+    // Without the pipe, run() still ends within one accept poll.
+    if (wake_[0] < 0 && ::pipe2(wake_, O_NONBLOCK | O_CLOEXEC) != 0)
+        wake_[0] = wake_[1] = -1;
     return true;
+}
+
+void
+Coordinator::wakeAccept() const
+{
+    // A full pipe already wakes the poll: a failed write is fine.
+    if (wake_[1] >= 0)
+        [[maybe_unused]] const ssize_t n = ::write(wake_[1], "", 1);
 }
 
 void
@@ -98,6 +117,7 @@ Coordinator::requestStop()
         stopping_ = true;
     }
     cv_.notify_all();
+    wakeAccept();
 }
 
 JobState
@@ -164,6 +184,7 @@ Coordinator::finalizeJobLocked(Job &job)
                                 : JobState::Complete;
     ++job.updateSeq;
     ++stats_.jobsFinished;
+    wakeAccept();
 }
 
 bool
@@ -190,7 +211,10 @@ Coordinator::run()
             requestStop();
             break;
         }
-        Socket conn = listener_.accept(kPollMs);
+        Socket conn = listener_.accept(kPollMs, wake_[0]);
+        char buf[64]; // consume wakes: resident runs outlive jobs
+        while (wake_[0] >= 0 && ::read(wake_[0], buf, sizeof(buf)) > 0) {
+        }
         if (conn.valid()) {
             std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_)
@@ -687,6 +711,7 @@ Coordinator::serveClient(Socket &sock, Frame first)
                             job.state = JobState::Cancelled;
                             ++job.updateSeq;
                             ++stats_.jobsFinished;
+                            wakeAccept();
                         }
                     }
                 }

@@ -230,6 +230,7 @@ class Coordinator
     void completeSlice(const Claim &claim,
                        const ResultMessage &result);
 
+    void wakeAccept() const;
     std::uint32_t createJobLocked(const ShardPlan &plan);
     void finalizeJobLocked(Job &job);
     bool sendJobUpdate(
@@ -245,6 +246,11 @@ class Coordinator
 
     Socket listener_;
     std::uint16_t port_ = 0;
+
+    /** Self-pipe polled beside the listener: wakeAccept() makes
+     *  run() re-check at once when a job goes final or a stop is
+     *  requested, so a one-shot run ends with its job. */
+    int wake_[2] = {-1, -1};
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;

@@ -130,11 +130,11 @@ Socket::boundPort() const
 }
 
 Socket
-Socket::accept(int timeout_ms) const
+Socket::accept(int timeout_ms, int wake_fd) const
 {
-    pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready <= 0 || !(pfd.revents & POLLIN))
+    pollfd pfd[2] = {{fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    const int ready = ::poll(pfd, wake_fd >= 0 ? 2 : 1, timeout_ms);
+    if (ready <= 0 || !(pfd[0].revents & POLLIN))
         return {};
     return Socket(::accept(fd_, nullptr, nullptr));
 }

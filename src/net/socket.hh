@@ -116,9 +116,10 @@ class Socket
     /**
      * Accept one connection, waiting at most @p timeout_ms
      * (negative = forever).  Returns an invalid socket on timeout
-     * or error.
+     * or error, or as soon as @p wake_fd (when >= 0; e.g. a
+     * self-pipe) turns readable.
      */
-    Socket accept(int timeout_ms) const;
+    Socket accept(int timeout_ms, int wake_fd = -1) const;
 
     /**
      * Connect to @p host (name or numeric address) : @p port.

@@ -60,7 +60,7 @@ profileScheduler(const WorkloadSet &workload,
             SchedReplayConfig cfg = replay_config;
             cfg.seed = mixSeed(replay_config.seed, index);
             SchedulerReplay replay(sched, cfg);
-            TraceGenerator gen = workload.generator(index);
+            TraceGenerator gen = workload.replayGenerator(index);
             const SchedReplayResult r =
                 replay.run(gen, uops_per_trace);
             return sched.snapshotStress(r.cycles);

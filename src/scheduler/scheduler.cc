@@ -67,6 +67,22 @@ constexpr std::uint64_t kSrc2MaskW1 = 0xffffffffull << 20;
 constexpr std::uint64_t kImmMaskW1 = 0xfffull << 52;
 constexpr std::uint64_t kImmMaskW2 = 0xfull;
 
+/** Per-bit in-use words of a busy slot whose in-use fields are
+ *  @p uf: the always-used group (the fused allocate deposits it
+ *  whole) plus whichever capture fields are live. */
+std::array<std::uint64_t, 3>
+inUseMask(std::uint32_t uf)
+{
+    assert((uf & kAlwaysUsedFields) == kAlwaysUsedFields);
+    const bool s1 = uf & (std::uint32_t(1) << kSrc1DataField);
+    const bool s2 = uf & (std::uint32_t(1) << kSrc2DataField);
+    const bool imm = uf & (std::uint32_t(1) << kImmField);
+    return {kAlwaysMaskW0 | (s1 ? kSrc1MaskW0 : 0u),
+            (s1 ? kSrc1MaskW1 : 0u) | (s2 ? kSrc2MaskW1 : 0u) |
+                (imm ? kImmMaskW1 : 0u),
+            kAlwaysMaskW2 | (imm ? kImmMaskW2 : 0u)};
+}
+
 } // namespace
 
 Scheduler::Scheduler(const SchedulerConfig &config)
@@ -230,22 +246,12 @@ Scheduler::flushEntry(Entry &e, Cycle now)
     const std::uint64_t pend = e.pendingBusyDt;
     if (dt == 0 && pend == 0)
         return;
-    // Defer the wide accumulator adds: park the image, the durations
-    // and the in-use group lanes in the record batch.  Everything a
-    // decision reads mid-run (entryTime_, the ISV balance meters,
-    // the timestamp) is charged eagerly, so repair behaviour -- and
-    // with it the RNG draw stream -- never depends on drain timing.
-    const unsigned v = batchCount_;
-    for (unsigned w = 0; w < kLayoutWords; ++w)
-        batchImage_[v][w] = e.image[w];
-    // A busy flush has all the always-used fields live (the fused
-    // allocate deposits them as one group), so per-field lanes
-    // reduce to one busy mask plus the three capture fields' own
-    // masks.
+    // Defer the wide accumulator adds: park the record in the batch.
+    // Everything a decision reads mid-run (entryTime_, the ISV
+    // balance meters, the timestamp) is charged eagerly, so repair
+    // behaviour -- and with it the RNG draw stream -- never depends
+    // on drain timing.
     const std::uint32_t uf = e.inUseFields;
-    assert(uf == 0 ||
-           (uf & kAlwaysUsedFields) == kAlwaysUsedFields);
-    const std::uint64_t lane = std::uint64_t(1) << v;
     if (pend) {
         // Merged record: the deferred busy span plus the idle span
         // since.  The parked image (valid still up) stands for both
@@ -254,28 +260,15 @@ Scheduler::flushEntry(Entry &e, Cycle now)
         // Converting the entry here is the release epilogue an
         // undeferred release runs at release time.
         assert(uf != 0);
-        batchDt_[v] = pend + dt;
-        batchBusyDt_[v] = pend;
+        appendRecord(e.image, pend + dt, pend, uf);
         validIdleGrand_ += dt;
         e.pendingBusyDt = 0;
         pendingMask_ &= ~(std::uint64_t(1) << (&e - entries_.data()));
         e.inUseFields = 0;
         e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
     } else {
-        batchDt_[v] = dt;
-        batchBusyDt_[v] = uf ? dt : 0;
+        appendRecord(e.image, dt, uf ? dt : 0, uf);
     }
-    if (uf) {
-        batchBusy_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc1DataField))
-            batchS1_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc2DataField))
-            batchS2_ |= lane;
-        if (uf & (std::uint32_t(1) << kImmField))
-            batchImm_ |= lane;
-    }
-    if (++batchCount_ == kBatchDepth)
-        drainBatch();
     entryTime_ += dt;
     if (dt) {
         for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
@@ -286,86 +279,118 @@ Scheduler::flushEntry(Entry &e, Cycle now)
     e.since = now;
 }
 
+void
+Scheduler::appendRecord(const LayoutWords &image, std::uint64_t dt,
+                        std::uint64_t busy_dt, std::uint32_t uf) const
+{
+    assert(dt != 0 && (uf != 0) == (busy_dt != 0));
+    const unsigned v = batchCount_;
+    const std::uint64_t lane = std::uint64_t(1) << v;
+    for (unsigned w = 0; w < kLayoutWords; ++w)
+        batchImage_[v][w] = image[w];
+    // The durations enter their bit-planes here, one OR per set
+    // bit, so the drain never transposes a duration column.
+    dtGrand_ += dt;
+    dtOr_ |= dt;
+    for (std::uint64_t m = dt; m; m &= m - 1)
+        dtPlane_[std::countr_zero(m)] |= lane;
+    if (uf) {
+        // Fields are used whole, so the in-use time sums are one
+        // per capture field plus one shared by every other field.
+        const LayoutWords used = inUseMask(uf);
+        for (unsigned w = 0; w < kLayoutWords; ++w)
+            batchZero_[v][w] = ~image[w] & used[w];
+        busyDtGrand_ += busy_dt;
+        if (uf & (std::uint32_t(1) << kSrc1DataField))
+            s1DtGrand_ += busy_dt;
+        if (uf & (std::uint32_t(1) << kSrc2DataField))
+            s2DtGrand_ += busy_dt;
+        if (uf & (std::uint32_t(1) << kImmField))
+            immDtGrand_ += busy_dt;
+        busyDtOr_ |= busy_dt;
+        for (std::uint64_t m = busy_dt; m; m &= m - 1)
+            busyPlane_[std::countr_zero(m)] |= lane;
+    }
+    if (++batchCount_ == kBatchDepth)
+        drainBatch();
+}
+
 namespace {
 
+/** Levels of a plane counter: 64 lanes need 7 bits. */
+constexpr unsigned kMaxCountLevels = 7;
+
+/** Carry-save add, bitwise: @p low + @p a + @p b leaves the sum
+ *  bit in @p low and returns the carry. */
+inline std::uint64_t
+csa(std::uint64_t &low, std::uint64_t a, std::uint64_t b)
+{
+    const std::uint64_t u = low ^ a;
+    const std::uint64_t carry = (low & a) | (u & b);
+    low = u ^ b;
+    return carry;
+}
+
 /**
- * Carry-save add of a 3-word bit mask into a bit-sliced counter
- * bank at weight 2^level: positions set in the mask gain 2^level in
- * their per-bit binary counter.  A ripple step is three ANDs and
- * three XORs; binary-counter amortisation makes it O(1) levels per
- * add.  Carries past the top level drop -- the counters sum mod
- * 2^64, the same wrap-around the accumulators have.
+ * Add the rows of every lane in @p lanes into a bit-sliced counter
+ * bank at weight 2^@p level.
+ *
+ * The rows are first counted in a register counter whose depth is
+ * the bit width of the lane count: no per-bit count can exceed the
+ * number of lanes, so fixed-depth ripples through those levels are
+ * exact, with no data-dependent loop.  Rows enter four at a time
+ * through a Harley-Seal carry-save step on levels 0 and 1, so only
+ * its fours carry ripples.  The count then joins the bank in one
+ * ripple-carry add; carries past level 63 drop -- the counters sum
+ * mod 2^64, the same wrap-around the accumulators have.
  */
 inline void
-bankAdd(std::uint64_t (*bank)[3], unsigned level, std::uint64_t m0,
-        std::uint64_t m1, std::uint64_t m2)
+addPlane(std::uint64_t (*bank)[3], unsigned level, std::uint64_t lanes,
+         const std::uint64_t (*rows)[3])
 {
-    while ((m0 | m1 | m2) != 0 && level < 64) {
-        std::uint64_t *row = bank[level];
-        const std::uint64_t c0 = row[0] & m0;
-        const std::uint64_t c1 = row[1] & m1;
-        const std::uint64_t c2 = row[2] & m2;
-        row[0] ^= m0;
-        row[1] ^= m1;
-        row[2] ^= m2;
-        m0 = c0;
-        m1 = c1;
-        m2 = c2;
-        ++level;
+    unsigned idx[64];
+    unsigned n = 0;
+    for (std::uint64_t m = lanes; m; m &= m - 1)
+        idx[n++] = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned depth = static_cast<unsigned>(std::bit_width(n));
+    std::uint64_t cnt[kMaxCountLevels][3] = {};
+    const auto ripple = [&](unsigned from, std::uint64_t *c) {
+        for (unsigned k = from; k < depth; ++k) {
+            for (unsigned w = 0; w < 3; ++w) {
+                const std::uint64_t t = cnt[k][w] & c[w];
+                cnt[k][w] ^= c[w];
+                c[w] = t;
+            }
+        }
+    };
+    unsigned i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const std::uint64_t *a = rows[idx[i]];
+        const std::uint64_t *b = rows[idx[i + 1]];
+        const std::uint64_t *c = rows[idx[i + 2]];
+        const std::uint64_t *d = rows[idx[i + 3]];
+        std::uint64_t fours[3];
+        for (unsigned w = 0; w < 3; ++w) {
+            const std::uint64_t twos_ab = csa(cnt[0][w], a[w], b[w]);
+            const std::uint64_t twos_cd = csa(cnt[0][w], c[w], d[w]);
+            fours[w] = csa(cnt[1][w], twos_ab, twos_cd);
+        }
+        ripple(2, fours);
     }
-}
+    for (; i < n; ++i) {
+        std::uint64_t row[3] = {rows[idx[i]][0], rows[idx[i]][1],
+                                rows[idx[i]][2]};
+        ripple(0, row);
+    }
 
-/**
- * Three-word carry-save accumulator: batches up to eight
- * equally-weighted mask adds in registers before touching the
- * memory bank.  The register chain is fixed-depth and branch-free
- * (a dense mask would otherwise ripple ~log2(popcount) levels of
- * the bank per add, each a load/store round trip); only the rare
- * eights overflow -- every 8th add per bit -- reaches the bank
- * mid-stream.
- */
-struct Csa3
-{
-    std::uint64_t ones[3]{};
-    std::uint64_t twos[3]{};
-    std::uint64_t fours[3]{};
-};
-
-inline void
-csaAdd(Csa3 &a, std::uint64_t (*bank)[3], unsigned level,
-       std::uint64_t m0, std::uint64_t m1, std::uint64_t m2)
-{
-    const std::uint64_t c0 = a.ones[0] & m0;
-    const std::uint64_t c1 = a.ones[1] & m1;
-    const std::uint64_t c2 = a.ones[2] & m2;
-    a.ones[0] ^= m0;
-    a.ones[1] ^= m1;
-    a.ones[2] ^= m2;
-    const std::uint64_t d0 = a.twos[0] & c0;
-    const std::uint64_t d1 = a.twos[1] & c1;
-    const std::uint64_t d2 = a.twos[2] & c2;
-    a.twos[0] ^= c0;
-    a.twos[1] ^= c1;
-    a.twos[2] ^= c2;
-    const std::uint64_t e0 = a.fours[0] & d0;
-    const std::uint64_t e1 = a.fours[1] & d1;
-    const std::uint64_t e2 = a.fours[2] & d2;
-    a.fours[0] ^= d0;
-    a.fours[1] ^= d1;
-    a.fours[2] ^= d2;
-    if (e0 | e1 | e2)
-        bankAdd(bank, level + 3, e0, e1, e2);
-}
-
-inline void
-csaFlush(const Csa3 &a, std::uint64_t (*bank)[3], unsigned level)
-{
-    if (a.ones[0] | a.ones[1] | a.ones[2])
-        bankAdd(bank, level, a.ones[0], a.ones[1], a.ones[2]);
-    if (a.twos[0] | a.twos[1] | a.twos[2])
-        bankAdd(bank, level + 1, a.twos[0], a.twos[1], a.twos[2]);
-    if (a.fours[0] | a.fours[1] | a.fours[2])
-        bankAdd(bank, level + 2, a.fours[0], a.fours[1], a.fours[2]);
+    std::uint64_t carry[3] = {};
+    for (unsigned k = 0, l = level;
+         l < 64 && (k < depth || (carry[0] | carry[1] | carry[2]));
+         ++k, ++l) {
+        for (unsigned w = 0; w < 3; ++w)
+            carry[w] = csa(bank[l][w], k < depth ? cnt[k][w] : 0,
+                           carry[w]);
+    }
 }
 
 } // namespace
@@ -373,108 +398,31 @@ csaFlush(const Csa3 &a, std::uint64_t (*bank)[3], unsigned level)
 void
 Scheduler::drainBatch() const
 {
-    const unsigned n = batchCount_;
-    if (n == 0)
+    if (batchCount_ == 0)
         return;
     g_schedulerDrains.add();
     batchCount_ = 0;
-    const std::uint64_t busy = batchBusy_;
-    const std::uint64_t s1 = batchS1_;
-    const std::uint64_t s2 = batchS2_;
-    const std::uint64_t imm = batchImm_;
-    batchBusy_ = batchS1_ = batchS2_ = batchImm_ = 0;
 
-    // Transpose the two duration columns into bit-planes: plane l
-    // of a column is the lane set whose records' duration has bit
-    // l, i.e. the records whose mask carries weight 2^l into the
-    // level-l counters.  Padding lanes get dt = 0 and fall in no
-    // plane; so do idle records in the busy-span column.
-    std::uint64_t planes[kBatchDepth];
-    std::uint64_t busy_planes[kBatchDepth];
-    std::uint64_t dt_or = 0;
-    std::uint64_t busy_dt_or = 0;
-    for (unsigned v = 0; v < n; ++v) {
-        planes[v] = batchDt_[v];
-        busy_planes[v] = batchBusyDt_[v];
-        dt_or |= batchDt_[v];
-        busy_dt_or |= batchBusyDt_[v];
-        dtGrand_ += batchDt_[v];
-    }
-    for (unsigned v = n; v < kBatchDepth; ++v) {
-        planes[v] = 0;
-        busy_planes[v] = 0;
-    }
-    transpose64x64(planes);
-    transpose64x64(busy_planes);
-    const unsigned num_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(dt_or | 1));
-    const unsigned num_busy_planes = 64 -
-        static_cast<unsigned>(std::countl_zero(busy_dt_or | 1));
-
-    // Busy records: per-field duration sums, and the zeroed in-use
-    // complement each plane pass reads.  The in-use words are
-    // rebuilt from the three capture-field lanes -- a busy record
-    // always has the whole always-used group live (asserted at
-    // append).
-    std::uint64_t z[kBatchDepth][kLayoutWords];
-    for (std::uint64_t m = busy; m; m &= m - 1) {
-        const unsigned v =
-            static_cast<unsigned>(std::countr_zero(m));
-        const std::uint64_t dt = batchBusyDt_[v];
-        busyDtGrand_ += dt;
-        std::uint64_t um0 = kAlwaysMaskW0;
-        std::uint64_t um1 = 0;
-        std::uint64_t um2 = kAlwaysMaskW2;
-        if ((s1 >> v) & 1) {
-            um0 |= kSrc1MaskW0;
-            um1 |= kSrc1MaskW1;
-            s1DtGrand_ += dt;
-        }
-        if ((s2 >> v) & 1) {
-            um1 |= kSrc2MaskW1;
-            s2DtGrand_ += dt;
-        }
-        if ((imm >> v) & 1) {
-            um1 |= kImmMaskW1;
-            um2 |= kImmMaskW2;
-            immDtGrand_ += dt;
-        }
-        z[v][0] = ~batchImage_[v][0] & um0;
-        z[v][1] = ~batchImage_[v][1] & um1;
-        z[v][2] = ~batchImage_[v][2] & um2;
-    }
-
-    // Plane-major accumulation: every record in plane l adds its
-    // image into the level-l counters through a register CSA; the
-    // busy-span planes do the same with the zeroed in-use
-    // complements (their lanes are busy by construction -- an idle
-    // record's busy span is 0).
+    // Plane-major accumulation: plane l of a duration column is the
+    // lane set whose records carry weight 2^l, so every record in it
+    // adds its image into the level-l counters; the busy-span planes
+    // do the same with the zeroed in-use complements (their lanes
+    // are busy by construction -- an idle record's busy span is 0).
+    const unsigned num_planes =
+        static_cast<unsigned>(std::bit_width(dtOr_));
     for (unsigned l = 0; l < num_planes; ++l) {
-        const std::uint64_t lanes = planes[l];
-        if (!lanes)
-            continue;
-        Csa3 one_acc;
-        for (std::uint64_t m = lanes; m; m &= m - 1) {
-            const unsigned v =
-                static_cast<unsigned>(std::countr_zero(m));
-            csaAdd(one_acc, oneBank_, l, batchImage_[v][0],
-                   batchImage_[v][1], batchImage_[v][2]);
-        }
-        csaFlush(one_acc, oneBank_, l);
+        if (dtPlane_[l])
+            addPlane(oneBank_, l, dtPlane_[l], batchImage_);
+        dtPlane_[l] = 0;
     }
+    const unsigned num_busy_planes =
+        static_cast<unsigned>(std::bit_width(busyDtOr_));
     for (unsigned l = 0; l < num_busy_planes; ++l) {
-        const std::uint64_t lanes = busy_planes[l];
-        if (!lanes)
-            continue;
-        Csa3 zero_acc;
-        for (std::uint64_t m = lanes; m; m &= m - 1) {
-            const unsigned v =
-                static_cast<unsigned>(std::countr_zero(m));
-            csaAdd(zero_acc, busyZeroBank_, l, z[v][0], z[v][1],
-                   z[v][2]);
-        }
-        csaFlush(zero_acc, busyZeroBank_, l);
+        if (busyPlane_[l])
+            addPlane(busyZeroBank_, l, busyPlane_[l], batchZero_);
+        busyPlane_[l] = 0;
     }
+    dtOr_ = busyDtOr_ = 0;
 }
 
 void
@@ -490,25 +438,11 @@ Scheduler::sweepPending() const
         Entry &e = entries_[static_cast<unsigned>(
             std::countr_zero(p))];
         assert(e.pendingBusyDt != 0 && e.inUseFields != 0);
-        const unsigned v = batchCount_;
-        for (unsigned w = 0; w < kLayoutWords; ++w)
-            batchImage_[v][w] = e.image[w];
-        batchDt_[v] = e.pendingBusyDt;
-        batchBusyDt_[v] = e.pendingBusyDt;
-        const std::uint64_t lane = std::uint64_t(1) << v;
-        const std::uint32_t uf = e.inUseFields;
-        batchBusy_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc1DataField))
-            batchS1_ |= lane;
-        if (uf & (std::uint32_t(1) << kSrc2DataField))
-            batchS2_ |= lane;
-        if (uf & (std::uint32_t(1) << kImmField))
-            batchImm_ |= lane;
+        appendRecord(e.image, e.pendingBusyDt, e.pendingBusyDt,
+                     e.inUseFields);
         e.pendingBusyDt = 0;
         e.inUseFields = 0;
         e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-        if (++batchCount_ == kBatchDepth)
-            drainBatch();
     }
     pendingMask_ = 0;
 }
@@ -536,8 +470,8 @@ Scheduler::foldBatch() const
         validIdleGrand_ = 0;
     }
     for (unsigned w = 0; w < kLayoutWords; ++w) {
-        std::uint64_t col[kBatchDepth];
-        for (unsigned l = 0; l < kBatchDepth; ++l) {
+        std::uint64_t col[64];
+        for (unsigned l = 0; l < 64; ++l) {
             col[l] = oneBank_[l][w];
             oneBank_[l][w] = 0;
         }
@@ -546,7 +480,7 @@ Scheduler::foldBatch() const
         for (unsigned b = 0; b < hi; ++b)
             zeroTotal_.addBit(w * 64 + b, dtGrand_ - col[b]);
 
-        for (unsigned l = 0; l < kBatchDepth; ++l) {
+        for (unsigned l = 0; l < 64; ++l) {
             col[l] = busyZeroBank_[l][w];
             busyZeroBank_[l][w] = 0;
         }
@@ -735,16 +669,10 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     const std::uint64_t b2 = (imm >> (64 - kImmOff % 64)) |
         (std::uint64_t(uop.opcode & 0xfff) << (kOpcodeOff % 64));
 
-    const std::uint64_t um0 =
-        kAlwaysMaskW0 | (use_s1 ? kSrc1MaskW0 : 0u);
-    const std::uint64_t um1 = (use_s1 ? kSrc1MaskW1 : 0u) |
-        (use_s2 ? kSrc2MaskW1 : 0u) | (use_imm ? kImmMaskW1 : 0u);
-    const std::uint64_t um2 =
-        kAlwaysMaskW2 | (use_imm ? kImmMaskW2 : 0u);
-
-    e.image[0] = (e.image[0] & ~um0) | (b0 & um0);
-    e.image[1] = (e.image[1] & ~um1) | (b1 & um1);
-    e.image[2] = (e.image[2] & ~um2) | (b2 & um2);
+    const LayoutWords um = inUseMask(used);
+    e.image[0] = (e.image[0] & ~um[0]) | (b0 & um[0]);
+    e.image[1] = (e.image[1] & ~um[1]) | (b1 & um[1]);
+    e.image[2] = (e.image[2] & ~um[2]) | (b2 & um[2]);
     e.inUseFields = used;
     e.holdsInverted &= ~used;
 

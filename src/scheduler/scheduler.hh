@@ -12,15 +12,16 @@
  * Duty accounting is word-parallel: every entry packs its 18 fields
  * into one 144-bit slot image (three 64-bit words) with a single
  * residence timestamp.  A flush parks the {image, in-use, dt} record
- * in a 64-deep batch; a full batch drains into bit-sliced counter
- * banks through a carry-save adder chain, and any reader folds the
- * banks into 144-bit per-bit accumulators (total zero-time, in-use
- * zero-time) with one 64x64 transpose per layout word.  This is the
- * only accounting path: it replays about 2x faster than charging
- * the accumulators on every flush.  Per-field BitBiasTracker views
- * are materialised only when a snapshot is taken; the sums are
- * exact unsigned integers, so the statistics equal the per-bit,
- * per-event form (tests/test_replay_batch.cc pins them).
+ * in a 64-deep batch, its lane in the bit-plane of every set bit of
+ * its duration; a full batch drains plane by plane (a fixed-depth
+ * register count of the plane's images, then one ripple-carry add
+ * into bit-sliced counter banks), and any reader folds the banks
+ * into 144-bit per-bit accumulators (total zero-time, in-use
+ * zero-time) with one 64x64 transpose per layout word.  Per-field
+ * BitBiasTracker views are materialised only when a snapshot is
+ * taken; the sums are exact unsigned integers, so the statistics
+ * equal the per-bit, per-event form (tests/test_replay_batch.cc pins
+ * them; tests/test_sched_drain.cc holds them to a scalar model).
  */
 
 #ifndef PENELOPE_SCHEDULER_SCHEDULER_HH
@@ -178,7 +179,7 @@ class Scheduler
         LayoutWords image{};
 
         /** Fields in use (bit f = field f; fields are used whole,
-         *  so the drain rebuilds per-bit in-use masks from this). */
+         *  so a flush rebuilds per-bit in-use masks from this). */
         std::uint32_t inUseFields = 0;
 
         /** Per-field "last repair wrote RINV" bits. */
@@ -233,13 +234,19 @@ class Scheduler
      *  sliced accumulators. */
     void flushEntry(Entry &e, Cycle now);
 
+    /** Park one record: its image, its zeroed in-use complement
+     *  (@p uf: fields in use, 0 for an idle record) and its
+     *  durations' bit-planes.  Drains a full batch. */
+    void appendRecord(const LayoutWords &image, std::uint64_t dt,
+                      std::uint64_t busy_dt, std::uint32_t uf) const;
+
     void flushAll(Cycle now);
     void occupancyFlush(Cycle now);
 
-    /** Fold every pending batch record into the bit-sliced counter
-     *  banks (carry-save ripple adds, record-major).  Const because
-     *  readers (fieldOccupancy) must be able to drain; the batch
-     *  state and the banks it feeds are mutable. */
+    /** Add every pending batch record into the bit-sliced counter
+     *  banks, one duration plane at a time.  Const because readers
+     *  (fieldOccupancy) must be able to drain; the batch state and
+     *  the banks it feeds are mutable. */
     void drainBatch() const;
 
     /** drainBatch(), then charge the counter banks into the
@@ -342,26 +349,24 @@ class Scheduler
     mutable std::array<std::uint64_t, numFields> fieldBusyTime_{};
 
     /**
-     * Pending flush records, stored struct-of-arrays.  Record v of
-     * the batch occupies lane/bit v of the in-use group masks.
-     *
-     * In-use lanes need no per-field storage: the three conditional
-     * capture fields get their own lane masks and every other field
-     * shares the busy-record mask (a free entry's flush has no field
-     * in use), all maintained bit-at-append.
+     * Pending flush records, stored struct-of-arrays: record v of
+     * the batch is lane/bit v of the duration bit-planes.  Lane v of
+     * dtPlane_[l] is set iff record v's duration has bit l;
+     * busyPlane_ does the same for the busy-span duration (the full
+     * duration for a busy flush, 0 for an idle one, the parked
+     * release duration for a merged busy+idle record).  The ORs of
+     * the durations bound the planes in use.
      */
     static constexpr unsigned kBatchDepth = 64;
     /** Lane-major: record v's slot image is batchImage_[v]. */
     mutable std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
-    mutable std::uint64_t batchDt_[kBatchDepth];
-    /** Busy-span duration per record: equal to batchDt_ for a busy
-     *  flush, 0 for an idle flush, and the parked release duration
-     *  for a merged busy+idle record. */
-    mutable std::uint64_t batchBusyDt_[kBatchDepth];
-    mutable std::uint64_t batchBusy_ = 0; ///< lanes w/ fields in use
-    mutable std::uint64_t batchS1_ = 0;   ///< lanes w/ Src1Data live
-    mutable std::uint64_t batchS2_ = 0;   ///< lanes w/ Src2Data live
-    mutable std::uint64_t batchImm_ = 0;  ///< lanes w/ Imm live
+    /** Busy record v's zeroed in-use complement (~image & in-use),
+     *  what its busy span adds to the in-use zero-times. */
+    mutable std::uint64_t batchZero_[kBatchDepth][kLayoutWords]{};
+    mutable std::uint64_t dtPlane_[64]{};
+    mutable std::uint64_t busyPlane_[64]{};
+    mutable std::uint64_t dtOr_ = 0;
+    mutable std::uint64_t busyDtOr_ = 0;
     mutable unsigned batchCount_ = 0;
 
     /** Entries with a deferred release parked (bit = entry index).
@@ -375,20 +380,19 @@ class Scheduler
      * Bit-sliced binary counters holding drained-but-unfolded
      * per-bit time sums: level l, word w is a mask whose bit b
      * carries weight 2^l in layout bit (w*64 + b)'s pending total.
-     * The drain ripple-adds each record's image (resp. its zeroed
-     * in-use complement) at every set bit of the record's duration
-     * -- a carry-save add is a couple of word ops per level touched,
-     * amortised O(1) levels per add -- and carries past level 63
-     * drop, which is exactly the accumulators' mod-2^64 wrap.
-     * foldBatch() transposes each word's 64 levels to recover every
-     * bit's exact total in one step.
+     * The drain adds each duration plane's summed images (resp.
+     * zeroed in-use complements) at the plane's level; carries past
+     * level 63 drop, which is exactly the accumulators' mod-2^64
+     * wrap.  foldBatch() transposes each word's 64 levels to recover
+     * every bit's exact total in one step.
      *
      * Field in-use times need no slicing: the always-used fields
      * share one duration sum and each capture field keeps its own
-     * (fields are used whole), folded into fieldBusyTime_.
+     * (fields are used whole), folded into fieldBusyTime_.  The
+     * duration sums are charged at append.
      */
-    mutable std::uint64_t oneBank_[kBatchDepth][kLayoutWords]{};
-    mutable std::uint64_t busyZeroBank_[kBatchDepth][kLayoutWords]{};
+    mutable std::uint64_t oneBank_[64][kLayoutWords]{};
+    mutable std::uint64_t busyZeroBank_[64][kLayoutWords]{};
     mutable std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
     mutable std::uint64_t busyDtGrand_ = 0; ///< sum busy-span dt
     mutable std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live

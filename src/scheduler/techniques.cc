@@ -90,15 +90,4 @@ expectedBias(const BitDecision &decision, double occupancy,
     }
 }
 
-bool
-DutyGenerator::next()
-{
-    acc_ += k_;
-    if (acc_ >= 1.0 - 1e-12) {
-        acc_ -= 1.0;
-        return true;
-    }
-    return false;
-}
-
 } // namespace penelope

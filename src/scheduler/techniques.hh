@@ -75,8 +75,18 @@ class DutyGenerator
     void setK(double k) { k_ = k; }
     double k() const { return k_; }
 
-    /** Next idle value. */
-    bool next();
+    /** Next idle value (inline: a protected replay draws one per
+     *  K% bit on every repair). */
+    bool
+    next()
+    {
+        acc_ += k_;
+        if (acc_ >= 1.0 - 1e-12) {
+            acc_ -= 1.0;
+            return true;
+        }
+        return false;
+    }
 
   private:
     double k_;

@@ -60,7 +60,7 @@ const std::uint16_t nopOpcodes[] = {0x000};
 
 } // namespace
 
-TraceGenerator::TraceGenerator(const TraceSpec &spec)
+TraceGenerator::TraceGenerator(const TraceSpec &spec, bool addresses)
     : spec_(spec),
       profile_(suiteProfile(spec.suite)),
       params_(resolveParams(profile_, spec.seed)),
@@ -68,11 +68,12 @@ TraceGenerator::TraceGenerator(const TraceSpec &spec)
       rng_(spec.seed),
       intValues_(profile_.intValues, Rng(spec.seed ^ 0x1111)),
       fpValues_(profile_.fpValues, Rng(spec.seed ^ 0x2222)),
-      addresses_(makeAddressProfile(params_),
-                 Rng(spec.seed ^ 0x3333)),
       mobCounter_(0),
       tos_(0)
 {
+    if (addresses)
+        addresses_.emplace(makeAddressProfile(params_),
+                           Rng(spec.seed ^ 0x3333));
     for (auto &r : intRegs_)
         r = 0;
     for (auto &r : fpRegs_)
@@ -300,7 +301,8 @@ TraceGenerator::next()
       case UopClass::Load: {
         uop.srcReg1 = pickSourceReg(false); // base register
         uop.srcVal1 = intRegs_[uop.srcReg1];
-        uop.addr = addresses_.next();
+        if (addresses_)
+            uop.addr = addresses_->next();
         uop.mobId = mobCounter_;
         mobCounter_ = (mobCounter_ + 1) & 0x3f;
         const Word result = intValues_.next();
@@ -315,7 +317,8 @@ TraceGenerator::next()
         uop.srcVal1 = intRegs_[uop.srcReg1];
         uop.srcReg2 = pickSourceReg(false); // base register
         uop.srcVal2 = intRegs_[uop.srcReg2];
-        uop.addr = addresses_.next();
+        if (addresses_)
+            uop.addr = addresses_->next();
         uop.mobId = mobCounter_;
         mobCounter_ = (mobCounter_ + 1) & 0x3f;
         break;

@@ -8,6 +8,13 @@
  * have realistic temporal correlation (a register read returns the
  * value most recently written to it), which matters for the register
  * file and scheduler bias experiments.
+ *
+ * Replay traces (WorkloadSet::replayGenerator) omit the address
+ * stream: the register-file and scheduler replays never read
+ * Uop::addr, and building it costs a Zipf table per trace plus a
+ * draw per memory uop.  Addresses come from their own Rng, so every
+ * other Uop field of a replay trace equals the full trace's; addr
+ * stays 0.
  */
 
 #ifndef PENELOPE_TRACE_GENERATOR_HH
@@ -18,6 +25,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <optional>
 #include <vector>
 
 #include "suite.hh"
@@ -109,7 +117,10 @@ class RecentRing
 class TraceGenerator
 {
   public:
-    explicit TraceGenerator(const TraceSpec &spec);
+    /** With @p addresses false the stream leaves Uop::addr at 0 and
+     *  never builds the address generator (see the file comment). */
+    explicit TraceGenerator(const TraceSpec &spec,
+                            bool addresses = true);
 
     /** Produce the next uop of the stream. */
     Uop next();
@@ -139,7 +150,7 @@ class TraceGenerator
     Rng rng_;
     IntValueGen intValues_;
     FpValueGen fpValues_;
-    AddressGen addresses_;
+    std::optional<AddressGen> addresses_;
 
     /** Architectural register images (values last written). */
     Word intRegs_[numArchIntRegs];

@@ -69,6 +69,12 @@ WorkloadSet::generator(unsigned index) const
     return TraceGenerator(specs_.at(index));
 }
 
+TraceGenerator
+WorkloadSet::replayGenerator(unsigned index) const
+{
+    return TraceGenerator(specs_.at(index), false);
+}
+
 std::vector<unsigned>
 WorkloadSet::sampleIndices(unsigned count, std::uint64_t seed) const
 {

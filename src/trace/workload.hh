@@ -41,6 +41,12 @@ class WorkloadSet
     /** A generator for streaming consumption of trace @p index. */
     TraceGenerator generator(unsigned index) const;
 
+    /** Trace @p index without its address stream (Uop::addr stays
+     *  0; every other field equals generator()'s): the source for
+     *  replays that never read addresses -- the scheduler and
+     *  register file.  Cache and pipeline models need generator(). */
+    TraceGenerator replayGenerator(unsigned index) const;
+
     /**
      * Deterministic pseudo-random subset of @p count trace indices
      * (used e.g.\ for the paper's 100-trace profiling set).

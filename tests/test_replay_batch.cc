@@ -16,7 +16,8 @@
  * pending batch without changing the final snapshot, and snapshots
  * merge in any order -- are checked alongside.  (The register file's
  * anchors live in test_regfile.cc.)  Both replays' streamed feeds
- * are held to one run() over the same uops, for any chunking.
+ * are held to one run() over the same uops, for any chunking, and
+ * to the same results on the address-free replay trace.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/timing.hh"
 #include "common/rng.hh"
 #include "core/serialize.hh"
 #include "regfile/driver.hh"
@@ -568,6 +570,111 @@ TEST(StreamedFeed, RegFileStreamsAccumulate)
     feedInChunks(t.replay, {uops.begin() + 1500, uops.end()}, 65);
     expectSameCounters(t.replay.result(), r2);
     EXPECT_EQ(t.state(r2.cycles), ref.state(r2.cycles));
+}
+
+// ---------------------------------------------------- replay traces
+//
+// The scheduler and register-file replays never read Uop::addr, so
+// they run on WorkloadSet::replayGenerator, which skips the address
+// stream.  Every other field, and with it every replay result, must
+// equal the full trace's; the memory timing model keeps the full
+// generator.
+
+/** Every Uop field except addr. */
+void
+expectSameButAddr(const Uop &a, const Uop &b)
+{
+    EXPECT_EQ(a.cls, b.cls);
+    EXPECT_EQ(a.latency, b.latency);
+    EXPECT_EQ(a.port, b.port);
+    EXPECT_EQ(a.taken, b.taken);
+    EXPECT_EQ(a.mobId, b.mobId);
+    EXPECT_EQ(a.tos, b.tos);
+    EXPECT_EQ(a.flags, b.flags);
+    EXPECT_EQ(a.shift1, b.shift1);
+    EXPECT_EQ(a.shift2, b.shift2);
+    EXPECT_EQ(a.dstReg, b.dstReg);
+    EXPECT_EQ(a.srcReg1, b.srcReg1);
+    EXPECT_EQ(a.srcReg2, b.srcReg2);
+    EXPECT_EQ(a.srcVal1, b.srcVal1);
+    EXPECT_EQ(a.srcVal2, b.srcVal2);
+    EXPECT_EQ(a.imm, b.imm);
+    EXPECT_EQ(a.hasImm, b.hasImm);
+    EXPECT_EQ(a.dstVal, b.dstVal);
+    EXPECT_EQ(a.dstValHi, b.dstValHi);
+    EXPECT_EQ(a.opcode, b.opcode);
+}
+
+TEST(ReplayTrace, EqualsFullTraceButAddr)
+{
+    const WorkloadSet w;
+    for (const unsigned index : w.firstPerSuite()) {
+        SCOPED_TRACE(::testing::Message() << "trace " << index);
+        const std::vector<Uop> full = takeUops(w.generator(index),
+                                               20'000);
+        const std::vector<Uop> replay =
+            takeUops(w.replayGenerator(index), 20'000);
+        std::size_t addressed = 0;
+        for (std::size_t i = 0; i < full.size(); ++i) {
+            expectSameButAddr(full[i], replay[i]);
+            ASSERT_EQ(replay[i].addr, 0u) << "uop " << i;
+            addressed += full[i].addr != 0;
+        }
+        EXPECT_GT(addressed, 0u);
+    }
+}
+
+TEST(ReplayTrace, ReplaysMatchTheFullTrace)
+{
+    const WorkloadSet w;
+    const auto decisions =
+        decideProtection(profileScheduler(w, {4}, 4000).bits);
+    for (const unsigned index : {0u, 200u, 500u}) {
+        SCOPED_TRACE(::testing::Message() << "trace " << index);
+        for (const bool protect : {false, true}) {
+            SchedulerRun full(protect ? &decisions : nullptr,
+                              SchedReplayConfig{});
+            SchedulerRun replay(protect ? &decisions : nullptr,
+                                SchedReplayConfig{});
+            TraceGenerator full_gen = w.generator(index);
+            TraceGenerator replay_gen = w.replayGenerator(index);
+            streamChunks(full_gen, 5000,
+                         [&](const Uop *u, std::size_t n) {
+                             full.feed(u, n);
+                         });
+            streamChunks(replay_gen, 5000,
+                         [&](const Uop *u, std::size_t n) {
+                             replay.feed(u, n);
+                         });
+            EXPECT_EQ(payloadBytes(replay.result()),
+                      payloadBytes(full.result()));
+        }
+        for (const bool fp : {false, true}) {
+            RegFileUnderTest full(fp, true);
+            RegFileUnderTest replay(fp, true);
+            TraceGenerator full_gen = w.generator(index);
+            TraceGenerator replay_gen = w.replayGenerator(index);
+            const RegReplayResult r = full.replay.run(full_gen, 5000);
+            expectSameCounters(replay.replay.run(replay_gen, 5000), r);
+            EXPECT_EQ(replay.state(r.cycles), full.state(r.cycles));
+        }
+    }
+}
+
+TEST(ReplayTrace, MemoryTimingNeedsTheFullTrace)
+{
+    // The address-free stream would collapse the DL0 and DTLB onto
+    // one line; MemTimingSim fed the full trace sees its addresses.
+    const WorkloadSet w;
+    const auto run = [](TraceGenerator gen) {
+        MemTimingSim sim(CacheConfig{}, CacheConfig::tlb(128, 8),
+                         MemTimingParams{}, MechanismKind::None,
+                         MechanismKind::None);
+        sim.run(gen, 10'000);
+        return sim.dl0().misses();
+    };
+    EXPECT_GT(run(w.generator(7)), 100u);
+    EXPECT_LE(run(w.replayGenerator(7)), 1u);
 }
 
 } // namespace

@@ -685,6 +685,47 @@ TEST(Service, DeltaStreamsResendLessThanFullExports)
     EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
 }
 
+TEST(Service, OneShotRunEndsWithItsJob)
+{
+    // run() must not wait out an accept poll once the job is final:
+    // the completion wakes the listener.  Five runs, so a lucky
+    // poll phase cannot pass the check.
+    const WorkloadSet workload;
+    ShardPlan plan = samplePlan();
+    plan.experiments = {"fig3"};
+    plan.sliceCount = 1;
+    for (int run = 0; run < 5; ++run) {
+        ResultCache collected;
+        Coordinator coordinator(plan, collected, CoordinatorConfig{});
+        std::string error;
+        ASSERT_TRUE(coordinator.start(&error)) << error;
+        Clock::time_point returned;
+        std::thread serve([&] {
+            coordinator.run();
+            returned = Clock::now();
+        });
+
+        WorkerConfig wc;
+        wc.host = "127.0.0.1";
+        wc.port = coordinator.port();
+        ResultCache worker_cache;
+        std::thread worker([&] {
+            std::string werr;
+            net::runWorker(wc, workload, worker_cache, nullptr,
+                           &werr);
+        });
+        while (!net::jobStateFinal(coordinator.jobState(0)))
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        const Clock::time_point final_at = Clock::now();
+        serve.join();
+        worker.join();
+
+        EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
+        EXPECT_LT(returned - final_at, std::chrono::milliseconds(50))
+            << "run " << run;
+    }
+}
+
 // ------------------------------------------- resident job service
 
 TEST(Service, ResidentSubmitJobStreamsToCompletion)
