@@ -307,16 +307,10 @@ const Option kOptions[] = {
     {"--full", nullptr, kRuns, Switch, 0, 0,
      "full workload (stride 1) at paper-scale uop counts",
      [](auto &s, auto &) { s.full = true; }},
-    {"--no-surrogate", nullptr, Local | Serve | Client, Switch, 0, 0,
-     "disable surrogate triage: candidate sweeps price every "
-     "candidate with the exact engine.  Printed statistics come from "
-     "the exact engine in every mode; triage only decides what to "
-     "evaluate",
-     [](auto &s, auto &) { s.options.surrogateEnabled = false; }},
     {"--surrogate-audit", "F", Local | Serve | Client, Factor, 0, 1,
      "seeded audit fraction of pruned candidates to exact-evaluate "
-     "anyway (default 0.03; 1.0 = full audit, which bypasses the "
-     "surrogate and is byte-identical to --no-surrogate)",
+     "anyway (default 0.03; 1.0 = full audit: every candidate is "
+     "priced exactly and the surrogate is bypassed)",
      [](auto &s, auto &v) { s.options.surrogateAuditFraction = v.x; }},
     {"--surrogate-stats", nullptr, Local, Switch, 0, 0,
      "print the fitted surrogate's coefficients, errors, triage "
@@ -379,10 +373,6 @@ const Option kOptions[] = {
      "names/options come from the wire; local flags --jobs and "
      "--cache-dir still apply)",
      [](auto &s, auto &v) { s.worker.host = v.host; s.worker.port = v.port; }},
-    {"--worker-abort-after", "N", Worker, Count, 1, 1'000,
-     "testing hook: drop the connection on receiving the N-th "
-     "assignment without replying (exercises reassignment)",
-     [](auto &s, auto &v) { s.worker.abortAfterAssignments = v.n; }},
     {"--client", "HOST:PORT", Client, HostPort, 0, 0,
      "submit the selected experiments as a job to a coordinator, "
      "stream partial results, then render locally -- stdout is "
@@ -411,14 +401,6 @@ const Option kOptions[] = {
      "total wall-clock budget for the worker's initial connect loop "
      "(default 30000)",
      [](auto &s, auto &v) { s.worker.connectBudgetMs = v.n; }},
-    {"--worker-hang-after", "N", Worker, Count, 1, 1'000,
-     "testing hook: go silent on the N-th assignment, keeping the "
-     "connection open (only a heartbeat deadline catches this)",
-     [](auto &s, auto &v) { s.worker.hangAfterAssignments = v.n; }},
-    {"--worker-slow-factor", "F", Worker, Factor, 1, 100,
-     "testing hook: stretch each slice by F while heartbeating (a "
-     "slow-but-healthy worker must NOT be forfeited)",
-     [](auto &s, auto &v) { s.worker.slowFactor = v.x; }},
     {"--metrics-dump", nullptr, kSims, Switch, 0, 0,
      "enable the metrics registry and print a sorted 'obs: name "
      "value' snapshot to stderr after the run (stdout is unchanged)",
@@ -1012,10 +994,6 @@ runWorker(Settings &s, ResultCache &cache)
         std::cerr << "penelope_bench: worker: drained after stop "
                      "request\n";
         return 0;
-      case net::WorkerOutcome::Aborted:
-      case net::WorkerOutcome::Hung:
-        std::cerr << "penelope_bench: worker: " << error << "\n";
-        return 3;
       case net::WorkerOutcome::ConnectFailed:
         // Distinct from protocol-level rejection: the operator
         // fixes an address/firewall here, a version skew there.

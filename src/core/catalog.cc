@@ -1318,10 +1318,8 @@ runAttackSearch(const ExperimentContext &ctx)
 
     // Full audit means every proposal is priced exactly, which is
     // what triage-off does -- so the surrogate (and its training
-    // replays) is bypassed entirely and the two modes match byte
-    // for byte, on stdout and in the cache.
-    const bool triage = options.surrogateEnabled &&
-        options.surrogateAuditFraction < 1.0;
+    // replays) is bypassed entirely.
+    const bool triage = options.surrogateAuditFraction < 1.0;
 
     CandidateSweepConfig sweep_config;
     sweep_config.triage = triage;
@@ -1445,8 +1443,7 @@ runAttackSearch(const ExperimentContext &ctx)
 
     // Triage accounting goes to stderr: it differs between
     // pruned and exhaustive modes by design, and stdout must stay
-    // byte-identical across jobs/cache/shard layouts *and*
-    // between --no-surrogate and full-audit.
+    // byte-identical across jobs/cache/shard layouts.
     std::cerr << "attack-search: scored "
               << stats.candidatesScored << ", pruned "
               << stats.pruned << ", exact "

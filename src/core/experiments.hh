@@ -91,21 +91,11 @@ struct ExperimentOptions
 
     // ------------------------------------------- surrogate triage
 
-    /**
-     * Surrogate triage for candidate sweeps (the attack-search
-     * experiment).  False = exhaustive: every candidate is priced
-     * by the exact engine and the surrogate is never consulted.
-     * An audit fraction >= 1.0 is equivalent by construction --
-     * every candidate is exact-evaluated, so the surrogate
-     * (including its training replays) is bypassed entirely and
-     * both stdout and cache traffic match the disabled mode byte
-     * for byte.  Printed statistics come from the exact engine in
-     * every mode.
-     */
-    bool surrogateEnabled = true;
-
     /** Seeded audit fraction: exact-evaluate this share of the
-     *  pruned candidates as a spot check. */
+     *  candidates the surrogate triage of attack-search prunes.
+     *  1.0 prices every candidate exactly and bypasses the
+     *  surrogate (training replays included).  Printed statistics
+     *  come from the exact engine in every mode. */
     double surrogateAuditFraction = 0.03;
 
     /** Predicted-best candidates always evaluated exactly. */

@@ -467,8 +467,6 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
     const AbortFn abort = [this] {
         return abandon_.load(std::memory_order_relaxed);
     };
-    const bool heartbeats = (peerCaps & kCapHeartbeat) != 0 &&
-        config_.heartbeatTimeoutMs > 0;
     const bool peer_metrics = (peerCaps & kCapMetrics) != 0 &&
         (localCapabilities() & kCapMetrics) != 0;
 
@@ -488,22 +486,20 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
         }
 
         // Await the Result under two deadlines: the generous slice
-        // timeout, and -- for heartbeat-capable workers -- the much
-        // tighter liveness deadline.  Forfeiting returns, which
-        // closes the connection: a worker that wakes up later sees
-        // EOF instead of hanging on a dead conversation.
+        // timeout and the much tighter liveness deadline.
+        // Forfeiting returns, which closes the connection: a worker
+        // that wakes up later sees EOF instead of hanging on a dead
+        // conversation.
         const Clock::time_point assigned = Clock::now();
         Clock::time_point last_heard = assigned;
         bool completed = false;
         while (!completed) {
             const Clock::time_point now = Clock::now();
-            if (config_.sliceTimeoutMs >= 0 &&
-                now - assigned > ms(config_.sliceTimeoutMs)) {
+            if (now - assigned > ms(config_.sliceTimeoutMs)) {
                 forfeitSlice(claim, false);
                 return;
             }
-            if (heartbeats &&
-                now - last_heard > ms(config_.heartbeatTimeoutMs)) {
+            if (now - last_heard > ms(config_.heartbeatTimeoutMs)) {
                 forfeitSlice(claim, true);
                 return;
             }
@@ -517,11 +513,9 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
             // Bytes are available: once a frame starts it must
             // finish promptly (sends on one socket are serialized,
             // so nothing interleaves mid-frame).
-            const int recv_timeout = heartbeats
-                ? std::max(config_.heartbeatTimeoutMs, 1000)
-                : config_.sliceTimeoutMs;
-            const RecvStatus status =
-                recvFrame(sock, frame, recv_timeout, abort);
+            const RecvStatus status = recvFrame(
+                sock, frame, std::max(config_.heartbeatTimeoutMs, 1000),
+                abort);
             if (status != RecvStatus::Ok) {
                 forfeitSlice(claim, false);
                 return;

@@ -12,18 +12,17 @@
  *    job reaches a final state;
  *  - resident (`--serve` with no experiments named): run() serves
  *    until requestStop()/the configured stop predicate fires, and
- *    every job arrives over the wire via SubmitJob [kCapJobs].
+ *    every job arrives over the wire via SubmitJob.
  *
- * The fault model extends PR-5's crash-stop workers with explicit
- * failure semantics:
+ * Failure semantics:
  *
  *  - a worker that disconnects, times out or sends a corrupt frame
- *    forfeits its slice, as before;
- *  - a worker that advertised kCapHeartbeat and then goes silent
- *    past heartbeatTimeoutMs forfeits its slice long before the
- *    slice timeout -- the hung-but-connected case a healthy TCP
- *    stream never surfaces (the forfeit closes the connection, so
- *    a worker that wakes up later sees EOF and exits bounded);
+ *    forfeits its slice;
+ *  - a worker that goes silent past heartbeatTimeoutMs forfeits its
+ *    slice long before the slice timeout -- the hung-but-connected
+ *    case a healthy TCP stream never surfaces (the forfeit closes
+ *    the connection, so a worker that wakes up later sees EOF and
+ *    exits bounded);
  *  - a forfeited slice is re-dispatched at most retryBudget times,
  *    each retry delayed by deterministic exponential backoff with
  *    decorrelated jitter (backoff.hh, seeded by backoffSeed);
@@ -78,13 +77,12 @@ struct CoordinatorConfig
      *  connection is closed and the slice requeued, so a
      *  slow-but-healthy worker's eventual result is discarded
      *  with the connection and the slice is redone elsewhere
-     *  (size the timeout generously).  Negative = wait forever. */
+     *  (size the timeout generously). */
     int sliceTimeoutMs = 600'000;
 
-    /** Forfeit deadline for workers that advertised kCapHeartbeat:
-     *  silence (no heartbeat, no result) past this while a slice is
-     *  assigned forfeits the slice.  Must exceed the worker's
-     *  heartbeat interval with margin.  <= 0 disables. */
+    /** Forfeit deadline: silence (no heartbeat, no result) past
+     *  this while a slice is assigned forfeits the slice.  Must
+     *  exceed the worker's heartbeat interval with margin. */
     int heartbeatTimeoutMs = 5'000;
 
     /** Re-dispatches allowed per slice after its first assignment

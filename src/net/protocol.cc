@@ -258,14 +258,8 @@ HeartbeatMessage::encode(ByteWriter &w) const
 {
     w.u32(sliceIndex);
     w.u64(sequence);
-    // The metrics tail is appended only when non-empty; senders
-    // leave it empty unless the peer advertised kCapMetrics, so a
-    // v1 coordinator always sees the legacy 12-byte payload its
-    // strict atEnd decode requires.
-    if (!metrics.empty()) {
-        w.u64(metrics.size());
-        w.bytes(metrics.data(), metrics.size());
-    }
+    w.u64(metrics.size());
+    w.bytes(metrics.data(), metrics.size());
 }
 
 bool
@@ -273,13 +267,8 @@ HeartbeatMessage::decode(ByteReader &r)
 {
     sliceIndex = r.u32();
     sequence = r.u64();
-    metrics.clear();
-    if (!r.ok())
-        return false;
-    if (r.atEnd())
-        return true; // legacy / no-metrics form
     const std::uint64_t size = r.u64();
-    if (!r.ok() || size == 0 || size > kMaxFramePayload)
+    if (!r.ok() || size > kMaxFramePayload)
         return false;
     const std::string_view bytes =
         r.bytesView(static_cast<std::size_t>(size));

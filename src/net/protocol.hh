@@ -15,35 +15,29 @@
  *   u32 magic      'PNLP'
  *   u32 version    kProtocolVersion (foreign versions rejected)
  *   u32 type       MessageType
- *   u32 flags      sender capability bits (kCap*; 0 from v1 peers)
+ *   u32 flags      sender capability bits (kCapMetrics)
  *   u64 length     payload bytes (bounded by kMaxFramePayload)
  *   u64 checksum   murmur3_128(payload, seed = type).lo
  *
- * The flags word is the header field version 1 reserved: a peer
- * that predates the service extensions writes 0 there, which reads
- * back as "no capabilities", and every extension below is gated on
- * the peer having advertised the matching bit -- so old and new
- * binaries interoperate at the crash-stop PR-5 feature level
- * without a version bump.  The checksum deliberately excludes the
- * flags word (folding it in would break exactly that v1 interop):
- * a corrupted capability bit can only ever *degrade* a connection
- * to a less capable mode, never change a statistic.
+ * Every peer speaks the whole protocol: heartbeats, delta entry
+ * streams and job control are unconditional, and a peer of another
+ * version is rejected at its first frame.  The one negotiated
+ * feature is telemetry (kCapMetrics), which only decides whether
+ * heartbeats carry metric snapshots and are acknowledged.  The
+ * checksum excludes the flags word, so a corrupted capability bit
+ * can only switch that telemetry, never change a statistic.
  *
- * Worker conversation (capabilities in [brackets]):
+ * Worker conversation:
  *
  *   worker -> coordinator   Hello      (version echo, host CPUs)
  *   coordinator -> worker   Assign     (slice index + ShardPlan)
- *   worker -> coordinator   Heartbeat  [kCapHeartbeat] repeated
- *                                      while the slice runs
- *   worker -> coordinator   Result     (slice index, entries; only
- *                                      entries not yet sent on
- *                                      this connection when the
- *                                      coordinator advertised
- *                                      kCapDeltaEntries)
+ *   worker -> coordinator   Heartbeat  repeated while the slice runs
+ *   worker -> coordinator   Result     (slice index, the entries not
+ *                                      yet sent on this connection)
  *   ... Assign/Result repeat ...
  *   coordinator -> worker   Shutdown
  *
- * Client conversation [kCapJobs]:
+ * Client conversation:
  *
  *   client -> coordinator   SubmitJob  (a ShardPlan to run)
  *   coordinator -> client   JobUpdate  (accepted; then streamed on
@@ -78,7 +72,7 @@ namespace penelope {
 namespace net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x504e4c50; // PNLP
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /** Serialized frame header size in bytes. */
 inline constexpr std::size_t kFrameHeaderBytes = 32;
@@ -88,28 +82,22 @@ inline constexpr std::size_t kFrameHeaderBytes = 32;
  *  configuration). */
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
-// Capability bits carried in the frame header flags word.  A v1
-// peer writes 0: every capability below degrades to the crash-stop
-// PR-5 behaviour when the peer did not advertise it.
-inline constexpr std::uint32_t kCapHeartbeat = 1u << 0;
-inline constexpr std::uint32_t kCapDeltaEntries = 1u << 1;
-inline constexpr std::uint32_t kCapJobs = 1u << 2;
-/** Metric snapshots piggybacked on Heartbeat frames, answered
- *  with HeartbeatAck (worker-side RTT), and the MetricsQuery /
- *  MetricsSnapshot exchange.  A peer without the bit sees exactly
- *  the PR-7 heartbeat bytes. */
+/** Capability bit carried in the frame header flags word: metric
+ *  snapshots piggybacked on Heartbeat frames, answered with
+ *  HeartbeatAck (worker-side RTT), and the MetricsQuery /
+ *  MetricsSnapshot exchange.  Without it, heartbeats carry an
+ *  empty snapshot and go unacknowledged. */
 inline constexpr std::uint32_t kCapMetrics = 1u << 3;
 
 /** Everything this binary implements. */
-inline constexpr std::uint32_t kCompiledCapabilities =
-    kCapHeartbeat | kCapDeltaEntries | kCapJobs | kCapMetrics;
+inline constexpr std::uint32_t kCompiledCapabilities = kCapMetrics;
 
 /** Everything this binary currently advertises: the compiled set
- *  minus any bits masked for interop tests. */
+ *  minus any masked bits (setCapabilityMaskForTest). */
 std::uint32_t localCapabilities();
 
-/** Test hook: advertise kCompiledCapabilities & ~mask, so suites
- *  can emulate a peer without a capability (0 restores). */
+/** Advertise kCompiledCapabilities & ~mask, so a caller can run
+ *  without telemetry (0 restores). */
 void setCapabilityMaskForTest(std::uint32_t mask);
 
 enum class MessageType : std::uint32_t
@@ -199,27 +187,25 @@ struct ResultMessage
     std::uint32_t sliceIndex = 0;
     std::uint32_t hostCpus = 0;
     double simSeconds = 0.0; ///< worker-side wall time for the slice
-    std::string entries;     ///< ResultCache::exportToBytes stream
-                             ///< (delta under kCapDeltaEntries)
+    std::string entries;     ///< ResultCache::exportNewEntries
+                             ///< stream (new on this connection)
 
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);
 };
 
-/** worker -> coordinator [kCapHeartbeat]: proof of life while a
- *  slice runs.  A worker that stops heartbeating past the
- *  coordinator's deadline forfeits the slice long before the slice
- *  timeout -- the hung-but-connected case TCP never surfaces. */
+/** worker -> coordinator: proof of life while a slice runs.  A
+ *  worker that stops heartbeating past the coordinator's deadline
+ *  forfeits the slice long before the slice timeout -- the
+ *  hung-but-connected case TCP never surfaces. */
 struct HeartbeatMessage
 {
     std::uint32_t sliceIndex = 0;
     std::uint64_t sequence = 0; ///< monotonic per assignment
 
-    /** [kCapMetrics] opaque obs::Snapshot bytes piggybacked for
-     *  the coordinator's per-worker aggregation.  Only appended
-     *  when the *peer* advertised kCapMetrics: a v1 coordinator's
-     *  strict atEnd decode sees the exact 12 legacy payload
-     *  bytes.  Decoders accept both forms. */
+    /** Opaque obs::Snapshot bytes for the coordinator's per-worker
+     *  aggregation [kCapMetrics]; empty (length 0 on the wire) when
+     *  telemetry is off. */
     std::string metrics;
 
     void encode(ByteWriter &w) const;
@@ -258,7 +244,7 @@ struct MetricsSnapshotMessage
     bool decode(ByteReader &r);
 };
 
-/** client -> coordinator [kCapJobs]: enqueue a sweep. */
+/** client -> coordinator: enqueue a sweep. */
 struct SubmitJobMessage
 {
     ShardPlan plan;
@@ -267,7 +253,7 @@ struct SubmitJobMessage
     bool decode(ByteReader &r);
 };
 
-/** client -> coordinator [kCapJobs]: poll/resync one job. */
+/** client -> coordinator: poll/resync one job. */
 struct JobStatusMessage
 {
     std::uint32_t jobId = 0;
@@ -276,7 +262,7 @@ struct JobStatusMessage
     bool decode(ByteReader &r);
 };
 
-/** client -> coordinator [kCapJobs]: abandon one job.  Pending
+/** client -> coordinator: abandon one job.  Pending
  *  slices are dropped; in-flight ones finish harmlessly. */
 struct CancelJobMessage
 {
@@ -300,7 +286,7 @@ enum class JobState : std::uint8_t
 /** True for states a job can never leave. */
 bool jobStateFinal(JobState state);
 
-/** coordinator -> client [kCapJobs]: job progress.  Streamed on
+/** coordinator -> client: job progress.  Streamed on
  *  every state change; `entries` carries the slice result payloads
  *  that landed since the previous update to this client (partial
  *  results render as they arrive), and the final update of a

@@ -55,42 +55,34 @@ interruptibleSleep(int total_ms, const AbortFn &stop)
 }
 
 /**
- * Connect with retries, bounded by @p attempts_cap (0 = unlimited)
- * and @p budget_ms of total elapsed time -- an unreachable
- * coordinator fails within the budget no matter the retry knobs.
- * @p stopped is set when the stop predicate ended the loop.
+ * Connect, retrying every kConnectRetryMs until @p budget_ms of
+ * wall time has passed.  @p stopped is set when the stop predicate
+ * ended the loop.
  */
 Socket
-connectWithBudget(const WorkerConfig &config, unsigned attempts_cap,
-                  int budget_ms, bool &stopped, std::string *error)
+connectWithBudget(const WorkerConfig &config, int budget_ms,
+                  bool &stopped, std::string *error)
 {
     stopped = false;
     std::string last_error;
     const Clock::time_point t0 = Clock::now();
-    for (unsigned attempt = 0;; ++attempt) {
+    for (;;) {
         if (config.stopRequested && config.stopRequested()) {
             stopped = true;
             return {};
         }
-        if (attempt > 0) {
-            PENELOPE_OBS_COUNTER("net.connect_retries", "1").add();
-            if (interruptibleSleep(
-                    config.connectRetryMs > 0 ? config.connectRetryMs
-                                              : 1,
-                    config.stopRequested)) {
-                stopped = true;
-                return {};
-            }
-        }
-        if (attempts_cap && attempt >= attempts_cap)
-            break;
-        if (budget_ms > 0 &&
-            Clock::now() - t0 > ms(budget_ms))
-            break;
         Socket sock = Socket::connectTo(config.host, config.port,
                                         &last_error);
         if (sock.valid())
             return sock;
+        if (Clock::now() - t0 >= ms(budget_ms))
+            break;
+        PENELOPE_OBS_COUNTER("net.connect_retries", "1").add();
+        if (interruptibleSleep(kConnectRetryMs,
+                               config.stopRequested)) {
+            stopped = true;
+            return {};
+        }
     }
     if (error)
         *error = last_error.empty() ? "connect budget exhausted"
@@ -113,11 +105,9 @@ class HeartbeatSender
                     std::uint64_t &counter, bool peer_metrics)
         : sock_(sock), sendMutex_(send_mutex), slice_(slice),
           intervalMs_(interval_ms), counter_(counter),
-          peerMetrics_(peer_metrics)
-    {
-        if (intervalMs_ > 0)
-            thread_ = std::thread([this] { loop(); });
-    }
+          peerMetrics_(peer_metrics),
+          thread_([this] { loop(); })
+    {}
 
     ~HeartbeatSender() { stop(); }
 
@@ -150,8 +140,7 @@ class HeartbeatSender
             if (peerMetrics_ && obs::enabled()) {
                 // Piggyback the scrape [kCapMetrics]: the
                 // coordinator keys its per-worker aggregation off
-                // these bytes.  Never attached to a no-capability
-                // peer -- its strict decode sees legacy bytes.
+                // these bytes.
                 beat.metrics = obs::Registry::instance()
                                    .scrape()
                                    .encodeToBytes();
@@ -245,10 +234,9 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
     };
 
     // Entry keys already sent on the current connection (delta
-    // streams, peer kCapDeltaEntries).  Cleared on reconnect: the
-    // restarted coordinator's cache may have lost everything.
+    // streams).  Cleared on reconnect: the restarted coordinator's
+    // cache may have lost everything.
     std::unordered_set<Hash128, Hash128Hasher> sent_keys;
-    unsigned assignments = 0;
 
     /** One connection's conversation; ConnectionLost may be
      *  retried by the reconnect loop below. */
@@ -305,10 +293,6 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
                     return WorkerOutcome::BadAssignment;
                 }
             }
-            const bool peer_heartbeats =
-                (frame.flags & kCapHeartbeat) != 0;
-            const bool peer_delta =
-                (frame.flags & kCapDeltaEntries) != 0;
             const bool peer_metrics =
                 (frame.flags & kCapMetrics) != 0;
             if (peer_metrics && obs::kCompiledIn) {
@@ -319,65 +303,16 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
                 obs::Registry::instance().setEnabled(true);
             }
 
-            ++assignments;
-            if (config.abortAfterAssignments &&
-                assignments >= config.abortAfterAssignments) {
-                // Testing hook: die holding the slice.  The abrupt
-                // close is the point -- the coordinator must detect
-                // the loss and reassign.
-                sock.close();
-                if (error)
-                    *error = "aborted by --worker-abort-after";
-                return WorkerOutcome::Aborted;
-            }
-            if (config.hangAfterAssignments &&
-                assignments >= config.hangAfterAssignments) {
-                // Testing hook: go silent while keeping the
-                // connection open -- the case only the heartbeat
-                // deadline can catch.  Leave when the coordinator
-                // hangs up on us (the forfeit) or the hold expires.
-                const Clock::time_point t0 = Clock::now();
-                while (config.hangHoldMs < 0 ||
-                       Clock::now() - t0 < ms(config.hangHoldMs)) {
-                    if (!sock.waitReadable(kPollMs))
-                        continue;
-                    Frame probe;
-                    if (recvFrame(sock, probe, 1000) ==
-                        RecvStatus::Closed)
-                        break;
-                }
-                if (error)
-                    *error = "hung by --worker-hang-after";
-                return WorkerOutcome::Hung;
-            }
-
             const auto t0 = Clock::now();
             bool ran;
             {
                 HeartbeatSender heartbeats(
                     sock, send_mutex, assign.sliceIndex,
-                    peer_heartbeats ? config.heartbeatIntervalMs
-                                    : 0,
+                    config.heartbeatIntervalMs,
                     local_stats.heartbeatsSent, peer_metrics);
                 ran = runPlanSlice(workload, assign.plan,
                                    assign.sliceIndex, config.jobs,
                                    config.pool, cache);
-                if (ran && config.slowFactor > 1.0) {
-                    // Testing hook: a slow-but-healthy worker.
-                    // Heartbeats keep flowing through the stretch,
-                    // so a deadline-aware coordinator must NOT
-                    // forfeit this slice.
-                    const double elapsed =
-                        std::chrono::duration<double>(Clock::now() -
-                                                      t0)
-                            .count();
-                    const int extra_ms = static_cast<int>(std::min(
-                        10'000.0,
-                        (config.slowFactor - 1.0) * elapsed *
-                            1000.0));
-                    if (extra_ms > 0)
-                        std::this_thread::sleep_for(ms(extra_ms));
-                }
                 // ~HeartbeatSender joins here: no heartbeat can
                 // interleave with the Result below.
             }
@@ -402,10 +337,7 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
             result.sliceIndex = assign.sliceIndex;
             result.hostCpus = config.hostCpus;
             result.simSeconds = sim_seconds;
-            if (peer_delta)
-                cache.exportNewEntries(sent_keys, result.entries);
-            else
-                cache.exportToBytes(result.entries);
+            cache.exportNewEntries(sent_keys, result.entries);
             local_stats.sentBytes += result.entries.size();
             local_stats.fullExportBytes += cache.exportByteSize();
             ByteWriter w;
@@ -430,7 +362,7 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
     for (;;) {
         bool stopped = false;
         Socket sock = connectWithBudget(
-            config, first_connect ? config.connectAttempts : 0,
+            config,
             first_connect ? config.connectBudgetMs
                           : config.reconnectBudgetMs,
             stopped, error);

@@ -11,20 +11,15 @@
  * profiling set, the one-trace-per-suite maps) simulate once per
  * process and every later slice of the same plan hits them.
  *
- * Service-era behaviour, each gated on the peer's capability bits
- * so a PR-5 coordinator still works unchanged:
- *
- *  - while a slice runs, a sender thread emits Heartbeat frames
- *    every heartbeatIntervalMs [peer kCapHeartbeat], so a
- *    coordinator can tell "slow" from "hung";
- *  - each Result carries only the entries not yet sent on this
- *    connection [peer kCapDeltaEntries] -- reconnects reset the
- *    set, and the duplicates deduplicate on import;
- *  - with reconnectBudgetMs > 0 the worker survives coordinator
- *    restarts: a lost connection is retried with deterministic
- *    backoff inside the budget, and the fresh connection replays
- *    the Hello (idempotent -- the worker is stateless about the
- *    run; the plan travels inside each Assign).
+ * While a slice runs, a sender thread emits Heartbeat frames every
+ * heartbeatIntervalMs, so the coordinator can tell "slow" from
+ * "hung".  Each Result carries only the entries not yet sent on
+ * this connection; a reconnect resets that set, and duplicates
+ * deduplicate on import.  With reconnectBudgetMs > 0 the worker
+ * survives coordinator restarts: a lost connection is retried at a
+ * fixed pace inside the budget, and the fresh connection replays
+ * the Hello (idempotent -- the worker is stateless about the run;
+ * the plan travels inside each Assign).
  *
  * The only thing an operator must match across machines is the
  * binary version.
@@ -43,6 +38,10 @@
 namespace penelope {
 namespace net {
 
+/** Pause between connect attempts: a connect budget ends at most
+ *  this late. */
+inline constexpr int kConnectRetryMs = 250;
+
 struct WorkerConfig
 {
     std::string host = "127.0.0.1";
@@ -57,51 +56,26 @@ struct WorkerConfig
     /** Hardware threads reported in the Hello (0 = unknown). */
     std::uint32_t hostCpus = 0;
 
-    /** Connection attempts before giving up (a worker commonly
-     *  starts before its coordinator finished binding), further
-     *  capped by connectBudgetMs of total elapsed time. */
-    unsigned connectAttempts = 20;
-    int connectRetryMs = 250;
-
-    /** Total wall-clock budget for the initial connect loop; an
-     *  unreachable coordinator fails ConnectFailed within this
-     *  bound no matter how the attempt/retry knobs are set. */
+    /** Wall-clock budget for the first connect: the worker retries
+     *  an unreachable coordinator (commonly one still binding)
+     *  every kConnectRetryMs and fails ConnectFailed once the
+     *  budget is spent. */
     int connectBudgetMs = 30'000;
 
-    /** Heartbeat cadence while a slice runs (only sent when the
-     *  coordinator advertised kCapHeartbeat; must be comfortably
-     *  below its heartbeat timeout).  <= 0 disables. */
+    /** Heartbeat cadence while a slice runs (> 0; must be
+     *  comfortably below the coordinator's heartbeat timeout). */
     int heartbeatIntervalMs = 1'000;
 
-    /** Budget for re-establishing a *lost* connection (coordinator
-     *  restart, transient network failure), measured per outage.
-     *  0 = no reconnection: a lost connection ends the worker, the
-     *  PR-5 behaviour. */
+    /** The same budget for re-establishing a *lost* connection
+     *  (coordinator restart, transient network failure), measured
+     *  per outage.  0 = no reconnection: a lost connection ends
+     *  the worker. */
     int reconnectBudgetMs = 0;
 
     /** Optional external stop signal (SIGINT/SIGTERM): polled
      *  between assignments and while waiting; the worker finishes
      *  the slice in hand, then leaves cleanly (Drained). */
     AbortFn stopRequested;
-
-    /** Testing hook: abort the process's part of the run by
-     *  closing the connection upon receiving the N-th assignment,
-     *  without running or replying (0 = never).  Exercises the
-     *  coordinator's reassignment path deterministically. */
-    unsigned abortAfterAssignments = 0;
-
-    /** Testing hook: hang upon receiving the N-th assignment --
-     *  keep the connection open but go completely silent (no run,
-     *  no heartbeats, no result) for up to hangHoldMs or until the
-     *  coordinator hangs up.  Exercises the heartbeat-deadline
-     *  forfeit, which a crash-stop abort cannot. */
-    unsigned hangAfterAssignments = 0;
-    int hangHoldMs = 60'000;
-
-    /** Testing hook: stretch each slice's apparent duration by
-     *  this factor (sleep after the real run; heartbeats keep
-     *  flowing).  Exercises slow-but-healthy workers. */
-    double slowFactor = 1.0;
 };
 
 /** Worker-side accounting. */
@@ -120,12 +94,10 @@ struct WorkerStats
 enum class WorkerOutcome
 {
     Finished,       ///< coordinator sent Shutdown
-    Aborted,        ///< abortAfterAssignments hook fired
     ConnectFailed,  ///< could not reach the coordinator
     ConnectionLost, ///< stream failed mid-run (budget exhausted)
     BadAssignment,  ///< undecodable/unknown plan from coordinator
     Drained,        ///< external stop request honoured
-    Hung,           ///< hangAfterAssignments hook fired
 };
 
 /**

@@ -10,7 +10,6 @@ SchedulerReplay::SchedulerReplay(Scheduler &scheduler,
     : sched_(scheduler), config_(config), rng_(config.seed)
 {
     releaseAt_.assign(sched_.numEntries(), 0);
-    useWheel_ = sched_.numEntries() <= 64;
 }
 
 void
@@ -32,22 +31,13 @@ SchedulerReplay::releaseDue(Cycle now)
     // cycle, so a cycle reads one word instead of scanning every
     // slot; entries further out wait in far_ and are promoted at
     // wheel-period boundaries, always before they fall due.  Due
-    // entries are drained in ascending slot order -- the order the
-    // linear scan releases them -- so the RNG draw sequence is the
-    // same either way.
-    if (useWheel_) {
-        if ((now & 63) == 0 && !far_.empty())
-            promoteFar(now);
-        std::uint64_t due = wheel_[now & 63];
-        wheel_[now & 63] = 0;
-        for (; due; due &= due - 1)
-            release(static_cast<unsigned>(std::countr_zero(due)), now);
-        return;
-    }
-    for (unsigned e = 0; e < releaseAt_.size(); ++e) {
-        if (releaseAt_[e] != 0 && releaseAt_[e] <= now)
-            release(e, now);
-    }
+    // entries are drained in ascending slot order.
+    if ((now & 63) == 0 && !far_.empty())
+        promoteFar(now);
+    std::uint64_t due = wheel_[now & 63];
+    wheel_[now & 63] = 0;
+    for (; due; due &= due - 1)
+        release(static_cast<unsigned>(std::countr_zero(due)), now);
 }
 
 void
@@ -90,13 +80,11 @@ SchedulerReplay::feed(const Uop *uops, std::size_t n)
                 1 + rng_.nextGeometric(1.0 / config_.meanResidence);
             const Cycle at = clock_ + residence;
             releaseAt_[static_cast<unsigned>(entry)] = at;
-            if (useWheel_) {
-                if (residence < 64) {
-                    wheel_[at & 63] |= std::uint64_t(1)
-                        << static_cast<unsigned>(entry);
-                } else {
-                    far_.push_back(static_cast<unsigned>(entry));
-                }
+            if (residence < 64) {
+                wheel_[at & 63] |= std::uint64_t(1)
+                    << static_cast<unsigned>(entry);
+            } else {
+                far_.push_back(static_cast<unsigned>(entry));
             }
         }
         if (stalled) {
@@ -116,9 +104,8 @@ SchedulerReplay::result()
         ++clock_;
         cycleOpen_ = false;
     }
-    // Drain outstanding entries (releaseAt_ stays authoritative for
-    // the wheel, so the drain scan and its RNG draw order are the
-    // same either way).
+    // Drain outstanding entries in slot order (releaseAt_ stays
+    // authoritative for the wheel).
     for (unsigned e = 0; e < releaseAt_.size(); ++e) {
         if (releaseAt_[e] != 0) {
             clock_ = std::max(clock_, releaseAt_[e]);

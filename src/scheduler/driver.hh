@@ -111,11 +111,10 @@ class SchedulerReplay
 
     /** Calendar wheel over the next 64 cycles: bucket c is an
      *  entry-bit mask of releases due at cycles congruent to c
-     *  (mod 64).  Only used when every entry fits one mask word;
-     *  larger schedulers keep the linear scan. */
+     *  (mod 64).  Every entry fits one mask word: a scheduler has
+     *  at most 64 entries. */
     std::array<std::uint64_t, 64> wheel_{};
     std::vector<unsigned> far_; ///< pending releases >= 64 cycles out
-    bool useWheel_ = false;
 
     std::uint8_t tagCounter_ = 0;
 

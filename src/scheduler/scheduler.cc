@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitword.hh"
 #include "obs/metrics.hh"
@@ -90,6 +92,12 @@ Scheduler::Scheduler(const SchedulerConfig &config)
       zeroTotal_(fieldLayout().totalBits()),
       busyZero_(fieldLayout().totalBits())
 {
+    // Per-entry state lives in one 64-bit mask word (deferred
+    // releases here, the replay driver's calendar wheel).
+    if (config_.numEntries < 1 || config_.numEntries > 64)
+        throw std::invalid_argument(
+            "SchedulerConfig::numEntries must be in [1, 64], got " +
+            std::to_string(config_.numEntries));
     const FieldLayout &layout = fieldLayout();
     assert(layout.totalBits() <= MaskedTimeAccumulator::kMaxWidth);
     assert(layout.count() <= 32); // holdsInverted is a 32-bit mask
@@ -143,8 +151,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
            kSrc2DataField);
     assert(static_cast<unsigned>(FieldId::Imm) == kImmField);
     assert(layout.spec(FieldId::Valid).width == 1);
-
-    deferRelease_ = config_.numEntries <= 64;
 }
 
 void
@@ -708,7 +714,7 @@ Scheduler::release(unsigned entry, Cycle now)
     // emit one merged busy+idle record.  The decision-feeding state
     // (entryTime_, ISV meters, timestamp) is still charged eagerly,
     // exactly like a flush.
-    if (deferRelease_ && !protectionEnabled_ && now > e.since) {
+    if (!protectionEnabled_ && now > e.since) {
         const std::uint64_t dt = now - e.since;
         e.pendingBusyDt = dt;
         pendingMask_ |= std::uint64_t(1) << entry;

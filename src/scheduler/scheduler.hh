@@ -41,7 +41,7 @@ namespace penelope {
 /** Static scheduler parameters. */
 struct SchedulerConfig
 {
-    unsigned numEntries = 32;
+    unsigned numEntries = 32; ///< in [1, 64]
 
     /** Allocations between RINV refreshes of the ISV fields. */
     unsigned isvSampleInterval = 64;
@@ -102,6 +102,8 @@ class Scheduler
 
     using LayoutWords = std::array<std::uint64_t, kLayoutWords>;
 
+    /** Throws std::invalid_argument for numEntries outside
+     *  [1, 64]. */
     explicit Scheduler(const SchedulerConfig &config);
 
     /** Install per-bit protection decisions (layout order; size
@@ -369,12 +371,9 @@ class Scheduler
     mutable std::uint64_t busyDtOr_ = 0;
     mutable unsigned batchCount_ = 0;
 
-    /** Entries with a deferred release parked (bit = entry index).
-     *  Release merging is only worth a bounded sweep list, so it is
-     *  gated -- like the replay driver's calendar wheel -- on every
-     *  entry fitting one mask word. */
+    /** Entries with a deferred release parked (bit = entry
+     *  index). */
     mutable std::uint64_t pendingMask_ = 0;
-    bool deferRelease_ = false; ///< numEntries <= 64
 
     /**
      * Bit-sliced binary counters holding drained-but-unfolded

@@ -17,6 +17,7 @@
 
 #include "core/registry.hh"
 #include "core/shardplan.hh"
+#include "fake_worker.hh"
 #include "net/coordinator.hh"
 #include "net/protocol.hh"
 #include "net/worker.hh"
@@ -473,19 +474,8 @@ TEST(Distributed, WorkerDroppedMidSliceIsReassigned)
     // The saboteur takes its first assignment and drops the
     // connection without replying: a deterministic
     // kill-mid-slice.
-    WorkerConfig bad;
-    bad.host = "127.0.0.1";
-    bad.port = coordinator.port();
-    bad.abortAfterAssignments = 1;
-    ResultCache bad_cache;
-    WorkerOutcome bad_outcome;
-    std::thread saboteur([&] {
-        std::string werr;
-        bad_outcome = net::runWorker(bad, workload, bad_cache,
-                                     nullptr, &werr);
-    });
-    saboteur.join();
-    EXPECT_EQ(bad_outcome, WorkerOutcome::Aborted);
+    const fake::Report bad = fake::closeAfterAssign(coordinator.port());
+    EXPECT_TRUE(bad.assigned);
 
     // A healthy worker then completes the whole run, including
     // the forfeited slice.
@@ -606,50 +596,86 @@ TEST(NetFuzz, RandomByteBlobsAreRejectedOrClosed)
     }
 }
 
+/** @p frame re-stamped with header version @p version. */
+std::string
+withVersion(std::string frame, std::uint32_t version)
+{
+    for (int i = 0; i < 4; ++i)
+        frame[4 + i] = static_cast<char>(version >> (8 * i));
+    return frame;
+}
+
 TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 {
-    // A corpus of one valid frame per conversation direction.
-    std::vector<std::pair<MessageType, std::string>> corpus;
+    // A corpus of one valid frame per conversation direction, plus
+    // version-1 frames (header and Hello payload) that must never
+    // be accepted as they stand.
+    struct Seed
     {
-        net::HelloMessage hello;
-        hello.hostCpus = 8;
+        MessageType type;
+        std::string payload;
+        std::uint32_t version;
+    };
+    std::vector<Seed> corpus;
+    const auto add = [&](MessageType type, const auto &message,
+                         std::uint32_t version = net::kProtocolVersion) {
         ByteWriter w;
-        hello.encode(w);
-        corpus.emplace_back(MessageType::Hello,
-                            std::string(w.view()));
-    }
-    {
-        net::HeartbeatMessage beat;
-        beat.sliceIndex = 1;
-        beat.sequence = 42;
-        ByteWriter w;
-        beat.encode(w);
-        corpus.emplace_back(MessageType::Heartbeat,
-                            std::string(w.view()));
-    }
-    {
-        ResultMessage result;
-        result.sliceIndex = 2;
-        result.entries = std::string(256, '\x5a');
-        ByteWriter w;
-        result.encode(w);
-        corpus.emplace_back(MessageType::Result,
-                            std::string(w.view()));
-    }
-    {
-        net::SubmitJobMessage submit;
-        submit.plan = samplePlan();
-        ByteWriter w;
-        submit.encode(w);
-        corpus.emplace_back(MessageType::SubmitJob,
-                            std::string(w.view()));
+        message.encode(w);
+        corpus.push_back({type, std::string(w.view()), version});
+    };
+    net::HelloMessage hello;
+    hello.hostCpus = 8;
+    add(MessageType::Hello, hello);
+    add(MessageType::Hello, hello, 1);
+    net::HelloMessage v1_hello = hello;
+    v1_hello.protocolVersion = 1;
+    add(MessageType::Hello, v1_hello);
+    net::HeartbeatMessage beat;
+    beat.sliceIndex = 1;
+    beat.sequence = 42;
+    add(MessageType::Heartbeat, beat);
+    add(MessageType::Heartbeat, beat, 1);
+    beat.metrics = std::string(40, '\x11');
+    add(MessageType::Heartbeat, beat);
+    ResultMessage result;
+    result.sliceIndex = 2;
+    result.entries = std::string(256, '\x5a');
+    add(MessageType::Result, result);
+    net::SubmitJobMessage submit;
+    submit.plan = samplePlan();
+    add(MessageType::SubmitJob, submit);
+
+    // Unmutated: current-version frames verify, version-1 frames
+    // are rejected at the header, and a version-1 Hello payload
+    // fails its decode.
+    for (const Seed &seed : corpus) {
+        LoopbackPair pair = LoopbackPair::make();
+        const std::string frame = withVersion(
+            net::encodeFrame(seed.type, seed.payload), seed.version);
+        ASSERT_TRUE(pair.client.sendAll(frame.data(), frame.size()));
+        Frame out;
+        const RecvStatus status =
+            net::recvFrame(pair.server, out, 2'000);
+        if (seed.version != net::kProtocolVersion) {
+            EXPECT_EQ(status, RecvStatus::Corrupt);
+            continue;
+        }
+        ASSERT_EQ(status, RecvStatus::Ok);
+        if (seed.type == MessageType::Hello) {
+            net::HelloMessage decoded;
+            ByteReader r(out.payload);
+            const bool ok = decoded.decode(r);
+            EXPECT_EQ(ok, decoded.protocolVersion ==
+                              net::kProtocolVersion);
+        }
     }
 
     FuzzRng rng(0x5eed0002);
-    for (int i = 0; i < 96; ++i) {
-        const auto &[type, payload] = corpus[rng.below(
+    for (int i = 0; i < 128; ++i) {
+        const Seed &seed = corpus[rng.below(
             static_cast<std::uint32_t>(corpus.size()))];
-        std::string frame = net::encodeFrame(type, payload);
+        std::string frame = withVersion(
+            net::encodeFrame(seed.type, seed.payload), seed.version);
         const bool truncate = rng.below(3) == 0;
         if (truncate) {
             frame.resize(rng.below(
@@ -677,12 +703,67 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
             // A strict prefix can never verify.
             EXPECT_NE(status, RecvStatus::Ok) << "iteration " << i;
         } else if (status == RecvStatus::Ok) {
-            // Bit flips may land in the checksum-exempt flags word;
+            // Bit flips may land in the checksum-exempt flags word
+            // (or flip a version-1 header to the current version);
             // an accepted frame must still carry the exact payload.
-            EXPECT_EQ(out.type, type) << "iteration " << i;
-            EXPECT_EQ(out.payload, payload) << "iteration " << i;
+            EXPECT_EQ(out.type, seed.type) << "iteration " << i;
+            EXPECT_EQ(out.payload, seed.payload) << "iteration " << i;
         }
     }
+}
+
+/** A version-1 peer is dropped at its Hello -- by the frame header
+ *  or by the Hello payload -- before it can claim a slice. */
+TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
+{
+    const WorkloadSet workload;
+    const ShardPlan plan = samplePlan();
+    ResultCache collected;
+    CoordinatorConfig config;
+    config.sliceTimeoutMs = 60'000;
+    Coordinator coordinator(plan, collected, config);
+    std::string error;
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] { coordinator.run(); });
+
+    HelloMessage hello;
+    hello.hostCpus = 2;
+    ByteWriter current;
+    hello.encode(current);
+    hello.protocolVersion = 1;
+    ByteWriter v1_payload;
+    hello.encode(v1_payload);
+    const std::string frames[] = {
+        withVersion(
+            net::encodeFrame(MessageType::Hello, current.view()), 1),
+        net::encodeFrame(MessageType::Hello, v1_payload.view()),
+    };
+    for (const std::string &frame : frames) {
+        Socket conn = Socket::connectTo("127.0.0.1",
+                                        coordinator.port(), &error);
+        ASSERT_TRUE(conn.valid()) << error;
+        ASSERT_TRUE(conn.sendAll(frame.data(), frame.size()));
+        // The coordinator hangs up without a word: no Assign.
+        Frame out;
+        EXPECT_EQ(net::recvFrame(conn, out, 10'000),
+                  RecvStatus::Closed);
+    }
+    EXPECT_EQ(coordinator.jobState(0), net::JobState::Accepted);
+
+    // A current worker then runs every slice, each assigned once.
+    WorkerConfig wc;
+    wc.port = coordinator.port();
+    ResultCache local;
+    std::string werr;
+    EXPECT_EQ(net::runWorker(wc, workload, local, nullptr, &werr),
+              WorkerOutcome::Finished);
+    serve.join();
+
+    const net::CoordinatorStats &cs = coordinator.stats();
+    EXPECT_EQ(cs.workersSeen, 1u);
+    EXPECT_EQ(cs.assignments, plan.sliceCount);
+    EXPECT_EQ(cs.reassignments, 0u);
+    EXPECT_EQ(coordinator.jobState(0), net::JobState::Complete);
 }
 
 TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
@@ -756,7 +837,7 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
     wc.host = "127.0.0.1";
     wc.port = coordinator.port();
     ResultCache worker_cache;
-    WorkerOutcome outcome = WorkerOutcome::Aborted;
+    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
     std::thread worker([&] {
         std::string werr;
         outcome = net::runWorker(wc, workload, worker_cache,
@@ -806,19 +887,17 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
 
 // ------------------------------------------- metrics extensions
 
-/** The v1 heartbeat payload is exactly u32 slice + u64 sequence.
- *  The kCapMetrics piggyback must not disturb that layout: an
- *  empty metrics field encodes to the exact 12 legacy bytes (a v1
- *  coordinator's strict atEnd decode accepts it), and a legacy
- *  12-byte payload decodes with empty metrics. */
-TEST(NetProtocol, HeartbeatKeepsLegacyLayoutWithoutMetrics)
+/** A heartbeat is u32 slice + u64 sequence + u64 snapshot length +
+ *  snapshot bytes.  Without telemetry the length is present and 0;
+ *  the 12-byte form of protocol version 1 no longer decodes. */
+TEST(NetProtocol, HeartbeatHasOneLayout)
 {
     HeartbeatMessage in;
     in.sliceIndex = 3;
     in.sequence = 41;
     ByteWriter w;
     in.encode(w);
-    ASSERT_EQ(w.view().size(), 12u);
+    ASSERT_EQ(w.view().size(), 20u);
 
     HeartbeatMessage out;
     ByteReader r(w.view());
@@ -826,6 +905,10 @@ TEST(NetProtocol, HeartbeatKeepsLegacyLayoutWithoutMetrics)
     EXPECT_EQ(out.sliceIndex, 3u);
     EXPECT_EQ(out.sequence, 41u);
     EXPECT_TRUE(out.metrics.empty());
+
+    HeartbeatMessage legacy;
+    ByteReader rl(w.view().substr(0, 12));
+    EXPECT_FALSE(legacy.decode(rl));
 }
 
 TEST(NetProtocol, HeartbeatMetricsTailRoundTrips)
@@ -836,7 +919,7 @@ TEST(NetProtocol, HeartbeatMetricsTailRoundTrips)
     in.metrics = std::string("\x01\x00\x00\x00\x00", 5);
     ByteWriter w;
     in.encode(w);
-    EXPECT_GT(w.view().size(), 12u);
+    EXPECT_EQ(w.view().size(), 25u);
 
     HeartbeatMessage out;
     ByteReader r(w.view());
@@ -936,7 +1019,9 @@ TEST(Distributed, MetricsPiggybackReachesCoordinator)
     if (!obs::kCompiledIn)
         GTEST_SKIP();
     const WorkloadSet workload;
-    const ShardPlan plan = samplePlan();
+    // Slices long enough for several 2 ms beats on any host.
+    ShardPlan plan = samplePlan();
+    plan.uopsPerTrace = plan.cacheUops = 20'000;
 
     ResultCache collected;
     CoordinatorConfig config;
@@ -951,7 +1036,6 @@ TEST(Distributed, MetricsPiggybackReachesCoordinator)
     wc.port = coordinator.port();
     wc.hostCpus = 1;
     wc.heartbeatIntervalMs = 2;
-    wc.slowFactor = 2.0; // stretch slices past the beat interval
     ResultCache local;
     WorkerStats stats;
     std::string werr;

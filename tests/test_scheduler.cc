@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "scheduler/driver.hh"
 #include "scheduler/fields.hh"
 #include "scheduler/profile.hh"
@@ -224,6 +226,30 @@ TEST(Scheduler, FullWhenAllSlotsBusy)
     EXPECT_TRUE(sched.full());
     EXPECT_EQ(sched.allocate(makeAluUop(3, 3), RenameTags{}, 1),
               -1);
+}
+
+TEST(Scheduler, EntryCountMustFitOneMaskWord)
+{
+    for (const unsigned n : {0u, 65u, 128u}) {
+        SchedulerConfig cfg;
+        cfg.numEntries = n;
+        EXPECT_THROW(Scheduler{cfg}, std::invalid_argument) << n;
+    }
+
+    // The widest accepted scheduler uses every bit of the word:
+    // a replay must release all 64 entries it allocates.
+    SchedulerConfig cfg;
+    cfg.numEntries = 64;
+    Scheduler sched(cfg);
+    SchedReplayConfig replay_cfg;
+    replay_cfg.arrivalRate = 3.0;
+    replay_cfg.meanResidence = 80.0;
+    SchedulerReplay replay(sched, replay_cfg);
+    TraceGenerator gen = WorkloadSet().replayGenerator(0);
+    const SchedReplayResult r = replay.run(gen, 20'000);
+    EXPECT_EQ(r.allocated, 20'000u);
+    EXPECT_EQ(r.released, r.allocated);
+    EXPECT_GT(r.stallCycles, 0u); // all 64 slots were busy at once
 }
 
 TEST(Scheduler, OccupancyAccounting)

@@ -24,6 +24,7 @@
 #include "core/registry.hh"
 #include "core/resultcache.hh"
 #include "core/shardplan.hh"
+#include "fake_worker.hh"
 #include "net/backoff.hh"
 #include "net/coordinator.hh"
 #include "net/faultinject.hh"
@@ -465,17 +466,9 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     // The hung worker takes its first assignment and goes silent
     // while keeping the connection open: invisible to TCP, caught
     // only by the heartbeat deadline.
-    WorkerConfig hung;
-    hung.host = "127.0.0.1";
-    hung.port = coordinator.port();
-    hung.hangAfterAssignments = 1;
-    hung.hangHoldMs = 60'000;
-    ResultCache hung_cache;
-    WorkerOutcome hung_outcome = WorkerOutcome::Finished;
+    fake::Report hung;
     std::thread silent([&] {
-        std::string werr;
-        hung_outcome = net::runWorker(hung, workload, hung_cache,
-                                      nullptr, &werr);
+        hung = fake::silentAfterAssign(coordinator.port(), 60'000);
     });
 
     // Let the hung worker claim first, then send in the rescuer.
@@ -487,24 +480,13 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     }
     ASSERT_EQ(coordinator.jobState(0), JobState::Running);
 
-    WorkerConfig good;
-    good.host = "127.0.0.1";
-    good.port = coordinator.port();
-    // Stretch each slice well past the heartbeat interval: the
-    // rescuer is slow but heartbeating, so the deadline must not
-    // forfeit it -- and the coordinator must see its beats.  The
-    // stretch is 19x a slice's run time, and a sample-plan slice
-    // runs in about a millisecond, so the interval is set far below
-    // that rather than tied to how fast the simulator is.
-    good.heartbeatIntervalMs = 2;
-    good.slowFactor = 20.0;
-    ResultCache good_cache;
-    WorkerStats good_stats;
-    WorkerOutcome good_outcome = WorkerOutcome::Aborted;
+    // The rescuer is slow but heartbeating: it beats for 1.3 s, past
+    // the 1 s deadline, before each result.  The deadline must not
+    // forfeit it -- and the coordinator must see its beats.
+    fake::Report good;
     std::thread rescuer([&] {
-        std::string werr;
-        good_outcome = net::runWorker(good, workload, good_cache,
-                                      &good_stats, &werr);
+        good = fake::slowHeartbeatingWorker(coordinator.port(),
+                                            workload, 1'300, 50);
     });
 
     silent.join();
@@ -512,9 +494,11 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     serve.join();
 
     // The forfeit closed the hung connection, so the worker exits
-    // bounded instead of holding its slice for hangHoldMs.
-    EXPECT_EQ(hung_outcome, WorkerOutcome::Hung);
-    EXPECT_EQ(good_outcome, WorkerOutcome::Finished);
+    // bounded instead of holding its slice for 60 s.
+    EXPECT_TRUE(hung.assigned);
+    EXPECT_TRUE(hung.hungUp);
+    EXPECT_TRUE(good.shutdown);
+    EXPECT_EQ(good.slicesRun, plan.sliceCount);
     EXPECT_GE(coordinator.stats().hungForfeits, 1u);
     EXPECT_GE(coordinator.stats().reassignments, 1u);
     EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
@@ -548,19 +532,9 @@ TEST(Service, RetryBudgetExhaustionDegradesToPartialManifest)
     // and after the last one the job must finalize Partial instead
     // of waiting forever for workers that will never come.
     for (std::uint32_t s = 0; s < plan.sliceCount; ++s) {
-        WorkerConfig bad;
-        bad.host = "127.0.0.1";
-        bad.port = coordinator.port();
-        bad.abortAfterAssignments = 1;
-        ResultCache bad_cache;
-        WorkerOutcome outcome = WorkerOutcome::Finished;
-        std::thread saboteur([&] {
-            std::string werr;
-            outcome = net::runWorker(bad, workload, bad_cache,
-                                     nullptr, &werr);
-        });
-        saboteur.join();
-        EXPECT_EQ(outcome, WorkerOutcome::Aborted);
+        const fake::Report bad =
+            fake::closeAfterAssign(coordinator.port());
+        EXPECT_TRUE(bad.assigned);
     }
     serve.join();
 
@@ -596,11 +570,10 @@ TEST(Service, WorkerReconnectsAcrossCoordinatorRestart)
     WorkerConfig wc;
     wc.host = "127.0.0.1";
     wc.port = port;
-    wc.connectRetryMs = 100;
     wc.reconnectBudgetMs = 30'000;
     ResultCache worker_cache;
     WorkerStats stats;
-    WorkerOutcome outcome = WorkerOutcome::Aborted;
+    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
     std::thread worker([&] {
         std::string werr;
         outcome = net::runWorker(wc, workload, worker_cache,
@@ -649,6 +622,70 @@ TEST(Service, WorkerReconnectsAcrossCoordinatorRestart)
     EXPECT_EQ(collected.stats().stores, 0u);
 }
 
+/** A free loopback port: bound once, then released. */
+std::uint16_t
+freePort()
+{
+    std::string error;
+    Socket probe = Socket::listenOn(0, &error);
+    EXPECT_TRUE(probe.valid()) << error;
+    return probe.boundPort();
+}
+
+TEST(Service, ConnectBudgetOutlastsALateListener)
+{
+    // The whole budget binds: a coordinator that starts listening
+    // 6 s after its worker is still reached within an 8 s budget.
+    const std::uint16_t port = freePort();
+    WorkerConfig wc;
+    wc.port = port;
+    wc.connectBudgetMs = 8'000;
+    ResultCache cache;
+    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
+    std::string werr;
+    std::thread worker([&] {
+        outcome = net::runWorker(wc, WorkloadSet(), cache, nullptr,
+                                 &werr);
+    });
+
+    std::this_thread::sleep_for(std::chrono::seconds(6));
+    std::string error;
+    Socket listener = Socket::listenOn(port, &error);
+    EXPECT_TRUE(listener.valid()) << error;
+    Socket conn = listener.valid() ? listener.accept(5'000) : Socket();
+    if (conn.valid()) {
+        Frame hello;
+        EXPECT_EQ(net::recvFrame(conn, hello, 5'000), RecvStatus::Ok);
+        EXPECT_EQ(hello.type, MessageType::Hello);
+        EXPECT_TRUE(net::sendFrame(conn, MessageType::Shutdown, {}));
+    }
+    worker.join();
+    EXPECT_TRUE(conn.valid()) << "the worker gave up inside its budget";
+    EXPECT_EQ(outcome, WorkerOutcome::Finished) << werr;
+}
+
+TEST(Service, ConnectBudgetBoundsAClosedPort)
+{
+    // Nobody listens: the worker keeps retrying for the whole
+    // budget, then fails within one more retry interval (plus
+    // scheduling slack for loaded or sanitized runs).
+    WorkerConfig wc;
+    wc.port = freePort();
+    wc.connectBudgetMs = 1'000;
+    ResultCache cache;
+    std::string werr;
+    const Clock::time_point t0 = Clock::now();
+    const WorkerOutcome outcome =
+        net::runWorker(wc, WorkloadSet(), cache, nullptr, &werr);
+    const auto elapsed = Clock::now() - t0;
+    EXPECT_EQ(outcome, WorkerOutcome::ConnectFailed);
+    EXPECT_FALSE(werr.empty());
+    EXPECT_GE(elapsed, std::chrono::milliseconds(wc.connectBudgetMs));
+    EXPECT_LT(elapsed,
+              std::chrono::milliseconds(wc.connectBudgetMs +
+                                        net::kConnectRetryMs + 500));
+}
+
 TEST(Service, DeltaStreamsResendLessThanFullExports)
 {
     const WorkloadSet workload;
@@ -666,7 +703,7 @@ TEST(Service, DeltaStreamsResendLessThanFullExports)
     wc.port = coordinator.port();
     ResultCache worker_cache;
     WorkerStats stats;
-    WorkerOutcome outcome = WorkerOutcome::Aborted;
+    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
     std::thread worker([&] {
         std::string werr;
         outcome = net::runWorker(wc, workload, worker_cache,
@@ -747,7 +784,7 @@ TEST(Service, ResidentSubmitJobStreamsToCompletion)
     wc.port = coordinator.port();
     wc.heartbeatIntervalMs = 100;
     ResultCache worker_cache;
-    WorkerOutcome outcome = WorkerOutcome::Aborted;
+    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
     std::thread worker([&] {
         std::string werr;
         outcome = net::runWorker(wc, workload, worker_cache,

@@ -2,7 +2,7 @@
  * @file
  * Tests for the surrogate triage layer: deterministic least-squares
  * fitting, feature sanity, triage selection accounting, the
- * full-audit == --no-surrogate byte-identity contract of the
+ * full-audit == triage-off identity of candidate sweeps and the
  * attack-search experiment, top-K argmax coverage on candidate
  * corpora, seed reproducibility and RNG-stream isolation.  The
  * iron rule under test throughout: the surrogate only decides what
@@ -222,14 +222,52 @@ runAttackSearchToString(const ExperimentOptions &options)
 
 TEST(AttackSearch, FullAuditByteIdenticalToNoSurrogate)
 {
-    ExperimentOptions disabled = searchOptions();
-    disabled.surrogateEnabled = false;
-    ExperimentOptions full_audit = searchOptions();
-    full_audit.surrogateAuditFraction = 1.0;
-    const std::string a = runAttackSearchToString(disabled);
-    const std::string b = runAttackSearchToString(full_audit);
-    EXPECT_EQ(a, b);
-    EXPECT_NE(a.find("Attack search"), std::string::npos);
+    // A full audit prices every candidate exactly, so a triaged
+    // sweep at audit fraction 1.0 must equal a sweep with triage
+    // off: the same candidates, verdicts and winner.
+    const Engine engine(1);
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    TriageStats train_stats;
+    const SurrogateFit fit = trainAttackSurrogate(
+        analysis, 24, SurrogateFitConfig(), 256, engine, nullptr,
+        train_stats);
+    std::vector<AttackConfig> pool;
+    for (std::size_t i = 0; i < 32; ++i) {
+        Rng rng(mixSeed(0xa0d1, i));
+        pool.push_back(randomAttackCandidate(rng));
+    }
+    CandidateSweepConfig off;
+    off.triage = false;
+    off.exactSamples = 256;
+    CandidateSweepConfig full_audit = off;
+    full_audit.triage = true;
+    full_audit.triageConfig.auditFraction = 1.0;
+
+    const CandidateSweepResult a = sweepAttackCandidates(
+        analysis, pool, nullptr, off, engine, nullptr);
+    const CandidateSweepResult b = sweepAttackCandidates(
+        analysis, pool, &fit, full_audit, engine, nullptr);
+    EXPECT_EQ(a.evaluated, b.evaluated);
+    EXPECT_EQ(b.evaluated.size(), pool.size());
+    ASSERT_EQ(a.evals.size(), b.evals.size());
+    for (std::size_t i = 0; i < a.evals.size(); ++i) {
+        EXPECT_EQ(a.evals[i].score, b.evals[i].score) << i;
+        EXPECT_EQ(a.evals[i].guardband, b.evals[i].guardband) << i;
+    }
+    EXPECT_EQ(a.bestIndex, b.bestIndex);
+    EXPECT_EQ(a.best.score, b.best.score);
+
+    // The experiment takes the triage-off path under a full audit,
+    // which is jobs-invariant like every exact sweep.
+    ExperimentOptions serial = searchOptions();
+    serial.surrogateAuditFraction = 1.0;
+    ExperimentOptions parallel = serial;
+    parallel.jobs = 4;
+    const std::string out = runAttackSearchToString(serial);
+    EXPECT_EQ(out, runAttackSearchToString(parallel));
+    EXPECT_NE(out.find("Attack search"), std::string::npos);
 }
 
 TEST(AttackSearch, SeedReproducible)
