@@ -24,18 +24,15 @@
  * to a plain run.
  *
  * A command line selects one mode: a local run (which covers
- * --merge), --shard, --serve, --client, --worker or
- * --metrics-query.  One option table gives each flag's parsing,
- * bounds, valid modes and help text; --help is generated from it,
- * and a flag given in a mode its row does not list exits 2 instead
- * of being silently ignored.
+ * --merge), --shard, --serve, --client or --worker.  One option
+ * table gives each flag's parsing, bounds, valid modes and help
+ * text; --help is generated from it, and a flag given in a mode its
+ * row does not list exits 2 instead of being silently ignored.
  */
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -44,14 +41,12 @@
 #include <string>
 #include <vector>
 
-#include "adder/adder.hh"
 #include "common/buildinfo.hh"
 #include "common/shutdown.hh"
 #include "common/threadpool.hh"
 #include "core/registry.hh"
 #include "core/resultcache.hh"
 #include "core/shardplan.hh"
-#include "core/surrogate_sweep.hh"
 #include "net/coordinator.hh"
 #include "net/faultinject.hh"
 #include "net/worker.hh"
@@ -72,11 +67,9 @@ enum Mode : unsigned
     Serve = 4,   ///< --serve: coordinate workers, then render
     Client = 8,  ///< --client: submit a job, then render
     Worker = 16, ///< --worker: run slices a coordinator assigns
-    Query = 32,  ///< --metrics-query: print a coordinator's metrics
 };
 constexpr unsigned kRuns = Local | Shard | Serve | Client;
-constexpr unsigned kSims = kRuns | Worker; ///< simulate here
-constexpr unsigned kAll = kSims | Query;
+constexpr unsigned kAll = kRuns | Worker; ///< every mode simulates
 
 /** The flags that select a mode, in precedence order: when several
  *  are given the first wins, and the others fail its mode rule. */
@@ -84,9 +77,8 @@ constexpr struct
 {
     Mode mode;
     const char *flag;
-} kModeFlags[] = {{Query, "--metrics-query"}, {Worker, "--worker"},
-                  {Serve, "--serve"},         {Client, "--client"},
-                  {Shard, "--shard"}};
+} kModeFlags[] = {{Worker, "--worker"}, {Serve, "--serve"},
+                  {Client, "--client"}, {Shard, "--shard"}};
 
 /**
  * Everything a command line sets.  Option actions write straight
@@ -110,13 +102,12 @@ struct Settings
     bool all = false;
     bool full = false;
     bool uopsSet = false;
-    bool surrogateStats = false;
     std::string cacheDir;
     bool cacheGc = false;
     std::string shardOut;
     std::vector<std::string> mergeFiles;
     unsigned slices = 0; ///< 0 = derive from workers-expected
-    std::string host; ///< the coordinator of --client/--metrics-query
+    std::string host; ///< the coordinator of --client
     std::uint16_t port = 0;
     bool metricsDump = false;
     std::optional<std::uint16_t> metricsPort;
@@ -194,7 +185,7 @@ parseShard(const char *text, unsigned &index, unsigned &count)
     return true;
 }
 
-/** Parse "HOST:PORT" for --worker / --client / --metrics-query. */
+/** Parse "HOST:PORT" for --worker / --client. */
 bool
 parseHostPort(const char *flag, const char *text,
               std::string &host, std::uint16_t &port)
@@ -300,7 +291,7 @@ const Option kOptions[] = {
          s.options.uopsPerTrace = s.options.cacheUops = v.n;
          s.uopsSet = true;
      }},
-    {"--jobs", "N", kSims, Count, 0, 4096,
+    {"--jobs", "N", kAll, Count, 0, 4096,
      "worker threads for per-trace simulation (N >= 1, default 1; "
      "0 = all hardware threads; statistics are identical for any N)",
      [](auto &s, auto &v) { s.options.jobs = v.n ? v.n : defaultJobs(); }},
@@ -312,13 +303,7 @@ const Option kOptions[] = {
      "anyway (default 0.03; 1.0 = full audit: every candidate is "
      "priced exactly and the surrogate is bypassed)",
      [](auto &s, auto &v) { s.options.surrogateAuditFraction = v.x; }},
-    {"--surrogate-stats", nullptr, Local, Switch, 0, 0,
-     "print the fitted surrogate's coefficients, errors, triage "
-     "accounting, per-candidate costs and a same-run exhaustive vs "
-     "pruned sweep, then exit (no result cache, so both arms pay "
-     "their true cost; CI parses the speedup floors)",
-     [](auto &s, auto &) { s.surrogateStats = true; }},
-    {"--cache-dir", "DIR", kSims, Path, 0, 0,
+    {"--cache-dir", "DIR", kAll, Path, 0, 0,
      "attach a persistent store to the run's result cache: per-trace "
      "results are looked up before simulating and stored after; "
      "statistics (and stdout) are byte-identical with a cold store, "
@@ -401,23 +386,19 @@ const Option kOptions[] = {
      "total wall-clock budget for the worker's initial connect loop "
      "(default 30000)",
      [](auto &s, auto &v) { s.worker.connectBudgetMs = v.n; }},
-    {"--metrics-dump", nullptr, kSims, Switch, 0, 0,
+    {"--metrics-dump", nullptr, kAll, Switch, 0, 0,
      "enable the metrics registry and print a sorted 'obs: name "
      "value' snapshot to stderr after the run (stdout is unchanged)",
      [](auto &s, auto &) { s.metricsDump = true; }},
-    {"--metrics-port", "PORT", kSims, Count, 0, 65535,
+    {"--metrics-port", "PORT", kAll, Count, 0, 65535,
      "serve Prometheus text exposition over HTTP while running (0 = "
      "ephemeral; the port is announced on stderr); under --serve the "
      "exposition includes per-worker series",
      [](auto &s, auto &v) { s.metricsPort = v.n; }},
-    {"--trace-out", "FILE", kSims, Path, 0, 0,
+    {"--trace-out", "FILE", kAll, Path, 0, 0,
      "write a Chrome trace_event JSON span trace (load it in "
      "Perfetto or chrome://tracing)",
      [](auto &s, auto &v) { s.traceOut = v.text; }},
-    {"--metrics-query", "HOST:PORT", Query, HostPort, 0, 0,
-     "fetch a running coordinator's aggregated metrics as "
-     "Prometheus text on stdout, then exit",
-     [](auto &s, auto &v) { s.host = v.host; s.port = v.port; }},
     {"--version", nullptr, kAll, Switch, 0, 0,
      "print the build configuration and exit",
      [](auto &s, auto &) { std::cout << buildInfoText(); s.done = true; }},
@@ -571,8 +552,7 @@ parseArgs(int argc, char **argv, Settings &s)
     }
 
     // Expand --all and check every name before running anything.
-    // Only a resident --serve and the --surrogate-stats report run
-    // with none.
+    // Only a resident --serve runs with none.
     const ExperimentRegistry &registry =
         ExperimentRegistry::instance();
     if (s.all) {
@@ -580,8 +560,7 @@ parseArgs(int argc, char **argv, Settings &s)
         for (const Experiment &e : registry.experiments())
             s.names.push_back(e.name);
     }
-    if (s.names.empty() && (s.mode & (Local | Shard | Client)) &&
-        !s.surrogateStats) {
+    if (s.names.empty() && (s.mode & (Local | Shard | Client))) {
         std::cerr << "penelope_bench: no experiment given\n\n";
         listExperiments(std::cerr);
         std::cerr << '\n';
@@ -657,158 +636,6 @@ printCacheStats(ResultCache &cache)
                   << " bad records dropped";
     }
     std::cerr << "\n";
-}
-
-/**
- * The --surrogate-stats report: parsable one-line records of the
- * fitted duty -> degradation surrogate.  Everything passes a null
- * result cache so the same-run exhaustive-vs-pruned sweep pays its
- * true simulation cost on both arms (CI parses the speedup floors
- * and the argmax-coverage flag from these lines).  Honors
- * --surrogate-audit and --jobs; coefficients are printed in full
- * -- no silent caps anywhere in the surrogate path.
- */
-void
-printSurrogateStats(std::ostream &os,
-                    const ExperimentOptions &options)
-{
-    using clock = std::chrono::steady_clock;
-    const auto ms = [](clock::duration d) {
-        return std::chrono::duration<double, std::milli>(d)
-            .count();
-    };
-    char buf[64];
-    const auto num = [&buf](const char *fmt, double v) {
-        std::snprintf(buf, sizeof buf, fmt, v);
-        return std::string(buf);
-    };
-
-    const Engine engine(options.jobs);
-    LadnerFischerAdder adder(32);
-    const GuardbandModel model = GuardbandModel::paperCalibrated();
-    AdderAgingAnalysis analysis(adder, model);
-    const std::size_t exact_samples =
-        options.attackSearchExactSamples;
-
-    // Fit (timed): the training replays an attack-search run
-    // amortises over every generation.
-    TriageStats stats;
-    SurrogateFitConfig fit_config;
-    fit_config.seed = mixSeed(options.surrogateSeed, 0xf17);
-    const auto t_fit0 = clock::now();
-    const SurrogateFit fit = trainAttackSurrogate(
-        analysis, options.surrogateTrainCandidates, fit_config,
-        exact_samples, engine, nullptr, stats);
-    const auto t_fit1 = clock::now();
-
-    os << "surrogate-fit adder=" << adder.name()
-       << " features=" << fit.featureCount()
-       << " train=" << fit.trainCount
-       << " holdout=" << fit.holdoutCount
-       << " train-rmse=" << num("%.6f", fit.trainRmse)
-       << " holdout-rmse=" << num("%.6f", fit.holdoutRmse)
-       << " fit-ms=" << num("%.2f", ms(t_fit1 - t_fit0)) << "\n";
-    os << "surrogate-coeffs";
-    for (std::size_t c = 0; c < fit.coeffs.size(); ++c)
-        os << " c" << c << "=" << num("%.6g", fit.coeffs[c]);
-    os << "\n";
-
-    // Per-candidate costs: the exact replay vs the cheap tier
-    // (feature extraction + closed-form predict).
-    Rng probe_rng(mixSeed(options.surrogateSeed, 0xbe9c4));
-    const AttackConfig probe = randomAttackCandidate(probe_rng);
-    const std::vector<double> probe_features =
-        candidateFeatures(probe, adder.width());
-
-    // Mean ns per call over @p reps calls; the sink keeps every
-    // call live.
-    double sink = 0.0;
-    const auto ns_per_call = [&](unsigned reps, const auto &call) {
-        const auto t0 = clock::now();
-        for (unsigned r = 0; r < reps; ++r)
-            sink += call();
-        return ms(clock::now() - t0) * 1e6 / reps;
-    };
-    const double exact_ns = ns_per_call(16, [&] {
-        return evaluateCandidateExact(analysis, probe, exact_samples)
-            .score;
-    });
-    const double feature_ns = ns_per_call(256, [&] {
-        return candidateFeatures(probe, adder.width()).front();
-    });
-    const double predict_ns = ns_per_call(
-        1 << 18, [&] { return fit.predict(probe_features); });
-    os << "surrogate-cost exact-ns=" << num("%.0f", exact_ns)
-       << " feature-ns=" << num("%.0f", feature_ns)
-       << " predict-ns=" << num("%.1f", predict_ns)
-       << " predict-speedup=" << num("%.1f", exact_ns / predict_ns)
-       << " cheap-tier-speedup="
-       << num("%.1f", exact_ns / (feature_ns + predict_ns))
-       << " sink=" << num("%.3g", sink) << "\n";
-
-    // Same-run sweep: one candidate pool, exhaustive then pruned,
-    // no cache on either arm.
-    constexpr std::size_t kSweepPool = 1024;
-    std::vector<AttackConfig> pool;
-    pool.reserve(kSweepPool);
-    for (std::size_t i = 0; i < kSweepPool; ++i) {
-        Rng rng(mixSeed(options.surrogateSeed,
-                        0x9001'0000ULL + i));
-        pool.push_back(randomAttackCandidate(rng));
-    }
-
-    CandidateSweepConfig exhaustive_config;
-    exhaustive_config.triage = false;
-    exhaustive_config.exactSamples = exact_samples;
-
-    CandidateSweepConfig pruned_config = exhaustive_config;
-    pruned_config.triage = true;
-    pruned_config.triageConfig.topK = options.surrogateTopK;
-    pruned_config.triageConfig.auditFraction =
-        options.surrogateAuditFraction;
-    pruned_config.triageConfig.auditSeed =
-        mixSeed(options.surrogateSeed, 0xa0d17);
-
-    const auto t_ex0 = clock::now();
-    const CandidateSweepResult exhaustive = sweepAttackCandidates(
-        analysis, pool, nullptr, exhaustive_config, engine,
-        nullptr);
-    const auto t_ex1 = clock::now();
-
-    const auto t_pr0 = clock::now();
-    const CandidateSweepResult pruned = sweepAttackCandidates(
-        analysis, pool, &fit, pruned_config, engine, nullptr);
-    const auto t_pr1 = clock::now();
-    stats.merge(pruned.stats);
-
-    const bool covered =
-        std::find(pruned.evaluated.begin(), pruned.evaluated.end(),
-                  exhaustive.bestIndex) != pruned.evaluated.end();
-    const double exhaustive_ms = ms(t_ex1 - t_ex0);
-    const double pruned_ms = ms(t_pr1 - t_pr0);
-    const double pruned_with_fit_ms =
-        pruned_ms + ms(t_fit1 - t_fit0);
-    os << "surrogate-sweep pool=" << kSweepPool
-       << " exhaustive-evals=" << exhaustive.evaluated.size()
-       << " pruned-evals=" << pruned.evaluated.size()
-       << " exhaustive-ms=" << num("%.2f", exhaustive_ms)
-       << " pruned-ms=" << num("%.2f", pruned_ms)
-       << " pruned-with-fit-ms="
-       << num("%.2f", pruned_with_fit_ms)
-       << " speedup=" << num("%.2f", exhaustive_ms / pruned_ms)
-       << " speedup-with-fit="
-       << num("%.2f", exhaustive_ms / pruned_with_fit_ms)
-       << " argmax-covered=" << (covered ? "yes" : "no")
-       << " best-score-match="
-       << (pruned.best.score == exhaustive.best.score ? "yes"
-                                                      : "no")
-       << "\n";
-
-    os << "surrogate-triage scored=" << stats.candidatesScored
-       << " pruned=" << stats.pruned
-       << " exact=" << stats.exactEvaluated
-       << " audited=" << stats.audited
-       << " train=" << stats.trainEvaluated << "\n";
 }
 
 /**
@@ -1188,44 +1015,6 @@ runClient(const Settings &s, ResultCache &cache)
     return render(s, cache);
 }
 
-/** --metrics-query: print a coordinator's aggregated metrics. */
-int
-runMetricsQuery(const Settings &s)
-{
-    std::string error;
-    net::Socket sock = net::Socket::connectTo(s.host, s.port, &error);
-    if (!sock.valid()) {
-        std::cerr << "penelope_bench: --metrics-query: " << error
-                  << "\n";
-        return 4;
-    }
-    net::MetricsQueryMessage query;
-    ByteWriter w;
-    query.encode(w);
-    if (!net::sendFrame(sock, net::MessageType::MetricsQuery,
-                        w.view())) {
-        std::cerr << "penelope_bench: --metrics-query: send "
-                     "failed\n";
-        return 1;
-    }
-    net::Frame frame;
-    if (net::recvFrame(sock, frame, 10'000) != net::RecvStatus::Ok ||
-        frame.type != net::MessageType::MetricsSnapshot) {
-        std::cerr << "penelope_bench: --metrics-query: no snapshot "
-                     "(coordinator without metrics support?)\n";
-        return 1;
-    }
-    net::MetricsSnapshotMessage snapshot;
-    ByteReader r(frame.payload);
-    if (!snapshot.decode(r)) {
-        std::cerr << "penelope_bench: --metrics-query: "
-                     "undecodable snapshot\n";
-        return 1;
-    }
-    std::cout << snapshot.text;
-    return 0;
-}
-
 } // namespace
 
 int
@@ -1242,16 +1031,10 @@ main(int argc, char **argv)
     Settings s;
     if (const int rc = parseArgs(argc, argv, s); rc >= 0)
         return rc;
-    if (s.mode == Query)
-        return runMetricsQuery(s);
 
     ObsSession obs;
     if (!obs.start(s))
         return 2;
-    if (s.surrogateStats) {
-        printSurrogateStats(std::cout, s.options);
-        return 0;
-    }
 
     // One persistent worker pool for the whole run: every parallel
     // region of every experiment reuses it instead of spinning its

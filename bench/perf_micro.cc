@@ -284,6 +284,59 @@ BM_SurrogateFitSolve(benchmark::State &state)
 }
 BENCHMARK(BM_SurrogateFitSolve)->Unit(benchmark::kMicrosecond);
 
+/** attack-search's shipping sweep over a 1024-candidate pool:
+ *  exhaustive (arg 0) or pruned by a freshly fitted surrogate
+ *  (arg 1, its training replays charged to it).  Each iteration
+ *  memoises into a fresh cache that must never hit, so both arms
+ *  pay their full cost (the CI floor asserts arm 0 takes >= 3x
+ *  arm 1). */
+void
+BM_CandidateSweep(benchmark::State &state)
+{
+    const ExperimentOptions options;
+    const Engine engine(1);
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    std::vector<AttackConfig> pool;
+    for (std::size_t i = 0; i < 1024; ++i) {
+        Rng rng(mixSeed(options.surrogateSeed, 0x9001'0000ULL + i));
+        pool.push_back(randomAttackCandidate(rng));
+    }
+    CandidateSweepConfig config;
+    config.triage = state.range(0) != 0;
+    config.exactSamples = options.attackSearchExactSamples;
+    config.triageConfig.topK = options.surrogateTopK;
+    config.triageConfig.auditFraction = options.surrogateAuditFraction;
+    config.triageConfig.auditSeed =
+        mixSeed(options.surrogateSeed, 0xa0d17);
+    SurrogateFitConfig fit_config;
+    fit_config.seed = mixSeed(options.surrogateSeed, 0xf17);
+
+    for (auto _ : state) {
+        ResultCache memo;
+        SurrogateFit fit;
+        if (config.triage) {
+            TriageStats stats;
+            fit = trainAttackSurrogate(
+                analysis, options.surrogateTrainCandidates,
+                fit_config, config.exactSamples, engine, &memo,
+                stats);
+        }
+        const CandidateSweepResult result = sweepAttackCandidates(
+            analysis, pool, config.triage ? &fit : nullptr, config,
+            engine, &memo);
+        benchmark::DoNotOptimize(result.best.score);
+        if (memo.stats().hits) {
+            state.SkipWithError("memo hit: an arm skipped work");
+            break;
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * pool.size());
+}
+BENCHMARK(BM_CandidateSweep)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
+
 void
 BM_TraceGeneration(benchmark::State &state)
 {

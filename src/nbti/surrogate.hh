@@ -115,8 +115,8 @@ struct TriageConfig
     std::uint64_t auditSeed = 0xa0d1'7f2e'5eedULL;
 };
 
-/** What the triage pass did -- printed by `--surrogate-stats` so
- *  nothing is silently capped. */
+/** What the triage pass did -- mirrored in the `surrogate.*`
+ *  metrics so nothing is silently capped. */
 struct TriageStats
 {
     std::size_t candidatesScored = 0; ///< surrogate predictions made

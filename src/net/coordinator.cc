@@ -434,20 +434,6 @@ Coordinator::serveConnection(Socket sock)
           case MessageType::CancelJob:
             serveClient(sock, std::move(frame));
             break;
-          case MessageType::MetricsQuery: {
-            // One-shot [kCapMetrics]: the aggregated view -- the
-            // coordinator's own registry plus the latest
-            // per-worker snapshots -- as Prometheus text.
-            MetricsSnapshotMessage reply;
-            reply.text = obs::renderPrometheusAll(
-                obs::Registry::instance().scrape(),
-                workerSnapshots());
-            ByteWriter w;
-            reply.encode(w);
-            sendFrame(sock, MessageType::MetricsSnapshot,
-                      w.view());
-            break;
-          }
           default:
             break;
         }

@@ -173,9 +173,9 @@ class Coordinator
 
     /** Latest metric snapshot piggybacked by each worker
      *  [kCapMetrics], labelled `worker="N"` by accept order --
-     *  ready for renderPrometheusAll() / a MetricsServer
-     *  provider.  Empty when no metrics-capable worker has
-     *  heartbeated yet. */
+     *  the provider behind `--metrics-port`'s per-worker series.
+     *  Empty when no metrics-capable worker has heartbeated
+     *  yet. */
     obs::LabeledSnapshots workerSnapshots() const;
 
   private:

@@ -49,8 +49,6 @@ knownType(std::uint32_t type)
       case MessageType::JobUpdate:
       case MessageType::CancelJob:
       case MessageType::HeartbeatAck:
-      case MessageType::MetricsQuery:
-      case MessageType::MetricsSnapshot:
         return true;
     }
     return false;
@@ -291,39 +289,6 @@ HeartbeatAckMessage::decode(ByteReader &r)
     sliceIndex = r.u32();
     sequence = r.u64();
     return r.ok() && r.atEnd();
-}
-
-void
-MetricsQueryMessage::encode(ByteWriter &w) const
-{
-    (void)w; // empty payload
-}
-
-bool
-MetricsQueryMessage::decode(ByteReader &r)
-{
-    return r.ok() && r.atEnd();
-}
-
-void
-MetricsSnapshotMessage::encode(ByteWriter &w) const
-{
-    w.u64(text.size());
-    w.bytes(text.data(), text.size());
-}
-
-bool
-MetricsSnapshotMessage::decode(ByteReader &r)
-{
-    const std::uint64_t size = r.u64();
-    if (!r.ok() || size > kMaxFramePayload)
-        return false;
-    const std::string_view bytes =
-        r.bytesView(static_cast<std::size_t>(size));
-    if (!r.ok() || !r.atEnd())
-        return false;
-    text.assign(bytes);
-    return true;
 }
 
 void

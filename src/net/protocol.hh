@@ -84,9 +84,8 @@ inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
 /** Capability bit carried in the frame header flags word: metric
  *  snapshots piggybacked on Heartbeat frames, answered with
- *  HeartbeatAck (worker-side RTT), and the MetricsQuery /
- *  MetricsSnapshot exchange.  Without it, heartbeats carry an
- *  empty snapshot and go unacknowledged. */
+ *  HeartbeatAck (worker-side RTT).  Without it, heartbeats carry
+ *  an empty snapshot and go unacknowledged. */
 inline constexpr std::uint32_t kCapMetrics = 1u << 3;
 
 /** Everything this binary implements. */
@@ -112,8 +111,8 @@ enum class MessageType : std::uint32_t
     JobUpdate = 8,
     CancelJob = 9,
     HeartbeatAck = 10,
-    MetricsQuery = 11,
-    MetricsSnapshot = 12,
+    // 11 and 12 (a retired metrics query) stay unassigned, so
+    // they fail the header check like any unknown type.
 };
 
 /** One decoded frame. */
@@ -220,25 +219,6 @@ struct HeartbeatAckMessage
 {
     std::uint32_t sliceIndex = 0;
     std::uint64_t sequence = 0;
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
-/** client -> coordinator [kCapMetrics]: ask for the aggregated
- *  metrics view (coordinator's own registry plus the latest
- *  per-worker snapshots). */
-struct MetricsQueryMessage
-{
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
-/** coordinator -> client [kCapMetrics]: Prometheus-style text
- *  exposition of the aggregated metrics. */
-struct MetricsSnapshotMessage
-{
-    std::string text;
 
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);

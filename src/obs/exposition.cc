@@ -1,7 +1,6 @@
 #include "obs/exposition.hh"
 
-#include <algorithm>
-#include <set>
+#include <map>
 
 #include <sys/socket.h>
 
@@ -49,19 +48,12 @@ withLabels(const std::string &base, const std::string &labels,
     return out;
 }
 
+/** One series of @p m under family @p base: a scalar line, or a
+ *  histogram's cumulative buckets, sum and count. */
 void
-renderMetric(std::string &out, const SnapshotMetric &m,
-             const std::string &labels,
-             std::set<std::string> *typesSeen)
+renderSeries(std::string &out, const std::string &base,
+             const SnapshotMetric &m, const std::string &labels)
 {
-    const std::string base = promName(m.name);
-    if (typesSeen == nullptr || typesSeen->insert(base).second) {
-        out += "# TYPE ";
-        out += base;
-        out.push_back(' ');
-        out += promType(m.kind);
-        out.push_back('\n');
-    }
     if (m.kind == MetricKind::Histogram) {
         std::uint64_t cum = 0;
         for (std::size_t b = 0; b < kHistBuckets; ++b) {
@@ -108,26 +100,35 @@ renderMetric(std::string &out, const SnapshotMetric &m,
 } // namespace
 
 std::string
-renderPrometheus(const Snapshot &snap, const std::string &labels)
-{
-    std::string out;
-    std::set<std::string> types;
-    for (const auto &m : snap.metrics)
-        renderMetric(out, m, labels, &types);
-    return out;
-}
-
-std::string
 renderPrometheusAll(const Snapshot &local,
                     const LabeledSnapshots &extras)
 {
-    std::string out;
-    std::set<std::string> types;
-    for (const auto &m : local.metrics)
-        renderMetric(out, m, "", &types);
-    for (const auto &[labels, snap] : extras)
+    // The format requires each family's lines to form one group
+    // under its `# TYPE`, so gather every source's series by
+    // family before rendering any of them.
+    struct Series
+    {
+        const SnapshotMetric *metric;
+        const std::string *labels;
+    };
+    std::map<std::string, std::vector<Series>> families;
+    const auto gather = [&](const Snapshot &snap,
+                            const std::string &labels) {
         for (const auto &m : snap.metrics)
-            renderMetric(out, m, labels, &types);
+            families[promName(m.name)].push_back({&m, &labels});
+    };
+    const std::string unlabelled;
+    gather(local, unlabelled);
+    for (const auto &[labels, snap] : extras)
+        gather(snap, labels);
+
+    std::string out;
+    for (const auto &[base, series] : families) {
+        out += "# TYPE " + base + ' ' +
+            promType(series.front().metric->kind) + '\n';
+        for (const Series &s : series)
+            renderSeries(out, base, *s.metric, *s.labels);
+    }
     return out;
 }
 

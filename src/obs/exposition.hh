@@ -3,10 +3,10 @@
  * Text renderings of metric snapshots, and the tiny HTTP endpoint
  * that serves them.
  *
- *  - renderPrometheus(): Prometheus text exposition (`# TYPE`
+ *  - renderPrometheusAll(): Prometheus text exposition (`# TYPE`
  *    lines, `penelope_`-prefixed underscore names, cumulative
- *    `_bucket{le="..."}` series for histograms).  An optional
- *    label set (e.g. `worker="2"`) scopes a snapshot, which is
+ *    `_bucket{le="..."}` series for histograms).  A label set
+ *    (e.g. `worker="2"`) scopes each extra snapshot, which is
  *    how the coordinator exposes per-worker series side by side.
  *  - renderDump(): the sorted human-readable `obs: name value`
  *    listing `--metrics-dump` prints to stderr after a run.
@@ -41,11 +41,9 @@ namespace obs {
 using LabeledSnapshots =
     std::vector<std::pair<std::string, Snapshot>>;
 
-std::string renderPrometheus(const Snapshot &snap,
-                             const std::string &labels = "");
-
-/** Multi-source exposition: the local snapshot plus labeled
- *  extras, deduplicating `# TYPE` headers. */
+/** Prometheus text for the local snapshot plus labeled extras:
+ *  families in name order, each one `# TYPE` line followed by its
+ *  unlabelled local series and then each labeled one. */
 std::string
 renderPrometheusAll(const Snapshot &local,
                     const LabeledSnapshots &extras);

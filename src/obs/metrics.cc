@@ -126,6 +126,28 @@ constexpr std::uint8_t kSnapshotVersion = 1;
 constexpr std::size_t kMaxSnapshotMetrics = 4096;
 constexpr std::size_t kMaxNameLen = 256;
 
+/** A decoded name must use the charset every registered metric
+ *  does, and a unit must hold no whitespace or control byte:
+ *  snapshots arrive off the wire and are rendered into exposition
+ *  text, where a newline, brace or space would forge series. */
+bool
+validName(std::string_view name)
+{
+    return std::all_of(name.begin(), name.end(), [](char c) {
+        return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+            c == '_' || c == '.';
+    });
+}
+
+bool
+validUnit(std::string_view unit)
+{
+    return std::all_of(unit.begin(), unit.end(), [](char c) {
+        const auto u = static_cast<unsigned char>(c);
+        return u > ' ' && u != 0x7f;
+    });
+}
+
 } // namespace
 
 namespace detail {
@@ -271,7 +293,7 @@ Snapshot::decode(ByteReader &r, Snapshot &out)
         }
         m.name = std::string(r.bytesView(nameLen));
         const std::uint32_t unitLen = r.u32();
-        if (!r.ok() || unitLen > kMaxNameLen) {
+        if (!r.ok() || unitLen > kMaxNameLen || !validName(m.name)) {
             r.fail();
             return false;
         }
@@ -279,7 +301,7 @@ Snapshot::decode(ByteReader &r, Snapshot &out)
         const std::uint32_t nValues = r.u32();
         const std::size_t expect =
             m.kind == MetricKind::Histogram ? kHistSlots : 1;
-        if (!r.ok() || nValues != expect) {
+        if (!r.ok() || nValues != expect || !validUnit(m.unit)) {
             r.fail();
             return false;
         }

@@ -245,8 +245,9 @@ struct Snapshot
     const SnapshotMetric *find(std::string_view name) const;
 
     void encode(ByteWriter &w) const;
-    /** Strict decode: any truncation or malformed field clears
-     *  the reader and returns false. */
+    /** Strict decode: any truncation or malformed field -- a
+     *  name outside [a-z0-9_.], a unit holding whitespace or a
+     *  control byte -- clears the reader and returns false. */
     static bool decode(ByteReader &r, Snapshot &out);
 
     std::string encodeToBytes() const;

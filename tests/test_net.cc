@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "net/coordinator.hh"
 #include "net/protocol.hh"
 #include "net/worker.hh"
+#include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "trace/workload.hh"
 
@@ -38,8 +41,6 @@ using net::ResultMessage;
 using net::HeartbeatAckMessage;
 using net::HeartbeatMessage;
 using net::kCapMetrics;
-using net::MetricsQueryMessage;
-using net::MetricsSnapshotMessage;
 using net::setCapabilityMaskForTest;
 using net::Socket;
 using net::WorkerConfig;
@@ -596,6 +597,18 @@ TEST(NetFuzz, RandomByteBlobsAreRejectedOrClosed)
     }
 }
 
+/** Message types a retired metrics query used: a frame of either
+ *  must fail the header check like any unknown type. */
+constexpr MessageType kRetiredTypes[] = {static_cast<MessageType>(11),
+                                         static_cast<MessageType>(12)};
+
+bool
+retiredType(MessageType type)
+{
+    return std::find(std::begin(kRetiredTypes), std::end(kRetiredTypes),
+                     type) != std::end(kRetiredTypes);
+}
+
 /** @p frame re-stamped with header version @p version. */
 std::string
 withVersion(std::string frame, std::uint32_t version)
@@ -608,8 +621,8 @@ withVersion(std::string frame, std::uint32_t version)
 TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 {
     // A corpus of one valid frame per conversation direction, plus
-    // version-1 frames (header and Hello payload) that must never
-    // be accepted as they stand.
+    // version-1 frames (header and Hello payload) and frames of the
+    // retired types that must never be accepted as they stand.
     struct Seed
     {
         MessageType type;
@@ -644,10 +657,12 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     net::SubmitJobMessage submit;
     submit.plan = samplePlan();
     add(MessageType::SubmitJob, submit);
+    for (const MessageType type : kRetiredTypes)
+        corpus.push_back({type, "penelope_x 1\n", net::kProtocolVersion});
 
-    // Unmutated: current-version frames verify, version-1 frames
-    // are rejected at the header, and a version-1 Hello payload
-    // fails its decode.
+    // Unmutated: current-version frames verify, version-1 and
+    // retired-type frames are rejected at the header, and a
+    // version-1 Hello payload fails its decode.
     for (const Seed &seed : corpus) {
         LoopbackPair pair = LoopbackPair::make();
         const std::string frame = withVersion(
@@ -656,7 +671,8 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
         Frame out;
         const RecvStatus status =
             net::recvFrame(pair.server, out, 2'000);
-        if (seed.version != net::kProtocolVersion) {
+        if (seed.version != net::kProtocolVersion ||
+            retiredType(seed.type)) {
             EXPECT_EQ(status, RecvStatus::Corrupt);
             continue;
         }
@@ -706,6 +722,7 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
             // Bit flips may land in the checksum-exempt flags word
             // (or flip a version-1 header to the current version);
             // an accepted frame must still carry the exact payload.
+            EXPECT_FALSE(retiredType(out.type)) << "iteration " << i;
             EXPECT_EQ(out.type, seed.type) << "iteration " << i;
             EXPECT_EQ(out.payload, seed.payload) << "iteration " << i;
         }
@@ -784,11 +801,11 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
     // blobs, corrupted frames and out-of-protocol first frames at
     // the listener.  None may crash or wedge the service.
     FuzzRng rng(0x5eed0003);
-    for (int i = 0; i < 24; ++i) {
+    for (int i = 0; i < 25; ++i) {
         Socket conn = Socket::connectTo("127.0.0.1",
                                         coordinator.port(), &error);
         ASSERT_TRUE(conn.valid()) << error;
-        switch (i % 4) {
+        switch (i % 5) {
           case 0: { // raw noise
             std::string blob(1 + rng.below(200), '\0');
             for (char &c : blob)
@@ -825,6 +842,16 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             ByteWriter w;
             cancel.encode(w);
             net::sendFrame(conn, MessageType::CancelJob, w.view());
+            break;
+          }
+          case 4: { // a well-formed frame of a retired type
+            const MessageType type = kRetiredTypes[(i / 5) % 2];
+            net::sendFrame(conn, type, "");
+            // The coordinator hangs up without a reply.
+            Frame out;
+            EXPECT_EQ(net::recvFrame(conn, out, 10'000),
+                      RecvStatus::Closed)
+                << "type " << static_cast<std::uint32_t>(type);
             break;
           }
         }
@@ -884,6 +911,115 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
     EXPECT_EQ(client_cache.stats().stores, 0u);
 }
 
+/** A seeded mutant of @p bytes: a strict prefix one time in four,
+ *  otherwise one to three bit flips. */
+std::string
+mutate(std::string bytes, FuzzRng &rng)
+{
+    const auto size = static_cast<std::uint32_t>(bytes.size());
+    if (rng.below(4) == 0) {
+        bytes.resize(rng.below(size));
+        return bytes;
+    }
+    for (unsigned f = 1 + rng.below(3); f > 0; --f)
+        bytes[rng.below(size)] ^= static_cast<char>(1u << rng.below(8));
+    return bytes;
+}
+
+/** Whether @p line is one well-formed exposition line: `# TYPE
+ *  NAME KIND`, or `NAME[{LABELS}] VALUE` with no stray brace or
+ *  space, NAME a penelope_ family in [a-z0-9_]. */
+bool
+exposable(std::string_view line)
+{
+    const bool header = line.starts_with("# TYPE ");
+    if (header)
+        line.remove_prefix(7);
+    const std::size_t end =
+        line.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789_");
+    if (!line.starts_with("penelope_") || end == line.npos)
+        return false;
+    std::string_view rest = line.substr(end);
+    if (header)
+        return rest == " counter" || rest == " gauge" ||
+            rest == " histogram";
+    if (rest.starts_with('{')) {
+        const std::size_t close = rest.find('}');
+        if (close == rest.npos ||
+            rest.substr(1, close - 1).find_first_of("{ ") != rest.npos)
+            return false;
+        rest.remove_prefix(close + 1);
+    }
+    return rest.size() > 1 && rest[0] == ' ' &&
+        rest.find_first_not_of("-0123456789", 1) == rest.npos;
+}
+
+/** Worker heartbeats carry a Snapshot the coordinator renders into
+ *  its exposition: a mutant either fails to decode or re-encodes to
+ *  exactly its own bytes, and what decodes renders only well-formed
+ *  Prometheus lines. */
+TEST(NetFuzz, MutatedSnapshotsAreRejectedOrRoundTripExactly)
+{
+    obs::Snapshot snap;
+    const auto add = [&](const char *name, obs::MetricKind kind,
+                         const char *unit) {
+        obs::SnapshotMetric m;
+        m.name = name;
+        m.kind = kind;
+        m.unit = unit;
+        m.values.assign(kind == obs::MetricKind::Histogram
+                            ? obs::kHistSlots
+                            : 1,
+                        0x21);
+        snap.metrics.push_back(m);
+    };
+    add("cache.hits.s03", obs::MetricKind::Counter, "1");
+    add("net.frames_sent", obs::MetricKind::Counter, "1");
+    add("svc.workers_connected", obs::MetricKind::Gauge, "1");
+    add("net.heartbeat_rtt_us", obs::MetricKind::Histogram, "us");
+    const std::string bytes = snap.encodeToBytes();
+
+    FuzzRng rng(0x5eed0004);
+    unsigned accepted = 0;
+    for (int i = 0; i < 512; ++i) {
+        const std::string mutant = mutate(bytes, rng);
+        obs::Snapshot out;
+        if (!obs::Snapshot::decodeFromBytes(mutant, out))
+            continue;
+        ++accepted;
+        EXPECT_EQ(out.encodeToBytes(), mutant) << "iteration " << i;
+        std::istringstream text(
+            obs::renderPrometheusAll(out, {{"worker=\"0\"", out}}));
+        for (std::string line; std::getline(text, line);) {
+            EXPECT_TRUE(exposable(line))
+                << "iteration " << i << ": " << line;
+        }
+    }
+    EXPECT_GT(accepted, 0u); // value and kind flips still decode
+}
+
+/** Every Assign and SubmitJob carries a ShardPlan: a mutant either
+ *  fails to decode or re-encodes to exactly its own bytes. */
+TEST(NetFuzz, MutatedShardPlansAreRejectedOrRoundTripExactly)
+{
+    ByteWriter w;
+    samplePlan().encode(w);
+    const std::string bytes(w.view());
+    FuzzRng rng(0x5eed0005);
+    unsigned accepted = 0;
+    for (int i = 0; i < 512; ++i) {
+        const std::string mutant = mutate(bytes, rng);
+        ShardPlan plan;
+        ByteReader r(mutant);
+        if (!plan.decode(r) || !r.atEnd())
+            continue;
+        ++accepted;
+        ByteWriter back;
+        plan.encode(back);
+        EXPECT_EQ(back.view(), mutant) << "iteration " << i;
+    }
+    EXPECT_GT(accepted, 0u); // low-order field flips still decode
+}
 
 // ------------------------------------------- metrics extensions
 
@@ -935,40 +1071,16 @@ TEST(NetProtocol, HeartbeatMetricsTailRoundTrips)
 
 TEST(NetProtocol, MetricsMessageCodecsRoundTrip)
 {
-    {
-        HeartbeatAckMessage in;
-        in.sliceIndex = 2;
-        in.sequence = 99;
-        ByteWriter w;
-        in.encode(w);
-        HeartbeatAckMessage out;
-        ByteReader r(w.view());
-        ASSERT_TRUE(out.decode(r));
-        EXPECT_EQ(out.sliceIndex, 2u);
-        EXPECT_EQ(out.sequence, 99u);
-    }
-    {
-        MetricsQueryMessage in;
-        ByteWriter w;
-        in.encode(w);
-        MetricsQueryMessage out;
-        ByteReader r(w.view());
-        EXPECT_TRUE(out.decode(r));
-    }
-    {
-        MetricsSnapshotMessage in;
-        in.text = "# TYPE penelope_x counter\npenelope_x 1\n";
-        ByteWriter w;
-        in.encode(w);
-        MetricsSnapshotMessage out;
-        ByteReader r(w.view());
-        ASSERT_TRUE(out.decode(r));
-        EXPECT_EQ(out.text, in.text);
-
-        MetricsSnapshotMessage bad;
-        ByteReader rt(w.view().substr(0, w.view().size() - 1));
-        EXPECT_FALSE(bad.decode(rt));
-    }
+    HeartbeatAckMessage in;
+    in.sliceIndex = 2;
+    in.sequence = 99;
+    ByteWriter w;
+    in.encode(w);
+    HeartbeatAckMessage out;
+    ByteReader r(w.view());
+    ASSERT_TRUE(out.decode(r));
+    EXPECT_EQ(out.sliceIndex, 2u);
+    EXPECT_EQ(out.sequence, 99u);
 }
 
 /** Emulate a peer without kCapMetrics: with the bit masked off the

@@ -2,7 +2,8 @@
  * @file
  * The observability layer: thread-local shard merge determinism,
  * histogram bucket laws, the span tracer's Chrome-trace output,
- * the snapshot wire codec, and the runtime-off guarantees.
+ * the snapshot wire codec, the Prometheus exposition and its HTTP
+ * endpoint, and the runtime-off guarantees.
  *
  * Every count assertion is gated on obs::kCompiledIn so the suite
  * also passes -- exercising the empty inline bodies -- under a
@@ -10,6 +11,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,6 +25,7 @@
 
 #include "common/threadpool.hh"
 #include "core/resultcache.hh"
+#include "net/socket.hh"
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -328,6 +331,34 @@ TEST(ObsSnapshotCodec, ForeignVersionAndBadKindRejected)
     }
 }
 
+TEST(ObsSnapshotCodec, UntrustedNamesAndUnitsRejected)
+{
+    // Every name this process registered decodes, the per-stripe
+    // cache.*.sNN series included.
+    const obs::Snapshot live = obs::Registry::instance().scrape();
+    ASSERT_NE(live.find("cache.hits.s00"), nullptr);
+    obs::Snapshot out;
+    EXPECT_TRUE(
+        obs::Snapshot::decodeFromBytes(live.encodeToBytes(), out));
+
+    // A peer's snapshot must not smuggle exposition syntax.
+    for (const char *name : {"a\npenelope_forged 1", "a{worker=\"9\"}",
+                             "a b", "Upper", "a-b", "a\x01"}) {
+        obs::Snapshot snap = sampleSnapshot();
+        snap.metrics[0].name = name;
+        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
+            snap.encodeToBytes(), out))
+            << name;
+    }
+    for (const char *unit : {"u s", "us\n", "\t", "\x7f"}) {
+        obs::Snapshot snap = sampleSnapshot();
+        snap.metrics[1].unit = unit;
+        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
+            snap.encodeToBytes(), out))
+            << unit;
+    }
+}
+
 TEST(ObsSnapshotCodec, EmptySnapshotRoundTrips)
 {
     const obs::Snapshot snap;
@@ -343,7 +374,7 @@ TEST(ObsSnapshotCodec, EmptySnapshotRoundTrips)
 TEST(ObsExposition, PrometheusRendering)
 {
     const std::string text =
-        obs::renderPrometheus(sampleSnapshot());
+        obs::renderPrometheusAll(sampleSnapshot(), {});
     EXPECT_NE(text.find("# TYPE penelope_a_counter counter"),
               std::string::npos);
     EXPECT_NE(text.find("penelope_a_counter 123"),
@@ -366,17 +397,83 @@ TEST(ObsExposition, LabeledSeriesSitSideBySide)
         {"worker=\"0\"", sampleSnapshot()},
         {"worker=\"1\"", sampleSnapshot()},
     };
+    // The local snapshot shares every family with the extras.
     const std::string text =
-        obs::renderPrometheusAll(obs::Snapshot{}, extras);
+        obs::renderPrometheusAll(sampleSnapshot(), extras);
+    EXPECT_NE(text.find("\npenelope_a_counter 123\n"),
+              std::string::npos);
     EXPECT_NE(text.find("penelope_a_counter{worker=\"0\"} 123"),
               std::string::npos);
     EXPECT_NE(text.find("penelope_a_counter{worker=\"1\"} 123"),
               std::string::npos);
-    // One TYPE header per metric, not per label set.
-    const std::string type_line = "# TYPE penelope_a_counter";
-    const std::size_t first = text.find(type_line);
-    ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(text.find(type_line, first + 1), std::string::npos);
+
+    // Each family is one group: a single `# TYPE` line, and every
+    // series line up to the next one belongs to that family.
+    std::istringstream in(text);
+    std::vector<std::string> families;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            const std::string family =
+                line.substr(7, line.find(' ', 7) - 7);
+            EXPECT_EQ(std::count(families.begin(), families.end(),
+                                 family),
+                      0)
+                << family;
+            families.push_back(family);
+            continue;
+        }
+        ASSERT_FALSE(families.empty()) << line;
+        EXPECT_EQ(line.rfind(families.back(), 0), 0u)
+            << line << " outside the " << families.back()
+            << " group";
+    }
+    EXPECT_EQ(families.size(), 3u);
+}
+
+TEST(ObsMetricsServer, ServesTheLabeledExpositionOverHttp)
+{
+    obs::MetricsServer server;
+    std::string error;
+    ASSERT_TRUE(server.start(
+        0,
+        [] {
+            return obs::LabeledSnapshots{
+                {"worker=\"0\"", sampleSnapshot()}};
+        },
+        &error))
+        << error;
+    ASSERT_NE(server.port(), 0);
+
+    net::Socket conn =
+        net::Socket::connectTo("127.0.0.1", server.port(), &error);
+    ASSERT_TRUE(conn.valid()) << error;
+    const std::string request = "GET / HTTP/1.0\r\n\r\n";
+    ASSERT_TRUE(conn.sendAll(request.data(), request.size()));
+    // One response per connection, then the server hangs up.
+    std::string response;
+    char buf[4096];
+    while (conn.waitReadable(10'000)) {
+        const ssize_t n = ::recv(conn.fd(), buf, sizeof buf, 0);
+        if (n <= 0)
+            break;
+        response.append(buf, static_cast<std::size_t>(n));
+    }
+
+    EXPECT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+    const std::size_t split = response.find("\r\n\r\n");
+    ASSERT_NE(split, std::string::npos);
+    const std::string body = response.substr(split + 4);
+    const std::string length_field = "Content-Length: ";
+    const std::size_t at = response.find(length_field);
+    ASSERT_LT(at, split);
+    EXPECT_EQ(std::stoul(response.substr(at + length_field.size())),
+              body.size());
+    EXPECT_NE(body.find("penelope_a_counter{worker=\"0\"} 123\n"),
+              std::string::npos)
+        << body;
+
+    server.stop();
+    server.stop(); // idempotent, as is the destructor's
 }
 
 TEST(ObsExposition, DumpIsSortedAndPrefixed)

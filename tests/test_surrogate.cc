@@ -341,6 +341,51 @@ TEST(SweepCoverage, TopKContainsExactArgmax)
     }
 }
 
+TEST(SweepCoverage, ShippingConfigurationCoversArgmax)
+{
+    // attack-search's shipping triage (default fit, top-K and
+    // audit) on a 1024-candidate pool: the pruned sweep must still
+    // exact-evaluate the exhaustive argmax and report its score.
+    const ExperimentOptions options;
+    const Engine engine(1);
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    ResultCache memo;
+    TriageStats train_stats;
+    SurrogateFitConfig fit_config;
+    fit_config.seed = mixSeed(options.surrogateSeed, 0xf17);
+    const SurrogateFit fit = trainAttackSurrogate(
+        analysis, options.surrogateTrainCandidates, fit_config,
+        options.attackSearchExactSamples, engine, &memo,
+        train_stats);
+
+    std::vector<AttackConfig> pool;
+    for (std::size_t i = 0; i < 1024; ++i) {
+        Rng rng(mixSeed(options.surrogateSeed, 0x9001'0000ULL + i));
+        pool.push_back(randomAttackCandidate(rng));
+    }
+    CandidateSweepConfig exhaustive;
+    exhaustive.triage = false;
+    exhaustive.exactSamples = options.attackSearchExactSamples;
+    CandidateSweepConfig pruned = exhaustive;
+    pruned.triage = true;
+    pruned.triageConfig.topK = options.surrogateTopK;
+    pruned.triageConfig.auditFraction = options.surrogateAuditFraction;
+    pruned.triageConfig.auditSeed =
+        mixSeed(options.surrogateSeed, 0xa0d17);
+
+    const CandidateSweepResult full = sweepAttackCandidates(
+        analysis, pool, nullptr, exhaustive, engine, &memo);
+    const CandidateSweepResult cut = sweepAttackCandidates(
+        analysis, pool, &fit, pruned, engine, &memo);
+    EXPECT_LT(cut.evaluated.size(), pool.size() / 8);
+    EXPECT_NE(std::find(cut.evaluated.begin(), cut.evaluated.end(),
+                        full.bestIndex),
+              cut.evaluated.end());
+    EXPECT_EQ(cut.best.score, full.best.score);
+}
+
 TEST(SweepCoverage, CacheDoesNotChangeResults)
 {
     const Engine engine(1);
