@@ -221,7 +221,8 @@ parseFactor(const char *flag, const char *text, double min,
     }
     char *end = nullptr;
     const double value = std::strtod(text, &end);
-    if (!end || *end != '\0' || value < min || value > max) {
+    // Written so that NaN, which compares false, is rejected.
+    if (!end || *end != '\0' || !(value >= min && value <= max)) {
         std::cerr << "penelope_bench: " << flag
                   << " expects a number in [" << min << ", " << max
                   << "], got '" << text << "'\n";

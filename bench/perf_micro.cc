@@ -71,7 +71,7 @@ BM_NetlistEvaluateBatch(benchmark::State &state)
     std::vector<std::uint64_t> words;
     std::uint64_t acc = 0;
     for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
+        adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
         acc += words.back();
     }
     benchmark::DoNotOptimize(acc);
@@ -80,22 +80,23 @@ BM_NetlistEvaluateBatch(benchmark::State &state)
 BENCHMARK(BM_NetlistEvaluateBatch);
 
 /** Wide netlist pass: W lane words per net in one op-stream walk
- *  (arg = W).  items/s counts vectors, so comparing against
- *  BM_NetlistEvaluateBatch shows the per-vector gain from
- *  amortising the op-stream decode. */
+ *  (arg = W, the two widths the library builds).  items/s counts
+ *  vectors, so comparing /4 against /1 shows the per-vector gain
+ *  from amortising the op-stream decode (the CI floor asserts
+ *  >= 1.1x). */
 void
 BM_NetlistEvaluateBatchWide(benchmark::State &state)
 {
     const unsigned net_w = static_cast<unsigned>(state.range(0));
     LadnerFischerAdder adder(32);
     Rng rng(1);
-    std::uint64_t a[512];
-    std::uint64_t b[512];
+    std::uint64_t a[256];
+    std::uint64_t b[256];
     for (unsigned i = 0; i < net_w * 64; ++i) {
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
-    std::uint64_t cin_masks[8];
+    std::uint64_t cin_masks[4];
     for (unsigned w = 0; w < net_w; ++w)
         cin_masks[w] = rng();
     std::vector<std::uint64_t> words;
@@ -107,11 +108,7 @@ BM_NetlistEvaluateBatchWide(benchmark::State &state)
     benchmark::DoNotOptimize(acc);
     state.SetItemsProcessed(state.iterations() * net_w * 64);
 }
-BENCHMARK(BM_NetlistEvaluateBatchWide)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8);
+BENCHMARK(BM_NetlistEvaluateBatchWide)->Arg(1)->Arg(4);
 
 /** Batched throughput on the Kogge-Stone adder, the INV-heaviest
  *  topology and the one the optimizing compiler shrinks most.
@@ -131,7 +128,7 @@ BM_KoggeStoneEvaluateBatch(benchmark::State &state)
     std::vector<std::uint64_t> words;
     std::uint64_t acc = 0;
     for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
+        adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
         acc += words.back();
     }
     benchmark::DoNotOptimize(acc);
@@ -171,10 +168,12 @@ BM_AgingObserveBatch(benchmark::State &state)
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
+    const std::uint64_t cin_mask = rng();
     std::vector<std::uint64_t> words;
-    adder.evaluateBatch(a, b, rng(), words);
+    adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
+    const std::uint64_t all_lanes = ~std::uint64_t(0);
     for (auto _ : state)
-        tracker.observeBatch(words.data(), ~std::uint64_t(0));
+        tracker.observeBatchWide(words.data(), 1, &all_lanes);
     benchmark::DoNotOptimize(tracker.zeroProb(0));
     state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -626,11 +625,15 @@ BM_EnginePerfLoss(benchmark::State &state)
         engineOptions(static_cast<unsigned>(state.range(0)));
     const auto traces = workload.strided(options.traceStride);
     for (auto _ : state) {
-        const PerfLossStats stats = measurePerfLoss(
-            workload, traces, options.cacheUops, CacheConfig(),
-            CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-            true, MemTimingParams(), options.mechanismTimeScale,
-            options.jobs);
+        const MemLossQuery query{CacheConfig(), CacheConfig::tlb(128, 8),
+                                 MechanismKind::LineFixed50,
+                                 MechanismKind::None};
+        const PerfLossStats stats = foldPerfLoss(
+            simulateMemLosses(workload, traces, options.cacheUops,
+                              {query}, MemTimingParams(),
+                              options.mechanismTimeScale, options.jobs)
+                .front(),
+            true);
         benchmark::DoNotOptimize(stats.meanLoss);
     }
 }
@@ -878,7 +881,7 @@ BM_NetlistEvaluateBatchObsOn(benchmark::State &state)
     std::vector<std::uint64_t> words;
     std::uint64_t acc = 0;
     for (auto _ : state) {
-        adder.evaluateBatch(a, b, cin_mask, words);
+        adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
         acc += words.back();
     }
     benchmark::DoNotOptimize(acc);

@@ -114,39 +114,15 @@ Adder::fillInputVector(std::vector<bool> &in, std::uint64_t a,
 }
 
 void
-Adder::evaluateBatch(const std::uint64_t a[64],
-                     const std::uint64_t b[64],
-                     std::uint64_t cin_mask,
-                     std::vector<std::uint64_t> &net_words) const
-{
-    // Per-thread scratch: a const Adder is shared across the
-    // engine's worker threads (transpose64x64 is destructive, so
-    // operands are copied into the block first).
-    thread_local std::vector<std::uint64_t> input_words;
-    std::uint64_t block[64];
-    input_words.resize(2 * width_ + 1);
-
-    // Lane packing: transpose the 64 operand rows so word i holds
-    // bit i of every operand (lane word of primary input a_i / b_i).
-    std::copy(a, a + 64, block);
-    transpose64x64(block);
-    std::copy(block, block + width_, input_words.begin());
-    std::copy(b, b + 64, block);
-    transpose64x64(block);
-    std::copy(block, block + width_, input_words.begin() + width_);
-    input_words[2 * width_] = cin_mask;
-
-    netlist_.evaluateBatch(input_words.data(), net_words);
-}
-
-void
 Adder::evaluateBatchWide(const std::uint64_t *a,
                          const std::uint64_t *b,
                          const std::uint64_t *cin_masks,
                          unsigned net_w,
                          std::vector<std::uint64_t> &net_words) const
 {
-    assert(net_w == 1 || net_w == 2 || net_w == 4 || net_w == 8);
+    // Per-thread scratch: a const Adder is shared across the
+    // engine's worker threads (transpose64x64 is destructive, so
+    // operands are copied into the block first).
     thread_local std::vector<std::uint64_t> input_words;
     std::uint64_t block[64];
     input_words.resize((2 * width_ + 1) * net_w);

@@ -56,31 +56,17 @@ class Adder
                            bool *cout = nullptr) const;
 
     /**
-     * Evaluate 64 operand triples in one netlist pass.  @p a and
-     * @p b each hold 64 operand values (lane v uses a[v], b[v] and
-     * bit v of @p cin_mask); pad unused lanes with zeros.  The
-     * operands are bit-transposed into per-input lane words and run
-     * through Netlist::evaluateBatch; @p net_words receives the
-     * compiled stream's physical word array (resolve a net with
-     * Netlist::laneWord), ready for
-     * PmosAgingTracker::observeBatch or batchSums().
-     */
-    void evaluateBatch(const std::uint64_t a[64],
-                       const std::uint64_t b[64],
-                       std::uint64_t cin_mask,
-                       std::vector<std::uint64_t> &net_words) const;
-
-    /**
-     * Multi-word form of evaluateBatch(): evaluate 64 * @p net_w
-     * operand triples in one netlist pass.  @p a and @p b hold
-     * net_w * 64 operand values (word w covers lanes [w * 64,
-     * w * 64 + 64), lane l of word w uses bit l of
-     * @p cin_masks[w]); @p net_words receives net_w interleaved
-     * lane words per net, ready for
-     * PmosAgingTracker::observeBatchWide.  Word w of every net is
-     * bit-for-bit what evaluateBatch() over that word's operands
-     * would produce.  @p net_w must be 1, 2, 4 or 8
-     * (the batch feeders use Netlist::preferredBatchWords()).
+     * Evaluate 64 * @p net_w operand triples in one netlist pass.
+     * @p a and @p b hold net_w * 64 operand values (word w covers
+     * lanes [w * 64, w * 64 + 64), lane l of word w uses bit l of
+     * @p cin_masks[w]); pad unused lanes with zeros.  The operands
+     * are bit-transposed into per-input lane words and run through
+     * Netlist::evaluateBatchWide; @p net_words receives net_w
+     * interleaved lane words per physical word of the compiled
+     * stream (resolve a net with Netlist::laneWordWide), ready for
+     * PmosAgingTracker::observeBatchWide or, at net_w = 1,
+     * batchSums().  @p net_w must be 1 or
+     * Netlist::preferredBatchWords().
      */
     void evaluateBatchWide(const std::uint64_t *a,
                            const std::uint64_t *b,
@@ -91,7 +77,8 @@ class Adder
 
     /**
      * Extract the 64 per-lane sums (and the carry-out lane mask)
-     * from a net-word array produced by evaluateBatch().
+     * from a net-word array produced by evaluateBatchWide() at
+     * net_w = 1.
      */
     void batchSums(const std::vector<std::uint64_t> &net_words,
                    std::uint64_t sums[64],

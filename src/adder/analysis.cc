@@ -94,7 +94,7 @@ evaluateSyntheticLanes(const Adder &adder,
         if (cin)
             cin_mask |= std::uint64_t(1) << l;
     }
-    adder.evaluateBatch(a, b, cin_mask, net_words);
+    adder.evaluateBatchWide(a, b, &cin_mask, 1, net_words);
 }
 
 std::vector<double>
@@ -130,12 +130,12 @@ AdderAgingAnalysis::zeroProbsForInputs(
     // Round-robin over the requested inputs: each occurrence
     // selects its synthetic lane once (a repeated index charges its
     // lane repeatedly, matching one applyInput per occurrence --
-    // observeBatch per occurrence keeps the integer sums identical).
+    // one observe per occurrence keeps the integer sums identical).
     PmosAgingTracker tracker(adder_.netlist());
     for (unsigned index : indices) {
         assert(index < 8);
-        tracker.observeBatch(words.data(),
-                             std::uint64_t(1) << index);
+        const std::uint64_t lane = std::uint64_t(1) << index;
+        tracker.observeBatchWide(words.data(), 1, &lane);
     }
     return trackerProbs(tracker);
 }
@@ -149,13 +149,14 @@ AdderAgingAnalysis::zeroProbsForOperands(
     // accounting, so the per-device counts -- hence the returned
     // probabilities -- are identical at every net_w.
     const unsigned net_w = Netlist::preferredBatchWords();
+    assert(net_w <= 4);
     const std::size_t chunk = std::size_t(64) * net_w;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
-    std::uint64_t a[512];
-    std::uint64_t b[512];
-    std::uint64_t cin_masks[8];
-    std::uint64_t lane_masks[8];
+    std::uint64_t a[256];
+    std::uint64_t b[256];
+    std::uint64_t cin_masks[4];
+    std::uint64_t lane_masks[4];
     for (std::size_t begin = 0; begin < ops.size(); begin += chunk) {
         const std::size_t count =
             std::min<std::size_t>(chunk, ops.size() - begin);
@@ -198,9 +199,9 @@ AdderAgingAnalysis::sweepPairs() const
     PmosAgingTracker tracker(adder_.netlist());
     for (const InputPair &pair : allInputPairs()) {
         tracker.reset();
-        tracker.observeBatch(
-            words.data(), (std::uint64_t(1) << pair.first) |
-                (std::uint64_t(1) << pair.second));
+        const std::uint64_t lanes = (std::uint64_t(1) << pair.first) |
+            (std::uint64_t(1) << pair.second);
+        tracker.observeBatchWide(words.data(), 1, &lanes);
         const AgingSummary s = summarize(trackerProbs(tracker));
         entries.push_back({pair, s.narrowFullyStressedFraction});
     }

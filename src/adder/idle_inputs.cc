@@ -58,12 +58,4 @@ pairLabel(const InputPair &pair)
         std::to_string(pair.second + 1);
 }
 
-unsigned
-RoundRobinInjector::nextIdleInput()
-{
-    const unsigned idx = nextFirst_ ? pair_.first : pair_.second;
-    nextFirst_ = !nextFirst_;
-    return idx;
-}
-
 } // namespace penelope

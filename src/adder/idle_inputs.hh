@@ -6,8 +6,8 @@
  * During idle cycles the adder's input latches are loaded with one
  * of eight synthetic inputs <InputA, InputB, CarryIn> (each operand
  * all-zeros or all-ones), alternated round-robin.  This module
- * defines the inputs, the 28 unordered pairs the paper sweeps in
- * Figure 4, and the round-robin injection policy.
+ * defines the inputs and the 28 unordered pairs the paper sweeps in
+ * Figure 4.
  */
 
 #ifndef PENELOPE_ADDER_IDLE_INPUTS_HH
@@ -62,28 +62,6 @@ std::vector<InputPair> allInputPairs();
 
 /** Paper-style label, e.g.\ "1+8" (1-based numbering). */
 std::string pairLabel(const InputPair &pair);
-
-/**
- * Round-robin idle-input injector: alternates the two inputs of a
- * pair across idle periods, so in the long run each is applied half
- * of the idle time (Section 3.1).
- */
-class RoundRobinInjector
-{
-  public:
-    explicit RoundRobinInjector(InputPair pair)
-        : pair_(pair), nextFirst_(true)
-    {}
-
-    /** Synthetic input index to drive during the next idle period. */
-    unsigned nextIdleInput();
-
-    InputPair pair() const { return pair_; }
-
-  private:
-    InputPair pair_;
-    bool nextFirst_;
-};
 
 } // namespace penelope
 

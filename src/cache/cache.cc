@@ -162,9 +162,8 @@ Cache::lruValidWay(unsigned set, bool skip_shadow) const
 }
 
 unsigned
-Cache::pickVictim(unsigned set, Cycle now)
+Cache::pickVictim(unsigned set) const
 {
-    (void)now;
     // Invalid (including inverted) lines first: consuming an
     // inverted line is the designed refill path (Section 3.2.1).
     unsigned w = usableWayFirst_;
@@ -172,32 +171,9 @@ Cache::pickVictim(unsigned set, Cycle now)
         if (key_[slot(set, w)] == kNoLine)
             return w;
     }
-
-    switch (config_.replacement) {
-      case ReplacementPolicy::Random: {
-        return windowWay(
-            static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
-      }
-      case ReplacementPolicy::PseudoLru:
-      case ReplacementPolicy::Lru:
-      default: {
-        // True LRU over the usable window; pLRU approximated by
-        // sampling two candidates and taking the older (tree pLRU
-        // behaves statistically like this at our granularity).
-        if (config_.replacement == ReplacementPolicy::PseudoLru &&
-            usableWayCount_ > 2) {
-            const unsigned w1 = windowWay(
-                static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
-            const unsigned w2 = windowWay(
-                static_cast<unsigned>(rng_.nextInt(usableWayCount_)));
-            return lastUse_[slot(set, w1)] <= lastUse_[slot(set, w2)]
-                ? w1 : w2;
-        }
-        const int lru = lruValidWay(set, false);
-        assert(lru >= 0);
-        return static_cast<unsigned>(lru);
-      }
-    }
+    const int lru = lruValidWay(set, false);
+    assert(lru >= 0);
+    return static_cast<unsigned>(lru);
 }
 
 AccessResult
@@ -233,7 +209,7 @@ Cache::access(Addr addr, Cycle now)
 
     // Miss: allocate.
     ++misses_;
-    const unsigned victim = pickVictim(set, now);
+    const unsigned victim = pickVictim(set);
     const std::size_t at = slot(set, victim);
     Line &line = lines_[at];
     if (line.inverted) {

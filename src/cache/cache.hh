@@ -68,14 +68,6 @@ class InversionPolicy
     virtual bool active() const { return true; }
 };
 
-/** Replacement policy selection. */
-enum class ReplacementPolicy : std::uint8_t
-{
-    Lru,       ///< true LRU
-    PseudoLru, ///< tree pLRU
-    Random,    ///< random victim
-};
-
 /** Static cache geometry and behaviour. */
 struct CacheConfig
 {
@@ -83,7 +75,6 @@ struct CacheConfig
     std::uint32_t sizeBytes = 32 * 1024;
     std::uint32_t ways = 8;
     std::uint32_t lineBytes = 64;
-    ReplacementPolicy replacement = ReplacementPolicy::Lru;
 
     /** Probability a spare write port is available for an inversion
      *  update on any given cycle (Section 3.2: existing ports are
@@ -250,14 +241,6 @@ class Cache
     /** Map a line number to its (possibly remapped) set. */
     unsigned indexOf(std::uint64_t line_no) const;
 
-    /** Way @p i of the usable way window (i < usableWayCount_). */
-    unsigned
-    windowWay(unsigned i) const
-    {
-        const unsigned w = usableWayFirst_ + i;
-        return w >= config_.ways ? w - config_.ways : w;
-    }
-
     /** The way after @p way in scan order (wraps to way 0). */
     unsigned
     nextWay(unsigned way) const
@@ -265,8 +248,9 @@ class Cache
         return ++way == config_.ways ? 0 : way;
     }
 
-    /** Pick a victim way among usable ways of @p set. */
-    unsigned pickVictim(unsigned set, Cycle now);
+    /** Pick a victim way among usable ways of @p set: an invalid
+     *  (or inverted) way first, else the LRU one. */
+    unsigned pickVictim(unsigned set) const;
 
     /** LRU valid non-inverted way of @p set, or -1. */
     int lruValidWay(unsigned set, bool skip_shadow) const;

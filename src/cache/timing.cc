@@ -9,18 +9,6 @@ namespace penelope {
 
 namespace {
 
-/** Mix a cache-geometry description into a key (the name string is
- *  deliberately excluded: it never affects simulation). */
-void
-keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
-{
-    key.u32(config.sizeBytes)
-        .u32(config.ways)
-        .u32(config.lineBytes)
-        .u32(static_cast<std::uint32_t>(config.replacement))
-        .f64(config.writePortFreeProb);
-}
-
 /** Content hash of one trace's baseline-vs-mechanism pair. */
 Hash128
 memLossKey(const TraceSpec &spec, unsigned index,
@@ -272,48 +260,6 @@ foldNormalizedCpi(const std::vector<MemLossSample> &samples)
     for (const MemLossSample &r : samples)
         norm.add(r.normalizedCycles);
     return norm.mean();
-}
-
-PerfLossStats
-measurePerfLoss(const WorkloadSet &workload,
-                const std::vector<unsigned> &trace_indices,
-                std::size_t uops_per_trace,
-                const CacheConfig &dl0_config,
-                const CacheConfig &dtlb_config,
-                MechanismKind mechanism, bool apply_to_dl0,
-                const MemTimingParams &params, double time_scale,
-                unsigned jobs, ThreadPool *pool, ResultCache *cache)
-{
-    const MemLossQuery query{
-        dl0_config, dtlb_config,
-        apply_to_dl0 ? mechanism : MechanismKind::None,
-        apply_to_dl0 ? MechanismKind::None : mechanism};
-    return foldPerfLoss(
-        simulateMemLosses(workload, trace_indices, uops_per_trace,
-                          {query}, params, time_scale, jobs, pool,
-                          cache)
-            .front(),
-        apply_to_dl0);
-}
-
-double
-combinedNormalizedCpi(const WorkloadSet &workload,
-                      const std::vector<unsigned> &trace_indices,
-                      std::size_t uops_per_trace,
-                      const CacheConfig &dl0_config,
-                      const CacheConfig &dtlb_config,
-                      MechanismKind mechanism,
-                      const MemTimingParams &params,
-                      double time_scale, unsigned jobs,
-                      ThreadPool *pool, ResultCache *cache)
-{
-    const MemLossQuery query{dl0_config, dtlb_config, mechanism,
-                             mechanism};
-    return foldNormalizedCpi(
-        simulateMemLosses(workload, trace_indices, uops_per_trace,
-                          {query}, params, time_scale, jobs, pool,
-                          cache)
-            .front());
 }
 
 } // namespace penelope

@@ -205,43 +205,6 @@ PerfLossStats foldPerfLoss(const std::vector<MemLossSample> &samples,
 /** Mean normalised cycles of one query's per-trace samples. */
 double foldNormalizedCpi(const std::vector<MemLossSample> &samples);
 
-/**
- * Measure the performance loss of @p mechanism applied to the DL0
- * (@p apply_to_dl0 true) or the DTLB (false), against a
- * no-mechanism baseline, averaged over the given workload traces.
- *
- * A fold over a one-query simulateMemLosses() call.
- */
-PerfLossStats
-measurePerfLoss(const WorkloadSet &workload,
-                const std::vector<unsigned> &trace_indices,
-                std::size_t uops_per_trace,
-                const CacheConfig &dl0_config,
-                const CacheConfig &dtlb_config,
-                MechanismKind mechanism, bool apply_to_dl0,
-                const MemTimingParams &params = MemTimingParams(),
-                double time_scale = 0.1, unsigned jobs = 1,
-                ThreadPool *pool = nullptr,
-                ResultCache *cache = nullptr);
-
-/**
- * Combined normalised CPI with mechanisms on both DL0 and DTLB
- * (the Section-4.7 input: 1.007 for LineFixed50% on both).
- * A fold over a one-query simulateMemLosses() call.
- */
-double
-combinedNormalizedCpi(const WorkloadSet &workload,
-                      const std::vector<unsigned> &trace_indices,
-                      std::size_t uops_per_trace,
-                      const CacheConfig &dl0_config,
-                      const CacheConfig &dtlb_config,
-                      MechanismKind mechanism,
-                      const MemTimingParams &params =
-                          MemTimingParams(),
-                      double time_scale = 0.1, unsigned jobs = 1,
-                      ThreadPool *pool = nullptr,
-                      ResultCache *cache = nullptr);
-
 } // namespace penelope
 
 #endif // PENELOPE_CACHE_TIMING_HH

@@ -25,14 +25,6 @@ PmosAgingTracker::observe(const std::vector<std::uint8_t> &signals,
 }
 
 void
-PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
-                               std::uint64_t lane_mask,
-                               std::uint64_t dt)
-{
-    observeBatchWide(net_words, 1, &lane_mask, dt);
-}
-
-void
 PmosAgingTracker::observeBatchWide(const std::uint64_t *net_words,
                                    unsigned net_w,
                                    const std::uint64_t *lane_masks,
@@ -107,20 +99,6 @@ PmosAgingTracker::summarize(const GuardbandModel &model,
         probs[i] = zeroProb(i);
     return summarizeZeroProbs(netlist_, probs, model,
                               fully_stressed_threshold);
-}
-
-std::vector<double>
-PmosAgingTracker::combinedZeroProbs(const PmosAgingTracker &other,
-                                    double self_weight) const
-{
-    assert(&other.netlist_ == &netlist_);
-    assert(self_weight >= 0.0 && self_weight <= 1.0);
-    std::vector<double> out(slots_.deviceSlot.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = self_weight * zeroProb(i) +
-            (1.0 - self_weight) * other.zeroProb(i);
-    }
-    return out;
 }
 
 AgingSummary

@@ -25,7 +25,7 @@
  * Netlist::finalize() builds it once and every tracker on the
  * netlist reads it shared: a tracker owns only its zero-time array
  * and total time, and constructing one is a single allocation.
- * observeBatch() charges a whole 64-vector lane word in one step --
+ * observeBatchWide() charges a whole 64-vector lane word in one step --
  * the zero-time of a class is popcount of its complemented lane
  * word (masked to the valid lanes) -- so a batch costs a couple of
  * word ops per *class* instead of 64 branchy updates per *device*.  Scalar
@@ -89,20 +89,12 @@ class PmosAgingTracker
 
     /**
      * Account a batch of net lane words (as produced by
-     * Netlist::evaluateBatch): every lane selected by @p lane_mask
-     * contributes @p dt time units, exactly as one observe() per
-     * valid lane would.  Lanes outside the mask (padding of a
-     * partial batch) are ignored entirely.
-     */
-    void observeBatch(const std::uint64_t *net_words,
-                      std::uint64_t lane_mask, std::uint64_t dt = 1);
-
-    /**
-     * Wide form of observeBatch() for the W-word netlist engine
-     * (Netlist::evaluateBatchWide): @p net_words holds @p net_w
+     * Netlist::evaluateBatchWide): @p net_words holds @p net_w
      * lane words per net, interleaved [net * net_w + w], and
-     * @p lane_masks selects the valid lanes of each word.  Exactly
-     * equivalent to net_w single-word observeBatch() calls.
+     * @p lane_masks selects the valid lanes of each word.  Every
+     * selected lane contributes @p dt time units, exactly as one
+     * observe() per valid lane would; lanes outside the masks
+     * (padding of a partial batch) are ignored entirely.
      */
     void observeBatchWide(const std::uint64_t *net_words,
                           unsigned net_w,
@@ -128,16 +120,6 @@ class PmosAgingTracker
     AgingSummary summarize(const GuardbandModel &model,
                            double fully_stressed_threshold =
                                0.9999) const;
-
-    /**
-     * Weighted combination with another tracker over the same
-     * netlist: this tracker's duty cycle counts for @p self_weight
-     * of the time, @p other for (1 - self_weight).  Used to mix
-     * "real inputs while busy" with "synthetic inputs while idle".
-     */
-    std::vector<double>
-    combinedZeroProbs(const PmosAgingTracker &other,
-                      double self_weight) const;
 
     /** Summarise an arbitrary per-device zero-prob vector. */
     static AgingSummary

@@ -9,7 +9,7 @@ namespace penelope {
 
 namespace {
 
-/** File-scope handles: evaluateBatch runs ~10^5-10^6 times per
+/** File-scope handles: evaluateBatchWide runs ~10^5-10^6 times per
  *  second, so the emission cost budget here is two relaxed adds
  *  (and a single relaxed bool when disabled).  Lane utilization
  *  is lanes-used (reported by the feeding drivers) over
@@ -222,17 +222,6 @@ Netlist::evaluate(const std::vector<bool> &input_values,
     }
 }
 
-void
-Netlist::evaluateBatch(const std::uint64_t *input_words,
-                       std::vector<std::uint64_t> &net_words) const
-{
-    assert(finalized_);
-    g_batchEvals.add();
-    g_laneCapacity.add(64);
-    net_words.resize(wordCount_);
-    evaluateBatchImpl<1>(input_words, net_words.data());
-}
-
 template <unsigned W>
 void
 Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
@@ -322,25 +311,14 @@ Netlist::evaluateBatchWide(const std::uint64_t *input_words,
                            unsigned net_w) const
 {
     assert(finalized_);
-    assert(net_w == 1 || net_w == 2 || net_w == 4 || net_w == 8);
+    assert(net_w == 1 || net_w == preferredBatchWords());
     g_batchEvals.add();
     g_laneCapacity.add(64ull * net_w);
     net_words.resize(std::size_t(wordCount_) * net_w);
-    std::uint64_t *w = net_words.data();
-    switch (net_w) {
-      case 1:
-        evaluateBatchImpl<1>(input_words, w);
-        break;
-      case 2:
-        evaluateBatchImpl<2>(input_words, w);
-        break;
-      case 4:
-        evaluateBatchImpl<4>(input_words, w);
-        break;
-      default:
-        evaluateBatchImpl<8>(input_words, w);
-        break;
-    }
+    if (net_w == 1)
+        evaluateBatchImpl<1>(input_words, net_words.data());
+    else
+        evaluateBatchImpl<4>(input_words, net_words.data());
 }
 
 void

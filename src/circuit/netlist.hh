@@ -26,9 +26,10 @@
  * constant folding, INV fusion, cache-blocked scheduling), which
  * shrinks it well below one op per gate; ops therefore address
  * *physical lane words*, and a net's value is recovered through its
- * NetRef (ref() / laneWord()).  evaluateBatch() runs the stream
- * over 64 input vectors at once: every word holds one `uint64_t`
- * whose bit v is the producing op's value under input vector v.
+ * NetRef (ref() / laneWord()).  evaluateBatchWide() runs the
+ * stream over 64 input vectors per lane word at once: every lane
+ * word is one `uint64_t` whose bit v is the producing op's value
+ * under input vector v.
  * Lane words are exact: bit v of every net's resolved word equals
  * what a scalar evaluate() of vector v would produce, which is what
  * keeps the batched aging statistics bit-identical to the scalar
@@ -189,40 +190,33 @@ class Netlist
                   std::vector<std::uint8_t> &signals) const;
 
     /**
-     * Evaluate 64 input vectors at once (valid after finalize()).
-     * @p input_words holds one lane word per primary input, in
-     * creation order: bit v of word i is input i's value under
-     * vector v.  @p net_words is resized to wordCount() -- the
+     * Evaluate up to 64 * @p net_w input vectors at once (valid
+     * after finalize()).  @p input_words holds @p net_w lane words
+     * per primary input, in creation order, interleaved
+     * [input * net_w + w]: bit v of word w of input i is input i's
+     * value under vector w * 64 + v.  @p net_words is resized to
+     * wordCount() * net_w with the same interleaving -- the
      * physical word array of the compiled op stream, NOT one word
-     * per net.  Use laneWord() / ref() to read a net's lanes: bit v
-     * of net s's resolved word is exactly what evaluate() of vector
-     * v would leave in signals[s].  Unused lanes cost nothing extra
-     * and carry whatever the padded input bits imply; consumers
-     * mask them out (see PmosAgingTracker::observeBatch).
-     */
-    void evaluateBatch(const std::uint64_t *input_words,
-                       std::vector<std::uint64_t> &net_words) const;
-
-    /**
-     * Evaluate up to 64 * @p net_w input vectors at once: the
-     * multi-word generalisation of evaluateBatch().  @p input_words
-     * holds @p net_w lane words per primary input, interleaved
-     * [input * net_w + w]; @p net_words is resized to
-     * wordCount() * net_w with the same interleaving (use
-     * laneWordWide() to read a net).  Word w of every net is
-     * bit-for-bit what evaluateBatch() over the inputs' w-th words
-     * would produce: the width only changes how many lanes one
-     * op-stream pass covers, never any lane's value.
-     * @p net_w must be 1, 2, 4 or 8.
+     * per net.  Use laneWordWide() (or, at net_w = 1, laneWord())
+     * to read a net's lanes: each bit is exactly what evaluate() of
+     * that vector would leave in signals[s].  The width only
+     * changes how many lanes one op-stream pass covers, never any
+     * lane's value.  Unused lanes cost nothing extra and carry
+     * whatever the padded input bits imply; consumers mask them out
+     * (see PmosAgingTracker::observeBatchWide).  @p net_w must be
+     * 1 or preferredBatchWords().
      */
     void evaluateBatchWide(const std::uint64_t *input_words,
                            std::vector<std::uint64_t> &net_words,
                            unsigned net_w) const;
 
     /** The evaluateBatchWide word count the batch feeders use: 4,
-     *  which amortises the op-stream decode over 256 lanes and
-     *  measured no slower than W = 8 while keeping a mid-size
-     *  adder's lane-word array L1-resident. */
+     *  which amortises the op-stream decode over 256 lanes.  It was
+     *  chosen over 8 when both widths had SIMD kernels
+     *  (BENCH_perf.json, BM_NetlistEvaluateBatchWide: W = 4 at
+     *  51.1M vectors/s, W = 8 at 46.2M, and W = 8 clamped back to
+     *  4 once a lane-word array outgrew L1).  No caller uses W = 8
+     *  on the portable kernel, so it is not built. */
     static unsigned preferredBatchWords();
 
     /**
@@ -267,7 +261,8 @@ class Netlist
     /** How net @p s reads out of an evaluated word array. */
     NetRef ref(SignalId s) const { return refs_[s]; }
 
-    /** Net @p s's lane word from an evaluateBatch() result. */
+    /** Net @p s's lane word from an evaluateBatchWide() result
+     *  computed at net_w = 1. */
     std::uint64_t laneWord(const std::uint64_t *net_words,
                            SignalId s) const
     {

@@ -224,12 +224,12 @@ class BitBiasTracker
     /**
      * Record 64 values at once, transposed into per-bit lane
      * words: bit v of @p bit_words[b] is bit b of value v -- the
-     * same lane-word layout Netlist::evaluateBatch produces and
-     * transpose64x64 packs.  Every lane (value) selected by
-     * @p lane_mask contributes @p dt cycles, exactly as one
-     * observe() per selected value would; padding lanes of a
-     * partial batch are ignored entirely.  @p bit_words must hold
-     * width() words.
+     * same lane-word layout Netlist::evaluateBatchWide produces at
+     * net_w = 1 and transpose64x64 packs.  Every lane (value)
+     * selected by @p lane_mask contributes @p dt cycles, exactly
+     * as one observe() per selected value would; padding lanes of
+     * a partial batch are ignored entirely.  @p bit_words must
+     * hold width() words.
      *
      * Cost is one popcount per *bit* instead of one sliced add per
      * *value*; both add exactly the same integers, so every

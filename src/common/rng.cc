@@ -35,50 +35,12 @@ mixSeed(std::uint64_t base, std::uint64_t stream)
 
 Rng::Rng(std::uint64_t seed)
 {
-    reseed(seed);
-}
-
-void
-Rng::reseed(std::uint64_t seed)
-{
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
     // xoshiro must not start from the all-zero state.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 0x9e3779b97f4a7c15ULL;
-    cachedGaussian_ = 0.0;
-    hasCachedGaussian_ = false;
-}
-
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    assert(lo <= hi);
-    const std::uint64_t span =
-        static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) // full 64-bit range
-        return static_cast<std::int64_t>((*this)());
-    return lo + static_cast<std::int64_t>(nextInt(span));
-}
-
-double
-Rng::nextGaussian()
-{
-    if (hasCachedGaussian_) {
-        hasCachedGaussian_ = false;
-        return cachedGaussian_;
-    }
-    double u1 = 0.0;
-    do {
-        u1 = nextDouble();
-    } while (u1 <= 0.0);
-    const double u2 = nextDouble();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    cachedGaussian_ = r * std::sin(theta);
-    hasCachedGaussian_ = true;
-    return r * std::cos(theta);
 }
 
 namespace {
@@ -303,19 +265,6 @@ Rng::nextGeometric(double p)
         m = (*this)() >> 11; // the 53 mantissa bits of nextDouble()
     } while (m == 0);
     return table.draw(m);
-}
-
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
-{
-    ZipfTable table(n, s);
-    return table.sample(*this);
-}
-
-Rng
-Rng::fork()
-{
-    return Rng((*this)());
 }
 
 ZipfTable::ZipfTable(std::uint64_t n, double s)

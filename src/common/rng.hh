@@ -90,9 +90,6 @@ class Rng
         }
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double
     nextDouble()
@@ -104,27 +101,11 @@ class Rng
     /** Bernoulli draw with probability p of returning true. */
     bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
-    /** Standard normal draw (Box-Muller, cached pair). */
-    double nextGaussian();
-
     /**
      * Geometric draw: number of failures before first success with
      * per-trial success probability p (p in (0, 1]).
      */
     std::uint64_t nextGeometric(double p);
-
-    /**
-     * Zipf-distributed rank in [0, n) with exponent s.  Uses a
-     * precomputed CDF supplied by ZipfTable for efficiency; this
-     * convenience overload rebuilds a small CDF when n is tiny.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
-
-    /** Re-seed the generator (deterministic state reset). */
-    void reseed(std::uint64_t seed);
-
-    /** Fork a statistically independent child stream. */
-    Rng fork();
 
   private:
     static std::uint64_t
@@ -134,8 +115,6 @@ class Rng
     }
 
     std::uint64_t s_[4];
-    double cachedGaussian_;
-    bool hasCachedGaussian_;
 
     /** Next geomSlots_ entry to replace (round robin). */
     std::uint8_t geomNext_ = 0;

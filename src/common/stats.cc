@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace penelope {
@@ -60,56 +59,6 @@ double
 RunningStats::stddev() const
 {
     return std::sqrt(variance());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0), total_(0)
-{
-    assert(hi > lo);
-    assert(bins > 0);
-}
-
-void
-Histogram::add(double x, std::uint64_t weight)
-{
-    const double w = (x - lo_) / (hi_ - lo_);
-    auto bin = static_cast<std::int64_t>(
-        w * static_cast<double>(counts_.size()));
-    bin = std::clamp<std::int64_t>(
-        bin, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    counts_[static_cast<std::size_t>(bin)] += weight;
-    total_ += weight;
-}
-
-double
-Histogram::binFraction(std::size_t i) const
-{
-    if (total_ == 0)
-        return 0.0;
-    return static_cast<double>(counts_.at(i)) /
-        static_cast<double>(total_);
-}
-
-double
-Histogram::binLeft(std::size_t i) const
-{
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-        static_cast<double>(counts_.size());
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return lo_;
-    const double target = q * static_cast<double>(total_);
-    double running = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        running += static_cast<double>(counts_[i]);
-        if (running >= target)
-            return binLeft(i + 1 <= counts_.size() ? i + 1 : i);
-    }
-    return hi_;
 }
 
 double

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small statistics helpers: running moments and fixed-bin histograms.
+ * Small statistics helpers: running moments and category counts.
  */
 
 #ifndef PENELOPE_COMMON_STATS_HH
@@ -45,38 +45,6 @@ class RunningStats
     double m2_;
     double min_;
     double max_;
-};
-
-/**
- * Fixed-width histogram over [lo, hi); samples outside the range are
- * clamped into the first/last bin.  Used e.g.\ for bias distributions
- * and MRU-position hit counting.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x, std::uint64_t weight = 1);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    std::uint64_t total() const { return total_; }
-
-    /** Fraction of total weight in bin i (0 if empty). */
-    double binFraction(std::size_t i) const;
-
-    /** Left edge of bin i. */
-    double binLeft(std::size_t i) const;
-
-    /** Value below which fraction q of the weight lies. */
-    double quantile(double q) const;
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_;
 };
 
 /**

@@ -105,31 +105,4 @@ TextTable::count(std::uint64_t value)
     return std::to_string(value);
 }
 
-void
-CsvWriter::writeRow(const std::vector<std::string> &cells)
-{
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            os_ << ',';
-        os_ << escape(cells[i]);
-    }
-    os_ << '\n';
-}
-
-std::string
-CsvWriter::escape(const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-        if (ch == '"')
-            out += "\"\"";
-        else
-            out += ch;
-    }
-    out += '"';
-    return out;
-}
-
 } // namespace penelope

@@ -1,6 +1,6 @@
 /**
  * @file
- * ASCII table and CSV rendering used by the benchmark harnesses to
+ * ASCII table rendering used by the benchmark harnesses to
  * print paper-style tables with "paper" vs "measured" columns.
  */
 
@@ -44,20 +44,6 @@ class TextTable
   private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
-};
-
-/** Minimal CSV emitter (RFC-4180 quoting for commas/quotes). */
-class CsvWriter
-{
-  public:
-    explicit CsvWriter(std::ostream &os) : os_(os) {}
-
-    void writeRow(const std::vector<std::string> &cells);
-
-  private:
-    static std::string escape(const std::string &cell);
-
-    std::ostream &os_;
 };
 
 } // namespace penelope

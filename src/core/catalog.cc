@@ -819,26 +819,6 @@ decodeResult(ByteReader &r, RfAttackShard &shard)
     return r.ok();
 }
 
-/** The register-file configuration fields every regfile attack key
- *  must cover (matches regfileReplayKey in experiments.cc). */
-void
-keyRegFileSetup(CacheKeyBuilder &key,
-                const RegFileConfig &rf_config,
-                const RegReplayConfig &replay_config, bool isv,
-                std::size_t uops)
-{
-    key.u32(rf_config.numEntries)
-        .u32(rf_config.width)
-        .u32(rf_config.sampledEntry)
-        .u32(rf_config.rinvSampleInterval)
-        .b(replay_config.fp)
-        .u32(replay_config.commitDelay)
-        .f64(replay_config.portFreeProb)
-        .u64(replay_config.seed)
-        .b(isv)
-        .u64(uops);
-}
-
 /** Content hash of one normal-workload register-file reference
  *  replay of the attack experiment. */
 Hash128

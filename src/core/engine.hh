@@ -70,42 +70,23 @@ class Engine
     }
 
     /**
-     * Materialise fn(item, slot) for every item, in parallel;
-     * results are returned in item order.  fn must be pure in the
-     * engine sense: no shared mutable state.
-     */
-    template <class R, class Items, class Fn>
-    std::vector<R>
-    map(const Items &items, Fn &&fn) const
-    {
-        std::vector<R> out(items.size());
-        parallelFor(
-            items.size(), jobs_,
-            [&](std::size_t k) {
-                PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
-                out[k] = fn(items[k], k);
-            },
-            pool_);
-        return out;
-    }
-
-    /**
-     * map() with a content-addressed cache in front of fn.
+     * Materialise fn(item, slot) for every item, in parallel, with
+     * a content-addressed cache in front of fn; results are
+     * returned in item order.  fn must be pure in the engine sense:
+     * no shared mutable state.
      *
      * keyOf(item, slot) must return a Hash128 covering everything
      * that determines fn's result (the ResultCache key contract);
      * R must have encodeResult/decodeResult codecs (serialize.hh).
      * On a hit the stored payload is decoded into the slot; a miss
      * -- including a payload that fails to decode -- simulates and
-     * stores.  With a null cache this is exactly map().
+     * stores.  With a null cache every slot misses.
      */
     template <class R, class Items, class KeyFn, class Fn>
     std::vector<R>
     mapCached(const Items &items, ResultCache *cache, KeyFn &&keyOf,
               Fn &&fn) const
     {
-        if (!cache)
-            return map<R>(items, std::forward<Fn>(fn));
         std::vector<R> out(items.size());
         parallelFor(
             items.size(), jobs_,

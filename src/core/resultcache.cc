@@ -13,14 +13,10 @@ namespace penelope {
 namespace {
 
 /** File-scope handles (no per-call static guard): lookup/store
- *  run once per simulated (trace, options) point, and the
- *  per-stripe split is what makes contention visible. */
+ *  run once per simulated (trace, options) point. */
 struct CacheMetrics
 {
     obs::Counter hits, misses, stores;
-    std::array<obs::Counter, ResultCache::kStripes> stripeHits;
-    std::array<obs::Counter, ResultCache::kStripes> stripeMisses;
-    std::array<obs::Counter, ResultCache::kStripes> stripeStores;
     obs::Histogram lookupUs, storeUs;
 
     CacheMetrics()
@@ -29,16 +25,6 @@ struct CacheMetrics
         hits = reg.counter("cache.hits");
         misses = reg.counter("cache.misses");
         stores = reg.counter("cache.stores");
-        for (unsigned s = 0; s < ResultCache::kStripes; ++s) {
-            char tag[4];
-            std::snprintf(tag, sizeof tag, "s%02u", s);
-            stripeHits[s] =
-                reg.counter(std::string("cache.hits.") + tag);
-            stripeMisses[s] =
-                reg.counter(std::string("cache.misses.") + tag);
-            stripeStores[s] =
-                reg.counter(std::string("cache.stores.") + tag);
-        }
         lookupUs = reg.histogram("cache.lookup_latency", "us");
         storeUs = reg.histogram("cache.store_latency", "us");
     }
@@ -480,12 +466,7 @@ ResultCache::lookup(const Hash128 &key, std::string &payload)
             ++stats_.misses;
     }
     if (timed) {
-        const unsigned sidx = static_cast<unsigned>(
-            &stripe - stripes_.data());
         (hit ? g_cacheMetrics.hits : g_cacheMetrics.misses).add();
-        (hit ? g_cacheMetrics.stripeHits
-             : g_cacheMetrics.stripeMisses)[sidx]
-            .add();
         g_cacheMetrics.lookupUs.record(obs::monotonicMicros() -
                                        t0);
     }
@@ -531,10 +512,7 @@ ResultCache::store(const Hash128 &key, std::string_view payload)
         ++stats_.stores;
     }
     if (timed) {
-        const unsigned sidx = static_cast<unsigned>(
-            &stripe - stripes_.data());
         g_cacheMetrics.stores.add();
-        g_cacheMetrics.stripeStores[sidx].add();
         g_cacheMetrics.storeUs.record(obs::monotonicMicros() -
                                       t0);
     }

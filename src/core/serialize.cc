@@ -277,4 +277,37 @@ decodeResult(ByteReader &r, std::vector<OperandSample> &v)
     return true;
 }
 
+// -------------------------------------------------------- key recipes
+
+void
+keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
+{
+    key.u32(config.sizeBytes)
+        .u32(config.ways)
+        .u32(config.lineBytes)
+        .f64(config.writePortFreeProb);
+}
+
+void
+keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config)
+{
+    key.u32(config.numEntries)
+        .u32(config.width)
+        .u32(config.rinvSampleInterval);
+}
+
+void
+keyRegFileSetup(CacheKeyBuilder &key, const RegFileConfig &rf_config,
+                const RegReplayConfig &replay_config, bool isv,
+                std::size_t uops)
+{
+    keyRegFileConfig(key, rf_config);
+    key.b(replay_config.fp)
+        .u32(replay_config.commitDelay)
+        .f64(replay_config.portFreeProb)
+        .u64(replay_config.seed)
+        .b(isv)
+        .u64(uops);
+}
+
 } // namespace penelope

@@ -16,6 +16,9 @@
  * The overload set is what Engine::mapCached resolves against: add
  * an encodeResult/decodeResult pair here (or next to a runner-local
  * shard type) to make a new result type cacheable.
+ *
+ * The key recipes below are the one place each configuration that
+ * result keys cover is mixed into a CacheKeyBuilder.
  */
 
 #ifndef PENELOPE_CORE_SERIALIZE_HH
@@ -28,6 +31,7 @@
 #include "common/duty.hh"
 #include "core/resultcache.hh"
 #include "pipeline/pipeline.hh"
+#include "regfile/driver.hh"
 #include "regfile/regfile.hh"
 #include "scheduler/scheduler.hh"
 
@@ -51,6 +55,19 @@ bool decodeResult(ByteReader &r, MemLossSample &v);
 void encodeResult(ByteWriter &w,
                   const std::vector<OperandSample> &v);
 bool decodeResult(ByteReader &r, std::vector<OperandSample> &v);
+
+/** Mix a cache geometry into @p key: every field that can steer a
+ *  simulation (the name string never does, so it is excluded). */
+void keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config);
+
+/** Mix a register-file configuration into @p key. */
+void keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config);
+
+/** Mix one register-file replay setup into @p key: the file, the
+ *  replay driver, whether ISV runs, and the uops per trace. */
+void keyRegFileSetup(CacheKeyBuilder &key, const RegFileConfig &rf_config,
+                     const RegReplayConfig &replay_config, bool isv,
+                     std::size_t uops);
 
 } // namespace penelope
 

@@ -13,7 +13,6 @@ RegisterFile::RegisterFile(const RegFileConfig &config)
       bias_(config.width)
 {
     assert(config_.numEntries >= 1);
-    assert(config_.sampledEntry < config_.numEntries);
     for (auto &e : entries_)
         e.value = BitWord(config_.width);
     freeList_.reserve(config_.numEntries);
@@ -54,7 +53,7 @@ RegisterFile::write(unsigned entry, const BitWord &value, Cycle now)
     assert(entry < entries_.size());
     assert(value.width() == config_.width);
     Entry &e = entries_[entry];
-    if (entry == config_.sampledEntry)
+    if (entry == kSampledEntry)
         meterFlush(now);
     flushEntry(e, now);
     e.value = value;
@@ -98,7 +97,7 @@ RegisterFile::release(unsigned entry, Cycle now, bool port_available)
         ++isvStats_.updatesDiscarded;
         return;
     }
-    if (entry == config_.sampledEntry)
+    if (entry == kSampledEntry)
         meterFlush(now);
     flushEntry(e, now);
     e.value = rinv_;

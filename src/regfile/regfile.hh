@@ -33,10 +33,6 @@ struct RegFileConfig
     unsigned numEntries = 128;
     unsigned width = 32;
 
-    /** Entry used for the ISV balance sampling (fixed entry for
-     *  simplicity, as in the paper). */
-    unsigned sampledEntry = 0;
-
     /** RINV resampling interval in writes (the paper suggests
      *  refreshing RINV periodically from a write port). */
     unsigned rinvSampleInterval = 64;
@@ -134,13 +130,17 @@ class RegisterFile
         }
     }
 
+    /** Entry used for the ISV balance sampling (a fixed entry for
+     *  simplicity, as in the paper). */
+    static constexpr unsigned kSampledEntry = 0;
+
     /** Update the sampled-entry balance meter on a state change. */
     void
     meterFlush(Cycle now)
     {
         if (now > sampledSince_) {
             const std::uint64_t dt = now - sampledSince_;
-            if (entries_[config_.sampledEntry].holdsInverted)
+            if (entries_[kSampledEntry].holdsInverted)
                 sampledInvertedTime_ += dt;
             else
                 sampledNonInvertedTime_ += dt;

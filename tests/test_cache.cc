@@ -111,20 +111,6 @@ TEST(Cache, TlbConfigGeometry)
     EXPECT_FALSE(c.access(0x2000, 3).hit);
 }
 
-TEST(Cache, RandomReplacementStillCorrect)
-{
-    CacheConfig cfg = smallCache();
-    cfg.replacement = ReplacementPolicy::Random;
-    Cache c(cfg);
-    for (int i = 0; i < 100; ++i)
-        c.access(i * 1024, i + 1);
-    // All 100 lines mapped to set 0; only 4 can be resident.
-    unsigned resident = 0;
-    for (int i = 0; i < 100; ++i)
-        resident += c.access(i * 1024, 200 + i).hit;
-    EXPECT_LE(resident, 4u);
-}
-
 // ------------------------------------------------------- Inversion
 
 TEST(Inversion, InvertLineInvariants)
@@ -392,9 +378,11 @@ TEST(Timing, PerfLossNonNegativeOnAverage)
 {
     WorkloadSet w;
     const auto traces = w.strided(120);
-    const PerfLossStats stats = measurePerfLoss(
-        w, traces, 15000, CacheConfig(), CacheConfig::tlb(128, 8),
-        MechanismKind::LineFixed50, true);
+    const MemLossQuery query{CacheConfig(), CacheConfig::tlb(128, 8),
+                             MechanismKind::LineFixed50,
+                             MechanismKind::None};
+    const PerfLossStats stats = foldPerfLoss(
+        simulateMemLosses(w, traces, 15000, {query}).front(), true);
     EXPECT_GT(stats.traces, 0u);
     EXPECT_GE(stats.meanLoss, 0.0);
     EXPECT_GT(stats.meanInvertRatio, 0.3);
@@ -405,12 +393,15 @@ TEST(Timing, DynamicLosesLessThanFixed)
     // The headline Table-3 ordering.
     WorkloadSet w;
     const auto traces = w.strided(60);
-    const PerfLossStats fixed = measurePerfLoss(
-        w, traces, 20000, CacheConfig(), CacheConfig::tlb(128, 8),
-        MechanismKind::LineFixed50, true);
-    const PerfLossStats dynamic = measurePerfLoss(
-        w, traces, 20000, CacheConfig(), CacheConfig::tlb(128, 8),
-        MechanismKind::LineDynamic60, true);
+    const std::vector<MemLossQuery> queries = {
+        {CacheConfig(), CacheConfig::tlb(128, 8),
+         MechanismKind::LineFixed50, MechanismKind::None},
+        {CacheConfig(), CacheConfig::tlb(128, 8),
+         MechanismKind::LineDynamic60, MechanismKind::None},
+    };
+    const auto samples = simulateMemLosses(w, traces, 20000, queries);
+    const PerfLossStats fixed = foldPerfLoss(samples[0], true);
+    const PerfLossStats dynamic = foldPerfLoss(samples[1], true);
     EXPECT_LT(dynamic.meanLoss, fixed.meanLoss);
 }
 
@@ -505,15 +496,11 @@ TEST(Timing, BatchedPassMatchesFreshRuns)
             // first; the batched call then stores only the two keys
             // per trace still missing (0 and 4; 2 aliases 0).
             ResultCache cache;
-            measurePerfLoss(workload, traces, uops, CacheConfig(), dtlb,
-                            MechanismKind::SetFixed50, true,
-                            MemTimingParams(), time_scale, jobs,
-                            nullptr, &cache);
-            measurePerfLoss(workload, traces, uops, CacheConfig(),
-                            CacheConfig::tlb(64, 8),
-                            MechanismKind::LineDynamic60, false,
-                            MemTimingParams(), time_scale, jobs,
-                            nullptr, &cache);
+            for (const std::size_t q : {1, 3}) {
+                simulateMemLosses(workload, traces, uops, {queries[q]},
+                                  MemTimingParams(), time_scale, jobs,
+                                  nullptr, &cache);
+            }
             const auto before = cache.stats();
             EXPECT_EQ(before.stores, 2 * traces.size());
             const auto warm = simulateMemLosses(
@@ -541,10 +528,9 @@ TEST(Timing, BatchedPassMatchesFreshRuns)
 
 // ------------------------------------ paths Table 3 never reaches
 //
-// Table 3 runs power-of-two set windows, full way windows and LRU
-// only.  These anchors pin literal results for the other lookup and
-// victim paths, so a rewrite of the access path cannot drift them
-// unseen.
+// Table 3 runs power-of-two set windows and full way windows only.
+// These anchors pin literal results for the other lookup and victim
+// paths, so a rewrite of the access path cannot drift them unseen.
 
 /** What one anchor stream pins. */
 struct CacheAnchor
@@ -627,27 +613,6 @@ TEST(CacheAnchor, WayFixedWindowWraps)
                        {17126, 2874,
                         {4422, 4204, 3726, 2493, 1425, 856, 0, 0}, 32,
                         0.25575803083992787, 0, 208});
-}
-
-TEST(CacheAnchor, PseudoLruReplacement)
-{
-    CacheConfig cfg = smallCache();
-    cfg.replacement = ReplacementPolicy::PseudoLru;
-    Cache c(cfg);
-    c.setPolicy(std::make_unique<LineFixedInversion>(0.5));
-    expectAnchorStream(c, 0x971u, 20000, 96,
-                       {13708, 6292, {7977, 4274, 1234, 223}, 32,
-                        0.49715823923253721, 0, 6075});
-}
-
-TEST(CacheAnchor, RandomReplacement)
-{
-    CacheConfig cfg = smallCache();
-    cfg.replacement = ReplacementPolicy::Random;
-    Cache c(cfg);
-    expectAnchorStream(c, 0x4a2d, 20000, 96,
-                       {17750, 2250, {8800, 5804, 2139, 1007}, 0, 0.0,
-                        0, 0});
 }
 
 TEST(CacheAnchor, LineDynamicShadowMarking)
@@ -773,7 +738,11 @@ TEST(Table3Anchor, DynamicMechanismPinned)
 }
 
 /** Parameterised geometry sweep: core invariants must hold for
- *  every (size, ways, replacement, mechanism) combination. */
+ *  every (size, ways, access stream, mechanism) combination.  The
+ *  streams: 0 uniform over four times the capacity, 1 three
+ *  quarters of the accesses to a hot quarter of that footprint,
+ *  2 a sequential line sweep over twice the capacity (LRU's
+ *  worst case: every access misses once the cache is full). */
 class CacheGeometry
     : public ::testing::TestWithParam<
           std::tuple<unsigned, unsigned, int, int>>
@@ -784,8 +753,7 @@ TEST_P(CacheGeometry, InvariantsHold)
     CacheConfig cfg;
     cfg.sizeBytes = std::get<0>(GetParam()) * 1024;
     cfg.ways = std::get<1>(GetParam());
-    cfg.replacement =
-        static_cast<ReplacementPolicy>(std::get<2>(GetParam()));
+    const int stream = std::get<2>(GetParam());
     const auto mech =
         static_cast<MechanismKind>(std::get<3>(GetParam()));
     Cache c(cfg);
@@ -796,8 +764,12 @@ TEST_P(CacheGeometry, InvariantsHold)
     for (int i = 0; i < 20000; ++i) {
         ++now;
         c.tick(now);
-        const Addr addr =
-            rng.nextInt(4 * cfg.sizeBytes / 64) * 64;
+        const std::uint64_t footprint = 4 * cfg.sizeBytes / 64;
+        Addr addr = rng.nextInt(footprint) * 64;
+        if (stream == 1 && rng.nextBool(0.75))
+            addr = rng.nextInt(footprint / 4) * 64;
+        else if (stream == 2)
+            addr = (i % (footprint / 2)) * 64;
         rng();
         rng(); // the stream's former write flag and data word
         c.access(addr, now);
@@ -834,7 +806,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(4u, 8u, 32u),     // KB
         ::testing::Values(2u, 4u, 8u),      // ways
-        ::testing::Values(0, 1, 2),         // LRU/pLRU/random
+        ::testing::Values(0, 1, 2),         // access stream
         ::testing::Values(0, 1, 2, 3, 4))); // mechanisms
 
 } // namespace

@@ -191,21 +191,6 @@ TEST(Aging, Figure2BiasExample)
     EXPECT_GT(summary.guardband, 0.1);
 }
 
-TEST(Aging, CombinedZeroProbsMix)
-{
-    Netlist n;
-    const SignalId a = n.addInput();
-    n.addInv(a);
-    n.finalize();
-    PmosAgingTracker busy(n);
-    busy.applyInput({false}); // stressed while busy
-    PmosAgingTracker idle(n);
-    idle.applyInput({true}); // relaxed while idle
-    const auto mixed = busy.combinedZeroProbs(idle, 0.25);
-    ASSERT_EQ(mixed.size(), 1u);
-    EXPECT_DOUBLE_EQ(mixed[0], 0.25);
-}
-
 TEST(Aging, SummaryCountsWidthClasses)
 {
     Netlist n;
@@ -320,14 +305,6 @@ TEST(IdleInputs, TwentyEightPairs)
     EXPECT_EQ(pairs.size(), 28u);
     EXPECT_EQ(pairLabel(pairs.front()), "1+2");
     EXPECT_EQ(pairLabel(pairs.back()), "7+8");
-}
-
-TEST(IdleInputs, RoundRobinAlternates)
-{
-    RoundRobinInjector injector({0, 7});
-    EXPECT_EQ(injector.nextIdleInput(), 0u);
-    EXPECT_EQ(injector.nextIdleInput(), 7u);
-    EXPECT_EQ(injector.nextIdleInput(), 0u);
 }
 
 TEST(IdleInputs, SyntheticVectorReplicatesBits)

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <latch>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "common/bitword.hh"
@@ -59,22 +58,6 @@ TEST(Rng, NextIntCoversRange)
     EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(Rng, NextRangeInclusive)
-{
-    Rng rng(11);
-    bool saw_lo = false;
-    bool saw_hi = false;
-    for (int i = 0; i < 2000; ++i) {
-        const std::int64_t v = rng.nextRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= v == -3;
-        saw_hi |= v == 3;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, NextDoubleInUnitInterval)
 {
     Rng rng(13);
@@ -93,16 +76,6 @@ TEST(Rng, BernoulliMeanConverges)
     for (int i = 0; i < n; ++i)
         hits += rng.nextBool(0.3);
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, GaussianMoments)
-{
-    Rng rng(19);
-    RunningStats s;
-    for (int i = 0; i < 20000; ++i)
-        s.add(rng.nextGaussian());
-    EXPECT_NEAR(s.mean(), 0.0, 0.05);
-    EXPECT_NEAR(s.stddev(), 1.0, 0.05);
 }
 
 TEST(Rng, GeometricMean)
@@ -207,18 +180,7 @@ TEST(Rng, StaysSmall)
 {
     // Generators, replays and caches each embed Rngs; the geometric
     // tables are shared by pointer, never embedded.
-    EXPECT_LE(sizeof(Rng), 128u);
-}
-
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng a(31);
-    Rng child = a.fork();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        if (a() == child())
-            ++same;
-    EXPECT_LT(same, 3);
+    EXPECT_LE(sizeof(Rng), 104u);
 }
 
 TEST(Zipf, RankZeroMostPopular)
@@ -269,7 +231,7 @@ TEST(RunningStats, MergeMatchesCombined)
     RunningStats all;
     Rng rng(43);
     for (int i = 0; i < 500; ++i) {
-        const double v = rng.nextGaussian() * 3 + 1;
+        const double v = rng.nextDouble() * 3 + 1;
         (i % 2 ? a : b).add(v);
         all.add(v);
     }
@@ -289,30 +251,6 @@ TEST(RunningStats, MergeWithEmpty)
     b.merge(a);
     EXPECT_EQ(b.count(), 1u);
     EXPECT_DOUBLE_EQ(b.mean(), 3.0);
-}
-
-TEST(Histogram, BinningAndClamping)
-{
-    Histogram h(0.0, 1.0, 10);
-    h.add(0.05);
-    h.add(0.15);
-    h.add(0.95);
-    h.add(2.0);  // clamped into last bin
-    h.add(-1.0); // clamped into first bin
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(1), 1u);
-    EXPECT_EQ(h.binCount(9), 2u);
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_DOUBLE_EQ(h.binFraction(0), 0.4);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram h(0.0, 100.0, 100);
-    for (int i = 0; i < 100; ++i)
-        h.add(i + 0.5);
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
 }
 
 TEST(CategoryCounter, FractionsSumToOne)
@@ -493,15 +431,6 @@ TEST(TextTable, Formatters)
     EXPECT_EQ(TextTable::pct(0.1234, 1), "12.3%");
     EXPECT_EQ(TextTable::num(1.5, 2), "1.50");
     EXPECT_EQ(TextTable::count(42), "42");
-}
-
-TEST(CsvWriter, EscapesSpecials)
-{
-    std::ostringstream os;
-    CsvWriter csv(os);
-    csv.writeRow({"plain", "with,comma", "with\"quote"});
-    EXPECT_EQ(os.str(),
-              "plain,\"with,comma\",\"with\"\"quote\"\n");
 }
 
 } // namespace

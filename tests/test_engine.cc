@@ -182,13 +182,20 @@ TEST(Engine, MapPreservesItemOrder)
     const Engine engine(4);
     std::vector<unsigned> items(64);
     std::iota(items.begin(), items.end(), 0u);
-    const auto squares = engine.map<unsigned>(
-        items, [](unsigned item, std::size_t) {
-            return item * item;
+    // No cache: every slot misses and is computed.
+    const auto squares = engine.mapCached<IsvStats>(
+        items, nullptr,
+        [](unsigned item, std::size_t) {
+            return CacheKeyBuilder("square").u32(item).digest();
+        },
+        [](unsigned item, std::size_t) {
+            IsvStats square;
+            square.updatesApplied = item * item;
+            return square;
         });
     ASSERT_EQ(squares.size(), items.size());
     for (std::size_t i = 0; i < items.size(); ++i)
-        EXPECT_EQ(squares[i], items[i] * items[i]);
+        EXPECT_EQ(squares[i].updatesApplied, items[i] * items[i]);
 }
 
 // ------------------------------------------------- streamed passes
@@ -394,7 +401,7 @@ TEST(StatsMerge, MatchesSequentialAccumulation)
     Rng rng(7);
     std::vector<double> samples(500);
     for (double &s : samples)
-        s = rng.nextGaussian();
+        s = rng.nextDouble();
 
     RunningStats whole;
     for (double s : samples)
@@ -510,35 +517,42 @@ TEST(JobsDeterminism, SchedulerExperiment)
     EXPECT_EQ(serial.guardband, parallel.guardband);
 }
 
+/** One query's per-trace samples at 2000 uops per trace, time
+ *  scale 0.05, on the default DL0 and a 128-entry DTLB. */
+std::vector<MemLossSample>
+memLosses(const WorkloadSet &workload,
+          const std::vector<unsigned> &traces, MechanismKind dl0,
+          MechanismKind dtlb, unsigned jobs, ThreadPool *pool = nullptr)
+{
+    const MemLossQuery query{CacheConfig(), CacheConfig::tlb(128, 8),
+                             dl0, dtlb};
+    return simulateMemLosses(workload, traces, 2'000, {query},
+                             MemTimingParams(), 0.05, jobs, pool)
+        .front();
+}
+
 TEST(JobsDeterminism, PerfLossAndCombinedCpi)
 {
     const WorkloadSet workload;
     const std::vector<unsigned> traces = workload.strided(97);
+    const MechanismKind none = MechanismKind::None;
+    const MechanismKind fixed = MechanismKind::LineFixed50;
+    const MechanismKind dynamic = MechanismKind::LineDynamic60;
     for (unsigned jobs : {2u, 8u}) {
-        const PerfLossStats serial = measurePerfLoss(
-            workload, traces, 2'000, CacheConfig(),
-            CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-            true, MemTimingParams(), 0.05, 1);
-        const PerfLossStats parallel = measurePerfLoss(
-            workload, traces, 2'000, CacheConfig(),
-            CacheConfig::tlb(128, 8), MechanismKind::LineFixed50,
-            true, MemTimingParams(), 0.05, jobs);
+        const PerfLossStats serial = foldPerfLoss(
+            memLosses(workload, traces, fixed, none, 1), true);
+        const PerfLossStats parallel = foldPerfLoss(
+            memLosses(workload, traces, fixed, none, jobs), true);
         EXPECT_EQ(serial.meanLoss, parallel.meanLoss);
         EXPECT_EQ(serial.maxLoss, parallel.maxLoss);
         EXPECT_EQ(serial.meanInvertRatio,
                   parallel.meanInvertRatio);
 
         EXPECT_EQ(
-            combinedNormalizedCpi(
-                workload, traces, 2'000, CacheConfig(),
-                CacheConfig::tlb(128, 8),
-                MechanismKind::LineDynamic60, MemTimingParams(),
-                0.05, 1),
-            combinedNormalizedCpi(
-                workload, traces, 2'000, CacheConfig(),
-                CacheConfig::tlb(128, 8),
-                MechanismKind::LineDynamic60, MemTimingParams(),
-                0.05, jobs));
+            foldNormalizedCpi(
+                memLosses(workload, traces, dynamic, dynamic, 1)),
+            foldNormalizedCpi(
+                memLosses(workload, traces, dynamic, dynamic, jobs)));
     }
 }
 
@@ -573,14 +587,14 @@ TEST(JobsDeterminism, PersistentPoolMatchesPerCallPools)
     EXPECT_EQ(sched_serial.occupancy, sched_pooled.occupancy);
 
     const std::vector<unsigned> traces = workload.strided(97);
-    const PerfLossStats loss_serial = measurePerfLoss(
-        workload, traces, 2'000, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50, true,
-        MemTimingParams(), 0.05, 1);
-    const PerfLossStats loss_pooled = measurePerfLoss(
-        workload, traces, 2'000, CacheConfig(),
-        CacheConfig::tlb(128, 8), MechanismKind::LineFixed50, true,
-        MemTimingParams(), 0.05, 4, &pool);
+    const PerfLossStats loss_serial = foldPerfLoss(
+        memLosses(workload, traces, MechanismKind::LineFixed50,
+                  MechanismKind::None, 1),
+        true);
+    const PerfLossStats loss_pooled = foldPerfLoss(
+        memLosses(workload, traces, MechanismKind::LineFixed50,
+                  MechanismKind::None, 4, &pool),
+        true);
     EXPECT_EQ(loss_serial.meanLoss, loss_pooled.meanLoss);
     EXPECT_EQ(loss_serial.meanInvertRatio,
               loss_pooled.meanInvertRatio);

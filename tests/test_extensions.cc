@@ -1,88 +1,17 @@
 /**
  * @file
- * Tests for the extension modules: input-latch aging (Section 3.3)
- * and the NBTI-aware branch predictor (the cache-like block the
- * paper names but does not measure).
+ * Tests for the NBTI-aware branch predictor (the cache-like block
+ * the paper names but does not measure).
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/branch_predictor.hh"
-#include "circuit/latch.hh"
 #include "common/rng.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
 namespace {
-
-// ----------------------------------------------------------- Latch
-
-TEST(Latch, BalancedContentsNeedNoMitigation)
-{
-    LatchBank latches(8);
-    latches.hold(Word(0x55), 10);
-    latches.hold(Word(0xaa), 10);
-    EXPECT_DOUBLE_EQ(latches.worstCaseStress(), 0.5);
-    EXPECT_FALSE(latches.needsMitigation(
-        GuardbandModel::paperCalibrated()));
-}
-
-TEST(Latch, WideSizingToleratesModerateBias)
-{
-    // Section 3.3: latch transistors are large, so even a fairly
-    // biased latch often needs no dedicated mechanism.
-    LatchBank latches(8);
-    latches.hold(Word(0x00), 8);
-    latches.hold(Word(0xff), 2);
-    EXPECT_DOUBLE_EQ(latches.worstCaseStress(), 0.8);
-    const GuardbandModel model = GuardbandModel::paperCalibrated();
-    EXPECT_LT(latches.guardband(model),
-              model.guardbandForZeroProb(0.8));
-    EXPECT_FALSE(latches.needsMitigation(model));
-}
-
-TEST(Latch, ExtremeBiasEventuallyNeedsMitigation)
-{
-    LatchBank latches(4);
-    latches.hold(Word(0x0), 1000);
-    const GuardbandModel model = GuardbandModel::paperCalibrated();
-    // 100% stress, wide attenuation 0.08: 1.6% < 2% balanced ->
-    // still below the narrow-balanced margin by design.
-    EXPECT_FALSE(latches.needsMitigation(model));
-    // With a less aggressive wide attenuation it crosses the line.
-    const GuardbandModel weak(0.02, 0.20, 0.5);
-    EXPECT_TRUE(latches.needsMitigation(weak));
-}
-
-TEST(Latch, IdlePairAlternationBalancesLatches)
-{
-    // Section 4.3: alternating <0,0,0> / <1,1,1> during idle makes
-    // the input latches hold opposite values for similar times.
-    LatchBank latches(65); // a, b, cin of a 32-bit adder
-    Rng rng(3);
-    for (int i = 0; i < 1000; ++i) {
-        // 21% of the time: biased real operands.
-        if (rng.nextBool(0.21)) {
-            latches.hold(BitWord(65, 0x13, 0), 1);
-        } else if (i % 2 == 0) {
-            latches.hold(BitWord(65, 0, 0), 1);
-        } else {
-            latches.hold(BitWord(65, ~Word(0), 1), 1);
-        }
-    }
-    EXPECT_LT(latches.worstCaseStress(), 0.65);
-}
-
-TEST(Latch, BitWordOverloadMatchesWordOverload)
-{
-    LatchBank a(16);
-    LatchBank b(16);
-    a.hold(Word(0x1234), 7);
-    b.hold(BitWord(16, 0x1234), 7);
-    for (unsigned i = 0; i < 16; ++i)
-        EXPECT_DOUBLE_EQ(a.bias().zeroProbability(i),
-                         b.bias().zeroProbability(i));
-}
 
 // ------------------------------------------------- BranchPredictor
 

@@ -20,6 +20,7 @@
 #include "core/registry.hh"
 #include "core/shardplan.hh"
 #include "fake_worker.hh"
+#include "fuzz.hh"
 #include "net/coordinator.hh"
 #include "net/protocol.hh"
 #include "net/worker.hh"
@@ -554,29 +555,6 @@ TEST(Distributed, ExportImportBytesRoundTripsEntries)
 
 // ------------------------------------------------- protocol fuzz
 
-/** Deterministic xorshift64 stream for the fuzz suites. */
-struct FuzzRng
-{
-    std::uint64_t state;
-
-    explicit FuzzRng(std::uint64_t seed) : state(seed ? seed : 1) {}
-
-    std::uint64_t
-    next()
-    {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-    }
-
-    std::uint32_t
-    below(std::uint32_t n)
-    {
-        return n ? static_cast<std::uint32_t>(next() % n) : 0;
-    }
-};
-
 TEST(NetFuzz, RandomByteBlobsAreRejectedOrClosed)
 {
     FuzzRng rng(0x5eed0001);
@@ -909,21 +887,6 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
         renderPlan(workload, plan, &client_cache);
     EXPECT_EQ(rendered, reference);
     EXPECT_EQ(client_cache.stats().stores, 0u);
-}
-
-/** A seeded mutant of @p bytes: a strict prefix one time in four,
- *  otherwise one to three bit flips. */
-std::string
-mutate(std::string bytes, FuzzRng &rng)
-{
-    const auto size = static_cast<std::uint32_t>(bytes.size());
-    if (rng.below(4) == 0) {
-        bytes.resize(rng.below(size));
-        return bytes;
-    }
-    for (unsigned f = 1 + rng.below(3); f > 0; --f)
-        bytes[rng.below(size)] ^= static_cast<char>(1u << rng.below(8));
-    return bytes;
 }
 
 /** Whether @p line is one well-formed exposition line: `# TYPE

@@ -1,7 +1,8 @@
 /**
  * @file
- * Property tests for the word-parallel netlist engine: evaluateBatch
- * of the optimized op stream against the scalar gate-list
+ * Property tests for the word-parallel netlist engine:
+ * evaluateBatchWide of the optimized op stream against the scalar
+ * gate-list
  * interpreter bit-for-bit on random netlists (every gate type, batch
  * sizes 1..128 including partial final batches), batched adder sums
  * against scalar sums, and batched-vs-scalar aging identity on the
@@ -151,7 +152,7 @@ checkBatchMatchesScalar(const Netlist &n, Rng &rng,
                     w |= std::uint64_t(1) << l;
             input_words[i] = w;
         }
-        n.evaluateBatch(input_words.data(), words);
+        n.evaluateBatchWide(input_words.data(), words, 1);
         ASSERT_EQ(words.size(), n.wordCount());
         for (std::size_t l = 0; l < count; ++l) {
             n.evaluate(inputs[begin + l], scalar);
@@ -214,7 +215,7 @@ TEST(AdderBatch, SumsMatchScalarEvaluate)
                 cin_mask |= std::uint64_t(1) << l;
         }
         std::vector<std::uint64_t> words;
-        adder.evaluateBatch(a, b, cin_mask, words);
+        adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
         std::uint64_t sums[64];
         std::uint64_t cout_mask = 0;
         adder.batchSums(words, sums, &cout_mask);
@@ -244,7 +245,7 @@ TEST(AdderBatch, RippleAndKoggeStoneMatchToo)
             b[l] = rng() & 0xffffff;
         }
         std::vector<std::uint64_t> words;
-        adder->evaluateBatch(a, b, cin_mask, words);
+        adder->evaluateBatchWide(a, b, &cin_mask, 1, words);
         std::uint64_t sums[64];
         adder->batchSums(words, sums);
         for (int l = 0; l < 64; ++l) {
@@ -302,11 +303,11 @@ TEST(AgingBatch, Figure2SummaryIdentity)
                     w |= std::uint64_t(1) << l;
             input_words[i] = w;
         }
-        n.evaluateBatch(input_words.data(), words);
+        n.evaluateBatchWide(input_words.data(), words, 1);
         const std::uint64_t lane_mask = count == 64
             ? ~std::uint64_t(0)
             : (std::uint64_t(1) << count) - 1;
-        batched.observeBatch(words.data(), lane_mask);
+        batched.observeBatchWide(words.data(), 1, &lane_mask);
     }
 
     ASSERT_EQ(scalar.numDevices(), batched.numDevices());
@@ -417,11 +418,13 @@ TEST(AgingBatch, ObserveBatchWithDt)
     PmosAgingTracker batched(n);
     std::vector<std::uint64_t> words;
     std::uint64_t zero = 0;
-    n.evaluateBatch(&zero, words); // input 0 in every lane
-    batched.observeBatch(words.data(), 0x7, 5); // 3 lanes, dt 5
+    n.evaluateBatchWide(&zero, words, 1); // input 0 in every lane
+    const std::uint64_t three_lanes = 0x7;
+    batched.observeBatchWide(words.data(), 1, &three_lanes, 5); // dt 5
     std::uint64_t ones = ~std::uint64_t(0);
-    n.evaluateBatch(&ones, words);
-    batched.observeBatch(words.data(), 0x1, 5); // 1 lane, dt 5
+    n.evaluateBatchWide(&ones, words, 1);
+    const std::uint64_t one_lane = 0x1;
+    batched.observeBatchWide(words.data(), 1, &one_lane, 5); // dt 5
 
     PmosAgingTracker scalar(n);
     for (int i = 0; i < 3; ++i)
@@ -435,33 +438,32 @@ TEST(AgingBatch, ObserveBatchWithDt)
 
 TEST(NetlistWide, RandomNetlistsMatchSingleWord)
 {
-    // Word w of an evaluateBatchWide pass must be bit-for-bit what
-    // evaluateBatch over that word's input words produces, for
-    // every supported W.
+    // Word w of a W = 4 pass must be bit-for-bit what a W = 1 pass
+    // over that word's input words produces.
     Rng rng(0x31de);
     for (int trial = 0; trial < 10; ++trial) {
         const unsigned num_inputs = 1 + rng.nextInt(12);
         const unsigned num_gates = 1 + rng.nextInt(60);
         Netlist n = randomNetlist(rng, num_inputs, num_gates);
 
-        std::vector<std::uint64_t> in_flat(n.numInputs() * 8);
+        std::vector<std::uint64_t> in_flat(n.numInputs() * 4);
         for (auto &w : in_flat)
             w = rng();
 
         std::vector<std::uint64_t> ref;
         std::vector<std::uint64_t> single(n.numInputs());
-        for (unsigned net_w : {1u, 2u, 4u, 8u}) {
+        for (unsigned net_w : {1u, 4u}) {
             std::vector<std::uint64_t> in(n.numInputs() * net_w);
             for (std::size_t i = 0; i < n.numInputs(); ++i)
                 for (unsigned w = 0; w < net_w; ++w)
-                    in[i * net_w + w] = in_flat[i * 8 + w];
+                    in[i * net_w + w] = in_flat[i * 4 + w];
             std::vector<std::uint64_t> wide;
             n.evaluateBatchWide(in.data(), wide, net_w);
             ASSERT_EQ(wide.size(), n.wordCount() * net_w);
             for (unsigned w = 0; w < net_w; ++w) {
                 for (std::size_t i = 0; i < n.numInputs(); ++i)
-                    single[i] = in_flat[i * 8 + w];
-                n.evaluateBatch(single.data(), ref);
+                    single[i] = in_flat[i * 4 + w];
+                n.evaluateBatchWide(single.data(), ref, 1);
                 for (std::size_t s = 0; s < n.numSignals(); ++s) {
                     ASSERT_EQ(
                         n.laneWordWide(wide.data(), net_w, w, s),
@@ -478,25 +480,25 @@ TEST(AdderWide, MatchesEvaluateBatchPerWord)
 {
     LadnerFischerAdder adder(32);
     Rng rng(0xadd3);
-    std::uint64_t a[512];
-    std::uint64_t b[512];
-    std::uint64_t cin_masks[8];
-    for (unsigned i = 0; i < 512; ++i) {
+    std::uint64_t a[256];
+    std::uint64_t b[256];
+    std::uint64_t cin_masks[4];
+    for (unsigned i = 0; i < 256; ++i) {
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
-    for (unsigned w = 0; w < 8; ++w)
+    for (unsigned w = 0; w < 4; ++w)
         cin_masks[w] = rng();
 
     const Netlist &n = adder.netlist();
     std::vector<std::uint64_t> ref;
-    for (unsigned net_w : {1u, 2u, 4u, 8u}) {
+    for (unsigned net_w : {1u, 4u}) {
         std::vector<std::uint64_t> wide;
         adder.evaluateBatchWide(a, b, cin_masks, net_w, wide);
         ASSERT_EQ(wide.size(), n.wordCount() * net_w);
         for (unsigned w = 0; w < net_w; ++w) {
-            adder.evaluateBatch(a + w * 64, b + w * 64,
-                                cin_masks[w], ref);
+            adder.evaluateBatchWide(a + w * 64, b + w * 64,
+                                    &cin_masks[w], 1, ref);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
                 ASSERT_EQ(n.laneWordWide(wide.data(), net_w, w, s),
                           n.laneWord(ref.data(), s))
@@ -509,7 +511,7 @@ TEST(AdderWide, MatchesEvaluateBatchPerWord)
 
 TEST(AgingWide, ObserveBatchWideIdentity)
 {
-    // observeBatchWide over W interleaved words == W observeBatch
+    // observeBatchWide over W = 4 interleaved words == four W = 1
     // calls, including partial (masked) words.
     Rng rng(0x0b5e);
     Netlist n = randomNetlist(rng, 8, 40);
@@ -520,7 +522,7 @@ TEST(AgingWide, ObserveBatchWideIdentity)
         ~std::uint64_t(0), 0x3ff, 0, 0xffff0000ffff0000ull,
         0x1, ~std::uint64_t(0), 0xf0f0, 0};
 
-    for (unsigned net_w : {2u, 4u, 8u}) {
+    for (unsigned net_w : {4u}) {
         std::vector<std::uint64_t> interleaved(8 * net_w);
         for (std::size_t i = 0; i < 8; ++i)
             for (unsigned w = 0; w < net_w; ++w)
@@ -537,9 +539,9 @@ TEST(AgingWide, ObserveBatchWideIdentity)
         for (unsigned w = 0; w < net_w; ++w) {
             for (std::size_t i = 0; i < 8; ++i)
                 single[i] = in[i * 8 + w];
-            n.evaluateBatch(single.data(), words);
-            ref_tracker.observeBatch(words.data(), lane_masks[w],
-                                     3);
+            n.evaluateBatchWide(single.data(), words, 1);
+            ref_tracker.observeBatchWide(words.data(), 1,
+                                         &lane_masks[w], 3);
         }
         for (std::size_t d = 0; d < ref_tracker.numDevices(); ++d) {
             ASSERT_EQ(wide_tracker.zeroProb(d),
@@ -701,9 +703,10 @@ TEST(AgingBatch, PaddedLanesIgnored)
 
     std::vector<std::uint64_t> words;
     const std::uint64_t in = 0x1; // lane 0 = 1, other lanes 0
-    n.evaluateBatch(&in, words);
+    n.evaluateBatchWide(&in, words, 1);
     PmosAgingTracker tracker(n);
-    tracker.observeBatch(words.data(), 0x1);
+    const std::uint64_t lane0 = 0x1;
+    tracker.observeBatchWide(words.data(), 1, &lane0);
     for (std::size_t i = 0; i < tracker.numDevices(); ++i) {
         // Every gate input is 1 in the one valid lane.
         EXPECT_EQ(tracker.zeroProb(i), 0.0) << "device " << i;

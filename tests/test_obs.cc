@@ -333,10 +333,9 @@ TEST(ObsSnapshotCodec, ForeignVersionAndBadKindRejected)
 
 TEST(ObsSnapshotCodec, UntrustedNamesAndUnitsRejected)
 {
-    // Every name this process registered decodes, the per-stripe
-    // cache.*.sNN series included.
+    // Every name this process registered decodes.
     const obs::Snapshot live = obs::Registry::instance().scrape();
-    ASSERT_NE(live.find("cache.hits.s00"), nullptr);
+    ASSERT_NE(live.find("cache.hits"), nullptr);
     obs::Snapshot out;
     EXPECT_TRUE(
         obs::Snapshot::decodeFromBytes(live.encodeToBytes(), out));

@@ -25,6 +25,7 @@
 #include "core/experiments.hh"
 #include "core/resultcache.hh"
 #include "core/serialize.hh"
+#include "fuzz.hh"
 #include "scheduler/driver.hh"
 #include "scheduler/profile.hh"
 #include "trace/attack.hh"
@@ -311,6 +312,146 @@ TEST(ResultCodec, RejectsTruncationWrongTagAndBadInvariants)
                 << "width " << width;
         }
     }
+}
+
+// ------------------------------------------------- decoder fuzzing
+
+/**
+ * Seeded mutants of @p value's encoding (see fuzz.hh): each one the
+ * decoder accepts -- as the engine does, decoded and fully consumed
+ * -- must re-encode to exactly its own bytes, so no mutant decodes
+ * to a value other than the one its bytes spell.  @p fresh is the
+ * object each mutant decodes into.
+ */
+template <class T>
+void
+expectMutantsRejectedOrExact(const T &value, const T &fresh,
+                             std::uint64_t seed)
+{
+    const std::string bytes = encodeToString(value);
+    FuzzRng rng(seed);
+    unsigned accepted = 0;
+    for (int i = 0; i < 512; ++i) {
+        const std::string mutant = mutate(bytes, rng);
+        ByteReader r(mutant);
+        T out = fresh;
+        if (!decodeResult(r, out) || !r.atEnd())
+            continue;
+        ++accepted;
+        EXPECT_EQ(encodeToString(out), mutant) << "iteration " << i;
+    }
+    EXPECT_GT(accepted, 0u); // value flips still decode
+}
+
+TEST(DecodeFuzz, MutatedResultsAreRejectedOrRoundTripExactly)
+{
+    IsvStats isv;
+    isv.updatesApplied = 0x1122334455667788ULL;
+    isv.updatesDiscarded = 42;
+    isv.updatesSkipped = 7;
+    expectMutantsRejectedOrExact(isv, IsvStats{}, 0x5eed0101);
+
+    // A 80-bit tracker: the record spans the 64-bit word boundary.
+    Rng rng(0xf022);
+    BitBiasTracker bias(80);
+    for (int i = 0; i < 64; ++i) {
+        BitWord value(80);
+        for (unsigned bit = 0; bit < 80; ++bit)
+            value.setBit(bit, rng.nextBool(0.3));
+        bias.observe(value, 1 + rng.nextInt(100));
+    }
+    expectMutantsRejectedOrExact(bias, BitBiasTracker(1), 0x5eed0102);
+
+    Scheduler sched{SchedulerConfig{}};
+    SchedulerReplay replay(sched, SchedReplayConfig());
+    AttackTraceGenerator gen{AttackConfig{}};
+    const SchedReplayResult run = replay.run(gen, 2'000);
+    expectMutantsRejectedOrExact(sched.snapshotStress(run.cycles),
+                                 SchedulerStress{}, 0x5eed0103);
+
+    PipelineStats pipeline;
+    pipeline.cycles = 123456;
+    pipeline.uops = 7890;
+    pipeline.cpi = 1.2345;
+    pipeline.schedOccupancy = 0.63;
+    pipeline.dl0Misses = 22;
+    pipeline.mruHitFraction[0] = 0.9;
+    expectMutantsRejectedOrExact(pipeline, PipelineStats{}, 0x5eed0104);
+
+    MemLossSample loss;
+    loss.loss = 0.0123;
+    loss.normalizedCycles = 1.0123;
+    loss.dl0InvertRatio = 0.5;
+    expectMutantsRejectedOrExact(loss, MemLossSample{}, 0x5eed0105);
+
+    std::vector<OperandSample> operands;
+    for (int i = 0; i < 24; ++i) {
+        operands.push_back({static_cast<std::uint32_t>(rng()),
+                            static_cast<std::uint32_t>(rng()),
+                            rng.nextBool(0.5)});
+    }
+    expectMutantsRejectedOrExact(operands, {}, 0x5eed0106);
+}
+
+TEST(DecodeFuzz, MutatedStripeFilesServeOnlyStoredPayloads)
+{
+    const std::string dir = tempDir("stripe_fuzz");
+    std::vector<Hash128> keys;
+    std::vector<std::string> payloads;
+    {
+        ResultCache cache(dir);
+        for (std::uint32_t i = 0; i < 64; ++i) {
+            keys.push_back(CacheKeyBuilder("fuzz").u32(i).digest());
+            payloads.push_back(std::string(1 + i % 13, 'a' + i % 26) +
+                               std::to_string(i));
+            cache.store(keys.back(), payloads.back());
+        }
+    }
+    std::vector<std::filesystem::path> paths;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        paths.push_back(entry.path());
+    std::sort(paths.begin(), paths.end()); // a seed-stable order
+    ASSERT_GT(paths.size(), 1u);
+    std::vector<std::string> originals;
+    for (const auto &path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        originals.emplace_back(std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>());
+    }
+
+    const auto writeFile = [](const std::filesystem::path &path,
+                              const std::string &bytes) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    };
+    // One stripe file mutated per iteration; every file is restored
+    // afterwards (loading a damaged file cuts its tail back).
+    FuzzRng rng(0x5eed0107);
+    unsigned hits = 0;
+    unsigned misses = 0;
+    for (int i = 0; i < 128; ++i) {
+        const std::size_t f = rng.below(
+            static_cast<std::uint32_t>(paths.size()));
+        writeFile(paths[f], mutate(originals[f], rng));
+        {
+            ResultCache cache(dir);
+            for (std::size_t k = 0; k < keys.size(); ++k) {
+                std::string payload;
+                if (!cache.lookup(keys[k], payload)) {
+                    ++misses;
+                    continue;
+                }
+                ++hits;
+                EXPECT_EQ(payload, payloads[k])
+                    << "iteration " << i << " key " << k;
+            }
+        }
+        for (std::size_t g = 0; g < paths.size(); ++g)
+            writeFile(paths[g], originals[g]);
+    }
+    EXPECT_GT(misses, 0u);
+    EXPECT_GT(hits, misses);
 }
 
 // ------------------------------------------------ ResultCache store
