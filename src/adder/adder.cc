@@ -145,23 +145,6 @@ Adder::evaluateBatchWide(const std::uint64_t *a,
     netlist_.evaluateBatchWide(input_words.data(), net_words, net_w);
 }
 
-void
-Adder::batchSums(const std::vector<std::uint64_t> &net_words,
-                 std::uint64_t sums[64],
-                 std::uint64_t *cout_mask) const
-{
-    // Sum/carry nets resolve through their NetRefs: the optimizing
-    // compiler may alias them to a complemented or shared word.
-    std::uint64_t block[64];
-    for (unsigned i = 0; i < width_; ++i)
-        block[i] = netlist_.laneWord(net_words.data(), sum_[i]);
-    std::fill(block + width_, block + 64, 0);
-    transpose64x64(block);
-    std::copy(block, block + 64, sums);
-    if (cout_mask)
-        *cout_mask = netlist_.laneWord(net_words.data(), cout_);
-}
-
 std::uint64_t
 Adder::evaluate(std::uint64_t a, std::uint64_t b, bool cin,
                 bool *cout) const

@@ -64,8 +64,7 @@ class Adder
      * Netlist::evaluateBatchWide; @p net_words receives net_w
      * interleaved lane words per physical word of the compiled
      * stream (resolve a net with Netlist::laneWordWide), ready for
-     * PmosAgingTracker::observeBatchWide or, at net_w = 1,
-     * batchSums().  @p net_w must be 1 or
+     * PmosAgingTracker::observeBatchWide.  @p net_w must be 1 or
      * Netlist::preferredBatchWords().
      */
     void evaluateBatchWide(const std::uint64_t *a,
@@ -74,15 +73,6 @@ class Adder
                            unsigned net_w,
                            std::vector<std::uint64_t> &net_words)
         const;
-
-    /**
-     * Extract the 64 per-lane sums (and the carry-out lane mask)
-     * from a net-word array produced by evaluateBatchWide() at
-     * net_w = 1.
-     */
-    void batchSums(const std::vector<std::uint64_t> &net_words,
-                   std::uint64_t sums[64],
-                   std::uint64_t *cout_mask = nullptr) const;
 
     const std::vector<SignalId> &sumSignals() const { return sum_; }
     SignalId coutSignal() const { return cout_; }

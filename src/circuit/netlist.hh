@@ -26,7 +26,7 @@
  * constant folding, INV fusion, cache-blocked scheduling), which
  * shrinks it well below one op per gate; ops therefore address
  * *physical lane words*, and a net's value is recovered through its
- * NetRef (ref() / laneWord()).  evaluateBatchWide() runs the
+ * NetRef (ref() / laneWordWide()).  evaluateBatchWide() runs the
  * stream over 64 input vectors per lane word at once: every lane
  * word is one `uint64_t` whose bit v is the producing op's value
  * under input vector v.
@@ -197,14 +197,14 @@ class Netlist
      * value under vector w * 64 + v.  @p net_words is resized to
      * wordCount() * net_w with the same interleaving -- the
      * physical word array of the compiled op stream, NOT one word
-     * per net.  Use laneWordWide() (or, at net_w = 1, laneWord())
-     * to read a net's lanes: each bit is exactly what evaluate() of
-     * that vector would leave in signals[s].  The width only
-     * changes how many lanes one op-stream pass covers, never any
-     * lane's value.  Unused lanes cost nothing extra and carry
-     * whatever the padded input bits imply; consumers mask them out
-     * (see PmosAgingTracker::observeBatchWide).  @p net_w must be
-     * 1 or preferredBatchWords().
+     * per net.  Use laneWordWide() to read a net's lanes: each bit
+     * is exactly what evaluate() of that vector would leave in
+     * signals[s].  The width only changes how many lanes one
+     * op-stream pass covers, never any lane's value.  Unused lanes
+     * cost nothing extra and carry whatever the padded input bits
+     * imply; consumers mask them out (see
+     * PmosAgingTracker::observeBatchWide).  @p net_w must be 1 or
+     * preferredBatchWords().
      */
     void evaluateBatchWide(const std::uint64_t *input_words,
                            std::vector<std::uint64_t> &net_words,
@@ -260,24 +260,6 @@ class Netlist
 
     /** How net @p s reads out of an evaluated word array. */
     NetRef ref(SignalId s) const { return refs_[s]; }
-
-    /** Net @p s's lane word from an evaluateBatchWide() result
-     *  computed at net_w = 1. */
-    std::uint64_t laneWord(const std::uint64_t *net_words,
-                           SignalId s) const
-    {
-        const NetRef r = refs_[s];
-        switch (r.kind) {
-          case NetRefKind::Word:
-            return net_words[r.word];
-          case NetRefKind::InvWord:
-            return ~net_words[r.word];
-          case NetRefKind::Const0:
-            return 0;
-          default:
-            return ~std::uint64_t(0);
-        }
-    }
 
     /** Net @p s's w-th lane word from an evaluateBatchWide()
      *  result computed at width @p net_w. */

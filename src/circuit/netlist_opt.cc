@@ -284,41 +284,6 @@ faninAt(const Node &n, unsigned i)
     return n.lits[i].node;
 }
 
-/** Mean out-to-operand slot distance of an op stream: the locality
- *  figure the depth-first schedule minimizes. */
-double
-operandDistance(const std::vector<CompiledOp> &ops,
-                const std::vector<std::uint32_t> &extras)
-{
-    double sum = 0.0;
-    std::size_t count = 0;
-    auto add = [&](std::uint32_t out, std::uint32_t operand) {
-        sum += double(out) - double(operand);
-        ++count;
-    };
-    for (const CompiledOp &op : ops) {
-        switch (op.kind) {
-          case CompiledOp::Kind::Input:
-            break;
-          case CompiledOp::Kind::Inv:
-            add(op.out, op.a);
-            break;
-          case CompiledOp::Kind::NandK:
-          case CompiledOp::Kind::NorK:
-            add(op.out, op.a);
-            add(op.out, op.b);
-            for (std::uint32_t e = 0; e < op.extraCount; ++e)
-                add(op.out, extras[op.extra + e]);
-            break;
-          default:
-            add(op.out, op.a);
-            add(op.out, op.b);
-            break;
-        }
-    }
-    return count == 0 ? 0.0 : sum / double(count);
-}
-
 } // namespace
 
 void
@@ -511,8 +476,6 @@ Netlist::compile()
     }
 
     optStats_.opsFinal = ops_.size();
-    optStats_.avgOperandDistance =
-        operandDistance(ops_, extraFanins_);
 }
 
 } // namespace penelope

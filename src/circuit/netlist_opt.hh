@@ -130,11 +130,6 @@ struct NetlistOptStats
      *  for a K-ary consumer (counted inside opsFinal). */
     std::size_t invMaterialized = 0;
 
-    /** Mean distance (in words) between an op's output slot and its
-     *  operand slots under the final schedule -- the locality the
-     *  depth-first block schedule optimizes for. */
-    double avgOperandDistance = 0.0;
-
     double reductionPercent() const
     {
         if (opsBaseline == 0)

@@ -4,7 +4,7 @@
  *
  * The service-mode processes (`penelope_bench --serve/--worker`)
  * must not die mid-write on SIGINT/SIGTERM -- an append-only
- * ResultCache stripe abandoned halfway through a record costs the
+ * ResultCache store file abandoned halfway through a record costs the
  * entry (the corrupt-tail tolerance recovers the file, not the
  * data).  Instead the handler sets a flag; the coordinator stops
  * accepting work and drains bounded, the worker finishes its slice

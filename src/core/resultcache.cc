@@ -1,7 +1,6 @@
 #include "resultcache.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -268,8 +267,8 @@ encodeRecord(const Hash128 &key, std::string_view payload)
  * A record with a bad checksum is skipped; a truncated or
  * implausible tail ends parsing.  Returns the number of dropped
  * records/tails and, via @p parsed_end, the offset just past the
- * last structurally parseable record -- the stripe store truncates
- * a damaged file there so later appends stay reachable.
+ * last structurally parseable record -- the store truncates a
+ * damaged file there so later appends stay reachable.
  */
 template <class Sink>
 std::uint64_t
@@ -303,140 +302,110 @@ parseRecords(std::string_view body, Sink &&sink,
     return dropped;
 }
 
+/** Read all of @p path into @p out; false when it cannot be
+ *  opened. */
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return false;
+    out.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+    return true;
+}
+
+/** Replace @p path with @p bytes; false when it cannot be written. */
+bool
+writeFile(const std::string &path, std::string_view bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        return false;
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    return static_cast<bool>(out);
+}
+
 } // namespace
 
-struct ResultCache::Stripe
-{
-    /** One cached payload plus its GC mark: an entry is live once
-     *  this process has looked it up or stored it (see compact()).
-     *  onDisk tracks whether the attached stripe file already holds
-     *  the record (loads and store() appends do; imports do not
-     *  until flushToDisk()). */
-    struct Entry
-    {
-        std::string payload;
-        bool live = false;
-        bool onDisk = false;
-    };
-
-    std::mutex mutex;
-    std::unordered_map<Hash128, Entry, Hash128Hasher> map;
-
-    /** Disk file consulted (or found unusable) already? */
-    bool loaded = false;
-
-    /** Append stream for new entries (disk mode only; null when the
-     *  stripe file is foreign/unwritable). */
-    std::FILE *append = nullptr;
-};
-
 ResultCache::ResultCache(std::string dir)
-    : dir_(std::move(dir)), stripes_(kStripes)
 {
-    if (dir_.empty())
+    if (dir.empty())
         return;
     std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
+    std::filesystem::create_directories(dir, ec);
     if (ec)
-        dir_.clear(); // degrade to memory-only, never an error
+        return; // degrade to memory-only, never an error
+    path_ = dir + "/results.bin";
+
+    const std::string header = fileHeader();
+    bool fresh = true; ///< header must be (re)written on append
+    std::string contents;
+    if (readFile(path_, contents) && !contents.empty()) {
+        // (A 0-byte file, e.g. an interrupted creation, is as good
+        // as absent: the header is rewritten below.)
+        if (!contents.starts_with(header)) {
+            // Foreign or version-mismatched file: every lookup
+            // misses and we leave the file alone.
+            ++stats_.badRecords;
+            return;
+        }
+        fresh = false;
+        std::size_t parsed_end = 0;
+        const std::string_view body =
+            std::string_view(contents).substr(header.size());
+        stats_.badRecords += parseRecords(
+            body,
+            [&](const Hash128 &key, std::string_view payload) {
+                map_.emplace(key,
+                             Entry{std::string(payload), false, true});
+            },
+            parsed_end);
+        if (parsed_end < body.size()) {
+            // Damaged tail: cut the file back to the last intact
+            // record so appended entries land in front of the parse
+            // horizon instead of being re-dropped (and re-appended)
+            // forever.
+            std::filesystem::resize_file(
+                path_, header.size() + parsed_end, ec);
+            if (ec) {
+                ++stats_.badRecords; // read-only: don't append
+                return;
+            }
+        }
+    }
+
+    // Attach the append stream (creating the file, with its header,
+    // when absent, empty or unreadable).
+    file_ = std::fopen(path_.c_str(), "ab");
+    if (file_ && fresh &&
+        std::fwrite(header.data(), 1, header.size(), file_) !=
+            header.size()) {
+        std::fclose(file_);
+        file_ = nullptr;
+    }
 }
 
 ResultCache::~ResultCache()
 {
-    for (Stripe &stripe : stripes_) {
-        if (stripe.append)
-            std::fclose(stripe.append);
-    }
+    if (file_)
+        std::fclose(file_);
 }
 
-ResultCache::Stripe &
-ResultCache::stripeFor(const Hash128 &key)
+bool
+ResultCache::appendRecord(const Hash128 &key, std::string_view payload)
 {
-    return stripes_[key.hi >> 60];
-}
-
-std::string
-ResultCache::stripePath(unsigned index) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "shard_%02x.bin", index);
-    return dir_ + "/" + name;
-}
-
-void
-ResultCache::ensureLoaded(unsigned index, Stripe &stripe)
-{
-    if (stripe.loaded || dir_.empty())
-        return;
-    stripe.loaded = true;
-
-    const std::string path = stripePath(index);
-    const std::string header = fileHeader();
-    std::uint64_t dropped = 0;
-    bool foreign = false;
-    bool fresh = true; ///< header must be (re)written on append
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::string contents(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            if (contents.empty()) {
-                // A 0-byte file (e.g. an interrupted creation) is
-                // as good as absent: rewrite the header below.
-            } else if (contents.size() >= header.size() &&
-                       contents.compare(0, header.size(),
-                                        header) == 0) {
-                fresh = false;
-                std::size_t parsed_end = 0;
-                const std::string_view body =
-                    std::string_view(contents)
-                        .substr(header.size());
-                dropped = parseRecords(
-                    body,
-                    [&](const Hash128 &key,
-                        std::string_view payload) {
-                        stripe.map.emplace(
-                            key,
-                            Stripe::Entry{std::string(payload),
-                                          false, true});
-                    },
-                    parsed_end);
-                if (parsed_end < body.size()) {
-                    // Damaged tail: cut the file back to the last
-                    // intact record so appended entries land in
-                    // front of the parse horizon instead of being
-                    // re-dropped (and re-appended) forever.
-                    std::error_code ec;
-                    std::filesystem::resize_file(
-                        path, header.size() + parsed_end, ec);
-                    if (ec)
-                        foreign = true; // read-only: don't append
-                }
-            } else {
-                // Foreign or version-mismatched file: every lookup
-                // misses and we leave the file alone.
-                foreign = true;
-            }
-        }
-    }
-    if (dropped || foreign) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_.badRecords += dropped + (foreign ? 1 : 0);
-    }
-    if (foreign)
-        return;
-
-    // Attach the append stream (creating the file, with its
-    // header, when absent, empty or unreadable).
-    stripe.append = std::fopen(path.c_str(), "ab");
-    if (stripe.append && fresh) {
-        if (std::fwrite(header.data(), 1, header.size(),
-                        stripe.append) != header.size()) {
-            std::fclose(stripe.append);
-            stripe.append = nullptr;
-        }
-    }
+    const std::string record = encodeRecord(key, payload);
+    if (std::fwrite(record.data(), 1, record.size(), file_) ==
+        record.size())
+        return true;
+    // Disk full or similar: stop persisting; in-memory operation
+    // continues.
+    std::fclose(file_);
+    file_ = nullptr;
+    return false;
 }
 
 bool
@@ -444,26 +413,18 @@ ResultCache::lookup(const Hash128 &key, std::string &payload)
 {
     const bool timed = obs::enabled();
     const std::uint64_t t0 = timed ? obs::monotonicMicros() : 0;
-    Stripe &stripe = stripeFor(key);
     bool hit = false;
     {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(
-            static_cast<unsigned>(&stripe - stripes_.data()),
-            stripe);
-        const auto it = stripe.map.find(key);
-        if (it != stripe.map.end()) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = map_.find(key);
+        hit = it != map_.end();
+        if (hit) {
             payload = it->second.payload;
             it->second.live = true;
-            hit = true;
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        if (hit)
             ++stats_.hits;
-        else
+        } else {
             ++stats_.misses;
+        }
     }
     if (timed) {
         (hit ? g_cacheMetrics.hits : g_cacheMetrics.misses).add();
@@ -478,37 +439,20 @@ ResultCache::store(const Hash128 &key, std::string_view payload)
 {
     const bool timed = obs::enabled();
     const std::uint64_t t0 = timed ? obs::monotonicMicros() : 0;
-    Stripe &stripe = stripeFor(key);
     {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(
-            static_cast<unsigned>(&stripe - stripes_.data()),
-            stripe);
-        const auto [it, inserted] = stripe.map.emplace(
-            key, Stripe::Entry{std::string(payload), true});
-        if (!inserted) {
-            // First write wins; same key = same payload.  The
-            // attempt still proves the entry is reachable by the
-            // current configuration.
-            it->second.live = true;
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto [it, inserted] = map_.try_emplace(key);
+        // First write wins; same key = same payload.  A repeated
+        // store still proves the entry is reachable by the current
+        // configuration.
+        it->second.live = true;
+        if (!inserted)
             return;
+        it->second.payload = payload;
+        if (file_ && appendRecord(key, payload)) {
+            std::fflush(file_);
+            it->second.onDisk = true;
         }
-        if (stripe.append) {
-            const std::string record = encodeRecord(key, payload);
-            if (std::fwrite(record.data(), 1, record.size(),
-                            stripe.append) != record.size()) {
-                // Disk full or similar: stop persisting this
-                // stripe; in-memory operation continues.
-                std::fclose(stripe.append);
-                stripe.append = nullptr;
-            } else {
-                std::fflush(stripe.append);
-                it->second.onDisk = true;
-            }
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
         ++stats_.stores;
     }
     if (timed) {
@@ -522,13 +466,9 @@ void
 ResultCache::exportToBytes(std::string &out)
 {
     out = fileHeader();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map)
-            out += encodeRecord(key, entry.payload);
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[key, entry] : map_)
+        out += encodeRecord(key, entry.payload);
 }
 
 void
@@ -537,15 +477,10 @@ ResultCache::exportNewEntries(
     std::string &out)
 {
     out = fileHeader();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map) {
-            if (!already.insert(key).second)
-                continue;
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[key, entry] : map_) {
+        if (already.insert(key).second)
             out += encodeRecord(key, entry.payload);
-        }
     }
 }
 
@@ -555,13 +490,9 @@ ResultCache::exportByteSize()
     // Header + per-record framing: key (16) + length (4) +
     // checksum (8) around each payload (see encodeRecord).
     std::size_t bytes = fileHeader().size();
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        for (const auto &[key, entry] : stripe.map)
-            bytes += 28 + entry.payload.size();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto &[key, entry] : map_)
+        bytes += 28 + entry.payload.size();
     return bytes;
 }
 
@@ -569,34 +500,18 @@ std::size_t
 ResultCache::flushToDisk()
 {
     obs::ScopedSpan span("cache.flush", "cache-io");
-    if (dir_.empty())
-        return 0;
+    std::lock_guard<std::mutex> lock(mutex_);
     std::size_t appended = 0;
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
-        if (!stripe.append)
+    for (auto &[key, entry] : map_) {
+        if (entry.onDisk)
             continue;
-        bool dirty = false;
-        for (auto &[key, entry] : stripe.map) {
-            if (entry.onDisk)
-                continue;
-            const std::string record =
-                encodeRecord(key, entry.payload);
-            if (std::fwrite(record.data(), 1, record.size(),
-                            stripe.append) != record.size()) {
-                std::fclose(stripe.append);
-                stripe.append = nullptr;
-                break;
-            }
-            entry.onDisk = true;
-            dirty = true;
-            ++appended;
-        }
-        if (dirty && stripe.append)
-            std::fflush(stripe.append);
+        if (!file_ || !appendRecord(key, entry.payload))
+            break;
+        entry.onDisk = true;
+        ++appended;
     }
+    if (appended && file_)
+        std::fflush(file_);
     return appended;
 }
 
@@ -606,43 +521,33 @@ ResultCache::exportTo(const std::string &path)
     obs::ScopedSpan span("cache.export", "cache-io");
     std::string bytes;
     exportToBytes(bytes);
-    std::ofstream out(path,
-                      std::ios::binary | std::ios::trunc);
-    if (!out)
-        return false;
-    out.write(bytes.data(),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    return static_cast<bool>(out);
+    return writeFile(path, bytes);
 }
 
 bool
 ResultCache::importFromBytes(std::string_view bytes)
 {
     const std::string header = fileHeader();
-    if (bytes.size() < header.size() ||
-        bytes.compare(0, header.size(), header) != 0) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
+    if (!bytes.starts_with(header)) {
+        std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.badRecords;
         return false;
     }
+    // Parse, checksum and copy outside the lock: a large entry
+    // stream must not stall the lookups and stores of other
+    // threads.
+    std::vector<std::pair<Hash128, std::string>> records;
     std::size_t parsed_end = 0;
     const std::uint64_t dropped = parseRecords(
         bytes.substr(header.size()),
         [&](const Hash128 &key, std::string_view payload) {
-            Stripe &stripe = stripeFor(key);
-            std::lock_guard<std::mutex> lock(stripe.mutex);
-            ensureLoaded(
-                static_cast<unsigned>(&stripe - stripes_.data()),
-                stripe);
-            stripe.map.emplace(
-                key, Stripe::Entry{std::string(payload), false});
+            records.emplace_back(key, payload);
         },
         parsed_end);
-    if (dropped) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        stats_.badRecords += dropped;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto &[key, payload] : records)
+        map_.try_emplace(key, Entry{std::move(payload)});
+    stats_.badRecords += dropped;
     return true;
 }
 
@@ -650,113 +555,69 @@ bool
 ResultCache::importFrom(const std::string &path)
 {
     obs::ScopedSpan span("cache.import", "cache-io");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    const std::string contents(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return importFromBytes(contents);
+    std::string contents;
+    return readFile(path, contents) && importFromBytes(contents);
 }
 
 std::size_t
 ResultCache::compact()
 {
     obs::ScopedSpan span("cache.compact", "cache-io");
-    std::size_t dropped = 0;
-    for (unsigned i = 0; i < kStripes; ++i) {
-        Stripe &stripe = stripes_[i];
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        ensureLoaded(i, stripe);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const std::size_t dropped = std::erase_if(
+        map_, [](const auto &kv) { return !kv.second.live; });
 
-        std::size_t stripe_dropped = 0;
-        for (auto it = stripe.map.begin();
-             it != stripe.map.end();) {
-            if (it->second.live) {
-                ++it;
-            } else {
-                it = stripe.map.erase(it);
-                ++stripe_dropped;
-            }
-        }
-        dropped += stripe_dropped;
+    // Rewrite the store file down to the survivors.  A foreign or
+    // read-only file (no append stream) is left untouched: none of
+    // its entries were read, so there is nothing of ours to
+    // compact there.
+    if (!file_)
+        return dropped;
+    std::fclose(file_);
 
-        // Rewrite the disk stripe down to the survivors.  A
-        // foreign/read-only stripe (append == nullptr after a load
-        // attempt) is left untouched: we never read its entries, so
-        // there is nothing of ours to compact there.
-        if (dir_.empty() || !stripe.append)
-            continue;
-        std::fclose(stripe.append);
-        stripe.append = nullptr;
-
-        const std::string path = stripePath(i);
-        const std::string tmp = path + ".gc";
-        bool rewritten = false;
-        {
-            std::ofstream out(tmp,
-                              std::ios::binary | std::ios::trunc);
-            if (out) {
-                const std::string header = fileHeader();
-                out.write(header.data(),
-                          static_cast<std::streamsize>(
-                              header.size()));
-                for (const auto &[key, entry] : stripe.map) {
-                    const std::string record =
-                        encodeRecord(key, entry.payload);
-                    out.write(record.data(),
-                              static_cast<std::streamsize>(
-                                  record.size()));
-                }
-                out.flush();
-                rewritten = static_cast<bool>(out);
-            }
-        }
-        std::error_code ec;
-        if (rewritten) {
-            std::filesystem::rename(tmp, path, ec);
-            if (ec)
-                rewritten = false;
-        }
-        if (rewritten) {
-            // The rewrite persisted every survivor, including ones
-            // that had only been imported into memory before.
-            for (auto &[key, entry] : stripe.map)
-                entry.onDisk = true;
-        }
-        if (!rewritten) {
-            // The original (uncompacted) file still holds every
-            // entry; drop the partial temp and keep appending to
-            // the original.  A later GC can retry.
-            std::filesystem::remove(tmp, ec);
-        }
-        stripe.append = std::fopen(path.c_str(), "ab");
+    std::string bytes = fileHeader();
+    for (const auto &[key, entry] : map_)
+        bytes += encodeRecord(key, entry.payload);
+    const std::string tmp = path_ + ".gc";
+    std::error_code ec;
+    bool rewritten = writeFile(tmp, bytes);
+    if (rewritten) {
+        std::filesystem::rename(tmp, path_, ec);
+        rewritten = !ec;
     }
+    if (rewritten) {
+        // The rewrite persisted every survivor, including ones that
+        // had only been imported into memory before.
+        for (auto &[key, entry] : map_)
+            entry.onDisk = true;
+    } else {
+        // The original (uncompacted) file still holds every entry;
+        // drop the partial temp and keep appending to the original.
+        // A later GC can retry.
+        std::filesystem::remove(tmp, ec);
+    }
+    file_ = std::fopen(path_.c_str(), "ab");
     return dropped;
 }
 
 std::size_t
 ResultCache::size()
 {
-    std::size_t n = 0;
-    for (Stripe &stripe : stripes_) {
-        std::lock_guard<std::mutex> lock(stripe.mutex);
-        n += stripe.map.size();
-    }
-    return n;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return map_.size();
 }
 
 ResultCache::Stats
 ResultCache::stats()
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
 }
 
 void
 ResultCache::noteDecodeFailure()
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.decodeFailures;
 }
 

@@ -24,13 +24,15 @@
  *    stored bytes: a short, corrupt or inconsistent payload fails
  *    decode and the caller recomputes (see serialize.hh).
  *
- *  - ResultCache: a striped in-memory map, optionally backed by an
- *    on-disk store (one file per 16-way shard of the key space,
- *    loaded lazily, appended on store).  A corrupt, truncated or
- *    version-mismatched record/file is treated as a miss, never an
- *    error and never a wrong result.  exportTo()/importFrom() move
- *    entries through standalone shard files, which is what
- *    `penelope_bench --shard i/N` / `--merge` build on.
+ *  - ResultCache: one in-memory map behind one mutex, optionally
+ *    backed by one on-disk store file (`DIR/results.bin`, read once
+ *    by the constructor, appended on store).  A corrupt, truncated
+ *    or version-mismatched record/file is treated as a miss, never
+ *    an error and never a wrong result.  exportTo()/importFrom()
+ *    move entries through standalone shard files, which is what
+ *    `penelope_bench --shard i/N` / `--merge` build on.  A store
+ *    file, a shard file and a wire entry stream share one format:
+ *    a header, then checksummed records.
  */
 
 #ifndef PENELOPE_CORE_RESULTCACHE_HH
@@ -39,6 +41,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -221,17 +224,14 @@ class ByteReader
 /**
  * The content-addressed store: Hash128 key -> payload bytes.
  *
- * Thread-safe (the engine looks up and stores from worker threads);
- * the key space is striped 16 ways on the top hash bits, with one
- * mutex, one map and -- when a directory is attached -- one disk
- * file per stripe.
+ * Thread-safe under one mutex (the engine looks up and stores from
+ * worker threads).  A `--all --stride 4 --uops 10000 --jobs 4` run
+ * spends about 20 ms of its ~4 s of thread time in lookup() and
+ * store(), waiting for the lock included.
  */
 class ResultCache
 {
   public:
-    /** Stripes of the key space (and disk files per directory). */
-    static constexpr unsigned kStripes = 16;
-
     /** On-disk format version (files with any other version are
      *  ignored wholesale, i.e.\ every lookup misses). */
     static constexpr std::uint32_t kFormatVersion = 1;
@@ -240,7 +240,8 @@ class ResultCache
      * @param dir directory for the persistent store ("" = memory
      *        only).  Created if missing; an uncreatable directory
      *        degrades to memory-only operation (a cache must never
-     *        turn a run into an error).
+     *        turn a run into an error).  An existing store file is
+     *        read here, once.
      */
     explicit ResultCache(std::string dir = {});
     ~ResultCache();
@@ -251,13 +252,13 @@ class ResultCache
     /** Fetch the payload for @p key; false = miss. */
     bool lookup(const Hash128 &key, std::string &payload);
 
-    /** Insert @p payload under @p key (and append it to the disk
-     *  stripe when a directory is attached).  First write wins;
+    /** Insert @p payload under @p key (and append it to the store
+     *  file when a directory is attached).  First write wins;
      *  identical keys always carry identical payloads. */
     void store(const Hash128 &key, std::string_view payload);
 
     /** Write every in-memory entry to one standalone shard file
-     *  (same record format as the striped store).  Returns false
+     *  (same record format as the store file).  Returns false
      *  when the file cannot be written. */
     bool exportTo(const std::string &path);
 
@@ -296,8 +297,8 @@ class ResultCache
     bool importFromBytes(std::string_view bytes);
 
     /**
-     * Append every entry that is not yet in the attached disk store
-     * to its stripe file.  store() persists as it goes, but
+     * Append every entry that is not yet in the attached store file
+     * to it.  store() persists as it goes, but
      * imported entries (importFrom/importFromBytes -- the
      * coordinator's collected worker results) live in memory only;
      * a resident service flushes before exiting so a restart
@@ -309,7 +310,7 @@ class ResultCache
     /**
      * Garbage-collect the store: drop every entry that has not
      * been touched (looked up or stored) in this process, and
-     * compact the attached disk stripes down to the survivors.
+     * compact the attached store file down to the survivors.
      *
      * Keys are opaque content hashes -- a stale salt or option
      * digest cannot be recognised from the key bits -- so liveness
@@ -325,7 +326,7 @@ class ResultCache
      * workload (a subset of experiments, or a `--shard` slice)
      * drops other workloads' still-valid entries, so compact a
      * shared store only after the full workload; and (2) the
-     * stripe rewrite replaces files wholesale, so unlike the
+     * rewrite replaces the file wholesale, so unlike the
      * append-only store/lookup paths it must not run concurrently
      * with other *writer processes* on the same directory (their
      * in-flight appends would land in the replaced file).  GC is a
@@ -352,16 +353,28 @@ class ResultCache
     void noteDecodeFailure();
 
   private:
-    struct Stripe;
+    /** One cached payload plus its GC mark: an entry is live once
+     *  this process has looked it up or stored it (see compact()).
+     *  onDisk tracks whether the store file already holds the
+     *  record (loads and store() appends do; imports do not until
+     *  flushToDisk()). */
+    struct Entry
+    {
+        std::string payload;
+        bool live = false;
+        bool onDisk = false;
+    };
 
-    Stripe &stripeFor(const Hash128 &key);
-    void ensureLoaded(unsigned index, Stripe &stripe);
-    std::string stripePath(unsigned index) const;
+    /** Append one record to file_ (non-null); false, with the file
+     *  detached, on a short write. */
+    bool appendRecord(const Hash128 &key, std::string_view payload);
 
-    std::string dir_;
-    std::vector<Stripe> stripes_;
-
-    std::mutex statsMutex_;
+    std::string path_; ///< store file ("" = memory only)
+    std::mutex mutex_;
+    std::unordered_map<Hash128, Entry, Hash128Hasher> map_;
+    /** Append stream (null when memory-only, or when the store file
+     *  is foreign or unwritable). */
+    std::FILE *file_ = nullptr;
     Stats stats_;
 };
 

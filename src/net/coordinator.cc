@@ -369,9 +369,10 @@ void
 Coordinator::completeSlice(const Claim &claim,
                            const ResultMessage &result)
 {
-    // Import outside the coordination lock: entry insertion has its
-    // own striped locking, and a large entry stream should not
-    // stall claims.  Duplicate imports deduplicate by key.
+    // Import outside the coordination lock: the cache parses the
+    // stream before taking its own lock, and a large entry stream
+    // should not stall claims.  Duplicate imports deduplicate by
+    // key.
     const Clock::time_point t0 = Clock::now();
     cache_.importFromBytes(result.entries);
     const double import_seconds = secondsSince(t0);

@@ -2,8 +2,9 @@
  * @file
  * Seeded byte mutation for the decoder fuzz tests: every test that
  * feeds untrusted bytes to a decoder (frames, snapshots, shard
- * plans, result payloads, cache stripe files) draws its mutants
- * from these, so a failing iteration reproduces from its seed.
+ * plans, result payloads, cache store and shard files) draws its
+ * mutants from these, so a failing iteration reproduces from its
+ * seed.
  */
 
 #ifndef PENELOPE_TESTS_FUZZ_HH

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -158,7 +159,7 @@ checkBatchMatchesScalar(const Netlist &n, Rng &rng,
             n.evaluate(inputs[begin + l], scalar);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
                 const std::uint64_t lane =
-                    n.laneWord(words.data(), s);
+                    n.laneWordWide(words.data(), 1, 0, s);
                 ASSERT_EQ((lane >> l) & 1, scalar[s])
                     << "vector " << begin + l << " net " << s;
             }
@@ -197,6 +198,24 @@ TEST(NetlistBatch, Figure2MatchesScalar)
 
 // ---------------------------------------------------- adder sums
 
+/** The 64 per-lane sums (and the carry-out lane mask) of a W = 1
+ *  Adder::evaluateBatchWide() pass: the sum nets' lane words
+ *  transposed back to one value per lane. */
+void
+batchSums(const Adder &adder, const std::vector<std::uint64_t> &words,
+          std::uint64_t sums[64], std::uint64_t *cout_mask = nullptr)
+{
+    const Netlist &n = adder.netlist();
+    const std::vector<SignalId> &sum = adder.sumSignals();
+    std::fill(sums, sums + 64, 0);
+    for (std::size_t i = 0; i < sum.size(); ++i)
+        sums[i] = n.laneWordWide(words.data(), 1, 0, sum[i]);
+    transpose64x64(sums);
+    if (cout_mask)
+        *cout_mask =
+            n.laneWordWide(words.data(), 1, 0, adder.coutSignal());
+}
+
 TEST(AdderBatch, SumsMatchScalarEvaluate)
 {
     for (unsigned width : {1u, 8u, 13u, 32u, 48u, 64u}) {
@@ -218,7 +237,7 @@ TEST(AdderBatch, SumsMatchScalarEvaluate)
         adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
         std::uint64_t sums[64];
         std::uint64_t cout_mask = 0;
-        adder.batchSums(words, sums, &cout_mask);
+        batchSums(adder, words, sums, &cout_mask);
         for (int l = 0; l < 64; ++l) {
             bool cout = false;
             const std::uint64_t expect = adder.evaluate(
@@ -247,7 +266,7 @@ TEST(AdderBatch, RippleAndKoggeStoneMatchToo)
         std::vector<std::uint64_t> words;
         adder->evaluateBatchWide(a, b, &cin_mask, 1, words);
         std::uint64_t sums[64];
-        adder->batchSums(words, sums);
+        batchSums(*adder, words, sums);
         for (int l = 0; l < 64; ++l) {
             EXPECT_EQ(sums[l],
                       adder->evaluate(a[l], b[l],
@@ -467,7 +486,7 @@ TEST(NetlistWide, RandomNetlistsMatchSingleWord)
                 for (std::size_t s = 0; s < n.numSignals(); ++s) {
                     ASSERT_EQ(
                         n.laneWordWide(wide.data(), net_w, w, s),
-                        n.laneWord(ref.data(), s))
+                        n.laneWordWide(ref.data(), 1, 0, s))
                         << "W " << net_w << " word " << w
                         << " net " << s;
                 }
@@ -501,7 +520,7 @@ TEST(AdderWide, MatchesEvaluateBatchPerWord)
                                     &cin_masks[w], 1, ref);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
                 ASSERT_EQ(n.laneWordWide(wide.data(), net_w, w, s),
-                          n.laneWord(ref.data(), s))
+                          n.laneWordWide(ref.data(), 1, 0, s))
                     << "W " << net_w << " word " << w << " net "
                     << s;
             }

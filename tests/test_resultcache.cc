@@ -14,8 +14,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/timing.hh"
@@ -290,7 +293,7 @@ TEST(ResultCodec, RejectsTruncationWrongTagAndBadInvariants)
         EXPECT_FALSE(decodeResult(r, out));
     }
 
-    // A well-formed record wider than any tracker (a crafted stripe
+    // A well-formed record wider than any tracker (a crafted store
     // file or network frame) is rejected before construction; the
     // widest valid record decodes.
     {
@@ -393,47 +396,56 @@ TEST(DecodeFuzz, MutatedResultsAreRejectedOrRoundTripExactly)
     expectMutantsRejectedOrExact(operands, {}, 0x5eed0106);
 }
 
-TEST(DecodeFuzz, MutatedStripeFilesServeOnlyStoredPayloads)
+/** 64 distinct keys and payloads of varying length. */
+void
+fuzzEntries(std::vector<Hash128> &keys, std::vector<std::string> &payloads)
 {
-    const std::string dir = tempDir("stripe_fuzz");
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        keys.push_back(CacheKeyBuilder("fuzz").u32(i).digest());
+        payloads.push_back(std::string(1 + i % 13, 'a' + i % 26) +
+                           std::to_string(i));
+    }
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(DecodeFuzz, MutatedStoreFileServesOnlyStoredPayloads)
+{
+    const std::string dir = tempDir("store_fuzz");
+    const std::string file = dir + "/results.bin";
     std::vector<Hash128> keys;
     std::vector<std::string> payloads;
+    fuzzEntries(keys, payloads);
     {
         ResultCache cache(dir);
-        for (std::uint32_t i = 0; i < 64; ++i) {
-            keys.push_back(CacheKeyBuilder("fuzz").u32(i).digest());
-            payloads.push_back(std::string(1 + i % 13, 'a' + i % 26) +
-                               std::to_string(i));
-            cache.store(keys.back(), payloads.back());
-        }
+        for (std::size_t k = 0; k < keys.size(); ++k)
+            cache.store(keys[k], payloads[k]);
     }
-    std::vector<std::filesystem::path> paths;
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        paths.push_back(entry.path());
-    std::sort(paths.begin(), paths.end()); // a seed-stable order
-    ASSERT_GT(paths.size(), 1u);
-    std::vector<std::string> originals;
-    for (const auto &path : paths) {
-        std::ifstream in(path, std::ios::binary);
-        originals.emplace_back(std::istreambuf_iterator<char>(in),
-                               std::istreambuf_iterator<char>());
-    }
+    ASSERT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1);
+    const std::string original = readBytes(file);
 
-    const auto writeFile = [](const std::filesystem::path &path,
-                              const std::string &bytes) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-    };
-    // One stripe file mutated per iteration; every file is restored
-    // afterwards (loading a damaged file cuts its tail back).
+    // The file is restored after every mutant (loading a damaged
+    // file cuts its tail back).
     FuzzRng rng(0x5eed0107);
     unsigned hits = 0;
     unsigned misses = 0;
     for (int i = 0; i < 128; ++i) {
-        const std::size_t f = rng.below(
-            static_cast<std::uint32_t>(paths.size()));
-        writeFile(paths[f], mutate(originals[f], rng));
+        writeBytes(file, mutate(original, rng));
         {
             ResultCache cache(dir);
             for (std::size_t k = 0; k < keys.size(); ++k) {
@@ -447,11 +459,66 @@ TEST(DecodeFuzz, MutatedStripeFilesServeOnlyStoredPayloads)
                     << "iteration " << i << " key " << k;
             }
         }
-        for (std::size_t g = 0; g < paths.size(); ++g)
-            writeFile(paths[g], originals[g]);
+        writeBytes(file, original);
     }
     EXPECT_GT(misses, 0u);
     EXPECT_GT(hits, misses);
+}
+
+TEST(DecodeFuzz, MutatedShardFilesImportOnlyStoredPayloads)
+{
+    const std::string dir = tempDir("shard_fuzz");
+    const std::string file = dir + "/shard.bin";
+    std::vector<Hash128> keys;
+    std::vector<std::string> payloads;
+    fuzzEntries(keys, payloads);
+    {
+        ResultCache source;
+        for (std::size_t k = 0; k < keys.size(); ++k)
+            source.store(keys[k], payloads[k]);
+        ASSERT_TRUE(source.exportTo(file));
+    }
+    const std::string original = readBytes(file);
+
+    // Every accepted mutant imports a subset of the stored entries,
+    // each under its own key, and nothing else; a rejected one
+    // imports nothing.
+    const auto check = [&](ResultCache &cache, bool accepted, int i,
+                           unsigned &served) {
+        if (!accepted) {
+            EXPECT_EQ(cache.size(), 0u) << "iteration " << i;
+            return;
+        }
+        std::size_t found = 0;
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            std::string payload;
+            if (!cache.lookup(keys[k], payload))
+                continue;
+            ++found;
+            EXPECT_EQ(payload, payloads[k])
+                << "iteration " << i << " key " << k;
+        }
+        EXPECT_EQ(cache.size(), found) << "iteration " << i;
+        served += static_cast<unsigned>(found);
+    };
+    FuzzRng rng(0x5eed0108);
+    unsigned rejected = 0;
+    unsigned served = 0;
+    for (int i = 0; i < 256; ++i) {
+        const std::string mutant = mutate(original, rng);
+        ResultCache from_bytes;
+        const bool accepted = from_bytes.importFromBytes(mutant);
+        check(from_bytes, accepted, i, served);
+        rejected += accepted ? 0 : 1;
+
+        writeBytes(file, mutant);
+        ResultCache from_file;
+        const bool file_accepted = from_file.importFrom(file);
+        EXPECT_EQ(file_accepted, accepted) << "iteration " << i;
+        check(from_file, file_accepted, i, served);
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(served, 0u);
 }
 
 // ------------------------------------------------ ResultCache store
@@ -565,7 +632,7 @@ TEST(ResultCache, CompactDropsUntouchedEntries)
     for (const Hash128 &key : stale_keys)
         EXPECT_FALSE(reopened.lookup(key, payload));
 
-    // Compacted stripes accept fresh appends.
+    // The compacted store file accepts fresh appends.
     const Hash128 fresh = CacheKeyBuilder("fresh").u32(7).digest();
     reopened.store(fresh, "fresh-payload");
     ResultCache again(dir);
@@ -595,78 +662,205 @@ TEST(ResultCache, CompactKeepsFreshStoresAndMemoryOnlyWorks)
 
 TEST(ResultCache, CorruptTruncatedAndForeignFilesAreMisses)
 {
+    // Each damage mode on the one store file: a cut tail is
+    // truncated back and later appends stay reachable, a flipped
+    // record is dropped while the rest are served, and a foreign
+    // file is all misses, left untouched, with the cache running
+    // memory-only.  No read may fail hard.
     const std::string dir = tempDir("corrupt");
+    const std::string file = dir + "/results.bin";
+    const auto payloadOf = [](std::size_t k) {
+        return std::string(50, static_cast<char>('a' + k % 26));
+    };
     std::vector<Hash128> keys;
     {
         ResultCache cache(dir);
         for (std::uint32_t i = 0; i < 64; ++i) {
-            keys.push_back(
-                CacheKeyBuilder("t").u32(i).digest());
-            cache.store(keys.back(),
-                        std::string(50, 'a' + (i % 26)));
+            keys.push_back(CacheKeyBuilder("t").u32(i).digest());
+            cache.store(keys.back(), payloadOf(i));
         }
     }
+    const std::string original = readBytes(file);
+    // The header, then the records in store order: key (16) +
+    // length (4) + payload (50) + checksum (8).
+    constexpr std::size_t kHeader = 8;
+    constexpr std::size_t kRecord = 78;
+    ASSERT_EQ(original.size(), kHeader + 64 * kRecord);
 
-    // Flip one byte in the middle of every stripe file, truncate
-    // the tail of one, and replace another with garbage.
-    unsigned file_index = 0;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir)) {
-        const auto size = std::filesystem::file_size(entry);
-        if (file_index == 0 && size > 16) {
-            std::filesystem::resize_file(entry, size - 9);
-        } else if (file_index == 1) {
-            std::ofstream out(entry.path(),
-                              std::ios::binary | std::ios::trunc);
-            out << "not a cache file at all";
-        } else {
-            std::fstream io(entry.path(),
-                            std::ios::binary | std::ios::in |
-                                std::ios::out);
-            io.seekp(static_cast<std::streamoff>(size / 2));
-            io.put('\xff');
+    const auto fresh = [](std::uint32_t i) {
+        return CacheKeyBuilder("fresh").u32(i).digest();
+    };
+    // Which keys hit; a hit must carry the stored payload.
+    const auto served = [&](ResultCache &cache) {
+        std::vector<bool> hit(keys.size());
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+            std::string payload;
+            hit[k] = cache.lookup(keys[k], payload);
+            if (hit[k]) {
+                EXPECT_EQ(payload, payloadOf(k)) << "key " << k;
+            }
         }
-        ++file_index;
-    }
+        return hit;
+    };
+    const auto allBut = [](std::size_t k) {
+        std::vector<bool> hit(64, true);
+        hit[k] = false;
+        return hit;
+    };
 
-    // Every key must now either hit with the original payload or
-    // miss; no read may fail hard.
+    // Truncated tail: the cut record misses and the file is cut back
+    // to the last intact record, so later appends stay reachable.
+    writeBytes(file, original.substr(0, original.size() - 9));
     {
         ResultCache cache(dir);
-        unsigned misses = 0;
-        for (const Hash128 &key : keys) {
+        EXPECT_EQ(served(cache), allBut(63));
+        EXPECT_EQ(cache.stats().badRecords, 1u);
+        EXPECT_EQ(std::filesystem::file_size(file),
+                  kHeader + 63 * kRecord);
+        for (std::uint32_t i = 0; i < 8; ++i)
+            cache.store(fresh(i), "new-" + std::to_string(i));
+    }
+    {
+        ResultCache cache(dir);
+        EXPECT_EQ(cache.stats().badRecords, 0u);
+        EXPECT_EQ(cache.size(), 63u + 8u);
+        for (std::uint32_t i = 0; i < 8; ++i) {
             std::string payload;
-            if (!cache.lookup(key, payload))
-                ++misses;
-            else
-                EXPECT_EQ(payload.size(), 50u);
-        }
-        EXPECT_GT(misses, 0u);
-        EXPECT_GT(cache.stats().badRecords, 0u);
-
-        // The damaged stripes accept fresh stores again (damaged
-        // tails are cut back so the appends stay reachable).
-        for (std::uint32_t i = 0; i < 64; ++i) {
-            cache.store(CacheKeyBuilder("fresh").u32(i).digest(),
-                        "new-" + std::to_string(i));
-        }
-    }
-
-    // The fresh entries survive a reopen.  Only the stripe whose
-    // file was replaced with a foreign blob may drop its share
-    // (it is left untouched and never appended to).
-    ResultCache reopened(dir);
-    unsigned fresh_hits = 0;
-    for (std::uint32_t i = 0; i < 64; ++i) {
-        std::string payload;
-        if (reopened.lookup(
-                CacheKeyBuilder("fresh").u32(i).digest(),
-                payload)) {
+            ASSERT_TRUE(cache.lookup(fresh(i), payload));
             EXPECT_EQ(payload, "new-" + std::to_string(i));
-            ++fresh_hits;
         }
     }
-    EXPECT_GE(fresh_hits, 48u);
+
+    // Flipped record: one payload bit of record 32 fails its
+    // checksum; only that key misses, parsing goes on past it, and
+    // the file keeps its length.  A re-store of the key appends a
+    // good copy that the next run serves.
+    std::string flipped = original;
+    flipped[kHeader + 32 * kRecord + 20 + 25] ^= 0x01;
+    writeBytes(file, flipped);
+    {
+        ResultCache cache(dir);
+        EXPECT_EQ(served(cache), allBut(32));
+        EXPECT_EQ(cache.stats().badRecords, 1u);
+        EXPECT_EQ(std::filesystem::file_size(file), flipped.size());
+        cache.store(keys[32], payloadOf(32));
+    }
+    {
+        ResultCache cache(dir);
+        EXPECT_EQ(served(cache), std::vector<bool>(64, true));
+        EXPECT_EQ(cache.stats().badRecords, 1u);
+    }
+
+    // Foreign file: every lookup misses, nothing (not even GC) writes
+    // to the file, and stores still serve from memory.
+    const std::string foreign = "not a cache file at all";
+    writeBytes(file, foreign);
+    {
+        ResultCache cache(dir);
+        EXPECT_EQ(served(cache), std::vector<bool>(64, false));
+        EXPECT_EQ(cache.stats().badRecords, 1u);
+        cache.store(fresh(0), "new-0");
+        std::string payload;
+        ASSERT_TRUE(cache.lookup(fresh(0), payload));
+        EXPECT_EQ(payload, "new-0");
+        EXPECT_EQ(cache.flushToDisk(), 0u);
+        EXPECT_EQ(cache.compact(), 0u);
+    }
+    EXPECT_EQ(readBytes(file), foreign);
+    ResultCache reopened(dir);
+    std::string payload;
+    EXPECT_FALSE(reopened.lookup(fresh(0), payload));
+}
+
+TEST(ResultCache, ConcurrentStoreLookupImport)
+{
+    // Four threads store the same 256 keys in rotated orders and
+    // look up pre-stored, just-stored and never-stored keys, while
+    // a fifth imports an entry stream and exports deltas.  Every
+    // outcome is interleaving-independent, so the final size and
+    // stats are exact.
+    const std::string dir = tempDir("concurrent");
+    const auto key = [](const char *domain, std::uint32_t i) {
+        return CacheKeyBuilder(domain).u32(i).digest();
+    };
+    constexpr std::uint32_t kPre = 64;      // stored before the threads
+    constexpr std::uint32_t kShared = 256;  // stored by all four
+    constexpr std::uint32_t kAbsent = 64;   // never stored
+    constexpr std::uint32_t kImported = 128;
+    constexpr int kImports = 32;
+
+    // The import stream: kImported new entries, the pre-stored ones
+    // again (deduplicated), and one record that fails its checksum.
+    std::string stream;
+    {
+        ResultCache source;
+        for (std::uint32_t i = 0; i < kImported; ++i)
+            source.store(key("imported", i), "imp-" + std::to_string(i));
+        for (std::uint32_t i = 0; i < kPre; ++i)
+            source.store(key("pre", i), "pre-" + std::to_string(i));
+        source.exportToBytes(stream);
+        ResultCache bad;
+        bad.store(key("bad", 0), "payload");
+        std::string bad_stream;
+        bad.exportToBytes(bad_stream);
+        bad_stream[bad_stream.size() - 9] ^= 0x01; // payload bit
+        stream += bad_stream.substr(8);             // drop its header
+    }
+
+    ResultCache cache(dir);
+    for (std::uint32_t i = 0; i < kPre; ++i)
+        cache.store(key("pre", i), "pre-" + std::to_string(i));
+
+    std::vector<std::thread> threads;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::uint32_t n = 0; n < kShared; ++n) {
+                const std::uint32_t i = (n + t * kShared / 4) % kShared;
+                const std::string value = "shared-" + std::to_string(i);
+                cache.store(key("shared", i), value);
+                std::string payload;
+                EXPECT_TRUE(cache.lookup(key("shared", i), payload));
+                EXPECT_EQ(payload, value);
+                EXPECT_TRUE(cache.lookup(key("pre", i % kPre), payload));
+                EXPECT_EQ(payload, "pre-" + std::to_string(i % kPre));
+                EXPECT_FALSE(
+                    cache.lookup(key("absent", i % kAbsent), payload));
+                if (n % 64 == 0)
+                    cache.noteDecodeFailure();
+            }
+        });
+    }
+    std::unordered_set<Hash128, Hash128Hasher> exported;
+    threads.emplace_back([&] {
+        std::string delta;
+        for (int r = 0; r < kImports; ++r) {
+            EXPECT_TRUE(cache.importFromBytes(stream));
+            cache.exportNewEntries(exported, delta);
+            // Every delta is a well-formed stream of good records.
+            ResultCache check;
+            EXPECT_TRUE(check.importFromBytes(delta));
+            EXPECT_EQ(check.stats().badRecords, 0u);
+        }
+    });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(cache.size(), kPre + kShared + kImported);
+    const ResultCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 4u * 2 * kShared);
+    EXPECT_EQ(stats.misses, 4u * kShared);
+    EXPECT_EQ(stats.stores, kPre + kShared);
+    EXPECT_EQ(stats.decodeFailures, 4u * kShared / 64);
+    EXPECT_EQ(stats.badRecords, static_cast<std::uint64_t>(kImports));
+
+    // The deltas together cover every entry exactly once, and only
+    // the imported entries still need flushing.
+    std::string rest;
+    cache.exportNewEntries(exported, rest);
+    EXPECT_EQ(exported.size(), cache.size());
+    EXPECT_EQ(cache.flushToDisk(), kImported);
+    ResultCache reopened(dir);
+    EXPECT_EQ(reopened.size(), cache.size());
 }
 
 // ------------------------------------- engine-level cache behaviour
@@ -830,7 +1024,7 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
         runRegFileExperiment(workload, {false}, options);
     }
 
-    // Bit-flip one payload byte in every stored stripe file.
+    // Bit-flip one byte in the middle of the store file.
     for (const auto &entry :
          std::filesystem::directory_iterator(dir)) {
         const auto size = std::filesystem::file_size(entry);
