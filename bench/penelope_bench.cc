@@ -299,10 +299,11 @@ const Option kOptions[] = {
     {"--full", nullptr, kRuns, Switch, 0, 0,
      "full workload (stride 1) at paper-scale uop counts",
      [](auto &s, auto &) { s.full = true; }},
-    {"--surrogate-audit", "F", Local | Serve | Client, Factor, 0, 1,
+    {"--surrogate-audit", "F", Local, Factor, 0, 1,
      "seeded audit fraction of pruned candidates to exact-evaluate "
      "anyway (default 0.03; 1.0 = full audit: every candidate is "
-     "priced exactly and the surrogate is bypassed)",
+     "priced exactly and the surrogate is bypassed; local runs "
+     "only: a served plan searches at the default)",
      [](auto &s, auto &v) { s.options.surrogateAuditFraction = v.x; }},
     {"--cache-dir", "DIR", kAll, Path, 0, 0,
      "attach a persistent store to the run's result cache: per-trace "
@@ -600,7 +601,6 @@ jobStateName(net::JobState state)
       case net::JobState::Running: return "running";
       case net::JobState::Complete: return "complete";
       case net::JobState::Partial: return "partial";
-      case net::JobState::Cancelled: return "cancelled";
     }
     return "unknown";
 }

@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,25 +81,43 @@ class Engine
      * R must have encodeResult/decodeResult codecs (serialize.hh).
      * On a hit the stored payload is decoded into the slot; a miss
      * -- including a payload that fails to decode -- simulates and
-     * stores.  With a null cache every slot misses.
+     * stores.  With a null cache every slot misses.  Items with
+     * equal keys simulate once: only the first of them is looked up
+     * (and simulated on a miss), and the rest copy its result, so
+     * the cache's hit/miss split is the same for any job count.
      */
     template <class R, class Items, class KeyFn, class Fn>
     std::vector<R>
     mapCached(const Items &items, ResultCache *cache, KeyFn &&keyOf,
               Fn &&fn) const
     {
+        std::vector<Hash128> keys(items.size());
+        std::vector<std::size_t> first(items.size());
+        std::vector<std::size_t> distinct;
+        std::unordered_map<Hash128, std::size_t, Hash128Hasher> seen;
+        for (std::size_t k = 0; k < items.size(); ++k) {
+            keys[k] = keyOf(items[k], k);
+            const auto [it, fresh] = seen.emplace(keys[k], k);
+            first[k] = it->second;
+            if (fresh)
+                distinct.push_back(k);
+        }
         std::vector<R> out(items.size());
         parallelFor(
-            items.size(), jobs_,
-            [&](std::size_t k) {
+            distinct.size(), jobs_,
+            [&](std::size_t d) {
                 PENELOPE_OBS_COUNTER("engine.tasks", "1").add();
-                const Hash128 key = keyOf(items[k], k);
-                if (lookup(cache, key, out[k]))
+                const std::size_t k = distinct[d];
+                if (lookup(cache, keys[k], out[k]))
                     return;
                 out[k] = fn(items[k], k);
-                store(cache, key, out[k]);
+                store(cache, keys[k], out[k]);
             },
             pool_);
+        for (std::size_t k = 0; k < items.size(); ++k) {
+            if (first[k] != k)
+                out[k] = out[first[k]];
+        }
         return out;
     }
 

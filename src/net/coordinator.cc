@@ -17,8 +17,8 @@ namespace {
  *  completion and requestStop() wake the listener at once). */
 constexpr int kPollMs = 100;
 
-/** jobId carried by a Rejected update that answers a request whose
- *  job never existed (an undecodable submit, an unknown id). */
+/** jobId carried by the Rejected update that answers a submit no
+ *  job was created for (an undecodable plan, a stop under way). */
 constexpr std::uint32_t kNoJobId = 0xffffffffu;
 
 /** Sentinel for "no update sent to this client yet". */
@@ -286,7 +286,7 @@ Coordinator::claimSlice(Claim &claim)
             const auto jt = jobs_.find(it->job);
             if (jt == jobs_.end() ||
                 jobStateFinal(jt->second.state)) {
-                it = ready_.erase(it); // job cancelled/finalized
+                it = ready_.erase(it); // job finalized
                 continue;
             }
             if (it->notBefore <= now) {
@@ -407,8 +407,8 @@ Coordinator::serveConnection(Socket sock)
     };
 
     // The first frame declares the peer's role: Hello = worker,
-    // job-control = client.  Anything else is a protocol breach
-    // and the connection is dropped (cleanly: no work was claimed).
+    // SubmitJob = client.  Anything else is a protocol breach and
+    // the connection is dropped (cleanly: no work was claimed).
     Frame frame;
     const RecvStatus status =
         recvFrame(sock, frame, config_.sliceTimeoutMs, abort);
@@ -431,9 +431,7 @@ Coordinator::serveConnection(Socket sock)
             break;
           }
           case MessageType::SubmitJob:
-          case MessageType::JobStatus:
-          case MessageType::CancelJob:
-            serveClient(sock, std::move(frame));
+            serveClient(sock, frame);
             break;
           default:
             break;
@@ -454,8 +452,13 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
     const AbortFn abort = [this] {
         return abandon_.load(std::memory_order_relaxed);
     };
-    const bool peer_metrics = (peerCaps & kCapMetrics) != 0 &&
-        (localCapabilities() & kCapMetrics) != 0;
+    // Telemetry is asked of a worker only while this coordinator's
+    // registry records: kCapMetrics on an Assign turns the worker's
+    // registry on, and nothing here would read its snapshots.
+    const std::uint32_t caps = obs::enabled()
+        ? localCapabilities()
+        : localCapabilities() & ~kCapMetrics;
+    const bool peer_metrics = (peerCaps & caps & kCapMetrics) != 0;
 
     Claim claim;
     Frame frame;
@@ -467,7 +470,7 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
         assign.plan = claim.plan;
         ByteWriter w;
         assign.encode(w);
-        if (!sendFrame(sock, MessageType::Assign, w.view())) {
+        if (!sendFrame(sock, MessageType::Assign, w.view(), caps)) {
             forfeitSlice(claim, false);
             return;
         }
@@ -534,7 +537,6 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
                     // from this thread: all sends on this socket
                     // happen in this handler.
                     HeartbeatAckMessage ack;
-                    ack.sliceIndex = beat.sliceIndex;
                     ack.sequence = beat.sequence;
                     ByteWriter aw;
                     ack.encode(aw);
@@ -568,180 +570,72 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
     sendFrame(sock, MessageType::Shutdown, {});
 }
 
-bool
-Coordinator::sendJobUpdate(
-    Socket &sock, std::uint32_t jobId,
-    std::unordered_set<Hash128, Hash128Hasher> &sentKeys,
-    std::uint64_t *seenSeq)
-{
-    JobUpdateMessage update;
-    bool final = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = jobs_.find(jobId);
-        if (it == jobs_.end())
-            return true;
-        const Job &job = it->second;
-        if (*seenSeq != kNeverSent && job.updateSeq == *seenSeq)
-            return true; // nothing new
-        *seenSeq = job.updateSeq;
-        update.jobId = jobId;
-        update.state = job.state;
-        update.slicesDone = job.doneCount;
-        update.slicesTotal =
-            static_cast<std::uint32_t>(job.slices.size());
-        update.retries = job.retries;
-        if (job.state == JobState::Partial) {
-            for (std::uint32_t s = 0; s < job.slices.size(); ++s) {
-                if (job.slices[s] != SliceState::Done)
-                    update.incompleteSlices.push_back(s);
-            }
-        }
-        final = jobStateFinal(job.state);
-    }
-
-    // Entry bytes outside the lock (the export can be large).
-    // Intermediate updates stream only what this client has not
-    // seen; the final update of a Complete/Partial job carries the
-    // full store, so a freshly (re)connected client still renders
-    // bit-identically -- entries may have landed under other jobs
-    // sharing this cache.
-    if (final)
-        cache_.exportToBytes(update.entries);
-    else
-        cache_.exportNewEntries(sentKeys, update.entries);
-    ByteWriter w;
-    update.encode(w);
-    return sendFrame(sock, MessageType::JobUpdate, w.view());
-}
-
 void
-Coordinator::serveClient(Socket &sock, Frame first)
+Coordinator::serveClient(Socket &sock, const Frame &submit)
 {
-    const AbortFn abort = [this] {
-        return abandon_.load(std::memory_order_relaxed);
-    };
-
-    const auto sendRejected = [&](std::uint32_t id) {
+    SubmitJobMessage message;
+    ByteReader r(submit.payload);
+    std::uint32_t id = kNoJobId;
+    if (message.decode(r)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!stopping_) {
+            id = createJobLocked(message.plan);
+            ++stats_.jobsSubmitted;
+        }
+    }
+    if (id == kNoJobId) {
         JobUpdateMessage update;
-        update.jobId = id;
+        update.jobId = kNoJobId;
         update.state = JobState::Rejected;
         ByteWriter w;
         update.encode(w);
-        return sendFrame(sock, MessageType::JobUpdate, w.view());
-    };
+        sendFrame(sock, MessageType::JobUpdate, w.view());
+        return;
+    }
+    cv_.notify_all(); // workers: new slices
 
-    // Per-connection delta state: entry keys this client has seen
-    // (exportNewEntries) and, per watched job, the last update
-    // sequence pushed.
+    // Push an update on every change of the job until the final one
+    // is out.  Each carries the store entries this connection has
+    // not received yet, so every entry reaches the client once.
     std::unordered_set<Hash128, Hash128Hasher> sent_keys;
-    std::map<std::uint32_t, std::uint64_t> watched;
-
-    Frame frame = std::move(first);
-    bool have_frame = true;
-    while (!abort()) {
-        if (have_frame) {
-            have_frame = false;
-            switch (frame.type) {
-              case MessageType::SubmitJob: {
-                SubmitJobMessage submit;
-                ByteReader r(frame.payload);
-                std::uint32_t id = kNoJobId;
-                if (submit.decode(r)) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (!stopping_) {
-                        id = createJobLocked(submit.plan);
-                        ++stats_.jobsSubmitted;
-                    }
-                }
-                if (id == kNoJobId) {
-                    if (!sendRejected(kNoJobId))
-                        return;
-                } else {
-                    cv_.notify_all(); // workers: new slices
-                    watched[id] = kNeverSent;
-                }
-                break;
-              }
-              case MessageType::JobStatus: {
-                JobStatusMessage status;
-                ByteReader r(frame.payload);
-                bool known = false;
-                if (status.decode(r)) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    known = jobs_.count(status.jobId) != 0;
-                }
-                if (known)
-                    watched[status.jobId] = kNeverSent; // resync
-                else if (!sendRejected(status.jobId))
-                    return;
-                break;
-              }
-              case MessageType::CancelJob: {
-                CancelJobMessage cancel;
-                ByteReader r(frame.payload);
-                bool known = false;
-                if (cancel.decode(r)) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    const auto it = jobs_.find(cancel.jobId);
-                    if (it != jobs_.end()) {
-                        known = true;
-                        Job &job = it->second;
-                        job.cancelled = true;
-                        if (!jobStateFinal(job.state)) {
-                            job.state = JobState::Cancelled;
-                            ++job.updateSeq;
-                            ++stats_.jobsFinished;
-                            wakeAccept();
-                        }
-                    }
-                }
-                if (known) {
-                    cv_.notify_all(); // claims drop its slices
-                    watched[cancel.jobId] = kNeverSent;
-                } else if (!sendRejected(cancel.jobId)) {
-                    return;
-                }
-                break;
-              }
-              default:
-                return; // protocol breach: drop the client
-            }
-        }
-
-        // Push progress on every watched job that changed.
-        for (auto &[id, seen_seq] : watched) {
-            if (!sendJobUpdate(sock, id, sent_keys, &seen_seq))
-                return;
-        }
-
-        // Stopping and everything watched delivered in a final
-        // state: the conversation is over.  "Delivered" matters --
-        // a job finalized between the push above and this check
-        // still owes its client one update.
+    std::uint64_t sent_seq = kNeverSent;
+    for (;;) {
+        JobUpdateMessage update;
+        bool changed = false;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_) {
-                bool all_delivered = true;
-                for (const auto &[id, seen_seq] : watched) {
-                    const auto it = jobs_.find(id);
-                    if (it == jobs_.end())
-                        continue;
-                    if (!jobStateFinal(it->second.state) ||
-                        seen_seq != it->second.updateSeq)
-                        all_delivered = false;
+            const Job &job = jobs_.at(id);
+            changed = job.updateSeq != sent_seq;
+            sent_seq = job.updateSeq;
+            update.jobId = id;
+            update.state = job.state;
+            update.slicesDone = job.doneCount;
+            update.slicesTotal =
+                static_cast<std::uint32_t>(job.slices.size());
+            update.retries = job.retries;
+            if (job.state == JobState::Partial) {
+                for (std::uint32_t s = 0; s < job.slices.size(); ++s) {
+                    if (job.slices[s] != SliceState::Done)
+                        update.incompleteSlices.push_back(s);
                 }
-                if (all_delivered)
-                    return;
             }
         }
-
-        if (sock.waitReadable(kPollMs)) {
-            if (recvFrame(sock, frame, 5000, abort) !=
-                RecvStatus::Ok)
-                return; // closed or corrupt: drop the client
-            have_frame = true;
+        if (changed) {
+            // Entry bytes outside the lock (the export can be
+            // large).  A final job has imported all its slices, so
+            // the final update completes the client's copy.
+            cache_.exportNewEntries(sent_keys, update.entries);
+            ByteWriter w;
+            update.encode(w);
+            if (!sendFrame(sock, MessageType::JobUpdate, w.view()) ||
+                jobStateFinal(update.state))
+                return;
         }
+        // A close or any further frame from the client ends the
+        // conversation; the job itself runs on.
+        if (abandon_.load(std::memory_order_relaxed) ||
+            sock.waitReadable(kPollMs))
+            return;
     }
 }
 

@@ -14,6 +14,17 @@
  *    until requestStop()/the configured stop predicate fires, and
  *    every job arrives over the wire via SubmitJob.
  *
+ * The first frame of a connection names its role: a Hello makes it
+ * a worker, a SubmitJob a client.  A client connection carries
+ * exactly one job (protocol v3): the coordinator answers the
+ * SubmitJob with JobUpdates -- Accepted, then one per state change
+ * -- and hangs up after the final one (Complete or Partial), when
+ * the client closes, or at any further frame from it.  Each update's
+ * entries are the store entries that connection has not received
+ * yet, so the client receives every entry exactly once.  A client
+ * that leaves early does not stop its job: the job runs on and
+ * its entries stay in the coordinator's store.
+ *
  * Failure semantics:
  *
  *  - a worker that disconnects, times out or sends a corrupt frame
@@ -174,8 +185,9 @@ class Coordinator
     /** Latest metric snapshot piggybacked by each worker
      *  [kCapMetrics], labelled `worker="N"` by accept order --
      *  the provider behind `--metrics-port`'s per-worker series.
-     *  Empty when no metrics-capable worker has heartbeated
-     *  yet. */
+     *  Assigns ask workers for snapshots only while this process's
+     *  registry is enabled; empty until a worker so asked has
+     *  heartbeated. */
     obs::LabeledSnapshots workerSnapshots() const;
 
   private:
@@ -197,7 +209,6 @@ class Coordinator
         unsigned doneCount = 0;
         unsigned failedCount = 0;
         unsigned retries = 0;  ///< re-dispatches so far
-        bool cancelled = false;
         std::uint64_t updateSeq = 0; ///< bumped on every change
     };
 
@@ -221,7 +232,7 @@ class Coordinator
     void serveConnection(Socket sock);
     void serveWorker(Socket &sock, std::uint32_t peerCaps,
                      unsigned workerIndex);
-    void serveClient(Socket &sock, Frame first);
+    void serveClient(Socket &sock, const Frame &submit);
 
     bool claimSlice(Claim &claim);
     void forfeitSlice(const Claim &claim, bool hung);
@@ -231,10 +242,6 @@ class Coordinator
     void wakeAccept() const;
     std::uint32_t createJobLocked(const ShardPlan &plan);
     void finalizeJobLocked(Job &job);
-    bool sendJobUpdate(
-        Socket &sock, std::uint32_t jobId,
-        std::unordered_set<Hash128, Hash128Hasher> &sentKeys,
-        std::uint64_t *seenSeq);
 
     ShardPlan initialPlan_;
     bool resident_ = false;

@@ -45,9 +45,7 @@ knownType(std::uint32_t type)
       case MessageType::Shutdown:
       case MessageType::Heartbeat:
       case MessageType::SubmitJob:
-      case MessageType::JobStatus:
       case MessageType::JobUpdate:
-      case MessageType::CancelJob:
       case MessageType::HeartbeatAck:
         return true;
     }
@@ -193,19 +191,14 @@ recvFrame(Socket &sock, Frame &frame, int timeout_ms,
 void
 HelloMessage::encode(ByteWriter &w) const
 {
-    w.u32(protocolVersion);
     w.u32(hostCpus);
-    w.u64(capabilities);
 }
 
 bool
 HelloMessage::decode(ByteReader &r)
 {
-    protocolVersion = r.u32();
     hostCpus = r.u32();
-    capabilities = r.u64();
-    return r.ok() && r.atEnd() &&
-        protocolVersion == kProtocolVersion;
+    return r.ok() && r.atEnd();
 }
 
 void
@@ -228,7 +221,6 @@ void
 ResultMessage::encode(ByteWriter &w) const
 {
     w.u32(sliceIndex);
-    w.u32(hostCpus);
     w.f64(simSeconds);
     w.u64(entries.size());
     w.bytes(entries.data(), entries.size());
@@ -238,7 +230,6 @@ bool
 ResultMessage::decode(ByteReader &r)
 {
     sliceIndex = r.u32();
-    hostCpus = r.u32();
     simSeconds = r.f64();
     const std::uint64_t size = r.u64();
     if (!r.ok() || size > kMaxFramePayload)
@@ -279,14 +270,12 @@ HeartbeatMessage::decode(ByteReader &r)
 void
 HeartbeatAckMessage::encode(ByteWriter &w) const
 {
-    w.u32(sliceIndex);
     w.u64(sequence);
 }
 
 bool
 HeartbeatAckMessage::decode(ByteReader &r)
 {
-    sliceIndex = r.u32();
     sequence = r.u64();
     return r.ok() && r.atEnd();
 }
@@ -303,39 +292,12 @@ SubmitJobMessage::decode(ByteReader &r)
     return plan.decode(r) && r.atEnd();
 }
 
-void
-JobStatusMessage::encode(ByteWriter &w) const
-{
-    w.u32(jobId);
-}
-
-bool
-JobStatusMessage::decode(ByteReader &r)
-{
-    jobId = r.u32();
-    return r.ok() && r.atEnd();
-}
-
-void
-CancelJobMessage::encode(ByteWriter &w) const
-{
-    w.u32(jobId);
-}
-
-bool
-CancelJobMessage::decode(ByteReader &r)
-{
-    jobId = r.u32();
-    return r.ok() && r.atEnd();
-}
-
 bool
 jobStateFinal(JobState state)
 {
     return state == JobState::Rejected ||
         state == JobState::Complete ||
-        state == JobState::Partial ||
-        state == JobState::Cancelled;
+        state == JobState::Partial;
 }
 
 namespace {
@@ -349,7 +311,6 @@ knownJobState(std::uint8_t state)
       case JobState::Running:
       case JobState::Complete:
       case JobState::Partial:
-      case JobState::Cancelled:
         return true;
     }
     return false;

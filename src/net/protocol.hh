@@ -20,41 +20,46 @@
  *   u64 checksum   murmur3_128(payload, seed = type).lo
  *
  * Every peer speaks the whole protocol: heartbeats, delta entry
- * streams and job control are unconditional, and a peer of another
- * version is rejected at its first frame.  The one negotiated
- * feature is telemetry (kCapMetrics), which only decides whether
- * heartbeats carry metric snapshots and are acknowledged.  The
- * checksum excludes the flags word, so a corrupted capability bit
- * can only switch that telemetry, never change a statistic.
+ * streams and the job conversation are unconditional, and a peer of
+ * another version is rejected at its first frame header -- the one
+ * version gate.  The one negotiated feature is telemetry
+ * (kCapMetrics), which only decides whether heartbeats carry metric
+ * snapshots and are acknowledged.  The checksum excludes the flags
+ * word, so a corrupted capability bit can only switch that
+ * telemetry, never change a statistic.
  *
  * Worker conversation:
  *
- *   worker -> coordinator   Hello      (version echo, host CPUs)
+ *   worker -> coordinator   Hello      (host CPUs)
  *   coordinator -> worker   Assign     (slice index + ShardPlan)
  *   worker -> coordinator   Heartbeat  repeated while the slice runs
+ *   coordinator -> worker   HeartbeatAck  [kCapMetrics] per beat
  *   worker -> coordinator   Result     (slice index, the entries not
  *                                      yet sent on this connection)
  *   ... Assign/Result repeat ...
  *   coordinator -> worker   Shutdown
  *
- * Client conversation:
+ * Client conversation, one job per connection:
  *
  *   client -> coordinator   SubmitJob  (a ShardPlan to run)
- *   coordinator -> client   JobUpdate  (accepted; then streamed on
- *                                      every state change, carrying
- *                                      the slice entry payloads as
- *                                      they land; the final update
- *                                      carries state Complete --
- *                                      or Partial with an explicit
- *                                      incomplete-slice manifest)
- *   client -> coordinator   JobStatus  (poll/resync a job by id)
- *   client -> coordinator   CancelJob
+ *   coordinator -> client   JobUpdate  (Accepted, then one per state
+ *                                      change until the final one:
+ *                                      Complete, or Partial with an
+ *                                      explicit incomplete-slice
+ *                                      manifest; Rejected answers an
+ *                                      undecodable plan or a submit
+ *                                      during a stop)
+ *
+ * The client sends nothing after its SubmitJob: the coordinator
+ * hangs up once the final update is out, when the client closes,
+ * or at any further frame.
  *
  * The Result/JobUpdate entry bytes are exactly a
  * ResultCache::exportToBytes() stream -- the same merge-ready
- * format `--shard` writes to disk -- so duplicate completions (a
- * reassigned slice finishing twice, a client resyncing) always
- * deduplicate on import by content-addressing, for free.
+ * format `--shard` writes to disk -- restricted to the entries not
+ * yet sent on that connection, so each entry crosses a connection
+ * once; a duplicate completion (a reassigned slice finishing twice)
+ * deduplicates on import by content-addressing, for free.
  */
 
 #ifndef PENELOPE_NET_PROTOCOL_HH
@@ -72,7 +77,7 @@ namespace penelope {
 namespace net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x504e4c50; // PNLP
-inline constexpr std::uint32_t kProtocolVersion = 2;
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /** Serialized frame header size in bytes. */
 inline constexpr std::size_t kFrameHeaderBytes = 32;
@@ -107,12 +112,11 @@ enum class MessageType : std::uint32_t
     Shutdown = 4,
     Heartbeat = 5,
     SubmitJob = 6,
-    JobStatus = 7,
     JobUpdate = 8,
-    CancelJob = 9,
     HeartbeatAck = 10,
-    // 11 and 12 (a retired metrics query) stay unassigned, so
-    // they fail the header check like any unknown type.
+    // 7 and 9 (retired job control) and 11 and 12 (a retired
+    // metrics query) stay unassigned, so they fail the header
+    // check like any unknown type.
 };
 
 /** One decoded frame. */
@@ -161,10 +165,7 @@ RecvStatus recvFrame(Socket &sock, Frame &frame,
  *  connection as idempotent. */
 struct HelloMessage
 {
-    std::uint32_t protocolVersion = kProtocolVersion;
     std::uint32_t hostCpus = 0; ///< worker hardware threads
-    std::uint64_t capabilities = 0; ///< reserved (header flags are
-                                    ///< authoritative)
 
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);
@@ -184,7 +185,6 @@ struct AssignMessage
 struct ResultMessage
 {
     std::uint32_t sliceIndex = 0;
-    std::uint32_t hostCpus = 0;
     double simSeconds = 0.0; ///< worker-side wall time for the slice
     std::string entries;     ///< ResultCache::exportNewEntries
                              ///< stream (new on this connection)
@@ -217,7 +217,6 @@ struct HeartbeatMessage
  *  snapshot. */
 struct HeartbeatAckMessage
 {
-    std::uint32_t sliceIndex = 0;
     std::uint64_t sequence = 0;
 
     void encode(ByteWriter &w) const;
@@ -233,25 +232,6 @@ struct SubmitJobMessage
     bool decode(ByteReader &r);
 };
 
-/** client -> coordinator: poll/resync one job. */
-struct JobStatusMessage
-{
-    std::uint32_t jobId = 0;
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
-/** client -> coordinator: abandon one job.  Pending
- *  slices are dropped; in-flight ones finish harmlessly. */
-struct CancelJobMessage
-{
-    std::uint32_t jobId = 0;
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
 /** Lifecycle of a submitted job (wire-stable values). */
 enum class JobState : std::uint8_t
 {
@@ -260,18 +240,18 @@ enum class JobState : std::uint8_t
     Running = 2,
     Complete = 3,
     Partial = 4, ///< finished degraded: see incompleteSlices
-    Cancelled = 5,
+    // 5 (a retired Cancelled) stays unassigned.
 };
 
 /** True for states a job can never leave. */
 bool jobStateFinal(JobState state);
 
-/** coordinator -> client: job progress.  Streamed on
- *  every state change; `entries` carries the slice result payloads
- *  that landed since the previous update to this client (partial
- *  results render as they arrive), and the final update of a
- *  Complete/Partial job carries the job's full entry stream so a
- *  freshly (re)connected client still renders bit-identically. */
+/** coordinator -> client: job progress, sent on every state
+ *  change.  `entries` is a delta: the store entries that landed
+ *  since the previous update on this connection (partial results
+ *  render as they arrive), so the updates of one connection
+ *  together carry every entry of the store exactly once, the final
+ *  update included. */
 struct JobUpdateMessage
 {
     std::uint32_t jobId = 0;
@@ -284,7 +264,7 @@ struct JobUpdateMessage
      *  manifest of what a Partial job is missing. */
     std::vector<std::uint32_t> incompleteSlices;
 
-    std::string entries; ///< ResultCache::exportToBytes stream
+    std::string entries; ///< ResultCache::exportNewEntries stream
 
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);

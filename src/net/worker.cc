@@ -296,10 +296,10 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
             const bool peer_metrics =
                 (frame.flags & kCapMetrics) != 0;
             if (peer_metrics && obs::kCompiledIn) {
-                // A metrics-capable coordinator wants telemetry:
-                // turn emission on so the piggybacked snapshots
-                // carry real series.  stdout is untouched either
-                // way.
+                // The coordinator's registry records (it sends the
+                // bit only then): turn emission on so the
+                // piggybacked snapshots carry real series.  stdout
+                // is untouched either way.
                 obs::Registry::instance().setEnabled(true);
             }
 
@@ -335,7 +335,6 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
 
             ResultMessage result;
             result.sliceIndex = assign.sliceIndex;
-            result.hostCpus = config.hostCpus;
             result.simSeconds = sim_seconds;
             cache.exportNewEntries(sent_keys, result.entries);
             local_stats.sentBytes += result.entries.size();

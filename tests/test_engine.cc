@@ -198,6 +198,42 @@ TEST(Engine, MapPreservesItemOrder)
         EXPECT_EQ(squares[i].updatesApplied, items[i] * items[i]);
 }
 
+/** Items with equal keys simulate once, whatever the job count:
+ *  fn runs once per distinct key, duplicates copy its result, and
+ *  the cache sees one lookup per distinct key. */
+TEST(Engine, MapDuplicateKeysSimulateOnceForAnyJobs)
+{
+    // 96 items over 8 distinct keys.
+    std::vector<unsigned> items(96);
+    for (std::size_t i = 0; i < items.size(); ++i)
+        items[i] = static_cast<unsigned>(i % 8);
+    std::vector<ResultCache::Stats> stats;
+    for (const unsigned jobs : {1u, 4u}) {
+        ResultCache cache;
+        std::atomic<unsigned> calls{0};
+        const auto squares = Engine(jobs).mapCached<IsvStats>(
+            items, &cache,
+            [](unsigned item, std::size_t) {
+                return CacheKeyBuilder("square").u32(item).digest();
+            },
+            [&](unsigned item, std::size_t) {
+                ++calls;
+                IsvStats square;
+                square.updatesApplied = item * item;
+                return square;
+            });
+        EXPECT_EQ(calls.load(), 8u) << "jobs " << jobs;
+        for (std::size_t i = 0; i < items.size(); ++i)
+            EXPECT_EQ(squares[i].updatesApplied, items[i] * items[i]);
+        stats.push_back(cache.stats());
+    }
+    for (const ResultCache::Stats &s : stats) {
+        EXPECT_EQ(s.hits, 0u);
+        EXPECT_EQ(s.misses, 8u);
+        EXPECT_EQ(s.stores, 8u);
+    }
+}
+
 // ------------------------------------------------- streamed passes
 
 /** A toy streamed-pass consumer: folds the uops it is fed, scaled

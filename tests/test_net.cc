@@ -222,6 +222,18 @@ TEST(NetProtocol, RecvTimesOutInsteadOfHanging)
 
 // ---------------------------------------------- message payloads
 
+/** A protocol-version-2 Hello payload: u32 version, u32 host CPUs,
+ *  u64 capabilities. */
+std::string
+v2HelloPayload(std::uint32_t host_cpus)
+{
+    ByteWriter w;
+    w.u32(2);
+    w.u32(host_cpus);
+    w.u64(0);
+    return std::string(w.view());
+}
+
 TEST(NetProtocol, MessageCodecsRoundTrip)
 {
     {
@@ -233,7 +245,7 @@ TEST(NetProtocol, MessageCodecsRoundTrip)
         ByteReader r(w.view());
         ASSERT_TRUE(out.decode(r));
         EXPECT_EQ(out.hostCpus, 12u);
-        EXPECT_EQ(out.protocolVersion, net::kProtocolVersion);
+        EXPECT_EQ(w.view().size(), 4u);
     }
     {
         AssignMessage in;
@@ -250,7 +262,6 @@ TEST(NetProtocol, MessageCodecsRoundTrip)
     {
         ResultMessage in;
         in.sliceIndex = 1;
-        in.hostCpus = 4;
         in.simSeconds = 1.25;
         in.entries = std::string("\x00\x01payload", 9);
         ByteWriter w;
@@ -259,7 +270,6 @@ TEST(NetProtocol, MessageCodecsRoundTrip)
         ByteReader r(w.view());
         ASSERT_TRUE(out.decode(r));
         EXPECT_EQ(out.sliceIndex, 1u);
-        EXPECT_EQ(out.hostCpus, 4u);
         EXPECT_EQ(out.simSeconds, 1.25);
         EXPECT_EQ(out.entries, in.entries);
     }
@@ -267,14 +277,12 @@ TEST(NetProtocol, MessageCodecsRoundTrip)
 
 TEST(NetProtocol, MessageDecodersRejectBadPayloads)
 {
-    // Hello with a foreign protocol version.
+    // A Hello in the version-2 layout: its bytes run past the one
+    // field of the current layout.
     {
-        HelloMessage in;
-        in.protocolVersion = 99;
-        ByteWriter w;
-        in.encode(w);
         HelloMessage out;
-        ByteReader r(w.view());
+        const std::string v2 = v2HelloPayload(8);
+        ByteReader r(v2);
         EXPECT_FALSE(out.decode(r));
     }
     // Assign whose slice index is outside the plan.
@@ -575,10 +583,12 @@ TEST(NetFuzz, RandomByteBlobsAreRejectedOrClosed)
     }
 }
 
-/** Message types a retired metrics query used: a frame of either
- *  must fail the header check like any unknown type. */
-constexpr MessageType kRetiredTypes[] = {static_cast<MessageType>(11),
-                                         static_cast<MessageType>(12)};
+/** Retired message types -- job control (7 JobStatus, 9 CancelJob)
+ *  and a metrics query (11, 12): a frame of any of them must fail
+ *  the header check like any unknown type. */
+constexpr MessageType kRetiredTypes[] = {
+    static_cast<MessageType>(7), static_cast<MessageType>(9),
+    static_cast<MessageType>(11), static_cast<MessageType>(12)};
 
 bool
 retiredType(MessageType type)
@@ -599,8 +609,9 @@ withVersion(std::string frame, std::uint32_t version)
 TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 {
     // A corpus of one valid frame per conversation direction, plus
-    // version-1 frames (header and Hello payload) and frames of the
-    // retired types that must never be accepted as they stand.
+    // older-version frames (version-1 headers, a version-2 Hello
+    // payload) and frames of the retired types that must never be
+    // accepted as they stand.
     struct Seed
     {
         MessageType type;
@@ -618,9 +629,8 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     hello.hostCpus = 8;
     add(MessageType::Hello, hello);
     add(MessageType::Hello, hello, 1);
-    net::HelloMessage v1_hello = hello;
-    v1_hello.protocolVersion = 1;
-    add(MessageType::Hello, v1_hello);
+    corpus.push_back(
+        {MessageType::Hello, v2HelloPayload(8), net::kProtocolVersion});
     net::HeartbeatMessage beat;
     beat.sliceIndex = 1;
     beat.sequence = 42;
@@ -640,7 +650,7 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 
     // Unmutated: current-version frames verify, version-1 and
     // retired-type frames are rejected at the header, and a
-    // version-1 Hello payload fails its decode.
+    // version-2 Hello payload fails its decode.
     for (const Seed &seed : corpus) {
         LoopbackPair pair = LoopbackPair::make();
         const std::string frame = withVersion(
@@ -658,9 +668,8 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
         if (seed.type == MessageType::Hello) {
             net::HelloMessage decoded;
             ByteReader r(out.payload);
-            const bool ok = decoded.decode(r);
-            EXPECT_EQ(ok, decoded.protocolVersion ==
-                              net::kProtocolVersion);
+            EXPECT_EQ(decoded.decode(r),
+                      seed.payload != v2HelloPayload(8));
         }
     }
 
@@ -707,8 +716,9 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     }
 }
 
-/** A version-1 peer is dropped at its Hello -- by the frame header
- *  or by the Hello payload -- before it can claim a slice. */
+/** An older peer is dropped at its Hello -- by the frame header
+ *  (versions 1 and 2) or by the Hello payload (the version-2
+ *  layout) -- before it can claim a slice. */
 TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
 {
     const WorkloadSet workload;
@@ -725,13 +735,12 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
     hello.hostCpus = 2;
     ByteWriter current;
     hello.encode(current);
-    hello.protocolVersion = 1;
-    ByteWriter v1_payload;
-    hello.encode(v1_payload);
     const std::string frames[] = {
         withVersion(
             net::encodeFrame(MessageType::Hello, current.view()), 1),
-        net::encodeFrame(MessageType::Hello, v1_payload.view()),
+        withVersion(
+            net::encodeFrame(MessageType::Hello, current.view()), 2),
+        net::encodeFrame(MessageType::Hello, v2HelloPayload(2)),
     };
     for (const std::string &frame : frames) {
         Socket conn = Socket::connectTo("127.0.0.1",
@@ -792,12 +801,12 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             break;
           }
           case 1: { // valid frame, flipped payload byte
-            net::JobStatusMessage status;
-            status.jobId = rng.below(100);
+            net::SubmitJobMessage submit;
+            submit.plan = plan;
             ByteWriter w;
-            status.encode(w);
+            submit.encode(w);
             std::string frame = net::encodeFrame(
-                MessageType::JobStatus, w.view());
+                MessageType::SubmitJob, w.view());
             frame[net::kFrameHeaderBytes +
                   rng.below(static_cast<std::uint32_t>(
                       frame.size() - net::kFrameHeaderBytes))] ^=
@@ -814,16 +823,27 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             net::sendFrame(conn, MessageType::Heartbeat, w.view());
             break;
           }
-          case 3: { // client op for a job that never existed
-            net::CancelJobMessage cancel;
-            cancel.jobId = 1000 + rng.below(1000);
+          case 3: { // a second frame on a client connection
+            net::SubmitJobMessage submit;
+            submit.plan = plan;
             ByteWriter w;
-            cancel.encode(w);
-            net::sendFrame(conn, MessageType::CancelJob, w.view());
+            submit.encode(w);
+            ASSERT_TRUE(net::sendFrame(conn, MessageType::SubmitJob,
+                                       w.view()));
+            Frame out;
+            ASSERT_EQ(net::recvFrame(conn, out, 10'000),
+                      RecvStatus::Ok);
+            EXPECT_EQ(out.type, MessageType::JobUpdate);
+            // One job per connection: the coordinator hangs up
+            // instead of taking another.
+            net::sendFrame(conn, MessageType::SubmitJob, w.view());
+            EXPECT_EQ(net::recvFrame(conn, out, 10'000),
+                      RecvStatus::Closed);
             break;
           }
           case 4: { // a well-formed frame of a retired type
-            const MessageType type = kRetiredTypes[(i / 5) % 2];
+            const MessageType type =
+                kRetiredTypes[(i / 5) % std::size(kRetiredTypes)];
             net::sendFrame(conn, type, "");
             // The coordinator hangs up without a reply.
             Frame out;
@@ -1035,14 +1055,13 @@ TEST(NetProtocol, HeartbeatMetricsTailRoundTrips)
 TEST(NetProtocol, MetricsMessageCodecsRoundTrip)
 {
     HeartbeatAckMessage in;
-    in.sliceIndex = 2;
     in.sequence = 99;
     ByteWriter w;
     in.encode(w);
+    EXPECT_EQ(w.view().size(), 8u);
     HeartbeatAckMessage out;
     ByteReader r(w.view());
     ASSERT_TRUE(out.decode(r));
-    EXPECT_EQ(out.sliceIndex, 2u);
     EXPECT_EQ(out.sequence, 99u);
 }
 
@@ -1086,13 +1105,15 @@ TEST(Distributed, NoMetricsCapabilityDegradesCleanly)
     EXPECT_EQ(merged, reference);
 }
 
-/** With full capabilities, worker heartbeats carry snapshots the
+/** With full capabilities and a recording registry (as under
+ *  `--metrics-port`), worker heartbeats carry snapshots the
  *  coordinator aggregates per worker.  Gated on a heartbeat having
  *  actually fired (slices can finish under the interval). */
 TEST(Distributed, MetricsPiggybackReachesCoordinator)
 {
     if (!obs::kCompiledIn)
         GTEST_SKIP();
+    const obs::ScopedEnable enable;
     const WorkloadSet workload;
     // Slices long enough for several 2 ms beats on any host.
     ShardPlan plan = samplePlan();
@@ -1128,6 +1149,38 @@ TEST(Distributed, MetricsPiggybackReachesCoordinator)
         EXPECT_NE(snaps.front().second.find("net.frames_sent"),
                   nullptr);
     }
+}
+
+/** A coordinator whose registry is off does not ask its workers for
+ *  telemetry: an in-process worker leaves the shared registry off,
+ *  ships no snapshots and gets no acks. */
+TEST(Distributed, ObsOffCoordinatorLeavesWorkerTelemetryOff)
+{
+    const obs::ScopedEnable disable(false);
+    const WorkloadSet workload;
+    const ShardPlan plan = samplePlan();
+
+    ResultCache collected;
+    CoordinatorConfig config;
+    config.sliceTimeoutMs = 60'000;
+    Coordinator coordinator(plan, collected, config);
+    std::string error;
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] { coordinator.run(); });
+
+    WorkerConfig wc;
+    wc.host = "127.0.0.1";
+    wc.port = coordinator.port();
+    wc.hostCpus = 1;
+    wc.heartbeatIntervalMs = 2;
+    ResultCache local;
+    std::string werr;
+    EXPECT_EQ(net::runWorker(wc, workload, local, nullptr, &werr),
+              WorkerOutcome::Finished);
+    serve.join();
+
+    EXPECT_FALSE(obs::enabled());
+    EXPECT_TRUE(coordinator.workerSnapshots().empty());
 }
 
 } // namespace

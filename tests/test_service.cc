@@ -6,14 +6,15 @@
  * heartbeat deadline, retry-budget exhaustion degrading a job to
  * Partial with an explicit manifest, worker reconnection across a
  * coordinator restart, delta entry streams, the SubmitJob/JobUpdate
- * client conversation against a resident coordinator, CancelJob,
- * and graceful stop semantics.
+ * client conversation against a resident coordinator (every entry
+ * delivered exactly once), and graceful stop semantics.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -36,7 +37,6 @@ namespace penelope {
 namespace {
 
 using net::BackoffPolicy;
-using net::CancelJobMessage;
 using net::Coordinator;
 using net::CoordinatorConfig;
 using net::FaultAction;
@@ -836,8 +836,23 @@ TEST(Service, ResidentSubmitJobStreamsToCompletion)
     EXPECT_EQ(client_cache.stats().stores, 0u);
 }
 
-TEST(Service, CancelJobGoesFinalWithoutWorkers)
+/** The keys of the entries in one exported entry stream. */
+std::unordered_set<Hash128, Hash128Hasher>
+streamKeys(const std::string &entries)
 {
+    ResultCache cache;
+    EXPECT_TRUE(cache.importFromBytes(entries));
+    std::unordered_set<Hash128, Hash128Hasher> keys;
+    std::string unused;
+    cache.exportNewEntries(keys, unused);
+    return keys;
+}
+
+TEST(Service, ResidentJobDeliversEachEntryOnce)
+{
+    const WorkloadSet workload;
+    const ShardPlan plan = samplePlan();
+
     ResultCache collected;
     CoordinatorConfig config;
     Coordinator coordinator(collected, config);
@@ -845,45 +860,76 @@ TEST(Service, CancelJobGoesFinalWithoutWorkers)
     ASSERT_TRUE(coordinator.start(&error)) << error;
     std::thread serve([&] { coordinator.run(); });
 
+    // A worker that holds its second slice until the client has
+    // received the first one's entries, so the job streams entries
+    // both before and in its final update.
+    std::promise<void> first_delivered;
+    std::thread worker([&, gate = first_delivered.get_future()] {
+        Socket sock = fake::introduce(coordinator.port());
+        ResultCache cache;
+        std::unordered_set<Hash128, Hash128Hasher> sent_keys;
+        net::AssignMessage assign;
+        fake::Report report;
+        for (unsigned n = 0; sock.valid() &&
+             fake::nextAssign(sock, assign, report);
+             ++n) {
+            if (n == 1)
+                gate.wait();
+            ASSERT_TRUE(runPlanSlice(workload, assign.plan,
+                                     assign.sliceIndex, 1, nullptr,
+                                     cache));
+            net::ResultMessage result;
+            result.sliceIndex = assign.sliceIndex;
+            cache.exportNewEntries(sent_keys, result.entries);
+            ASSERT_TRUE(
+                sendMessage(sock, MessageType::Result, result));
+        }
+    });
+
     Socket client = Socket::connectTo("127.0.0.1",
                                       coordinator.port(), &error);
     ASSERT_TRUE(client.valid()) << error;
     SubmitJobMessage submit;
-    submit.plan = samplePlan();
+    submit.plan = plan;
     ASSERT_TRUE(
         sendMessage(client, MessageType::SubmitJob, submit));
 
-    // The acceptance update names the job to cancel.
+    std::unordered_set<Hash128, Hash128Hasher> received;
+    unsigned streaming_updates = 0;
+    bool gate_open = false;
     JobUpdateMessage update;
-    ASSERT_TRUE(recvUpdate(client, update));
-    ASSERT_NE(update.state, JobState::Rejected);
-    const std::uint32_t job = update.jobId;
-
-    CancelJobMessage cancel;
-    cancel.jobId = job;
-    ASSERT_TRUE(
-        sendMessage(client, MessageType::CancelJob, cancel));
-    while (!net::jobStateFinal(update.state))
+    do {
         ASSERT_TRUE(recvUpdate(client, update));
-    EXPECT_EQ(update.state, JobState::Cancelled);
+        ASSERT_NE(update.state, JobState::Rejected);
+        const auto keys = streamKeys(update.entries);
+        for (const Hash128 &key : keys)
+            EXPECT_TRUE(received.insert(key).second)
+                << "an entry arrived twice";
+        if (!keys.empty() && !net::jobStateFinal(update.state))
+            ++streaming_updates;
+        if (!gate_open && update.slicesDone > 0) {
+            gate_open = true;
+            first_delivered.set_value();
+        }
+    } while (!net::jobStateFinal(update.state));
+    EXPECT_EQ(update.state, JobState::Complete);
+    EXPECT_GT(streaming_updates, 0u);
+
+    // The coordinator hangs up after the final update.
+    Frame after;
+    EXPECT_EQ(net::recvFrame(client, after, 10'000),
+              RecvStatus::Closed);
     client.close();
 
-    // An unknown id, by contrast, is rejected outright.
-    Socket other = Socket::connectTo("127.0.0.1",
-                                     coordinator.port(), &error);
-    ASSERT_TRUE(other.valid()) << error;
-    CancelJobMessage bogus;
-    bogus.jobId = 0xdeadu;
-    ASSERT_TRUE(
-        sendMessage(other, MessageType::CancelJob, bogus));
-    JobUpdateMessage rejected;
-    ASSERT_TRUE(recvUpdate(other, rejected));
-    EXPECT_EQ(rejected.state, JobState::Rejected);
-    other.close();
-
     coordinator.requestStop();
+    worker.join();
     serve.join();
-    EXPECT_EQ(coordinator.jobState(job), JobState::Cancelled);
+
+    // Exactly once: the union of the streams is the collected store.
+    std::unordered_set<Hash128, Hash128Hasher> stored;
+    std::string unused;
+    collected.exportNewEntries(stored, unused);
+    EXPECT_EQ(received, stored);
 }
 
 TEST(Service, GracefulStopFinalizesJobsAsPartial)
