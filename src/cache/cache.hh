@@ -22,6 +22,14 @@
  * never valid (inverted => key == ~0), so "valid, not inverted and
  * holding line_no" is exactly key == line_no; lines are at least 2
  * bytes, so no line number equals the sentinel.
+ *
+ * Recency is the last-use *cycle*, not an access count: two accesses
+ * at one `now` tie, and the LRU scan takes the first tied way in
+ * scan order.  So even a mechanism-free cache's hits depend on where
+ * its timeline puts equal stamps, not on address order alone.  The
+ * Table-3 miss streams (timing.hh) stamp on a baseline's timeline
+ * for this reason; stamping them by access count moves the DL0
+ * 8-way 8 KB baselines of trace 132.
  */
 
 #ifndef PENELOPE_CACHE_CACHE_HH

@@ -1,6 +1,9 @@
 #include "timing.hh"
 
+#include <algorithm>
+#include <cassert>
 #include <memory>
+#include <utility>
 
 #include "core/engine.hh"
 #include "core/serialize.hh"
@@ -28,32 +31,61 @@ memLossKey(const TraceSpec &spec, unsigned index,
     return key.digest();
 }
 
-/** Digest of a query's keyed (DL0, DTLB) geometry: queries with
- *  equal digests drive identical baseline runs. */
+/** Digest of one structure's keyed geometry: structures with equal
+ *  digests run identical mechanism-free simulations. */
 Hash128
-geometryKey(const MemLossQuery &query)
+geometryKey(const CacheConfig &config)
 {
     CacheKeyBuilder key("mem-geometry");
-    keyCacheConfig(key, query.dl0);
-    keyCacheConfig(key, query.dtlb);
+    keyCacheConfig(key, config);
     return key.digest();
 }
 
+/** Per element: the index of the first element equal to it. */
+template <class T>
+std::vector<std::size_t>
+firstEqual(const std::vector<T> &values)
+{
+    std::vector<std::size_t> first;
+    for (const T &value : values)
+        first.push_back(static_cast<std::size_t>(
+            std::find(values.begin(), values.end(), value) -
+            values.begin()));
+    return first;
+}
+
+/** One trace's sims in creation order -- its miss streams and
+ *  baselines and every missing query's mechanism sim -- each reading
+ *  only sims made before it. */
+struct MemLossPass
+{
+    std::vector<std::unique_ptr<MemTimingSim>> owned;
+    std::vector<MemTimingSim *> sims;
+
+    MemTimingSim *
+    add(std::unique_ptr<MemTimingSim> sim)
+    {
+        sims.push_back(sim.get());
+        owned.push_back(std::move(sim));
+        return sims.back();
+    }
+};
+
 /** One query's consumer of the shared trace pass: its mechanism sim
- *  and the baseline it shares with every query on the same geometry
- *  (the first of them feeds it). */
+ *  and its baseline.  The first consumer feeds every sim of the
+ *  pass in lockstep; the others only read their results. */
 struct MemLossRun
 {
-    std::shared_ptr<MemTimingSim> baseline;
-    bool feedsBaseline;
-    std::unique_ptr<MemTimingSim> mech;
+    std::shared_ptr<MemLossPass> pass;
+    bool feedsPass;
+    const MemTimingSim *baseline;
+    const MemTimingSim *mech;
 
     void
     feed(const Uop *uops, std::size_t n)
     {
-        if (feedsBaseline)
-            baseline->feed(uops, n);
-        mech->feed(uops, n);
+        if (feedsPass)
+            MemTimingSim::feedLockstep(pass->sims, uops, n);
     }
 
     MemLossSample
@@ -135,25 +167,77 @@ MemTimingSim::MemTimingSim(const CacheConfig &dl0_config,
 }
 
 void
+MemTimingSim::readMisses(MemTimingSim *dl0_source,
+                         MemTimingSim *dtlb_source)
+{
+    if (dl0_source)
+        dl0_source->record_ = true;
+    if (dtlb_source)
+        dtlb_source->record_ = true;
+    dl0Source_ = dl0_source;
+    dtlbSource_ = dtlb_source;
+}
+
+void
+MemTimingSim::beginChunk(std::size_t n)
+{
+    if (record_) {
+        dl0Missed_.resize(n);
+        dtlbMissed_.resize(n);
+    }
+    assert(!dl0Source_ || dl0Source_->dl0Missed_.size() == n);
+    assert(!dtlbSource_ || dtlbSource_->dtlbMissed_.size() == n);
+    uops_ += n;
+}
+
+inline void
+MemTimingSim::step(const Uop &uop, std::size_t i, double &cycles)
+{
+    // A structure with a source reads its misses from it instead of
+    // simulating; a sim that is read records both structures' misses.
+    const Cycle now = static_cast<Cycle>(cycles);
+    dl0_.tick(now);
+    dtlb_.tick(now);
+    cycles += params_.baseCpi;
+    if (isMemory(uop.cls)) {
+        ++memOps_;
+        const bool dtlb_miss = dtlbSource_
+            ? dtlbSource_->dtlbMissed_[i] != 0
+            : !dtlb_.access(uop.addr, now).hit;
+        const bool dl0_miss = dl0Source_
+            ? dl0Source_->dl0Missed_[i] != 0
+            : !dl0_.access(uop.addr, now).hit;
+        if (record_) {
+            dtlbMissed_[i] = dtlb_miss;
+            dl0Missed_[i] = dl0_miss;
+        }
+        if (dtlb_miss)
+            cycles += params_.dtlbMissPenalty;
+        if (dl0_miss)
+            cycles += params_.dl0MissPenalty;
+    }
+}
+
+void
 MemTimingSim::feed(const Uop *uops, std::size_t n)
 {
+    // Alone, the cycle count stays in a register.
+    beginChunk(n);
     double cycles = cycles_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Uop &uop = uops[i];
-        const Cycle now = static_cast<Cycle>(cycles);
-        dl0_.tick(now);
-        dtlb_.tick(now);
-        cycles += params_.baseCpi;
-        if (isMemory(uop.cls)) {
-            ++memOps_;
-            if (!dtlb_.access(uop.addr, now).hit)
-                cycles += params_.dtlbMissPenalty;
-            if (!dl0_.access(uop.addr, now).hit)
-                cycles += params_.dl0MissPenalty;
-        }
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        step(uops[i], i, cycles);
     cycles_ = cycles;
-    uops_ += n;
+}
+
+void
+MemTimingSim::feedLockstep(std::span<MemTimingSim *const> sims,
+                           const Uop *uops, std::size_t n)
+{
+    for (MemTimingSim *sim : sims)
+        sim->beginChunk(n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (MemTimingSim *sim : sims)
+            sim->step(uops[i], i, sim->cycles_);
 }
 
 MemSimResult
@@ -181,12 +265,21 @@ simulateMemLosses(const WorkloadSet &workload,
                   const MemTimingParams &params, double time_scale,
                   unsigned jobs, ThreadPool *pool, ResultCache *cache)
 {
-    // Per query: the first query on its geometry; they share one
-    // baseline run.
-    std::vector<std::size_t> base(queries.size(), 0);
-    for (std::size_t q = 0; q < queries.size(); ++q)
-        while (geometryKey(queries[base[q]]) != geometryKey(queries[q]))
-            ++base[q];
+    // Per query: the first query with its DL0 geometry, with its
+    // DTLB geometry and with both.  A trace task indexes its streams
+    // and baselines by these.
+    std::vector<Hash128> dl0_geometry;
+    std::vector<Hash128> dtlb_geometry;
+    std::vector<std::pair<Hash128, Hash128>> pair_geometry;
+    for (const MemLossQuery &query : queries) {
+        dl0_geometry.push_back(geometryKey(query.dl0));
+        dtlb_geometry.push_back(geometryKey(query.dtlb));
+        pair_geometry.emplace_back(dl0_geometry.back(),
+                                   dtlb_geometry.back());
+    }
+    const std::vector<std::size_t> dl0_of = firstEqual(dl0_geometry);
+    const std::vector<std::size_t> dtlb_of = firstEqual(dtlb_geometry);
+    const std::vector<std::size_t> pair_of = firstEqual(pair_geometry);
 
     const Engine engine(jobs, pool);
     return engine.streamCached<MemLossSample>(
@@ -198,26 +291,48 @@ simulateMemLosses(const WorkloadSet &workload,
         },
         [&](unsigned index) { return workload.generator(index); },
         [&](unsigned) {
-            // Baselines are built for the geometries of the missing
-            // queries only, one per geometry.
-            return [&, baselines = std::vector<std::shared_ptr<
-                           MemTimingSim>>(queries.size())](
+            // Streams are built for the geometries of the missing
+            // queries only, in query order.
+            const std::size_t n = queries.size();
+            return [&, pass = std::make_shared<MemLossPass>(),
+                    dl0 = std::vector<MemTimingSim *>(n),
+                    dtlb = std::vector<MemTimingSim *>(n),
+                    baseline = std::vector<const MemTimingSim *>(n)](
                        std::size_t q) mutable {
                 const MemLossQuery &query = queries[q];
-                std::shared_ptr<MemTimingSim> &baseline =
-                    baselines[base[q]];
-                const bool feeds = !baseline;
-                if (feeds)
-                    baseline = std::make_shared<MemTimingSim>(
-                        query.dl0, query.dtlb, params,
-                        MechanismKind::None, MechanismKind::None,
-                        time_scale);
-                return std::make_unique<MemLossRun>(MemLossRun{
-                    baseline, feeds,
-                    std::make_unique<MemTimingSim>(
+                const bool first = pass->sims.empty();
+                MemTimingSim *&d = dl0[dl0_of[q]];
+                MemTimingSim *&t = dtlb[dtlb_of[q]];
+                const MemTimingSim *&b = baseline[pair_of[q]];
+                if (!b) {
+                    // The pair's baseline: it simulates whichever of
+                    // its structures has no stream yet, stamped on
+                    // its own timeline, and reads the other's.
+                    MemTimingSim *sim =
+                        pass->add(std::make_unique<MemTimingSim>(
+                            query.dl0, query.dtlb, params,
+                            MechanismKind::None, MechanismKind::None,
+                            time_scale));
+                    sim->readMisses(d, t);
+                    b = sim;
+                    if (!d)
+                        d = sim;
+                    if (!t)
+                        t = sim;
+                }
+                MemTimingSim *mech =
+                    pass->add(std::make_unique<MemTimingSim>(
                         query.dl0, query.dtlb, params,
                         query.dl0Mechanism, query.dtlbMechanism,
-                        time_scale)});
+                        time_scale));
+                mech->readMisses(
+                    query.dl0Mechanism == MechanismKind::None ? d
+                                                              : nullptr,
+                    query.dtlbMechanism == MechanismKind::None
+                        ? t
+                        : nullptr);
+                return std::make_unique<MemLossRun>(
+                    MemLossRun{pass, first, b, mech});
             };
         });
 }

@@ -13,13 +13,31 @@
  * One pass per trace: simulateMemLosses() prices a whole list of
  * MemLossQuery configurations as one client of the engine's
  * streamed pass (Engine::streamCached): each query is a slot with
- * its own key, and each missing query's consumer is a mechanism
- * MemTimingSim plus the baseline MemTimingSim it shares with every
- * query on the same (DL0, DTLB) geometry.  Every sim consumes
- * exactly the uop sequence a private generator would have produced,
- * so each MemLossSample is bit-identical to two independent
- * MemTimingSim::run() calls, and per-query cache keys and payloads
- * are those of a one-query call.
+ * its own key.  Per trace, the missing queries share *miss streams*:
+ * one mechanism-free simulation of each distinct DL0 and each
+ * distinct DTLB geometry, recording a miss bit per uop of the
+ * current chunk (MemTimingSim::readMisses).  A query's mechanism
+ * sim simulates only its mechanised structure(s) and reads the other
+ * structure's misses from its stream; one feedLockstep() per chunk
+ * steps every sim of the trace uop by uop.  Streams are built in
+ * query order by the queries' baselines, mechanism-free sims of
+ * their (DL0, DTLB) pairs: a baseline simulates whichever of its pair has
+ * no stream yet (both, or one while reading its partner's stream),
+ * so a stream stamps LRU recency on the timeline of the first
+ * baseline that names it, and that baseline's cycle count comes at
+ * no extra cost.  A pair whose streams both came from other
+ * baselines gets a baseline that only reads them.
+ *
+ * Recency is stamped in cycles (cache.hh), so a stream reproduces a
+ * mechanism sim's own mechanism-free structure only where their LRU
+ * ties break alike.  Penalties are whole cycles, so every timeline
+ * of a trace shares the baseline's fractional cycle pattern, and its
+ * ties wherever neither has a miss.  With baseline stamps, each
+ * MemLossSample has matched two independent MemTimingSim::run()
+ * calls bit for bit on every list tested (the catalog's own, pinned
+ * in tests/test_cache.cc and by the golden store digests), where
+ * access-count stamps do not.  Per-query cache keys and payloads are
+ * those of a one-query call.
  */
 
 #ifndef PENELOPE_CACHE_TIMING_HH
@@ -27,6 +45,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache.hh"
@@ -107,8 +126,30 @@ class MemTimingSim
     /** Simulate the next @p n uops of the stream. */
     void feed(const Uop *uops, std::size_t n);
 
+    /**
+     * feed() every sim of @p sims the same @p n uops, uop by uop in
+     * lockstep: each sim ends exactly as after its own feed(), and a
+     * sim that reads another's misses (readMisses) must come after
+     * it.  In lockstep a uop's memory-or-not branch repeats across
+     * the sims, so it is mispredicted once per uop, not once per sim
+     * (about 10 ns/uop per sim on the catalog traces).
+     */
+    static void feedLockstep(std::span<MemTimingSim *const> sims,
+                             const Uop *uops, std::size_t n);
+
     /** Statistics of everything fed so far. */
     MemSimResult result() const;
+
+    /**
+     * Read miss streams within one trace pass (simulateMemLosses):
+     * a structure whose source is non-null is no longer simulated;
+     * uop i's miss on it is the source's bit for uop i of the same
+     * chunk, so the source is fed each chunk first (or earlier in
+     * one feedLockstep()), and from then on records each uop's
+     * misses on both its structures.  A read structure counts no
+     * hits or misses and never inverts.
+     */
+    void readMisses(MemTimingSim *dl0_source, MemTimingSim *dtlb_source);
 
     /** Feed @p num_uops uops from @p gen; returns result(). */
     template <class Gen>
@@ -126,12 +167,27 @@ class MemTimingSim
     Cache &dtlb() { return dtlb_; }
 
   private:
+    /** Account a chunk of @p n uops and size its miss bits. */
+    void beginChunk(std::size_t n);
+
+    /** Simulate uop @p i of the chunk on cycle count @p cycles. */
+    void step(const Uop &uop, std::size_t i, double &cycles);
+
     MemTimingParams params_;
     Cache dl0_;
     Cache dtlb_;
     double cycles_ = 0.0;
     std::uint64_t uops_ = 0;
     std::uint64_t memOps_ = 0;
+
+    /** Miss streams (readMisses): where a structure's misses come
+     *  from, whether another sim reads this one's, and the per-uop
+     *  miss bits of the last chunk. */
+    const MemTimingSim *dl0Source_ = nullptr;
+    const MemTimingSim *dtlbSource_ = nullptr;
+    bool record_ = false;
+    std::vector<std::uint8_t> dl0Missed_;
+    std::vector<std::uint8_t> dtlbMissed_;
 };
 
 /**
@@ -180,9 +236,11 @@ struct MemLossQuery
  * @p trace_indices order.
  *
  * One Engine task per trace on @p jobs workers; each task owns its
- * sims, so the result is bit-identical for any jobs value.  With
- * @p cache set, a task simulates only the queries that missed (plus
- * their baselines).  Equal queries share one simulation.
+ * streams and sims, so the result is bit-identical for any jobs
+ * value.  With @p cache set, a task simulates only the queries that
+ * missed (plus the streams of their geometries).  Equal queries
+ * share one simulation.  Table 3's 29 queries thus simulate 39
+ * structures per memory uop: 30 mechanised and 9 streams.
  */
 std::vector<std::vector<MemLossSample>>
 simulateMemLosses(const WorkloadSet &workload,

@@ -526,6 +526,91 @@ TEST(Timing, BatchedPassMatchesFreshRuns)
     }
 }
 
+/** Table 3's 29 queries in runTable3Experiment's order, then Table
+ *  4's two combined ones (buildProcessorSummary). */
+std::vector<MemLossQuery>
+catalogMemLossQueries()
+{
+    const CacheConfig dl0;
+    const CacheConfig dtlb = CacheConfig::tlb(128, 8);
+    const MechanismKind grid[] = {MechanismKind::SetFixed50,
+                                  MechanismKind::LineFixed50,
+                                  MechanismKind::LineDynamic60};
+    std::vector<MemLossQuery> queries;
+    for (const unsigned ways : {8u, 4u}) {
+        for (const unsigned kb : {32u, 16u, 8u}) {
+            CacheConfig row;
+            row.sizeBytes = kb * 1024;
+            row.ways = ways;
+            for (const MechanismKind m : grid)
+                queries.push_back({row, dtlb, m, MechanismKind::None});
+        }
+    }
+    for (const unsigned entries : {128u, 64u, 32u})
+        for (const MechanismKind m : grid)
+            queries.push_back({dl0, CacheConfig::tlb(entries, 8),
+                               MechanismKind::None, m});
+    queries.push_back({dl0, dtlb, MechanismKind::WayFixed50,
+                       MechanismKind::None});
+    queries.push_back({dl0, dtlb, MechanismKind::LineFixed50,
+                       MechanismKind::LineFixed50});
+    queries.push_back({dl0, dtlb, MechanismKind::LineDynamic60,
+                       MechanismKind::LineDynamic60});
+    return queries;
+}
+
+TEST(Timing, SharedMissStreamsMatchFreshRunsOnCatalogQueries)
+{
+    // The shared miss streams reproduce fresh per-query sim pairs bit
+    // for bit on the lists the catalog runs.  The second list starts
+    // on a non-default pair, so the DL0 4-way 8 KB and DTLB 32-entry
+    // streams are stamped on that pair's timeline, and the catalog
+    // baselines of both geometries read two streams stamped by
+    // different timelines.
+    const WorkloadSet workload;
+    const std::vector<unsigned> traces = {0, 132, 244};
+    const std::size_t uops = 10'000;
+    const std::vector<MemLossQuery> catalog = catalogMemLossQueries();
+    std::vector<MemLossQuery> reordered = catalog;
+    CacheConfig dl0_4w8k;
+    dl0_4w8k.sizeBytes = 8 * 1024;
+    dl0_4w8k.ways = 4;
+    reordered.insert(reordered.begin(),
+                     {dl0_4w8k, CacheConfig::tlb(32, 8),
+                      MechanismKind::LineDynamic60,
+                      MechanismKind::None});
+
+    for (const double time_scale : {0.05, 0.005}) {
+        std::vector<std::vector<MemLossSample>> want(reordered.size());
+        for (std::size_t q = 0; q < reordered.size(); ++q)
+            for (const unsigned index : traces)
+                want[q].push_back(referenceSample(
+                    workload, index, uops, reordered[q], time_scale));
+        for (const unsigned jobs : {1u, 4u}) {
+            for (const bool first_non_default : {false, true}) {
+                SCOPED_TRACE("time scale " + std::to_string(time_scale) +
+                             " jobs " + std::to_string(jobs) +
+                             (first_non_default ? " reordered"
+                                                : " catalog"));
+                const std::size_t skip = first_non_default ? 0 : 1;
+                const auto got = simulateMemLosses(
+                    workload, traces, uops,
+                    first_non_default ? reordered : catalog,
+                    MemTimingParams(), time_scale, jobs);
+                ASSERT_EQ(got.size(), reordered.size() - skip);
+                for (std::size_t q = 0; q < got.size(); ++q)
+                    for (std::size_t t = 0; t < traces.size(); ++t) {
+                        SCOPED_TRACE("query " + std::to_string(q) +
+                                     " trace " +
+                                     std::to_string(traces[t]));
+                        expectSamplesEqual(got[q][t],
+                                           want[q + skip][t]);
+                    }
+            }
+        }
+    }
+}
+
 // ------------------------------------ paths Table 3 never reaches
 //
 // Table 3 runs power-of-two set windows and full way windows only.
