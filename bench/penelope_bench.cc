@@ -24,7 +24,7 @@
  * to a plain run.
  *
  * A command line selects one mode: a local run (which covers
- * --merge), --shard, --serve, --client or --worker.  One option
+ * --merge), --shard, --serve or --worker.  One option
  * table gives each flag's parsing, bounds, valid modes and help
  * text; --help is generated from it, and a flag given in a mode its
  * row does not list exits 2 instead of being silently ignored.
@@ -65,10 +65,9 @@ enum Mode : unsigned
     Local = 1,   ///< run (or --merge) experiments, render here
     Shard = 2,   ///< --shard: simulate a slice, write a shard file
     Serve = 4,   ///< --serve: coordinate workers, then render
-    Client = 8,  ///< --client: submit a job, then render
-    Worker = 16, ///< --worker: run slices a coordinator assigns
+    Worker = 8,  ///< --worker: run slices a coordinator assigns
 };
-constexpr unsigned kRuns = Local | Shard | Serve | Client;
+constexpr unsigned kRuns = Local | Shard | Serve;
 constexpr unsigned kAll = kRuns | Worker; ///< every mode simulates
 
 /** The flags that select a mode, in precedence order: when several
@@ -78,7 +77,7 @@ constexpr struct
     Mode mode;
     const char *flag;
 } kModeFlags[] = {{Worker, "--worker"}, {Serve, "--serve"},
-                  {Client, "--client"}, {Shard, "--shard"}};
+                  {Shard, "--shard"}};
 
 /**
  * Everything a command line sets.  Option actions write straight
@@ -107,8 +106,6 @@ struct Settings
     std::string shardOut;
     std::vector<std::string> mergeFiles;
     unsigned slices = 0; ///< 0 = derive from workers-expected
-    std::string host; ///< the coordinator of --client
-    std::uint16_t port = 0;
     bool metricsDump = false;
     std::optional<std::uint16_t> metricsPort;
     std::string traceOut;
@@ -185,7 +182,7 @@ parseShard(const char *text, unsigned &index, unsigned &count)
     return true;
 }
 
-/** Parse "HOST:PORT" for --worker / --client. */
+/** Parse "HOST:PORT" for --worker. */
 bool
 parseHostPort(const char *flag, const char *text,
               std::string &host, std::uint16_t &port)
@@ -337,18 +334,17 @@ const Option kOptions[] = {
      "slices, assign them to connecting --worker processes, reassign "
      "the slices of workers that disconnect or time out, then render "
      "the full statistics (byte-identical to an unsharded run); port "
-     "0 picks an ephemeral port (printed on stderr).  With no "
-     "experiments named it runs a resident service (see "
-     "src/net/coordinator.hh): jobs arrive from --client processes "
-     "and the service runs until SIGINT/SIGTERM (drains bounded, "
-     "flushes --cache-dir, exits 0)",
+     "0 picks an ephemeral port (printed on stderr); --cache-dir "
+     "keeps every collected entry.  SIGINT/SIGTERM stops it early: "
+     "in-flight slices drain (bounded), the incomplete slices are "
+     "listed on stderr and it exits 0 without rendering",
      [](auto &s, auto &v) { s.coordinator.port = v.n; }},
-    {"--workers-expected", "N", Serve | Client, Count, 1, 1024,
+    {"--workers-expected", "N", Serve, Count, 1, 1024,
      "workers the operator will attach (default 1; sizes the default "
      "slice carving; the run completes with any number)",
      [](auto &s, auto &v) { s.coordinator.workersExpected = v.n; }},
-    {"--slices", "N", Serve | Client, Count, 1, 531,
-     "slice count for --serve and --client (default 4x "
+    {"--slices", "N", Serve, Count, 1, 531,
+     "slice count for --serve (default 4x "
      "workers-expected, clamped to [workers-expected, 32])",
      [](auto &s, auto &v) { s.slices = v.n; }},
     {"--slice-timeout", "SECONDS", Serve, Count, 1, 86'400,
@@ -360,11 +356,6 @@ const Option kOptions[] = {
      "names/options come from the wire; local flags --jobs and "
      "--cache-dir still apply)",
      [](auto &s, auto &v) { s.worker.host = v.host; s.worker.port = v.port; }},
-    {"--client", "HOST:PORT", Client, HostPort, 0, 0,
-     "submit the selected experiments as a job to a coordinator, "
-     "stream partial results, then render locally -- stdout is "
-     "byte-identical to a local run",
-     [](auto &s, auto &v) { s.host = v.host; s.port = v.port; }},
     {"--retry-budget", "N", Serve, Count, 0, 100,
      "re-dispatches allowed per slice before the job degrades to a "
      "partial result with an explicit incomplete-slice manifest "
@@ -377,9 +368,6 @@ const Option kOptions[] = {
     {"--heartbeat-interval", "MS", Worker, Count, 1, 3'600'000,
      "worker heartbeat cadence (default 1000)",
      [](auto &s, auto &v) { s.worker.heartbeatIntervalMs = v.n; }},
-    {"--drain-timeout", "MS", Serve, Count, 0, 3'600'000,
-     "shutdown grace for in-flight slices (default 5000)",
-     [](auto &s, auto &v) { s.coordinator.drainTimeoutMs = v.n; }},
     {"--worker-reconnect", "MS", Worker, Count, 0, 3'600'000,
      "worker budget for re-connecting after a lost coordinator "
      "(survives coordinator restarts; 0 = exit on loss, default)",
@@ -554,7 +542,6 @@ parseArgs(int argc, char **argv, Settings &s)
     }
 
     // Expand --all and check every name before running anything.
-    // Only a resident --serve runs with none.
     const ExperimentRegistry &registry =
         ExperimentRegistry::instance();
     if (s.all) {
@@ -562,7 +549,7 @@ parseArgs(int argc, char **argv, Settings &s)
         for (const Experiment &e : registry.experiments())
             s.names.push_back(e.name);
     }
-    if (s.names.empty() && (s.mode & (Local | Shard | Client))) {
+    if (s.names.empty() && (s.mode & kRuns)) {
         std::cerr << "penelope_bench: no experiment given\n\n";
         listExperiments(std::cerr);
         std::cerr << '\n';
@@ -590,19 +577,6 @@ parseArgs(int argc, char **argv, Settings &s)
             s.options.uopsPerTrace = s.options.cacheUops = 200'000;
     }
     return -1;
-}
-
-const char *
-jobStateName(net::JobState state)
-{
-    switch (state) {
-      case net::JobState::Rejected: return "rejected";
-      case net::JobState::Accepted: return "accepted";
-      case net::JobState::Running: return "running";
-      case net::JobState::Complete: return "complete";
-      case net::JobState::Partial: return "partial";
-    }
-    return "unknown";
 }
 
 /** One stderr line of fired-fault accounting when injection is on
@@ -774,7 +748,7 @@ runShard(const Settings &s, ResultCache &cache)
 }
 
 /**
- * The plan --serve and --client carve.  4 slices per worker smooths
+ * The plan --serve carves.  4 slices per worker smooths
  * load imbalance and shrinks the redo unit when a worker dies,
  * without inflating per-slice shared-phase overhead.  More than 531
  * (the trace count) would fail every worker's validation.
@@ -842,9 +816,8 @@ runWorker(Settings &s, ResultCache &cache)
 
 /**
  * --serve: coordinate a run, then render it from the collected
- * entries (a Partial job's missing slices recompute locally).  With
- * no experiments named it is a resident service for --client jobs
- * that runs until SIGINT/SIGTERM.
+ * entries (a Partial job's missing slices recompute locally).  A
+ * run stopped by SIGINT/SIGTERM does not render.
  */
 int
 runServe(Settings &s, ResultCache &cache, ObsSession &obs)
@@ -853,39 +826,21 @@ runServe(Settings &s, ResultCache &cache, ObsSession &obs)
     net::CoordinatorConfig &config = s.coordinator;
     config.stopRequested = [] { return shutdownRequested(); };
 
-    const bool resident = s.names.empty();
-    std::optional<net::Coordinator> coordinator;
-    unsigned slices = 0;
-    if (resident) {
-        coordinator.emplace(cache, config);
-    } else {
-        const ShardPlan plan = carvePlan(s);
-        slices = plan.sliceCount;
-        coordinator.emplace(plan, cache, config);
-    }
-
-    obs.coordinator.store(&*coordinator, std::memory_order_release);
+    const ShardPlan plan = carvePlan(s);
+    net::Coordinator coordinator(plan, cache, config);
+    obs.coordinator.store(&coordinator, std::memory_order_release);
     std::string error;
-    if (!coordinator->start(&error)) {
+    if (!coordinator.start(&error)) {
         std::cerr << "penelope_bench: --serve: " << error << "\n";
         return 1;
     }
     std::cerr << "penelope_bench: coordinator listening on port "
-              << coordinator->port();
-    if (resident) {
-        std::cerr << " (resident service; submit jobs with: "
-                     "penelope_bench <experiments> --client <host>:"
-                  << coordinator->port()
-                  << "; stop with SIGINT/SIGTERM)";
-    } else {
-        std::cerr << " (" << slices << " slices, expecting "
-                  << config.workersExpected
-                  << " workers; attach with: penelope_bench "
-                     "--worker <host>:"
-                  << coordinator->port() << ")";
-    }
-    std::cerr << "\n";
-    coordinator->run();
+              << coordinator.port() << " (" << plan.sliceCount
+              << " slices, expecting " << config.workersExpected
+              << " workers; attach with: penelope_bench "
+                 "--worker <host>:"
+              << coordinator.port() << ")\n";
+    coordinator.run();
 
     // The coordinator leaves scope on both exits below: stop
     // serving its per-worker view first (stop() joins, so no
@@ -893,7 +848,7 @@ runServe(Settings &s, ResultCache &cache, ObsSession &obs)
     obs.coordinator.store(nullptr, std::memory_order_release);
     obs.server.stop();
 
-    const net::CoordinatorStats &cs = coordinator->stats();
+    const net::CoordinatorStats &cs = coordinator.stats();
     std::cerr << "penelope_bench: coordinator: " << cs.slices
               << " slices done, " << cs.assignments
               << " assignments (" << cs.reassignments
@@ -912,106 +867,29 @@ runServe(Settings &s, ResultCache &cache, ObsSession &obs)
               << " heartbeats, " << cs.hungForfeits
               << " hung-worker forfeits, " << cs.slicesFailed
               << " slices failed (retry budget "
-              << config.retryBudget << "), " << cs.jobsSubmitted
-              << " jobs submitted, " << cs.jobsFinished
-              << " finished\n";
-    if (!resident) {
-        const std::vector<std::uint32_t> manifest =
-            coordinator->incompleteSlices(0);
-        if (!manifest.empty()) {
-            std::cerr << "penelope_bench: coordinator: partial "
-                         "result; incomplete slices:";
-            for (const std::uint32_t slice : manifest)
-                std::cerr << ' ' << slice;
-            std::cerr << " (recomputed locally below)\n";
-        }
+              << config.retryBudget << ")\n";
+    const bool stopped = shutdownRequested();
+    const std::vector<std::uint32_t> manifest =
+        coordinator.incompleteSlices();
+    if (!manifest.empty()) {
+        std::cerr << "penelope_bench: coordinator: partial "
+                     "result; incomplete slices:";
+        for (const std::uint32_t slice : manifest)
+            std::cerr << ' ' << slice;
+        std::cerr << (stopped ? " (stopped; not rendered)\n"
+                              : " (recomputed locally below)\n");
     }
-    if (resident || shutdownRequested()) {
-        // Graceful service exit: everything collected so far is
-        // persisted (when --cache-dir is attached), so a restarted
-        // service serves it warm; no local render.
-        const std::size_t flushed = cache.flushToDisk();
-        if (flushed) {
-            std::cerr << "penelope_bench: coordinator: flushed "
-                      << flushed
-                      << " imported entries to the cache store\n";
-        }
+    // Imported entries live in memory only: persist what was
+    // collected (when --cache-dir is attached), so a rerun with the
+    // same store starts warm, whether or not this run renders.
+    const std::size_t flushed = cache.flushToDisk();
+    if (flushed) {
+        std::cerr << "penelope_bench: coordinator: flushed " << flushed
+                  << " imported entries to the cache store\n";
+    }
+    if (stopped) {
         printFaultSummary();
         return 0;
-    }
-    return render(s, cache);
-}
-
-/**
- * --client: submit the run as one job, import the streamed entries
- * into @p cache, then render.  A lost coordinator still renders:
- * whatever arrived is served and the rest recomputes locally.
- */
-int
-runClient(const Settings &s, ResultCache &cache)
-{
-    installShutdownHandlers();
-    std::string error;
-    net::Socket sock = net::Socket::connectTo(s.host, s.port, &error);
-    if (!sock.valid()) {
-        std::cerr << "penelope_bench: --client: " << error << "\n";
-        return 4;
-    }
-    net::SubmitJobMessage submit;
-    submit.plan = carvePlan(s);
-    ByteWriter w;
-    submit.encode(w);
-    if (!net::sendFrame(sock, net::MessageType::SubmitJob,
-                        w.view())) {
-        std::cerr
-            << "penelope_bench: --client: submitting job failed\n";
-        return 1;
-    }
-    for (;;) {
-        if (shutdownRequested()) {
-            std::cerr << "penelope_bench: client: interrupted; "
-                         "rendering what arrived\n";
-            break;
-        }
-        if (!sock.waitReadable(100))
-            continue;
-        net::Frame frame;
-        if (net::recvFrame(sock, frame, 30'000) !=
-            net::RecvStatus::Ok) {
-            std::cerr
-                << "penelope_bench: client: connection to "
-                   "coordinator lost; rendering what arrived "
-                   "(missing entries recompute locally)\n";
-            break;
-        }
-        if (frame.type != net::MessageType::JobUpdate)
-            continue;
-        net::JobUpdateMessage update;
-        ByteReader r(frame.payload);
-        if (!update.decode(r))
-            continue;
-        if (update.state == net::JobState::Rejected) {
-            std::cerr << "penelope_bench: --client: job rejected "
-                         "by coordinator\n";
-            return 5;
-        }
-        if (!update.entries.empty())
-            cache.importFromBytes(update.entries);
-        std::cerr << "penelope_bench: client: job " << update.jobId
-                  << " " << jobStateName(update.state) << ", "
-                  << update.slicesDone << "/" << update.slicesTotal
-                  << " slices, " << update.retries << " retries\n";
-        if (net::jobStateFinal(update.state)) {
-            if (update.state == net::JobState::Partial) {
-                std::cerr << "penelope_bench: client: partial "
-                             "result; incomplete slices:";
-                for (const std::uint32_t slice :
-                     update.incompleteSlices)
-                    std::cerr << ' ' << slice;
-                std::cerr << " (recomputed locally)\n";
-            }
-            break;
-        }
     }
     return render(s, cache);
 }
@@ -1055,7 +933,6 @@ main(int argc, char **argv)
     switch (s.mode) {
       case Worker: return runWorker(s, cache);
       case Serve: return runServe(s, cache, obs);
-      case Client: return runClient(s, cache);
       case Shard: return runShard(s, cache);
       default: break;
     }

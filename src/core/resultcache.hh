@@ -301,8 +301,9 @@ class ResultCache
      * to it.  store() persists as it goes, but
      * imported entries (importFrom/importFromBytes -- the
      * coordinator's collected worker results) live in memory only;
-     * a resident service flushes before exiting so a restart
-     * serves them warm.  No-op without a directory.  Returns the
+     * a coordinator stopped before its render flushes them, so a
+     * rerun with the same store serves them warm.  No-op without a
+     * directory.  Returns the
      * number of entries appended.
      */
     std::size_t flushToDisk();

@@ -17,12 +17,9 @@ namespace {
  *  completion and requestStop() wake the listener at once). */
 constexpr int kPollMs = 100;
 
-/** jobId carried by the Rejected update that answers a submit no
- *  job was created for (an undecodable plan, a stop under way). */
-constexpr std::uint32_t kNoJobId = 0xffffffffu;
-
-/** Sentinel for "no update sent to this client yet". */
-constexpr std::uint64_t kNeverSent = ~0ull;
+/** Bounded grace period for in-flight slices once a stop is
+ *  requested. */
+constexpr int kDrainMs = 5'000;
 
 using Clock = std::chrono::steady_clock;
 
@@ -45,27 +42,24 @@ ms(int n)
 
 } // namespace
 
-Coordinator::Coordinator(const ShardPlan &plan, ResultCache &cache,
-                         const CoordinatorConfig &config)
-    : initialPlan_(plan), resident_(false), cache_(cache),
-      config_(config)
+bool
+jobStateFinal(JobState state)
 {
-    backoff_.baseMs = config_.backoffBaseMs;
-    backoff_.capMs = std::max(config_.backoffCapMs,
-                              config_.backoffBaseMs);
-    backoff_.seed = config_.backoffSeed;
-    std::lock_guard<std::mutex> lock(mutex_);
-    createJobLocked(initialPlan_);
+    return state == JobState::Complete || state == JobState::Partial;
 }
 
-Coordinator::Coordinator(ResultCache &cache,
+Coordinator::Coordinator(const ShardPlan &plan, ResultCache &cache,
                          const CoordinatorConfig &config)
-    : resident_(true), cache_(cache), config_(config)
+    : cache_(cache), config_(config), job_(plan)
 {
     backoff_.baseMs = config_.backoffBaseMs;
     backoff_.capMs = std::max(config_.backoffCapMs,
                               config_.backoffBaseMs);
     backoff_.seed = config_.backoffSeed;
+    const Clock::time_point now = Clock::now();
+    for (std::uint32_t s = 0; s < plan.sliceCount; ++s)
+        ready_.push_back(Ready{s, now});
+    stats_.slices = plan.sliceCount;
 }
 
 Coordinator::~Coordinator()
@@ -121,12 +115,10 @@ Coordinator::requestStop()
 }
 
 JobState
-Coordinator::jobState(std::uint32_t job) const
+Coordinator::jobState() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(job);
-    return it == jobs_.end() ? JobState::Rejected
-                             : it->second.state;
+    return job_.state;
 }
 
 obs::LabeledSnapshots
@@ -142,48 +134,27 @@ Coordinator::workerSnapshots() const
 }
 
 std::vector<std::uint32_t>
-Coordinator::incompleteSlices(std::uint32_t job) const
+Coordinator::incompleteSlices(std::uint32_t) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::uint32_t> manifest;
-    const auto it = jobs_.find(job);
-    if (it == jobs_.end() || !jobStateFinal(it->second.state) ||
-        it->second.state == JobState::Complete)
+    if (job_.state != JobState::Partial)
         return manifest;
-    for (std::uint32_t s = 0; s < it->second.slices.size(); ++s) {
-        if (it->second.slices[s] != SliceState::Done)
+    for (std::uint32_t s = 0; s < job_.slices.size(); ++s) {
+        if (job_.slices[s] != SliceState::Done)
             manifest.push_back(s);
     }
     return manifest;
 }
 
-std::uint32_t
-Coordinator::createJobLocked(const ShardPlan &plan)
-{
-    const std::uint32_t id = nextJobId_++;
-    Job &job = jobs_[id];
-    job.id = id;
-    job.plan = plan;
-    job.slices.assign(plan.sliceCount, SliceState::Pending);
-    job.attempts.assign(plan.sliceCount, 0);
-    const Clock::time_point now = Clock::now();
-    for (std::uint32_t s = 0; s < plan.sliceCount; ++s)
-        ready_.push_back(Ready{id, s, now});
-    stats_.slices += plan.sliceCount;
-    return id;
-}
-
 void
-Coordinator::finalizeJobLocked(Job &job)
+Coordinator::finalizeJobLocked()
 {
-    if (jobStateFinal(job.state))
+    if (jobStateFinal(job_.state) ||
+        job_.doneCount + job_.failedCount < job_.slices.size())
         return;
-    if (job.doneCount + job.failedCount < job.slices.size())
-        return;
-    job.state = job.failedCount ? JobState::Partial
-                                : JobState::Complete;
-    ++job.updateSeq;
-    ++stats_.jobsFinished;
+    job_.state = job_.failedCount ? JobState::Partial
+                                  : JobState::Complete;
     wakeAccept();
 }
 
@@ -196,14 +167,7 @@ Coordinator::run()
 
     const auto doneServing = [this] {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_)
-            return true;
-        if (!resident_) {
-            const auto it = jobs_.find(0);
-            return it != jobs_.end() &&
-                jobStateFinal(it->second.state);
-        }
-        return false;
+        return stopping_ || jobStateFinal(job_.state);
     };
 
     while (!doneServing()) {
@@ -212,14 +176,10 @@ Coordinator::run()
             break;
         }
         Socket conn = listener_.accept(kPollMs, wake_[0]);
-        char buf[64]; // consume wakes: resident runs outlive jobs
-        while (wake_[0] >= 0 && ::read(wake_[0], buf, sizeof(buf)) > 0) {
-        }
         if (conn.valid()) {
             std::lock_guard<std::mutex> lock(mutex_);
             if (stopping_)
                 continue; // dropped: no new work past a stop
-            ++activeHandlers_;
             handlers_.emplace_back(
                 [this, sock = std::move(conn)]() mutable {
                     serveConnection(std::move(sock));
@@ -229,7 +189,7 @@ Coordinator::run()
     listener_.close();
 
     // Graceful drain: no new claims, but in-flight slices get
-    // drainTimeoutMs to land (their receives keep running -- only
+    // kDrainMs to land (their receives keep running -- only
     // abandon_ aborts them).
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -238,31 +198,18 @@ Coordinator::run()
     cv_.notify_all();
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock,
-                     ms(std::max(config_.drainTimeoutMs, 0)),
+        cv_.wait_for(lock, ms(kDrainMs),
                      [this] { return inFlight_ == 0; });
 
-        // Whatever did not land is now explicitly incomplete: every
+        // Whatever did not land is now explicitly incomplete: an
         // unresolved job degrades to Partial (its manifest is the
         // set of slices not Done) instead of hanging the caller.
-        for (auto &[id, job] : jobs_) {
-            if (jobStateFinal(job.state))
-                continue;
-            job.state = JobState::Partial;
-            ++job.updateSeq;
-            ++stats_.jobsFinished;
-        }
+        if (!jobStateFinal(job_.state))
+            job_.state = JobState::Partial;
         ready_.clear();
     }
-    cv_.notify_all();
 
-    // One last beat for client streams to push the final updates,
-    // then release everything still blocked and join.
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_.wait_for(lock, ms(1000),
-                     [this] { return activeHandlers_ == 0; });
-    }
+    // Release everything still blocked and join.
     abandon_.store(true, std::memory_order_relaxed);
     cv_.notify_all();
     for (std::thread &handler : handlers_)
@@ -274,7 +221,7 @@ Coordinator::run()
 }
 
 bool
-Coordinator::claimSlice(Claim &claim)
+Coordinator::claimSlice(std::uint32_t &slice)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
@@ -282,24 +229,13 @@ Coordinator::claimSlice(Claim &claim)
             return false;
         const Clock::time_point now = Clock::now();
         Clock::time_point nearest = Clock::time_point::max();
-        for (auto it = ready_.begin(); it != ready_.end();) {
-            const auto jt = jobs_.find(it->job);
-            if (jt == jobs_.end() ||
-                jobStateFinal(jt->second.state)) {
-                it = ready_.erase(it); // job finalized
-                continue;
-            }
+        for (auto it = ready_.begin(); it != ready_.end(); ++it) {
             if (it->notBefore <= now) {
-                Job &job = jt->second;
-                claim.job = it->job;
-                claim.slice = it->slice;
-                claim.plan = job.plan;
-                job.slices[it->slice] = SliceState::Assigned;
-                ++job.attempts[it->slice];
-                if (job.state == JobState::Accepted) {
-                    job.state = JobState::Running;
-                    ++job.updateSeq;
-                }
+                slice = it->slice;
+                job_.slices[slice] = SliceState::Assigned;
+                ++job_.attempts[slice];
+                if (job_.state == JobState::Accepted)
+                    job_.state = JobState::Running;
                 ready_.erase(it);
                 ++inFlight_;
                 ++stats_.assignments;
@@ -307,10 +243,9 @@ Coordinator::claimSlice(Claim &claim)
                 return true;
             }
             nearest = std::min(nearest, it->notBefore);
-            ++it;
         }
-        // Sleep until something becomes dispatchable: a new job, a
-        // forfeit, a stop, or the nearest backoff expiry.
+        // Sleep until something becomes dispatchable: a forfeit, a
+        // stop, or the nearest backoff expiry.
         if (nearest == Clock::time_point::max())
             cv_.wait(lock);
         else
@@ -319,54 +254,41 @@ Coordinator::claimSlice(Claim &claim)
 }
 
 void
-Coordinator::forfeitSlice(const Claim &claim, bool hung)
+Coordinator::forfeitSlice(std::uint32_t slice, bool hung)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     --inFlight_;
-    const auto jt = jobs_.find(claim.job);
-    if (jt == jobs_.end()) {
-        cv_.notify_all();
-        return;
-    }
-    Job &job = jt->second;
-    if (jobStateFinal(job.state) ||
-        job.slices[claim.slice] != SliceState::Assigned) {
+    if (jobStateFinal(job_.state) ||
+        job_.slices[slice] != SliceState::Assigned) {
         cv_.notify_all();
         return;
     }
     ++stats_.reassignments;
     if (hung)
         ++stats_.hungForfeits;
-    ++job.retries;
-    ++job.updateSeq;
     if (stopping_) {
         // Draining: nothing will claim it again; the stop sequence
         // folds it into the job's incomplete manifest.
-        job.slices[claim.slice] = SliceState::Pending;
-    } else if (job.attempts[claim.slice] > config_.retryBudget) {
-        job.slices[claim.slice] = SliceState::Failed;
-        ++job.failedCount;
+        job_.slices[slice] = SliceState::Pending;
+    } else if (job_.attempts[slice] > config_.retryBudget) {
+        job_.slices[slice] = SliceState::Failed;
+        ++job_.failedCount;
         ++stats_.slicesFailed;
-        finalizeJobLocked(job);
+        finalizeJobLocked();
     } else {
         // Deterministic backoff: the delay is a pure function of
-        // (seed, job/slice stream, attempt), so a seeded test
-        // replays the exact schedule.
-        const std::uint64_t stream =
-            (static_cast<std::uint64_t>(claim.job) << 32) |
-            claim.slice;
-        job.slices[claim.slice] = SliceState::Pending;
+        // (seed, slice, attempt), so a seeded test replays the
+        // exact schedule.
+        job_.slices[slice] = SliceState::Pending;
         ready_.push_back(Ready{
-            claim.job, claim.slice,
-            Clock::now() +
-                ms(backoff_.delayMs(stream,
-                                    job.attempts[claim.slice]))});
+            slice, Clock::now() + ms(backoff_.delayMs(
+                                      slice, job_.attempts[slice]))});
     }
     cv_.notify_all();
 }
 
 void
-Coordinator::completeSlice(const Claim &claim,
+Coordinator::completeSlice(std::uint32_t slice,
                            const ResultMessage &result)
 {
     // Import outside the coordination lock: the cache parses the
@@ -382,19 +304,13 @@ Coordinator::completeSlice(const Claim &claim,
     stats_.resultBytes += result.entries.size();
     stats_.workerSimSeconds += result.simSeconds;
     stats_.importSeconds += import_seconds;
-    const auto jt = jobs_.find(claim.job);
-    if (jt != jobs_.end()) {
-        Job &job = jt->second;
-        if (job.slices[claim.slice] == SliceState::Done) {
-            ++stats_.duplicateResults;
-        } else if (!jobStateFinal(job.state) &&
-                   job.slices[claim.slice] ==
-                       SliceState::Assigned) {
-            job.slices[claim.slice] = SliceState::Done;
-            ++job.doneCount;
-            ++job.updateSeq;
-            finalizeJobLocked(job);
-        }
+    if (job_.slices[slice] == SliceState::Done) {
+        ++stats_.duplicateResults;
+    } else if (!jobStateFinal(job_.state) &&
+               job_.slices[slice] == SliceState::Assigned) {
+        job_.slices[slice] = SliceState::Done;
+        ++job_.doneCount;
+        finalizeJobLocked();
     }
     cv_.notify_all();
 }
@@ -406,43 +322,27 @@ Coordinator::serveConnection(Socket sock)
         return abandon_.load(std::memory_order_relaxed);
     };
 
-    // The first frame declares the peer's role: Hello = worker,
-    // SubmitJob = client.  Anything else is a protocol breach and
-    // the connection is dropped (cleanly: no work was claimed).
+    // The first frame must be a Hello.  Anything else is a protocol
+    // breach and the connection is dropped (cleanly: no work was
+    // claimed).
     Frame frame;
-    const RecvStatus status =
-        recvFrame(sock, frame, config_.sliceTimeoutMs, abort);
-    if (status == RecvStatus::Ok) {
-        switch (frame.type) {
-          case MessageType::Hello: {
-            HelloMessage hello;
-            ByteReader r(frame.payload);
-            if (hello.decode(r)) {
-                unsigned worker_index = 0;
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    worker_index = stats_.workersSeen++;
-                    stats_.workerCpus.push_back(hello.hostCpus);
-                }
-                g_workersConnected.add(1);
-                serveWorker(sock, frame.flags, worker_index);
-                g_workersConnected.add(-1);
-            }
-            break;
-          }
-          case MessageType::SubmitJob:
-            serveClient(sock, frame);
-            break;
-          default:
-            break;
-        }
-    }
-
+    HelloMessage hello;
+    if (recvFrame(sock, frame, config_.sliceTimeoutMs, abort) !=
+            RecvStatus::Ok ||
+        frame.type != MessageType::Hello)
+        return;
+    ByteReader r(frame.payload);
+    if (!hello.decode(r))
+        return;
+    unsigned worker_index = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        --activeHandlers_;
+        worker_index = stats_.workersSeen++;
+        stats_.workerCpus.push_back(hello.hostCpus);
     }
-    cv_.notify_all();
+    g_workersConnected.add(1);
+    serveWorker(sock, frame.flags, worker_index);
+    g_workersConnected.add(-1);
 }
 
 void
@@ -460,18 +360,18 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
         : localCapabilities() & ~kCapMetrics;
     const bool peer_metrics = (peerCaps & caps & kCapMetrics) != 0;
 
-    Claim claim;
+    std::uint32_t slice = 0;
     Frame frame;
-    while (claimSlice(claim)) {
+    while (claimSlice(slice)) {
         const obs::ScopedSpan slice_span("coordinator.slice",
                                          "svc");
         AssignMessage assign;
-        assign.sliceIndex = claim.slice;
-        assign.plan = claim.plan;
+        assign.sliceIndex = slice;
+        assign.plan = job_.plan;
         ByteWriter w;
         assign.encode(w);
         if (!sendFrame(sock, MessageType::Assign, w.view(), caps)) {
-            forfeitSlice(claim, false);
+            forfeitSlice(slice, false);
             return;
         }
 
@@ -486,15 +386,15 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
         while (!completed) {
             const Clock::time_point now = Clock::now();
             if (now - assigned > ms(config_.sliceTimeoutMs)) {
-                forfeitSlice(claim, false);
+                forfeitSlice(slice, false);
                 return;
             }
             if (now - last_heard > ms(config_.heartbeatTimeoutMs)) {
-                forfeitSlice(claim, true);
+                forfeitSlice(slice, true);
                 return;
             }
             if (abort()) {
-                forfeitSlice(claim, false);
+                forfeitSlice(slice, false);
                 return;
             }
             if (!sock.waitReadable(kPollMs))
@@ -507,15 +407,15 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
                 sock, frame, std::max(config_.heartbeatTimeoutMs, 1000),
                 abort);
             if (status != RecvStatus::Ok) {
-                forfeitSlice(claim, false);
+                forfeitSlice(slice, false);
                 return;
             }
             if (frame.type == MessageType::Heartbeat) {
                 HeartbeatMessage beat;
                 ByteReader r(frame.payload);
                 if (!beat.decode(r) ||
-                    beat.sliceIndex != claim.slice) {
-                    forfeitSlice(claim, false);
+                    beat.sliceIndex != slice) {
+                    forfeitSlice(slice, false);
                     return;
                 }
                 last_heard = Clock::now();
@@ -543,24 +443,24 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
                     if (!sendFrame(sock,
                                    MessageType::HeartbeatAck,
                                    aw.view())) {
-                        forfeitSlice(claim, false);
+                        forfeitSlice(slice, false);
                         return;
                     }
                 }
                 continue;
             }
             if (frame.type != MessageType::Result) {
-                forfeitSlice(claim, false);
+                forfeitSlice(slice, false);
                 return;
             }
             ResultMessage result;
             ByteReader r(frame.payload);
             if (!result.decode(r) ||
-                result.sliceIndex != claim.slice) {
-                forfeitSlice(claim, false);
+                result.sliceIndex != slice) {
+                forfeitSlice(slice, false);
                 return;
             }
-            completeSlice(claim, result);
+            completeSlice(slice, result);
             completed = true;
         }
     }
@@ -568,75 +468,6 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
     // No more work for this worker: release it.  Best effort -- a
     // worker that vanished already is someone else's exit path.
     sendFrame(sock, MessageType::Shutdown, {});
-}
-
-void
-Coordinator::serveClient(Socket &sock, const Frame &submit)
-{
-    SubmitJobMessage message;
-    ByteReader r(submit.payload);
-    std::uint32_t id = kNoJobId;
-    if (message.decode(r)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!stopping_) {
-            id = createJobLocked(message.plan);
-            ++stats_.jobsSubmitted;
-        }
-    }
-    if (id == kNoJobId) {
-        JobUpdateMessage update;
-        update.jobId = kNoJobId;
-        update.state = JobState::Rejected;
-        ByteWriter w;
-        update.encode(w);
-        sendFrame(sock, MessageType::JobUpdate, w.view());
-        return;
-    }
-    cv_.notify_all(); // workers: new slices
-
-    // Push an update on every change of the job until the final one
-    // is out.  Each carries the store entries this connection has
-    // not received yet, so every entry reaches the client once.
-    std::unordered_set<Hash128, Hash128Hasher> sent_keys;
-    std::uint64_t sent_seq = kNeverSent;
-    for (;;) {
-        JobUpdateMessage update;
-        bool changed = false;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const Job &job = jobs_.at(id);
-            changed = job.updateSeq != sent_seq;
-            sent_seq = job.updateSeq;
-            update.jobId = id;
-            update.state = job.state;
-            update.slicesDone = job.doneCount;
-            update.slicesTotal =
-                static_cast<std::uint32_t>(job.slices.size());
-            update.retries = job.retries;
-            if (job.state == JobState::Partial) {
-                for (std::uint32_t s = 0; s < job.slices.size(); ++s) {
-                    if (job.slices[s] != SliceState::Done)
-                        update.incompleteSlices.push_back(s);
-                }
-            }
-        }
-        if (changed) {
-            // Entry bytes outside the lock (the export can be
-            // large).  A final job has imported all its slices, so
-            // the final update completes the client's copy.
-            cache_.exportNewEntries(sent_keys, update.entries);
-            ByteWriter w;
-            update.encode(w);
-            if (!sendFrame(sock, MessageType::JobUpdate, w.view()) ||
-                jobStateFinal(update.state))
-                return;
-        }
-        // A close or any further frame from the client ends the
-        // conversation; the job itself runs on.
-        if (abandon_.load(std::memory_order_relaxed) ||
-            sock.waitReadable(kPollMs))
-            return;
-    }
 }
 
 } // namespace net

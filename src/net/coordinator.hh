@@ -1,29 +1,12 @@
 /**
  * @file
- * The distributed experiment coordinator / resident analysis service.
+ * The distributed experiment coordinator.
  *
- * Carves each submitted ShardPlan's evaluation work into round-robin
- * slices and serves them to connecting workers over the framed
- * protocol (protocol.hh).  Two construction modes share all of the
- * machinery:
- *
- *  - one-shot (the classic `--serve` path): the constructor enqueues
- *    a single job from the given plan and run() returns once that
- *    job reaches a final state;
- *  - resident (`--serve` with no experiments named): run() serves
- *    until requestStop()/the configured stop predicate fires, and
- *    every job arrives over the wire via SubmitJob.
- *
- * The first frame of a connection names its role: a Hello makes it
- * a worker, a SubmitJob a client.  A client connection carries
- * exactly one job (protocol v3): the coordinator answers the
- * SubmitJob with JobUpdates -- Accepted, then one per state change
- * -- and hangs up after the final one (Complete or Partial), when
- * the client closes, or at any further frame from it.  Each update's
- * entries are the store entries that connection has not received
- * yet, so the client receives every entry exactly once.  A client
- * that leaves early does not stop its job: the job runs on and
- * its entries stay in the coordinator's store.
+ * Carves one ShardPlan's evaluation work into round-robin slices and
+ * serves them to connecting workers over the framed protocol
+ * (protocol.hh); run() returns once that one job reaches a final
+ * state or a stop is requested.  A connection whose first frame is
+ * not a Hello is dropped.
  *
  * Failure semantics:
  *
@@ -47,10 +30,9 @@
  *
  * Graceful stop: requestStop() (or the stop predicate) stops
  * accepting connections and handing out work, gives in-flight
- * slices and final client updates drainTimeoutMs to land, then
- * abandons the stragglers and finalizes every unresolved job as
- * Partial.  The caller then flushes the ResultCache so a restarted
- * service serves everything already computed warm.
+ * slices a bounded drain to land, then abandons the stragglers and
+ * finalizes an unresolved job as Partial.  The caller then flushes
+ * the ResultCache, so a rerun with the same store starts warm.
  */
 
 #ifndef PENELOPE_NET_COORDINATOR_HH
@@ -73,6 +55,18 @@
 
 namespace penelope {
 namespace net {
+
+/** Lifecycle of the coordinated job. */
+enum class JobState : std::uint8_t
+{
+    Accepted, ///< carved, no slice assigned yet
+    Running,
+    Complete,
+    Partial, ///< finished degraded: see incompleteSlices
+};
+
+/** True for states a job can never leave. */
+bool jobStateFinal(JobState state);
 
 struct CoordinatorConfig
 {
@@ -106,10 +100,6 @@ struct CoordinatorConfig
     int backoffCapMs = 2'000;
     std::uint64_t backoffSeed = 0x9e3779b97f4a7c15ULL;
 
-    /** Bounded grace period for in-flight slices and final client
-     *  updates once a stop is requested. */
-    int drainTimeoutMs = 5'000;
-
     /** Optional external stop signal (e.g. SIGINT), polled by
      *  run()'s accept loop; equivalent to requestStop(). */
     AbortFn stopRequested;
@@ -118,7 +108,7 @@ struct CoordinatorConfig
 /** Aggregate accounting of one coordinated run. */
 struct CoordinatorStats
 {
-    unsigned slices = 0;          ///< total carved (all jobs)
+    unsigned slices = 0;          ///< total carved
     unsigned assignments = 0;     ///< Assign frames sent
     unsigned reassignments = 0;   ///< slices requeued after a loss
     unsigned duplicateResults = 0;
@@ -132,21 +122,15 @@ struct CoordinatorStats
     std::uint64_t heartbeats = 0; ///< Heartbeat frames received
     unsigned hungForfeits = 0;    ///< heartbeat-deadline forfeits
     unsigned slicesFailed = 0;    ///< retry budget exhausted
-    unsigned jobsSubmitted = 0;   ///< jobs accepted over the wire
-    unsigned jobsFinished = 0;    ///< jobs that reached a final state
 };
 
 class Coordinator
 {
   public:
-    /** One-shot: enqueue one job from @p plan; run() returns when
-     *  it reaches a final state (Complete or Partial). */
+    /** Carve @p plan into slices; run() returns when the job
+     *  reaches a final state (Complete or Partial). */
     Coordinator(const ShardPlan &plan, ResultCache &cache,
                 const CoordinatorConfig &config);
-
-    /** Resident service: no initial job; every job arrives via
-     *  SubmitJob and run() serves until a stop is requested. */
-    Coordinator(ResultCache &cache, const CoordinatorConfig &config);
 
     ~Coordinator();
 
@@ -160,25 +144,26 @@ class Coordinator
     std::uint16_t port() const { return port_; }
 
     /**
-     * Serve until done (one-shot: the initial job final; resident:
-     * stop requested).  Blocks; returns false only when start()
-     * was never called successfully.
+     * Serve until the job is final or a stop is requested.  Blocks;
+     * returns false only when start() was never called
+     * successfully.
      */
     bool run();
 
-    /** Begin a graceful stop: no new connections, jobs or claims;
-     *  in-flight work gets drainTimeoutMs, then run() returns.
+    /** Begin a graceful stop: no new connections or claims;
+     *  in-flight work gets a bounded drain, then run() returns.
      *  Callable from any thread (and from within handlers). */
     void requestStop();
 
     /** Accounting (stable once run() returned). */
     const CoordinatorStats &stats() const { return stats_; }
 
-    /** State of @p job (Rejected for an unknown id). */
-    JobState jobState(std::uint32_t job) const;
+    /** State of the job. */
+    JobState jobState() const;
 
-    /** The slices @p job finished without -- the explicit manifest
-     *  behind a Partial state (empty for Complete jobs). */
+    /** The slices the job finished without -- the explicit manifest
+     *  behind a Partial state (empty unless Partial).  The argument
+     *  is ignored: it names the job, and there is only one. */
     std::vector<std::uint32_t> incompleteSlices(
         std::uint32_t job = 0) const;
 
@@ -201,50 +186,40 @@ class Coordinator
 
     struct Job
     {
-        std::uint32_t id = 0;
-        ShardPlan plan;
+        explicit Job(const ShardPlan &p)
+            : plan(p), slices(p.sliceCount, SliceState::Pending),
+              attempts(p.sliceCount, 0)
+        {
+        }
+
+        const ShardPlan plan; ///< immutable: read without the lock
         JobState state = JobState::Accepted;
         std::vector<SliceState> slices;
         std::vector<unsigned> attempts; ///< dispatches so far
         unsigned doneCount = 0;
         unsigned failedCount = 0;
-        unsigned retries = 0;  ///< re-dispatches so far
-        std::uint64_t updateSeq = 0; ///< bumped on every change
     };
 
-    /** One dispatchable (job, slice), eligible from notBefore on
-     *  (the backoff delay of a retry). */
+    /** One dispatchable slice, eligible from notBefore on (the
+     *  backoff delay of a retry). */
     struct Ready
     {
-        std::uint32_t job = 0;
         std::uint32_t slice = 0;
         std::chrono::steady_clock::time_point notBefore;
-    };
-
-    /** A claimed assignment, as handed to a worker handler. */
-    struct Claim
-    {
-        std::uint32_t job = 0;
-        std::uint32_t slice = 0;
-        ShardPlan plan; ///< copy: the job may finalize meanwhile
     };
 
     void serveConnection(Socket sock);
     void serveWorker(Socket &sock, std::uint32_t peerCaps,
                      unsigned workerIndex);
-    void serveClient(Socket &sock, const Frame &submit);
 
-    bool claimSlice(Claim &claim);
-    void forfeitSlice(const Claim &claim, bool hung);
-    void completeSlice(const Claim &claim,
+    bool claimSlice(std::uint32_t &slice);
+    void forfeitSlice(std::uint32_t slice, bool hung);
+    void completeSlice(std::uint32_t slice,
                        const ResultMessage &result);
 
     void wakeAccept() const;
-    std::uint32_t createJobLocked(const ShardPlan &plan);
-    void finalizeJobLocked(Job &job);
+    void finalizeJobLocked();
 
-    ShardPlan initialPlan_;
-    bool resident_ = false;
     ResultCache &cache_;
     CoordinatorConfig config_;
     BackoffPolicy backoff_;
@@ -253,21 +228,19 @@ class Coordinator
     std::uint16_t port_ = 0;
 
     /** Self-pipe polled beside the listener: wakeAccept() makes
-     *  run() re-check at once when a job goes final or a stop is
-     *  requested, so a one-shot run ends with its job. */
+     *  run() re-check at once when the job goes final or a stop is
+     *  requested, so a run ends with its job. */
     int wake_[2] = {-1, -1};
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    std::map<std::uint32_t, Job> jobs_;
+    Job job_;
     std::map<unsigned, obs::Snapshot> workerMetrics_;
-    std::uint32_t nextJobId_ = 0;
     std::vector<Ready> ready_;
     unsigned inFlight_ = 0; ///< claimed, neither done nor forfeited
 
     bool stopping_ = false;          ///< no new work or connections
     std::atomic<bool> abandon_{false}; ///< release blocked receives
-    unsigned activeHandlers_ = 0;
 
     std::vector<std::thread> handlers_;
     CoordinatorStats stats_;

@@ -44,8 +44,6 @@ knownType(std::uint32_t type)
       case MessageType::Result:
       case MessageType::Shutdown:
       case MessageType::Heartbeat:
-      case MessageType::SubmitJob:
-      case MessageType::JobUpdate:
       case MessageType::HeartbeatAck:
         return true;
     }
@@ -278,98 +276,6 @@ HeartbeatAckMessage::decode(ByteReader &r)
 {
     sequence = r.u64();
     return r.ok() && r.atEnd();
-}
-
-void
-SubmitJobMessage::encode(ByteWriter &w) const
-{
-    plan.encode(w);
-}
-
-bool
-SubmitJobMessage::decode(ByteReader &r)
-{
-    return plan.decode(r) && r.atEnd();
-}
-
-bool
-jobStateFinal(JobState state)
-{
-    return state == JobState::Rejected ||
-        state == JobState::Complete ||
-        state == JobState::Partial;
-}
-
-namespace {
-
-bool
-knownJobState(std::uint8_t state)
-{
-    switch (static_cast<JobState>(state)) {
-      case JobState::Rejected:
-      case JobState::Accepted:
-      case JobState::Running:
-      case JobState::Complete:
-      case JobState::Partial:
-        return true;
-    }
-    return false;
-}
-
-/** Decode-side bound mirroring the ShardPlan slice cap. */
-constexpr std::uint32_t kMaxManifestSlices = 531;
-
-} // namespace
-
-void
-JobUpdateMessage::encode(ByteWriter &w) const
-{
-    w.u32(jobId);
-    w.u8(static_cast<std::uint8_t>(state));
-    w.u32(slicesDone);
-    w.u32(slicesTotal);
-    w.u32(retries);
-    w.u32(static_cast<std::uint32_t>(incompleteSlices.size()));
-    for (const std::uint32_t slice : incompleteSlices)
-        w.u32(slice);
-    w.u64(entries.size());
-    w.bytes(entries.data(), entries.size());
-}
-
-bool
-JobUpdateMessage::decode(ByteReader &r)
-{
-    jobId = r.u32();
-    const std::uint8_t raw_state = r.u8();
-    slicesDone = r.u32();
-    slicesTotal = r.u32();
-    retries = r.u32();
-    const std::uint32_t manifest = r.u32();
-    if (!r.ok() || !knownJobState(raw_state) ||
-        manifest > kMaxManifestSlices)
-        return false;
-    state = static_cast<JobState>(raw_state);
-    incompleteSlices.clear();
-    incompleteSlices.reserve(manifest);
-    for (std::uint32_t i = 0; i < manifest; ++i)
-        incompleteSlices.push_back(r.u32());
-    const std::uint64_t size = r.u64();
-    if (!r.ok() || size > kMaxFramePayload)
-        return false;
-    const std::string_view bytes =
-        r.bytesView(static_cast<std::size_t>(size));
-    if (!r.ok() || !r.atEnd())
-        return false;
-    entries.assign(bytes);
-    if (slicesTotal > kMaxManifestSlices ||
-        slicesDone > slicesTotal ||
-        incompleteSlices.size() > slicesTotal)
-        return false;
-    for (const std::uint32_t slice : incompleteSlices) {
-        if (slice >= slicesTotal)
-            return false;
-    }
-    return true;
 }
 
 } // namespace net

@@ -1,6 +1,6 @@
 /**
  * @file
- * The coordinator/worker/client wire protocol.
+ * The coordinator/worker wire protocol.
  *
  * Length-prefixed frames with a versioned, checksummed binary
  * header, payloads encoded with the same ByteWriter/ByteReader
@@ -19,10 +19,9 @@
  *   u64 length     payload bytes (bounded by kMaxFramePayload)
  *   u64 checksum   murmur3_128(payload, seed = type).lo
  *
- * Every peer speaks the whole protocol: heartbeats, delta entry
- * streams and the job conversation are unconditional, and a peer of
- * another version is rejected at its first frame header -- the one
- * version gate.  The one negotiated feature is telemetry
+ * Every peer speaks the whole protocol: heartbeats and delta entry
+ * streams are unconditional, and a peer of another version is
+ * rejected at its first frame header -- the one version gate.  The one negotiated feature is telemetry
  * (kCapMetrics), which only decides whether heartbeats carry metric
  * snapshots and are acknowledged.  The checksum excludes the flags
  * word, so a corrupted capability bit can only switch that
@@ -39,22 +38,9 @@
  *   ... Assign/Result repeat ...
  *   coordinator -> worker   Shutdown
  *
- * Client conversation, one job per connection:
+ * A connection whose first frame is not a Hello is dropped.
  *
- *   client -> coordinator   SubmitJob  (a ShardPlan to run)
- *   coordinator -> client   JobUpdate  (Accepted, then one per state
- *                                      change until the final one:
- *                                      Complete, or Partial with an
- *                                      explicit incomplete-slice
- *                                      manifest; Rejected answers an
- *                                      undecodable plan or a submit
- *                                      during a stop)
- *
- * The client sends nothing after its SubmitJob: the coordinator
- * hangs up once the final update is out, when the client closes,
- * or at any further frame.
- *
- * The Result/JobUpdate entry bytes are exactly a
+ * The Result entry bytes are exactly a
  * ResultCache::exportToBytes() stream -- the same merge-ready
  * format `--shard` writes to disk -- restricted to the entries not
  * yet sent on that connection, so each entry crosses a connection
@@ -68,7 +54,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/shardplan.hh"
 #include "net/socket.hh"
@@ -77,7 +62,7 @@ namespace penelope {
 namespace net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x504e4c50; // PNLP
-inline constexpr std::uint32_t kProtocolVersion = 3;
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /** Serialized frame header size in bytes. */
 inline constexpr std::size_t kFrameHeaderBytes = 32;
@@ -111,12 +96,11 @@ enum class MessageType : std::uint32_t
     Result = 3,
     Shutdown = 4,
     Heartbeat = 5,
-    SubmitJob = 6,
-    JobUpdate = 8,
     HeartbeatAck = 10,
-    // 7 and 9 (retired job control) and 11 and 12 (a retired
-    // metrics query) stay unassigned, so they fail the header
-    // check like any unknown type.
+    // 6 and 8 (a retired job submission and its updates), 7 and 9
+    // (retired job control) and 11 and 12 (a retired metrics query)
+    // stay unassigned, so they fail the header check like any
+    // unknown type.
 };
 
 /** One decoded frame. */
@@ -218,53 +202,6 @@ struct HeartbeatMessage
 struct HeartbeatAckMessage
 {
     std::uint64_t sequence = 0;
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
-/** client -> coordinator: enqueue a sweep. */
-struct SubmitJobMessage
-{
-    ShardPlan plan;
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
-
-/** Lifecycle of a submitted job (wire-stable values). */
-enum class JobState : std::uint8_t
-{
-    Rejected = 0, ///< plan undecodable/unknown to the coordinator
-    Accepted = 1,
-    Running = 2,
-    Complete = 3,
-    Partial = 4, ///< finished degraded: see incompleteSlices
-    // 5 (a retired Cancelled) stays unassigned.
-};
-
-/** True for states a job can never leave. */
-bool jobStateFinal(JobState state);
-
-/** coordinator -> client: job progress, sent on every state
- *  change.  `entries` is a delta: the store entries that landed
- *  since the previous update on this connection (partial results
- *  render as they arrive), so the updates of one connection
- *  together carry every entry of the store exactly once, the final
- *  update included. */
-struct JobUpdateMessage
-{
-    std::uint32_t jobId = 0;
-    JobState state = JobState::Accepted;
-    std::uint32_t slicesDone = 0;
-    std::uint32_t slicesTotal = 0;
-    std::uint32_t retries = 0; ///< re-dispatches so far (informational)
-
-    /** Slices abandoned after the retry budget: the explicit
-     *  manifest of what a Partial job is missing. */
-    std::vector<std::uint32_t> incompleteSlices;
-
-    std::string entries; ///< ResultCache::exportNewEntries stream
 
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);

@@ -583,11 +583,13 @@ TEST(NetFuzz, RandomByteBlobsAreRejectedOrClosed)
     }
 }
 
-/** Retired message types -- job control (7 JobStatus, 9 CancelJob)
- *  and a metrics query (11, 12): a frame of any of them must fail
- *  the header check like any unknown type. */
+/** Retired message types -- the job conversation (6 SubmitJob,
+ *  8 JobUpdate), job control (7 JobStatus, 9 CancelJob) and a
+ *  metrics query (11, 12): a frame of any of them must fail the
+ *  header check like any unknown type. */
 constexpr MessageType kRetiredTypes[] = {
-    static_cast<MessageType>(7), static_cast<MessageType>(9),
+    static_cast<MessageType>(6), static_cast<MessageType>(7),
+    static_cast<MessageType>(8), static_cast<MessageType>(9),
     static_cast<MessageType>(11), static_cast<MessageType>(12)};
 
 bool
@@ -642,9 +644,10 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     result.sliceIndex = 2;
     result.entries = std::string(256, '\x5a');
     add(MessageType::Result, result);
-    net::SubmitJobMessage submit;
-    submit.plan = samplePlan();
-    add(MessageType::SubmitJob, submit);
+    AssignMessage assign;
+    assign.sliceIndex = 1;
+    assign.plan = samplePlan();
+    add(MessageType::Assign, assign);
     for (const MessageType type : kRetiredTypes)
         corpus.push_back({type, "penelope_x 1\n", net::kProtocolVersion});
 
@@ -717,7 +720,7 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 }
 
 /** An older peer is dropped at its Hello -- by the frame header
- *  (versions 1 and 2) or by the Hello payload (the version-2
+ *  (versions 1 to 3) or by the Hello payload (the version-2
  *  layout) -- before it can claim a slice. */
 TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
 {
@@ -740,6 +743,8 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
             net::encodeFrame(MessageType::Hello, current.view()), 1),
         withVersion(
             net::encodeFrame(MessageType::Hello, current.view()), 2),
+        withVersion(
+            net::encodeFrame(MessageType::Hello, current.view()), 3),
         net::encodeFrame(MessageType::Hello, v2HelloPayload(2)),
     };
     for (const std::string &frame : frames) {
@@ -752,7 +757,7 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
         EXPECT_EQ(net::recvFrame(conn, out, 10'000),
                   RecvStatus::Closed);
     }
-    EXPECT_EQ(coordinator.jobState(0), net::JobState::Accepted);
+    EXPECT_EQ(coordinator.jobState(), net::JobState::Accepted);
 
     // A current worker then runs every slice, each assigned once.
     WorkerConfig wc;
@@ -767,7 +772,7 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
     EXPECT_EQ(cs.workersSeen, 1u);
     EXPECT_EQ(cs.assignments, plan.sliceCount);
     EXPECT_EQ(cs.reassignments, 0u);
-    EXPECT_EQ(coordinator.jobState(0), net::JobState::Complete);
+    EXPECT_EQ(coordinator.jobState(), net::JobState::Complete);
 }
 
 TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
@@ -779,14 +784,15 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
 
     ResultCache collected;
     CoordinatorConfig config;
-    Coordinator coordinator(collected, config); // resident
+    Coordinator coordinator(plan, collected, config);
     std::string error;
     ASSERT_TRUE(coordinator.start(&error)) << error;
     std::thread serve([&] { coordinator.run(); });
 
     // The storm: seeded hostile connections throwing garbage
     // blobs, corrupted frames and out-of-protocol first frames at
-    // the listener.  None may crash or wedge the service.
+    // the listener.  None may crash or wedge the coordinator, and
+    // none may claim a slice.
     FuzzRng rng(0x5eed0003);
     for (int i = 0; i < 25; ++i) {
         Socket conn = Socket::connectTo("127.0.0.1",
@@ -800,13 +806,13 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             conn.sendAll(blob.data(), blob.size());
             break;
           }
-          case 1: { // valid frame, flipped payload byte
-            net::SubmitJobMessage submit;
-            submit.plan = plan;
+          case 1: { // a Hello with a flipped payload byte
+            HelloMessage hello;
+            hello.hostCpus = 1 + rng.below(64);
             ByteWriter w;
-            submit.encode(w);
-            std::string frame = net::encodeFrame(
-                MessageType::SubmitJob, w.view());
+            hello.encode(w);
+            std::string frame =
+                net::encodeFrame(MessageType::Hello, w.view());
             frame[net::kFrameHeaderBytes +
                   rng.below(static_cast<std::uint32_t>(
                       frame.size() - net::kFrameHeaderBytes))] ^=
@@ -823,90 +829,53 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             net::sendFrame(conn, MessageType::Heartbeat, w.view());
             break;
           }
-          case 3: { // a second frame on a client connection
-            net::SubmitJobMessage submit;
-            submit.plan = plan;
+          case 3: { // a Result before any Hello or Assign
+            ResultMessage result;
+            result.sliceIndex = rng.below(plan.sliceCount);
+            result.entries = std::string(64, '\x5a');
             ByteWriter w;
-            submit.encode(w);
-            ASSERT_TRUE(net::sendFrame(conn, MessageType::SubmitJob,
-                                       w.view()));
-            Frame out;
-            ASSERT_EQ(net::recvFrame(conn, out, 10'000),
-                      RecvStatus::Ok);
-            EXPECT_EQ(out.type, MessageType::JobUpdate);
-            // One job per connection: the coordinator hangs up
-            // instead of taking another.
-            net::sendFrame(conn, MessageType::SubmitJob, w.view());
-            EXPECT_EQ(net::recvFrame(conn, out, 10'000),
-                      RecvStatus::Closed);
+            result.encode(w);
+            net::sendFrame(conn, MessageType::Result, w.view());
             break;
           }
           case 4: { // a well-formed frame of a retired type
             const MessageType type =
                 kRetiredTypes[(i / 5) % std::size(kRetiredTypes)];
             net::sendFrame(conn, type, "");
-            // The coordinator hangs up without a reply.
+            break;
+          }
+        }
+        if (i % 5 != 0) {
+            // A complete frame that is not a valid Hello: the
+            // coordinator hangs up without a reply.
             Frame out;
             EXPECT_EQ(net::recvFrame(conn, out, 10'000),
                       RecvStatus::Closed)
-                << "type " << static_cast<std::uint32_t>(type);
-            break;
-          }
+                << "storm connection " << i;
         }
         conn.close();
     }
 
-    // After the storm, a clean worker + client conversation must
-    // complete bit-identically.
+    // After the storm, a clean worker completes the job, and the
+    // coordinator's own store renders bit-identically.
     WorkerConfig wc;
     wc.host = "127.0.0.1";
     wc.port = coordinator.port();
     ResultCache worker_cache;
-    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
-    std::thread worker([&] {
-        std::string werr;
-        outcome = net::runWorker(wc, workload, worker_cache,
-                                 nullptr, &werr);
-    });
-
-    Socket client = Socket::connectTo("127.0.0.1",
-                                      coordinator.port(), &error);
-    ASSERT_TRUE(client.valid()) << error;
-    {
-        net::SubmitJobMessage submit;
-        submit.plan = plan;
-        ByteWriter w;
-        submit.encode(w);
-        ASSERT_TRUE(net::sendFrame(client, MessageType::SubmitJob,
-                                   w.view()));
-    }
-    ResultCache client_cache;
-    net::JobUpdateMessage update;
-    do {
-        Frame frame;
-        ASSERT_EQ(net::recvFrame(client, frame, 60'000),
-                  RecvStatus::Ok);
-        ASSERT_EQ(frame.type, MessageType::JobUpdate);
-        ByteReader r(frame.payload);
-        ASSERT_TRUE(update.decode(r));
-        ASSERT_NE(update.state, net::JobState::Rejected);
-        if (!update.entries.empty()) {
-            ASSERT_TRUE(
-                client_cache.importFromBytes(update.entries));
-        }
-    } while (!net::jobStateFinal(update.state));
-    EXPECT_EQ(update.state, net::JobState::Complete);
-    client.close();
-
-    coordinator.requestStop();
-    worker.join();
+    std::string werr;
+    EXPECT_EQ(net::runWorker(wc, workload, worker_cache, nullptr,
+                             &werr),
+              WorkerOutcome::Finished)
+        << werr;
     serve.join();
-    EXPECT_EQ(outcome, WorkerOutcome::Finished);
 
+    EXPECT_EQ(coordinator.jobState(), net::JobState::Complete);
+    EXPECT_EQ(coordinator.stats().workersSeen, 1u);
+    EXPECT_EQ(coordinator.stats().assignments, plan.sliceCount);
     const std::string rendered =
-        renderPlan(workload, plan, &client_cache);
+        renderPlan(workload, plan, &collected);
     EXPECT_EQ(rendered, reference);
-    EXPECT_EQ(client_cache.stats().stores, 0u);
+    EXPECT_EQ(collected.stats().stores, 0u);
 }
 
 /** Whether @p line is one well-formed exposition line: `# TYPE
@@ -981,7 +950,7 @@ TEST(NetFuzz, MutatedSnapshotsAreRejectedOrRoundTripExactly)
     EXPECT_GT(accepted, 0u); // value and kind flips still decode
 }
 
-/** Every Assign and SubmitJob carries a ShardPlan: a mutant either
+/** Every Assign carries a ShardPlan: a mutant either
  *  fails to decode or re-encodes to exactly its own bytes. */
 TEST(NetFuzz, MutatedShardPlansAreRejectedOrRoundTripExactly)
 {

@@ -1,20 +1,19 @@
 /**
  * @file
- * Tests for the resident-service layer on top of src/net: backoff
+ * Tests for the service layer on top of src/net: backoff
  * determinism, fault-spec parsing and the frame-level fault seam,
  * ResultCache delta export / flush-to-disk, hung-worker forfeits by
  * heartbeat deadline, retry-budget exhaustion degrading a job to
  * Partial with an explicit manifest, worker reconnection across a
- * coordinator restart, delta entry streams, the SubmitJob/JobUpdate
- * client conversation against a resident coordinator (every entry
- * delivered exactly once), and graceful stop semantics.
+ * coordinator restart, delta entry streams, and graceful stop
+ * semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <future>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -44,11 +43,9 @@ using net::FaultConfig;
 using net::FaultInjector;
 using net::Frame;
 using net::JobState;
-using net::JobUpdateMessage;
 using net::MessageType;
 using net::RecvStatus;
 using net::Socket;
-using net::SubmitJobMessage;
 using net::WorkerConfig;
 using net::WorkerOutcome;
 using net::WorkerStats;
@@ -120,30 +117,6 @@ renderPlan(const WorkloadSet &workload, const ShardPlan &plan,
         experiment->run({workload, options, out});
     }
     return out.str();
-}
-
-template <typename Message>
-bool
-sendMessage(Socket &sock, MessageType type, const Message &message)
-{
-    ByteWriter w;
-    message.encode(w);
-    return net::sendFrame(sock, type, w.view());
-}
-
-/** Receive the next JobUpdate on @p sock (fails the test on
- *  anything else). */
-bool
-recvUpdate(Socket &sock, JobUpdateMessage &update,
-           int timeout_ms = 30'000)
-{
-    Frame frame;
-    if (net::recvFrame(sock, frame, timeout_ms) != RecvStatus::Ok)
-        return false;
-    if (frame.type != MessageType::JobUpdate)
-        return false;
-    ByteReader r(frame.payload);
-    return update.decode(r);
 }
 
 // ------------------------------------------------------- backoff
@@ -474,11 +447,11 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     // Let the hung worker claim first, then send in the rescuer.
     const Clock::time_point deadline =
         Clock::now() + std::chrono::seconds(10);
-    while (coordinator.jobState(0) != JobState::Running &&
+    while (coordinator.jobState() != JobState::Running &&
            Clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    ASSERT_EQ(coordinator.jobState(0), JobState::Running);
+    ASSERT_EQ(coordinator.jobState(), JobState::Running);
 
     // The rescuer is slow but heartbeating: it beats for 1.3 s, past
     // the 1 s deadline, before each result.  The deadline must not
@@ -501,7 +474,7 @@ TEST(Service, HungWorkerForfeitsByHeartbeatDeadline)
     EXPECT_EQ(good.slicesRun, plan.sliceCount);
     EXPECT_GE(coordinator.stats().hungForfeits, 1u);
     EXPECT_GE(coordinator.stats().reassignments, 1u);
-    EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
+    EXPECT_EQ(coordinator.jobState(), JobState::Complete);
     EXPECT_GE(coordinator.stats().heartbeats, 1u);
 
     const std::string merged =
@@ -538,10 +511,10 @@ TEST(Service, RetryBudgetExhaustionDegradesToPartialManifest)
     }
     serve.join();
 
-    EXPECT_EQ(coordinator.jobState(0), JobState::Partial);
+    EXPECT_EQ(coordinator.jobState(), JobState::Partial);
     EXPECT_EQ(coordinator.stats().slicesFailed, plan.sliceCount);
     const std::vector<std::uint32_t> manifest =
-        coordinator.incompleteSlices(0);
+        coordinator.incompleteSlices();
     ASSERT_EQ(manifest.size(), plan.sliceCount);
     for (std::uint32_t s = 0; s < plan.sliceCount; ++s)
         EXPECT_EQ(manifest[s], s);
@@ -614,7 +587,7 @@ TEST(Service, WorkerReconnectsAcrossCoordinatorRestart)
     EXPECT_EQ(outcome, WorkerOutcome::Finished);
     EXPECT_GE(stats.reconnects, 1u);
     EXPECT_EQ(stats.slicesRun, plan.sliceCount);
-    EXPECT_EQ(coordinator->jobState(0), JobState::Complete);
+    EXPECT_EQ(coordinator->jobState(), JobState::Complete);
 
     const std::string merged =
         renderPlan(workload, plan, &collected);
@@ -719,7 +692,7 @@ TEST(Service, DeltaStreamsResendLessThanFullExports)
     // bytes actually sent undercut what full exports would cost.
     EXPECT_GT(stats.sentBytes, 0u);
     EXPECT_LT(stats.sentBytes, stats.fullExportBytes);
-    EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
+    EXPECT_EQ(coordinator.jobState(), JobState::Complete);
 }
 
 TEST(Service, OneShotRunEndsWithItsJob)
@@ -751,231 +724,78 @@ TEST(Service, OneShotRunEndsWithItsJob)
             net::runWorker(wc, workload, worker_cache, nullptr,
                            &werr);
         });
-        while (!net::jobStateFinal(coordinator.jobState(0)))
+        while (!net::jobStateFinal(coordinator.jobState()))
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         const Clock::time_point final_at = Clock::now();
         serve.join();
         worker.join();
 
-        EXPECT_EQ(coordinator.jobState(0), JobState::Complete);
+        EXPECT_EQ(coordinator.jobState(), JobState::Complete);
         EXPECT_LT(returned - final_at, std::chrono::milliseconds(50))
             << "run " << run;
     }
 }
 
-// ------------------------------------------- resident job service
+// ------------------------------------------------- graceful stop
 
-TEST(Service, ResidentSubmitJobStreamsToCompletion)
+/** A stop with no worker attached lets nothing land: run() returns
+ *  without waiting out the drain, the job is an explicit Partial
+ *  that lists every slice, and the listener is down. */
+void
+expectStoppedEmptyHanded(Coordinator &coordinator, std::thread &serve,
+                         Clock::time_point stopped_at)
 {
-    const WorkloadSet workload;
-    const ShardPlan plan = samplePlan();
-    const std::string reference =
-        renderPlan(workload, plan, nullptr);
-
-    ResultCache collected;
-    CoordinatorConfig config;
-    Coordinator coordinator(collected, config); // resident: no job
-    std::string error;
-    ASSERT_TRUE(coordinator.start(&error)) << error;
-    std::thread serve([&] { coordinator.run(); });
-
-    WorkerConfig wc;
-    wc.host = "127.0.0.1";
-    wc.port = coordinator.port();
-    wc.heartbeatIntervalMs = 100;
-    ResultCache worker_cache;
-    WorkerOutcome outcome = WorkerOutcome::ConnectFailed;
-    std::thread worker([&] {
-        std::string werr;
-        outcome = net::runWorker(wc, workload, worker_cache,
-                                 nullptr, &werr);
-    });
-
-    // The client conversation: submit, then stream updates (and
-    // their entry payloads) until the job goes final.
-    Socket client = Socket::connectTo("127.0.0.1",
-                                      coordinator.port(), &error);
-    ASSERT_TRUE(client.valid()) << error;
-    SubmitJobMessage submit;
-    submit.plan = plan;
-    ASSERT_TRUE(
-        sendMessage(client, MessageType::SubmitJob, submit));
-
-    ResultCache client_cache;
-    JobUpdateMessage update;
-    unsigned updates = 0;
-    do {
-        ASSERT_TRUE(recvUpdate(client, update)) << updates;
-        ++updates;
-        ASSERT_NE(update.state, JobState::Rejected);
-        if (!update.entries.empty()) {
-            ASSERT_TRUE(
-                client_cache.importFromBytes(update.entries));
-        }
-    } while (!net::jobStateFinal(update.state));
-
-    EXPECT_EQ(update.state, JobState::Complete);
-    EXPECT_EQ(update.slicesDone, plan.sliceCount);
-    EXPECT_EQ(update.slicesTotal, plan.sliceCount);
-    EXPECT_TRUE(update.incompleteSlices.empty());
-    client.close();
-
-    coordinator.requestStop();
-    worker.join();
     serve.join();
+    EXPECT_LT(Clock::now() - stopped_at, std::chrono::seconds(2));
 
-    EXPECT_EQ(outcome, WorkerOutcome::Finished);
-    EXPECT_EQ(coordinator.stats().jobsSubmitted, 1u);
-    EXPECT_EQ(coordinator.stats().jobsFinished, 1u);
+    EXPECT_EQ(coordinator.jobState(), JobState::Partial);
+    const std::vector<std::uint32_t> manifest =
+        coordinator.incompleteSlices();
+    ASSERT_EQ(manifest.size(), samplePlan().sliceCount);
+    for (std::uint32_t s = 0; s < manifest.size(); ++s)
+        EXPECT_EQ(manifest[s], s);
+    EXPECT_EQ(coordinator.stats().assignments, 0u);
 
-    // The client's streamed entries render bit-identically with no
-    // local recomputation at all.
-    const std::string rendered =
-        renderPlan(workload, plan, &client_cache);
-    EXPECT_EQ(rendered, reference);
-    EXPECT_EQ(client_cache.stats().stores, 0u);
-}
-
-/** The keys of the entries in one exported entry stream. */
-std::unordered_set<Hash128, Hash128Hasher>
-streamKeys(const std::string &entries)
-{
-    ResultCache cache;
-    EXPECT_TRUE(cache.importFromBytes(entries));
-    std::unordered_set<Hash128, Hash128Hasher> keys;
-    std::string unused;
-    cache.exportNewEntries(keys, unused);
-    return keys;
-}
-
-TEST(Service, ResidentJobDeliversEachEntryOnce)
-{
-    const WorkloadSet workload;
-    const ShardPlan plan = samplePlan();
-
-    ResultCache collected;
-    CoordinatorConfig config;
-    Coordinator coordinator(collected, config);
     std::string error;
-    ASSERT_TRUE(coordinator.start(&error)) << error;
-    std::thread serve([&] { coordinator.run(); });
-
-    // A worker that holds its second slice until the client has
-    // received the first one's entries, so the job streams entries
-    // both before and in its final update.
-    std::promise<void> first_delivered;
-    std::thread worker([&, gate = first_delivered.get_future()] {
-        Socket sock = fake::introduce(coordinator.port());
-        ResultCache cache;
-        std::unordered_set<Hash128, Hash128Hasher> sent_keys;
-        net::AssignMessage assign;
-        fake::Report report;
-        for (unsigned n = 0; sock.valid() &&
-             fake::nextAssign(sock, assign, report);
-             ++n) {
-            if (n == 1)
-                gate.wait();
-            ASSERT_TRUE(runPlanSlice(workload, assign.plan,
-                                     assign.sliceIndex, 1, nullptr,
-                                     cache));
-            net::ResultMessage result;
-            result.sliceIndex = assign.sliceIndex;
-            cache.exportNewEntries(sent_keys, result.entries);
-            ASSERT_TRUE(
-                sendMessage(sock, MessageType::Result, result));
-        }
-    });
-
-    Socket client = Socket::connectTo("127.0.0.1",
-                                      coordinator.port(), &error);
-    ASSERT_TRUE(client.valid()) << error;
-    SubmitJobMessage submit;
-    submit.plan = plan;
-    ASSERT_TRUE(
-        sendMessage(client, MessageType::SubmitJob, submit));
-
-    std::unordered_set<Hash128, Hash128Hasher> received;
-    unsigned streaming_updates = 0;
-    bool gate_open = false;
-    JobUpdateMessage update;
-    do {
-        ASSERT_TRUE(recvUpdate(client, update));
-        ASSERT_NE(update.state, JobState::Rejected);
-        const auto keys = streamKeys(update.entries);
-        for (const Hash128 &key : keys)
-            EXPECT_TRUE(received.insert(key).second)
-                << "an entry arrived twice";
-        if (!keys.empty() && !net::jobStateFinal(update.state))
-            ++streaming_updates;
-        if (!gate_open && update.slicesDone > 0) {
-            gate_open = true;
-            first_delivered.set_value();
-        }
-    } while (!net::jobStateFinal(update.state));
-    EXPECT_EQ(update.state, JobState::Complete);
-    EXPECT_GT(streaming_updates, 0u);
-
-    // The coordinator hangs up after the final update.
-    Frame after;
-    EXPECT_EQ(net::recvFrame(client, after, 10'000),
-              RecvStatus::Closed);
-    client.close();
-
-    coordinator.requestStop();
-    worker.join();
-    serve.join();
-
-    // Exactly once: the union of the streams is the collected store.
-    std::unordered_set<Hash128, Hash128Hasher> stored;
-    std::string unused;
-    collected.exportNewEntries(stored, unused);
-    EXPECT_EQ(received, stored);
+    Socket late = Socket::connectTo("127.0.0.1", coordinator.port(),
+                                    &error);
+    EXPECT_FALSE(late.valid());
 }
 
 TEST(Service, GracefulStopFinalizesJobsAsPartial)
 {
     ResultCache collected;
-    CoordinatorConfig config;
-    config.drainTimeoutMs = 2'000;
-    Coordinator coordinator(collected, config);
+    Coordinator coordinator(samplePlan(), collected,
+                            CoordinatorConfig{});
     std::string error;
     ASSERT_TRUE(coordinator.start(&error)) << error;
-    std::thread serve([&] { coordinator.run(); });
+    std::thread serve([&] { EXPECT_TRUE(coordinator.run()); });
 
-    Socket client = Socket::connectTo("127.0.0.1",
-                                      coordinator.port(), &error);
-    ASSERT_TRUE(client.valid()) << error;
-    SubmitJobMessage submit;
-    submit.plan = samplePlan();
-    ASSERT_TRUE(
-        sendMessage(client, MessageType::SubmitJob, submit));
-
-    JobUpdateMessage update;
-    ASSERT_TRUE(recvUpdate(client, update));
-    ASSERT_NE(update.state, JobState::Rejected);
-
-    // Stop with no workers attached: nothing can land, so the job
-    // must degrade to an explicit Partial -- with the full slice
-    // manifest -- and the client must still be told before the
-    // service exits.
+    // Let run() settle into its accept loop, then stop it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const Clock::time_point stopped_at = Clock::now();
     coordinator.requestStop();
-    while (!net::jobStateFinal(update.state))
-        ASSERT_TRUE(recvUpdate(client, update));
-    EXPECT_EQ(update.state, JobState::Partial);
-    EXPECT_EQ(update.slicesDone, 0u);
-    ASSERT_EQ(update.incompleteSlices.size(),
-              samplePlan().sliceCount);
-    client.close();
-    serve.join();
+    expectStoppedEmptyHanded(coordinator, serve, stopped_at);
+}
 
-    EXPECT_EQ(coordinator.jobState(update.jobId),
-              JobState::Partial);
+TEST(Service, StopPredicateFinalizesJobAsPartial)
+{
+    // The external signal (SIGINT/SIGTERM in the bench driver, a
+    // deadline in the benchmark) takes the same exit as
+    // requestStop().
+    std::atomic<bool> stop{false};
+    CoordinatorConfig config;
+    config.stopRequested = [&stop] { return stop.load(); };
+    ResultCache collected;
+    Coordinator coordinator(samplePlan(), collected, config);
+    std::string error;
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] { EXPECT_TRUE(coordinator.run()); });
 
-    // A submit after the stop is rejected, not silently queued.
-    // (The listener is down, so the connection itself now fails.)
-    Socket late = Socket::connectTo("127.0.0.1",
-                                    coordinator.port(), &error);
-    EXPECT_FALSE(late.valid());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const Clock::time_point stopped_at = Clock::now();
+    stop.store(true);
+    expectStoppedEmptyHanded(coordinator, serve, stopped_at);
 }
 
 } // namespace
