@@ -580,6 +580,64 @@ BM_RegFileReplay(benchmark::State &state)
 }
 BENCHMARK(BM_RegFileReplay);
 
+/** The next @p n uops of a workload trace, generated up front. */
+std::vector<Uop>
+pregenerated(unsigned trace, std::size_t n)
+{
+    WorkloadSet workload;
+    TraceGenerator gen = workload.replayGenerator(trace);
+    std::vector<Uop> uops(n);
+    for (Uop &u : uops)
+        u = gen.next();
+    return uops;
+}
+
+/** Both fig8 arms of one trace, unprotected and protected, as one
+ *  streamed pass feeds them; each iteration feeds the next 256 of
+ *  16,384 pre-generated uops. */
+void
+BM_SchedulerArms(benchmark::State &state)
+{
+    constexpr std::size_t kUops = 16'384;
+    WorkloadSet workload;
+    const std::vector<BitDecision> decisions = decideProtection(
+        profileScheduler(workload, {0, 200}, 10'000).bits);
+    SchedulerRun baseline(nullptr, SchedReplayConfig{});
+    SchedulerRun protect(&decisions, SchedReplayConfig{});
+    const std::vector<Uop> uops = pregenerated(0, kUops);
+    std::size_t at = 0;
+    for (auto _ : state) {
+        baseline.feed(uops.data() + at, 256);
+        protect.feed(uops.data() + at, 256);
+        at = (at + 256) % kUops;
+    }
+    benchmark::DoNotOptimize(baseline.result().cycles);
+    benchmark::DoNotOptimize(protect.result().cycles);
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_SchedulerArms);
+
+/** Both fig6 arms of the INT register file, ISV off and on, fed
+ *  the same way as BM_SchedulerArms. */
+void
+BM_RegFileArms(benchmark::State &state)
+{
+    constexpr std::size_t kUops = 16'384;
+    RegFileRun baseline(RegFileConfig{}, false, RegReplayConfig{});
+    RegFileRun isv(RegFileConfig{}, true, RegReplayConfig{});
+    const std::vector<Uop> uops = pregenerated(1, kUops);
+    std::size_t at = 0;
+    for (auto _ : state) {
+        baseline.feed(uops.data() + at, 256);
+        isv.feed(uops.data() + at, 256);
+        at = (at + 256) % kUops;
+    }
+    benchmark::DoNotOptimize(baseline.replay.result().cycles);
+    benchmark::DoNotOptimize(isv.replay.result().cycles);
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_RegFileArms);
+
 // ------------------------------------ parallel experiment engine
 
 /** Engine sizing for the serial-vs-parallel comparisons: small
