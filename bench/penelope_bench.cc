@@ -849,7 +849,10 @@ runServe(Settings &s, ResultCache &cache, ObsSession &obs)
     obs.server.stop();
 
     const net::CoordinatorStats &cs = coordinator.stats();
-    std::cerr << "penelope_bench: coordinator: " << cs.slices
+    const std::vector<std::uint32_t> manifest =
+        coordinator.incompleteSlices();
+    std::cerr << "penelope_bench: coordinator: "
+              << cs.slices - manifest.size() << " of " << cs.slices
               << " slices done, " << cs.assignments
               << " assignments (" << cs.reassignments
               << " reassigned, " << cs.duplicateResults
@@ -869,8 +872,6 @@ runServe(Settings &s, ResultCache &cache, ObsSession &obs)
               << " slices failed (retry budget "
               << config.retryBudget << ")\n";
     const bool stopped = shutdownRequested();
-    const std::vector<std::uint32_t> manifest =
-        coordinator.incompleteSlices();
     if (!manifest.empty()) {
         std::cerr << "penelope_bench: coordinator: partial "
                      "result; incomplete slices:";
@@ -945,5 +946,8 @@ main(int argc, char **argv)
                       << file << "' (entries will be recomputed)\n";
         }
     }
+    // Imports live in memory only: persist them (when --cache-dir
+    // is attached), as runServe does, so a rerun starts warm.
+    cache.flushToDisk();
     return render(s, cache);
 }

@@ -592,9 +592,9 @@ pregenerated(unsigned trace, std::size_t n)
     return uops;
 }
 
-/** Both fig8 arms of one trace, unprotected and protected, as one
- *  streamed pass feeds them; each iteration feeds the next 256 of
- *  16,384 pre-generated uops. */
+/** Both fig8 arms of one trace, unprotected and protected, on one
+ *  shared replay timeline as one streamed pass feeds them; each
+ *  iteration feeds the next 256 of 16,384 pre-generated uops. */
 void
 BM_SchedulerArms(benchmark::State &state)
 {
@@ -602,8 +602,10 @@ BM_SchedulerArms(benchmark::State &state)
     WorkloadSet workload;
     const std::vector<BitDecision> decisions = decideProtection(
         profileScheduler(workload, {0, 200}, 10'000).bits);
-    SchedulerRun baseline(nullptr, SchedReplayConfig{});
-    SchedulerRun protect(&decisions, SchedReplayConfig{});
+    const auto pass =
+        std::make_shared<SchedulerPass>(SchedReplayConfig{});
+    SchedulerRun baseline(pass, nullptr);
+    SchedulerRun protect(pass, &decisions);
     const std::vector<Uop> uops = pregenerated(0, kUops);
     std::size_t at = 0;
     for (auto _ : state) {
@@ -623,8 +625,9 @@ void
 BM_RegFileArms(benchmark::State &state)
 {
     constexpr std::size_t kUops = 16'384;
-    RegFileRun baseline(RegFileConfig{}, false, RegReplayConfig{});
-    RegFileRun isv(RegFileConfig{}, true, RegReplayConfig{});
+    const auto pass = std::make_shared<RegFilePass>(RegReplayConfig{});
+    RegFileRun baseline(pass, RegFileConfig{}, false);
+    RegFileRun isv(pass, RegFileConfig{}, true);
     const std::vector<Uop> uops = pregenerated(1, kUops);
     std::size_t at = 0;
     for (auto _ : state) {
@@ -632,8 +635,8 @@ BM_RegFileArms(benchmark::State &state)
         isv.feed(uops.data() + at, 256);
         at = (at + 256) % kUops;
     }
-    benchmark::DoNotOptimize(baseline.replay.result().cycles);
-    benchmark::DoNotOptimize(isv.replay.result().cycles);
+    benchmark::DoNotOptimize(baseline.replayResult().cycles);
+    benchmark::DoNotOptimize(isv.replayResult().cycles);
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_RegFileArms);
@@ -663,9 +666,11 @@ BM_EngineRegFileExperiment(benchmark::State &state)
     // INT and FP, ISV off and on: one streamed pass per trace feeds
     // all four register-file variants.
     for (auto _ : state) {
-        const auto r =
-            runRegFileExperiment(workload, {false, true}, options);
-        benchmark::DoNotOptimize(r.back().baselineWorst);
+        const auto r = runRegFileExperiment(
+            workload,
+            {{false, false}, {false, true}, {true, false}, {true, true}},
+            options);
+        benchmark::DoNotOptimize(r.back().worst);
     }
 }
 BENCHMARK(BM_EngineRegFileExperiment)

@@ -205,6 +205,8 @@ runFig5(const ExperimentContext &ctx)
 
     const AdderExperimentResult r =
         runAdderExperiment(ctx.workload, ctx.options);
+    const AdderUtilization util =
+        runAdderUtilization(ctx.workload, ctx.options);
 
     TextTable table({"scenario", "measured guardband",
                      "paper guardband"});
@@ -224,11 +226,11 @@ runFig5(const ExperimentContext &ctx)
 
     os << "\nAdder utilisation measured in the pipeline:\n"
        << "  priority allocation: "
-       << TextTable::pct(r.priorityUtilMin, 1) << " .. "
-       << TextTable::pct(r.priorityUtilMax, 1)
+       << TextTable::pct(util.priorityMin, 1) << " .. "
+       << TextTable::pct(util.priorityMax, 1)
        << " (paper: 11% .. 30%)\n"
        << "  uniform allocation:  "
-       << TextTable::pct(r.uniformUtil, 1) << " (paper: 21%)\n";
+       << TextTable::pct(util.uniform, 1) << " (paper: 21%)\n";
 
     os << "\nNBTIefficiency at worst-case (30%) utilisation: "
        << TextTable::num(r.efficiency)
@@ -240,17 +242,18 @@ runFig5(const ExperimentContext &ctx)
 
 void
 printBiasSeries(std::ostream &os, const std::string &name,
-                const RegFileExperimentResult &r)
+                const RegFileArmResult &base,
+                const RegFileArmResult &isv)
 {
     printHeader(os, "Figure 6 series: " + name + " bit bias");
     TextTable table({"bit", "baseline bias0", "ISV bias0"});
-    for (std::size_t b = 0; b < r.baselineBias.size(); ++b) {
+    for (std::size_t b = 0; b < base.bias.size(); ++b) {
         // Print every bit for 32-bit files, every 4th for FP.
-        if (r.baselineBias.size() > 40 && (b % 4) != 0)
+        if (base.bias.size() > 40 && (b % 4) != 0)
             continue;
         table.addRow({TextTable::count(b + 1),
-                      TextTable::pct(r.baselineBias[b], 1),
-                      TextTable::pct(r.isvBias[b], 1)});
+                      TextTable::pct(base.bias[b], 1),
+                      TextTable::pct(isv.bias[b], 1)});
     }
     table.print(os);
 }
@@ -259,48 +262,53 @@ void
 runFig6(const ExperimentContext &ctx)
 {
     std::ostream &os = ctx.out;
-    const auto files =
-        runRegFileExperiment(ctx.workload, {false, true}, ctx.options);
-    const RegFileExperimentResult &int_rf = files[0];
-    const RegFileExperimentResult &fp_rf = files[1];
+    const auto arms = runRegFileExperiment(
+        ctx.workload,
+        {{false, false}, {false, true}, {true, false}, {true, true}},
+        ctx.options);
+    const RegFileArmResult &int_base = arms[0];
+    const RegFileArmResult &int_isv = arms[1];
+    const RegFileArmResult &fp_base = arms[2];
+    const RegFileArmResult &fp_isv = arms[3];
 
-    printBiasSeries(os, "INT register file (32 bits)", int_rf);
-    printBiasSeries(os, "FP register file (80 bits)", fp_rf);
+    printBiasSeries(os, "INT register file (32 bits)", int_base,
+                    int_isv);
+    printBiasSeries(os, "FP register file (80 bits)", fp_base, fp_isv);
 
     printHeader(os, "Figure 6 summary");
     TextTable s({"metric", "measured", "paper"});
     s.addRow({"INT worst-case stress, baseline",
-              TextTable::pct(int_rf.baselineWorst, 1), "89.9%"});
+              TextTable::pct(int_base.worst, 1), "89.9%"});
     s.addRow({"INT worst-case stress, ISV",
-              TextTable::pct(int_rf.isvWorst, 1), "48.5% (+1.5%)"});
+              TextTable::pct(int_isv.worst, 1), "48.5% (+1.5%)"});
     s.addRow({"FP worst-case stress, baseline",
-              TextTable::pct(fp_rf.baselineWorst, 1), "84.2%"});
+              TextTable::pct(fp_base.worst, 1), "84.2%"});
     s.addRow({"FP worst-case stress, ISV",
-              TextTable::pct(fp_rf.isvWorst, 1), "45.5% (+4.5%)"});
+              TextTable::pct(fp_isv.worst, 1), "45.5% (+4.5%)"});
     s.addRow({"INT registers free",
-              TextTable::pct(int_rf.freeFraction, 1), "54%"});
+              TextTable::pct(int_base.freeFraction, 1), "54%"});
     s.addRow({"FP registers free",
-              TextTable::pct(fp_rf.freeFraction, 1), "69%"});
+              TextTable::pct(fp_base.freeFraction, 1), "69%"});
     s.addRow({"INT guardband baseline -> ISV",
-              TextTable::pct(int_rf.guardbandBaseline, 1) + " -> " +
-                  TextTable::pct(int_rf.guardbandIsv, 1),
+              TextTable::pct(int_base.guardband, 1) + " -> " +
+                  TextTable::pct(int_isv.guardband, 1),
               "20% -> ~2-3.6%"});
     s.addRow({"FP guardband baseline -> ISV",
-              TextTable::pct(fp_rf.guardbandBaseline, 1) + " -> " +
-                  TextTable::pct(fp_rf.guardbandIsv, 1),
+              TextTable::pct(fp_base.guardband, 1) + " -> " +
+                  TextTable::pct(fp_isv.guardband, 1),
               "20% -> 3.6%"});
     s.print(os);
 
     const double guardband =
-        std::max(int_rf.guardbandIsv, fp_rf.guardbandIsv);
+        std::max(int_isv.guardband, fp_isv.guardband);
     os << "\nNBTIefficiency (invert-at-release): "
        << TextTable::num(nbtiEfficiency(1.0, guardband, 1.01))
        << " (paper: 1.12; periodic inversion 1.41)\n";
 
     os << "ISV updates applied/discarded/skipped (INT): "
-       << int_rf.isvStats.updatesApplied << "/"
-       << int_rf.isvStats.updatesDiscarded << "/"
-       << int_rf.isvStats.updatesSkipped << "\n";
+       << int_isv.isvStats.updatesApplied << "/"
+       << int_isv.isvStats.updatesDiscarded << "/"
+       << int_isv.isvStats.updatesSkipped << "\n";
 }
 
 // ------------------------------------------------------- Figure 8
@@ -309,13 +317,15 @@ void
 runFig8(const ExperimentContext &ctx)
 {
     std::ostream &os = ctx.out;
-    const SchedulerExperimentResult r =
-        runSchedulerExperiment(ctx.workload, ctx.options);
+    const SchedulerExperimentResult r = runSchedulerExperiment(
+        ctx.workload, SchedulerArms::Both, ctx.options);
+    const SchedulerArmResult &base = r.baseline.value();
+    const SchedulerProtectedResult &prot = r.protectedArm.value();
 
     printHeader(os, "Table 2: field layout and chosen techniques");
     TextTable fields({"field", "bits", "technique", "K range"});
     const FieldLayout &layout = fieldLayout();
-    for (const auto &t : r.techniques) {
+    for (const auto &t : prot.techniques) {
         const FieldSpec &spec = layout.spec(t.field);
         std::string k;
         if (t.maxK > 0.0) {
@@ -337,8 +347,8 @@ runFig8(const ExperimentContext &ctx)
         double base_worst = 0.5;
         double prot_worst = 0.5;
         for (unsigned b = 0; b < spec.width; ++b) {
-            const double pb = r.baselineBias[spec.offset + b];
-            const double pp = r.protectedBias[spec.offset + b];
+            const double pb = base.bias[spec.offset + b];
+            const double pp = prot.bias[spec.offset + b];
             base_worst =
                 std::max(base_worst, std::max(pb, 1.0 - pb));
             prot_worst =
@@ -352,13 +362,13 @@ runFig8(const ExperimentContext &ctx)
     printHeader(os, "Figure 8 summary");
     TextTable s({"metric", "measured", "paper"});
     s.addRow({"scheduler occupancy",
-              TextTable::pct(r.occupancy, 1), "63%"});
+              TextTable::pct(prot.occupancy, 1), "63%"});
     s.addRow({"worst bias, baseline",
-              TextTable::pct(r.baselineWorstFig8, 1), "~100%"});
+              TextTable::pct(base.worstFig8, 1), "~100%"});
     s.addRow({"worst bias, protected",
-              TextTable::pct(r.protectedWorstFig8, 1), "63.2%"});
-    s.addRow({"guardband", TextTable::pct(r.guardband, 1), "6.7%"});
-    s.addRow({"NBTIefficiency", TextTable::num(r.efficiency),
+              TextTable::pct(prot.worstFig8, 1), "63.2%"});
+    s.addRow({"guardband", TextTable::pct(prot.guardband, 1), "6.7%"});
+    s.addRow({"NBTIefficiency", TextTable::num(prot.efficiency),
               "1.24 (inverting: 1.41)"});
     s.print(os);
 }
@@ -506,16 +516,18 @@ runTable4(const ExperimentContext &ctx)
                "1.41"});
     ex.print(os);
 
-    // Run all block experiments.
+    // Run the block experiments: the roll-up reads only the
+    // protected arms.
     os << "\nrunning block experiments...\n";
     const auto adder = runAdderExperiment(workload, options);
-    const auto files =
-        runRegFileExperiment(workload, {false, true}, options);
-    const RegFileExperimentResult &int_rf = files[0];
-    const RegFileExperimentResult &fp_rf = files[1];
-    const auto sched = runSchedulerExperiment(workload, options);
-    const auto summary = buildProcessorSummary(
-        adder, int_rf, fp_rf, sched, workload, options);
+    const auto files = runRegFileExperiment(
+        workload, {{false, true}, {true, true}}, options);
+    const auto sched = runSchedulerExperiment(
+        workload, SchedulerArms::Protected, options);
+    const auto summary =
+        buildProcessorSummary(adder, files[0], files[1],
+                              sched.protectedArm.value(), workload,
+                              options);
 
     printHeader(os, "Per-block summary (Sections 4.3-4.6)");
     TextTable blocks({"block", "cycle time", "guardband", "TDP",
@@ -611,16 +623,18 @@ runSec11(const ExperimentContext &ctx)
 
     // Register-file bias range.
     const auto int_rf =
-        runRegFileExperiment(workload, {false}, options).front();
+        runRegFileExperiment(workload, {{false, false}}, options)
+            .front();
     double bias_min = 1.0;
     double bias_max = 0.0;
-    for (double b : int_rf.baselineBias) {
+    for (double b : int_rf.bias) {
         bias_min = std::min(bias_min, b);
         bias_max = std::max(bias_max, b);
     }
 
     // Scheduler worst fields.
-    const auto sched = runSchedulerExperiment(workload, options);
+    const auto sched = runSchedulerExperiment(
+        workload, SchedulerArms::Baseline, options);
 
     // Pipeline survey: MRU positions, occupancies, ports.
     const auto survey = runPipelineSurvey(workload, options);
@@ -633,7 +647,7 @@ runSec11(const ExperimentContext &ctx)
                       TextTable::pct(bias_max, 1),
                   "65% .. 90%"});
     table.addRow({"scheduler worst field bias (baseline)",
-                  TextTable::pct(sched.baselineWorstFig8, 1),
+                  TextTable::pct(sched.baseline.value().worstFig8, 1),
                   "almost 100%"});
     table.addRow({"DL0 hits at MRU position",
                   TextTable::pct(survey.mruHitFraction[0], 1),
@@ -990,7 +1004,8 @@ runAttack(const ExperimentContext &ctx)
     // variant.  Both arms draw the replay seed stream of the variant
     // id, so their comparison is seed-controlled (the same
     // arrival/residence/port-availability draws), just as the
-    // Figure-8 runner reuses one seed per trace.
+    // Figure-8 runner reuses one seed per trace: the missing arms
+    // share one replay timeline.
     const auto stresses = engine.streamCached<SchedulerStress>(
         variant_ids, 2, options.uopsPerTrace, options.cache,
         [&](unsigned v, std::size_t protect) {
@@ -1003,11 +1018,12 @@ runAttack(const ExperimentContext &ctx)
             return AttackTraceGenerator(variants[v].second);
         },
         [&](unsigned v) {
-            return [&, v](std::size_t protect) {
-                SchedReplayConfig cfg = attack_replay;
-                cfg.seed = mixSeed(attack_replay.seed, v);
+            SchedReplayConfig cfg = attack_replay;
+            cfg.seed = mixSeed(attack_replay.seed, v);
+            return [&, pass = std::make_shared<SchedulerPass>(cfg)](
+                       std::size_t protect) {
                 return std::make_unique<SchedulerRun>(
-                    protect ? &decisions : nullptr, cfg);
+                    pass, protect ? &decisions : nullptr);
             };
         });
 
@@ -1152,7 +1168,8 @@ runAttack(const ExperimentContext &ctx)
     rf_replay.commitDelay = 64;
 
     // Slot 0 is the baseline, slot 1 ISV-protected (ISV is the
-    // defence here); both are fed by one stream per item.
+    // defence here); the missing ones share one replay timeline,
+    // fed by one stream per item.
     struct RfRun : RegFileRun
     {
         using RegFileRun::RegFileRun;
@@ -1160,8 +1177,8 @@ runAttack(const ExperimentContext &ctx)
         RfAttackShard
         result()
         {
-            const RegReplayResult r = replay.result();
-            return {rf.finalizeBias(r.cycles), r.freeFraction};
+            const RegReplayResult r = replayResult();
+            return {rf->finalizeBias(r.cycles), r.freeFraction};
         }
     };
     // Normal-workload reference: one trace per suite, merged in
@@ -1176,10 +1193,11 @@ runAttack(const ExperimentContext &ctx)
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
-            return [&, index](std::size_t isv) {
-                RegReplayConfig cfg = rf_replay;
-                cfg.seed = mixSeed(rf_replay.seed, index);
-                return std::make_unique<RfRun>(rf_config, isv, cfg);
+            RegReplayConfig cfg = rf_replay;
+            cfg.seed = mixSeed(rf_replay.seed, index);
+            return [&, pass = std::make_shared<RegFilePass>(cfg)](
+                       std::size_t isv) {
+                return std::make_unique<RfRun>(pass, rf_config, isv);
             };
         });
     RfAttackShard normal_rf[2];
@@ -1222,10 +1240,11 @@ runAttack(const ExperimentContext &ctx)
             return AttackTraceGenerator(rf_variants[v].second);
         },
         [&](unsigned v) {
-            return [&, v](std::size_t isv) {
-                RegReplayConfig cfg = rf_replay;
-                cfg.seed = mixSeed(rf_replay.seed, v);
-                return std::make_unique<RfRun>(rf_config, isv, cfg);
+            RegReplayConfig cfg = rf_replay;
+            cfg.seed = mixSeed(rf_replay.seed, v);
+            return [&, pass = std::make_shared<RegFilePass>(cfg)](
+                       std::size_t isv) {
+                return std::make_unique<RfRun>(pass, rf_config, isv);
             };
         });
 

@@ -1,6 +1,7 @@
 #include "experiments.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <memory>
 
@@ -191,7 +192,6 @@ runAdderExperiment(const WorkloadSet &workload,
                    const ExperimentOptions &options)
 {
     AdderExperimentResult result;
-    const Engine engine(options.jobs, options.pool);
 
     LadnerFischerAdder adder(32);
     const GuardbandModel model = GuardbandModel::paperCalibrated();
@@ -216,9 +216,22 @@ runAdderExperiment(const WorkloadSet &workload,
                        real_probs, util, result.bestPair)});
     }
 
-    // Adder utilisation from the pipeline, both policies, averaged
-    // over one representative trace per suite.  Each trace runs its
-    // own Pipeline; per-trace stats fold in suite order.
+    // Metric at worst-case utilisation (Section 4.3: 1.24).
+    result.efficiency = nbtiEfficiency(
+        1.0, result.scenarios.front().guardband, 1.0);
+    return result;
+}
+
+AdderUtilization
+runAdderUtilization(const WorkloadSet &workload,
+                    const ExperimentOptions &options)
+{
+    AdderUtilization result;
+    const Engine engine(options.jobs, options.pool);
+
+    // Both policies, averaged over one representative trace per
+    // suite.  Each trace runs its own Pipeline; per-trace stats
+    // fold in suite order.
     const auto firsts = workload.firstPerSuite();
     for (const auto policy : {AdderAllocationPolicy::Priority,
                               AdderAllocationPolicy::Uniform}) {
@@ -251,24 +264,20 @@ runAdderExperiment(const WorkloadSet &workload,
             util_max.add(hi);
         }
         if (policy == AdderAllocationPolicy::Priority) {
-            result.priorityUtilMin = util_min.mean();
-            result.priorityUtilMax = util_max.mean();
+            result.priorityMin = util_min.mean();
+            result.priorityMax = util_max.mean();
         } else {
-            result.uniformUtil = util.mean();
+            result.uniform = util.mean();
         }
     }
-
-    // Metric at worst-case utilisation (Section 4.3: 1.24).
-    result.efficiency = nbtiEfficiency(
-        1.0, result.scenarios.front().guardband, 1.0);
     return result;
 }
 
 // ------------------------------------------------------ register file
 
-std::vector<RegFileExperimentResult>
+std::vector<RegFileArmResult>
 runRegFileExperiment(const WorkloadSet &workload,
-                     const std::vector<bool> &fp_files,
+                     const std::vector<RegFileArm> &arms,
                      const ExperimentOptions &options)
 {
     const GuardbandModel model = GuardbandModel::paperCalibrated();
@@ -279,9 +288,9 @@ runRegFileExperiment(const WorkloadSet &workload,
         RegFileConfig rf;
         RegReplayConfig replay;
     };
-    std::vector<Setup> setups;
-    for (const bool fp : fp_files) {
-        Setup setup;
+    Setup setups[2]; // INT, FP
+    for (const bool fp : {false, true}) {
+        Setup &setup = setups[fp];
         setup.rf.name = fp ? "FP-RF" : "INT-RF";
         setup.rf.numEntries = fp ? 64 : 128;
         setup.rf.width = fp ? 80 : 32;
@@ -290,11 +299,11 @@ runRegFileExperiment(const WorkloadSet &workload,
         // Rename-to-commit depth calibrated so the free fractions
         // land near the paper's 54% (INT) / 69% (FP).
         setup.replay.commitDelay = fp ? 110 : 64;
-        setups.push_back(setup);
     }
 
-    // Every trace ages its own register file per slot: slot 2f + isv
-    // is file f with ISV off or on, all fed by one pass per trace.
+    // Slot a is arm a.  Every trace ages its own register files:
+    // the missing arms of one file share one replay timeline (ISV
+    // moves none of it), and one pass per trace feeds every file.
     struct Run : RegFileRun
     {
         using RegFileRun::RegFileRun;
@@ -302,76 +311,93 @@ runRegFileExperiment(const WorkloadSet &workload,
         RegFileShard
         result()
         {
-            const RegReplayResult r = replay.result();
+            const RegReplayResult r = replayResult();
             RegFileShard shard;
-            shard.bias = rf.finalizeBias(r.cycles);
+            shard.bias = rf->finalizeBias(r.cycles);
             shard.freeFraction = r.freeFraction;
-            shard.isv = rf.isvStats();
+            shard.isv = rf->isvStats();
             return shard;
         }
     };
     const auto shards = engine.streamCached<RegFileShard>(
-        evalTraces(workload, options), 2 * setups.size(),
+        evalTraces(workload, options), arms.size(),
         options.uopsPerTrace, options.cache,
         [&](unsigned index, std::size_t slot) {
-            const Setup &setup = setups[slot / 2];
-            return regfileReplayKey(setup.rf, setup.replay, slot % 2,
+            const Setup &setup = setups[arms[slot].fp];
+            return regfileReplayKey(setup.rf, setup.replay,
+                                    arms[slot].isv,
                                     options.uopsPerTrace,
                                     workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
-            return [&, index](std::size_t slot) {
-                const Setup &setup = setups[slot / 2];
-                RegReplayConfig cfg = setup.replay;
-                cfg.seed = mixSeed(setup.replay.seed, index);
-                return std::make_unique<Run>(setup.rf, slot % 2, cfg);
+            return [&, index,
+                    passes = std::array<std::shared_ptr<RegFilePass>,
+                                        2>{}](std::size_t slot) mutable {
+                const RegFileArm arm = arms[slot];
+                const Setup &setup = setups[arm.fp];
+                std::shared_ptr<RegFilePass> &pass = passes[arm.fp];
+                if (!pass) {
+                    RegReplayConfig cfg = setup.replay;
+                    cfg.seed = mixSeed(setup.replay.seed, index);
+                    pass = std::make_shared<RegFilePass>(cfg);
+                }
+                return std::make_unique<Run>(pass, setup.rf, arm.isv);
             };
         });
 
     // The per-bit duty times merge in trace order into the aggregate
     // bias.
-    std::vector<RegFileExperimentResult> results(setups.size());
-    for (std::size_t f = 0; f < setups.size(); ++f) {
-        RegFileExperimentResult &result = results[f];
-        result.name = setups[f].rf.name;
-        for (const bool isv : {false, true}) {
-            BitBiasTracker bias(setups[f].rf.width);
-            RunningStats free_frac;
-            IsvStats isv_stats;
-            for (const RegFileShard &shard : shards[2 * f + isv]) {
-                bias.merge(shard.bias);
-                free_frac.add(shard.freeFraction);
-                isv_stats.merge(shard.isv);
-            }
-
-            const auto vec = bias.biasVector();
-            const double worst = bias.maxWorstCaseStress();
-            if (isv) {
-                result.isvBias = vec;
-                result.isvWorst = worst;
-                result.guardbandIsv = model.guardbandForZeroProb(worst);
-                result.isvStats = isv_stats;
-            } else {
-                result.baselineBias = vec;
-                result.baselineWorst = worst;
-                result.guardbandBaseline =
-                    model.guardbandForZeroProb(worst);
-                result.freeFraction = free_frac.mean();
-            }
+    std::vector<RegFileArmResult> results(arms.size());
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+        const RegFileConfig &rf = setups[arms[a].fp].rf;
+        BitBiasTracker bias(rf.width);
+        RunningStats free_frac;
+        IsvStats isv_stats;
+        for (const RegFileShard &shard : shards[a]) {
+            bias.merge(shard.bias);
+            free_frac.add(shard.freeFraction);
+            isv_stats.merge(shard.isv);
         }
+
+        RegFileArmResult &result = results[a];
+        result.name = rf.name;
+        result.arm = arms[a];
+        result.bias = bias.biasVector();
+        result.worst = bias.maxWorstCaseStress();
+        result.guardband = model.guardbandForZeroProb(result.worst);
+        result.freeFraction = free_frac.mean();
+        result.isvStats = isv_stats;
     }
     return results;
 }
 
 // ---------------------------------------------------------- scheduler
 
+namespace {
+
+/** One scheduler arm, merged in trace order. */
+SchedulerArmResult
+foldSchedulerArm(const std::vector<SchedulerStress> &slot)
+{
+    SchedulerArmResult arm;
+    if (slot.empty())
+        return arm;
+    SchedulerStress merged = slot.front();
+    for (std::size_t k = 1; k < slot.size(); ++k)
+        merged.merge(slot[k]);
+    arm.bias = merged.biasVector();
+    arm.worstFig8 = merged.worstFigure8Bias();
+    arm.occupancy = merged.occupancy();
+    return arm;
+}
+
+} // namespace
+
 SchedulerExperimentResult
-runSchedulerExperiment(const WorkloadSet &workload,
+runSchedulerExperiment(const WorkloadSet &workload, SchedulerArms arms,
                        const ExperimentOptions &options)
 {
-    SchedulerExperimentResult result;
-    const GuardbandModel model = GuardbandModel::paperCalibrated();
     const Engine engine(options.jobs, options.pool);
 
     // Paper methodology: profile K on 100 random traces...
@@ -388,66 +414,67 @@ runSchedulerExperiment(const WorkloadSet &workload,
         eval_set = shardSlice(std::move(eval_set), options);
     }
 
-    // Profiling uses a shorter run per trace: K only needs the
-    // aggregate occupancy/bias statistics.
-    const auto profile_subset =
-        schedulerProfilingSubset(workload, options);
-    const SchedulerProfile profile = profileScheduler(
-        workload, profile_subset, options.uopsPerTrace / 2,
-        SchedulerConfig(), SchedReplayConfig(), options.jobs,
-        options.pool, options.cache);
-    const auto decisions = decideProtection(profile.bits);
-    result.techniques = summarizeDecisions(decisions);
+    // Slot s replays with protection protect[s].
+    std::vector<bool> protect;
+    if (arms != SchedulerArms::Protected)
+        protect.push_back(false);
+    if (arms != SchedulerArms::Baseline)
+        protect.push_back(true);
 
-    // Slot 0 unprotected, slot 1 protected, fed by one pass per
-    // trace.
+    // Profiling uses a shorter run per trace: K only needs the
+    // aggregate occupancy/bias statistics.  Only the protected arm
+    // reads the decisions.
+    std::vector<BitDecision> decisions;
+    if (protect.back()) {
+        const SchedulerProfile profile = profileScheduler(
+            workload, schedulerProfilingSubset(workload, options),
+            options.uopsPerTrace / 2, SchedulerConfig(),
+            SchedReplayConfig(), options.jobs, options.pool,
+            options.cache);
+        decisions = decideProtection(profile.bits);
+    }
+
+    // The missing arms of a trace share one replay timeline
+    // (protection moves none of it), fed by one pass per trace.
     const SchedReplayConfig replay_config;
     const std::vector<BitDecision> no_decisions;
     const auto shards = engine.streamCached<SchedulerStress>(
-        eval_set, 2, options.uopsPerTrace, options.cache,
-        [&](unsigned index, std::size_t protect) {
+        eval_set, protect.size(), options.uopsPerTrace, options.cache,
+        [&](unsigned index, std::size_t slot) {
             // The installed decisions are key material: a protected
             // replay's statistics depend on them.
             return schedulerReplayKey(
                 SchedulerConfig(), replay_config, options.uopsPerTrace,
-                protect ? decisions : no_decisions,
+                protect[slot] ? decisions : no_decisions,
                 workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
         [&](unsigned index) {
-            return [&, index](std::size_t protect) {
-                SchedReplayConfig cfg = replay_config;
-                cfg.seed = mixSeed(replay_config.seed, index);
+            SchedReplayConfig cfg = replay_config;
+            cfg.seed = mixSeed(replay_config.seed, index);
+            return [&, pass = std::make_shared<SchedulerPass>(cfg)](
+                       std::size_t slot) {
                 return std::make_unique<SchedulerRun>(
-                    protect ? &decisions : nullptr, cfg);
+                    pass, protect[slot] ? &decisions : nullptr);
             };
         });
 
-    for (const bool protect : {false, true}) {
-        const auto &slot = shards[protect];
-        if (slot.empty())
+    SchedulerExperimentResult result;
+    for (std::size_t slot = 0; slot < protect.size(); ++slot) {
+        const SchedulerArmResult arm = foldSchedulerArm(shards[slot]);
+        if (!protect[slot]) {
+            result.baseline = arm;
             continue;
-        SchedulerStress merged = slot.front();
-        for (std::size_t k = 1; k < slot.size(); ++k)
-            merged.merge(slot[k]);
-
-        const auto bias = merged.biasVector();
-        const double worst = merged.worstFigure8Bias();
-        if (protect) {
-            result.protectedBias = bias;
-            result.protectedWorstFig8 = worst;
-            result.occupancy = merged.occupancy();
-        } else {
-            result.baselineBias = bias;
-            result.baselineWorstFig8 = worst;
         }
+        SchedulerProtectedResult &prot = result.protectedArm.emplace();
+        static_cast<SchedulerArmResult &>(prot) = arm;
+        prot.techniques = summarizeDecisions(decisions);
+        prot.guardband = GuardbandModel::paperCalibrated()
+                             .guardbandForZeroProb(prot.worstFig8);
+        // TDP overhead: RINV + counters + timestamps < 2% (Section
+        // 4.5).
+        prot.efficiency = nbtiEfficiency(1.0, prot.guardband, 1.02);
     }
-
-    result.guardband =
-        model.guardbandForZeroProb(result.protectedWorstFig8);
-    // TDP overhead: RINV + counters + timestamps < 2% (Section 4.5).
-    result.efficiency =
-        nbtiEfficiency(1.0, result.guardband, 1.02);
     return result;
 }
 
@@ -540,12 +567,13 @@ runTable3Experiment(const WorkloadSet &workload,
 
 ProcessorSummary
 buildProcessorSummary(const AdderExperimentResult &adder,
-                      const RegFileExperimentResult &int_rf,
-                      const RegFileExperimentResult &fp_rf,
-                      const SchedulerExperimentResult &scheduler,
+                      const RegFileArmResult &int_isv,
+                      const RegFileArmResult &fp_isv,
+                      const SchedulerProtectedResult &scheduler,
                       const WorkloadSet &workload,
                       const ExperimentOptions &options)
 {
+    assert(int_isv.arm.isv && fp_isv.arm.isv);
     ProcessorSummary summary;
 
     // Combined CPI with both cache mechanisms active (the
@@ -575,7 +603,7 @@ buildProcessorSummary(const AdderExperimentResult &adder,
         {"adder", 1.0, worst_adder_guardband, 1.0, 1.0});
     summary.blocks.push_back(
         {"register file", 1.0,
-         std::max(int_rf.guardbandIsv, fp_rf.guardbandIsv), 1.01,
+         std::max(int_isv.guardband, fp_isv.guardband), 1.01,
          1.0});
     summary.blocks.push_back(
         {"scheduler", 1.0, scheduler.guardband, 1.02, 1.0});

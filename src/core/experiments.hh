@@ -4,7 +4,12 @@
  *
  * Each runner corresponds to a figure/table of the paper and is
  * shared between the benchmark binaries, the examples and the
- * integration tests.  Runtime is controlled by ExperimentOptions
+ * integration tests.  A runner computes only the arms its caller
+ * asks for (the scheduler's baseline/protected arms, the register
+ * files' ISV-off/on arms, the adder's guardbands apart from its
+ * pipeline utilisation), so an experiment pays for what it prints;
+ * an arm's cache key and payload do not depend on which other arms
+ * were asked for.  Runtime is controlled by ExperimentOptions
  * (trace subsetting and per-trace uop counts); the defaults complete
  * in seconds while preserving the statistical shape of the full
  * 531-trace runs.
@@ -14,6 +19,7 @@
 #define PENELOPE_CORE_EXPERIMENTS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,7 +145,7 @@ evaluationTraces(const WorkloadSet &workload,
 
 // -------------------------------------------------------------- adder
 
-/** Figure 4 + Figure 5 results. */
+/** Figure 4 and Figure 5's guardbands: what Table 4 rolls up. */
 struct AdderExperimentResult
 {
     std::vector<PairSweepEntry> pairSweep; ///< Figure 4
@@ -155,11 +161,6 @@ struct AdderExperimentResult
     /** Figure 5 scenarios at 30% / 21% / 11% utilisation. */
     std::vector<Scenario> scenarios;
 
-    /** Adder utilisation measured in the pipeline. */
-    double priorityUtilMin = 0.0;
-    double priorityUtilMax = 0.0;
-    double uniformUtil = 0.0;
-
     /** NBTIefficiency at the worst-case (30%) utilisation. */
     double efficiency = 0.0;
 };
@@ -167,6 +168,21 @@ struct AdderExperimentResult
 AdderExperimentResult
 runAdderExperiment(const WorkloadSet &workload,
                    const ExperimentOptions &options);
+
+/** Adder utilisation measured in the pipeline (Figure 5's
+ *  operating points), per allocation policy. */
+struct AdderUtilization
+{
+    double priorityMin = 0.0; ///< least-used adder, priority policy
+    double priorityMax = 0.0; ///< most-used adder, priority policy
+    double uniform = 0.0;     ///< mean adder, uniform policy
+};
+
+/** One pipeline run per policy on one trace per suite (cached,
+ *  never sharded). */
+AdderUtilization
+runAdderUtilization(const WorkloadSet &workload,
+                    const ExperimentOptions &options);
 
 /**
  * Workload-wide adder operand samples: one trace per suite,
@@ -182,29 +198,35 @@ collectWorkloadAdderOperands(const WorkloadSet &workload,
 
 // ------------------------------------------------------ register file
 
-/** Figure 6 results for one register file. */
-struct RegFileExperimentResult
+/** One Figure-6 arm: the INT or FP register file, ISV off or on. */
+struct RegFileArm
 {
-    std::string name;
-    std::vector<double> baselineBias; ///< per bit, towards "0"
-    std::vector<double> isvBias;
-    double baselineWorst = 0.0; ///< max over bits of max(p, 1-p)
-    double isvWorst = 0.0;
-    double freeFraction = 0.0;  ///< paper: 54% INT / 69% FP
-    double guardbandBaseline = 0.0;
-    double guardbandIsv = 0.0;
-    IsvStats isvStats;
+    bool fp = false;
+    bool isv = false;
+};
+
+/** Figure 6 results for one arm. */
+struct RegFileArmResult
+{
+    std::string name; ///< "INT-RF" or "FP-RF"
+    RegFileArm arm;
+    std::vector<double> bias; ///< per bit, towards "0"
+    double worst = 0.0;       ///< max over bits of max(p, 1-p)
+    double guardband = 0.0;
+    /** Paper: 54% INT / 69% FP; ISV does not move it. */
+    double freeFraction = 0.0;
+    IsvStats isvStats; ///< all zero with ISV off
 };
 
 /**
- * Figure 6 for each register file of @p fp_files (false = INT,
- * true = FP), with ISV off and on: every variant of a trace is fed
- * by one streamed pass (Engine::streamCached).  Results follow
- * @p fp_files order.
+ * Figure 6 for each of @p arms, and nothing else: the arms of one
+ * file share one replay timeline per trace (RegFilePass), and every
+ * file of a trace is fed by one streamed pass
+ * (Engine::streamCached).  Results follow @p arms order.
  */
-std::vector<RegFileExperimentResult>
+std::vector<RegFileArmResult>
 runRegFileExperiment(const WorkloadSet &workload,
-                     const std::vector<bool> &fp_files,
+                     const std::vector<RegFileArm> &arms,
                      const ExperimentOptions &options);
 
 // ---------------------------------------------------------- scheduler
@@ -220,23 +242,45 @@ std::vector<unsigned>
 schedulerProfilingSubset(const WorkloadSet &workload,
                          const ExperimentOptions &options);
 
-/** Figure 8 results. */
-struct SchedulerExperimentResult
+/** The Figure-8 arms a scheduler run computes. */
+enum class SchedulerArms
 {
-    std::vector<double> baselineBias;  ///< 144 bits, layout order
-    std::vector<double> protectedBias;
-    double baselineWorstFig8 = 0.0;
-    double protectedWorstFig8 = 0.0;
-    double occupancy = 0.0; ///< paper: 63%
+    Baseline,  ///< protection off
+    Protected, ///< the profiled protection on
+    Both,
+};
+
+/** One Figure-8 arm. */
+struct SchedulerArmResult
+{
+    std::vector<double> bias; ///< 144 bits, layout order
+    double worstFig8 = 0.0;
+    double occupancy = 0.0; ///< paper: 63%; protection does not move it
+};
+
+/** The protected arm, with the decisions behind it. */
+struct SchedulerProtectedResult : SchedulerArmResult
+{
     std::vector<FieldTechniqueSummary> techniques;
     double guardband = 0.0;
     double efficiency = 0.0;
 };
 
-/** Figure 8: protection off and on, fed by one streamed pass per
- *  evaluation trace. */
+/** Figure 8 results: only the arms that were asked for are set. */
+struct SchedulerExperimentResult
+{
+    std::optional<SchedulerArmResult> baseline;
+    std::optional<SchedulerProtectedResult> protectedArm;
+};
+
+/**
+ * Figure 8 for @p arms: the arms share one replay timeline per
+ * evaluation trace (SchedulerPass).  The profile and the protection
+ * decisions are computed only for the protected arm.
+ */
 SchedulerExperimentResult
 runSchedulerExperiment(const WorkloadSet &workload,
+                       SchedulerArms arms,
                        const ExperimentOptions &options);
 
 // -------------------------------------------------------------- cache
@@ -299,11 +343,13 @@ struct ProcessorSummary
     double maxGuardband = 0.0;
 };
 
+/** The roll-up reads only the protected guardbands: the ISV arms
+ *  of both register files and the protected scheduler arm. */
 ProcessorSummary
 buildProcessorSummary(const AdderExperimentResult &adder,
-                      const RegFileExperimentResult &int_rf,
-                      const RegFileExperimentResult &fp_rf,
-                      const SchedulerExperimentResult &scheduler,
+                      const RegFileArmResult &int_isv,
+                      const RegFileArmResult &fp_isv,
+                      const SchedulerProtectedResult &scheduler,
                       const WorkloadSet &workload,
                       const ExperimentOptions &options);
 

@@ -4,22 +4,38 @@
 
 namespace penelope {
 
+RegFileReplay::RegFileReplay(const RegReplayConfig &config)
+    : config_(config), rng_(config.seed)
+{
+    archMap_.assign(config_.fp ? numArchFpRegs : numArchIntRegs, -1);
+}
+
 RegFileReplay::RegFileReplay(RegisterFile &rf,
                              const RegReplayConfig &config)
-    : rf_(rf), config_(config), rng_(config.seed)
+    : RegFileReplay(config)
 {
-    const unsigned arch_regs =
-        config_.fp ? numArchFpRegs : numArchIntRegs;
-    archMap_.assign(arch_regs, -1);
+    attach(rf);
+}
+
+void
+RegFileReplay::attach(RegisterFile &rf)
+{
+    assert(clock_ == 0);
+    assert(files_.empty() ||
+           (rf.numEntries() == files_.front()->numEntries() &&
+            rf.width() == files_.front()->width()));
     // Architectural state starts mapped, holding zero values
-    // (non-inverted), as at the start of the paper's traces.
-    for (unsigned r = 0; r < arch_regs; ++r) {
-        const int phys = rf_.allocate(0);
+    // (non-inverted), as at the start of the paper's traces.  A
+    // fresh file's free list hands out the entries the first file
+    // took.
+    for (int &mapped : archMap_) {
+        const int phys = rf.allocate(0);
         assert(phys >= 0);
-        rf_.write(static_cast<unsigned>(phys),
-                  BitWord(rf_.width()), 0);
-        archMap_[r] = phys;
+        assert(files_.empty() || phys == mapped);
+        rf.write(static_cast<unsigned>(phys), BitWord(rf.width()), 0);
+        mapped = phys;
     }
+    files_.push_back(&rf);
 }
 
 void
@@ -38,19 +54,27 @@ RegFileReplay::feed(const Uop *uops, std::size_t n)
         if (isFp(uop.cls) != config_.fp)
             continue;
 
-        int phys = rf_.allocate(now);
+        // Every file has the same free list, so each takes the entry
+        // the first one does.
+        RegisterFile &first = *files_.front();
+        int phys = first.allocate(now);
         if (phys < 0) {
             // Free-list pressure: force the oldest pending release
             // (the pipeline would have stalled until commit).
             drainReleases(now, true);
-            phys = rf_.allocate(now);
+            phys = first.allocate(now);
             if (phys < 0)
                 continue; // nothing to release; drop the write
         }
         const BitWord value = config_.fp
-            ? BitWord(rf_.width(), uop.dstVal, uop.dstValHi)
-            : BitWord(rf_.width(), uop.dstVal);
-        rf_.write(static_cast<unsigned>(phys), value, now);
+            ? BitWord(first.width(), uop.dstVal, uop.dstValHi)
+            : BitWord(first.width(), uop.dstVal);
+        first.write(static_cast<unsigned>(phys), value, now);
+        for (std::size_t f = 1; f < files_.size(); ++f) {
+            [[maybe_unused]] const int same = files_[f]->allocate(now);
+            assert(same == phys);
+            files_[f]->write(static_cast<unsigned>(phys), value, now);
+        }
         ++result_.writes;
 
         const unsigned arch = uop.dstReg;
@@ -69,7 +93,8 @@ RegFileReplay::result() const
 {
     RegReplayResult r = result_;
     r.cycles = clock_;
-    r.occupancy = rf_.occupancy(clock_);
+    assert(!files_.empty());
+    r.occupancy = files_.front()->occupancy(clock_);
     r.freeFraction = 1.0 - r.occupancy;
     return r;
 }
@@ -81,8 +106,9 @@ RegFileReplay::drainReleases(Cycle now, bool force)
            (pending_.front().due <= now || force)) {
         const PendingRelease rel = pending_.front();
         pending_.pop_front();
-        rf_.release(rel.entry, now,
-                    rng_.nextBool(config_.portFreeProb));
+        const bool port = rng_.nextBool(config_.portFreeProb);
+        for (RegisterFile *rf : files_)
+            rf->release(rel.entry, now, port);
         ++result_.releases;
         if (force) {
             ++result_.forcedReleases;

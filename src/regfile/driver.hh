@@ -9,6 +9,15 @@
  * Write-port availability at release time is modelled as a Bernoulli
  * draw with the paper's measured probabilities (92% INT / 86% FP) as
  * defaults.
+ *
+ * One replay drives one or more register files of the same geometry
+ * on one timeline.  None of the timeline depends on ISV: the rename
+ * map, the commit-delay window and the port draw (taken whether or
+ * not the port is free) belong to the replay, and every file's FIFO
+ * free list hands out the same entry, because ISV acts only on the
+ * value a release leaves behind.  So a file driven alongside others
+ * ends bit-identical to one replayed alone, and a trace's ISV-off
+ * and ISV-on arms (RegFilePass) share one replay.
  */
 
 #ifndef PENELOPE_REGFILE_DRIVER_HH
@@ -16,6 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/ring.hh"
 #include "common/rng.hh"
@@ -63,7 +76,17 @@ struct RegReplayResult
 class RegFileReplay
 {
   public:
+    /** A replay with no register file yet: attach() them before the
+     *  first feed(). */
+    explicit RegFileReplay(const RegReplayConfig &config);
+
+    /** The one-file replay: attach(@p rf). */
     RegFileReplay(RegisterFile &rf, const RegReplayConfig &config);
+
+    /** Drive @p rf too, mapping the architectural registers into
+     *  it.  Only before the first feed(); every attached file has
+     *  the same entry count and width. */
+    void attach(RegisterFile &rf);
 
     /** Replay the next @p n uops of the stream (one cycle each). */
     void feed(const Uop *uops, std::size_t n);
@@ -93,7 +116,9 @@ class RegFileReplay
 
     void drainReleases(Cycle now, bool force);
 
-    RegisterFile &rf_;
+    /** Attached files; the first answers occupancy queries (every
+     *  one sees the same allocations and releases). */
+    std::vector<RegisterFile *> files_;
     RegReplayConfig config_;
     Rng rng_;
     std::vector<int> archMap_;
@@ -112,27 +137,68 @@ class RegFileReplay
 };
 
 /**
- * A register file with its own replay: the unit a streamed trace
- * pass feeds (Engine::streamCached).  Callers add the result() that
- * packs the shard they cache.  Not copyable: the replay refers to
- * the register file.
+ * Register files on one replay timeline: the per-trace state of a
+ * streamed pass (Engine::streamCached) that computes several arms of
+ * one trace.  Each RegFileRun adds its file before the first feed,
+ * and the first run feeds the pass.
+ */
+class RegFilePass
+{
+  public:
+    explicit RegFilePass(const RegReplayConfig &config) : replay(config)
+    {
+    }
+
+    RegFilePass(const RegFilePass &) = delete;
+    RegFilePass &operator=(const RegFilePass &) = delete;
+
+    /** Add a file with ISV @p isv; returns it and whether it is the
+     *  pass's first. */
+    std::pair<RegisterFile *, bool>
+    add(const RegFileConfig &rf_config, bool isv)
+    {
+        files_.push_back(std::make_unique<RegisterFile>(rf_config));
+        RegisterFile &rf = *files_.back();
+        rf.enableIsv(isv); // ISV acts at release only
+        replay.attach(rf);
+        return {&rf, files_.size() == 1};
+    }
+
+    RegFileReplay replay;
+
+  private:
+    std::vector<std::unique_ptr<RegisterFile>> files_;
+};
+
+/**
+ * One arm of a RegFilePass: the unit a streamed trace pass feeds.
+ * Callers add the result() that packs the shard they cache.
  */
 struct RegFileRun
 {
-    RegFileRun(const RegFileConfig &rf_config, bool isv,
-               const RegReplayConfig &replay_config)
-        : rf(rf_config), replay(rf, replay_config)
+    RegFileRun(std::shared_ptr<RegFilePass> pass_,
+               const RegFileConfig &rf_config, bool isv)
+        : pass(std::move(pass_))
     {
-        rf.enableIsv(isv); // ISV acts at release only
+        std::tie(rf, feedsPass) = pass->add(rf_config, isv);
     }
 
     RegFileRun(const RegFileRun &) = delete;
     RegFileRun &operator=(const RegFileRun &) = delete;
 
-    void feed(const Uop *uops, std::size_t n) { replay.feed(uops, n); }
+    void
+    feed(const Uop *uops, std::size_t n)
+    {
+        if (feedsPass)
+            pass->replay.feed(uops, n);
+    }
 
-    RegisterFile rf;
-    RegFileReplay replay;
+    /** The shared replay's counters (the same for every arm). */
+    RegReplayResult replayResult() const { return pass->replay.result(); }
+
+    std::shared_ptr<RegFilePass> pass;
+    RegisterFile *rf = nullptr;
+    bool feedsPass = false;
 };
 
 } // namespace penelope

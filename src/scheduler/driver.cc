@@ -2,14 +2,30 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 namespace penelope {
 
+SchedulerReplay::SchedulerReplay(const SchedReplayConfig &config)
+    : config_(config), rng_(config.seed)
+{
+}
+
 SchedulerReplay::SchedulerReplay(Scheduler &scheduler,
                                  const SchedReplayConfig &config)
-    : sched_(scheduler), config_(config), rng_(config.seed)
+    : SchedulerReplay(config)
 {
-    releaseAt_.assign(sched_.numEntries(), 0);
+    attach(scheduler);
+}
+
+void
+SchedulerReplay::attach(Scheduler &scheduler)
+{
+    assert(clock_ == 0 && !cycleOpen_);
+    if (scheds_.empty())
+        releaseAt_.assign(scheduler.numEntries(), 0);
+    assert(scheduler.numEntries() == releaseAt_.size());
+    scheds_.push_back(&scheduler);
 }
 
 void
@@ -18,7 +34,8 @@ SchedulerReplay::release(unsigned e, Cycle now)
     // A busy port only delays the repair, which the scheduler models
     // as applied; the draw stays so the replay stream is unchanged.
     rng_.nextBool(config_.portFreeProb);
-    sched_.release(e, now);
+    for (Scheduler *sched : scheds_)
+        sched->release(e, now);
     releaseAt_[e] = 0;
     ++result_.released;
 }
@@ -68,7 +85,16 @@ SchedulerReplay::feed(const Uop *uops, std::size_t n)
             } else {
                 return; // the cycle stays open for the next feed
             }
-            const int entry = sched_.allocate(uop, nextTags(uop), clock_);
+            // Every scheduler has the same free list, so each takes
+            // the slot the first one does.
+            const RenameTags tags = nextTags(uop);
+            const int entry =
+                scheds_.front()->allocate(uop, tags, clock_);
+            for (std::size_t s = 1; s < scheds_.size(); ++s) {
+                [[maybe_unused]] const int same =
+                    scheds_[s]->allocate(uop, tags, clock_);
+                assert(same == entry);
+            }
             if (entry < 0) {
                 pending_ = uop;
                 stalled = true;
@@ -100,6 +126,7 @@ SchedulerReplay::feed(const Uop *uops, std::size_t n)
 SchedReplayResult
 SchedulerReplay::result()
 {
+    assert(!scheds_.empty());
     if (cycleOpen_) {
         ++clock_;
         cycleOpen_ = false;
@@ -118,7 +145,7 @@ SchedulerReplay::result()
     SchedReplayResult r = result_;
     result_ = SchedReplayResult();
     r.cycles = clock_;
-    r.occupancy = sched_.occupancy(clock_);
+    r.occupancy = scheds_.front()->occupancy(clock_);
     return r;
 }
 

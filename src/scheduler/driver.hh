@@ -8,6 +8,15 @@
  * allocate write ports, which are free with the paper's measured
  * 77% probability.  Defaults are calibrated to the paper's 63%
  * average occupancy.
+ *
+ * One replay drives one or more schedulers on one timeline.  None
+ * of the timeline depends on protection: arrivals, residences,
+ * rename-tag draws and port draws come from the replay's Rng (the
+ * port draw is taken whether or not the port is free), and every
+ * scheduler's FIFO free list hands out the same slot.  So a
+ * scheduler driven alongside others ends bit-identical to one
+ * replayed alone, and a trace's unprotected and protected arms
+ * (SchedulerPass) share one replay.
  */
 
 #ifndef PENELOPE_SCHEDULER_DRIVER_HH
@@ -16,7 +25,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -63,8 +75,17 @@ struct SchedReplayResult
 class SchedulerReplay
 {
   public:
+    /** A replay with no scheduler yet: attach() them before the
+     *  first feed(). */
+    explicit SchedulerReplay(const SchedReplayConfig &config);
+
+    /** The one-scheduler replay: attach(@p scheduler). */
     SchedulerReplay(Scheduler &scheduler,
                     const SchedReplayConfig &config);
+
+    /** Drive @p scheduler too.  Only before the first feed(); every
+     *  attached scheduler has the same number of entries. */
+    void attach(Scheduler &scheduler);
 
     /**
      * Replay the next @p n uops of the stream.  Cycles run until the
@@ -104,7 +125,9 @@ class SchedulerReplay
      *  inside the wheel window into their buckets. */
     void promoteFar(Cycle now);
 
-    Scheduler &sched_;
+    /** Attached schedulers; the first answers occupancy queries
+     *  (every one sees the same allocations and releases). */
+    std::vector<Scheduler *> scheds_;
     SchedReplayConfig config_;
     Rng rng_;
     std::vector<Cycle> releaseAt_; ///< per entry; 0 = free
@@ -133,38 +156,99 @@ class SchedulerReplay
 };
 
 /**
- * A default-configured scheduler with its own replay: the unit a
- * streamed trace pass feeds (Engine::streamCached).  With
- * @p decisions set the protection they describe is installed and
- * enabled.  Not copyable: the replay refers to the scheduler.
+ * Default-configured schedulers on one replay timeline: the
+ * per-trace state of a streamed pass (Engine::streamCached) that
+ * computes several arms of one trace.  Each SchedulerRun adds its
+ * scheduler before the first feed; the first run feeds the pass,
+ * and the replay closes once, when the first run takes its result.
+ */
+class SchedulerPass
+{
+  public:
+    explicit SchedulerPass(const SchedReplayConfig &config)
+        : replay_(config)
+    {
+    }
+
+    SchedulerPass(const SchedulerPass &) = delete;
+    SchedulerPass &operator=(const SchedulerPass &) = delete;
+
+    /** Add a scheduler; with @p decisions set the protection they
+     *  describe is installed and enabled.  Returns it and whether
+     *  it is the pass's first. */
+    std::pair<Scheduler *, bool>
+    add(const std::vector<BitDecision> *decisions)
+    {
+        scheds_.push_back(
+            std::make_unique<Scheduler>(SchedulerConfig{}));
+        Scheduler &sched = *scheds_.back();
+        if (decisions) {
+            sched.configureProtection(*decisions);
+            sched.enableProtection(true);
+        }
+        replay_.attach(sched);
+        return {&sched, scheds_.size() == 1};
+    }
+
+    void feed(const Uop *uops, std::size_t n) { replay_.feed(uops, n); }
+
+    /** The cycle count of the closed stream (closes it once). */
+    Cycle
+    cycles()
+    {
+        if (!cycles_)
+            cycles_ = replay_.result().cycles;
+        return *cycles_;
+    }
+
+  private:
+    SchedulerReplay replay_;
+    std::vector<std::unique_ptr<Scheduler>> scheds_;
+    std::optional<Cycle> cycles_;
+};
+
+/**
+ * One arm of a SchedulerPass: the unit a streamed trace pass feeds.
+ * With @p decisions set its scheduler is protected.  The two-argument
+ * form runs on a pass of its own.
  */
 class SchedulerRun
 {
   public:
+    SchedulerRun(std::shared_ptr<SchedulerPass> pass,
+                 const std::vector<BitDecision> *decisions)
+        : pass_(std::move(pass))
+    {
+        std::tie(sched_, feedsPass_) = pass_->add(decisions);
+    }
+
     SchedulerRun(const std::vector<BitDecision> *decisions,
                  const SchedReplayConfig &config)
-        : sched_(SchedulerConfig{}), replay_(sched_, config)
+        : SchedulerRun(std::make_shared<SchedulerPass>(config),
+                       decisions)
     {
-        if (decisions) {
-            sched_.configureProtection(*decisions);
-            sched_.enableProtection(true);
-        }
     }
 
     SchedulerRun(const SchedulerRun &) = delete;
     SchedulerRun &operator=(const SchedulerRun &) = delete;
 
-    void feed(const Uop *uops, std::size_t n) { replay_.feed(uops, n); }
+    void
+    feed(const Uop *uops, std::size_t n)
+    {
+        if (feedsPass_)
+            pass_->feed(uops, n);
+    }
 
     SchedulerStress
     result()
     {
-        return sched_.snapshotStress(replay_.result().cycles);
+        return sched_->snapshotStress(pass_->cycles());
     }
 
   private:
-    Scheduler sched_;
-    SchedulerReplay replay_;
+    std::shared_ptr<SchedulerPass> pass_;
+    Scheduler *sched_ = nullptr;
+    bool feedsPass_ = false;
 };
 
 } // namespace penelope

@@ -517,40 +517,48 @@ tinyOptions(unsigned jobs)
 TEST(JobsDeterminism, RegFileExperiment)
 {
     const WorkloadSet workload;
+    const std::vector<RegFileArm> int_arms = {{false, false},
+                                              {false, true}};
     const auto serial =
-        runRegFileExperiment(workload, {false}, tinyOptions(1)).front();
+        runRegFileExperiment(workload, int_arms, tinyOptions(1));
     const auto parallel =
-        runRegFileExperiment(workload, {false}, tinyOptions(8)).front();
+        runRegFileExperiment(workload, int_arms, tinyOptions(8));
 
-    EXPECT_EQ(serial.baselineBias, parallel.baselineBias);
-    EXPECT_EQ(serial.isvBias, parallel.isvBias);
-    EXPECT_EQ(serial.baselineWorst, parallel.baselineWorst);
-    EXPECT_EQ(serial.isvWorst, parallel.isvWorst);
-    EXPECT_EQ(serial.freeFraction, parallel.freeFraction);
-    EXPECT_EQ(serial.isvStats.updatesApplied,
-              parallel.isvStats.updatesApplied);
-    EXPECT_EQ(serial.isvStats.updatesDiscarded,
-              parallel.isvStats.updatesDiscarded);
-    EXPECT_EQ(serial.isvStats.updatesSkipped,
-              parallel.isvStats.updatesSkipped);
+    ASSERT_EQ(serial.size(), 2u);
+    ASSERT_EQ(parallel.size(), 2u);
+    for (std::size_t a = 0; a < 2; ++a) {
+        EXPECT_EQ(serial[a].bias, parallel[a].bias);
+        EXPECT_EQ(serial[a].worst, parallel[a].worst);
+        EXPECT_EQ(serial[a].freeFraction, parallel[a].freeFraction);
+        EXPECT_EQ(serial[a].isvStats.updatesApplied,
+                  parallel[a].isvStats.updatesApplied);
+        EXPECT_EQ(serial[a].isvStats.updatesDiscarded,
+                  parallel[a].isvStats.updatesDiscarded);
+        EXPECT_EQ(serial[a].isvStats.updatesSkipped,
+                  parallel[a].isvStats.updatesSkipped);
+    }
 }
 
 TEST(JobsDeterminism, SchedulerExperiment)
 {
     const WorkloadSet workload;
-    const auto serial =
-        runSchedulerExperiment(workload, tinyOptions(1));
-    const auto parallel =
-        runSchedulerExperiment(workload, tinyOptions(8));
+    const auto serial = runSchedulerExperiment(
+        workload, SchedulerArms::Both, tinyOptions(1));
+    const auto parallel = runSchedulerExperiment(
+        workload, SchedulerArms::Both, tinyOptions(8));
 
-    EXPECT_EQ(serial.baselineBias, parallel.baselineBias);
-    EXPECT_EQ(serial.protectedBias, parallel.protectedBias);
-    EXPECT_EQ(serial.baselineWorstFig8,
-              parallel.baselineWorstFig8);
-    EXPECT_EQ(serial.protectedWorstFig8,
-              parallel.protectedWorstFig8);
-    EXPECT_EQ(serial.occupancy, parallel.occupancy);
-    EXPECT_EQ(serial.guardband, parallel.guardband);
+    EXPECT_EQ(serial.baseline.value().bias,
+              parallel.baseline.value().bias);
+    EXPECT_EQ(serial.protectedArm.value().bias,
+              parallel.protectedArm.value().bias);
+    EXPECT_EQ(serial.baseline->worstFig8,
+              parallel.baseline->worstFig8);
+    EXPECT_EQ(serial.protectedArm->worstFig8,
+              parallel.protectedArm->worstFig8);
+    EXPECT_EQ(serial.protectedArm->occupancy,
+              parallel.protectedArm->occupancy);
+    EXPECT_EQ(serial.protectedArm->guardband,
+              parallel.protectedArm->guardband);
 }
 
 /** One query's per-trace samples at 2000 uops per trace, time
@@ -604,23 +612,27 @@ TEST(JobsDeterminism, PersistentPoolMatchesPerCallPools)
     ExperimentOptions pooled = tinyOptions(4);
     pooled.pool = &pool;
 
+    const std::vector<RegFileArm> int_arms = {{false, false},
+                                              {false, true}};
     const auto rf_serial =
-        runRegFileExperiment(workload, {false}, tinyOptions(1)).front();
+        runRegFileExperiment(workload, int_arms, tinyOptions(1));
     const auto rf_pooled =
-        runRegFileExperiment(workload, {false}, pooled).front();
-    EXPECT_EQ(rf_serial.baselineBias, rf_pooled.baselineBias);
-    EXPECT_EQ(rf_serial.isvBias, rf_pooled.isvBias);
-    EXPECT_EQ(rf_serial.isvStats.updatesApplied,
-              rf_pooled.isvStats.updatesApplied);
+        runRegFileExperiment(workload, int_arms, pooled);
+    EXPECT_EQ(rf_serial[0].bias, rf_pooled[0].bias);
+    EXPECT_EQ(rf_serial[1].bias, rf_pooled[1].bias);
+    EXPECT_EQ(rf_serial[1].isvStats.updatesApplied,
+              rf_pooled[1].isvStats.updatesApplied);
 
-    const auto sched_serial =
-        runSchedulerExperiment(workload, tinyOptions(1));
+    const auto sched_serial = runSchedulerExperiment(
+        workload, SchedulerArms::Both, tinyOptions(1));
     const auto sched_pooled =
-        runSchedulerExperiment(workload, pooled);
-    EXPECT_EQ(sched_serial.baselineBias, sched_pooled.baselineBias);
-    EXPECT_EQ(sched_serial.protectedBias,
-              sched_pooled.protectedBias);
-    EXPECT_EQ(sched_serial.occupancy, sched_pooled.occupancy);
+        runSchedulerExperiment(workload, SchedulerArms::Both, pooled);
+    EXPECT_EQ(sched_serial.baseline.value().bias,
+              sched_pooled.baseline.value().bias);
+    EXPECT_EQ(sched_serial.protectedArm.value().bias,
+              sched_pooled.protectedArm.value().bias);
+    EXPECT_EQ(sched_serial.protectedArm->occupancy,
+              sched_pooled.protectedArm->occupancy);
 
     const std::vector<unsigned> traces = workload.strided(97);
     const PerfLossStats loss_serial = foldPerfLoss(

@@ -188,13 +188,17 @@ TEST(Experiments, RegFileEndToEnd)
     ExperimentOptions opt;
     opt.traceStride = 64;
     opt.uopsPerTrace = 15000;
-    const auto r = runRegFileExperiment(w, {false}, opt).front();
-    EXPECT_EQ(r.baselineBias.size(), 32u);
-    EXPECT_EQ(r.isvBias.size(), 32u);
-    EXPECT_GT(r.baselineWorst, 0.75);
-    EXPECT_LT(r.isvWorst, 0.60);
-    EXPECT_LT(r.guardbandIsv, r.guardbandBaseline);
-    EXPECT_NEAR(r.freeFraction, 0.54, 0.12);
+    const auto r =
+        runRegFileExperiment(w, {{false, false}, {false, true}}, opt);
+    ASSERT_EQ(r.size(), 2u);
+    const RegFileArmResult &base = r[0];
+    const RegFileArmResult &isv = r[1];
+    EXPECT_EQ(base.bias.size(), 32u);
+    EXPECT_EQ(isv.bias.size(), 32u);
+    EXPECT_GT(base.worst, 0.75);
+    EXPECT_LT(isv.worst, 0.60);
+    EXPECT_LT(isv.guardband, base.guardband);
+    EXPECT_NEAR(base.freeFraction, 0.54, 0.12);
 }
 
 TEST(Experiments, SchedulerEndToEnd)
@@ -203,13 +207,15 @@ TEST(Experiments, SchedulerEndToEnd)
     ExperimentOptions opt;
     opt.traceStride = 96;
     opt.uopsPerTrace = 10000;
-    const auto r = runSchedulerExperiment(w, opt);
-    EXPECT_EQ(r.baselineBias.size(), fieldLayout().totalBits());
-    EXPECT_GT(r.baselineWorstFig8, 0.9);
+    const auto r = runSchedulerExperiment(w, SchedulerArms::Both, opt);
+    const SchedulerArmResult &base = r.baseline.value();
+    const SchedulerProtectedResult &prot = r.protectedArm.value();
+    EXPECT_EQ(base.bias.size(), fieldLayout().totalBits());
+    EXPECT_GT(base.worstFig8, 0.9);
     // Paper: 63.2% residual (ALL1 bits + valid bit).
-    EXPECT_NEAR(r.protectedWorstFig8, 0.632, 0.06);
-    EXPECT_NEAR(r.occupancy, 0.63, 0.08);
-    EXPECT_LT(r.guardband, 0.09);
+    EXPECT_NEAR(prot.worstFig8, 0.632, 0.06);
+    EXPECT_NEAR(prot.occupancy, 0.63, 0.08);
+    EXPECT_LT(prot.guardband, 0.09);
 }
 
 TEST(Experiments, ProcessorSummaryOrdering)
@@ -221,11 +227,12 @@ TEST(Experiments, ProcessorSummaryOrdering)
     opt.cacheUops = 15000;
     opt.adderOperandSamples = 600;
     const auto adder = runAdderExperiment(w, opt);
-    const auto int_rf = runRegFileExperiment(w, {false}, opt).front();
-    const auto fp_rf = runRegFileExperiment(w, {true}, opt).front();
-    const auto sched = runSchedulerExperiment(w, opt);
+    const auto files =
+        runRegFileExperiment(w, {{false, true}, {true, true}}, opt);
+    const auto sched =
+        runSchedulerExperiment(w, SchedulerArms::Protected, opt);
     const auto summary = buildProcessorSummary(
-        adder, int_rf, fp_rf, sched, w, opt);
+        adder, files[0], files[1], sched.protectedArm.value(), w, opt);
 
     EXPECT_EQ(summary.blocks.size(), 5u);
     EXPECT_NEAR(summary.baselineEfficiency, 1.728, 1e-3);

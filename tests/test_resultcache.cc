@@ -865,18 +865,24 @@ TEST(ResultCache, ConcurrentStoreLookupImport)
 
 // ------------------------------------- engine-level cache behaviour
 
-/** Exact equality of two register-file experiment results. */
+/** Figure 6's INT arms, ISV off and on. */
+const std::vector<RegFileArm> kIntArms = {{false, false}, {false, true}};
+
+/** Figure 6's four arms, in its order. */
+const std::vector<RegFileArm> kFig6Arms = {
+    {false, false}, {false, true}, {true, false}, {true, true}};
+
+/** Exact equality of two register-file arm results. */
 void
-expectIdentical(const RegFileExperimentResult &a,
-                const RegFileExperimentResult &b)
+expectIdentical(const RegFileArmResult &a, const RegFileArmResult &b)
 {
-    EXPECT_EQ(a.baselineBias, b.baselineBias);
-    EXPECT_EQ(a.isvBias, b.isvBias);
-    EXPECT_EQ(a.baselineWorst, b.baselineWorst);
-    EXPECT_EQ(a.isvWorst, b.isvWorst);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.arm.fp, b.arm.fp);
+    EXPECT_EQ(a.arm.isv, b.arm.isv);
+    EXPECT_EQ(a.bias, b.bias);
+    EXPECT_EQ(a.worst, b.worst);
+    EXPECT_EQ(a.guardband, b.guardband);
     EXPECT_EQ(a.freeFraction, b.freeFraction);
-    EXPECT_EQ(a.guardbandBaseline, b.guardbandBaseline);
-    EXPECT_EQ(a.guardbandIsv, b.guardbandIsv);
     EXPECT_EQ(a.isvStats.updatesApplied,
               b.isvStats.updatesApplied);
     EXPECT_EQ(a.isvStats.updatesDiscarded,
@@ -885,18 +891,52 @@ expectIdentical(const RegFileExperimentResult &a,
               b.isvStats.updatesSkipped);
 }
 
-/** Exact equality of two scheduler experiment results. */
+void
+expectIdentical(const std::vector<RegFileArmResult> &a,
+                const std::vector<RegFileArmResult> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k)
+        expectIdentical(a[k], b[k]);
+}
+
+/** Exact equality of two scheduler arms. */
+void
+expectIdentical(const SchedulerArmResult &a, const SchedulerArmResult &b)
+{
+    EXPECT_EQ(a.bias, b.bias);
+    EXPECT_EQ(a.worstFig8, b.worstFig8);
+    EXPECT_EQ(a.occupancy, b.occupancy);
+}
+
+/** Exact equality of two scheduler experiment results: the same
+ *  arms, each identical. */
 void
 expectIdentical(const SchedulerExperimentResult &a,
                 const SchedulerExperimentResult &b)
 {
-    EXPECT_EQ(a.baselineBias, b.baselineBias);
-    EXPECT_EQ(a.protectedBias, b.protectedBias);
-    EXPECT_EQ(a.baselineWorstFig8, b.baselineWorstFig8);
-    EXPECT_EQ(a.protectedWorstFig8, b.protectedWorstFig8);
-    EXPECT_EQ(a.occupancy, b.occupancy);
-    EXPECT_EQ(a.guardband, b.guardband);
-    EXPECT_EQ(a.efficiency, b.efficiency);
+    ASSERT_EQ(a.baseline.has_value(), b.baseline.has_value());
+    ASSERT_EQ(a.protectedArm.has_value(), b.protectedArm.has_value());
+    if (a.baseline)
+        expectIdentical(*a.baseline, *b.baseline);
+    if (a.protectedArm) {
+        expectIdentical(*a.protectedArm, *b.protectedArm);
+        EXPECT_EQ(a.protectedArm->guardband, b.protectedArm->guardband);
+        EXPECT_EQ(a.protectedArm->efficiency,
+                  b.protectedArm->efficiency);
+        ASSERT_EQ(a.protectedArm->techniques.size(),
+                  b.protectedArm->techniques.size());
+        for (std::size_t f = 0; f < a.protectedArm->techniques.size();
+             ++f) {
+            const FieldTechniqueSummary &ta =
+                a.protectedArm->techniques[f];
+            const FieldTechniqueSummary &tb =
+                b.protectedArm->techniques[f];
+            EXPECT_EQ(ta.dominantTechnique, tb.dominantTechnique);
+            EXPECT_EQ(ta.minK, tb.minK);
+            EXPECT_EQ(ta.maxK, tb.maxK);
+        }
+    }
 }
 
 TEST(CachedEngine, ColdWarmUncachedAndJobsAllBitIdentical)
@@ -904,23 +944,23 @@ TEST(CachedEngine, ColdWarmUncachedAndJobsAllBitIdentical)
     const WorkloadSet workload;
     ExperimentOptions options = fastOptions();
 
-    const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> uncached =
+        runRegFileExperiment(workload, kIntArms, options);
 
     ResultCache cache;
     options.cache = &cache;
-    const RegFileExperimentResult cold =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> cold =
+        runRegFileExperiment(workload, kIntArms, options);
     const std::uint64_t stores = cache.stats().stores;
     EXPECT_GT(stores, 0u);
 
-    const RegFileExperimentResult warm =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> warm =
+        runRegFileExperiment(workload, kIntArms, options);
     EXPECT_EQ(cache.stats().stores, stores); // pure hits
 
     options.jobs = 4;
-    const RegFileExperimentResult warm4 =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> warm4 =
+        runRegFileExperiment(workload, kIntArms, options);
 
     expectIdentical(cold, uncached);
     expectIdentical(warm, uncached);
@@ -938,26 +978,26 @@ TEST(CachedEngine, ChangedOptionsNeverPoisonResults)
 
     // Uncached references.
     const auto ref_small =
-        runRegFileExperiment(workload, {false}, small).front();
+        runRegFileExperiment(workload, kIntArms, small);
     const auto ref_large =
-        runRegFileExperiment(workload, {false}, large).front();
-    ASSERT_NE(ref_small.baselineWorst, ref_large.baselineWorst);
+        runRegFileExperiment(workload, kIntArms, large);
+    ASSERT_NE(ref_small[0].worst, ref_large[0].worst);
 
     // One shared cache across both option sets, run twice each:
     // every run must match its own uncached reference.
     small.cache = &cache;
     large.cache = &cache;
     expectIdentical(
-        runRegFileExperiment(workload, {false}, small).front(),
+        runRegFileExperiment(workload, kIntArms, small),
         ref_small);
     expectIdentical(
-        runRegFileExperiment(workload, {false}, large).front(),
+        runRegFileExperiment(workload, kIntArms, large),
         ref_large);
     expectIdentical(
-        runRegFileExperiment(workload, {false}, small).front(),
+        runRegFileExperiment(workload, kIntArms, small),
         ref_small);
     expectIdentical(
-        runRegFileExperiment(workload, {false}, large).front(),
+        runRegFileExperiment(workload, kIntArms, large),
         ref_large);
 }
 
@@ -967,8 +1007,8 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
     const std::string dir = tempDir("engine_gc");
 
     ExperimentOptions options = fastOptions();
-    const RegFileExperimentResult uncached =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> uncached =
+        runRegFileExperiment(workload, kIntArms, options);
 
     // Fill the store with the current options AND a stale
     // generation (an options mix that will "no longer occur").
@@ -978,9 +1018,9 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
         ExperimentOptions stale = fastOptions();
         stale.uopsPerTrace = 3'000;
         stale.cache = &cache;
-        runRegFileExperiment(workload, {false}, stale);
+        runRegFileExperiment(workload, kIntArms, stale);
         options.cache = &cache;
-        runRegFileExperiment(workload, {false}, options);
+        runRegFileExperiment(workload, kIntArms, options);
         entries_with_stale = cache.size();
     }
 
@@ -989,8 +1029,8 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
     {
         ResultCache cache(dir);
         options.cache = &cache;
-        const RegFileExperimentResult warm =
-            runRegFileExperiment(workload, {false}, options).front();
+        const std::vector<RegFileArmResult> warm =
+            runRegFileExperiment(workload, kIntArms, options);
         expectIdentical(warm, uncached);
         EXPECT_EQ(cache.stats().stores, 0u);
         EXPECT_GT(cache.compact(), 0u);
@@ -1001,8 +1041,8 @@ TEST(CachedEngine, GcdStoreServesBitIdenticalWarmRuns)
     // The GC'd store still serves a fully warm, bit-identical run.
     ResultCache cache(dir);
     options.cache = &cache;
-    const RegFileExperimentResult warm_after_gc =
-        runRegFileExperiment(workload, {false}, options).front();
+    const std::vector<RegFileArmResult> warm_after_gc =
+        runRegFileExperiment(workload, kIntArms, options);
     expectIdentical(warm_after_gc, uncached);
     EXPECT_EQ(cache.stats().stores, 0u);
     EXPECT_GT(cache.stats().hits, 0u);
@@ -1016,12 +1056,12 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
 
     ExperimentOptions options = fastOptions();
     const auto reference =
-        runRegFileExperiment(workload, {false}, options).front();
+        runRegFileExperiment(workload, kIntArms, options);
 
     {
         ResultCache cache(dir);
         options.cache = &cache;
-        runRegFileExperiment(workload, {false}, options);
+        runRegFileExperiment(workload, kIntArms, options);
     }
 
     // Bit-flip one byte in the middle of the store file.
@@ -1039,7 +1079,7 @@ TEST(CachedEngine, CorruptDiskCacheReproducesColdRunExactly)
     ResultCache cache(dir);
     options.cache = &cache;
     const auto after =
-        runRegFileExperiment(workload, {false}, options).front();
+        runRegFileExperiment(workload, kIntArms, options);
     expectIdentical(after, reference);
 }
 
@@ -1051,7 +1091,7 @@ TEST(CachedEngine, ShardMergeReproducesUnshardedRun)
     ExperimentOptions options = fastOptions();
     options.traceStride = 48;
     const auto reference =
-        runSchedulerExperiment(workload, options);
+        runSchedulerExperiment(workload, SchedulerArms::Both, options);
 
     // Two shard runs, each exporting its slice.
     std::vector<std::string> files;
@@ -1061,7 +1101,7 @@ TEST(CachedEngine, ShardMergeReproducesUnshardedRun)
         opts.cache = &cache;
         opts.shardIndex = shard;
         opts.shardCount = 2;
-        runSchedulerExperiment(workload, opts);
+        runSchedulerExperiment(workload, SchedulerArms::Both, opts);
         files.push_back(dir + "/s" + std::to_string(shard) +
                         ".bin");
         ASSERT_TRUE(cache.exportTo(files.back()));
@@ -1074,7 +1114,7 @@ TEST(CachedEngine, ShardMergeReproducesUnshardedRun)
         ASSERT_TRUE(merged.importFrom(file));
     ExperimentOptions opts = options;
     opts.cache = &merged;
-    const auto combined = runSchedulerExperiment(workload, opts);
+    const auto combined = runSchedulerExperiment(workload, SchedulerArms::Both, opts);
     expectIdentical(combined, reference);
     EXPECT_EQ(merged.stats().stores, 0u); // everything hit
 }
@@ -1131,20 +1171,20 @@ TEST(CachedEngine, IntOnlyEntriesServeTheIntHalfOfTheIntFpPass)
     ExperimentOptions options = fastOptions();
     const std::size_t traces = evaluationTraces(workload, options).size();
     const auto reference =
-        runRegFileExperiment(workload, {false, true}, options);
+        runRegFileExperiment(workload, kFig6Arms, options);
 
     ResultCache cache;
     options.cache = &cache;
-    expectIdentical(
-        runRegFileExperiment(workload, {false}, options).front(),
-        reference[0]);
+    const auto int_only =
+        runRegFileExperiment(workload, kIntArms, options);
+    expectIdentical(int_only[0], reference[0]);
+    expectIdentical(int_only[1], reference[1]);
     ASSERT_EQ(cache.stats().stores, 2 * traces); // ISV off and on
 
     const ResultCache::Stats before = cache.stats();
     const auto both =
-        runRegFileExperiment(workload, {false, true}, options);
-    expectIdentical(both[0], reference[0]);
-    expectIdentical(both[1], reference[1]);
+        runRegFileExperiment(workload, kFig6Arms, options);
+    expectIdentical(both, reference);
     EXPECT_EQ(cache.stats().hits - before.hits, 2 * traces);
     EXPECT_EQ(cache.stats().misses - before.misses, 2 * traces);
     EXPECT_EQ(cache.stats().stores - before.stores, 2 * traces);
@@ -1154,7 +1194,7 @@ TEST(CachedEngine, UnprotectedEntriesServeTheSchedulerPass)
 {
     const WorkloadSet workload;
     ExperimentOptions options = fastOptions();
-    const auto reference = runSchedulerExperiment(workload, options);
+    const auto reference = runSchedulerExperiment(workload, SchedulerArms::Both, options);
 
     // The Figure-8 evaluation set: every traceStride-th trace
     // outside the profiling sample.
@@ -1178,7 +1218,7 @@ TEST(CachedEngine, UnprotectedEntriesServeTheSchedulerPass)
                      &cache);
     const ResultCache::Stats before = cache.stats();
     options.cache = &cache;
-    expectIdentical(runSchedulerExperiment(workload, options),
+    expectIdentical(runSchedulerExperiment(workload, SchedulerArms::Both, options),
                     reference);
     EXPECT_EQ(cache.stats().hits - before.hits,
               profiled.size() + eval.size());
