@@ -26,6 +26,7 @@
 #include "core/surrogate_sweep.hh"
 #include "nbti/rd_model.hh"
 #include "obs/metrics.hh"
+#include "pipeline/pipeline.hh"
 #include "regfile/driver.hh"
 #include "scheduler/driver.hh"
 #include "trace/workload.hh"
@@ -640,6 +641,23 @@ BM_RegFileArms(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_RegFileArms);
+
+/** One whole run of the default pipeline: 10,000 uops of trace 0,
+ *  generated as the run consumes them, as runPipelineSurvey and
+ *  runAdderUtilization run each trace. */
+void
+BM_PipelineRun(benchmark::State &state)
+{
+    constexpr std::size_t kUops = 10'000;
+    WorkloadSet workload;
+    for (auto _ : state) {
+        Pipeline pipe{PipelineConfig{}};
+        TraceGenerator gen = workload.generator(0);
+        benchmark::DoNotOptimize(pipe.run(gen, kUops).cycles);
+    }
+    state.SetItemsProcessed(state.iterations() * kUops);
+}
+BENCHMARK(BM_PipelineRun)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------ parallel experiment engine
 
