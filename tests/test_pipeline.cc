@@ -89,6 +89,74 @@ TEST(PipelineAnchor, Dl0MruPositionsWithInvertedLinesPinned)
                         0.014903983949555746});
 }
 
+/** Run trace 7 for 10,000 uops under @p policy and pin every
+ *  PipelineStats field as a literal. */
+void
+expectStatsPinned(AdderAllocationPolicy policy, const PipelineStats &want)
+{
+    WorkloadSet w;
+    PipelineConfig cfg;
+    cfg.adderPolicy = policy;
+    Pipeline pipe(cfg);
+    TraceGenerator gen = w.generator(7);
+    const PipelineStats s = pipe.run(gen, 10000);
+    EXPECT_EQ(s.cycles, want.cycles);
+    EXPECT_EQ(s.uops, want.uops);
+    EXPECT_EQ(s.cpi, want.cpi);
+    for (unsigned a = 0; a < 4; ++a)
+        EXPECT_EQ(s.adderUtilization[a], want.adderUtilization[a]) << a;
+    EXPECT_EQ(s.intRfOccupancy, want.intRfOccupancy);
+    EXPECT_EQ(s.fpRfOccupancy, want.fpRfOccupancy);
+    EXPECT_EQ(s.schedOccupancy, want.schedOccupancy);
+    EXPECT_EQ(s.intRfPortFree, want.intRfPortFree);
+    EXPECT_EQ(s.fpRfPortFree, want.fpRfPortFree);
+    EXPECT_EQ(s.schedPortFree, want.schedPortFree);
+    EXPECT_EQ(s.dl0Hits, want.dl0Hits);
+    EXPECT_EQ(s.dl0Misses, want.dl0Misses);
+    EXPECT_EQ(s.dtlbMisses, want.dtlbMisses);
+    for (unsigned m = 0; m < 3; ++m)
+        EXPECT_EQ(s.mruHitFraction[m], want.mruHitFraction[m]) << m;
+}
+
+TEST(PipelineAnchor, StatsPinned)
+{
+    PipelineStats priority;
+    priority.cycles = 8728;
+    priority.uops = 10000;
+    priority.cpi = 0.87280000000000002;
+    priority.adderUtilization[0] = 0.36663611365719523;
+    priority.adderUtilization[1] = 0.1094179651695692;
+    priority.adderUtilization[2] = 0.29605866177818513;
+    priority.adderUtilization[3] = 0.13691567369385885;
+    priority.intRfOccupancy = 0.50771761858386799;
+    priority.fpRfOccupancy = 0.17793487912465628;
+    priority.schedOccupancy = 0.96407395737855184;
+    priority.intRfPortFree = 0.83008052408898592;
+    priority.fpRfPortFree = 0.79681274900398402;
+    priority.schedPortFree = 1.0;
+    priority.dl0Hits = 3463;
+    priority.dl0Misses = 316;
+    priority.dtlbMisses = 70;
+    priority.mruHitFraction[0] = 0.93271729714120699;
+    priority.mruHitFraction[1] = 0.053421888535951485;
+    priority.mruHitFraction[2] = 0.013860814322841466;
+    expectStatsPinned(AdderAllocationPolicy::Priority, priority);
+
+    PipelineStats uniform = priority;
+    uniform.cycles = 9016;
+    uniform.cpi = 0.90159999999999996;
+    uniform.adderUtilization[0] = 0.23047914818101153;
+    uniform.adderUtilization[1] = 0.23036823425022182;
+    uniform.adderUtilization[2] = 0.28660159716060335;
+    uniform.adderUtilization[3] = 0.13254214729370009;
+    uniform.intRfOccupancy = 0.50488801159050578;
+    uniform.fpRfOccupancy = 0.17767718500443655;
+    uniform.schedOccupancy = 0.96855936668145515;
+    uniform.intRfPortFree = 0.84222737819025517;
+    uniform.fpRfPortFree = 0.81872509960159368;
+    expectStatsPinned(AdderAllocationPolicy::Uniform, uniform);
+}
+
 TEST(Pipeline, PriorityPolicySkewsAdders)
 {
     WorkloadSet w;
