@@ -33,10 +33,11 @@ main()
     AdderAgingAnalysis analysis(adder, model);
 
     // Search the idle-input pair space (Figure 4).
-    const InputPair best = analysis.bestPair();
+    const auto sweep = analysis.sweepPairs();
+    const InputPair best = bestPair(sweep);
     std::cout << "best idle-input pair: " << pairLabel(best)
               << " (paper picks 1+8 from its electrical model)\n";
-    for (const auto &entry : analysis.sweepPairs()) {
+    for (const auto &entry : sweep) {
         if (entry.narrowFullyStressedFraction < 0.001)
             std::cout << "  pair " << pairLabel(entry.pair)
                       << " leaves no narrow PMOS fully stressed\n";

@@ -1,9 +1,10 @@
 /**
  * @file
- * Whole-processor walkthrough: the integrated out-of-order pipeline
- * with every Penelope mechanism active at once (ISV register files,
- * casuistic-protected scheduler, LineFixed caches), reproducing the
- * Section-4.7 measurement flow on a single trace.
+ * Whole-processor walkthrough: the Section-4.7 measurement flow on a
+ * single trace.  The out-of-order pipeline with LineFixed50% caches
+ * gives the timing (CPI, DL0 invert ratio, adder utilisation); the
+ * structure replays give the per-bit bias of a casuistic-protected
+ * scheduler and an ISV-protected integer register file.
  */
 
 #include <iostream>
@@ -16,29 +17,16 @@ int
 main()
 {
     WorkloadSet workload;
+    constexpr unsigned kTrace = 42;
+    constexpr std::size_t kUops = 150'000;
 
-    // Scheduler protection profiled in the pipeline's own context
-    // (profiling and evaluation must see the same occupancy/bias
-    // regime -- the paper uses 100 of its 531 traces for this).
+    // Timing under cache inversion.
     PipelineConfig config;
-    std::vector<BitDecision> decisions;
-    {
-        Pipeline profiling_pipe(config);
-        TraceGenerator gen = workload.generator(42);
-        const PipelineStats s = profiling_pipe.run(gen, 60'000);
-        decisions = decideProtection(
-            profiling_pipe.scheduler().bitProfiles(s.cycles));
-    }
-
-    config.intRfIsv = true;
-    config.fpRfIsv = true;
     config.dl0Mechanism = MechanismKind::LineFixed50;
     config.dtlbMechanism = MechanismKind::LineFixed50;
     Pipeline pipeline(config);
-    pipeline.configureSchedulerProtection(std::move(decisions));
-
-    TraceGenerator gen = workload.generator(42);
-    const PipelineStats stats = pipeline.run(gen, 150'000);
+    TraceGenerator gen = workload.generator(kTrace);
+    const PipelineStats stats = pipeline.run(gen, kUops);
 
     std::cout << "pipeline run: " << stats.uops << " uops in "
               << stats.cycles << " cycles (CPI "
@@ -51,21 +39,34 @@ main()
         std::cout << " " << u * 100 << "%";
     std::cout << "\n";
 
+    // Scheduler protection profiled on a sample of traces (the
+    // paper profiles 100 of its 531), then replayed on this one.
+    const SchedulerProfile profile = profileScheduler(
+        workload, workload.sampleIndices(8, 0xbead), 30'000);
+    Scheduler sched{SchedulerConfig{}};
+    sched.configureProtection(decideProtection(profile.bits));
+    sched.enableProtection(true);
+    SchedulerReplay sched_replay(sched, SchedReplayConfig{});
+    TraceGenerator sched_gen = workload.replayGenerator(kTrace);
+    const Cycle sched_cycles = sched_replay.run(sched_gen, kUops).cycles;
+    const double sched_stress = sched.worstFigure8Bias(sched_cycles);
+
+    // The integer register file with ISV.
+    RegisterFile int_rf{RegFileConfig{}};
+    int_rf.enableIsv(true);
+    RegFileReplay rf_replay(int_rf, RegReplayConfig{});
+    TraceGenerator rf_gen = workload.replayGenerator(kTrace);
+    const Cycle rf_cycles = rf_replay.run(rf_gen, kUops).cycles;
+    const double int_stress =
+        int_rf.finalizeBias(rf_cycles).maxWorstCaseStress();
+
     const GuardbandModel model = GuardbandModel::paperCalibrated();
-    const double int_stress = pipeline.intRf()
-                                  .finalizeBias(stats.cycles)
-                                  .maxWorstCaseStress();
-    const double sched_stress =
-        pipeline.scheduler().worstFigure8Bias(stats.cycles);
     std::cout << "INT RF worst stress " << int_stress * 100
               << "% -> guardband "
               << model.guardbandForZeroProb(int_stress) * 100
               << "%\n";
     std::cout << "scheduler worst stress " << sched_stress * 100
-              << "% (the pipeline scheduler runs near-full on this "
-                 "trace, so the casuistic\nfloor is its occupancy "
-                 "-- the paper's situation where balancing is "
-                 "infeasible) -> guardband "
+              << "% (paper: 63.2%) -> guardband "
               << model.guardbandForZeroProb(sched_stress) * 100
               << "%\n";
 

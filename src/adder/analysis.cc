@@ -209,12 +209,11 @@ AdderAgingAnalysis::sweepPairs() const
 }
 
 InputPair
-AdderAgingAnalysis::bestPair() const
+bestPair(const std::vector<PairSweepEntry> &sweep)
 {
-    const auto entries = sweepPairs();
-    assert(!entries.empty());
+    assert(!sweep.empty());
     const auto it = std::min_element(
-        entries.begin(), entries.end(),
+        sweep.begin(), sweep.end(),
         [](const PairSweepEntry &x, const PairSweepEntry &y) {
             return x.narrowFullyStressedFraction <
                 y.narrowFullyStressedFraction;

@@ -80,6 +80,11 @@ struct PairSweepEntry
     double narrowFullyStressedFraction;
 };
 
+/** The pair of a non-empty sweepPairs() result minimising the
+ *  Figure-4 metric (ties: first in order, which matches the paper's
+ *  1+8 choice). */
+InputPair bestPair(const std::vector<PairSweepEntry> &sweep);
+
 /**
  * Aging analysis harness bound to one adder topology.
  */
@@ -112,10 +117,6 @@ class AdderAgingAnalysis
 
     /** Figure 4: all 28 pairs with their stressed-narrow fraction. */
     std::vector<PairSweepEntry> sweepPairs() const;
-
-    /** Pair minimising the Figure-4 metric (ties: first in order,
-     *  which matches the paper's 1+8 choice). */
-    InputPair bestPair() const;
 
     /**
      * Figure 5: required guardband when real inputs are applied

@@ -154,7 +154,7 @@ runFig4(const ExperimentContext &ctx)
     TextTable table({"pair", "% narrow @100% stress",
                      "paper reference"});
     const auto sweep = analysis.sweepPairs();
-    const InputPair best = analysis.bestPair();
+    const InputPair best = bestPair(sweep);
     for (const auto &entry : sweep) {
         std::string note;
         if (entry.pair == InputPair{0, 7})
@@ -184,7 +184,7 @@ runFig4(const ExperimentContext &ctx)
                      static_cast<Adder *>(&rc),
                      static_cast<Adder *>(&ks)}) {
         AdderAgingAnalysis an(*a, model);
-        const InputPair p = an.bestPair();
+        const InputPair p = bestPair(an.sweepPairs());
         const auto probs = an.zeroProbsForPair(p);
         const AgingSummary s = an.summarize(probs);
         ab.addRow({a->name(),
@@ -697,7 +697,7 @@ runAblations(const ExperimentContext &ctx)
     const auto operands =
         collectAdderOperands(gen, options.adderOperandSamples);
     const auto real = analysis.zeroProbsForOperands(operands);
-    const InputPair best = analysis.bestPair();
+    const InputPair best = bestPair(analysis.sweepPairs());
 
     TextTable t1({"policy", "guardband @21% utilisation"});
     t1.addRow({"no idle injection (baseline)",
@@ -1091,7 +1091,7 @@ runAttack(const ExperimentContext &ctx)
 
     LadnerFischerAdder adder(32);
     AdderAgingAnalysis analysis(adder, model);
-    const InputPair best_pair = analysis.bestPair();
+    const InputPair best_pair = bestPair(analysis.sweepPairs());
 
     // Normal-workload reference operands: the same cached
     // collection as the Figure-5 runner, so warm runs share its

@@ -69,7 +69,12 @@ regfileReplayKey(const RegFileConfig &rf_config,
 }
 
 /** Mix a pipeline configuration into a key: every field that can
- *  steer the simulation, including the nested structure configs. */
+ *  steer the simulation.  The pipeline once held a full scheduler
+ *  and two register files; every stored pipeline key carries their
+ *  settings (scheduler ISV sampling interval 64, register widths
+ *  32/80, RINV sampling interval 64, both ISV flags off), so those
+ *  are written as the literals they always held and the keys stay
+ *  byte-identical. */
 void
 keyPipelineConfig(CacheKeyBuilder &key, const PipelineConfig &cfg)
 {
@@ -83,17 +88,21 @@ keyPipelineConfig(CacheKeyBuilder &key, const PipelineConfig &cfg)
         .u32(cfg.loadHitLatency)
         .u32(cfg.dl0MissPenalty)
         .u32(cfg.dtlbMissPenalty)
-        .u32(cfg.sched.numEntries)
-        .u32(cfg.sched.isvSampleInterval);
-    keyRegFileConfig(key, cfg.intRf);
-    keyRegFileConfig(key, cfg.fpRf);
+        .u32(cfg.schedEntries)
+        .u32(64)
+        .u32(cfg.intRegs)
+        .u32(32)
+        .u32(64)
+        .u32(cfg.fpRegs)
+        .u32(80)
+        .u32(64);
     keyCacheConfig(key, cfg.dl0);
     keyCacheConfig(key, cfg.dtlb);
     key.u32(static_cast<std::uint32_t>(cfg.dl0Mechanism))
         .u32(static_cast<std::uint32_t>(cfg.dtlbMechanism))
         .f64(cfg.mechanismTimeScale)
-        .b(cfg.intRfIsv)
-        .b(cfg.fpRfIsv);
+        .b(false)
+        .b(false);
 }
 
 /** Content hash of one trace's full-pipeline run. */
@@ -199,7 +208,7 @@ runAdderExperiment(const WorkloadSet &workload,
 
     // Figure 4: sweep the 28 synthetic input pairs.
     result.pairSweep = analysis.sweepPairs();
-    result.bestPair = analysis.bestPair();
+    result.bestPair = bestPair(result.pairSweep);
 
     // Real-input aging: operands sampled across suites (cached,
     // one trace per suite -- see collectWorkloadAdderOperands).
@@ -635,12 +644,10 @@ buildProcessorSummary(const AdderExperimentResult &adder,
 
 PipelineSurvey
 runPipelineSurvey(const WorkloadSet &workload,
-                  const ExperimentOptions &options,
-                  AdderAllocationPolicy policy)
+                  const ExperimentOptions &options)
 {
     PipelineSurvey survey;
-    PipelineConfig cfg;
-    cfg.adderPolicy = policy;
+    const PipelineConfig cfg;
     const Engine engine(options.jobs, options.pool);
 
     const auto shards = engine.mapCached<PipelineStats>(
@@ -663,7 +670,6 @@ runPipelineSurvey(const WorkloadSet &workload,
     RunningStats int_port;
     RunningStats fp_port;
     RunningStats sched_port;
-    RunningStats adder[4];
     RunningStats mru[3];
 
     for (const PipelineStats &s : shards) {
@@ -674,8 +680,6 @@ runPipelineSurvey(const WorkloadSet &workload,
         int_port.add(s.intRfPortFree);
         fp_port.add(s.fpRfPortFree);
         sched_port.add(s.schedPortFree);
-        for (unsigned a = 0; a < 4; ++a)
-            adder[a].add(s.adderUtilization[a]);
         for (unsigned m = 0; m < 3; ++m)
             mru[m].add(s.mruHitFraction[m]);
     }
@@ -687,8 +691,6 @@ runPipelineSurvey(const WorkloadSet &workload,
     survey.intRfPortFree = int_port.mean();
     survey.fpRfPortFree = fp_port.mean();
     survey.schedPortFree = sched_port.mean();
-    for (unsigned a = 0; a < 4; ++a)
-        survey.adderUtil[a] = adder[a].mean();
     for (unsigned m = 0; m < 3; ++m)
         survey.mruHitFraction[m] = mru[m].mean();
     return survey;

@@ -363,15 +363,14 @@ struct PipelineSurvey
     double intRfPortFree = 0.0;
     double fpRfPortFree = 0.0;
     double schedPortFree = 0.0;
-    double adderUtil[4] = {0, 0, 0, 0};
     double mruHitFraction[3] = {0, 0, 0}; ///< MRU, MRU+1, rest
 };
 
+/** The survey over each suite's first trace, on the default
+ *  (Uniform adder policy) pipeline. */
 PipelineSurvey
 runPipelineSurvey(const WorkloadSet &workload,
-                  const ExperimentOptions &options,
-                  AdderAllocationPolicy policy =
-                      AdderAllocationPolicy::Uniform);
+                  const ExperimentOptions &options);
 
 } // namespace penelope
 

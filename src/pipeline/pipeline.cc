@@ -7,14 +7,6 @@ namespace penelope {
 
 PipelineConfig::PipelineConfig()
 {
-    intRf.name = "INT-RF";
-    intRf.numEntries = 128;
-    intRf.width = 32;
-
-    fpRf.name = "FP-RF";
-    fpRf.numEntries = 64;
-    fpRf.width = 80;
-
     dl0.name = "DL0";
     dl0.sizeBytes = 32 * 1024;
     dl0.ways = 8;
@@ -24,16 +16,14 @@ PipelineConfig::PipelineConfig()
 
 Pipeline::Pipeline(const PipelineConfig &config)
     : config_(config),
-      intRf_(config.intRf),
-      fpRf_(config.fpRf),
-      sched_(config.sched),
+      intRegs_(config.intRegs),
+      fpRegs_(config.fpRegs),
+      sched_(config.schedEntries),
       dl0_(config.dl0),
       dtlb_(config.dtlb),
       dl0Mru_(config.dl0.ways),
       rng_(0x9090)
 {
-    intRf_.enableIsv(config_.intRfIsv);
-    fpRf_.enableIsv(config_.fpRfIsv);
     dl0_.setPolicy(makeMechanism(config_.dl0Mechanism, config_.dl0,
                                  false,
                                  config_.mechanismTimeScale));
@@ -43,34 +33,22 @@ Pipeline::Pipeline(const PipelineConfig &config)
 
     intMap_.assign(numArchIntRegs, -1);
     fpMap_.assign(numArchFpRegs, -1);
-    intReady_.assign(config_.intRf.numEntries, false);
-    fpReady_.assign(config_.fpRf.numEntries, false);
+    intReady_.assign(config_.intRegs, false);
+    fpReady_.assign(config_.fpRegs, false);
 
-    // Map the initial architectural state (zero values, ready).
+    // Map the initial architectural state (ready).
     for (unsigned r = 0; r < numArchIntRegs; ++r) {
-        const int phys = intRf_.allocate(0);
+        const int phys = intRegs_.allocate(0);
         assert(phys >= 0);
-        intRf_.write(static_cast<unsigned>(phys),
-                     BitWord(intRf_.width()), 0);
         intMap_[r] = phys;
         intReady_[phys] = true;
     }
     for (unsigned r = 0; r < numArchFpRegs; ++r) {
-        const int phys = fpRf_.allocate(0);
+        const int phys = fpRegs_.allocate(0);
         assert(phys >= 0);
-        fpRf_.write(static_cast<unsigned>(phys),
-                    BitWord(fpRf_.width()), 0);
         fpMap_[r] = phys;
         fpReady_[phys] = true;
     }
-}
-
-void
-Pipeline::configureSchedulerProtection(
-    std::vector<BitDecision> decisions)
-{
-    sched_.configureProtection(std::move(decisions));
-    sched_.enableProtection(true);
 }
 
 bool
@@ -128,13 +106,12 @@ Pipeline::doCommit(Cycle now)
         InFlight &f = rob_.front();
         if (f.prevPhys >= 0) {
             const bool fp = isFp(f.uop.cls);
-            RegisterFile &rf = fp ? fpRf_ : intRf_;
             const bool port_free =
                 int_writes < config_.rfWritePorts;
             if (port_free)
                 ++int_writes;
-            rf.release(static_cast<unsigned>(f.prevPhys), now,
-                       port_free);
+            (fp ? fpRegs_ : intRegs_)
+                .release(static_cast<unsigned>(f.prevPhys), now);
             const unsigned cls = fp ? 1 : 0;
             ++rfReleaseTotal_[cls];
             if (port_free)
@@ -217,7 +194,6 @@ Pipeline::tryAllocate(const Uop &uop, Cycle now)
     const bool fp = isFp(uop.cls);
     auto &map = fp ? fpMap_ : intMap_;
     auto &ready = fp ? fpReady_ : intReady_;
-    RegisterFile &rf = fp ? fpRf_ : intRf_;
 
     if (uop.usesSrc1())
         f.src1Phys = fp ? fpMap_[uop.srcReg1 % numArchFpRegs]
@@ -227,7 +203,7 @@ Pipeline::tryAllocate(const Uop &uop, Cycle now)
                         : intMap_[uop.srcReg2 % numArchIntRegs];
 
     if (uop.writesReg()) {
-        const int phys = rf.allocate(now);
+        const int phys = (fp ? fpRegs_ : intRegs_).allocate(now);
         if (phys < 0)
             return false; // free list empty: stall
         f.dstPhys = phys;
@@ -240,20 +216,8 @@ Pipeline::tryAllocate(const Uop &uop, Cycle now)
     }
 
     if (needs_sched) {
-        RenameTags tags;
-        tags.dstTag = static_cast<std::uint8_t>(
-            f.dstPhys >= 0 ? (f.dstPhys & 0x7f) : 0);
-        tags.src1Tag = static_cast<std::uint8_t>(
-            f.src1Phys >= 0 ? (f.src1Phys & 0x7f) : 0);
-        tags.src2Tag = static_cast<std::uint8_t>(
-            f.src2Phys >= 0 ? (f.src2Phys & 0x7f) : 0);
-        const auto &src_ready = fp ? fpReady_ : intReady_;
-        tags.ready1 = f.src1Phys < 0 || src_ready[f.src1Phys];
-        tags.ready2 = f.src2Phys < 0 || src_ready[f.src2Phys];
-
-        const int entry = sched_.allocate(uop, tags, now);
-        assert(entry >= 0);
-        f.schedEntry = entry;
+        f.schedEntry = sched_.allocate(now);
+        assert(f.schedEntry >= 0);
     }
 
     if (uop.cls == UopClass::Branch &&
@@ -284,16 +248,9 @@ Pipeline::run(TraceGenerator &gen, std::size_t num_uops)
             if (f.issued && !f.completed && f.completeAt <= now) {
                 f.completed = true;
                 if (f.dstPhys >= 0) {
-                    const bool fp = isFp(f.uop.cls);
-                    RegisterFile &rf = fp ? fpRf_ : intRf_;
-                    const BitWord value = fp
-                        ? BitWord(rf.width(), f.uop.dstVal,
-                                  f.uop.dstValHi)
-                        : BitWord(rf.width(), f.uop.dstVal);
-                    rf.write(static_cast<unsigned>(f.dstPhys),
-                             value, now);
                     ++rfWritesThisCycle_;
-                    (fp ? fpReady_ : intReady_)[f.dstPhys] = true;
+                    (isFp(f.uop.cls) ? fpReady_ : intReady_)
+                        [f.dstPhys] = true;
                 }
                 if (f.mispredicted) {
                     allocBlockedUntil_ = std::max(
@@ -338,8 +295,8 @@ Pipeline::run(TraceGenerator &gen, std::size_t num_uops)
             static_cast<double>(adderBusy_[a]) /
             static_cast<double>(now);
     }
-    stats.intRfOccupancy = intRf_.occupancy(now);
-    stats.fpRfOccupancy = fpRf_.occupancy(now);
+    stats.intRfOccupancy = intRegs_.occupancy(now);
+    stats.fpRfOccupancy = fpRegs_.occupancy(now);
     stats.schedOccupancy = sched_.occupancy(now);
     stats.intRfPortFree = rfReleaseTotal_[0]
         ? static_cast<double>(rfReleaseFree_[0]) /

@@ -9,24 +9,24 @@
  * 4 FP), physical register files (128 INT / 64 FP), loads through a
  * DTLB + DL0 hierarchy, in-order commit.
  *
- * The pipeline drives the instrumented RegisterFile, Scheduler and
- * Cache models so all Penelope statistics (occupancies, port
- * availability, adder utilisation, per-bit bias, CPI under cache
- * inversion) come from one integrated simulation.
+ * The pipeline is a timing model.  Scheduler slots and physical
+ * registers are SlotPools (allocation order and occupancy, no
+ * stored values), so it measures occupancies, port availability,
+ * adder utilisation, DL0 hit recency and CPI under cache inversion.
+ * Per-bit bias comes from the structure replays instead
+ * (scheduler/driver.hh, regfile/driver.hh).
  */
 
 #ifndef PENELOPE_PIPELINE_PIPELINE_HH
 #define PENELOPE_PIPELINE_PIPELINE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/timing.hh"
 #include "common/ring.hh"
+#include "common/slot_pool.hh"
 #include "common/stats.hh"
-#include "regfile/regfile.hh"
-#include "scheduler/scheduler.hh"
 #include "trace/generator.hh"
 
 namespace penelope {
@@ -46,6 +46,11 @@ struct PipelineConfig
     unsigned robEntries = 96;
     unsigned rfWritePorts = 4;
 
+    /** Scheduler slots and physical registers per file. */
+    unsigned schedEntries = 32;
+    unsigned intRegs = 128;
+    unsigned fpRegs = 64;
+
     AdderAllocationPolicy adderPolicy =
         AdderAllocationPolicy::Uniform;
 
@@ -58,9 +63,6 @@ struct PipelineConfig
     unsigned dl0MissPenalty = 12;
     unsigned dtlbMissPenalty = 30;
 
-    SchedulerConfig sched;
-    RegFileConfig intRf;
-    RegFileConfig fpRf;
     CacheConfig dl0;
     CacheConfig dtlb;
 
@@ -68,10 +70,6 @@ struct PipelineConfig
     MechanismKind dl0Mechanism = MechanismKind::None;
     MechanismKind dtlbMechanism = MechanismKind::None;
     double mechanismTimeScale = 0.1;
-
-    /** Register-file ISV protection. */
-    bool intRfIsv = false;
-    bool fpRfIsv = false;
 
     PipelineConfig();
 };
@@ -103,26 +101,16 @@ struct PipelineStats
     double mruHitFraction[3] = {0, 0, 0};
 };
 
-/**
- * The core model.  Construct, optionally install scheduler
- * protection decisions, then run() a trace.
- */
+/** The core model.  Construct, then run() a trace. */
 class Pipeline
 {
   public:
     explicit Pipeline(const PipelineConfig &config);
 
-    /** Install scheduler protection (enables it too). */
-    void configureSchedulerProtection(
-        std::vector<BitDecision> decisions);
-
     /** Run one trace.  A Pipeline instance runs exactly once;
      *  construct a fresh one per trace. */
     PipelineStats run(TraceGenerator &gen, std::size_t num_uops);
 
-    RegisterFile &intRf() { return intRf_; }
-    RegisterFile &fpRf() { return fpRf_; }
-    Scheduler &scheduler() { return sched_; }
     Cache &dl0() { return dl0_; }
     Cache &dtlb() { return dtlb_; }
 
@@ -154,9 +142,9 @@ class Pipeline
     bool tryAllocate(const Uop &uop, Cycle now);
 
     PipelineConfig config_;
-    RegisterFile intRf_;
-    RegisterFile fpRf_;
-    Scheduler sched_;
+    SlotPool intRegs_;
+    SlotPool fpRegs_;
+    SlotPool sched_;
     Cache dl0_;
     Cache dtlb_;
     CategoryCounter dl0Mru_;

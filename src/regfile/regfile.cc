@@ -9,42 +9,14 @@ namespace penelope {
 RegisterFile::RegisterFile(const RegFileConfig &config)
     : config_(config),
       entries_(config.numEntries),
+      pool_(config.numEntries),
       rinv_(config.width),
       bias_(config.width)
 {
-    assert(config_.numEntries >= 1);
     for (auto &e : entries_)
         e.value = BitWord(config_.width);
-    freeList_.reserve(config_.numEntries);
-    for (unsigned i = 0; i < config_.numEntries; ++i)
-        freeList_.push_back(i);
     // RINV starts as the inversion of the all-zero value.
     rinv_ = BitWord(config_.width).inverted();
-}
-
-void
-RegisterFile::occupancyFlush(Cycle now)
-{
-    if (now > lastOccupancyFlush_) {
-        busyIntegral_ += static_cast<double>(busyCount_) *
-            static_cast<double>(now - lastOccupancyFlush_);
-        lastOccupancyFlush_ = now;
-    }
-}
-
-int
-RegisterFile::allocate(Cycle now)
-{
-    if (freeList_.empty())
-        return -1;
-    const unsigned idx = freeList_.front();
-    freeList_.pop_front();
-    occupancyFlush(now);
-    Entry &e = entries_[idx];
-    assert(!e.busy);
-    e.busy = true;
-    ++busyCount_;
-    return static_cast<int>(idx);
 }
 
 void
@@ -76,12 +48,8 @@ void
 RegisterFile::release(unsigned entry, Cycle now, bool port_available)
 {
     assert(entry < entries_.size());
+    pool_.release(entry, now);
     Entry &e = entries_[entry];
-    assert(e.busy);
-    occupancyFlush(now);
-    e.busy = false;
-    --busyCount_;
-    freeList_.push_back(entry);
 
     if (!isvEnabled_)
         return;
@@ -105,31 +73,12 @@ RegisterFile::release(unsigned entry, Cycle now, bool port_available)
     ++isvStats_.updatesApplied;
 }
 
-bool
-RegisterFile::isBusy(unsigned entry) const
-{
-    return entries_.at(entry).busy;
-}
-
-double
-RegisterFile::occupancy(Cycle now) const
-{
-    if (now == 0)
-        return 0.0;
-    const double pending = static_cast<double>(busyCount_) *
-        static_cast<double>(now - lastOccupancyFlush_);
-    return (busyIntegral_ + pending) /
-        (static_cast<double>(config_.numEntries) *
-         static_cast<double>(now));
-}
-
 const BitBiasTracker &
 RegisterFile::finalizeBias(Cycle now)
 {
     for (auto &e : entries_)
         flushEntry(e, now);
     meterFlush(now);
-    occupancyFlush(now);
     return bias_;
 }
 

@@ -21,7 +21,7 @@
 
 #include "common/bitword.hh"
 #include "common/duty.hh"
-#include "common/ring.hh"
+#include "common/slot_pool.hh"
 #include "common/types.hh"
 
 namespace penelope {
@@ -69,7 +69,7 @@ class RegisterFile
     bool isvEnabled() const { return isvEnabled_; }
 
     /** Allocate a free entry; returns -1 when full. */
-    int allocate(Cycle now);
+    int allocate(Cycle now) { return pool_.allocate(now); }
 
     /** Write a program value into a (busy) entry. */
     void write(unsigned entry, const BitWord &value, Cycle now);
@@ -87,11 +87,11 @@ class RegisterFile
 
     unsigned numEntries() const { return config_.numEntries; }
     unsigned width() const { return config_.width; }
-    unsigned busyCount() const { return busyCount_; }
-    bool isBusy(unsigned entry) const;
+    unsigned busyCount() const { return pool_.busyCount(); }
+    bool isBusy(unsigned entry) const { return pool_.isBusy(entry); }
 
     /** Time-weighted fraction of entry-time spent busy. */
-    double occupancy(Cycle now) const;
+    double occupancy(Cycle now) const { return pool_.occupancy(now); }
 
     /** Fraction of entry-time spent free (paper: 54% INT, 69% FP). */
     double freeFraction(Cycle now) const { return 1.0 - occupancy(now); }
@@ -111,7 +111,6 @@ class RegisterFile
     struct Entry
     {
         BitWord value;
-        bool busy = false;
         bool holdsInverted = false;
         Cycle valueSince = 0;
     };
@@ -148,20 +147,13 @@ class RegisterFile
         }
     }
 
-    /** Account busy-time integral before a busy-count change. */
-    void occupancyFlush(Cycle now);
-
     RegFileConfig config_;
     std::vector<Entry> entries_;
 
-    /** FIFO free list: physical registers rotate through all
-     *  entries evenly (this is what makes register tags
-     *  self-balanced in the scheduler, Section 4.5).  A flat ring
-     *  (capacity fixed at numEntries in the constructor): allocate
-     *  and release each touch it once per write, so it sits on the
-     *  replay hot path. */
-    RingQueue<unsigned> freeList_;
-    unsigned busyCount_ = 0;
+    /** FIFO free list and occupancy: physical registers rotate
+     *  through all entries evenly (this is what makes register tags
+     *  self-balanced in the scheduler, Section 4.5). */
+    SlotPool pool_;
     bool isvEnabled_ = false;
 
     BitWord rinv_;
@@ -174,9 +166,6 @@ class RegisterFile
     std::uint64_t sampledInvertedTime_ = 0;
     std::uint64_t sampledNonInvertedTime_ = 0;
     Cycle sampledSince_ = 0;
-
-    double busyIntegral_ = 0.0;
-    Cycle lastOccupancyFlush_ = 0;
 
     IsvStats isvStats_;
     BitBiasTracker bias_;

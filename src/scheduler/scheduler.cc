@@ -89,6 +89,7 @@ inUseMask(std::uint32_t uf)
 
 Scheduler::Scheduler(const SchedulerConfig &config)
     : config_(config),
+      pool_(config.numEntries),
       zeroTotal_(fieldLayout().totalBits()),
       busyZero_(fieldLayout().totalBits())
 {
@@ -102,9 +103,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
     assert(layout.totalBits() <= MaskedTimeAccumulator::kMaxWidth);
     assert(layout.count() <= 32); // holdsInverted is a 32-bit mask
     entries_.resize(config_.numEntries);
-    freeList_.resize(config_.numEntries);
-    for (unsigned i = 0; i < config_.numEntries; ++i)
-        freeList_[i] = i;
 
     decisions_.assign(layout.totalBits(), BitDecision{});
     dutyGens_.assign(layout.totalBits(), DutyGenerator(1.0));
@@ -517,17 +515,7 @@ Scheduler::flushAll(Cycle now)
     for (Entry &e : entries_)
         flushEntry(e, now);
     foldBatch();
-    occupancyFlush(now);
-}
-
-void
-Scheduler::occupancyFlush(Cycle now)
-{
-    if (now > lastOccupancyFlush_) {
-        busyIntegral_ += static_cast<double>(busyCount_) *
-            static_cast<double>(now - lastOccupancyFlush_);
-        lastOccupancyFlush_ = now;
-    }
+    pool_.flush(now);
 }
 
 std::uint64_t
@@ -617,16 +605,11 @@ int
 Scheduler::allocate(const Uop &uop, const RenameTags &tags,
                     Cycle now)
 {
-    if (busyCount_ == config_.numEntries)
+    const int slot = pool_.allocate(now);
+    if (slot < 0)
         return -1;
-    const unsigned idx = freeList_[freeHead_];
-    if (++freeHead_ == config_.numEntries)
-        freeHead_ = 0;
-    occupancyFlush(now);
+    const unsigned idx = static_cast<unsigned>(slot);
     Entry &e = entries_[idx];
-    assert(!e.busy);
-    e.busy = true;
-    ++busyCount_;
 
     if (protectionEnabled_ &&
         (allocCount_ % config_.isvSampleInterval) == 0) {
@@ -700,14 +683,8 @@ Scheduler::release(unsigned entry, Cycle now)
 {
     assert(entry < entries_.size());
     Entry &e = entries_[entry];
-    assert(e.busy);
     assert(e.pendingBusyDt == 0);
-    occupancyFlush(now);
-    e.busy = false;
-    --busyCount_;
-    freeList_[freeTail_] = entry;
-    if (++freeTail_ == config_.numEntries)
-        freeTail_ = 0;
+    pool_.release(entry, now);
 
     // Unprotected release: the only image change is the valid drop,
     // so park the busy span and let the next flush of this entry
@@ -750,18 +727,6 @@ Scheduler::release(unsigned entry, Cycle now)
 }
 
 double
-Scheduler::occupancy(Cycle now) const
-{
-    if (now == 0)
-        return 0.0;
-    const double pending = static_cast<double>(busyCount_) *
-        static_cast<double>(now - lastOccupancyFlush_);
-    return (busyIntegral_ + pending) /
-        (static_cast<double>(config_.numEntries) *
-         static_cast<double>(now));
-}
-
-double
 Scheduler::fieldOccupancy(FieldId f, Cycle now) const
 {
     if (now == 0)
@@ -798,7 +763,7 @@ Scheduler::snapshotStress(Cycle now)
     SchedulerStress s;
     s.numEntries = config_.numEntries;
     s.cycles = now;
-    s.busyIntegral = busyIntegral_;
+    s.busyIntegral = pool_.busyIntegral();
 
     // Materialise the per-field tracker views from the 144-bit
     // sliced accumulators.  Within a field every bit shares the

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/duty.hh"
+#include "common/slot_pool.hh"
 #include "common/types.hh"
 #include "fields.hh"
 #include "techniques.hh"
@@ -129,11 +130,11 @@ class Scheduler
     void release(unsigned entry, Cycle now);
 
     unsigned numEntries() const { return config_.numEntries; }
-    unsigned busyCount() const { return busyCount_; }
-    bool full() const { return busyCount_ == config_.numEntries; }
+    unsigned busyCount() const { return pool_.busyCount(); }
+    bool full() const { return pool_.full(); }
 
     /** Time-weighted slot occupancy (paper: 63%). */
-    double occupancy(Cycle now) const;
+    double occupancy(Cycle now) const { return pool_.occupancy(now); }
 
     /** Time-weighted fraction of entry-time field @p f holds live
      *  data (paper: SRC data/imm available 70-75% of the time). */
@@ -175,8 +176,6 @@ class Scheduler
   private:
     struct Entry
     {
-        bool busy = false;
-
         /** Packed field values in layout order. */
         LayoutWords image{};
 
@@ -243,7 +242,6 @@ class Scheduler
                       std::uint64_t busy_dt, std::uint32_t uf) const;
 
     void flushAll(Cycle now);
-    void occupancyFlush(Cycle now);
 
     /** Add every pending batch record into the bit-sliced counter
      *  banks, one duration plane at a time.  Const because readers
@@ -299,14 +297,10 @@ class Scheduler
     /** Per-field packed-layout placement. */
     std::vector<FieldSlot> slots_;
 
-    /** FIFO free list: slots rotate evenly, so every entry sees
-     *  repair writes (and tag/slot usage is self-balanced).  A
-     *  fixed-capacity ring (it never holds more than numEntries);
-     *  occupancy is busyCount_, so head == tail is unambiguous. */
-    std::vector<unsigned> freeList_;
-    unsigned freeHead_ = 0;
-    unsigned freeTail_ = 0;
-    unsigned busyCount_ = 0;
+    /** FIFO free list and occupancy: slots rotate evenly, so
+     *  every entry sees repair writes (and tag/slot usage is
+     *  self-balanced). */
+    SlotPool pool_;
 
     bool protectionEnabled_ = false;
     std::vector<BitDecision> decisions_;
@@ -406,9 +400,6 @@ class Scheduler
     /** Total flushed residence time (identical for every bit:
      *  each entry flush covers the whole layout). */
     std::uint64_t entryTime_ = 0;
-
-    double busyIntegral_ = 0.0;
-    Cycle lastOccupancyFlush_ = 0;
 };
 
 } // namespace penelope

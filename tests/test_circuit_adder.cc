@@ -340,7 +340,7 @@ TEST(Analysis, BestPairAlternatesEveryRail)
     LadnerFischerAdder adder(32);
     AdderAgingAnalysis an(adder,
                           GuardbandModel::paperCalibrated());
-    const InputPair best = an.bestPair();
+    const InputPair best = bestPair(an.sweepPairs());
     const auto &inputs = syntheticInputs();
     const SyntheticInput &x = inputs[best.first];
     const SyntheticInput &y = inputs[best.second];
@@ -390,7 +390,7 @@ TEST(Analysis, GuardbandDropsWithIdleInjection)
                           GuardbandModel::paperCalibrated());
     const auto real = an.zeroProbsForOperands(ops);
     const double baseline = an.baselineGuardband(real);
-    const InputPair best = an.bestPair();
+    const InputPair best = bestPair(an.sweepPairs());
     const double g30 = an.scenarioGuardband(real, 0.30, best);
     const double g21 = an.scenarioGuardband(real, 0.21, best);
     const double g11 = an.scenarioGuardband(real, 0.11, best);

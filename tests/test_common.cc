@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit and property tests for the common library: RNG, statistics,
- * bit words, duty-cycle counters and table rendering.
+ * bit words, duty-cycle counters, slot pools and table rendering.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <latch>
 #include <set>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/bitword.hh"
 #include "common/duty.hh"
 #include "common/rng.hh"
+#include "common/slot_pool.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/threadpool.hh"
@@ -264,6 +266,63 @@ TEST(CategoryCounter, FractionsSumToOne)
         total += c.fraction(i);
     EXPECT_NEAR(total, 1.0, 1e-12);
     EXPECT_DOUBLE_EQ(c.fraction(3), 0.7);
+}
+
+// -------------------------------------------------------- SlotPool
+
+TEST(SlotPool, FifoOrderAcrossWrapAround)
+{
+    // Released slots rejoin at the tail; a deque is the reference.
+    // 2,000 operations on 5 slots wrap the ring many times.
+    SlotPool pool(5);
+    std::deque<unsigned> free_list = {0, 1, 2, 3, 4};
+    std::vector<unsigned> busy;
+    Rng rng(17);
+    for (Cycle now = 1; now <= 2000; ++now) {
+        if (!busy.empty() && (free_list.empty() || rng.nextBool(0.5))) {
+            const std::size_t i = rng.nextInt(busy.size());
+            pool.release(busy[i], now);
+            free_list.push_back(busy[i]);
+            busy.erase(busy.begin() + static_cast<long>(i));
+        } else {
+            const int slot = pool.allocate(now);
+            ASSERT_EQ(slot, static_cast<int>(free_list.front()));
+            free_list.pop_front();
+            busy.push_back(static_cast<unsigned>(slot));
+        }
+        ASSERT_EQ(pool.busyCount(), busy.size());
+    }
+}
+
+TEST(SlotPool, AllocateOnFullPoolFails)
+{
+    SlotPool pool(3);
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_EQ(pool.allocate(i), static_cast<int>(i));
+    EXPECT_TRUE(pool.full());
+    EXPECT_EQ(pool.allocate(3), -1);
+    EXPECT_EQ(pool.busyCount(), 3u);
+    pool.release(1, 4);
+    EXPECT_FALSE(pool.isBusy(1));
+    EXPECT_EQ(pool.allocate(5), 1);
+    EXPECT_EQ(pool.allocate(6), -1);
+}
+
+TEST(SlotPool, OccupancyIsTheBusyTimeIntegral)
+{
+    // Busy count 1 on [0,2), 2 on [2,5), 3 on [5,6), 2 from 6 on.
+    SlotPool pool(4);
+    pool.allocate(0);
+    pool.allocate(2);
+    pool.allocate(5);
+    pool.release(0, 6);
+    EXPECT_EQ(pool.busyIntegral(), 2.0 + 6.0 + 3.0);
+    // Between flushes the span since the last one is added.
+    EXPECT_EQ(pool.occupancy(8), (11.0 + 4.0) / (4.0 * 8.0));
+    EXPECT_EQ(pool.occupancy(10), (11.0 + 8.0) / (4.0 * 10.0));
+    pool.flush(10);
+    EXPECT_EQ(pool.busyIntegral(), 19.0);
+    EXPECT_EQ(pool.occupancy(0), 0.0);
 }
 
 // --------------------------------------------------------- BitWord

@@ -677,8 +677,6 @@ TEST(JobsDeterminism, PipelineSurvey)
         runPipelineSurvey(workload, tinyOptions(4));
     EXPECT_EQ(serial.cpi, parallel.cpi);
     EXPECT_EQ(serial.schedOccupancy, parallel.schedOccupancy);
-    for (unsigned a = 0; a < 4; ++a)
-        EXPECT_EQ(serial.adderUtil[a], parallel.adderUtil[a]);
     for (unsigned m = 0; m < 3; ++m)
         EXPECT_EQ(serial.mruHitFraction[m],
                   parallel.mruHitFraction[m]);

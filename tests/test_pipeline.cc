@@ -200,35 +200,6 @@ TEST(Pipeline, CacheMechanismCostsCycles)
     EXPECT_GE(s2.cycles, s1.cycles * 0.99);
 }
 
-TEST(Pipeline, IsvProtectionBalancesRegisterFile)
-{
-    WorkloadSet w;
-    PipelineConfig cfg;
-    cfg.intRfIsv = true;
-    cfg.fpRfIsv = true;
-    Pipeline pipe(cfg);
-    TraceGenerator gen = w.generator(4);
-    const PipelineStats s = pipe.run(gen, 30000);
-    const BitBiasTracker &bias =
-        pipe.intRf().finalizeBias(s.cycles);
-    EXPECT_LT(bias.maxWorstCaseStress(), 0.75);
-}
-
-TEST(Pipeline, SchedulerProtectionInPipeline)
-{
-    WorkloadSet w;
-    const SchedulerProfile profile =
-        profileScheduler(w, {0, 200}, 10000);
-    PipelineConfig cfg;
-    Pipeline pipe(cfg);
-    pipe.configureSchedulerProtection(
-        decideProtection(profile.bits));
-    TraceGenerator gen = w.generator(30);
-    const PipelineStats s = pipe.run(gen, 20000);
-    EXPECT_TRUE(pipe.scheduler().protectionEnabled());
-    EXPECT_GT(s.cycles, 0u);
-}
-
 // --------------------------------------------------- Experiments
 
 TEST(Experiments, AdderEndToEnd)
