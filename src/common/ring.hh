@@ -2,10 +2,9 @@
  * @file
  * Flat circular FIFO for replay hot paths.
  *
- * The replay drivers and the structural models keep small bounded
- * queues (free lists, pending-release windows, the ROB) that a
- * std::deque services with chunked heap allocations and a
- * double-indirect access path.  These queues are touched once or
+ * The register-file replay's pending-release window and the
+ * pipeline's ROB are small bounded queues that a std::deque services
+ * with chunked heap allocations and a double-indirect access path.  These queues are touched once or
  * more per simulated cycle, so the allocator traffic and the map
  * indirection show up directly in the replay benchmarks.  RingQueue
  * stores elements in one contiguous power-of-two array indexed with
@@ -37,13 +36,6 @@ class RingQueue
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
-    void
-    clear()
-    {
-        head_ = 0;
-        size_ = 0;
-    }
-
     T &
     front()
     {
@@ -56,13 +48,6 @@ class RingQueue
     {
         assert(size_ > 0);
         return buf_[head_];
-    }
-
-    T &
-    back()
-    {
-        assert(size_ > 0);
-        return buf_[(head_ + size_ - 1) & mask_];
     }
 
     /** @p i counts from the front (0 = oldest element). */
@@ -95,15 +80,6 @@ class RingQueue
         assert(size_ > 0);
         head_ = (head_ + 1) & mask_;
         --size_;
-    }
-
-    /** Pre-size the backing array (rounded up to a power of two) so
-     *  a queue with a known bound never grows mid-run. */
-    void
-    reserve(std::size_t capacity)
-    {
-        while (buf_.size() < capacity)
-            grow();
     }
 
   private:

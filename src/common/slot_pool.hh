@@ -3,13 +3,11 @@
  * Slot allocation and occupancy for explicitly managed blocks.
  *
  * The scheduler, the register files and the pipeline's timing model
- * all hand out entries from a FIFO free list: released entries
- * rejoin at the tail, so allocation rotates through every entry
- * evenly (which is what self-balances register tags in the
- * scheduler, Section 4.5).  Each also reports time-weighted
- * occupancy, the integral of the busy count over time.  SlotPool is
- * that shared part; the structures layer their per-bit accounting
- * on top of it.
+ * hand out entries from a FIFO free list: released entries rejoin at
+ * the tail, so allocation rotates through every entry evenly (which
+ * self-balances register tags in the scheduler, Section 4.5).  Their
+ * occupancy is the time integral of the busy count.  The structures
+ * layer their per-bit accounting on top of a SlotPool.
  */
 
 #ifndef PENELOPE_COMMON_SLOT_POOL_HH
@@ -24,10 +22,9 @@
 namespace penelope {
 
 /**
- * A FIFO free list over @c size() entries (initially 0, 1, ...,
- * N-1 in order), the busy count, and the busy-time integral.
- * The integral is charged at every allocate and release, so it is
- * exact at those instants; occupancy(now) adds the span since.
+ * A FIFO free list over size() entries (initially 0 .. N-1 in
+ * order), the busy count and the busy-time integral, charged at
+ * every allocate and release.
  */
 class SlotPool
 {
@@ -67,8 +64,6 @@ class SlotPool
         assert(slot < size() && busy_[slot]);
         flush(now);
         busy_[slot] = 0;
-        // The free entries are the ring's size() - busyCount_
-        // positions from head_; the tail is the first after them.
         unsigned tail = head_ + size() - busyCount_;
         if (tail >= size())
             tail -= size();
@@ -87,11 +82,10 @@ class SlotPool
         }
     }
 
-    /** Busy entry-cycles charged so far (up to the last flush). */
+    /** Busy entry-cycles up to the last flush. */
     double busyIntegral() const { return busyIntegral_; }
 
-    /** Time-weighted fraction of entry-time spent busy over
-     *  [0, @p now). */
+    /** Time-weighted busy fraction of entry-time over [0, @p now). */
     double
     occupancy(Cycle now) const
     {
@@ -104,8 +98,8 @@ class SlotPool
     }
 
   private:
-    /** Ring of free entries: size() - busyCount_ of them from
-     *  head_ on (so head == tail is never ambiguous). */
+    /** Ring of entries: the size() - busyCount_ free ones from
+     *  head_ on, so a full and an empty ring never look alike. */
     std::vector<unsigned> free_;
     std::vector<std::uint8_t> busy_;
     unsigned head_ = 0;

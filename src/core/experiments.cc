@@ -88,14 +88,9 @@ keyPipelineConfig(CacheKeyBuilder &key, const PipelineConfig &cfg)
         .u32(cfg.loadHitLatency)
         .u32(cfg.dl0MissPenalty)
         .u32(cfg.dtlbMissPenalty)
-        .u32(cfg.schedEntries)
-        .u32(64)
-        .u32(cfg.intRegs)
-        .u32(32)
-        .u32(64)
-        .u32(cfg.fpRegs)
-        .u32(80)
-        .u32(64);
+        .u32(cfg.schedEntries).u32(64)
+        .u32(cfg.intRegs).u32(32).u32(64)
+        .u32(cfg.fpRegs).u32(80).u32(64);
     keyCacheConfig(key, cfg.dl0);
     keyCacheConfig(key, cfg.dtlb);
     key.u32(static_cast<std::uint32_t>(cfg.dl0Mechanism))
@@ -105,16 +100,27 @@ keyPipelineConfig(CacheKeyBuilder &key, const PipelineConfig &cfg)
         .b(false);
 }
 
-/** Content hash of one trace's full-pipeline run. */
-Hash128
-pipelineRunKey(const PipelineConfig &cfg,
-               std::size_t uops_per_trace,
-               std::uint64_t trace_seed, unsigned trace_index)
+/** One run of @p cfg, @p uops long, on each suite's first trace (in
+ *  suite order), memoised per trace. */
+std::vector<PipelineStats>
+runPipelinePerSuite(const WorkloadSet &workload,
+                    const ExperimentOptions &options,
+                    const PipelineConfig &cfg, std::size_t uops)
 {
-    CacheKeyBuilder key("pipeline-run");
-    keyPipelineConfig(key, cfg);
-    key.u64(uops_per_trace).u64(trace_seed).u32(trace_index);
-    return key.digest();
+    return Engine(options.jobs, options.pool)
+        .mapCached<PipelineStats>(
+            workload.firstPerSuite(), options.cache,
+            [&](unsigned index, std::size_t) {
+                CacheKeyBuilder key("pipeline-run");
+                keyPipelineConfig(key, cfg);
+                key.u64(uops).u64(workload.spec(index).seed).u32(index);
+                return key.digest();
+            },
+            [&](unsigned index, std::size_t) {
+                Pipeline pipe(cfg);
+                TraceGenerator gen = workload.generator(index);
+                return pipe.run(gen, uops);
+            });
 }
 
 /** The paper's 100-trace profiling sample (never sharded). */
@@ -236,28 +242,15 @@ runAdderUtilization(const WorkloadSet &workload,
                     const ExperimentOptions &options)
 {
     AdderUtilization result;
-    const Engine engine(options.jobs, options.pool);
 
     // Both policies, averaged over one representative trace per
-    // suite.  Each trace runs its own Pipeline; per-trace stats
-    // fold in suite order.
-    const auto firsts = workload.firstPerSuite();
+    // suite; per-trace stats fold in suite order.
     for (const auto policy : {AdderAllocationPolicy::Priority,
                               AdderAllocationPolicy::Uniform}) {
         PipelineConfig cfg;
         cfg.adderPolicy = policy;
-        const auto shards = engine.mapCached<PipelineStats>(
-            firsts, options.cache,
-            [&](unsigned index, std::size_t) {
-                return pipelineRunKey(
-                    cfg, options.uopsPerTrace / 4,
-                    workload.spec(index).seed, index);
-            },
-            [&](unsigned index, std::size_t) {
-                Pipeline pipe(cfg);
-                TraceGenerator gen = workload.generator(index);
-                return pipe.run(gen, options.uopsPerTrace / 4);
-            });
+        const auto shards = runPipelinePerSuite(
+            workload, options, cfg, options.uopsPerTrace / 4);
         RunningStats util;
         RunningStats util_min;
         RunningStats util_max;
@@ -648,20 +641,8 @@ runPipelineSurvey(const WorkloadSet &workload,
 {
     PipelineSurvey survey;
     const PipelineConfig cfg;
-    const Engine engine(options.jobs, options.pool);
-
-    const auto shards = engine.mapCached<PipelineStats>(
-        workload.firstPerSuite(), options.cache,
-        [&](unsigned index, std::size_t) {
-            return pipelineRunKey(cfg, options.uopsPerTrace / 2,
-                                  workload.spec(index).seed,
-                                  index);
-        },
-        [&](unsigned index, std::size_t) {
-            Pipeline pipe(cfg);
-            TraceGenerator gen = workload.generator(index);
-            return pipe.run(gen, options.uopsPerTrace / 2);
-        });
+    const auto shards = runPipelinePerSuite(workload, options, cfg,
+                                            options.uopsPerTrace / 2);
 
     RunningStats cpi;
     RunningStats sched_occ;

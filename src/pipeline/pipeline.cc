@@ -5,15 +5,6 @@
 
 namespace penelope {
 
-PipelineConfig::PipelineConfig()
-{
-    dl0.name = "DL0";
-    dl0.sizeBytes = 32 * 1024;
-    dl0.ways = 8;
-
-    dtlb = CacheConfig::tlb(128, 8);
-}
-
 Pipeline::Pipeline(const PipelineConfig &config)
     : config_(config),
       intRegs_(config.intRegs),

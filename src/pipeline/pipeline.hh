@@ -63,15 +63,19 @@ struct PipelineConfig
     unsigned dl0MissPenalty = 12;
     unsigned dtlbMissPenalty = 30;
 
+    /** A 32 KB 8-way DL0 (CacheConfig's default), a 128-entry DTLB. */
     CacheConfig dl0;
-    CacheConfig dtlb;
+    CacheConfig dtlb = CacheConfig::tlb(128, 8);
 
     /** Cache inversion mechanisms (None = unprotected). */
     MechanismKind dl0Mechanism = MechanismKind::None;
     MechanismKind dtlbMechanism = MechanismKind::None;
     double mechanismTimeScale = 0.1;
 
-    PipelineConfig();
+    /** Declared so the struct is not an aggregate: GCC 12 reports
+     *  the cache names of an aggregate-initialised PipelineConfig{}
+     *  temporary as maybe-uninitialized (-Werror builds). */
+    PipelineConfig() = default;
 };
 
 /** Aggregate statistics of one pipeline run. */
@@ -112,12 +116,9 @@ class Pipeline
     PipelineStats run(TraceGenerator &gen, std::size_t num_uops);
 
     Cache &dl0() { return dl0_; }
-    Cache &dtlb() { return dtlb_; }
 
     /** Histogram of DL0 hit recency positions (Section 3.2.1). */
     const CategoryCounter &dl0MruHits() const { return dl0Mru_; }
-
-    const PipelineConfig &config() const { return config_; }
 
   private:
     /** One in-flight uop (ROB entry). */

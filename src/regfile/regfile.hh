@@ -66,7 +66,6 @@ class RegisterFile
 
     /** Enable/disable the ISV invert-at-release mechanism. */
     void enableIsv(bool enabled) { isvEnabled_ = enabled; }
-    bool isvEnabled() const { return isvEnabled_; }
 
     /** Allocate a free entry; returns -1 when full. */
     int allocate(Cycle now) { return pool_.allocate(now); }
@@ -93,9 +92,6 @@ class RegisterFile
     /** Time-weighted fraction of entry-time spent busy. */
     double occupancy(Cycle now) const { return pool_.occupancy(now); }
 
-    /** Fraction of entry-time spent free (paper: 54% INT, 69% FP). */
-    double freeFraction(Cycle now) const { return 1.0 - occupancy(now); }
-
     const IsvStats &isvStats() const { return isvStats_; }
 
     /** Current RINV register contents. */
@@ -104,8 +100,6 @@ class RegisterFile
     /** Flush residence accounting to @p now and return the per-bit
      *  bias tracker. */
     const BitBiasTracker &finalizeBias(Cycle now);
-
-    const RegFileConfig &config() const { return config_; }
 
   private:
     struct Entry

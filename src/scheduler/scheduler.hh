@@ -112,12 +112,6 @@ class Scheduler
     void configureProtection(std::vector<BitDecision> decisions);
 
     void enableProtection(bool enabled);
-    bool protectionEnabled() const { return protectionEnabled_; }
-
-    const std::vector<BitDecision> &decisions() const
-    {
-        return decisions_;
-    }
 
     /** Allocate a slot for @p uop; returns -1 when full. */
     int allocate(const Uop &uop, const RenameTags &tags, Cycle now);
@@ -152,8 +146,6 @@ class Scheduler
 
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
-
-    const SchedulerConfig &config() const { return config_; }
 
     /** Build the repair value for one field at this instant.
      *  @p write_isv gates the ISV bits (the 50%-of-overall-time
