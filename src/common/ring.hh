@@ -4,9 +4,10 @@
  *
  * The register-file replay's pending-release window and the
  * pipeline's ROB are small bounded queues that a std::deque services
- * with chunked heap allocations and a double-indirect access path.  These queues are touched once or
- * more per simulated cycle, so the allocator traffic and the map
- * indirection show up directly in the replay benchmarks.  RingQueue
+ * with chunked heap allocations and a double-indirect access path.
+ * These queues are touched once or more per simulated cycle, so the
+ * allocator traffic and the map indirection show up directly in the
+ * replay benchmarks.  RingQueue
  * stores elements in one contiguous power-of-two array indexed with
  * a mask; the array grows geometrically (amortised O(1) push) and is
  * never shrunk, so a driver that is reused across traces performs no

@@ -184,7 +184,8 @@ runFig4(const ExperimentContext &ctx)
                      static_cast<Adder *>(&rc),
                      static_cast<Adder *>(&ks)}) {
         AdderAgingAnalysis an(*a, model);
-        const InputPair p = bestPair(an.sweepPairs());
+        const InputPair p =
+            a == &adder ? best : bestPair(an.sweepPairs());
         const auto probs = an.zeroProbsForPair(p);
         const AgingSummary s = an.summarize(probs);
         ab.addRow({a->name(),

@@ -13,6 +13,7 @@ RegisterFile::RegisterFile(const RegFileConfig &config)
       rinv_(config.width),
       bias_(config.width)
 {
+    assert(config_.numEntries >= 1);
     for (auto &e : entries_)
         e.value = BitWord(config_.width);
     // RINV starts as the inversion of the all-zero value.
