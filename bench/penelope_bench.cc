@@ -15,23 +15,19 @@
  *   penelope_bench --all --cache-dir .penelope-cache [--cache-gc]
  *   penelope_bench --all --shard 0/2 --shard-out s0.bin
  *   penelope_bench --all --merge s0.bin s1.bin
- *   penelope_bench --all --serve 9077 --workers-expected 2
- *   penelope_bench --worker host:9077
  *
- * A warm store replays near-instantly; shards and networked workers
- * (src/net/coordinator.hh) simulate round-robin slices of the trace
- * set, and --merge or the coordinator renders stdout byte-identical
- * to a plain run.
+ * A warm store replays near-instantly; each shard simulates one
+ * round-robin slice of the trace set (on this host or another), and
+ * --merge renders stdout byte-identical to a plain run.
  *
- * A command line selects one mode: a local run (which covers
- * --merge), --shard, --serve or --worker.  One option
- * table gives each flag's parsing, bounds, valid modes and help
- * text; --help is generated from it, and a flag given in a mode its
- * row does not list exits 2 instead of being silently ignored.
+ * A command line selects one of two modes: a local run (which covers
+ * --merge) or --shard.  One option table gives each flag's parsing,
+ * bounds, valid modes and help text; --help is generated from it,
+ * and a flag given in a mode its row does not list exits 2 instead
+ * of being silently ignored.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -42,14 +38,10 @@
 #include <vector>
 
 #include "common/buildinfo.hh"
-#include "common/shutdown.hh"
 #include "common/threadpool.hh"
 #include "core/registry.hh"
 #include "core/resultcache.hh"
 #include "core/shardplan.hh"
-#include "net/coordinator.hh"
-#include "net/faultinject.hh"
-#include "net/worker.hh"
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -62,22 +54,10 @@ namespace {
  *  it is valid in). */
 enum Mode : unsigned
 {
-    Local = 1,   ///< run (or --merge) experiments, render here
-    Shard = 2,   ///< --shard: simulate a slice, write a shard file
-    Serve = 4,   ///< --serve: coordinate workers, then render
-    Worker = 8,  ///< --worker: run slices a coordinator assigns
+    Local = 1, ///< run (or --merge) experiments, render here
+    Shard = 2, ///< --shard: simulate a slice, write a shard file
 };
-constexpr unsigned kRuns = Local | Shard | Serve;
-constexpr unsigned kAll = kRuns | Worker; ///< every mode simulates
-
-/** The flags that select a mode, in precedence order: when several
- *  are given the first wins, and the others fail its mode rule. */
-constexpr struct
-{
-    Mode mode;
-    const char *flag;
-} kModeFlags[] = {{Worker, "--worker"}, {Serve, "--serve"},
-                  {Shard, "--shard"}};
+constexpr unsigned kAll = Local | Shard;
 
 /**
  * Everything a command line sets.  Option actions write straight
@@ -92,8 +72,6 @@ struct Settings
         o.uopsPerTrace = o.cacheUops = 40'000;
         return o;
     }();
-    net::CoordinatorConfig coordinator;
-    net::WorkerConfig worker;
 
     Mode mode = Local;
     bool done = false;      ///< --help/--version/--list answered
@@ -105,9 +83,7 @@ struct Settings
     bool cacheGc = false;
     std::string shardOut;
     std::vector<std::string> mergeFiles;
-    unsigned slices = 0; ///< 0 = derive from workers-expected
     bool metricsDump = false;
-    std::optional<std::uint16_t> metricsPort;
     std::string traceOut;
 };
 
@@ -182,30 +158,6 @@ parseShard(const char *text, unsigned &index, unsigned &count)
     return true;
 }
 
-/** Parse "HOST:PORT" for --worker. */
-bool
-parseHostPort(const char *flag, const char *text,
-              std::string &host, std::uint16_t &port)
-{
-    if (!text || !*text) {
-        std::cerr << "penelope_bench: " << flag
-                  << " requires HOST:PORT\n";
-        return false;
-    }
-    const char *colon = std::strrchr(text, ':');
-    if (!colon || colon == text || !colon[1]) {
-        std::cerr << "penelope_bench: " << flag
-                  << " expects HOST:PORT, got '" << text << "'\n";
-        return false;
-    }
-    std::uint64_t value = 0;
-    if (!parseCount(flag, colon + 1, 1, 65535, value))
-        return false;
-    host.assign(text, colon);
-    port = static_cast<std::uint16_t>(value);
-    return true;
-}
-
 /** Parse a decimal factor in [min, max]. */
 bool
 parseFactor(const char *flag, const char *text, double min,
@@ -229,9 +181,9 @@ parseFactor(const char *flag, const char *text, double min,
     return true;
 }
 
-/** How a flag's value is parsed: none, a number in [lo, hi],
- *  HOST:PORT, I/N, a string, or every remaining argument (>= 1). */
-enum Kind { Switch, Count, Factor, HostPort, ShardSpec, Path, Files };
+/** How a flag's value is parsed: none, a number in [lo, hi], I/N,
+ *  a string, or every remaining argument (>= 1). */
+enum Kind { Switch, Count, Factor, ShardSpec, Path, Files };
 
 /** A parsed flag value: the fields its Kind fills. */
 struct Value
@@ -239,8 +191,6 @@ struct Value
     const char *text = nullptr;    ///< Path, Files
     std::uint64_t n = 0;           ///< Count
     double x = 0.0;                ///< Factor
-    std::string host;              ///< HostPort
-    std::uint16_t port = 0;        ///< HostPort
     unsigned index = 0, count = 0; ///< ShardSpec
 };
 
@@ -278,12 +228,12 @@ const Option kOptions[] = {
     {"--list", nullptr, kAll, Switch, 0, 0,
      "list registered experiments and exit",
      [](auto &s, auto &) { listExperiments(std::cout); s.done = true; }},
-    {"--all", nullptr, kRuns, Switch, 0, 0, "run every registered experiment",
+    {"--all", nullptr, kAll, Switch, 0, 0, "run every registered experiment",
      [](auto &s, auto &) { s.all = true; }},
-    {"--stride", "N", kRuns, Count, 1, 531,
+    {"--stride", "N", kAll, Count, 1, 531,
      "use every N-th of the 531 traces (N >= 1, default 16)",
      [](auto &s, auto &v) { s.options.traceStride = v.n; }},
-    {"--uops", "N", kRuns, Count, 1, 1e9,
+    {"--uops", "N", kAll, Count, 1, 1e9,
      "uops per trace (N >= 1, default 40000)",
      [](auto &s, auto &v) {
          s.options.uopsPerTrace = s.options.cacheUops = v.n;
@@ -293,14 +243,14 @@ const Option kOptions[] = {
      "worker threads for per-trace simulation (N >= 1, default 1; "
      "0 = all hardware threads; statistics are identical for any N)",
      [](auto &s, auto &v) { s.options.jobs = v.n ? v.n : defaultJobs(); }},
-    {"--full", nullptr, kRuns, Switch, 0, 0,
+    {"--full", nullptr, kAll, Switch, 0, 0,
      "full workload (stride 1) at paper-scale uop counts",
      [](auto &s, auto &) { s.full = true; }},
     {"--surrogate-audit", "F", Local, Factor, 0, 1,
      "seeded audit fraction of pruned candidates to exact-evaluate "
      "anyway (default 0.03; 1.0 = full audit: every candidate is "
      "priced exactly and the surrogate is bypassed; local runs "
-     "only: a served plan searches at the default)",
+     "only: a shard searches at the default)",
      [](auto &s, auto &v) { s.options.surrogateAuditFraction = v.x; }},
     {"--cache-dir", "DIR", kAll, Path, 0, 0,
      "attach a persistent store to the run's result cache: per-trace "
@@ -319,6 +269,7 @@ const Option kOptions[] = {
      "set and write the results as a merge-ready shard file (stdout "
      "stays empty)",
      [](auto &s, auto &v) {
+         s.mode = Shard;
          s.options.shardIndex = v.index;
          s.options.shardCount = v.count;
      }},
@@ -329,62 +280,10 @@ const Option kOptions[] = {
      "import shard files (all remaining arguments) and render the "
      "full statistics from them, bit-identical to an unsharded run",
      [](auto &s, auto &v) { s.mergeFiles.push_back(v.text); }},
-    {"--serve", "PORT", Serve, Count, 0, 65535,
-     "coordinate a distributed run: carve the experiments into "
-     "slices, assign them to connecting --worker processes, reassign "
-     "the slices of workers that disconnect or time out, then render "
-     "the full statistics (byte-identical to an unsharded run); port "
-     "0 picks an ephemeral port (printed on stderr); --cache-dir "
-     "keeps every collected entry.  SIGINT/SIGTERM stops it early: "
-     "in-flight slices drain (bounded), the incomplete slices are "
-     "listed on stderr and it exits 0 without rendering",
-     [](auto &s, auto &v) { s.coordinator.port = v.n; }},
-    {"--workers-expected", "N", Serve, Count, 1, 1024,
-     "workers the operator will attach (default 1; sizes the default "
-     "slice carving; the run completes with any number)",
-     [](auto &s, auto &v) { s.coordinator.workersExpected = v.n; }},
-    {"--slices", "N", Serve, Count, 1, 531,
-     "slice count for --serve (default 4x "
-     "workers-expected, clamped to [workers-expected, 32])",
-     [](auto &s, auto &v) { s.slices = v.n; }},
-    {"--slice-timeout", "SECONDS", Serve, Count, 1, 86'400,
-     "reassign a slice not completed within this budget (default "
-     "600)",
-     [](auto &s, auto &v) { s.coordinator.sliceTimeoutMs = v.n * 1000; }},
-    {"--worker", "HOST:PORT", Worker, HostPort, 0, 0,
-     "run as a worker for the coordinator at HOST:PORT (experiment "
-     "names/options come from the wire; local flags --jobs and "
-     "--cache-dir still apply)",
-     [](auto &s, auto &v) { s.worker.host = v.host; s.worker.port = v.port; }},
-    {"--retry-budget", "N", Serve, Count, 0, 100,
-     "re-dispatches allowed per slice before the job degrades to a "
-     "partial result with an explicit incomplete-slice manifest "
-     "(default 3)",
-     [](auto &s, auto &v) { s.coordinator.retryBudget = v.n; }},
-    {"--heartbeat-timeout", "MS", Serve, Count, 1, 3'600'000,
-     "forfeit a slice whose worker went silent this long (default "
-     "5000; workers heartbeat while running)",
-     [](auto &s, auto &v) { s.coordinator.heartbeatTimeoutMs = v.n; }},
-    {"--heartbeat-interval", "MS", Worker, Count, 1, 3'600'000,
-     "worker heartbeat cadence (default 1000)",
-     [](auto &s, auto &v) { s.worker.heartbeatIntervalMs = v.n; }},
-    {"--worker-reconnect", "MS", Worker, Count, 0, 3'600'000,
-     "worker budget for re-connecting after a lost coordinator "
-     "(survives coordinator restarts; 0 = exit on loss, default)",
-     [](auto &s, auto &v) { s.worker.reconnectBudgetMs = v.n; }},
-    {"--connect-budget", "MS", Worker, Count, 1, 3'600'000,
-     "total wall-clock budget for the worker's initial connect loop "
-     "(default 30000)",
-     [](auto &s, auto &v) { s.worker.connectBudgetMs = v.n; }},
     {"--metrics-dump", nullptr, kAll, Switch, 0, 0,
      "enable the metrics registry and print a sorted 'obs: name "
      "value' snapshot to stderr after the run (stdout is unchanged)",
      [](auto &s, auto &) { s.metricsDump = true; }},
-    {"--metrics-port", "PORT", kAll, Count, 0, 65535,
-     "serve Prometheus text exposition over HTTP while running (0 = "
-     "ephemeral; the port is announced on stderr); under --serve the "
-     "exposition includes per-worker series",
-     [](auto &s, auto &v) { s.metricsPort = v.n; }},
     {"--trace-out", "FILE", kAll, Path, 0, 0,
      "write a Chrome trace_event JSON span trace (load it in "
      "Perfetto or chrome://tracing)",
@@ -442,8 +341,6 @@ parseValue(const Option &o, const char *text, Value &v)
         return parseCount(o.flag, text, o.lo, o.hi, v.n);
       case Factor:
         return parseFactor(o.flag, text, o.lo, o.hi, v.x);
-      case HostPort:
-        return parseHostPort(o.flag, text, v.host, v.port);
       case ShardSpec:
         return parseShard(text, v.index, v.count);
       case Path:
@@ -469,7 +366,6 @@ int
 parseArgs(int argc, char **argv, Settings &s)
 {
     std::vector<const Option *> given;
-    unsigned given_modes = 0;
     for (int i = 1; i < argc; ++i) {
         const Option *opt = nullptr;
         for (const Option &o : kOptions) {
@@ -487,10 +383,6 @@ parseArgs(int argc, char **argv, Settings &s)
             continue;
         }
         given.push_back(opt);
-        for (const auto &m : kModeFlags) {
-            if (!std::strcmp(opt->flag, m.flag))
-                given_modes |= m.mode;
-        }
         do {
             Value v;
             const char *text =
@@ -504,35 +396,15 @@ parseArgs(int argc, char **argv, Settings &s)
             return 0;
     }
 
-    const char *mode_flag = nullptr;
-    for (const auto &m : kModeFlags) {
-        if (given_modes & m.mode) {
-            s.mode = m.mode;
-            mode_flag = m.flag;
-            break;
-        }
-    }
+    // --shard selects the Shard mode; a flag valid in one mode only
+    // is rejected in the other.
     for (const Option *opt : given) {
         if (opt->modes & s.mode)
             continue;
-        std::cerr << "penelope_bench: " << opt->flag;
-        if (s.mode == Local) {
-            const char *sep = " requires ";
-            for (const auto &m : kModeFlags) {
-                if (opt->modes & m.mode) {
-                    std::cerr << sep << m.flag;
-                    sep = " or ";
-                }
-            }
-        } else {
-            std::cerr << " cannot be combined with " << mode_flag;
-        }
-        std::cerr << "\n";
-        return 2;
-    }
-    if (!(s.mode & kRuns) && !s.names.empty()) {
-        std::cerr << "penelope_bench: " << mode_flag
-                  << " takes no experiment names\n";
+        std::cerr << "penelope_bench: " << opt->flag
+                  << (s.mode == Local ? " requires --shard\n"
+                                      : " cannot be combined with "
+                                        "--shard\n");
         return 2;
     }
     if (s.cacheGc && s.cacheDir.empty()) {
@@ -549,7 +421,7 @@ parseArgs(int argc, char **argv, Settings &s)
         for (const Experiment &e : registry.experiments())
             s.names.push_back(e.name);
     }
-    if (s.names.empty() && (s.mode & kRuns)) {
+    if (s.names.empty()) {
         std::cerr << "penelope_bench: no experiment given\n\n";
         listExperiments(std::cerr);
         std::cerr << '\n';
@@ -579,23 +451,6 @@ parseArgs(int argc, char **argv, Settings &s)
     return -1;
 }
 
-/** One stderr line of fired-fault accounting when injection is on
- *  (CI's chaos step asserts the chaos actually happened). */
-void
-printFaultSummary()
-{
-    const net::FaultInjector &injector = net::FaultInjector::instance();
-    if (!injector.enabled())
-        return;
-    const net::FaultStats s = injector.stats();
-    std::cerr << "penelope_bench: fault injection: " << s.total()
-              << " faults fired (" << s.drops << " drops, "
-              << s.flips << " flips, " << s.truncates
-              << " truncates, " << s.halfCloses << " half-closes, "
-              << s.delays << " delays, " << s.stalls
-              << " stalls)\n";
-}
-
 /** The run's result-cache accounting.  Stats go to stderr: stdout
  *  must stay byte-identical across cold, warm and sharded runs. */
 void
@@ -615,23 +470,18 @@ printCacheStats(ResultCache &cache)
 
 /**
  * The observability session: off unless a flag asks for it, and
- * never writing to stdout.  Its destructor tears everything down on
- * every exit path, joining the metrics server before the
- * coordinator it reports on unwinds.
+ * never writing to stdout.  Its destructor closes the trace and
+ * prints the dump on every exit path.
  */
 struct ObsSession
 {
-    /** The serving coordinator, for per-worker exposition. */
-    std::atomic<net::Coordinator *> coordinator{nullptr};
     bool dump = false;
-    obs::MetricsServer server;
 
     ObsSession() = default;
     ObsSession(const ObsSession &) = delete;
     ObsSession &operator=(const ObsSession &) = delete;
     ~ObsSession()
     {
-        server.stop();
         obs::Tracer::instance().close();
         if (dump) {
             std::cerr << obs::renderDump(
@@ -644,7 +494,7 @@ struct ObsSession
     start(const Settings &s)
     {
         dump = s.metricsDump;
-        if (s.metricsDump || s.metricsPort || !s.traceOut.empty())
+        if (s.metricsDump || !s.traceOut.empty())
             obs::Registry::instance().setEnabled(true);
         std::string error;
         if (!s.traceOut.empty() &&
@@ -653,28 +503,14 @@ struct ObsSession
                       << "\n";
             return false;
         }
-        if (!s.metricsPort)
-            return true;
-        const auto provider = [this]() -> obs::LabeledSnapshots {
-            net::Coordinator *c =
-                coordinator.load(std::memory_order_acquire);
-            return c ? c->workerSnapshots() : obs::LabeledSnapshots{};
-        };
-        if (!server.start(*s.metricsPort, provider, &error)) {
-            std::cerr << "penelope_bench: --metrics-port: " << error
-                      << "\n";
-            return false;
-        }
-        std::cerr << "penelope_bench: metrics on port "
-                  << server.port() << "\n";
         return true;
     }
 };
 
 /**
  * Render the experiments to stdout through the run's result cache
- * (which serves what shard files, workers or earlier experiments
- * of this run left there), then report the cache on stderr.
+ * (which serves what shard files or earlier experiments of this run
+ * left there), then report the cache on stderr.
  */
 int
 render(const Settings &s, ResultCache &cache)
@@ -682,18 +518,8 @@ render(const Settings &s, ResultCache &cache)
     const WorkloadSet workload;
     for (const std::string &name : s.names) {
         const ExperimentContext ctx{workload, s.options, std::cout};
-        const bool timed = obs::enabled();
-        const std::uint64_t t0 =
-            timed ? obs::monotonicMicros() : 0;
-        {
-            const obs::ScopedSpan span(name, "experiment");
-            ExperimentRegistry::instance().find(name)->run(ctx);
-        }
-        if (timed) {
-            PENELOPE_OBS_HISTOGRAM("engine.experiment_latency",
-                                   "us")
-                .record(obs::monotonicMicros() - t0);
-        }
+        const obs::ScopedSpan span(name, "experiment");
+        ExperimentRegistry::instance().find(name)->run(ctx);
     }
     if (s.cacheGc) {
         // The experiments above touched every entry the current
@@ -711,15 +537,13 @@ render(const Settings &s, ResultCache &cache)
                   << "\n";
     }
     printCacheStats(cache);
-    printFaultSummary();
     return 0;
 }
 
 /**
- * --shard I/N: run slice I through the worker's slice executor,
- * whose ShardPlan is the one definition of "slice i of N of this
- * run" for the manual and the distributed path alike, then write
- * the cache entries as a merge-ready shard file.
+ * --shard I/N: run slice I of this run's ShardPlan through
+ * runPlanSlice, then write the cache entries as a merge-ready shard
+ * file.
  */
 int
 runShard(const Settings &s, ResultCache &cache)
@@ -743,156 +567,7 @@ runShard(const Settings &s, ResultCache &cache)
               << " (merge with: penelope_bench ... --merge " << out
               << " ...)\n";
     printCacheStats(cache);
-    printFaultSummary();
     return 0;
-}
-
-/**
- * The plan --serve carves.  4 slices per worker smooths
- * load imbalance and shrinks the redo unit when a worker dies,
- * without inflating per-slice shared-phase overhead.  More than 531
- * (the trace count) would fail every worker's validation.
- */
-ShardPlan
-carvePlan(const Settings &s)
-{
-    const unsigned workers = s.coordinator.workersExpected;
-    const unsigned slices =
-        s.slices ? s.slices : std::min(4 * workers, 32u);
-    return ShardPlan::fromOptions(
-        s.names, s.options,
-        std::min(std::max(slices, workers), 531u));
-}
-
-/** --worker: run the slices a coordinator assigns until released. */
-int
-runWorker(Settings &s, ResultCache &cache)
-{
-    installShutdownHandlers();
-    net::WorkerConfig &config = s.worker;
-    config.jobs = s.options.jobs;
-    config.pool = s.options.pool;
-    config.hostCpus = defaultJobs();
-    config.stopRequested = [] { return shutdownRequested(); };
-
-    // With --cache-dir a restarted worker answers re-assigned
-    // slices from its store.
-    const WorkloadSet workload;
-    net::WorkerStats stats;
-    std::string error;
-    const net::WorkerOutcome outcome =
-        net::runWorker(config, workload, cache, &stats, &error);
-    std::cerr << "penelope_bench: worker: ran " << stats.slicesRun
-              << " slices in " << stats.simSeconds << " s, sent "
-              << stats.sentBytes << " entry bytes ("
-              << stats.fullExportBytes << " if resent in full), "
-              << stats.heartbeatsSent << " heartbeats, "
-              << stats.reconnects << " reconnects\n";
-    printFaultSummary();
-    switch (outcome) {
-      case net::WorkerOutcome::Finished:
-        return 0;
-      case net::WorkerOutcome::Drained:
-        std::cerr << "penelope_bench: worker: drained after stop "
-                     "request\n";
-        return 0;
-      case net::WorkerOutcome::ConnectFailed:
-        // Distinct from protocol-level rejection: the operator
-        // fixes an address/firewall here, a version skew there.
-        std::cerr << "penelope_bench: worker: coordinator "
-                     "unreachable: "
-                  << error << "\n";
-        return 4;
-      case net::WorkerOutcome::BadAssignment:
-        std::cerr << "penelope_bench: worker: protocol rejection: "
-                  << error << "\n";
-        return 5;
-      case net::WorkerOutcome::ConnectionLost:
-        break;
-    }
-    std::cerr << "penelope_bench: worker: " << error << "\n";
-    return 1;
-}
-
-/**
- * --serve: coordinate a run, then render it from the collected
- * entries (a Partial job's missing slices recompute locally).  A
- * run stopped by SIGINT/SIGTERM does not render.
- */
-int
-runServe(Settings &s, ResultCache &cache, ObsSession &obs)
-{
-    installShutdownHandlers();
-    net::CoordinatorConfig &config = s.coordinator;
-    config.stopRequested = [] { return shutdownRequested(); };
-
-    const ShardPlan plan = carvePlan(s);
-    net::Coordinator coordinator(plan, cache, config);
-    obs.coordinator.store(&coordinator, std::memory_order_release);
-    std::string error;
-    if (!coordinator.start(&error)) {
-        std::cerr << "penelope_bench: --serve: " << error << "\n";
-        return 1;
-    }
-    std::cerr << "penelope_bench: coordinator listening on port "
-              << coordinator.port() << " (" << plan.sliceCount
-              << " slices, expecting " << config.workersExpected
-              << " workers; attach with: penelope_bench "
-                 "--worker <host>:"
-              << coordinator.port() << ")\n";
-    coordinator.run();
-
-    // The coordinator leaves scope on both exits below: stop
-    // serving its per-worker view first (stop() joins, so no
-    // provider call is in flight afterwards).
-    obs.coordinator.store(nullptr, std::memory_order_release);
-    obs.server.stop();
-
-    const net::CoordinatorStats &cs = coordinator.stats();
-    const std::vector<std::uint32_t> manifest =
-        coordinator.incompleteSlices();
-    std::cerr << "penelope_bench: coordinator: "
-              << cs.slices - manifest.size() << " of " << cs.slices
-              << " slices done, " << cs.assignments
-              << " assignments (" << cs.reassignments
-              << " reassigned, " << cs.duplicateResults
-              << " duplicate results), " << cs.workersSeen
-              << " workers (host_cpus:";
-    for (std::uint32_t cpus : cs.workerCpus)
-        std::cerr << ' ' << cpus;
-    std::cerr << "), " << cs.resultBytes << " entry bytes received\n";
-    std::cerr << "penelope_bench: coordinator: wall "
-              << cs.wallSeconds << " s, worker simulation "
-              << cs.workerSimSeconds << " s, entry import "
-              << cs.importSeconds
-              << " s (local host_cpus: " << defaultJobs() << ")\n";
-    std::cerr << "penelope_bench: coordinator: " << cs.heartbeats
-              << " heartbeats, " << cs.hungForfeits
-              << " hung-worker forfeits, " << cs.slicesFailed
-              << " slices failed (retry budget "
-              << config.retryBudget << ")\n";
-    const bool stopped = shutdownRequested();
-    if (!manifest.empty()) {
-        std::cerr << "penelope_bench: coordinator: partial "
-                     "result; incomplete slices:";
-        for (const std::uint32_t slice : manifest)
-            std::cerr << ' ' << slice;
-        std::cerr << (stopped ? " (stopped; not rendered)\n"
-                              : " (recomputed locally below)\n");
-    }
-    // Imported entries live in memory only: persist what was
-    // collected (when --cache-dir is attached), so a rerun with the
-    // same store starts warm, whether or not this run renders.
-    const std::size_t flushed = cache.flushToDisk();
-    if (flushed) {
-        std::cerr << "penelope_bench: coordinator: flushed " << flushed
-                  << " imported entries to the cache store\n";
-    }
-    if (stopped) {
-        printFaultSummary();
-        return 0;
-    }
-    return render(s, cache);
 }
 
 } // namespace
@@ -901,12 +576,6 @@ int
 main(int argc, char **argv)
 {
     registerBuiltinExperiments();
-    std::string fault_error;
-    if (!net::FaultInjector::instance().configureFromEnv(&fault_error)) {
-        std::cerr << "penelope_bench: PENELOPE_FAULTS: " << fault_error
-                  << "\n";
-        return 2;
-    }
 
     Settings s;
     if (const int rc = parseArgs(argc, argv, s); rc >= 0)
@@ -931,12 +600,8 @@ main(int argc, char **argv)
     ResultCache cache(s.cacheDir);
     s.options.cache = &cache;
 
-    switch (s.mode) {
-      case Worker: return runWorker(s, cache);
-      case Serve: return runServe(s, cache, obs);
-      case Shard: return runShard(s, cache);
-      default: break;
-    }
+    if (s.mode == Shard)
+        return runShard(s, cache);
     for (const std::string &file : s.mergeFiles) {
         if (!cache.importFrom(file)) {
             // A missing/foreign shard file only costs recompute
@@ -947,7 +612,7 @@ main(int argc, char **argv)
         }
     }
     // Imports live in memory only: persist them (when --cache-dir
-    // is attached), as runServe does, so a rerun starts warm.
+    // is attached), so a rerun starts warm.
     cache.flushToDisk();
     return render(s, cache);
 }

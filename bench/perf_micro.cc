@@ -914,8 +914,8 @@ BM_ObsHistogramRecord(benchmark::State &state)
 BENCHMARK(BM_ObsHistogramRecord);
 
 /** A full scrape: merge every live shard + retired totals into a
- *  sorted snapshot.  Cold-path (heartbeats, --metrics-port
- *  requests), so ms-scale is acceptable; track it anyway. */
+ *  sorted snapshot.  Cold-path (heartbeats, --metrics-dump), so
+ *  ms-scale is acceptable; track it anyway. */
 void
 BM_ObsScrape(benchmark::State &state)
 {

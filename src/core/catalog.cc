@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <ostream>
 
 #include "adder/adder.hh"
@@ -314,6 +315,25 @@ runFig6(const ExperimentContext &ctx)
 
 // ------------------------------------------------------- Figure 8
 
+/** Per-field worst bias towards either rail, one entry per field of
+ *  the layout (Figure 8 prints the inFigure8 ones). */
+std::vector<double>
+fieldWorstBias(const std::vector<double> &bias)
+{
+    const FieldLayout &layout = fieldLayout();
+    std::vector<double> out;
+    for (unsigned f = 0; f < layout.count(); ++f) {
+        const FieldSpec &spec = layout.spec(f);
+        double worst = 0.5;
+        for (unsigned bit = 0; bit < spec.width; ++bit) {
+            const double p = bias[spec.offset + bit];
+            worst = std::max(worst, std::max(p, 1.0 - p));
+        }
+        out.push_back(worst);
+    }
+    return out;
+}
+
 void
 runFig8(const ExperimentContext &ctx)
 {
@@ -341,22 +361,14 @@ runFig8(const ExperimentContext &ctx)
 
     printHeader(os, "Figure 8: per-field worst bias towards 0");
     TextTable bias({"field", "baseline worst", "protected worst"});
+    const std::vector<double> base_worst = fieldWorstBias(base.bias);
+    const std::vector<double> prot_worst = fieldWorstBias(prot.bias);
     for (unsigned f = 0; f < layout.count(); ++f) {
         const FieldSpec &spec = layout.spec(f);
         if (!spec.inFigure8)
             continue;
-        double base_worst = 0.5;
-        double prot_worst = 0.5;
-        for (unsigned b = 0; b < spec.width; ++b) {
-            const double pb = base.bias[spec.offset + b];
-            const double pp = prot.bias[spec.offset + b];
-            base_worst =
-                std::max(base_worst, std::max(pb, 1.0 - pb));
-            prot_worst =
-                std::max(prot_worst, std::max(pp, 1.0 - pp));
-        }
-        bias.addRow({spec.name, TextTable::pct(base_worst, 1),
-                     TextTable::pct(prot_worst, 1)});
+        bias.addRow({spec.name, TextTable::pct(base_worst[f], 1),
+                     TextTable::pct(prot_worst[f], 1)});
     }
     bias.print(os);
 
@@ -375,6 +387,23 @@ runFig8(const ExperimentContext &ctx)
 }
 
 // -------------------------------------------------------- Table 1
+
+/** Share of the first 2000 adder operations of trace @p index whose
+ *  carry-in is 0 (Section 1.1: the adder carry-in is "0" more than
+ *  90% of the time); nullopt when the trace has no adder operation. */
+std::optional<double>
+carryInZeroFraction(const WorkloadSet &workload, unsigned index)
+{
+    TraceGenerator gen = workload.generator(index);
+    const auto ops = collectAdderOperands(gen, 2000);
+    if (ops.empty())
+        return std::nullopt;
+    std::size_t zeros = 0;
+    for (const auto &op : ops)
+        if (!op.cin)
+            ++zeros;
+    return static_cast<double>(zeros) / ops.size();
+}
 
 void
 runTable1(const ExperimentContext &ctx)
@@ -409,14 +438,8 @@ runTable1(const ExperimentContext &ctx)
                        counts[static_cast<unsigned>(c)]) /
                 static_cast<double>(n);
         };
-        // Carry-in bias from operand sampling (Section 1.1: the
-        // adder carry-in is "0" more than 90% of the time).
-        TraceGenerator gen2 = workload.generator(indices.front());
-        const auto ops = collectAdderOperands(gen2, 2000);
-        std::size_t zeros = 0;
-        for (const auto &op : ops)
-            if (!op.cin)
-                ++zeros;
+        const std::optional<double> cin_zero =
+            carryInZeroFraction(workload, indices.front());
         m.addRow(
             {suite.name, TextTable::pct(frac(UopClass::Load), 1),
              TextTable::pct(frac(UopClass::Store), 1),
@@ -428,11 +451,8 @@ runTable1(const ExperimentContext &ctx)
                  static_cast<double>(gen.params().wssBytes) /
                      1024.0,
                  0),
-             ops.empty()
-                 ? std::string("-")
-                 : TextTable::pct(static_cast<double>(zeros) /
-                                      ops.size(),
-                                  1)});
+             cin_zero ? TextTable::pct(*cin_zero, 1)
+                      : std::string("-")});
     }
     m.print(os);
 }
@@ -612,14 +632,8 @@ runSec11(const ExperimentContext &ctx)
     // Carry-in bias across suites.
     RunningStats cin_zero;
     for (unsigned index : workload.firstPerSuite()) {
-        TraceGenerator gen = workload.generator(index);
-        const auto ops = collectAdderOperands(gen, 2000);
-        std::size_t zeros = 0;
-        for (const auto &op : ops)
-            if (!op.cin)
-                ++zeros;
-        if (!ops.empty())
-            cin_zero.add(static_cast<double>(zeros) / ops.size());
+        if (const auto fraction = carryInZeroFraction(workload, index))
+            cin_zero.add(*fraction);
     }
 
     // Register-file bias range.
@@ -911,24 +925,6 @@ attackReplayKey(const SchedReplayConfig &replay_config,
             .f64(d.k);
     }
     return key.digest();
-}
-
-/** Per-field worst bias towards either rail, Figure-8 fields. */
-std::vector<double>
-fieldWorstBias(const std::vector<double> &bias)
-{
-    const FieldLayout &layout = fieldLayout();
-    std::vector<double> out;
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        const FieldSpec &spec = layout.spec(f);
-        double worst = 0.5;
-        for (unsigned bit = 0; bit < spec.width; ++bit) {
-            const double p = bias[spec.offset + bit];
-            worst = std::max(worst, std::max(p, 1.0 - p));
-        }
-        out.push_back(worst);
-    }
-    return out;
 }
 
 void

@@ -121,11 +121,11 @@ Coordinator::jobState() const
     return job_.state;
 }
 
-obs::LabeledSnapshots
+Coordinator::LabeledSnapshots
 Coordinator::workerSnapshots() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    obs::LabeledSnapshots out;
+    LabeledSnapshots out;
     for (const auto &[index, snap] : workerMetrics_) {
         out.emplace_back(
             "worker=\"" + std::to_string(index) + "\"", snap);

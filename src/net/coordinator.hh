@@ -23,8 +23,8 @@
  *  - a slice that exhausts its budget is marked Failed and the job
  *    finishes *Partial* with an explicit incomplete-slice manifest
  *    instead of hanging -- the caller decides whether to recompute
- *    locally (the bench render path does, so stdout stays
- *    byte-identical) or surface the gap;
+ *    locally (rendering through the ResultCache does, so stdout
+ *    stays byte-identical) or surface the gap;
  *  - duplicate completions are harmless: entry streams are
  *    content-addressed, so importing twice deduplicates by key.
  *
@@ -44,13 +44,14 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/shardplan.hh"
 #include "net/backoff.hh"
 #include "net/protocol.hh"
-#include "obs/exposition.hh"
 #include "obs/metrics.hh"
 
 namespace penelope {
@@ -167,13 +168,16 @@ class Coordinator
     std::vector<std::uint32_t> incompleteSlices(
         std::uint32_t job = 0) const;
 
+    /** Snapshots under a label text such as `worker="1"`. */
+    using LabeledSnapshots =
+        std::vector<std::pair<std::string, obs::Snapshot>>;
+
     /** Latest metric snapshot piggybacked by each worker
-     *  [kCapMetrics], labelled `worker="N"` by accept order --
-     *  the provider behind `--metrics-port`'s per-worker series.
+     *  [kCapMetrics], labelled `worker="N"` by accept order.
      *  Assigns ask workers for snapshots only while this process's
      *  registry is enabled; empty until a worker so asked has
      *  heartbeated. */
-    obs::LabeledSnapshots workerSnapshots() const;
+    LabeledSnapshots workerSnapshots() const;
 
   private:
     enum class SliceState : std::uint8_t

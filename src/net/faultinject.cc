@@ -10,8 +10,8 @@ namespace net {
 
 namespace {
 
-/** Fired-vs-passed decision accounting (satellite of the chaos CI
- *  step: fault activity must be visible, not only survivable). */
+/** Fired-vs-passed decision accounting: fault activity must be
+ *  visible, not only survivable. */
 struct FaultMetrics
 {
     obs::Counter passed;
@@ -195,19 +195,6 @@ FaultInjector::configure(const FaultConfig &config)
 {
     config_ = config;
     enabled_.store(config.active(), std::memory_order_release);
-}
-
-bool
-FaultInjector::configureFromEnv(std::string *error)
-{
-    const char *spec = std::getenv("PENELOPE_FAULTS");
-    if (!spec || !*spec)
-        return true;
-    FaultConfig config;
-    if (!FaultConfig::parse(spec, config, error))
-        return false;
-    configure(config);
-    return true;
 }
 
 void

@@ -5,11 +5,11 @@
  * Every failure mode the service layer claims to survive -- lost
  * frames, delayed frames, corrupted bytes, truncated streams,
  * half-closed connections, a peer that stalls mid-conversation --
- * is producible on demand through this seam, so the test suite and
- * the CI chaos step *script* failures instead of hoping to observe
- * them.  The seam is compiled in always and costs one predicate
- * per frame when disabled; it is enabled by the `PENELOPE_FAULTS`
- * environment variable (or configure() from code).
+ * is producible on demand through this seam, so the test suite
+ * *scripts* failures instead of hoping to observe them.  The seam
+ * is compiled in always and costs one predicate per frame when
+ * disabled; configure() enables it, from a FaultConfig built in code
+ * or parsed from a spec string.
  *
  * Determinism: every decision is a pure function of
  * (seed, connection id, frame-op index), via the same splitmix /
@@ -33,7 +33,7 @@
  *
  * Probabilities are in [0, 1].  Example:
  *
- *   PENELOPE_FAULTS='seed=7,drop=0.03,flip=0.02,delay=0.05:15'
+ *   seed=7,drop=0.03,flip=0.02,delay=0.05:15
  */
 
 #ifndef PENELOPE_NET_FAULTINJECT_HH
@@ -81,8 +81,8 @@ enum class FaultAction : std::uint8_t
     Stall,     ///< block for stallMs, then fail the operation
 };
 
-/** Running tally of fired faults (process-wide; logged by the
- *  bench driver so CI can assert the chaos actually happened). */
+/** Running tally of fired faults (process-wide, so a test can
+ *  assert the chaos actually happened). */
 struct FaultStats
 {
     std::uint64_t drops = 0;
@@ -112,11 +112,6 @@ class FaultInjector
 
     /** Install @p config and enable the schedule. */
     void configure(const FaultConfig &config);
-
-    /** Configure from the PENELOPE_FAULTS environment variable (a
-     *  no-op when unset/empty).  Returns false and fills @p error
-     *  on a malformed spec. */
-    bool configureFromEnv(std::string *error);
 
     /** Drop back to the inert state (tests restore this). */
     void disable();

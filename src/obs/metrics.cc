@@ -128,8 +128,8 @@ constexpr std::size_t kMaxNameLen = 256;
 
 /** A decoded name must use the charset every registered metric
  *  does, and a unit must hold no whitespace or control byte:
- *  snapshots arrive off the wire and are rendered into exposition
- *  text, where a newline, brace or space would forge series. */
+ *  snapshots arrive off the wire and render as text lines, where a
+ *  newline, brace or space would forge series. */
 bool
 validName(std::string_view name)
 {

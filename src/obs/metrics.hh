@@ -75,7 +75,7 @@ bucketIndex(std::uint64_t v)
     return static_cast<std::size_t>(std::bit_width(v));
 }
 
-/** Inclusive upper bound of bucket @p b (the Prometheus `le`). */
+/** Inclusive upper bound of bucket @p b. */
 inline constexpr std::uint64_t
 bucketBound(std::size_t b)
 {

@@ -7,7 +7,7 @@
  * closing the connection, going silent, or heartbeating past the
  * coordinator's deadline before answering with real entries.  The
  * production worker (src/net/worker.cc) carries no such behaviour;
- * real processes get theirs from PENELOPE_FAULTS.
+ * socket-level faults come from the FaultInjector seam.
  */
 
 #ifndef PENELOPE_TESTS_FAKE_WORKER_HH
