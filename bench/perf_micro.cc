@@ -552,17 +552,17 @@ BM_SchedulerReplayProtected(benchmark::State &state)
     WorkloadSet workload;
     const std::vector<BitDecision> decisions = decideProtection(
         profileScheduler(workload, {0, 200}, 10'000).bits);
-    SchedulerRun run(&decisions, SchedReplayConfig{});
+    SchedulerPass pass(SchedReplayConfig{}, decisions, {true});
     TraceGenerator gen = workload.replayGenerator(0);
     std::vector<Uop> uops(kUops);
     for (Uop &u : uops)
         u = gen.next();
     std::size_t at = 0;
     for (auto _ : state) {
-        run.feed(uops.data() + at, 256);
+        pass.feed(uops.data() + at, 256);
         at = (at + 256) % kUops;
     }
-    benchmark::DoNotOptimize(run.result().cycles);
+    benchmark::DoNotOptimize(pass.results());
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_SchedulerReplayProtected);
@@ -603,19 +603,14 @@ BM_SchedulerArms(benchmark::State &state)
     WorkloadSet workload;
     const std::vector<BitDecision> decisions = decideProtection(
         profileScheduler(workload, {0, 200}, 10'000).bits);
-    const auto pass =
-        std::make_shared<SchedulerPass>(SchedReplayConfig{});
-    SchedulerRun baseline(pass, nullptr);
-    SchedulerRun protect(pass, &decisions);
+    SchedulerPass pass(SchedReplayConfig{}, decisions, {false, true});
     const std::vector<Uop> uops = pregenerated(0, kUops);
     std::size_t at = 0;
     for (auto _ : state) {
-        baseline.feed(uops.data() + at, 256);
-        protect.feed(uops.data() + at, 256);
+        pass.feed(uops.data() + at, 256);
         at = (at + 256) % kUops;
     }
-    benchmark::DoNotOptimize(baseline.result().cycles);
-    benchmark::DoNotOptimize(protect.result().cycles);
+    benchmark::DoNotOptimize(pass.results());
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_SchedulerArms);
@@ -626,18 +621,14 @@ void
 BM_RegFileArms(benchmark::State &state)
 {
     constexpr std::size_t kUops = 16'384;
-    const auto pass = std::make_shared<RegFilePass>(RegReplayConfig{});
-    RegFileRun baseline(pass, RegFileConfig{}, false);
-    RegFileRun isv(pass, RegFileConfig{}, true);
+    RegFilePass pass(RegReplayConfig{}, RegFileConfig{}, {false, true});
     const std::vector<Uop> uops = pregenerated(1, kUops);
     std::size_t at = 0;
     for (auto _ : state) {
-        baseline.feed(uops.data() + at, 256);
-        isv.feed(uops.data() + at, 256);
+        pass.feed(uops.data() + at, 256);
         at = (at + 256) % kUops;
     }
-    benchmark::DoNotOptimize(baseline.replayResult().cycles);
-    benchmark::DoNotOptimize(isv.replayResult().cycles);
+    benchmark::DoNotOptimize(pass.results());
     state.SetItemsProcessed(state.iterations() * 256);
 }
 BENCHMARK(BM_RegFileArms);

@@ -54,13 +54,17 @@ firstEqual(const std::vector<T> &values)
     return first;
 }
 
-/** One trace's sims in creation order -- its miss streams and
- *  baselines and every missing query's mechanism sim -- each reading
- *  only sims made before it. */
+/** One trace's pass over its missing queries: its sims in creation
+ *  order -- the miss streams and baselines and every missing query's
+ *  mechanism sim -- each reading only sims made before it. */
 struct MemLossPass
 {
     std::vector<std::unique_ptr<MemTimingSim>> owned;
     std::vector<MemTimingSim *> sims;
+
+    /** Per missing query: its baseline and its mechanism sim. */
+    std::vector<std::pair<const MemTimingSim *, const MemTimingSim *>>
+        queries;
 
     MemTimingSim *
     add(std::unique_ptr<MemTimingSim> sim)
@@ -69,32 +73,25 @@ struct MemLossPass
         owned.push_back(std::move(sim));
         return sims.back();
     }
-};
-
-/** One query's consumer of the shared trace pass: its mechanism sim
- *  and its baseline.  The first consumer feeds every sim of the
- *  pass in lockstep; the others only read their results. */
-struct MemLossRun
-{
-    std::shared_ptr<MemLossPass> pass;
-    bool feedsPass;
-    const MemTimingSim *baseline;
-    const MemTimingSim *mech;
 
     void
     feed(const Uop *uops, std::size_t n)
     {
-        if (feedsPass)
-            MemTimingSim::feedLockstep(pass->sims, uops, n);
+        MemTimingSim::feedLockstep(sims, uops, n);
     }
 
-    MemLossSample
-    result() const
+    std::vector<MemLossSample>
+    results() const
     {
-        const double base_cycles = baseline->result().cycles;
-        const MemSimResult rm = mech->result();
-        return {rm.cycles / base_cycles - 1.0, rm.cycles / base_cycles,
-                rm.dl0AvgInvertRatio, rm.dtlbAvgInvertRatio};
+        std::vector<MemLossSample> out;
+        for (const auto &[baseline, mech] : queries) {
+            const double base_cycles = baseline->result().cycles;
+            const MemSimResult rm = mech->result();
+            out.push_back({rm.cycles / base_cycles - 1.0,
+                           rm.cycles / base_cycles,
+                           rm.dl0AvgInvertRatio, rm.dtlbAvgInvertRatio});
+        }
+        return out;
     }
 };
 
@@ -290,17 +287,16 @@ simulateMemLosses(const WorkloadSet &workload,
                               time_scale);
         },
         [&](unsigned index) { return workload.generator(index); },
-        [&](unsigned) {
+        [&](unsigned, const std::vector<std::size_t> &missing) {
             // Streams are built for the geometries of the missing
             // queries only, in query order.
             const std::size_t n = queries.size();
-            return [&, pass = std::make_shared<MemLossPass>(),
-                    dl0 = std::vector<MemTimingSim *>(n),
-                    dtlb = std::vector<MemTimingSim *>(n),
-                    baseline = std::vector<const MemTimingSim *>(n)](
-                       std::size_t q) mutable {
+            std::vector<MemTimingSim *> dl0(n);
+            std::vector<MemTimingSim *> dtlb(n);
+            std::vector<const MemTimingSim *> baseline(n);
+            MemLossPass pass;
+            for (const std::size_t q : missing) {
                 const MemLossQuery &query = queries[q];
-                const bool first = pass->sims.empty();
                 MemTimingSim *&d = dl0[dl0_of[q]];
                 MemTimingSim *&t = dtlb[dtlb_of[q]];
                 const MemTimingSim *&b = baseline[pair_of[q]];
@@ -309,7 +305,7 @@ simulateMemLosses(const WorkloadSet &workload,
                     // its structures has no stream yet, stamped on
                     // its own timeline, and reads the other's.
                     MemTimingSim *sim =
-                        pass->add(std::make_unique<MemTimingSim>(
+                        pass.add(std::make_unique<MemTimingSim>(
                             query.dl0, query.dtlb, params,
                             MechanismKind::None, MechanismKind::None,
                             time_scale));
@@ -321,7 +317,7 @@ simulateMemLosses(const WorkloadSet &workload,
                         t = sim;
                 }
                 MemTimingSim *mech =
-                    pass->add(std::make_unique<MemTimingSim>(
+                    pass.add(std::make_unique<MemTimingSim>(
                         query.dl0, query.dtlb, params,
                         query.dl0Mechanism, query.dtlbMechanism,
                         time_scale));
@@ -331,9 +327,9 @@ simulateMemLosses(const WorkloadSet &workload,
                     query.dtlbMechanism == MechanismKind::None
                         ? t
                         : nullptr);
-                return std::make_unique<MemLossRun>(
-                    MemLossRun{pass, first, b, mech});
-            };
+                pass.queries.emplace_back(b, mech);
+            }
+            return pass;
         });
 }
 

@@ -11,9 +11,9 @@
  * magnitudes of the deltas).
  *
  * One pass per trace: simulateMemLosses() prices a whole list of
- * MemLossQuery configurations as one client of the engine's
- * streamed pass (Engine::streamCached): each query is a slot with
- * its own key.  Per trace, the missing queries share *miss streams*:
+ * MemLossQuery configurations through Engine::streamCached, each
+ * query a slot with its own key, and the engine hands a trace's
+ * missing queries to one pass.  In it they share *miss streams*:
  * one mechanism-free simulation of each distinct DL0 and each
  * distinct DTLB geometry, recording a miss bit per uop of the
  * current chunk (MemTimingSim::readMisses).  A query's mechanism

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <ostream>
 
@@ -848,6 +847,21 @@ decodeResult(ByteReader &r, RfAttackShard &shard)
     return r.ok();
 }
 
+/** A RegFilePass whose results are attack shards. */
+struct RfAttackPass : RegFilePass
+{
+    using RegFilePass::RegFilePass;
+
+    std::vector<RfAttackShard>
+    results()
+    {
+        std::vector<RfAttackShard> out;
+        for (RegFileShard &shard : RegFilePass::results())
+            out.push_back({std::move(shard.bias), shard.freeFraction});
+        return out;
+    }
+};
+
 /** Content hash of one normal-workload register-file reference
  *  replay of the attack experiment. */
 Hash128
@@ -963,12 +977,10 @@ runAttack(const ExperimentContext &ctx)
                 workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
-        [&](unsigned index) {
-            return [&, index](std::size_t) {
-                SchedReplayConfig cfg = normal_replay;
-                cfg.seed = mixSeed(normal_replay.seed, index);
-                return std::make_unique<SchedulerRun>(nullptr, cfg);
-            };
+        [&](unsigned index, const std::vector<std::size_t> &) {
+            SchedReplayConfig cfg = normal_replay;
+            cfg.seed = mixSeed(normal_replay.seed, index);
+            return SchedulerPass(cfg, no_decisions, {false});
         }).front();
     SchedulerStress normal = normal_shards.front();
     for (std::size_t k = 1; k < normal_shards.size(); ++k)
@@ -1014,14 +1026,12 @@ runAttack(const ExperimentContext &ctx)
         [&](unsigned v) {
             return AttackTraceGenerator(variants[v].second);
         },
-        [&](unsigned v) {
+        [&](unsigned v, const std::vector<std::size_t> &protect) {
             SchedReplayConfig cfg = attack_replay;
             cfg.seed = mixSeed(attack_replay.seed, v);
-            return [&, pass = std::make_shared<SchedulerPass>(cfg)](
-                       std::size_t protect) {
-                return std::make_unique<SchedulerRun>(
-                    pass, protect ? &decisions : nullptr);
-            };
+            return SchedulerPass(
+                cfg, decisions,
+                std::vector<bool>(protect.begin(), protect.end()));
         });
 
     // Per-field bias, Figure-6/8 style: the normal workload next
@@ -1167,16 +1177,12 @@ runAttack(const ExperimentContext &ctx)
     // Slot 0 is the baseline, slot 1 ISV-protected (ISV is the
     // defence here); the missing ones share one replay timeline,
     // fed by one stream per item.
-    struct RfRun : RegFileRun
-    {
-        using RegFileRun::RegFileRun;
-
-        RfAttackShard
-        result()
-        {
-            const RegReplayResult r = replayResult();
-            return {rf->finalizeBias(r.cycles), r.freeFraction};
-        }
+    const auto rf_pass = [&](unsigned seed_index,
+                             const std::vector<std::size_t> &isv) {
+        RegReplayConfig cfg = rf_replay;
+        cfg.seed = mixSeed(rf_replay.seed, seed_index);
+        return RfAttackPass(cfg, rf_config,
+                            std::vector<bool>(isv.begin(), isv.end()));
     };
     // Normal-workload reference: one trace per suite, merged in
     // suite order.
@@ -1189,14 +1195,7 @@ runAttack(const ExperimentContext &ctx)
                                     workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
-        [&](unsigned index) {
-            RegReplayConfig cfg = rf_replay;
-            cfg.seed = mixSeed(rf_replay.seed, index);
-            return [&, pass = std::make_shared<RegFilePass>(cfg)](
-                       std::size_t isv) {
-                return std::make_unique<RfRun>(pass, rf_config, isv);
-            };
-        });
+        rf_pass);
     RfAttackShard normal_rf[2];
     for (const bool isv : {false, true}) {
         const auto &shards = normal_shards_rf[isv];
@@ -1236,14 +1235,7 @@ runAttack(const ExperimentContext &ctx)
         [&](unsigned v) {
             return AttackTraceGenerator(rf_variants[v].second);
         },
-        [&](unsigned v) {
-            RegReplayConfig cfg = rf_replay;
-            cfg.seed = mixSeed(rf_replay.seed, v);
-            return [&, pass = std::make_shared<RegFilePass>(cfg)](
-                       std::size_t isv) {
-                return std::make_unique<RfRun>(pass, rf_config, isv);
-            };
-        });
+        rf_pass);
 
     TextTable rt({"stream", "pinned bits", "worst stress",
                   "pinned (ISV)", "worst (ISV)",

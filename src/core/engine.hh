@@ -29,20 +29,26 @@
  * the streamed pass for simulations that replay a trace: each trace
  * carries several result slots (say a register file with ISV off
  * and on), each with its own key.  One task per trace looks every
- * distinct key up, builds a consumer only for each miss, generates
- * the trace once in kFeedChunk chunks and feeds every chunk to
- * every consumer in slot order, then stores each miss.  Each consumer owns its models and its own Rng (seeded
- * as its single-variant run would seed it), and every consumer sees
- * exactly the uop sequence a private generator would have produced,
- * so a slot's result -- and its cached payload -- is bit-identical
- * to running that variant alone.  Whole traces are never
- * materialised.
+ * distinct key up and, if some missed, asks the caller for one
+ * *pass* over the missing slots: a single object that simulates all
+ * of them, typically on one shared replay timeline (SchedulerPass,
+ * RegFilePass, the Table-3 miss streams).  The task generates the
+ * trace once, in kFeedChunk chunks, feeds every chunk to the pass,
+ * and stores the result the pass returns for each missing slot.
+ * A pass seeds any Rng it draws from the item alone, as a
+ * one-slot run would, and sees exactly the uop sequence a private
+ * generator would have produced.  So where no slot's simulation
+ * depends on which other slots share its pass (the replay timelines
+ * depend on no arm), a slot's result -- and its cached payload --
+ * is bit-identical to running that slot alone.  Whole traces are
+ * never materialised.
  */
 
 #ifndef PENELOPE_CORE_ENGINE_HH
 #define PENELOPE_CORE_ENGINE_HH
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <string>
 #include <unordered_map>
@@ -126,21 +132,22 @@ class Engine
      * the file comment); results are returned as [slot][item].
      *
      * keyOf(item, slot) follows the mapCached() key contract; slots
-     * with equal keys simulate once.  consumersOf(item) returns the
-     * item's factory, called with each missing slot in slot order;
-     * it returns an owning pointer to a consumer with
-     * feed(const Uop *, n) and result() -> R, and may share state
-     * among one item's consumers.  sourceOf(item) returns the uop
-     * source (anything with `Uop next()`), of which @p num_uops are
-     * streamed only when some slot missed.
+     * with equal keys simulate once.  When some of an item's distinct
+     * keys miss, passOf(item, missing) is called once with the
+     * missing slots in slot order and returns one pass with
+     * feed(const Uop *, n) and results(), which returns a
+     * std::vector<R> holding one result per missing slot, in that
+     * order.  sourceOf(item) returns the uop source (anything with
+     * `Uop next()`), of which @p num_uops are streamed to the pass.
+     * An item whose keys all hit builds no pass and no source.
      */
     template <class R, class Items, class KeyFn, class SourceFn,
-              class ConsumersFn>
+              class PassFn>
     std::vector<std::vector<R>>
     streamCached(const Items &items, std::size_t num_slots,
                  std::size_t num_uops, ResultCache *cache,
                  KeyFn &&keyOf, SourceFn &&sourceOf,
-                 ConsumersFn &&consumersOf) const
+                 PassFn &&passOf) const
     {
         std::vector<std::vector<R>> out(num_slots,
                                         std::vector<R>(items.size()));
@@ -161,19 +168,17 @@ class Engine
                         missing.push_back(s);
                 }
                 if (!missing.empty()) {
-                    auto make = consumersOf(items[k]);
-                    std::vector<decltype(make(0))> consumers;
-                    for (const std::size_t s : missing)
-                        consumers.push_back(make(s));
+                    auto pass = passOf(items[k], missing);
                     auto source = sourceOf(items[k]);
                     streamChunks(source, num_uops,
                                  [&](const Uop *uops, std::size_t n) {
-                                     for (auto &c : consumers)
-                                         c->feed(uops, n);
+                                     pass.feed(uops, n);
                                  });
+                    std::vector<R> results = pass.results();
+                    assert(results.size() == missing.size());
                     for (std::size_t m = 0; m < missing.size(); ++m) {
                         R &slot = out[missing[m]][k];
-                        slot = consumers[m]->result();
+                        slot = std::move(results[m]);
                         store(cache, keys[missing[m]], slot);
                     }
                 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <memory>
+#include <optional>
 
 #include "adder/adder.hh"
 #include "core/engine.hh"
@@ -30,30 +30,37 @@ shardSlice(std::vector<unsigned> traces,
     return slice;
 }
 
-/** Per-trace shard of a register-file replay. */
-struct RegFileShard
+/** One trace's pass over its missing Figure-6 arms: a RegFilePass
+ *  for each register file (INT, FP) with a missing arm, as one
+ *  replay drives files of one geometry. */
+struct RegFileTracePass
 {
-    BitBiasTracker bias{1};
-    double freeFraction = 0.0;
-    IsvStats isv;
+    std::array<std::optional<RegFilePass>, 2> files; ///< INT, FP
+    std::vector<bool> fp; ///< per missing arm, in slot order
+
+    void
+    feed(const Uop *uops, std::size_t n)
+    {
+        for (std::optional<RegFilePass> &file : files)
+            if (file)
+                file->feed(uops, n);
+    }
+
+    /** Each missing arm's shard, in slot order. */
+    std::vector<RegFileShard>
+    results()
+    {
+        std::array<std::vector<RegFileShard>, 2> shards;
+        for (const bool f : {false, true})
+            if (files[f])
+                shards[f] = files[f]->results();
+        std::array<std::size_t, 2> next{};
+        std::vector<RegFileShard> out;
+        for (const bool f : fp)
+            out.push_back(std::move(shards[f][next[f]++]));
+        return out;
+    }
 };
-
-void
-encodeResult(ByteWriter &w, const RegFileShard &shard)
-{
-    encodeResult(w, shard.bias);
-    w.f64(shard.freeFraction);
-    encodeResult(w, shard.isv);
-}
-
-bool
-decodeResult(ByteReader &r, RegFileShard &shard)
-{
-    if (!decodeResult(r, shard.bias))
-        return false;
-    shard.freeFraction = r.f64();
-    return r.ok() && decodeResult(r, shard.isv);
-}
 
 /** Content hash of one trace's register-file replay. */
 Hash128
@@ -306,21 +313,6 @@ runRegFileExperiment(const WorkloadSet &workload,
     // Slot a is arm a.  Every trace ages its own register files:
     // the missing arms of one file share one replay timeline (ISV
     // moves none of it), and one pass per trace feeds every file.
-    struct Run : RegFileRun
-    {
-        using RegFileRun::RegFileRun;
-
-        RegFileShard
-        result()
-        {
-            const RegReplayResult r = replayResult();
-            RegFileShard shard;
-            shard.bias = rf->finalizeBias(r.cycles);
-            shard.freeFraction = r.freeFraction;
-            shard.isv = rf->isvStats();
-            return shard;
-        }
-    };
     const auto shards = engine.streamCached<RegFileShard>(
         evalTraces(workload, options), arms.size(),
         options.uopsPerTrace, options.cache,
@@ -332,20 +324,21 @@ runRegFileExperiment(const WorkloadSet &workload,
                                     workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
-        [&](unsigned index) {
-            return [&, index,
-                    passes = std::array<std::shared_ptr<RegFilePass>,
-                                        2>{}](std::size_t slot) mutable {
-                const RegFileArm arm = arms[slot];
-                const Setup &setup = setups[arm.fp];
-                std::shared_ptr<RegFilePass> &pass = passes[arm.fp];
-                if (!pass) {
-                    RegReplayConfig cfg = setup.replay;
-                    cfg.seed = mixSeed(setup.replay.seed, index);
-                    pass = std::make_shared<RegFilePass>(cfg);
-                }
-                return std::make_unique<Run>(pass, setup.rf, arm.isv);
-            };
+        [&](unsigned index, const std::vector<std::size_t> &slots) {
+            RegFileTracePass pass;
+            std::array<std::vector<bool>, 2> isv;
+            for (const std::size_t slot : slots) {
+                pass.fp.push_back(arms[slot].fp);
+                isv[arms[slot].fp].push_back(arms[slot].isv);
+            }
+            for (const bool fp : {false, true}) {
+                if (isv[fp].empty())
+                    continue;
+                RegReplayConfig cfg = setups[fp].replay;
+                cfg.seed = mixSeed(cfg.seed, index);
+                pass.files[fp].emplace(cfg, setups[fp].rf, isv[fp]);
+            }
+            return pass;
         });
 
     // The per-bit duty times merge in trace order into the aggregate
@@ -451,14 +444,13 @@ runSchedulerExperiment(const WorkloadSet &workload, SchedulerArms arms,
                 workload.spec(index).seed, index);
         },
         [&](unsigned index) { return workload.replayGenerator(index); },
-        [&](unsigned index) {
+        [&](unsigned index, const std::vector<std::size_t> &slots) {
             SchedReplayConfig cfg = replay_config;
             cfg.seed = mixSeed(replay_config.seed, index);
-            return [&, pass = std::make_shared<SchedulerPass>(cfg)](
-                       std::size_t slot) {
-                return std::make_unique<SchedulerRun>(
-                    pass, protect[slot] ? &decisions : nullptr);
-            };
+            std::vector<bool> arms;
+            for (const std::size_t slot : slots)
+                arms.push_back(protect[slot]);
+            return SchedulerPass(cfg, decisions, arms);
         });
 
     SchedulerExperimentResult result;

@@ -219,10 +219,10 @@ struct RegFileArmResult
 };
 
 /**
- * Figure 6 for each of @p arms, and nothing else: the arms of one
- * file share one replay timeline per trace (RegFilePass), and every
- * file of a trace is fed by one streamed pass
- * (Engine::streamCached).  Results follow @p arms order.
+ * Figure 6 for each of @p arms, and nothing else.  Per trace, the
+ * engine (Engine::streamCached) hands the missing arms to one pass,
+ * which replays the arms of each register file on one timeline (a
+ * RegFilePass per file).  Results follow @p arms order.
  */
 std::vector<RegFileArmResult>
 runRegFileExperiment(const WorkloadSet &workload,
@@ -274,9 +274,10 @@ struct SchedulerExperimentResult
 };
 
 /**
- * Figure 8 for @p arms: the arms share one replay timeline per
- * evaluation trace (SchedulerPass).  The profile and the protection
- * decisions are computed only for the protected arm.
+ * Figure 8 for @p arms.  Per evaluation trace, the engine hands the
+ * missing arms to one SchedulerPass, which replays them on one
+ * timeline.  The profile and the protection decisions are computed
+ * only for the protected arm.
  */
 SchedulerExperimentResult
 runSchedulerExperiment(const WorkloadSet &workload,

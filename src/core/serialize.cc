@@ -100,6 +100,25 @@ decodeResult(ByteReader &r, BitBiasTracker &v)
     return true;
 }
 
+// ------------------------------------------------------- RegFileShard
+
+void
+encodeResult(ByteWriter &w, const RegFileShard &v)
+{
+    encodeResult(w, v.bias);
+    w.f64(v.freeFraction);
+    encodeResult(w, v.isv);
+}
+
+bool
+decodeResult(ByteReader &r, RegFileShard &v)
+{
+    if (!decodeResult(r, v.bias))
+        return false;
+    v.freeFraction = r.f64();
+    return r.ok() && decodeResult(r, v.isv);
+}
+
 // ---------------------------------------------------- SchedulerStress
 
 void

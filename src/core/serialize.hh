@@ -43,6 +43,9 @@ bool decodeResult(ByteReader &r, IsvStats &v);
 void encodeResult(ByteWriter &w, const BitBiasTracker &v);
 bool decodeResult(ByteReader &r, BitBiasTracker &v);
 
+void encodeResult(ByteWriter &w, const RegFileShard &v);
+bool decodeResult(ByteReader &r, RegFileShard &v);
+
 void encodeResult(ByteWriter &w, const SchedulerStress &v);
 bool decodeResult(ByteReader &r, SchedulerStress &v);
 

@@ -16,8 +16,9 @@
  * not the port is free) belong to the replay, and every file's FIFO
  * free list hands out the same entry, because ISV acts only on the
  * value a release leaves behind.  So a file driven alongside others
- * ends bit-identical to one replayed alone, and a trace's ISV-off
- * and ISV-on arms (RegFilePass) share one replay.
+ * ends bit-identical to one replayed alone, and a RegFilePass
+ * replays every arm of a trace -- ISV off and on -- on one
+ * timeline.
  */
 
 #ifndef PENELOPE_REGFILE_DRIVER_HH
@@ -26,8 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/ring.hh"
@@ -136,69 +135,58 @@ class RegFileReplay
     Cycle clock_ = 0;
 };
 
+/** Per-trace outcome of one register-file arm: the unit the
+ *  Figure-6 runner caches. */
+struct RegFileShard
+{
+    BitBiasTracker bias{1};
+    double freeFraction = 0.0;
+    IsvStats isv;
+};
+
 /**
- * Register files on one replay timeline: the per-trace state of a
- * streamed pass (Engine::streamCached) that computes several arms of
- * one trace.  Each RegFileRun adds its file before the first feed,
- * and the first run feeds the pass.
+ * Register files of one geometry on one replay timeline: the pass
+ * that computes the arms of one trace in one replay (the unit
+ * Engine::streamCached feeds).
  */
 class RegFilePass
 {
   public:
-    explicit RegFilePass(const RegReplayConfig &config) : replay(config)
+    /** One @p rf_config file per entry of @p isv, in order, with ISV
+     *  as the entry says. */
+    RegFilePass(const RegReplayConfig &config,
+                const RegFileConfig &rf_config,
+                const std::vector<bool> &isv)
+        : replay_(config)
     {
+        for (const bool on : isv) {
+            files_.push_back(std::make_unique<RegisterFile>(rf_config));
+            files_.back()->enableIsv(on); // ISV acts at release only
+            replay_.attach(*files_.back());
+        }
     }
 
-    RegFilePass(const RegFilePass &) = delete;
-    RegFilePass &operator=(const RegFilePass &) = delete;
-
-    /** Add a file with ISV @p isv; returns it and whether it is the
-     *  pass's first. */
-    std::pair<RegisterFile *, bool>
-    add(const RegFileConfig &rf_config, bool isv)
-    {
-        files_.push_back(std::make_unique<RegisterFile>(rf_config));
-        RegisterFile &rf = *files_.back();
-        rf.enableIsv(isv); // ISV acts at release only
-        replay.attach(rf);
-        return {&rf, files_.size() == 1};
-    }
-
-    RegFileReplay replay;
-
-  private:
-    std::vector<std::unique_ptr<RegisterFile>> files_;
-};
-
-/**
- * One arm of a RegFilePass: the unit a streamed trace pass feeds.
- * Callers add the result() that packs the shard they cache.
- */
-struct RegFileRun
-{
-    RegFileRun(std::shared_ptr<RegFilePass> pass_,
-               const RegFileConfig &rf_config, bool isv)
-        : pass(std::move(pass_))
-    {
-        std::tie(rf, feedsPass) = pass->add(rf_config, isv);
-    }
-
-    RegFileRun(const RegFileRun &) = delete;
-    RegFileRun &operator=(const RegFileRun &) = delete;
-
-    void
-    feed(const Uop *uops, std::size_t n)
-    {
-        if (feedsPass)
-            pass->replay.feed(uops, n);
-    }
+    void feed(const Uop *uops, std::size_t n) { replay_.feed(uops, n); }
 
     /** The shared replay's counters (the same for every arm). */
-    RegReplayResult replayResult() const { return pass->replay.result(); }
+    RegReplayResult replayResult() const { return replay_.result(); }
 
-    std::shared_ptr<RegFilePass> pass;
-    RegisterFile *rf = nullptr;
-    bool feedsPass = false;
+    /** Each arm's shard at the end of the stream, in arm order. */
+    std::vector<RegFileShard>
+    results()
+    {
+        const RegReplayResult r = replay_.result();
+        std::vector<RegFileShard> out;
+        for (const auto &rf : files_)
+            out.push_back(
+                {rf->finalizeBias(r.cycles), r.freeFraction,
+                 rf->isvStats()});
+        return out;
+    }
+
+  private:
+    RegFileReplay replay_;
+    std::vector<std::unique_ptr<RegisterFile>> files_;
 };
 
 } // namespace penelope

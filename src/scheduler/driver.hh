@@ -15,8 +15,8 @@
  * port draw is taken whether or not the port is free), and every
  * scheduler's FIFO free list hands out the same slot.  So a
  * scheduler driven alongside others ends bit-identical to one
- * replayed alone, and a trace's unprotected and protected arms
- * (SchedulerPass) share one replay.
+ * replayed alone, and a SchedulerPass replays every arm of a trace
+ * -- unprotected and protected -- on one timeline.
  */
 
 #ifndef PENELOPE_SCHEDULER_DRIVER_HH
@@ -27,8 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -156,99 +154,48 @@ class SchedulerReplay
 };
 
 /**
- * Default-configured schedulers on one replay timeline: the
- * per-trace state of a streamed pass (Engine::streamCached) that
- * computes several arms of one trace.  Each SchedulerRun adds its
- * scheduler before the first feed; the first run feeds the pass,
- * and the replay closes once, when the first run takes its result.
+ * Default-configured schedulers on one replay timeline: the pass
+ * that computes the arms of one trace in one replay (the unit
+ * Engine::streamCached feeds).
  */
 class SchedulerPass
 {
   public:
-    explicit SchedulerPass(const SchedReplayConfig &config)
+    /** One scheduler per entry of @p protect, in order; an arm whose
+     *  entry is set has @p decisions installed and enabled. */
+    SchedulerPass(const SchedReplayConfig &config,
+                  const std::vector<BitDecision> &decisions,
+                  const std::vector<bool> &protect)
         : replay_(config)
     {
-    }
-
-    SchedulerPass(const SchedulerPass &) = delete;
-    SchedulerPass &operator=(const SchedulerPass &) = delete;
-
-    /** Add a scheduler; with @p decisions set the protection they
-     *  describe is installed and enabled.  Returns it and whether
-     *  it is the pass's first. */
-    std::pair<Scheduler *, bool>
-    add(const std::vector<BitDecision> *decisions)
-    {
-        scheds_.push_back(
-            std::make_unique<Scheduler>(SchedulerConfig{}));
-        Scheduler &sched = *scheds_.back();
-        if (decisions) {
-            sched.configureProtection(*decisions);
-            sched.enableProtection(true);
+        for (const bool on : protect) {
+            scheds_.push_back(
+                std::make_unique<Scheduler>(SchedulerConfig{}));
+            Scheduler &sched = *scheds_.back();
+            if (on) {
+                sched.configureProtection(decisions);
+                sched.enableProtection(true);
+            }
+            replay_.attach(sched);
         }
-        replay_.attach(sched);
-        return {&sched, scheds_.size() == 1};
     }
 
     void feed(const Uop *uops, std::size_t n) { replay_.feed(uops, n); }
 
-    /** The cycle count of the closed stream (closes it once). */
-    Cycle
-    cycles()
+    /** Close the stream; each arm's stress, in arm order. */
+    std::vector<SchedulerStress>
+    results()
     {
-        if (!cycles_)
-            cycles_ = replay_.result().cycles;
-        return *cycles_;
+        const Cycle cycles = replay_.result().cycles;
+        std::vector<SchedulerStress> out;
+        for (const auto &sched : scheds_)
+            out.push_back(sched->snapshotStress(cycles));
+        return out;
     }
 
   private:
     SchedulerReplay replay_;
     std::vector<std::unique_ptr<Scheduler>> scheds_;
-    std::optional<Cycle> cycles_;
-};
-
-/**
- * One arm of a SchedulerPass: the unit a streamed trace pass feeds.
- * With @p decisions set its scheduler is protected.  The two-argument
- * form runs on a pass of its own.
- */
-class SchedulerRun
-{
-  public:
-    SchedulerRun(std::shared_ptr<SchedulerPass> pass,
-                 const std::vector<BitDecision> *decisions)
-        : pass_(std::move(pass))
-    {
-        std::tie(sched_, feedsPass_) = pass_->add(decisions);
-    }
-
-    SchedulerRun(const std::vector<BitDecision> *decisions,
-                 const SchedReplayConfig &config)
-        : SchedulerRun(std::make_shared<SchedulerPass>(config),
-                       decisions)
-    {
-    }
-
-    SchedulerRun(const SchedulerRun &) = delete;
-    SchedulerRun &operator=(const SchedulerRun &) = delete;
-
-    void
-    feed(const Uop *uops, std::size_t n)
-    {
-        if (feedsPass_)
-            pass_->feed(uops, n);
-    }
-
-    SchedulerStress
-    result()
-    {
-        return sched_->snapshotStress(pass_->cycles());
-    }
-
-  private:
-    std::shared_ptr<SchedulerPass> pass_;
-    Scheduler *sched_ = nullptr;
-    bool feedsPass_ = false;
 };
 
 } // namespace penelope

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -230,26 +229,21 @@ expectSchedulerPassMatchesSeparateRuns(
     for (Uop &u : stream)
         u = gen.next();
 
-    const auto pass = std::make_shared<SchedulerPass>(config);
-    SchedulerRun shared_base(pass, nullptr);
-    SchedulerRun shared_prot(pass, &decisions);
-    SchedulerRun alone_base(nullptr, config);
-    SchedulerRun alone_prot(&decisions, config);
+    SchedulerPass shared(config, decisions, {false, true});
+    SchedulerPass alone_base(config, decisions, {false});
+    SchedulerPass alone_prot(config, decisions, {true});
     // Uneven chunks: a cycle left open at a chunk end carries over.
     for (std::size_t at = 0; at < uops;) {
         const std::size_t n = std::min<std::size_t>(333, uops - at);
-        shared_base.feed(stream.data() + at, n);
-        shared_prot.feed(stream.data() + at, n);
-        alone_base.feed(stream.data() + at, n);
-        alone_prot.feed(stream.data() + at, n);
+        for (SchedulerPass *pass : {&shared, &alone_base, &alone_prot})
+            pass->feed(stream.data() + at, n);
         at += n;
     }
-    // The protected arm takes its result first: the pass closes
-    // once, whichever arm asks.
-    const std::string prot = encoded(shared_prot.result());
-    const std::string base = encoded(shared_base.result());
-    EXPECT_EQ(prot, encoded(alone_prot.result()));
-    EXPECT_EQ(base, encoded(alone_base.result()));
+    const std::vector<SchedulerStress> arms = shared.results();
+    const std::string prot = encoded(arms[1]);
+    const std::string base = encoded(arms[0]);
+    EXPECT_EQ(prot, encoded(alone_prot.results().front()));
+    EXPECT_EQ(base, encoded(alone_base.results().front()));
     EXPECT_NE(prot, base);
 }
 
@@ -294,36 +288,38 @@ expectRegFilePassMatchesSeparateRuns(Gen gen,
     for (Uop &u : stream)
         u = gen.next();
 
-    const auto pass = std::make_shared<RegFilePass>(config);
-    RegFileRun shared_base(pass, rf_config, false);
-    RegFileRun shared_isv(pass, rf_config, true);
-    RegFileRun alone_base(std::make_shared<RegFilePass>(config),
-                          rf_config, false);
-    RegFileRun alone_isv(std::make_shared<RegFilePass>(config),
-                         rf_config, true);
+    RegFilePass shared(config, rf_config, {false, true});
+    RegFilePass alone_base(config, rf_config, {false});
+    RegFilePass alone_isv(config, rf_config, {true});
     for (std::size_t at = 0; at < uops;) {
         const std::size_t n = std::min<std::size_t>(333, uops - at);
-        for (RegFileRun *run :
-             {&shared_base, &shared_isv, &alone_base, &alone_isv})
-            run->feed(stream.data() + at, n);
+        for (RegFilePass *pass : {&shared, &alone_base, &alone_isv})
+            pass->feed(stream.data() + at, n);
         at += n;
     }
-    const auto state = [](RegFileRun &run) {
-        const RegReplayResult r = run.replayResult();
-        ByteWriter w;
-        w.u64(r.cycles);
-        w.u64(r.writes);
-        w.u64(r.releases);
-        w.u64(r.forcedReleases);
-        w.f64(r.freeFraction);
-        encodeResult(w, run.rf->finalizeBias(r.cycles));
-        encodeResult(w, run.rf->isvStats());
-        return w.data();
+    // Per arm: the replay's counters, then the file's bias and ISV
+    // statistics.
+    const auto state = [](RegFilePass &pass) {
+        const RegReplayResult r = pass.replayResult();
+        std::vector<std::string> arms;
+        for (const RegFileShard &shard : pass.results()) {
+            ByteWriter w;
+            w.u64(r.cycles);
+            w.u64(r.writes);
+            w.u64(r.releases);
+            w.u64(r.forcedReleases);
+            w.f64(r.freeFraction);
+            encodeResult(w, shard.bias);
+            encodeResult(w, shard.isv);
+            arms.push_back(w.data());
+        }
+        return arms;
     };
-    const std::string isv = state(shared_isv);
-    const std::string base = state(shared_base);
-    EXPECT_EQ(isv, state(alone_isv));
-    EXPECT_EQ(base, state(alone_base));
+    const std::vector<std::string> arms = state(shared);
+    const std::string isv = arms[1];
+    const std::string base = arms[0];
+    EXPECT_EQ(isv, state(alone_isv).front());
+    EXPECT_EQ(base, state(alone_base).front());
     EXPECT_NE(isv, base);
 }
 

@@ -9,7 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -236,49 +237,75 @@ TEST(Engine, MapDuplicateKeysSimulateOnceForAnyJobs)
 
 // ------------------------------------------------- streamed passes
 
-/** A toy streamed-pass consumer: folds the uops it is fed, scaled
- *  by its weight, into counters that have a result-cache codec. */
-struct FoldRun
+/** A toy streamed pass: for each slot it was handed, folds the uops
+ *  it is fed, scaled by the slot's weight, into counters that have
+ *  a result-cache codec. */
+struct FoldPass
 {
-    std::uint64_t weight;
-    IsvStats folded;
+    std::vector<std::uint64_t> weights; ///< per slot handed
+    std::vector<IsvStats> folded;
+
+    explicit FoldPass(std::vector<std::uint64_t> weights_)
+        : weights(std::move(weights_)), folded(weights.size())
+    {
+    }
 
     void
     feed(const Uop *uops, std::size_t n)
     {
-        for (std::size_t i = 0; i < n; ++i)
-            folded.updatesApplied =
-                folded.updatesApplied * 31 + uops[i].dstVal * weight;
-        folded.updatesDiscarded += n;
-        folded.updatesSkipped = weight;
+        for (std::size_t a = 0; a < weights.size(); ++a) {
+            IsvStats &f = folded[a];
+            for (std::size_t i = 0; i < n; ++i)
+                f.updatesApplied =
+                    f.updatesApplied * 31 + uops[i].dstVal * weights[a];
+            f.updatesDiscarded += n;
+            f.updatesSkipped = weights[a];
+        }
     }
 
-    IsvStats result() const { return folded; }
+    std::vector<IsvStats> results() const { return folded; }
 };
 
 constexpr std::size_t kFoldUops = 2'500; // spans three chunks
 
-/** What one slot of a pass must produce: a private generator fed
- *  one uop at a time. */
+/** What one slot of a pass must produce: a one-slot pass over a
+ *  private generator fed one uop at a time. */
 IsvStats
 foldReference(const WorkloadSet &workload, unsigned index,
               std::uint64_t weight)
 {
-    FoldRun run{weight, {}};
+    FoldPass pass({weight});
     TraceGenerator gen = workload.generator(index);
     for (std::size_t i = 0; i < kFoldUops; ++i) {
         const Uop uop = gen.next();
-        run.feed(&uop, 1);
+        pass.feed(&uop, 1);
     }
-    return run.result();
+    return pass.results().front();
 }
 
-/** Trace sources and consumers one pass built. */
-struct PassCounts
+/** Per trace index, the slot list of each pass built for it. */
+using SlotLists = std::map<unsigned, std::vector<std::vector<std::size_t>>>;
+
+/** Trace sources one foldPass() call generated and the slot lists
+ *  it handed its passes. */
+struct PassLog
 {
     std::atomic<unsigned> sources{0};
-    std::atomic<unsigned> consumers{0};
+    std::mutex mutex;
+    SlotLists slots;
 };
+
+/** The log of one pass per trace of @p traces, each handed
+ *  @p slots. */
+SlotLists
+handedEach(const std::vector<unsigned> &traces,
+           const std::vector<std::size_t> &slots)
+{
+    SlotLists lists;
+    for (const unsigned index : traces)
+        lists[index].push_back(slots);
+    return lists;
+}
 
 /** One streamCached() pass with a slot per weight; a slot's key is
  *  (trace, weight), so equal weights share a key. */
@@ -286,7 +313,7 @@ std::vector<std::vector<IsvStats>>
 foldPass(const Engine &engine, const WorkloadSet &workload,
          const std::vector<unsigned> &traces,
          const std::vector<std::uint64_t> &weights, ResultCache *cache,
-         PassCounts &counts)
+         PassLog &log)
 {
     return engine.streamCached<IsvStats>(
         traces, weights.size(), kFoldUops, cache,
@@ -297,15 +324,18 @@ foldPass(const Engine &engine, const WorkloadSet &workload,
                 .digest();
         },
         [&](unsigned index) {
-            ++counts.sources;
+            ++log.sources;
             return workload.generator(index);
         },
-        [&](unsigned) {
-            return [&](std::size_t slot) {
-                ++counts.consumers;
-                return std::make_unique<FoldRun>(
-                    FoldRun{weights[slot], {}});
-            };
+        [&](unsigned index, const std::vector<std::size_t> &slots) {
+            {
+                const std::lock_guard<std::mutex> lock(log.mutex);
+                log.slots[index].push_back(slots);
+            }
+            std::vector<std::uint64_t> handed;
+            for (const std::size_t slot : slots)
+                handed.push_back(weights[slot]);
+            return FoldPass(std::move(handed));
         });
 }
 
@@ -334,11 +364,11 @@ TEST(StreamCached, NoCacheSimulatesEverySlotFromOneStream)
     const WorkloadSet workload;
     const std::vector<unsigned> traces = {0, 5, 9};
     const std::vector<std::uint64_t> weights = {1, 2, 3};
-    PassCounts counts;
+    PassLog log;
     const auto folds = foldPass(Engine(2), workload, traces, weights,
-                                nullptr, counts);
-    EXPECT_EQ(counts.sources, traces.size());
-    EXPECT_EQ(counts.consumers, traces.size() * weights.size());
+                                nullptr, log);
+    EXPECT_EQ(log.sources, traces.size());
+    EXPECT_EQ(log.slots, handedEach(traces, {0, 1, 2}));
     expectFoldsMatch(folds, workload, traces, weights);
 }
 
@@ -348,31 +378,31 @@ TEST(StreamCached, HalfFilledCacheSimulatesExactlyTheMisses)
     const std::vector<unsigned> traces = {0, 5, 9};
     const Engine engine(2);
     ResultCache cache;
-    PassCounts fill;
+    PassLog fill;
     foldPass(engine, workload, traces, {1, 3}, &cache, fill);
     ASSERT_EQ(cache.stats().stores, 6u);
 
     // Weights 1 and 3 hit; only 2 and 4 are simulated and stored.
     const std::vector<std::uint64_t> weights = {1, 2, 3, 4};
     const ResultCache::Stats before = cache.stats();
-    PassCounts half;
+    PassLog half;
     expectFoldsMatch(
         foldPass(engine, workload, traces, weights, &cache, half),
         workload, traces, weights);
     EXPECT_EQ(half.sources, traces.size());
-    EXPECT_EQ(half.consumers, 2 * traces.size());
+    EXPECT_EQ(half.slots, handedEach(traces, {1, 3}));
     EXPECT_EQ(cache.stats().hits - before.hits, 2 * traces.size());
     EXPECT_EQ(cache.stats().misses - before.misses, 2 * traces.size());
     EXPECT_EQ(cache.stats().stores - before.stores, 2 * traces.size());
 
     // Every key hits: nothing is generated, built or stored.
     const ResultCache::Stats warm = cache.stats();
-    PassCounts all_hit;
+    PassLog all_hit;
     expectFoldsMatch(
         foldPass(engine, workload, traces, weights, &cache, all_hit),
         workload, traces, weights);
     EXPECT_EQ(all_hit.sources, 0u);
-    EXPECT_EQ(all_hit.consumers, 0u);
+    EXPECT_TRUE(all_hit.slots.empty());
     EXPECT_EQ(cache.stats().stores, warm.stores);
     EXPECT_EQ(cache.stats().misses, warm.misses);
 }
@@ -385,13 +415,13 @@ TEST(StreamCached, CorruptPayloadIsRecomputed)
     ResultCache cache;
     cache.store(CacheKeyBuilder("fold-test").u32(7).u64(2).digest(),
                 "not a payload");
-    PassCounts counts;
+    PassLog log;
     expectFoldsMatch(
-        foldPass(Engine(1), workload, traces, weights, &cache, counts),
+        foldPass(Engine(1), workload, traces, weights, &cache, log),
         workload, traces, weights);
     EXPECT_EQ(cache.stats().decodeFailures, 1u);
-    EXPECT_EQ(counts.sources, 1u);
-    EXPECT_EQ(counts.consumers, 2u);
+    EXPECT_EQ(log.sources, 1u);
+    EXPECT_EQ(log.slots, handedEach(traces, {0, 1}));
     // The planted entry plus the clean miss's store.
     EXPECT_EQ(cache.stats().stores, 2u);
 }
@@ -404,11 +434,11 @@ TEST(StreamCached, DuplicateKeysSimulateOnce)
     ResultCache cache;
     for (ResultCache *c : {static_cast<ResultCache *>(nullptr),
                            &cache}) {
-        PassCounts counts;
+        PassLog log;
         expectFoldsMatch(
-            foldPass(Engine(2), workload, traces, weights, c, counts),
+            foldPass(Engine(2), workload, traces, weights, c, log),
             workload, traces, weights);
-        EXPECT_EQ(counts.consumers, 2 * traces.size());
+        EXPECT_EQ(log.slots, handedEach(traces, {0, 2}));
     }
     EXPECT_EQ(cache.stats().misses, 2 * traces.size());
     EXPECT_EQ(cache.stats().stores, 2 * traces.size());
@@ -422,11 +452,11 @@ TEST(StreamCached, JobsAndPoolAgree)
     ThreadPool pool(3);
     for (const Engine &engine :
          {Engine(1), Engine(4), Engine(4, &pool)}) {
-        PassCounts counts;
+        PassLog log;
         expectFoldsMatch(
-            foldPass(engine, workload, traces, weights, nullptr, counts),
+            foldPass(engine, workload, traces, weights, nullptr, log),
             workload, traces, weights);
-        EXPECT_EQ(counts.sources, traces.size());
+        EXPECT_EQ(log.sources, traces.size());
     }
 }
 

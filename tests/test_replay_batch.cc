@@ -632,10 +632,9 @@ TEST(ReplayTrace, ReplaysMatchTheFullTrace)
     for (const unsigned index : {0u, 200u, 500u}) {
         SCOPED_TRACE(::testing::Message() << "trace " << index);
         for (const bool protect : {false, true}) {
-            SchedulerRun full(protect ? &decisions : nullptr,
-                              SchedReplayConfig{});
-            SchedulerRun replay(protect ? &decisions : nullptr,
-                                SchedReplayConfig{});
+            SchedulerPass full(SchedReplayConfig{}, decisions, {protect});
+            SchedulerPass replay(SchedReplayConfig{}, decisions,
+                                 {protect});
             TraceGenerator full_gen = w.generator(index);
             TraceGenerator replay_gen = w.replayGenerator(index);
             streamChunks(full_gen, 5000,
@@ -646,8 +645,8 @@ TEST(ReplayTrace, ReplaysMatchTheFullTrace)
                          [&](const Uop *u, std::size_t n) {
                              replay.feed(u, n);
                          });
-            EXPECT_EQ(payloadBytes(replay.result()),
-                      payloadBytes(full.result()));
+            EXPECT_EQ(payloadBytes(replay.results().front()),
+                      payloadBytes(full.results().front()));
         }
         for (const bool fp : {false, true}) {
             RegFileUnderTest full(fp, true);
