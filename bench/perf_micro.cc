@@ -859,9 +859,8 @@ BENCHMARK(BM_ResultCacheStore);
 // ---------------------------------------------- observability
 
 /** One enabled counter increment: the full hot-path cost of an
- *  instrumentation site (relaxed enabled check + thread-local
- *  shard bump).  The CI overhead floor relies on this staying in
- *  the low single-digit ns. */
+ *  instrumentation site (relaxed enabled check + relaxed
+ *  fetch_add on the shared slot). */
 void
 BM_ObsCounterInc(benchmark::State &state)
 {
@@ -904,8 +903,8 @@ BM_ObsHistogramRecord(benchmark::State &state)
 }
 BENCHMARK(BM_ObsHistogramRecord);
 
-/** A full scrape: merge every live shard + retired totals into a
- *  sorted snapshot.  Cold-path (heartbeats, --metrics-dump), so
+/** A full scrape: read every slot and gauge into a sorted
+ *  snapshot.  Cold-path (heartbeats, --metrics-dump), so
  *  ms-scale is acceptable; track it anyway. */
 void
 BM_ObsScrape(benchmark::State &state)

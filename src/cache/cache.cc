@@ -338,12 +338,6 @@ Cache::setShadow(unsigned set, unsigned way, bool shadow)
         --shadowCount_;
 }
 
-bool
-Cache::isShadow(unsigned set, unsigned way) const
-{
-    return lineAt(set, way).shadow;
-}
-
 void
 Cache::clearShadows()
 {

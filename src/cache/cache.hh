@@ -169,7 +169,6 @@ class Cache
 
     /** Mark/unmark a line as shadow-inverted (test phase). */
     void setShadow(unsigned set, unsigned way, bool shadow);
-    bool isShadow(unsigned set, unsigned way) const;
 
     /** Clear all shadow marks. */
     void clearShadows();

@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace penelope {
 
@@ -53,12 +52,6 @@ RunningStats::variance() const
     if (n_ < 1)
         return 0.0;
     return m2_ / static_cast<double>(n_);
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 double

@@ -34,7 +34,6 @@ class RunningStats
     double mean() const { return n_ ? mean_ : 0.0; }
     /** Population variance. */
     double variance() const;
-    double stddev() const;
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
     double sum() const { return n_ ? mean_ * n_ : 0.0; }

@@ -307,6 +307,9 @@ keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config)
         .f64(config.writePortFreeProb);
 }
 
+namespace {
+
+/** Mix a register-file configuration into @p key. */
 void
 keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config)
 {
@@ -314,6 +317,8 @@ keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config)
         .u32(config.width)
         .u32(config.rinvSampleInterval);
 }
+
+} // namespace
 
 void
 keyRegFileSetup(CacheKeyBuilder &key, const RegFileConfig &rf_config,

@@ -63,9 +63,6 @@ bool decodeResult(ByteReader &r, std::vector<OperandSample> &v);
  *  simulation (the name string never does, so it is excluded). */
 void keyCacheConfig(CacheKeyBuilder &key, const CacheConfig &config);
 
-/** Mix a register-file configuration into @p key. */
-void keyRegFileConfig(CacheKeyBuilder &key, const RegFileConfig &config);
-
 /** Mix one register-file replay setup into @p key: the file, the
  *  replay driver, whether ISV runs, and the uops per trace. */
 void keyRegFileSetup(CacheKeyBuilder &key, const RegFileConfig &rf_config,

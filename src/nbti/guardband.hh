@@ -66,9 +66,6 @@ class GuardbandModel
      */
     double guardbandForCellBias(double bias0) const;
 
-    /** Guardband of an unprotected (p = 1) narrow device. */
-    double worstCaseGuardband() const { return gWorst_; }
-
     /** Guardband of a perfectly balanced (p = 0.5) device. */
     double balancedGuardband() const { return gBalanced_; }
 

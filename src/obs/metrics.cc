@@ -1,11 +1,9 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <mutex>
 
 #include "core/resultcache.hh"
@@ -14,22 +12,13 @@ namespace penelope {
 namespace obs {
 namespace {
 
-/** One thread's slot array.  Only the owning thread writes; a
- *  scrape reads relaxed.  ~32 KiB apiece, reused via a free list
- *  when threads exit (the coordinator spawns a thread per
- *  connection -- shards must not leak with connection count). */
-struct Shard
-{
-    std::array<std::atomic<std::uint64_t>, kSlotCapacity> slots{};
-};
-
 struct MetricDef
 {
     std::string name;
     MetricKind kind = MetricKind::Counter;
     std::string unit;
     std::string help;
-    std::uint32_t slot = kInvalidSlot; ///< shard base / gauge index
+    std::uint32_t slot = kInvalidSlot; ///< slot base / gauge index
 };
 
 struct State
@@ -37,14 +26,11 @@ struct State
     mutable std::mutex mutex;
     std::vector<MetricDef> defs;
     std::map<std::string, std::size_t, std::less<>> byName;
-    std::vector<std::unique_ptr<Shard>> shards;
-    std::vector<Shard *> freeShards;
-    /** Totals merged out of exited threads' shards. */
-    std::array<std::uint64_t, kSlotCapacity> retired{};
-    /** First unallocated shard slot (after the sink region). */
+    /** First unallocated slot (after the sink region). */
     std::uint32_t nextSlot = kHistSlots;
     std::vector<std::atomic<std::int64_t>> gauges;
-    std::uint32_t nextGauge = 0;
+    /** First unallocated gauge (gauge 0 is the sink). */
+    std::uint32_t nextGauge = 1;
 
     State() : gauges(256) {}
 };
@@ -55,32 +41,6 @@ state()
     static State s;
     return s;
 }
-
-/** Retires the calling thread's shard when the thread exits:
- *  merge its slots into the retired totals, zero it, and hand it
- *  to the free list for the next thread. */
-struct ShardReaper
-{
-    Shard *shard = nullptr;
-
-    ~ShardReaper()
-    {
-        if (shard == nullptr)
-            return;
-        State &s = state();
-        std::lock_guard<std::mutex> lock(s.mutex);
-        for (std::size_t i = 0; i < kSlotCapacity; ++i) {
-            s.retired[i] +=
-                shard->slots[i].load(std::memory_order_relaxed);
-            shard->slots[i].store(0, std::memory_order_relaxed);
-        }
-        s.freeShards.push_back(shard);
-        detail::t_slots = nullptr;
-        shard = nullptr;
-    }
-};
-
-thread_local bool t_retired = false;
 
 std::size_t
 slotCount(MetricKind kind)
@@ -149,41 +109,6 @@ validUnit(std::string_view unit)
 }
 
 } // namespace
-
-namespace detail {
-
-std::atomic<std::uint64_t> *
-acquireShard()
-{
-    if (t_retired)
-        return nullptr;
-    State &s = state();
-    Shard *shard = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(s.mutex);
-        if (!s.freeShards.empty()) {
-            shard = s.freeShards.back();
-            s.freeShards.pop_back();
-        } else {
-            s.shards.push_back(std::make_unique<Shard>());
-            shard = s.shards.back().get();
-        }
-    }
-    // The reaper's destructor runs at thread exit, after which any
-    // further emission from this thread is dropped (t_retired).
-    static thread_local ShardReaper reaper;
-    reaper.shard = shard;
-    t_retired = false;
-    t_slots = shard->slots.data();
-    struct RetireFlag
-    {
-        ~RetireFlag() { t_retired = true; }
-    };
-    static thread_local RetireFlag flag;
-    return t_slots;
-}
-
-} // namespace detail
 
 std::uint64_t
 monotonicMicros()
@@ -377,17 +302,16 @@ Snapshot
 Registry::scrape() const
 {
     State &s = state();
-    std::array<std::uint64_t, kSlotCapacity> merged{};
     std::vector<MetricDef> defs;
+    std::vector<std::uint64_t> slots;
     std::vector<std::uint64_t> gauges;
     {
         std::lock_guard<std::mutex> lock(s.mutex);
         defs = s.defs;
-        merged = s.retired;
-        for (const auto &shard : s.shards)
-            for (std::size_t i = 0; i < s.nextSlot; ++i)
-                merged[i] += shard->slots[i].load(
-                    std::memory_order_relaxed);
+        slots.resize(s.nextSlot);
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            slots[i] = detail::g_slots[i].load(
+                std::memory_order_relaxed);
         gauges.resize(s.nextGauge);
         for (std::size_t g = 0; g < gauges.size(); ++g)
             gauges[g] = static_cast<std::uint64_t>(
@@ -404,8 +328,8 @@ Registry::scrape() const
             m.values.push_back(gauges[def.slot]);
         } else {
             const std::size_t n = slotCount(def.kind);
-            m.values.assign(merged.begin() + def.slot,
-                            merged.begin() + def.slot + n);
+            m.values.assign(slots.begin() + def.slot,
+                            slots.begin() + def.slot + n);
         }
         snap.metrics.push_back(std::move(m));
     }
@@ -414,27 +338,6 @@ Registry::scrape() const
                   return a.name < b.name;
               });
     return snap;
-}
-
-void
-Registry::resetValuesForTest()
-{
-    State &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.retired.fill(0);
-    for (const auto &shard : s.shards)
-        for (auto &cell : shard->slots)
-            cell.store(0, std::memory_order_relaxed);
-    for (auto &g : s.gauges)
-        g.store(0, std::memory_order_relaxed);
-}
-
-std::size_t
-Registry::shardCountForTest() const
-{
-    State &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.shards.size();
 }
 
 } // namespace obs

@@ -7,18 +7,17 @@
  * must stay bit-identical and fast whether observability is on or
  * off:
  *
- *  - Counters and histograms write to *thread-local shards* --
- *    fixed arrays of `std::atomic<uint64_t>` slots that only the
- *    owning thread ever writes (relaxed load + store compiles to a
- *    plain add).  A scrape merges every live shard plus the
- *    retired totals of exited threads, the same merge discipline
- *    the ISV statistics use: writers never contend, readers sum.
- *  - Gauges are process-global atomics (set/add), not sharded:
- *    "last write wins" has no meaningful per-thread merge.
+ *  - Counters and histograms write to one process-wide array of
+ *    `std::atomic<uint64_t>` slots with a relaxed fetch_add.  The
+ *    traffic is small (an `--all --stride 4 --uops 10000` run
+ *    emits ~90k times), so every thread shares the one array; a
+ *    scrape reads it, and totals are exact.
+ *  - Gauges are a second array of process-global atomics
+ *    (set/add): "last write wins".
  *  - The *runtime-off* fast path is one relaxed atomic-bool load
  *    per site; until something enables the registry (a `--metrics-*`
  *    flag, `--trace-out`, or a metrics-capable service peer) no
- *    shard is ever allocated and no slot is ever touched.
+ *    slot is ever touched.
  *  - The *compile-out* path (`PENELOPE_NO_OBS`) turns every
  *    emission body into nothing; registration still works so the
  *    CLI surface (`--metrics-dump`, `--version`) stays wired.
@@ -84,14 +83,15 @@ bucketBound(std::size_t b)
                   : (std::uint64_t{1} << b) - 1;
 }
 
-/** Slot capacity of one thread shard; registration fails fast
+/** Size of the process-wide slot array; registration fails fast
  *  (std::abort) if the process ever outgrows it. */
 inline constexpr std::size_t kSlotCapacity = 4096;
 
-/** Default-constructed handles point at a sacrificial sink region
- *  (slots [0, kHistSlots)) so an uninitialized add/record is
- *  harmless instead of out of bounds; real allocation starts
- *  after it. */
+/** Default-constructed handles point at a sacrificial sink (slots
+ *  [0, kHistSlots) for counters and histograms, gauge 0 for
+ *  gauges) so an uninitialized add/record/set is harmless instead
+ *  of out of bounds or aliasing a registered metric; real
+ *  allocation starts after it. */
 inline constexpr std::uint32_t kInvalidSlot = 0;
 
 namespace detail {
@@ -99,28 +99,14 @@ namespace detail {
 /** Runtime on/off switch, read relaxed on every emission. */
 inline std::atomic<bool> g_enabled{false};
 
-/** The calling thread's slot array (null until first emission on
- *  an enabled registry; null again after the thread retires its
- *  shard on exit).  Constant-initialized: no TLS init guard. */
-inline thread_local std::atomic<std::uint64_t> *t_slots = nullptr;
-
-/** Cold path: allocate (or reuse) a shard for this thread and
- *  install its slot array in t_slots.  Returns null only when the
- *  thread is already past shard retirement. */
-std::atomic<std::uint64_t> *acquireShard();
+/** Every counter and histogram slot of the process. */
+inline std::array<std::atomic<std::uint64_t>, kSlotCapacity>
+    g_slots{};
 
 inline void
 bump(std::uint32_t slot, std::uint64_t n)
 {
-    auto *slots = t_slots;
-    if (slots == nullptr) {
-        slots = acquireShard();
-        if (slots == nullptr)
-            return;
-    }
-    auto &cell = slots[slot];
-    cell.store(cell.load(std::memory_order_relaxed) + n,
-               std::memory_order_relaxed);
+    g_slots[slot].fetch_add(n, std::memory_order_relaxed);
 }
 
 } // namespace detail
@@ -143,7 +129,7 @@ enabled()
 std::uint64_t monotonicMicros();
 
 /** Monotonically increasing event counter.  add() is the hot
- *  path: one relaxed bool, one TLS pointer, one plain add. */
+ *  path: one relaxed bool load, one relaxed fetch_add. */
 class Counter
 {
   public:
@@ -196,7 +182,7 @@ class Histogram
 };
 
 /** Process-global instantaneous value (workers connected, jobs
- *  active).  Not sharded; set/add are rare control-plane events. */
+ *  active); set/add are rare control-plane events. */
 class Gauge
 {
   public:
@@ -279,16 +265,8 @@ class Registry
      *  accumulated values. */
     void setEnabled(bool on);
 
-    /** Merge every live shard + retired totals + gauges into a
-     *  name-sorted snapshot. */
+    /** Read every slot and gauge into a name-sorted snapshot. */
     Snapshot scrape() const;
-
-    /** Zero every slot and gauge (registrations survive).  Only
-     *  meaningful while no other thread is emitting. */
-    void resetValuesForTest();
-
-    /** Live + free shard count (test visibility). */
-    std::size_t shardCountForTest() const;
 
   private:
     Registry() = default;

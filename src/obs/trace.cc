@@ -11,7 +11,6 @@ struct TracerState
 {
     std::mutex mutex;
     std::FILE *file = nullptr;
-    std::uint64_t events = 0;
     std::atomic<std::uint32_t> nextTid{1};
 };
 
@@ -73,7 +72,6 @@ Tracer::open(const std::string &path, std::string *error)
     }
     std::fputs("[\n", f);
     s.file = f;
-    s.events = 0;
     active_.store(true, std::memory_order_relaxed);
     return true;
 }
@@ -125,16 +123,7 @@ Tracer::complete(std::string_view name, std::string_view cat,
     if (s.file == nullptr)
         return;
     std::fwrite(line.data(), 1, line.size(), s.file);
-    ++s.events;
 #endif
-}
-
-std::uint64_t
-Tracer::eventCount() const
-{
-    TracerState &s = tracerState();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.events;
 }
 
 } // namespace obs

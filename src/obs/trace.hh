@@ -62,9 +62,6 @@ class Tracer
     void complete(std::string_view name, std::string_view cat,
                   std::uint64_t ts_us, std::uint64_t dur_us);
 
-    /** Events written since open (test visibility). */
-    std::uint64_t eventCount() const;
-
   private:
     Tracer() = default;
     std::atomic<bool> active_{false};

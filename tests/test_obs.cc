@@ -1,6 +1,6 @@
 /**
  * @file
- * The observability layer: thread-local shard merge determinism,
+ * The observability layer: exact counts under thread contention,
  * histogram bucket laws, the span tracer's Chrome-trace output,
  * the snapshot wire codec, the `--metrics-dump` rendering, and the
  * runtime-off guarantees.
@@ -116,12 +116,33 @@ TEST(ObsRegistry, GaugeSetAndAdd)
     g.set(0); // leave a clean value for other suites
 }
 
-// --------------------------------------- shard merge determinism
+/** A default-constructed gauge writes a sink, never the value of a
+ *  gauge someone registered. */
+TEST(ObsRegistry, DefaultGaugeWritesNoRegisteredGauge)
+{
+    obs::Registry::instance().gauge("test.default_gauge_probe");
+    const obs::ScopedEnable enable;
+    const obs::Snapshot before = obs::Registry::instance().scrape();
+    obs::Gauge{}.set(0x5eed);
+    obs::Gauge{}.add(7);
+    const obs::Snapshot after = obs::Registry::instance().scrape();
+    ASSERT_EQ(before.metrics.size(), after.metrics.size());
+    for (std::size_t i = 0; i < after.metrics.size(); ++i) {
+        if (after.metrics[i].kind != obs::MetricKind::Gauge)
+            continue;
+        ASSERT_EQ(before.metrics[i].name, after.metrics[i].name);
+        EXPECT_EQ(before.metrics[i].scalar(),
+                  after.metrics[i].scalar())
+            << after.metrics[i].name;
+    }
+}
+
+// ----------------------------------- exact counts under contention
 
 /** Hammer one counter and one histogram from a contended pool:
  *  the scrape must account for every single emission -- totals are
  *  exact, not approximate -- including emissions from pool threads
- *  that have since retired their shards. */
+ *  that have since exited. */
 TEST(ObsShards, MergeIsExactUnderContention)
 {
     if (!obs::kCompiledIn)
@@ -152,13 +173,13 @@ TEST(ObsShards, MergeIsExactUnderContention)
                     h.record(k + 1);
                 }
                 // Mid-run scrapes must never lose emissions
-                // (they merge live shards without zeroing them).
+                // (they read the slots without zeroing them).
                 if (k % 16 == 0)
                     (void)obs::Registry::instance().scrape();
             },
             &pool);
-        // Pool destruction retires every worker shard: the merge
-        // below draws from retired totals, not live shards.
+        // Pool destruction joins every worker: the scrape below
+        // must still see what the exited threads emitted.
     }
 
     const obs::Snapshot snap = obs::Registry::instance().scrape();
@@ -174,9 +195,8 @@ TEST(ObsShards, MergeIsExactUnderContention)
     EXPECT_EQ(h1->sum() - hs0, expected_sum);
 }
 
-/** A thread that exits hands its shard to the retired totals and
- *  the free list; a later thread reuses the shard starting from
- *  zero.  Nothing is double-counted. */
+/** What a thread emits outlives the thread, and a later thread
+ *  adds to the same total.  Nothing is lost or double-counted. */
 TEST(ObsShards, ThreadExitRetiresWithoutLoss)
 {
     if (!obs::kCompiledIn)
