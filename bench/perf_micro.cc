@@ -903,8 +903,8 @@ BM_ObsHistogramRecord(benchmark::State &state)
 }
 BENCHMARK(BM_ObsHistogramRecord);
 
-/** A full scrape: read every slot and gauge into a sorted
- *  snapshot.  Cold-path (heartbeats, --metrics-dump), so
+/** A full scrape: read every slot into a sorted snapshot.
+ *  Cold-path (--metrics-dump, perfbench's traced pass), so
  *  ms-scale is acceptable; track it anyway. */
 void
 BM_ObsScrape(benchmark::State &state)

@@ -49,7 +49,8 @@ main()
     SchedulerReplay sched_replay(sched, SchedReplayConfig{});
     TraceGenerator sched_gen = workload.replayGenerator(kTrace);
     const Cycle sched_cycles = sched_replay.run(sched_gen, kUops).cycles;
-    const double sched_stress = sched.worstFigure8Bias(sched_cycles);
+    const double sched_stress =
+        sched.snapshotStress(sched_cycles).worstFigure8Bias();
 
     // The integer register file with ISV.
     RegisterFile int_rf{RegFileConfig{}};

@@ -51,7 +51,7 @@ main()
         }
         std::cout << "  occupancy "
                   << sched.occupancy(clock) * 100 << "%\n";
-        return sched.worstFigure8Bias(clock);
+        return sched.snapshotStress(clock).worstFigure8Bias();
     };
 
     std::cout << "\nbaseline run:\n";

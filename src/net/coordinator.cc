@@ -5,7 +5,7 @@
 
 #include <algorithm>
 
-#include "obs/trace.hh"
+#include "obs/metrics.hh"
 
 namespace penelope {
 namespace net {
@@ -22,11 +22,6 @@ constexpr int kPollMs = 100;
 constexpr int kDrainMs = 5'000;
 
 using Clock = std::chrono::steady_clock;
-
-/** Live worker connections (Hello accepted, handler running). */
-const penelope::obs::Gauge g_workersConnected =
-    penelope::obs::Registry::instance().gauge(
-        "svc.workers_connected", "1");
 
 double
 secondsSince(Clock::time_point t0)
@@ -121,18 +116,6 @@ Coordinator::jobState() const
     return job_.state;
 }
 
-Coordinator::LabeledSnapshots
-Coordinator::workerSnapshots() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    LabeledSnapshots out;
-    for (const auto &[index, snap] : workerMetrics_) {
-        out.emplace_back(
-            "worker=\"" + std::to_string(index) + "\"", snap);
-    }
-    return out;
-}
-
 std::vector<std::uint32_t>
 Coordinator::incompleteSlices(std::uint32_t) const
 {
@@ -163,7 +146,6 @@ Coordinator::run()
 {
     if (!listener_.valid())
         return false;
-    const Clock::time_point t0 = Clock::now();
 
     const auto doneServing = [this] {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -215,8 +197,6 @@ Coordinator::run()
     for (std::thread &handler : handlers_)
         handler.join();
     handlers_.clear();
-
-    stats_.wallSeconds = secondsSince(t0);
     return true;
 }
 
@@ -301,7 +281,6 @@ Coordinator::completeSlice(std::uint32_t slice,
 
     std::lock_guard<std::mutex> lock(mutex_);
     --inFlight_;
-    stats_.resultBytes += result.entries.size();
     stats_.workerSimSeconds += result.simSeconds;
     stats_.importSeconds += import_seconds;
     if (job_.slices[slice] == SliceState::Done) {
@@ -334,37 +313,30 @@ Coordinator::serveConnection(Socket sock)
     ByteReader r(frame.payload);
     if (!hello.decode(r))
         return;
-    unsigned worker_index = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        worker_index = stats_.workersSeen++;
+        ++stats_.workersSeen;
         stats_.workerCpus.push_back(hello.hostCpus);
     }
-    g_workersConnected.add(1);
-    serveWorker(sock, frame.flags, worker_index);
-    g_workersConnected.add(-1);
+    serveWorker(sock, frame.flags);
 }
 
 void
-Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
-                         unsigned workerIndex)
+Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps)
 {
     const AbortFn abort = [this] {
         return abandon_.load(std::memory_order_relaxed);
     };
-    // Telemetry is asked of a worker only while this coordinator's
-    // registry records: kCapMetrics on an Assign turns the worker's
-    // registry on, and nothing here would read its snapshots.
+    // Heartbeats are acked only while this coordinator's registry
+    // records, as the run's telemetry then wants the worker's RTT.
     const std::uint32_t caps = obs::enabled()
         ? localCapabilities()
         : localCapabilities() & ~kCapMetrics;
-    const bool peer_metrics = (peerCaps & caps & kCapMetrics) != 0;
+    const bool peer_acks = (peerCaps & caps & kCapMetrics) != 0;
 
     std::uint32_t slice = 0;
     Frame frame;
     while (claimSlice(slice)) {
-        const obs::ScopedSpan slice_span("coordinator.slice",
-                                         "svc");
         AssignMessage assign;
         assign.sliceIndex = slice;
         assign.plan = job_.plan;
@@ -422,17 +394,8 @@ Coordinator::serveWorker(Socket &sock, std::uint32_t peerCaps,
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
                     ++stats_.heartbeats;
-                    if (peer_metrics && !beat.metrics.empty()) {
-                        obs::Snapshot snap;
-                        if (obs::Snapshot::decodeFromBytes(
-                                beat.metrics, snap))
-                            workerMetrics_[workerIndex] =
-                                std::move(snap);
-                        // undecodable piggyback bytes: drop the
-                        // telemetry, keep the liveness signal
-                    }
                 }
-                if (peer_metrics) {
+                if (peer_acks) {
                     // Echo for the worker's RTT series.  Safe
                     // from this thread: all sends on this socket
                     // happen in this handler.

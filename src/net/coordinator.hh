@@ -33,6 +33,10 @@
  * slices a bounded drain to land, then abandons the stragglers and
  * finalizes an unresolved job as Partial.  The caller then flushes
  * the ResultCache, so a rerun with the same store starts warm.
+ *
+ * Telemetry: while this process's registry records, the coordinator
+ * advertises kCapMetrics and acks each heartbeat, so a worker can
+ * time the round trip.  It reads no worker metrics.
  */
 
 #ifndef PENELOPE_NET_COORDINATOR_HH
@@ -42,17 +46,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/shardplan.hh"
 #include "net/backoff.hh"
 #include "net/protocol.hh"
-#include "obs/metrics.hh"
 
 namespace penelope {
 namespace net {
@@ -114,10 +115,8 @@ struct CoordinatorStats
     unsigned reassignments = 0;   ///< slices requeued after a loss
     unsigned duplicateResults = 0;
     unsigned workersSeen = 0;     ///< accepted Hello handshakes
-    std::uint64_t resultBytes = 0; ///< entry-stream bytes received
     double workerSimSeconds = 0.0; ///< sum of worker-reported times
     double importSeconds = 0.0;   ///< coordinator-side entry import
-    double wallSeconds = 0.0;     ///< start of run() to completion
     std::vector<std::uint32_t> workerCpus; ///< per accepted worker
 
     std::uint64_t heartbeats = 0; ///< Heartbeat frames received
@@ -168,17 +167,6 @@ class Coordinator
     std::vector<std::uint32_t> incompleteSlices(
         std::uint32_t job = 0) const;
 
-    /** Snapshots under a label text such as `worker="1"`. */
-    using LabeledSnapshots =
-        std::vector<std::pair<std::string, obs::Snapshot>>;
-
-    /** Latest metric snapshot piggybacked by each worker
-     *  [kCapMetrics], labelled `worker="N"` by accept order.
-     *  Assigns ask workers for snapshots only while this process's
-     *  registry is enabled; empty until a worker so asked has
-     *  heartbeated. */
-    LabeledSnapshots workerSnapshots() const;
-
   private:
     enum class SliceState : std::uint8_t
     {
@@ -213,8 +201,7 @@ class Coordinator
     };
 
     void serveConnection(Socket sock);
-    void serveWorker(Socket &sock, std::uint32_t peerCaps,
-                     unsigned workerIndex);
+    void serveWorker(Socket &sock, std::uint32_t peerCaps);
 
     bool claimSlice(std::uint32_t &slice);
     void forfeitSlice(std::uint32_t slice, bool hung);
@@ -239,7 +226,6 @@ class Coordinator
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     Job job_;
-    std::map<unsigned, obs::Snapshot> workerMetrics_;
     std::vector<Ready> ready_;
     unsigned inFlight_ = 0; ///< claimed, neither done nor forfeited
 

@@ -3,35 +3,11 @@
 #include <cstdlib>
 
 #include "core/resultcache.hh"
-#include "obs/metrics.hh"
 
 namespace penelope {
 namespace net {
 
 namespace {
-
-/** Fired-vs-passed decision accounting: fault activity must be
- *  visible, not only survivable. */
-struct FaultMetrics
-{
-    obs::Counter passed;
-    obs::Counter firedDrop, firedFlip, firedTruncate;
-    obs::Counter firedHalfClose, firedDelay, firedStall;
-
-    FaultMetrics()
-    {
-        auto &reg = obs::Registry::instance();
-        passed = reg.counter("net.fault.passed");
-        firedDrop = reg.counter("net.fault.fired.drop");
-        firedFlip = reg.counter("net.fault.fired.flip");
-        firedTruncate = reg.counter("net.fault.fired.truncate");
-        firedHalfClose = reg.counter("net.fault.fired.halfclose");
-        firedDelay = reg.counter("net.fault.fired.delay");
-        firedStall = reg.counter("net.fault.fired.stall");
-    }
-};
-
-const FaultMetrics g_faultMetrics{};
 
 /** Deterministic draw stream for one (conn, op) pair: @p lane
  *  separates independent decisions taken for the same operation. */
@@ -263,30 +239,23 @@ FaultInjector::note(FaultAction action)
     switch (action) {
       case FaultAction::Drop:
         ++drops_;
-        g_faultMetrics.firedDrop.add();
         break;
       case FaultAction::Flip:
         ++flips_;
-        g_faultMetrics.firedFlip.add();
         break;
       case FaultAction::Truncate:
         ++truncates_;
-        g_faultMetrics.firedTruncate.add();
         break;
       case FaultAction::HalfClose:
         ++halfCloses_;
-        g_faultMetrics.firedHalfClose.add();
         break;
       case FaultAction::Delay:
         ++delays_;
-        g_faultMetrics.firedDelay.add();
         break;
       case FaultAction::Stall:
         ++stalls_;
-        g_faultMetrics.firedStall.add();
         break;
       case FaultAction::None:
-        g_faultMetrics.passed.add();
         break;
     }
 }

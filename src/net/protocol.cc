@@ -12,16 +12,11 @@ namespace net {
 namespace {
 
 /** File-scope handles: every frame on every connection passes
- *  through sendFrame/recvFrame, so these are the per-worker
- *  "frame series" the coordinator aggregates. */
+ *  through sendFrame/recvFrame. */
 const obs::Counter g_framesSent =
     obs::Registry::instance().counter("net.frames_sent");
 const obs::Counter g_bytesSent =
     obs::Registry::instance().counter("net.bytes_sent", "bytes");
-const obs::Counter g_framesRecv =
-    obs::Registry::instance().counter("net.frames_recv");
-const obs::Counter g_bytesRecv =
-    obs::Registry::instance().counter("net.bytes_recv", "bytes");
 const obs::Counter g_framesCorrupt =
     obs::Registry::instance().counter("net.frames_corrupt");
 
@@ -179,8 +174,6 @@ recvFrame(Socket &sock, Frame &frame, int timeout_ms,
         g_framesCorrupt.add();
         return RecvStatus::Corrupt;
     }
-    g_framesRecv.add();
-    g_bytesRecv.add(kFrameHeaderBytes + frame.payload.size());
     return RecvStatus::Ok;
 }
 
@@ -245,8 +238,6 @@ HeartbeatMessage::encode(ByteWriter &w) const
 {
     w.u32(sliceIndex);
     w.u64(sequence);
-    w.u64(metrics.size());
-    w.bytes(metrics.data(), metrics.size());
 }
 
 bool
@@ -254,15 +245,7 @@ HeartbeatMessage::decode(ByteReader &r)
 {
     sliceIndex = r.u32();
     sequence = r.u64();
-    const std::uint64_t size = r.u64();
-    if (!r.ok() || size > kMaxFramePayload)
-        return false;
-    const std::string_view bytes =
-        r.bytesView(static_cast<std::size_t>(size));
-    if (!r.ok() || !r.atEnd())
-        return false;
-    metrics.assign(bytes);
-    return true;
+    return r.ok() && r.atEnd();
 }
 
 void

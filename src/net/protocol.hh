@@ -21,11 +21,11 @@
  *
  * Every peer speaks the whole protocol: heartbeats and delta entry
  * streams are unconditional, and a peer of another version is
- * rejected at its first frame header -- the one version gate.  The one negotiated feature is telemetry
- * (kCapMetrics), which only decides whether heartbeats carry metric
- * snapshots and are acknowledged.  The checksum excludes the flags
- * word, so a corrupted capability bit can only switch that
- * telemetry, never change a statistic.
+ * rejected at its first frame header -- the one version gate.  The
+ * one negotiated feature is kCapMetrics, which only decides whether
+ * heartbeats are acknowledged (the worker's round-trip series).
+ * The checksum excludes the flags word, so a corrupted capability
+ * bit can only switch those acks, never change a statistic.
  *
  * Worker conversation:
  *
@@ -62,7 +62,7 @@ namespace penelope {
 namespace net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x504e4c50; // PNLP
-inline constexpr std::uint32_t kProtocolVersion = 4;
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /** Serialized frame header size in bytes. */
 inline constexpr std::size_t kFrameHeaderBytes = 32;
@@ -72,10 +72,11 @@ inline constexpr std::size_t kFrameHeaderBytes = 32;
  *  configuration). */
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
-/** Capability bit carried in the frame header flags word: metric
- *  snapshots piggybacked on Heartbeat frames, answered with
- *  HeartbeatAck (worker-side RTT).  Without it, heartbeats carry
- *  an empty snapshot and go unacknowledged. */
+/** Capability bit carried in the frame header flags word: the
+ *  coordinator answers each Heartbeat with a HeartbeatAck, which
+ *  the worker times as net.heartbeat_rtt_us.  A coordinator sets
+ *  it only while its registry records; without it, heartbeats go
+ *  unacknowledged. */
 inline constexpr std::uint32_t kCapMetrics = 1u << 3;
 
 /** Everything this binary implements. */
@@ -186,19 +187,13 @@ struct HeartbeatMessage
     std::uint32_t sliceIndex = 0;
     std::uint64_t sequence = 0; ///< monotonic per assignment
 
-    /** Opaque obs::Snapshot bytes for the coordinator's per-worker
-     *  aggregation [kCapMetrics]; empty (length 0 on the wire) when
-     *  telemetry is off. */
-    std::string metrics;
-
     void encode(ByteWriter &w) const;
     bool decode(ByteReader &r);
 };
 
 /** coordinator -> worker [kCapMetrics]: echo of one heartbeat.
- *  The worker matches `sequence` to its send time for the
- *  net.heartbeat_rtt_us series that rides back in the next
- *  snapshot. */
+ *  The worker matches `sequence` to its send time for its
+ *  net.heartbeat_rtt_us series. */
 struct HeartbeatAckMessage
 {
     std::uint64_t sequence = 0;

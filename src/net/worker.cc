@@ -22,8 +22,6 @@ constexpr int kPollMs = 100;
 const obs::Histogram g_heartbeatRtt =
     obs::Registry::instance().histogram("net.heartbeat_rtt_us",
                                         "us");
-const obs::Counter g_heartbeatAcks =
-    obs::Registry::instance().counter("net.heartbeat_acks");
 
 using Clock = std::chrono::steady_clock;
 
@@ -77,7 +75,6 @@ connectWithBudget(const WorkerConfig &config, int budget_ms,
             return sock;
         if (Clock::now() - t0 >= ms(budget_ms))
             break;
-        PENELOPE_OBS_COUNTER("net.connect_retries", "1").add();
         if (interruptibleSleep(kConnectRetryMs,
                                config.stopRequested)) {
             stopped = true;
@@ -102,10 +99,10 @@ class HeartbeatSender
   public:
     HeartbeatSender(Socket &sock, std::mutex &send_mutex,
                     std::uint32_t slice, int interval_ms,
-                    std::uint64_t &counter, bool peer_metrics)
+                    std::uint64_t &counter, bool peer_acks)
         : sock_(sock), sendMutex_(send_mutex), slice_(slice),
           intervalMs_(interval_ms), counter_(counter),
-          peerMetrics_(peer_metrics),
+          peerAcks_(peer_acks),
           thread_([this] { loop(); })
     {}
 
@@ -137,14 +134,6 @@ class HeartbeatSender
             HeartbeatMessage beat;
             beat.sliceIndex = slice_;
             beat.sequence = ++sequence;
-            if (peerMetrics_ && obs::enabled()) {
-                // Piggyback the scrape [kCapMetrics]: the
-                // coordinator keys its per-worker aggregation off
-                // these bytes.
-                beat.metrics = obs::Registry::instance()
-                                   .scrape()
-                                   .encodeToBytes();
-            }
             ByteWriter w;
             beat.encode(w);
             bool sent;
@@ -156,10 +145,10 @@ class HeartbeatSender
             }
             if (sent) {
                 ++counter_;
-                if (peerMetrics_)
+                if (peerAcks_)
                     inflight_.emplace(beat.sequence, send_us);
             }
-            if (peerMetrics_ && sent)
+            if (peerAcks_ && sent)
                 drainAcks();
             lock.lock();
             if (!sent)
@@ -195,7 +184,6 @@ class HeartbeatSender
             const auto it = inflight_.find(ack.sequence);
             if (it == inflight_.end())
                 continue;
-            g_heartbeatAcks.add();
             g_heartbeatRtt.record(obs::monotonicMicros() -
                                   it->second);
             inflight_.erase(it);
@@ -207,7 +195,7 @@ class HeartbeatSender
     const std::uint32_t slice_;
     const int intervalMs_;
     std::uint64_t &counter_;
-    const bool peerMetrics_;
+    const bool peerAcks_;
     std::unordered_map<std::uint64_t, std::uint64_t> inflight_;
 
     std::mutex mutex_;
@@ -293,23 +281,14 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
                     return WorkerOutcome::BadAssignment;
                 }
             }
-            const bool peer_metrics =
-                (frame.flags & kCapMetrics) != 0;
-            if (peer_metrics && obs::kCompiledIn) {
-                // The coordinator's registry records (it sends the
-                // bit only then): turn emission on so the
-                // piggybacked snapshots carry real series.  stdout
-                // is untouched either way.
-                obs::Registry::instance().setEnabled(true);
-            }
-
             const auto t0 = Clock::now();
             bool ran;
             {
                 HeartbeatSender heartbeats(
                     sock, send_mutex, assign.sliceIndex,
                     config.heartbeatIntervalMs,
-                    local_stats.heartbeatsSent, peer_metrics);
+                    local_stats.heartbeatsSent,
+                    (frame.flags & kCapMetrics) != 0);
                 ran = runPlanSlice(workload, assign.plan,
                                    assign.sliceIndex, config.jobs,
                                    config.pool, cache);

@@ -13,9 +13,12 @@
  *
  * While a slice runs, a sender thread emits Heartbeat frames every
  * heartbeatIntervalMs, so the coordinator can tell "slow" from
- * "hung".  Each Result carries only the entries not yet sent on
- * this connection; a reconnect resets that set, and duplicates
- * deduplicate on import.  With reconnectBudgetMs > 0 the worker
+ * "hung".  A coordinator that sets kCapMetrics on its Assign acks
+ * each beat, and the worker records the round trip as
+ * net.heartbeat_rtt_us if its own registry records; no frame turns
+ * the registry on or off.  Each Result carries only the entries
+ * not yet sent on this connection; a reconnect resets that set,
+ * and duplicates deduplicate on import.  With reconnectBudgetMs > 0 the worker
  * survives coordinator restarts: a lost connection is retried at a
  * fixed pace inside the budget, and the fresh connection replays
  * the Hello (idempotent -- the worker is stateless about the run;

@@ -15,12 +15,7 @@ renderDump(const Snapshot &snap, const std::string &prefix)
                 std::to_string(m.sum()) + " " + m.unit + "\n";
             continue;
         }
-        out += prefix + m.name + " ";
-        if (m.kind == MetricKind::Gauge)
-            out += std::to_string(
-                static_cast<std::int64_t>(m.scalar()));
-        else
-            out += std::to_string(m.scalar());
+        out += prefix + m.name + " " + std::to_string(m.scalar());
         if (m.unit != "1")
             out += " " + m.unit;
         out.push_back('\n');

@@ -2,22 +2,19 @@
  * @file
  * Zero-cost-when-off metrics registry.
  *
- * A process-wide registry of named counters, gauges and
- * power-of-two histograms, built for instrumenting hot loops that
- * must stay bit-identical and fast whether observability is on or
- * off:
+ * A process-wide registry of named counters and power-of-two
+ * histograms, built for instrumenting hot loops that must stay
+ * bit-identical and fast whether observability is on or off:
  *
  *  - Counters and histograms write to one process-wide array of
  *    `std::atomic<uint64_t>` slots with a relaxed fetch_add.  The
  *    traffic is small (an `--all --stride 4 --uops 10000` run
  *    emits ~90k times), so every thread shares the one array; a
  *    scrape reads it, and totals are exact.
- *  - Gauges are a second array of process-global atomics
- *    (set/add): "last write wins".
  *  - The *runtime-off* fast path is one relaxed atomic-bool load
  *    per site; until something enables the registry (a `--metrics-*`
- *    flag, `--trace-out`, or a metrics-capable service peer) no
- *    slot is ever touched.
+ *    flag, `--trace-out`, or a test or benchmark scope) no slot is
+ *    ever touched.
  *  - The *compile-out* path (`PENELOPE_NO_OBS`) turns every
  *    emission body into nothing; registration still works so the
  *    CLI surface (`--metrics-dump`, `--version`) stays wired.
@@ -40,20 +37,16 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace penelope {
-
-class ByteWriter;
-class ByteReader;
-
 namespace obs {
 
 enum class MetricKind : std::uint8_t
 {
-    Counter = 0,
-    Gauge = 1,
-    Histogram = 2,
+    Counter,
+    Histogram,
 };
 
 /** True when the emission paths are compiled in at all. */
@@ -88,9 +81,8 @@ bucketBound(std::size_t b)
 inline constexpr std::size_t kSlotCapacity = 4096;
 
 /** Default-constructed handles point at a sacrificial sink (slots
- *  [0, kHistSlots) for counters and histograms, gauge 0 for
- *  gauges) so an uninitialized add/record/set is harmless instead
- *  of out of bounds or aliasing a registered metric; real
+ *  [0, kHistSlots)) so an uninitialized add/record is harmless
+ *  instead of out of bounds or aliasing a registered metric; real
  *  allocation starts after it. */
 inline constexpr std::uint32_t kInvalidSlot = 0;
 
@@ -181,25 +173,8 @@ class Histogram
     std::uint32_t base_ = kInvalidSlot;
 };
 
-/** Process-global instantaneous value (workers connected, jobs
- *  active); set/add are rare control-plane events. */
-class Gauge
-{
-  public:
-    Gauge() = default;
-
-    void set(std::int64_t v) const;
-    void add(std::int64_t d) const;
-
-  private:
-    friend class Registry;
-    explicit Gauge(std::uint32_t index) : index_(index) {}
-    std::uint32_t index_ = kInvalidSlot;
-};
-
-/** One scraped metric: name, kind, unit and its merged value
- *  slots (1 for counters/gauges, kHistSlots for histograms;
- *  gauges carry the int64 bit pattern). */
+/** One scraped metric: name, kind, unit and its value slots (1 for
+ *  counters, kHistSlots for histograms). */
 struct SnapshotMetric
 {
     std::string name;
@@ -221,24 +196,13 @@ struct SnapshotMetric
     bool operator==(const SnapshotMetric &) const = default;
 };
 
-/** A merged point-in-time view of every registered metric, sorted
- *  by name.  This is what --metrics-dump prints, what workers
- *  piggyback on heartbeats, and what the coordinator aggregates. */
+/** A point-in-time view of every registered metric, sorted by
+ *  name: what --metrics-dump prints. */
 struct Snapshot
 {
     std::vector<SnapshotMetric> metrics;
 
     const SnapshotMetric *find(std::string_view name) const;
-
-    void encode(ByteWriter &w) const;
-    /** Strict decode: any truncation or malformed field -- a
-     *  name outside [a-z0-9_.], a unit holding whitespace or a
-     *  control byte -- clears the reader and returns false. */
-    static bool decode(ByteReader &r, Snapshot &out);
-
-    std::string encodeToBytes() const;
-    static bool decodeFromBytes(std::string_view bytes,
-                                Snapshot &out);
 
     bool operator==(const Snapshot &) const = default;
 };
@@ -251,21 +215,16 @@ class Registry
     static Registry &instance();
 
     Counter counter(const std::string &name,
-                    const std::string &unit = "1",
-                    const std::string &help = "");
-    Gauge gauge(const std::string &name,
-                const std::string &unit = "1",
-                const std::string &help = "");
+                    const std::string &unit = "1");
     Histogram histogram(const std::string &name,
-                        const std::string &unit = "1",
-                        const std::string &help = "");
+                        const std::string &unit = "1");
 
     /** Turn runtime emission on/off (relaxed; takes effect on the
      *  next site hit).  Off never deallocates: re-enabling keeps
      *  accumulated values. */
     void setEnabled(bool on);
 
-    /** Read every slot and gauge into a name-sorted snapshot. */
+    /** Read every slot into a name-sorted snapshot. */
     Snapshot scrape() const;
 
   private:

@@ -738,24 +738,6 @@ Scheduler::fieldOccupancy(FieldId f, Cycle now) const
          static_cast<double>(now));
 }
 
-std::vector<double>
-Scheduler::biasVector(Cycle now)
-{
-    return snapshotStress(now).biasVector();
-}
-
-std::vector<BitProfile>
-Scheduler::bitProfiles(Cycle now)
-{
-    return snapshotStress(now).bitProfiles();
-}
-
-double
-Scheduler::worstFigure8Bias(Cycle now)
-{
-    return snapshotStress(now).worstFigure8Bias();
-}
-
 SchedulerStress
 Scheduler::snapshotStress(Cycle now)
 {

@@ -134,16 +134,6 @@ class Scheduler
      *  data (paper: SRC data/imm available 70-75% of the time). */
     double fieldOccupancy(FieldId f, Cycle now) const;
 
-    /** Flush accounting and return the concatenated per-bit bias
-     *  towards "0" in layout order (144 entries). */
-    std::vector<double> biasVector(Cycle now);
-
-    /** Per-bit profiles for the casuistic (layout order). */
-    std::vector<BitProfile> bitProfiles(Cycle now);
-
-    /** Worst |bias - 0.5| + 0.5 over the Figure-8 bits. */
-    double worstFigure8Bias(Cycle now);
-
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
 

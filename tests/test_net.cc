@@ -70,6 +70,15 @@ struct LoopbackPair
     }
 };
 
+/** Round trips the worker-side net.heartbeat_rtt_us series holds. */
+std::uint64_t
+rttCount()
+{
+    const obs::Snapshot snap = obs::Registry::instance().scrape();
+    const obs::SnapshotMetric *m = snap.find("net.heartbeat_rtt_us");
+    return m ? m->count() : 0;
+}
+
 /** A small but non-trivial plan fixture. */
 ShardPlan
 samplePlan()
@@ -637,8 +646,9 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     beat.sequence = 42;
     add(MessageType::Heartbeat, beat);
     add(MessageType::Heartbeat, beat, 1);
-    beat.metrics = std::string(40, '\x11');
-    add(MessageType::Heartbeat, beat);
+    HeartbeatAckMessage ack;
+    ack.sequence = 42;
+    add(MessageType::HeartbeatAck, ack);
     ResultMessage result;
     result.sliceIndex = 2;
     result.entries = std::string(256, '\x5a');
@@ -719,7 +729,7 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 }
 
 /** An older peer is dropped at its Hello -- by the frame header
- *  (versions 1 to 3) or by the Hello payload (the version-2
+ *  (versions 1 to 4) or by the Hello payload (the version-2
  *  layout) -- before it can claim a slice. */
 TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
 {
@@ -744,6 +754,8 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
             net::encodeFrame(MessageType::Hello, current.view()), 2),
         withVersion(
             net::encodeFrame(MessageType::Hello, current.view()), 3),
+        withVersion(
+            net::encodeFrame(MessageType::Hello, current.view()), 4),
         net::encodeFrame(MessageType::Hello, v2HelloPayload(2)),
     };
     for (const std::string &frame : frames) {
@@ -877,43 +889,6 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
     EXPECT_EQ(collected.stats().stores, 0u);
 }
 
-/** Worker heartbeats carry a Snapshot the coordinator keeps per
- *  worker: a mutant either fails to decode or re-encodes to exactly
- *  its own bytes. */
-TEST(NetFuzz, MutatedSnapshotsAreRejectedOrRoundTripExactly)
-{
-    obs::Snapshot snap;
-    const auto add = [&](const char *name, obs::MetricKind kind,
-                         const char *unit) {
-        obs::SnapshotMetric m;
-        m.name = name;
-        m.kind = kind;
-        m.unit = unit;
-        m.values.assign(kind == obs::MetricKind::Histogram
-                            ? obs::kHistSlots
-                            : 1,
-                        0x21);
-        snap.metrics.push_back(m);
-    };
-    add("cache.hits.s03", obs::MetricKind::Counter, "1");
-    add("net.frames_sent", obs::MetricKind::Counter, "1");
-    add("svc.workers_connected", obs::MetricKind::Gauge, "1");
-    add("net.heartbeat_rtt_us", obs::MetricKind::Histogram, "us");
-    const std::string bytes = snap.encodeToBytes();
-
-    FuzzRng rng(0x5eed0004);
-    unsigned accepted = 0;
-    for (int i = 0; i < 512; ++i) {
-        const std::string mutant = mutate(bytes, rng);
-        obs::Snapshot out;
-        if (!obs::Snapshot::decodeFromBytes(mutant, out))
-            continue;
-        ++accepted;
-        EXPECT_EQ(out.encodeToBytes(), mutant) << "iteration " << i;
-    }
-    EXPECT_GT(accepted, 0u); // value and kind flips still decode
-}
-
 /** Every Assign carries a ShardPlan: a mutant either
  *  fails to decode or re-encodes to exactly its own bytes. */
 TEST(NetFuzz, MutatedShardPlansAreRejectedOrRoundTripExactly)
@@ -937,11 +912,11 @@ TEST(NetFuzz, MutatedShardPlansAreRejectedOrRoundTripExactly)
     EXPECT_GT(accepted, 0u); // low-order field flips still decode
 }
 
-// ------------------------------------------- metrics extensions
+// ---------------------------------------------- heartbeat acks
 
-/** A heartbeat is u32 slice + u64 sequence + u64 snapshot length +
- *  snapshot bytes.  Without telemetry the length is present and 0;
- *  the 12-byte form of protocol version 1 no longer decodes. */
+/** A heartbeat is u32 slice + u64 sequence: 12 bytes.  The
+ *  20-byte form of protocol version 4 (an empty snapshot tail) no
+ *  longer decodes. */
 TEST(NetProtocol, HeartbeatHasOneLayout)
 {
     HeartbeatMessage in;
@@ -949,40 +924,22 @@ TEST(NetProtocol, HeartbeatHasOneLayout)
     in.sequence = 41;
     ByteWriter w;
     in.encode(w);
-    ASSERT_EQ(w.view().size(), 20u);
+    ASSERT_EQ(w.view().size(), 12u);
 
     HeartbeatMessage out;
     ByteReader r(w.view());
     ASSERT_TRUE(out.decode(r));
     EXPECT_EQ(out.sliceIndex, 3u);
     EXPECT_EQ(out.sequence, 41u);
-    EXPECT_TRUE(out.metrics.empty());
 
+    ByteWriter v4;
+    v4.u32(3);
+    v4.u64(41);
+    v4.u64(0);
+    ASSERT_EQ(v4.view().size(), 20u);
     HeartbeatMessage legacy;
-    ByteReader rl(w.view().substr(0, 12));
+    ByteReader rl(v4.view());
     EXPECT_FALSE(legacy.decode(rl));
-}
-
-TEST(NetProtocol, HeartbeatMetricsTailRoundTrips)
-{
-    HeartbeatMessage in;
-    in.sliceIndex = 1;
-    in.sequence = 7;
-    in.metrics = std::string("\x01\x00\x00\x00\x00", 5);
-    ByteWriter w;
-    in.encode(w);
-    EXPECT_EQ(w.view().size(), 25u);
-
-    HeartbeatMessage out;
-    ByteReader r(w.view());
-    ASSERT_TRUE(out.decode(r));
-    EXPECT_EQ(out.sequence, 7u);
-    EXPECT_EQ(out.metrics, in.metrics);
-
-    // A truncated tail is a decode failure, not an empty field.
-    HeartbeatMessage bad;
-    ByteReader rt(w.view().substr(0, w.view().size() - 2));
-    EXPECT_FALSE(bad.decode(rt));
 }
 
 TEST(NetProtocol, MetricsMessageCodecsRoundTrip)
@@ -998,12 +955,13 @@ TEST(NetProtocol, MetricsMessageCodecsRoundTrip)
     EXPECT_EQ(out.sequence, 99u);
 }
 
-/** Emulate a peer without kCapMetrics: with the bit masked off the
- *  whole conversation degrades to the PR-7 feature level -- no
- *  piggybacked snapshots, no acks -- and the run still converges
- *  bit-identically. */
+/** Emulate a peer without kCapMetrics: with the bit masked off no
+ *  heartbeat is acked, so even a recording registry gains no RTT,
+ *  and the run still converges bit-identically. */
 TEST(Distributed, NoMetricsCapabilityDegradesCleanly)
 {
+    const obs::ScopedEnable enable;
+    const std::uint64_t rtts = rttCount();
     setCapabilityMaskForTest(kCapMetrics);
     const WorkloadSet workload;
     const ShardPlan plan = samplePlan();
@@ -1032,17 +990,18 @@ TEST(Distributed, NoMetricsCapabilityDegradesCleanly)
     setCapabilityMaskForTest(0);
 
     EXPECT_EQ(outcome, WorkerOutcome::Finished);
-    EXPECT_TRUE(coordinator.workerSnapshots().empty());
+    EXPECT_EQ(rttCount(), rtts);
     const std::string merged =
         renderPlan(workload, plan, &collected);
     EXPECT_EQ(merged, reference);
 }
 
-/** With full capabilities and a recording registry, worker
- *  heartbeats carry snapshots the coordinator aggregates per
- *  worker.  Gated on a heartbeat having actually fired (slices can
- *  finish under the interval). */
-TEST(Distributed, MetricsPiggybackReachesCoordinator)
+/** With full capabilities and a recording registry, the
+ *  coordinator acks each heartbeat and the worker times the round
+ *  trip into net.heartbeat_rtt_us; the run still renders
+ *  bit-identically.  Gated on a heartbeat having actually fired
+ *  (slices can finish under the interval). */
+TEST(Distributed, HeartbeatAcksFeedWorkerRtt)
 {
     if (!obs::kCompiledIn)
         GTEST_SKIP();
@@ -1051,6 +1010,9 @@ TEST(Distributed, MetricsPiggybackReachesCoordinator)
     // Slices long enough for several 2 ms beats on any host.
     ShardPlan plan = samplePlan();
     plan.uopsPerTrace = plan.cacheUops = 20'000;
+    const std::string reference =
+        renderPlan(workload, plan, nullptr);
+    const std::uint64_t rtts = rttCount();
 
     ResultCache collected;
     CoordinatorConfig config;
@@ -1074,19 +1036,16 @@ TEST(Distributed, MetricsPiggybackReachesCoordinator)
 
     EXPECT_EQ(outcome, WorkerOutcome::Finished);
     if (stats.heartbeatsSent > 0) {
-        const Coordinator::LabeledSnapshots snaps =
-            coordinator.workerSnapshots();
-        ASSERT_FALSE(snaps.empty());
-        EXPECT_EQ(snaps.front().first, "worker=\"0\"");
-        EXPECT_FALSE(snaps.front().second.metrics.empty());
-        EXPECT_NE(snaps.front().second.find("net.frames_sent"),
-                  nullptr);
+        EXPECT_GT(rttCount(), rtts);
     }
+    const std::string merged =
+        renderPlan(workload, plan, &collected);
+    EXPECT_EQ(merged, reference);
 }
 
-/** A coordinator whose registry is off does not ask its workers for
- *  telemetry: an in-process worker leaves the shared registry off,
- *  ships no snapshots and gets no acks. */
+/** A coordinator whose registry is off does not ask for acks, and
+ *  no frame switches the registry: an in-process worker leaves the
+ *  shared registry off. */
 TEST(Distributed, ObsOffCoordinatorLeavesWorkerTelemetryOff)
 {
     const obs::ScopedEnable disable(false);
@@ -1113,7 +1072,6 @@ TEST(Distributed, ObsOffCoordinatorLeavesWorkerTelemetryOff)
     serve.join();
 
     EXPECT_FALSE(obs::enabled());
-    EXPECT_TRUE(coordinator.workerSnapshots().empty());
 }
 
 } // namespace

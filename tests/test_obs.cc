@@ -2,8 +2,7 @@
  * @file
  * The observability layer: exact counts under thread contention,
  * histogram bucket laws, the span tracer's Chrome-trace output,
- * the snapshot wire codec, the `--metrics-dump` rendering, and the
- * runtime-off guarantees.
+ * the `--metrics-dump` rendering, and the runtime-off guarantees.
  *
  * Every count assertion is gated on obs::kCompiledIn so the suite
  * also passes -- exercising the empty inline bodies -- under a
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "common/threadpool.hh"
-#include "core/resultcache.hh"
 #include "obs/exposition.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -80,61 +78,19 @@ TEST(ObsRegistry, RuntimeOffLeavesRegistryUntouched)
         obs::Registry::instance().counter("test.off_counter");
     const obs::Histogram h =
         obs::Registry::instance().histogram("test.off_hist", "us");
-    const obs::Gauge g =
-        obs::Registry::instance().gauge("test.off_gauge");
     const obs::Snapshot before = obs::Registry::instance().scrape();
     {
         const obs::ScopedEnable disable(false);
         c.add(1000);
         h.record(1000);
-        g.set(1000);
     }
     const obs::Snapshot after = obs::Registry::instance().scrape();
     EXPECT_EQ(counterValue(before, "test.off_counter"),
               counterValue(after, "test.off_counter"));
-    EXPECT_EQ(counterValue(before, "test.off_gauge"),
-              counterValue(after, "test.off_gauge"));
     const obs::SnapshotMetric *hb = before.find("test.off_hist");
     const obs::SnapshotMetric *ha = after.find("test.off_hist");
     ASSERT_TRUE(hb != nullptr && ha != nullptr);
     EXPECT_EQ(hb->count(), ha->count());
-}
-
-TEST(ObsRegistry, GaugeSetAndAdd)
-{
-    if (!obs::kCompiledIn)
-        GTEST_SKIP();
-    const obs::ScopedEnable enable;
-    const obs::Gauge g =
-        obs::Registry::instance().gauge("test.gauge");
-    g.set(7);
-    g.add(-3);
-    const obs::Snapshot snap = obs::Registry::instance().scrape();
-    const obs::SnapshotMetric *m = snap.find("test.gauge");
-    ASSERT_NE(m, nullptr);
-    EXPECT_EQ(static_cast<std::int64_t>(m->scalar()), 4);
-    g.set(0); // leave a clean value for other suites
-}
-
-/** A default-constructed gauge writes a sink, never the value of a
- *  gauge someone registered. */
-TEST(ObsRegistry, DefaultGaugeWritesNoRegisteredGauge)
-{
-    obs::Registry::instance().gauge("test.default_gauge_probe");
-    const obs::ScopedEnable enable;
-    const obs::Snapshot before = obs::Registry::instance().scrape();
-    obs::Gauge{}.set(0x5eed);
-    obs::Gauge{}.add(7);
-    const obs::Snapshot after = obs::Registry::instance().scrape();
-    ASSERT_EQ(before.metrics.size(), after.metrics.size());
-    for (std::size_t i = 0; i < after.metrics.size(); ++i) {
-        if (after.metrics[i].kind != obs::MetricKind::Gauge)
-            continue;
-        ASSERT_EQ(before.metrics[i].name, after.metrics[i].name);
-        EXPECT_EQ(before.metrics[i].scalar(),
-                  after.metrics[i].scalar())
-            << after.metrics[i].name;
-    }
 }
 
 // ----------------------------------- exact counts under contention
@@ -275,118 +231,21 @@ TEST(ObsHistogram, RecordFillsBucketAndSum)
     EXPECT_EQ(m->sum() - b0->sum(), 10u);
 }
 
-// ------------------------------------------------- snapshot codec
+// ------------------------------------------------------ exposition
 
 obs::Snapshot
 sampleSnapshot()
 {
+    std::vector<std::uint64_t> hist(obs::kHistSlots, 0);
+    hist[3] = 7;
+    hist[obs::kHistSlots - 1] = 35;
     obs::Snapshot snap;
-    obs::SnapshotMetric c;
-    c.name = "a.counter";
-    c.kind = obs::MetricKind::Counter;
-    c.unit = "1";
-    c.values = {123};
-    snap.metrics.push_back(c);
-    obs::SnapshotMetric g;
-    g.name = "b.gauge";
-    g.kind = obs::MetricKind::Gauge;
-    g.unit = "bytes";
-    g.values = {static_cast<std::uint64_t>(-5)};
-    snap.metrics.push_back(g);
-    obs::SnapshotMetric h;
-    h.name = "c.hist";
-    h.kind = obs::MetricKind::Histogram;
-    h.unit = "us";
-    h.values.assign(obs::kHistSlots, 0);
-    h.values[3] = 7;
-    h.values[obs::kHistSlots - 1] = 35;
-    snap.metrics.push_back(h);
+    snap.metrics.push_back(
+        {"a.counter", obs::MetricKind::Counter, "1", {123}});
+    snap.metrics.push_back(
+        {"c.hist", obs::MetricKind::Histogram, "us", hist});
     return snap;
 }
-
-TEST(ObsSnapshotCodec, RoundTrips)
-{
-    const obs::Snapshot snap = sampleSnapshot();
-    const std::string bytes = snap.encodeToBytes();
-    obs::Snapshot back;
-    ASSERT_TRUE(obs::Snapshot::decodeFromBytes(bytes, back));
-    EXPECT_EQ(snap, back);
-}
-
-TEST(ObsSnapshotCodec, EveryTruncationIsRejected)
-{
-    const std::string bytes = sampleSnapshot().encodeToBytes();
-    ASSERT_GT(bytes.size(), 1u);
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        obs::Snapshot out;
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
-            std::string_view(bytes).substr(0, len), out))
-            << "prefix of " << len << " bytes decoded";
-    }
-}
-
-TEST(ObsSnapshotCodec, TrailingGarbageIsRejected)
-{
-    std::string bytes = sampleSnapshot().encodeToBytes();
-    bytes.push_back('\0');
-    obs::Snapshot out;
-    EXPECT_FALSE(obs::Snapshot::decodeFromBytes(bytes, out));
-}
-
-TEST(ObsSnapshotCodec, ForeignVersionAndBadKindRejected)
-{
-    std::string bytes = sampleSnapshot().encodeToBytes();
-    obs::Snapshot out;
-    {
-        std::string v = bytes;
-        v[0] = 99; // version byte
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(v, out));
-    }
-    {
-        std::string v = bytes;
-        v[5] = 17; // first metric's kind byte
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(v, out));
-    }
-}
-
-TEST(ObsSnapshotCodec, UntrustedNamesAndUnitsRejected)
-{
-    // Every name this process registered decodes.
-    const obs::Snapshot live = obs::Registry::instance().scrape();
-    ASSERT_NE(live.find("cache.hits"), nullptr);
-    obs::Snapshot out;
-    EXPECT_TRUE(
-        obs::Snapshot::decodeFromBytes(live.encodeToBytes(), out));
-
-    // A peer's snapshot must not smuggle line or label syntax.
-    for (const char *name : {"a\npenelope_forged 1", "a{worker=\"9\"}",
-                             "a b", "Upper", "a-b", "a\x01"}) {
-        obs::Snapshot snap = sampleSnapshot();
-        snap.metrics[0].name = name;
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
-            snap.encodeToBytes(), out))
-            << name;
-    }
-    for (const char *unit : {"u s", "us\n", "\t", "\x7f"}) {
-        obs::Snapshot snap = sampleSnapshot();
-        snap.metrics[1].unit = unit;
-        EXPECT_FALSE(obs::Snapshot::decodeFromBytes(
-            snap.encodeToBytes(), out))
-            << unit;
-    }
-}
-
-TEST(ObsSnapshotCodec, EmptySnapshotRoundTrips)
-{
-    const obs::Snapshot snap;
-    obs::Snapshot back;
-    back.metrics.push_back(obs::SnapshotMetric{});
-    ASSERT_TRUE(
-        obs::Snapshot::decodeFromBytes(snap.encodeToBytes(), back));
-    EXPECT_TRUE(back.metrics.empty());
-}
-
-// ------------------------------------------------------ exposition
 
 TEST(ObsExposition, DumpIsSortedAndPrefixed)
 {

@@ -202,10 +202,10 @@ TEST(SchedulerReplayBatch, MidRunReadsFoldPendingBatch)
         rq.run(gq, 997);
         EXPECT_GT(every.occupancy(now), 0.0);
         EXPECT_GT(every.fieldOccupancy(FieldId::Src1Data, now), 0.0);
-        EXPECT_EQ(every.biasVector(now).size(),
+        EXPECT_EQ(every.snapshotStress(now).biasVector().size(),
                   fieldLayout().totalBits());
         if (leg == 1) {
-            EXPECT_EQ(once.bitProfiles(now).size(),
+            EXPECT_EQ(once.snapshotStress(now).bitProfiles().size(),
                       fieldLayout().totalBits());
         }
     }

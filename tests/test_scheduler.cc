@@ -269,7 +269,7 @@ TEST(Scheduler, ValidBitFollowsBusyState)
     Scheduler sched(cfg);
     const int e = sched.allocate(makeAluUop(1, 1), RenameTags{}, 0);
     sched.release(static_cast<unsigned>(e), 60);
-    const auto bias = sched.biasVector(100);
+    const auto bias = sched.snapshotStress(100).biasVector();
     const unsigned valid_off =
         fieldLayout().spec(FieldId::Valid).offset;
     // Valid held 1 for 60 cycles, 0 for 40: bias0 = 0.4.
@@ -293,7 +293,7 @@ TEST(Scheduler, ProtectionRepairsAll1Field)
     uop.flags = 0;
     const int e = sched.allocate(uop, RenameTags{}, 0);
     sched.release(static_cast<unsigned>(e), 10);
-    const auto bias = sched.biasVector(100);
+    const auto bias = sched.snapshotStress(100).biasVector();
     // Flags bit 0: 10 cycles at 0 (busy), 90 cycles at 1 (ALL1).
     EXPECT_NEAR(bias[flags.offset], 0.1, 1e-9);
 }
@@ -312,7 +312,7 @@ TEST(Scheduler, UnprotectedKeepsStaleContents)
     tags.ready2 = false;
     const int e = sched.allocate(uop, tags, 0);
     sched.release(static_cast<unsigned>(e), 10);
-    const auto bias = sched.biasVector(20);
+    const auto bias = sched.snapshotStress(20).biasVector();
     const FieldSpec &s1 = fieldLayout().spec(FieldId::Src1Data);
     // Stale ones persist through the idle period.
     EXPECT_NEAR(bias[s1.offset], 0.0, 1e-9);
@@ -349,7 +349,7 @@ TEST(Scheduler, IsvFieldBalancesOverTime)
         if (e >= 0)
             live.push_back({e, now + 3});
     }
-    const auto bias = sched.biasVector(now);
+    const auto bias = sched.snapshotStress(now).biasVector();
     // Bit 15 of imm is always 0 while in use; ISV + meter must pull
     // its long-run bias towards 50%.
     EXPECT_NEAR(bias[imm.offset + 15], 0.5, 0.12);
@@ -434,7 +434,7 @@ TEST(Profile, ProtectionReducesWorstBias)
             TraceGenerator gen = w.generator(idx);
             clock = replay.run(gen, 15000).cycles;
         }
-        return sched.worstFigure8Bias(clock);
+        return sched.snapshotStress(clock).worstFigure8Bias();
     };
     const double baseline = worst(false);
     const double protected_bias = worst(true);
