@@ -200,6 +200,36 @@ BM_AdderAgingPipeline(benchmark::State &state)
 }
 BENCHMARK(BM_AdderAgingPipeline)->Unit(benchmark::kMicrosecond);
 
+/** zeroProbsForOperands on both sides of its prefix rule, 2048
+ *  samples each: an attack candidate's stream (two distinct
+ *  vectors, so two weighted lanes) and a workload stream (mostly
+ *  distinct, so one lane per sample). */
+void
+BM_ZeroProbsForOperands(benchmark::State &state, bool attack)
+{
+    std::vector<OperandSample> ops;
+    if (attack) {
+        Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
+        ops = candidateOperands(randomAttackCandidate(rng), 2048);
+    } else {
+        WorkloadSet workload;
+        TraceGenerator gen = workload.generator(0);
+        ops = collectAdderOperands(gen, 2048);
+    }
+    LadnerFischerAdder adder(32);
+    AdderAgingAnalysis analysis(adder,
+                                GuardbandModel::paperCalibrated());
+    for (auto _ : state) {
+        const auto probs = analysis.zeroProbsForOperands(ops);
+        benchmark::DoNotOptimize(probs.data());
+    }
+    state.SetItemsProcessed(state.iterations() * ops.size());
+}
+BENCHMARK_CAPTURE(BM_ZeroProbsForOperands, attack, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ZeroProbsForOperands, workload, false)
+    ->Unit(benchmark::kMicrosecond);
+
 // ---------------------------------------------- surrogate triage
 
 /** One exact candidate evaluation: the unit the surrogate's triage

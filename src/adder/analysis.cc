@@ -140,48 +140,139 @@ AdderAgingAnalysis::zeroProbsForInputs(
     return trackerProbs(tracker);
 }
 
+namespace {
+
+/** Distinct operand vectors that get a weighted lane of their own:
+ *  an attack stream holds two, its pinned vector {a, imm, 0} and
+ *  the subtract twin {a, ~imm, 1}. */
+constexpr std::size_t kOperandSlots = 2;
+
+/** Samples the prefix scan reads before choosing weighted lanes. */
+constexpr std::size_t kOperandProbe = 64;
+
+/** Index of @p op among the first @p n of @p slots, or @p n. */
+std::size_t
+findOperands(const OperandSample *slots, std::size_t n,
+             const OperandSample &op)
+{
+    std::size_t k = 0;
+    while (k < n && !(slots[k].a == op.a && slots[k].b == op.b &&
+                      slots[k].cin == op.cin))
+        ++k;
+    return k;
+}
+
+/** True when the first kOperandProbe samples of @p ops hold at most
+ *  kOperandSlots distinct vectors. */
+bool
+repetitivePrefix(const std::vector<OperandSample> &ops)
+{
+    OperandSample seen[kOperandSlots] = {};
+    std::size_t distinct = 0;
+    const std::size_t probe = std::min(ops.size(), kOperandProbe);
+    for (std::size_t i = 0; i < probe; ++i) {
+        if (findOperands(seen, distinct, ops[i]) < distinct)
+            continue;
+        if (distinct == kOperandSlots)
+            return false;
+        seen[distinct++] = ops[i];
+    }
+    return true;
+}
+
+/**
+ * Evaluate @p count operand lanes (a[l], b[l], bit l of the
+ * cin_masks words) in one netlist pass and charge each to
+ * @p tracker once.  Up to 64 lanes are evaluated as one word, a
+ * quarter of a full pass.
+ */
+void
+chargeLanes(const Adder &adder, PmosAgingTracker &tracker,
+            const std::uint64_t *a, const std::uint64_t *b,
+            const std::uint64_t *cin_masks, unsigned count,
+            std::vector<std::uint64_t> &words)
+{
+    const unsigned net_w =
+        count <= 64 ? 1 : Netlist::preferredBatchWords();
+    PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes").add(count);
+    adder.evaluateBatchWide(a, b, cin_masks, net_w, words);
+    std::uint64_t lane_masks[4];
+    for (unsigned w = 0; w < net_w; ++w) {
+        const unsigned lanes =
+            count > 64 * w ? std::min(64u, count - 64 * w) : 0;
+        lane_masks[w] = lanes == 64 ? ~std::uint64_t(0)
+                                    : (std::uint64_t(1) << lanes) - 1;
+    }
+    tracker.observeBatchWide(words.data(), net_w, lane_masks);
+}
+
+} // namespace
+
 std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // One op-stream pass covers net_w * 64 operand samples.
-    // Padding lanes carry zero operands and are masked out of the
-    // accounting, so the per-device counts -- hence the returned
-    // probabilities -- are identical at every net_w.
+    // Repeated vectors share a slot and its count, and the slots
+    // are charged last as weighted lanes.  Samples that find no
+    // slot -- all of them when the prefix scan sees a mostly
+    // distinct stream -- are lanes of weight 1, 64 *
+    // preferredBatchWords() per pass.
+    const std::size_t capacity =
+        repetitivePrefix(ops) ? kOperandSlots : 0;
+    OperandSample slot[kOperandSlots] = {};
+    std::uint64_t weight[kOperandSlots] = {};
+    std::size_t slots = 0;
     const unsigned net_w = Netlist::preferredBatchWords();
     assert(net_w <= 4);
-    const std::size_t chunk = std::size_t(64) * net_w;
+    const unsigned chunk = 64 * net_w;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
-    std::uint64_t a[256];
-    std::uint64_t b[256];
-    std::uint64_t cin_masks[4];
-    std::uint64_t lane_masks[4];
-    for (std::size_t begin = 0; begin < ops.size(); begin += chunk) {
-        const std::size_t count =
-            std::min<std::size_t>(chunk, ops.size() - begin);
-        std::fill(cin_masks, cin_masks + net_w, 0);
-        for (std::size_t l = 0; l < count; ++l) {
-            const OperandSample &op = ops[begin + l];
-            a[l] = op.a;
-            b[l] = op.b;
-            if (op.cin)
-                cin_masks[l / 64] |= std::uint64_t(1) << (l % 64);
+    std::uint64_t a[256] = {};
+    std::uint64_t b[256] = {};
+    std::uint64_t cin_masks[4] = {};
+    unsigned count = 0;
+    for (const OperandSample &op : ops) {
+        // Loop-invariant, so a per-sample stream pays no lookup.
+        if (capacity != 0) {
+            const std::size_t k = findOperands(slot, slots, op);
+            if (k < slots) {
+                ++weight[k];
+                continue;
+            }
+            if (slots < capacity) {
+                slot[slots] = op;
+                weight[slots++] = 1;
+                continue;
+            }
         }
-        std::fill(a + count, a + chunk, 0);
-        std::fill(b + count, b + chunk, 0);
-        for (unsigned w = 0; w < net_w; ++w) {
-            const std::size_t word_lanes = count <= w * 64
-                ? 0
-                : std::min<std::size_t>(64, count - w * 64);
-            lane_masks[w] = word_lanes == 64
-                ? ~std::uint64_t(0)
-                : (std::uint64_t(1) << word_lanes) - 1;
+        a[count] = op.a;
+        b[count] = op.b;
+        if (op.cin)
+            cin_masks[count / 64] |= std::uint64_t(1) << (count % 64);
+        if (++count == chunk) {
+            chargeLanes(adder_, tracker, a, b, cin_masks, count, words);
+            std::fill(cin_masks, cin_masks + net_w, 0);
+            count = 0;
         }
-        PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes")
-            .add(count);
-        adder_.evaluateBatchWide(a, b, cin_masks, net_w, words);
-        tracker.observeBatchWide(words.data(), net_w, lane_masks);
+    }
+    if (count != 0)
+        chargeLanes(adder_, tracker, a, b, cin_masks, count, words);
+    if (slots != 0) {
+        // One word evaluates every slot; slot k is then charged
+        // alone with its count as the observe's dt.
+        std::uint64_t cin_mask = 0;
+        for (std::size_t k = 0; k < slots; ++k) {
+            a[k] = slot[k].a;
+            b[k] = slot[k].b;
+            if (slot[k].cin)
+                cin_mask |= std::uint64_t(1) << k;
+        }
+        PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes").add(slots);
+        adder_.evaluateBatchWide(a, b, &cin_mask, 1, words);
+        for (std::size_t k = 0; k < slots; ++k) {
+            const std::uint64_t lane = std::uint64_t(1) << k;
+            tracker.observeBatchWide(words.data(), 1, &lane, weight[k]);
+        }
     }
     return trackerProbs(tracker);
 }

@@ -110,8 +110,25 @@ class AdderAgingAnalysis
     std::vector<double>
     zeroProbsForInputs(const std::vector<unsigned> &indices) const;
 
-    /** Per-device zero probability under real operand samples
-     *  (batched 64 samples per netlist pass). */
+    /**
+     * Per-device zero probability under operand samples @p ops.
+     *
+     * Each netlist lane is one (a, b, cin) vector with a weight,
+     * the number of samples it stands for; a weighted lane is
+     * charged with one PmosAgingTracker::observeBatchWide that
+     * passes its weight as the dt.  A lane of weight w adds w times
+     * what one sample-lane of the same vector adds, and the
+     * tracker's sums are integers, so every probability is
+     * bit-identical to one lane (or one scalar applyInput) per
+     * sample.
+     *
+     * Prefix rule: when the first 64 samples hold at most two
+     * distinct vectors (an attack stream holds exactly two), the
+     * first two distinct vectors get a weighted lane each and any
+     * further vector a lane per sample; otherwise (workload
+     * operands are ~90% distinct) every sample is its own lane of
+     * weight 1.
+     */
     std::vector<double>
     zeroProbsForOperands(const std::vector<OperandSample> &ops) const;
 

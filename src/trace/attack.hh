@@ -23,6 +23,7 @@
 #ifndef PENELOPE_TRACE_ATTACK_HH
 #define PENELOPE_TRACE_ATTACK_HH
 
+#include <algorithm>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -70,6 +71,13 @@ struct AttackConfig
 /**
  * Deterministic adversarial uop stream (drop-in for TraceGenerator
  * in any driver templated on the source's `Uop next()`).
+ *
+ * Uop n (0-based) is a branch when n % branchPeriod ==
+ * branchPeriod - 1 and otherwise an IntAlu op; its destination is
+ * register (n + 1) % span of the rotation window, its sources the
+ * next two round the window.  next() is inline: pricing an attack
+ * candidate reads only the class and values of thousands of uops,
+ * and inlined there the register rotation's divisions drop out.
  */
 class AttackTraceGenerator
 {
@@ -80,7 +88,47 @@ class AttackTraceGenerator
     }
 
     /** Produce the next adversarial uop. */
-    Uop next();
+    Uop
+    next()
+    {
+        Uop uop;
+        const bool branch = config_.branchPeriod != 0 &&
+            (count_ % config_.branchPeriod) ==
+                config_.branchPeriod - 1;
+        ++count_;
+
+        uop.cls = branch ? UopClass::Branch : UopClass::IntAlu;
+        uop.latency = config_.latency;
+        uop.port = config_.port;
+        uop.taken = branch && config_.taken;
+        uop.mobId = config_.mobId;
+        uop.tos = 0;
+        uop.flags = config_.flags;
+        uop.shift1 = false;
+        uop.shift2 = false;
+
+        // Rotate the architectural registers minimally so renaming
+        // stays plausible; the *values* are what the attack pins.
+        // A hotRegs window narrows the rotation to the targeted
+        // registers (register-file attack); 0 keeps the full
+        // rotation (scheduler attack, the original behaviour).
+        const unsigned span = config_.hotRegs != 0
+            ? std::min(config_.hotRegs, numArchIntRegs)
+            : numArchIntRegs;
+        const std::uint8_t reg =
+            static_cast<std::uint8_t>(count_ % span);
+        uop.dstReg = reg;
+        uop.srcReg1 = static_cast<std::uint8_t>((reg + 1) % span);
+        uop.srcReg2 = static_cast<std::uint8_t>((reg + 2) % span);
+
+        uop.srcVal1 = config_.dataValue;
+        uop.srcVal2 = config_.dataValue;
+        uop.imm = config_.imm;
+        uop.hasImm = true;
+        uop.dstVal = config_.dataValue;
+        uop.opcode = config_.opcode;
+        return uop;
+    }
 
     const AttackConfig &config() const { return config_; }
 

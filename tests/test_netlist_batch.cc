@@ -6,7 +6,8 @@
  * interpreter bit-for-bit on random netlists (every gate type, batch
  * sizes 1..128 including partial final batches), batched adder sums
  * against scalar sums, and batched-vs-scalar aging identity on the
- * Figure-2 circuit and all three adder topologies, plus the
+ * Figure-2 circuit and all three adder topologies (per-sample and
+ * multiplicity-weighted operand lanes alike), plus the
  * invariants of the shared PMOS slot map (grouping, partition
  * order, copy equality, concurrent trackers).  The scalar
  * interpreter is the one reference the compiled stream is held to.
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adder/adder.hh"
@@ -26,6 +28,8 @@
 #include "common/bitword.hh"
 #include "common/rng.hh"
 #include "common/threadpool.hh"
+#include "core/surrogate_sweep.hh"
+#include "obs/metrics.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -348,17 +352,12 @@ allTopologies(unsigned width)
     return adders;
 }
 
-TEST(AgingBatch, LadnerFischerOperandIdentity)
+/** zeroProbsForOperands(@p ops) must equal one scalar applyInput
+ *  per sample, bit for bit, on every 32-bit topology. */
+void
+expectOperandIdentity(const std::vector<OperandSample> &ops,
+                      const std::string &what)
 {
-    // The Figure-5 real-input path: batched zeroProbsForOperands
-    // must equal one scalar applyInput per sample, bit for bit --
-    // on the Ladner-Fischer adder the paper studies and on the
-    // ripple-carry and Kogge-Stone topologies too.
-    WorkloadSet workload;
-    TraceGenerator gen = workload.generator(2);
-    const auto ops = collectAdderOperands(gen, 333);
-    ASSERT_FALSE(ops.empty());
-
     for (const auto &adder : allTopologies(32)) {
         AdderAgingAnalysis analysis(
             *adder, GuardbandModel::paperCalibrated());
@@ -372,10 +371,148 @@ TEST(AgingBatch, LadnerFischerOperandIdentity)
         }
         ASSERT_EQ(batched.size(), scalar.numDevices());
         for (std::size_t i = 0; i < batched.size(); ++i) {
-            EXPECT_EQ(batched[i], scalar.zeroProb(i))
-                << adder->name() << " device " << i;
+            ASSERT_EQ(batched[i], scalar.zeroProb(i))
+                << what << ": " << adder->name() << " device " << i;
         }
     }
+}
+
+/** The first @p count samples of @p ops. */
+std::vector<OperandSample>
+prefix(const std::vector<OperandSample> &ops, std::size_t count)
+{
+    return {ops.begin(), ops.begin() + count};
+}
+
+TEST(AgingBatch, LadnerFischerOperandIdentity)
+{
+    // The Figure-5 real-input path on mostly distinct workload
+    // operands: the Ladner-Fischer adder the paper studies, and the
+    // ripple-carry and Kogge-Stone topologies too.
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(2);
+    const auto ops = collectAdderOperands(gen, 333);
+    ASSERT_FALSE(ops.empty());
+    expectOperandIdentity(ops, "workload");
+}
+
+TEST(AgingBatch, AttackCandidateOperandIdentity)
+{
+    // Attack streams repeat two vectors ({a, imm, 0} and the seeded
+    // subtract {a, ~imm, 1}), so each is one lane charged with its
+    // multiplicity; the integer sums must be those of one lane per
+    // sample.
+    Rng rng(0xa77ac4);
+    for (unsigned c = 0; c < 8; ++c) {
+        AttackConfig attack = randomAttackCandidate(rng);
+        if (c == 0)
+            attack.branchPeriod = 0;
+        else if (c == 1)
+            attack.branchPeriod = 2;
+        const auto ops = candidateOperands(attack, 2048);
+        ASSERT_EQ(ops.size(), 2048u);
+        expectOperandIdentity(ops, "candidate " + std::to_string(c));
+    }
+}
+
+TEST(AgingBatch, DistinctMultiplicitiesOperandIdentity)
+{
+    // Every vector has its own multiplicity.  The prefix holds two
+    // vectors (44 and 22 samples), which take the weighted lanes;
+    // ten more follow with multiplicities 1..10, interleaved, so a
+    // repeated vector also fills several lanes of weight 1.
+    Rng rng(0xd15c);
+    std::vector<OperandSample> vectors;
+    for (unsigned k = 0; k < 12; ++k) {
+        vectors.push_back(
+            {static_cast<std::uint32_t>(rng.nextInt(1ull << 32)),
+             static_cast<std::uint32_t>(rng.nextInt(1ull << 32)),
+             k % 3 == 0});
+    }
+    std::vector<OperandSample> ops;
+    for (unsigned i = 0; i < 66; ++i)
+        ops.push_back(vectors[i % 3 == 2 ? 1 : 0]);
+    for (unsigned round = 0; round < 10; ++round) {
+        for (unsigned k = round; k < 10; ++k)
+            ops.push_back(vectors[2 + k]);
+    }
+    ASSERT_EQ(ops.size(), 121u);
+    expectOperandIdentity(ops, "multiplicities 1..10, 22, 44");
+}
+
+TEST(AgingBatch, SampleCountEdgesOperandIdentity)
+{
+    // Empty, single-sample, and one-word boundary lists, on both a
+    // two-vector attack stream and a mostly distinct workload one.
+    Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
+    const auto attack = candidateOperands(
+        randomAttackCandidate(rng), 257);
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(0);
+    const auto real = collectAdderOperands(gen, 257);
+    ASSERT_EQ(attack.size(), 257u);
+    ASSERT_EQ(real.size(), 257u);
+    for (const std::size_t count : {0, 1, 63, 64, 65, 257}) {
+        expectOperandIdentity(prefix(attack, count),
+                              "attack x" + std::to_string(count));
+        expectOperandIdentity(prefix(real, count),
+                              "workload x" + std::to_string(count));
+    }
+}
+
+TEST(AgingBatch, MisguessedPrefixOperandIdentity)
+{
+    // A low-entropy prefix (two vectors) followed by all-distinct
+    // samples: the prefix scan picks weighted lanes, and the
+    // distinct tail must still be charged exactly once per sample.
+    std::vector<OperandSample> ops;
+    for (unsigned i = 0; i < 100; ++i)
+        ops.push_back(i % 7 == 0 ? OperandSample{5, ~3u, true}
+                                 : OperandSample{5, 3, false});
+    Rng rng(0x9e55);
+    for (unsigned i = 0; i < 300; ++i) {
+        ops.push_back(
+            {static_cast<std::uint32_t>(rng.nextInt(1ull << 32)),
+             static_cast<std::uint32_t>(rng.nextInt(1ull << 32)),
+             rng.nextBool(0.1)});
+    }
+    expectOperandIdentity(ops, "misguessed prefix");
+}
+
+/** netlist.lanes_used added by one zeroProbsForOperands(@p ops). */
+std::uint64_t
+lanesUsed(const AdderAgingAnalysis &analysis,
+          const std::vector<OperandSample> &ops)
+{
+    const auto read = [] {
+        const obs::Snapshot snap = obs::Registry::instance().scrape();
+        const obs::SnapshotMetric *m = snap.find("netlist.lanes_used");
+        return m ? m->scalar() : 0;
+    };
+    const obs::ScopedEnable on;
+    const std::uint64_t before = read();
+    analysis.zeroProbsForOperands(ops);
+    return read() - before;
+}
+
+TEST(AgingBatch, OperandLanesFollowThePrefixScan)
+{
+    // The prefix scan's choice, seen through the lane counter: an
+    // attack stream evaluates its two distinct vectors, a workload
+    // stream one lane per sample.
+    if (!obs::kCompiledIn)
+        GTEST_SKIP() << "PENELOPE_NO_OBS build: no lane counter";
+    const LadnerFischerAdder adder(32);
+    const AdderAgingAnalysis analysis(
+        adder, GuardbandModel::paperCalibrated());
+    Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
+    EXPECT_EQ(lanesUsed(analysis, candidateOperands(
+                                      randomAttackCandidate(rng), 2048)),
+              2u);
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(0);
+    EXPECT_EQ(lanesUsed(analysis, collectAdderOperands(gen, 2048)),
+              2048u);
 }
 
 TEST(AgingBatch, SyntheticRotationIdentity)

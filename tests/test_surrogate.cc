@@ -508,6 +508,32 @@ TEST(ExactPricingAnchor, LadnerFischerCandidatesPinned)
     }
 }
 
+TEST(ExactPricingAnchor, FixedCandidateBitPatternsPinned)
+{
+    // One hand-written candidate (branches every 4th uop, a 3-register
+    // window), its four CandidateEval doubles pinned as IEEE-754 bit
+    // patterns: exact pricing must not move a single ulp however it
+    // groups the candidate's operand samples into lanes.
+    const LadnerFischerAdder adder(32);
+    const AdderAgingAnalysis analysis(
+        adder, GuardbandModel::paperCalibrated());
+    AttackConfig attack;
+    attack.dataValue = 0x8badf00d;
+    attack.imm = 0x4c3a;
+    attack.branchPeriod = 4;
+    attack.hotRegs = 3;
+    const CandidateEval eval =
+        evaluateCandidateExact(analysis, attack, 2048);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.score),
+              0x3f9cbe3d8b2fabbaull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.guardband),
+              0x3fc999999999999aull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.wideFullyStressed),
+              0x3fd714fbcda3ac11ull);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.narrowFullyStressed),
+              0x3fa16aefcc26e2d6ull);
+}
+
 /** FNV-1a over the little-endian IEEE-754 bytes of @p probs. */
 std::uint64_t
 probsDigest(const std::vector<double> &probs)

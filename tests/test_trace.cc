@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests for the trace library: value generators, suite profiles,
- * the trace generator and the 531-trace workload set.
+ * the trace generator, the 531-trace workload set and the
+ * adversarial attack stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "common/duty.hh"
 #include "common/stats.hh"
+#include "trace/attack.hh"
 #include "trace/generator.hh"
 #include "trace/suite.hh"
 #include "trace/value_gen.hh"
@@ -387,6 +390,89 @@ TEST(Workload, StridedSubset)
     EXPECT_EQ(s.size(), 54u); // ceil(531/10)
     EXPECT_EQ(s.front(), 0u);
     EXPECT_EQ(s[1], 10u);
+}
+
+// ------------------------------------------------ AttackTrace
+
+/** The attack stream's uop @p n (0-based) by the modulo formula:
+ *  branch when n % period == period - 1, destination register
+ *  (n + 1) % span, sources one and two further round the window. */
+Uop
+attackUopByModulo(const AttackConfig &config, std::uint64_t n)
+{
+    Uop uop;
+    const bool branch = config.branchPeriod != 0 &&
+        (n % config.branchPeriod) == config.branchPeriod - 1;
+    uop.cls = branch ? UopClass::Branch : UopClass::IntAlu;
+    uop.latency = config.latency;
+    uop.port = config.port;
+    uop.taken = branch && config.taken;
+    uop.mobId = config.mobId;
+    uop.tos = 0;
+    uop.flags = config.flags;
+    uop.shift1 = false;
+    uop.shift2 = false;
+    const unsigned span = config.hotRegs != 0
+        ? std::min(config.hotRegs, numArchIntRegs)
+        : numArchIntRegs;
+    const auto reg = static_cast<std::uint8_t>((n + 1) % span);
+    uop.dstReg = reg;
+    uop.srcReg1 = static_cast<std::uint8_t>((reg + 1) % span);
+    uop.srcReg2 = static_cast<std::uint8_t>((reg + 2) % span);
+    uop.srcVal1 = config.dataValue;
+    uop.srcVal2 = config.dataValue;
+    uop.imm = config.imm;
+    uop.hasImm = true;
+    uop.dstVal = config.dataValue;
+    uop.opcode = config.opcode;
+    return uop;
+}
+
+/** Every Uop field equal. */
+bool
+sameUop(const Uop &x, const Uop &y)
+{
+    return x.cls == y.cls && x.latency == y.latency &&
+        x.port == y.port && x.taken == y.taken &&
+        x.mobId == y.mobId && x.tos == y.tos && x.flags == y.flags &&
+        x.shift1 == y.shift1 && x.shift2 == y.shift2 &&
+        x.dstReg == y.dstReg && x.srcReg1 == y.srcReg1 &&
+        x.srcReg2 == y.srcReg2 && x.srcVal1 == y.srcVal1 &&
+        x.srcVal2 == y.srcVal2 && x.imm == y.imm &&
+        x.hasImm == y.hasImm && x.dstVal == y.dstVal &&
+        x.dstValHi == y.dstValHi && x.addr == y.addr &&
+        x.opcode == y.opcode;
+}
+
+TEST(AttackTrace, UopsFollowModuloFormula)
+{
+    // The stream the class comment documents, field for field, at
+    // every branch spacing and register window, including a window
+    // wider than the register file: cached attack results and the
+    // exact pricing anchor rest on this sequence.
+    for (const unsigned period : {0u, 1u, 2u, 3u, 8u, 32u}) {
+        for (const unsigned hot : {0u, 1u, 3u, 16u, 40u}) {
+            AttackConfig config;
+            config.dataValue = 0x1234'5678'9abc'def0ull;
+            config.imm = 0xbeef;
+            config.latency = 3;
+            config.port = 2;
+            config.mobId = 17;
+            config.flags = 0x2a;
+            config.opcode = 0x5c1;
+            config.taken = true;
+            config.branchPeriod = period;
+            config.hotRegs = hot;
+            AttackTraceGenerator gen(config);
+            for (std::uint64_t n = 0; n < 10000; ++n) {
+                const Uop got = gen.next();
+                const Uop want = attackUopByModulo(config, n);
+                ASSERT_TRUE(sameUop(got, want))
+                    << "period " << period << " hotRegs " << hot
+                    << " uop " << n;
+            }
+        }
+    }
 }
 
 /** Parameterised sweep: every suite generates valid traces. */
