@@ -86,10 +86,10 @@ Adder::buildInputs()
     a_.reserve(width_);
     b_.reserve(width_);
     for (unsigned i = 0; i < width_; ++i)
-        a_.push_back(netlist_.addInput("a" + std::to_string(i)));
+        a_.push_back(netlist_.addInput());
     for (unsigned i = 0; i < width_; ++i)
-        b_.push_back(netlist_.addInput("b" + std::to_string(i)));
-    cin_ = netlist_.addInput("cin");
+        b_.push_back(netlist_.addInput());
+    cin_ = netlist_.addInput();
 }
 
 std::vector<bool>

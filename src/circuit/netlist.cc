@@ -31,7 +31,7 @@ Netlist::newSignal(std::uint32_t producer_gate)
 }
 
 SignalId
-Netlist::addInput(const std::string &name)
+Netlist::addInput()
 {
     assert(!finalized_);
     Gate g;
@@ -40,9 +40,6 @@ Netlist::addInput(const std::string &name)
     g.output = newSignal(gate_index);
     gates_.push_back(std::move(g));
     inputs_.push_back(gates_.back().output);
-    inputNames_.push_back(
-        name.empty() ? "in" + std::to_string(inputs_.size() - 1)
-                     : name);
     return gates_.back().output;
 }
 
@@ -170,12 +167,6 @@ Netlist::markWide(SignalId s)
     assert(!finalized_);
     assert(s < producers_.size());
     forcedWide_.push_back(producers_[s]);
-}
-
-const std::string &
-Netlist::inputName(std::size_t i) const
-{
-    return inputNames_.at(i);
 }
 
 void
@@ -466,9 +457,9 @@ Netlist::pmosSlots() const
 SignalId
 buildFigure2Circuit(Netlist &netlist)
 {
-    const SignalId a = netlist.addInput("A");
-    const SignalId b = netlist.addInput("B");
-    const SignalId c = netlist.addInput("C");
+    const SignalId a = netlist.addInput();
+    const SignalId b = netlist.addInput();
+    const SignalId c = netlist.addInput();
     const SignalId nand_ab = netlist.addNand({a, b});
     const SignalId nor_out = netlist.addNor({nand_ab, c});
     return netlist.addInv(nor_out);

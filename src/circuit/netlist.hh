@@ -41,7 +41,6 @@
 #define PENELOPE_CIRCUIT_NETLIST_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "circuit/netlist_opt.hh"
@@ -136,7 +135,7 @@ class Netlist
 
     /** @name Primitive builders */
     /// @{
-    SignalId addInput(const std::string &name = std::string());
+    SignalId addInput();
     SignalId addConst(bool value);
     SignalId addInv(SignalId a);
     SignalId addNand(const std::vector<SignalId> &inputs);
@@ -176,7 +175,6 @@ class Netlist
 
     const Gate &gate(std::size_t i) const { return gates_.at(i); }
     const std::vector<SignalId> &inputs() const { return inputs_; }
-    const std::string &inputName(std::size_t i) const;
 
     /**
      * Evaluate the netlist.  @p input_values must supply one value
@@ -308,7 +306,6 @@ class Netlist
     /** Producing gate index for each signal. */
     std::vector<std::uint32_t> producers_;
     std::vector<SignalId> inputs_;
-    std::vector<std::string> inputNames_;
     std::vector<unsigned> fanout_;
     std::vector<PmosDevice> pmos_;
     std::vector<std::uint32_t> forcedWide_;

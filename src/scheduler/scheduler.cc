@@ -51,9 +51,12 @@ constexpr unsigned kSrc1DataField = 14;
 constexpr unsigned kSrc2DataField = 15;
 constexpr unsigned kImmField = 16;
 
+/** Bit f = field f, for every field of the layout. */
+constexpr std::uint32_t kAllFields = (std::uint32_t(1) << numFields) - 1;
+
 /** Every field except the three conditionally-used capture fields
  *  (Src1Data / Src2Data / Imm) holds live data in a busy slot. */
-constexpr std::uint32_t kAlwaysUsedFields = 0x3ffffu &
+constexpr std::uint32_t kAlwaysUsedFields = kAllFields &
     ~((std::uint32_t(1) << kSrc1DataField) |
       (std::uint32_t(1) << kSrc2DataField) |
       (std::uint32_t(1) << kImmField));
@@ -93,8 +96,8 @@ Scheduler::Scheduler(const SchedulerConfig &config)
       zeroTotal_(fieldLayout().totalBits()),
       busyZero_(fieldLayout().totalBits())
 {
-    // Per-entry state lives in one 64-bit mask word (deferred
-    // releases here, the replay driver's calendar wheel).
+    // The replay driver's calendar wheel keeps one bit per entry in
+    // a 64-bit mask word.
     if (config_.numEntries < 1 || config_.numEntries > 64)
         throw std::invalid_argument(
             "SchedulerConfig::numEntries must be in [1, 64], got " +
@@ -106,19 +109,6 @@ Scheduler::Scheduler(const SchedulerConfig &config)
 
     decisions_.assign(layout.totalBits(), BitDecision{});
     dutyGens_.assign(layout.totalBits(), DutyGenerator(1.0));
-
-    slots_.reserve(layout.count());
-    for (unsigned f = 0; f < layout.count(); ++f) {
-        const FieldSpec &spec = layout.spec(f);
-        assert(spec.width >= 1 && spec.width < 64);
-        FieldSlot s;
-        s.widthMask = (std::uint64_t(1) << spec.width) - 1;
-        s.word0 = spec.offset / 64;
-        s.shift0 = spec.offset % 64;
-        s.bitsInWord0 = std::min(spec.width, 64 - s.shift0);
-        s.straddles = s.bitsInWord0 < spec.width;
-        slots_.push_back(s);
-    }
 
     fieldInvertedTime_.assign(layout.count(), 0);
     rebuildRepairPlans();
@@ -166,7 +156,7 @@ void
 Scheduler::rebuildRepairPlans()
 {
     const FieldLayout &layout = fieldLayout();
-    repairKeep_ = repairAll1_ = repairIsv_ = LayoutWords{};
+    repairKeep_ = repairAll1_ = repairIsv_ = rinvSample_ = LayoutWords{};
     isvFields_.clear();
     isvFieldBits_ = 0;
     kBits_.clear();
@@ -174,9 +164,11 @@ Scheduler::rebuildRepairPlans()
         const FieldSpec &spec = layout.spec(f);
         kBegin_[f] = static_cast<std::uint16_t>(kBits_.size());
         LayoutWords isv{};
+        LayoutWords whole{};
         for (unsigned b = 0; b < spec.width; ++b) {
             const unsigned global = spec.offset + b;
             const std::uint64_t bit = std::uint64_t(1) << (global % 64);
+            whole[global / 64] |= bit;
             // The valid bit's contents are always live: never
             // repaired, whatever its decision says.
             const Technique t = f == static_cast<unsigned>(FieldId::Valid)
@@ -204,8 +196,10 @@ Scheduler::rebuildRepairPlans()
         if ((isv[0] | isv[1] | isv[2]) != 0) {
             isvFields_.push_back({f, isv});
             isvFieldBits_ |= std::uint32_t(1) << f;
-            for (unsigned w = 0; w < kLayoutWords; ++w)
+            for (unsigned w = 0; w < kLayoutWords; ++w) {
                 repairIsv_[w] |= isv[w];
+                rinvSample_[w] |= whole[w];
+            }
         }
     }
     kBegin_[layout.count()] = static_cast<std::uint16_t>(kBits_.size());
@@ -217,83 +211,35 @@ Scheduler::enableProtection(bool enabled)
     protectionEnabled_ = enabled;
 }
 
-std::uint64_t
-Scheduler::extractField(const LayoutWords &image,
-                        unsigned field) const
-{
-    const FieldSlot &s = slots_[field];
-    std::uint64_t v = image[s.word0] >> s.shift0;
-    if (s.straddles)
-        v |= image[s.word0 + 1] << s.bitsInWord0;
-    return v & s.widthMask;
-}
-
-void
-Scheduler::depositField(LayoutWords &image, unsigned field,
-                        std::uint64_t value)
-{
-    const FieldSlot &s = slots_[field];
-    value &= s.widthMask;
-    image[s.word0] = (image[s.word0] & ~(s.widthMask << s.shift0)) |
-        (value << s.shift0);
-    if (s.straddles) {
-        image[s.word0 + 1] =
-            (image[s.word0 + 1] & ~(s.widthMask >> s.bitsInWord0)) |
-            (value >> s.bitsInWord0);
-    }
-}
-
 void
 Scheduler::flushEntry(Entry &e, Cycle now)
 {
-    const std::uint64_t dt = now > e.since ? now - e.since : 0;
-    const std::uint64_t pend = e.pendingBusyDt;
-    if (dt == 0 && pend == 0)
+    if (now <= e.since)
         return;
+    const std::uint64_t dt = now - e.since;
     // Defer the wide accumulator adds: park the record in the batch.
     // Everything a decision reads mid-run (entryTime_, the ISV
     // balance meters, the timestamp) is charged eagerly, so repair
     // behaviour -- and with it the RNG draw stream -- never depends
     // on drain timing.
-    const std::uint32_t uf = e.inUseFields;
-    if (pend) {
-        // Merged record: the deferred busy span plus the idle span
-        // since.  The parked image (valid still up) stands for both
-        // -- an unprotected release changes nothing else -- and the
-        // valid bit's idle zero-time is credited at fold.
-        // Converting the entry here is the release epilogue an
-        // undeferred release runs at release time.
-        assert(uf != 0);
-        appendRecord(e.image, pend + dt, pend, uf);
-        validIdleGrand_ += dt;
-        e.pendingBusyDt = 0;
-        pendingMask_ &= ~(std::uint64_t(1) << (&e - entries_.data()));
-        e.inUseFields = 0;
-        e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-    } else {
-        appendRecord(e.image, dt, uf ? dt : 0, uf);
-    }
+    appendRecord(e.image, dt, e.inUseFields);
     entryTime_ += dt;
-    if (dt) {
-        for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
-            fieldInvertedTime_[static_cast<unsigned>(
-                std::countr_zero(m))] += dt;
-        }
-    }
+    for (std::uint32_t m = e.holdsInverted; m; m &= m - 1)
+        fieldInvertedTime_[static_cast<unsigned>(std::countr_zero(m))] += dt;
     e.since = now;
 }
 
 void
 Scheduler::appendRecord(const LayoutWords &image, std::uint64_t dt,
-                        std::uint64_t busy_dt, std::uint32_t uf) const
+                        std::uint32_t uf)
 {
-    assert(dt != 0 && (uf != 0) == (busy_dt != 0));
+    assert(dt != 0);
     const unsigned v = batchCount_;
     const std::uint64_t lane = std::uint64_t(1) << v;
     for (unsigned w = 0; w < kLayoutWords; ++w)
         batchImage_[v][w] = image[w];
-    // The durations enter their bit-planes here, one OR per set
-    // bit, so the drain never transposes a duration column.
+    // The duration enters its bit-planes here, one OR per set bit,
+    // so the drain never transposes a duration column.
     dtGrand_ += dt;
     dtOr_ |= dt;
     for (std::uint64_t m = dt; m; m &= m - 1)
@@ -304,16 +250,14 @@ Scheduler::appendRecord(const LayoutWords &image, std::uint64_t dt,
         const LayoutWords used = inUseMask(uf);
         for (unsigned w = 0; w < kLayoutWords; ++w)
             batchZero_[v][w] = ~image[w] & used[w];
-        busyDtGrand_ += busy_dt;
+        busyLanes_ |= lane;
+        busyDtGrand_ += dt;
         if (uf & (std::uint32_t(1) << kSrc1DataField))
-            s1DtGrand_ += busy_dt;
+            s1DtGrand_ += dt;
         if (uf & (std::uint32_t(1) << kSrc2DataField))
-            s2DtGrand_ += busy_dt;
+            s2DtGrand_ += dt;
         if (uf & (std::uint32_t(1) << kImmField))
-            immDtGrand_ += busy_dt;
-        busyDtOr_ |= busy_dt;
-        for (std::uint64_t m = busy_dt; m; m &= m - 1)
-            busyPlane_[std::countr_zero(m)] |= lane;
+            immDtGrand_ += dt;
     }
     if (++batchCount_ == kBatchDepth)
         drainBatch();
@@ -400,61 +344,35 @@ addPlane(std::uint64_t (*bank)[3], unsigned level, std::uint64_t lanes,
 } // namespace
 
 void
-Scheduler::drainBatch() const
+Scheduler::drainBatch()
 {
     if (batchCount_ == 0)
         return;
     g_schedulerDrains.add();
     batchCount_ = 0;
 
-    // Plane-major accumulation: plane l of a duration column is the
-    // lane set whose records carry weight 2^l, so every record in it
-    // adds its image into the level-l counters; the busy-span planes
-    // do the same with the zeroed in-use complements (their lanes
-    // are busy by construction -- an idle record's busy span is 0).
+    // Plane-major accumulation: plane l of the duration column is
+    // the lane set whose records carry weight 2^l, so every record
+    // in it adds its image into the level-l counters, and every busy
+    // one its zeroed in-use complement.
     const unsigned num_planes =
         static_cast<unsigned>(std::bit_width(dtOr_));
     for (unsigned l = 0; l < num_planes; ++l) {
-        if (dtPlane_[l])
+        if (dtPlane_[l]) {
             addPlane(oneBank_, l, dtPlane_[l], batchImage_);
+            if (dtPlane_[l] & busyLanes_) {
+                addPlane(busyZeroBank_, l, dtPlane_[l] & busyLanes_,
+                         batchZero_);
+            }
+        }
         dtPlane_[l] = 0;
     }
-    const unsigned num_busy_planes =
-        static_cast<unsigned>(std::bit_width(busyDtOr_));
-    for (unsigned l = 0; l < num_busy_planes; ++l) {
-        if (busyPlane_[l])
-            addPlane(busyZeroBank_, l, busyPlane_[l], batchZero_);
-        busyPlane_[l] = 0;
-    }
-    dtOr_ = busyDtOr_ = 0;
+    dtOr_ = busyLanes_ = 0;
 }
 
 void
-Scheduler::sweepPending() const
+Scheduler::foldBatch()
 {
-    // Emit the busy-only record an undeferred release would have
-    // emitted at release time for every parked release, and run the
-    // release epilogue (valid drop, in-use clear).  The entry's
-    // timestamp is untouched: its idle span keeps accruing and
-    // flushes as a plain idle record later -- the same two records,
-    // split where an undeferred release splits them.
-    for (std::uint64_t p = pendingMask_; p; p &= p - 1) {
-        Entry &e = entries_[static_cast<unsigned>(
-            std::countr_zero(p))];
-        assert(e.pendingBusyDt != 0 && e.inUseFields != 0);
-        appendRecord(e.image, e.pendingBusyDt, e.pendingBusyDt,
-                     e.inUseFields);
-        e.pendingBusyDt = 0;
-        e.inUseFields = 0;
-        e.image[0] &= ~std::uint64_t(1); // valid drop (bit 0)
-    }
-    pendingMask_ = 0;
-}
-
-void
-Scheduler::foldBatch() const
-{
-    sweepPending();
     drainBatch();
     if (dtGrand_ == 0)
         return;
@@ -467,12 +385,6 @@ Scheduler::foldBatch() const
     // Transposing a bank word's 64 levels yields each bit's exact
     // total directly: transposed word b has bit l set iff level l
     // held bit b, i.e. it *is* sum_l 2^l.
-    if (validIdleGrand_) {
-        // Merged records keep valid = 1 over their idle span;
-        // credit the one bit their release would have dropped.
-        zeroTotal_.addBit(kValidOff, validIdleGrand_);
-        validIdleGrand_ = 0;
-    }
     for (unsigned w = 0; w < kLayoutWords; ++w) {
         std::uint64_t col[64];
         for (unsigned l = 0; l < 64; ++l) {
@@ -518,87 +430,49 @@ Scheduler::flushAll(Cycle now)
     pool_.flush(now);
 }
 
-std::uint64_t
-Scheduler::repairBits(unsigned field, std::uint64_t current,
-                      bool write_isv)
+Scheduler::LayoutWords
+Scheduler::repairImage(const LayoutWords &current,
+                       std::uint32_t write_isv, std::uint32_t fields,
+                       const LayoutWords &live)
 {
-    std::uint64_t out = (current & extractField(repairKeep_, field)) |
-        extractField(repairAll1_, field);
+    LayoutWords out;
+    for (unsigned w = 0; w < kLayoutWords; ++w) {
+        out[w] = (current[w] & (repairKeep_[w] | live[w])) |
+            (repairAll1_[w] & ~live[w]);
+    }
     // The balance meter alternates polarity so entries hold
     // inverted contents 50% of the overall time: write the
     // inverted sample, or the plain (re-inverted) sample when
     // inverted residence already leads.
-    const std::uint64_t rinv = extractField(rinv_, field);
-    out |= (write_isv ? rinv : ~rinv) & extractField(repairIsv_, field);
-    const unsigned offset = fieldLayout().spec(field).offset;
-    for (unsigned k = kBegin_[field]; k < kBegin_[field + 1]; ++k) {
-        const bool one =
-            dutyGens_[kBits_[k].global].next() != kBits_[k].inverted;
-        out |= std::uint64_t(one) << (kBits_[k].global - offset);
-    }
-    return out;
-}
-
-BitWord
-Scheduler::repairValue(unsigned field, const BitWord &current,
-                       bool write_isv)
-{
-    return BitWord(fieldLayout().spec(field).width,
-                   repairBits(field, current.lo(), write_isv));
-}
-
-Scheduler::LayoutWords
-Scheduler::repairImage(const LayoutWords &current,
-                       std::uint32_t write_isv)
-{
-    LayoutWords out;
-    for (unsigned w = 0; w < kLayoutWords; ++w)
-        out[w] = (current[w] & repairKeep_[w]) | repairAll1_[w];
     for (const IsvField &f : isvFields_) {
+        if (!((fields >> f.field) & 1))
+            continue;
         const std::uint64_t flip =
             (write_isv >> f.field) & 1 ? 0 : ~std::uint64_t(0);
         for (unsigned w = 0; w < kLayoutWords; ++w)
             out[w] |= (rinv_[w] ^ flip) & f.mask[w];
     }
-    for (const KBit &kb : kBits_) {
-        const bool one = dutyGens_[kb.global].next() != kb.inverted;
-        out[kb.global / 64] |= std::uint64_t(one) << (kb.global % 64);
+    for (std::uint32_t m = fields; m; m &= m - 1) {
+        const unsigned f = static_cast<unsigned>(std::countr_zero(m));
+        for (unsigned k = kBegin_[f]; k < kBegin_[f + 1]; ++k) {
+            const KBit &kb = kBits_[k];
+            const bool one = dutyGens_[kb.global].next() != kb.inverted;
+            out[kb.global / 64] |= std::uint64_t(one) << (kb.global % 64);
+        }
     }
     return out;
 }
 
-void
-Scheduler::applyRepair(Entry &e, unsigned field)
+std::uint32_t
+Scheduler::isvPolarity(std::uint32_t fields) const
 {
-    // ISV balance meter (timestamps, Section 3.2.2): write inverted
-    // contents while non-inverted residence leads, plain samples
-    // otherwise, so entries hold inverted values 50% of the
-    // overall time.
-    const std::uint32_t bit = std::uint32_t(1) << field;
-    const bool write_isv =
-        (isvFieldBits_ & bit) && meterWantsInverted(field);
-    depositField(e.image, field,
-                 repairBits(field, extractField(e.image, field),
-                            write_isv));
-    if (isvFieldBits_ & bit)
-        e.holdsInverted = write_isv ? e.holdsInverted | bit
-                                    : e.holdsInverted & ~bit;
-}
-
-void
-Scheduler::sampleRinv(const Uop &uop, const RenameTags &tags)
-{
-    // ISV fields of RINV are refreshed with the inversion of values
-    // flowing through the allocate port (Section 4.5: sampled from
-    // register file reads/bypasses and instruction immediates).
-    // Only fields the sampled uop actually populates are refreshed:
-    // inverting a dont-care zero would bias RINV to all-ones.
-    for (std::uint32_t m = isvFieldBits_; m; m &= m - 1) {
+    std::uint32_t out = 0;
+    for (std::uint32_t m = fields & isvFieldBits_; m; m &= m - 1) {
         const unsigned f = static_cast<unsigned>(std::countr_zero(m));
-        const FieldSpec &spec = fieldLayout().spec(f);
-        if (fieldUsedByUop(spec.id, uop, tags))
-            depositField(rinv_, f, ~fieldValue(spec.id, uop, tags).lo());
+        if (entryTime_ - fieldInvertedTime_[f] >= fieldInvertedTime_[f])
+            out |= std::uint32_t(1) << f;
     }
+    return out;
 }
 
 int
@@ -611,21 +485,13 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     const unsigned idx = static_cast<unsigned>(slot);
     Entry &e = entries_[idx];
 
-    if (protectionEnabled_ &&
-        (allocCount_ % config_.isvSampleInterval) == 0) {
-        sampleRinv(uop, tags);
-    }
-    ++allocCount_;
-
     flushEntry(e, now);
 
     // Fused field deposit: compose the uop's whole 144-bit image
     // and in-use mask with shifts against the constant layout, then
     // merge in one read-modify-write per word.  Field for field
-    // this deposits exactly what the spec-driven loop
-    // (fieldUsedByUop / fieldValue / depositField / setFieldInUse)
-    // would -- values are masked to their field widths the same way
-    // depositField does -- it just never touches the spec table.
+    // this is fieldUsedByUop / fieldValue, values masked to their
+    // field widths, without touching the spec table.
     const bool use_s1 = uop.usesSrc1() && !tags.ready1;
     const bool use_s2 = uop.usesSrc2() && !tags.ready2;
     const bool use_imm = uop.hasImm;
@@ -658,23 +524,34 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     const std::uint64_t b2 = (imm >> (64 - kImmOff % 64)) |
         (std::uint64_t(uop.opcode & 0xfff) << (kOpcodeOff % 64));
 
+    const LayoutWords image{b0, b1, b2};
     const LayoutWords um = inUseMask(used);
-    e.image[0] = (e.image[0] & ~um[0]) | (b0 & um[0]);
-    e.image[1] = (e.image[1] & ~um[1]) | (b1 & um[1]);
-    e.image[2] = (e.image[2] & ~um[2]) | (b2 & um[2]);
+    for (unsigned w = 0; w < kLayoutWords; ++w)
+        e.image[w] = (e.image[w] & ~um[w]) | (image[w] & um[w]);
     e.inUseFields = used;
     e.holdsInverted &= ~used;
 
-    // Unused fields of a busy slot may hold repair values (they are
-    // written through the allocate port anyway).  Ascending field
-    // order, like the spec-driven loop, so the per-bit duty
-    // generators advance in the same sequence.
     if (protectionEnabled_) {
-        for (std::uint32_t m = ~used & 0x3ffffu; m; m &= m - 1) {
-            applyRepair(e, static_cast<unsigned>(
-                               std::countr_zero(m)));
+        // ISV fields of RINV take the inversion of the values
+        // flowing through the allocate port (Section 4.5: register
+        // file reads/bypasses and instruction immediates), whole
+        // fields, and only those the uop populates: inverting a
+        // don't-care zero would bias RINV to all ones.
+        if (allocCount_ % config_.isvSampleInterval == 0) {
+            for (unsigned w = 0; w < kLayoutWords; ++w) {
+                const std::uint64_t m = rinvSample_[w] & um[w];
+                rinv_[w] = (rinv_[w] & ~m) | (~image[w] & m);
+            }
         }
+        // Unused fields of a busy slot may hold repair values (they
+        // are written through the allocate port anyway).
+        const std::uint32_t unused = kAllFields & ~used;
+        const std::uint32_t write_isv = isvPolarity(unused);
+        e.image = repairImage(e.image, write_isv, unused, um);
+        e.holdsInverted =
+            (e.holdsInverted & ~(unused & isvFieldBits_)) | write_isv;
     }
+    ++allocCount_;
     return static_cast<int>(idx);
 }
 
@@ -683,59 +560,19 @@ Scheduler::release(unsigned entry, Cycle now)
 {
     assert(entry < entries_.size());
     Entry &e = entries_[entry];
-    assert(e.pendingBusyDt == 0);
     pool_.release(entry, now);
-
-    // Unprotected release: the only image change is the valid drop,
-    // so park the busy span and let the next flush of this entry
-    // emit one merged busy+idle record.  The decision-feeding state
-    // (entryTime_, ISV meters, timestamp) is still charged eagerly,
-    // exactly like a flush.
-    if (!protectionEnabled_ && now > e.since) {
-        const std::uint64_t dt = now - e.since;
-        e.pendingBusyDt = dt;
-        pendingMask_ |= std::uint64_t(1) << entry;
-        entryTime_ += dt;
-        for (std::uint32_t m = e.holdsInverted; m; m &= m - 1) {
-            fieldInvertedTime_[static_cast<unsigned>(
-                std::countr_zero(m))] += dt;
-        }
-        e.since = now;
-        return;
-    }
-
     flushEntry(e, now);
     e.inUseFields = 0;
 
     // The valid bit drops to 0 on release; its contents are always
-    // live, so it cannot be repaired.
+    // live, so it is never repaired (repairKeep_ holds it).
     e.image[0] &= ~(std::uint64_t(1) << kValidOff);
-    e.holdsInverted &=
-        ~(std::uint32_t(1) << static_cast<unsigned>(FieldId::Valid));
 
     if (!protectionEnabled_)
         return;
-    // Every other field at once: the meters do not move during a
-    // release, so each ISV field's polarity is read up front.
-    std::uint32_t write_isv = 0;
-    for (const IsvField &f : isvFields_) {
-        if (meterWantsInverted(f.field))
-            write_isv |= std::uint32_t(1) << f.field;
-    }
-    e.image = repairImage(e.image, write_isv);
+    const std::uint32_t write_isv = isvPolarity(kAllFields);
+    e.image = repairImage(e.image, write_isv, kAllFields, LayoutWords{});
     e.holdsInverted = (e.holdsInverted & ~isvFieldBits_) | write_isv;
-}
-
-double
-Scheduler::fieldOccupancy(FieldId f, Cycle now) const
-{
-    if (now == 0)
-        return 0.0;
-    foldBatch();
-    return static_cast<double>(
-               fieldBusyTime_[static_cast<unsigned>(f)]) /
-        (static_cast<double>(config_.numEntries) *
-         static_cast<double>(now));
 }
 
 SchedulerStress

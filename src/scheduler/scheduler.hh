@@ -3,11 +3,13 @@
  * NBTI-aware scheduler model (Section 4.5).
  *
  * An explicitly managed block with short idle time and many fields
- * of distinct usage/bias patterns.  Protection writes per-field
- * repair values from a RINV register into slots when they are
- * released (and into fields left unused by the occupying uop at
- * allocation), using the per-bit techniques chosen by the Figure-3
- * casuistic.
+ * of distinct usage/bias patterns.  Protection writes repair values
+ * into slots, using the per-bit techniques chosen by the Figure-3
+ * casuistic: into the whole slot when it is released, and into the
+ * fields the occupying uop leaves unused when it is allocated.  Both
+ * are one masked pass over the packed slot image (repairImage), and
+ * RINV, the register the ISV repairs read, is refreshed from the
+ * same packed image the allocation writes.
  *
  * Duty accounting is word-parallel: every entry packs its 18 fields
  * into one 144-bit slot image (three 64-bit words) with a single
@@ -130,30 +132,26 @@ class Scheduler
     /** Time-weighted slot occupancy (paper: 63%). */
     double occupancy(Cycle now) const { return pool_.occupancy(now); }
 
-    /** Time-weighted fraction of entry-time field @p f holds live
-     *  data (paper: SRC data/imm available 70-75% of the time). */
-    double fieldOccupancy(FieldId f, Cycle now) const;
-
     /** Flush accounting to @p now and snapshot it for merging. */
     SchedulerStress snapshotStress(Cycle now);
 
-    /** Build the repair value for one field at this instant.
-     *  @p write_isv gates the ISV bits (the 50%-of-overall-time
-     *  balance meter, Section 3.2.2).  Branch-free: the per-bit
-     *  technique switch is precomputed into layout masks; only
-     *  the K%-duty bits keep per-bit generator state (public so
-     *  tests can pin the mask recipe against the scalar form).
-     *  The valid bit is never repaired: it comes back unchanged. */
-    BitWord repairValue(unsigned field, const BitWord &current,
-                        bool write_isv);
-
-    /** The whole released image in one pass: repairValue applied to
-     *  every field of @p current, with bit f of @p write_isv as
-     *  field f's write_isv.  Every bit has its own duty generator,
-     *  so this equals the field-by-field form (public so tests can
-     *  pin that). */
+    /**
+     * Repair the fields @p fields (bit f = field f) of slot image
+     * @p current; every bit in @p live, and every bit outside
+     * @p fields, which @p live must cover, comes back unchanged.  A
+     * release repairs every field with no live bits; an allocation
+     * the fields its uop leaves unused, with the in-use bits live.
+     * Bit f of @p write_isv picks field f's ISV polarity: the RINV
+     * sample itself (inverted contents) or its complement.  The
+     * per-bit technique switch is precomputed into layout masks;
+     * only the K%-duty bits keep per-bit generator state, advanced
+     * in ascending layout order.  The valid bit is never repaired.
+     * Public so tests can pin the recipe against scalar forms.
+     */
     LayoutWords repairImage(const LayoutWords &current,
-                            std::uint32_t write_isv);
+                            std::uint32_t write_isv,
+                            std::uint32_t fields,
+                            const LayoutWords &live);
 
   private:
     struct Entry
@@ -171,25 +169,6 @@ class Scheduler
         /** Residence of the current image (shared by all fields:
          *  every image change flushes the whole entry). */
         Cycle since = 0;
-
-        /** Deferred-release busy duration awaiting a merged flush.
-         *  An unprotected release changes the image by one bit (the
-         *  valid drop), so its busy record and the idle record that
-         *  follows can share one batch slot: the release parks its
-         *  duration here and the next flush emits both spans as one
-         *  record with a separate busy duration (the valid bit's
-         *  idle zero-time is corrected at fold). */
-        Cycle pendingBusyDt = 0;
-    };
-
-    /** Precomputed placement of one field in the packed layout. */
-    struct FieldSlot
-    {
-        std::uint64_t widthMask; ///< (1 << width) - 1
-        unsigned word0;
-        unsigned shift0;
-        unsigned bitsInWord0; ///< < width when the field straddles
-        bool straddles;
     };
 
     /** One ALL1-K%/ALL0-K% bit (these keep per-bit duty generator
@@ -207,77 +186,42 @@ class Scheduler
         LayoutWords mask;
     };
 
-    /** Extract/deposit one field of a packed image. */
-    std::uint64_t extractField(const LayoutWords &image,
-                               unsigned field) const;
-    void depositField(LayoutWords &image, unsigned field,
-                      std::uint64_t value);
-
     /** Charge the entry's image residence up to @p now into the
      *  sliced accumulators. */
     void flushEntry(Entry &e, Cycle now);
 
     /** Park one record: its image, its zeroed in-use complement
      *  (@p uf: fields in use, 0 for an idle record) and its
-     *  durations' bit-planes.  Drains a full batch. */
+     *  duration's bit-planes.  Drains a full batch. */
     void appendRecord(const LayoutWords &image, std::uint64_t dt,
-                      std::uint64_t busy_dt, std::uint32_t uf) const;
+                      std::uint32_t uf);
 
     void flushAll(Cycle now);
 
     /** Add every pending batch record into the bit-sliced counter
-     *  banks, one duration plane at a time.  Const because readers
-     *  (fieldOccupancy) must be able to drain; the batch state and
-     *  the banks it feeds are mutable. */
-    void drainBatch() const;
+     *  banks, one duration plane at a time. */
+    void drainBatch();
 
     /** drainBatch(), then charge the counter banks into the
      *  accumulators: one 64x64 transpose per layout word turns each
      *  bank straight into per-bit totals (word b of the transposed
      *  bank is bit b's exact summed time).  Every reader of the
      *  accumulators goes through this. */
-    void foldBatch() const;
-
-    /** Flush the parked busy span of every deferred release (the
-     *  busy-only record an undeferred release emits at release
-     *  time) so readers see the same records either way.  Needs
-     *  no "now": the idle span keeps accruing from the entry's
-     *  timestamp. */
-    void sweepPending() const;
+    void foldBatch();
 
     /** Recompute the repair masks and lists from decisions_. */
     void rebuildRepairPlans();
 
-    /** Field @p field's ISV balance meter: true while non-inverted
-     *  residence leads, i.e. the next repair writes the inverted
-     *  sample. */
-    bool
-    meterWantsInverted(unsigned field) const
-    {
-        return entryTime_ - fieldInvertedTime_[field] >=
-            fieldInvertedTime_[field];
-    }
-
-    /** repairValue on packed field bits. */
-    std::uint64_t repairBits(unsigned field, std::uint64_t current,
-                             bool write_isv);
-
-    /** Apply a repair to an entry's field and update its
-     *  inverted-residence bookkeeping. */
-    void applyRepair(Entry &e, unsigned field);
-
-    /** Refresh the ISV bits of RINV from @p uop's field values. */
-    void sampleRinv(const Uop &uop, const RenameTags &tags);
+    /** The ISV fields among @p fields whose balance meter
+     *  (Section 3.2.2) calls for the inverted sample: those whose
+     *  non-inverted residence leads, so entries hold inverted
+     *  contents 50% of the overall time.  The meters move only at
+     *  flushes, so one read serves a whole repair. */
+    std::uint32_t isvPolarity(std::uint32_t fields) const;
 
     SchedulerConfig config_;
 
-    /** Mutable: const readers sweep deferred releases (which
-     *  converts a pending entry to its post-release image) before
-     *  folding the accumulators. */
-    mutable std::vector<Entry> entries_;
-
-    /** Per-field packed-layout placement. */
-    std::vector<FieldSlot> slots_;
+    std::vector<Entry> entries_;
 
     /** FIFO free list and occupancy: slots rotate evenly, so
      *  every entry sees repair writes (and tag/slot usage is
@@ -311,45 +255,41 @@ class Scheduler
     LayoutWords repairKeep_{};
     LayoutWords repairAll1_{};
     LayoutWords repairIsv_{};
+    /** Whole fields holding any ISV bit: what a RINV sample
+     *  refreshes (whole fields, so bits a later configuration makes
+     *  ISV hold the same samples either way). */
+    LayoutWords rinvSample_{};
     std::vector<IsvField> isvFields_;
     std::uint32_t isvFieldBits_ = 0; ///< bit f = field f has ISV
     std::vector<KBit> kBits_;
     std::array<std::uint16_t, numFields + 1> kBegin_{};
 
-    /** Sliced duty accounting over the 144-bit layout.  Mutable:
-     *  const readers drain the pending batch into them. */
-    mutable MaskedTimeAccumulator zeroTotal_; ///< zero-time, all
-    mutable MaskedTimeAccumulator busyZero_;  ///< zero-time, in use
+    /** Sliced duty accounting over the 144-bit layout. */
+    MaskedTimeAccumulator zeroTotal_; ///< zero-time, all
+    MaskedTimeAccumulator busyZero_;  ///< zero-time, in use
 
     /** Per-field in-use time.  Fields are used whole, so the
      *  per-bit in-use times the snapshots expose are one shared
      *  counter per field, not a 144-bit accumulator. */
-    mutable std::array<std::uint64_t, numFields> fieldBusyTime_{};
+    std::array<std::uint64_t, numFields> fieldBusyTime_{};
 
     /**
      * Pending flush records, stored struct-of-arrays: record v of
      * the batch is lane/bit v of the duration bit-planes.  Lane v of
-     * dtPlane_[l] is set iff record v's duration has bit l;
-     * busyPlane_ does the same for the busy-span duration (the full
-     * duration for a busy flush, 0 for an idle one, the parked
-     * release duration for a merged busy+idle record).  The ORs of
-     * the durations bound the planes in use.
+     * dtPlane_[l] is set iff record v's duration has bit l, and bit
+     * v of busyLanes_ iff record v is a busy one.  The OR of the
+     * durations bounds the planes in use.
      */
     static constexpr unsigned kBatchDepth = 64;
     /** Lane-major: record v's slot image is batchImage_[v]. */
-    mutable std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
+    std::uint64_t batchImage_[kBatchDepth][kLayoutWords]{};
     /** Busy record v's zeroed in-use complement (~image & in-use),
-     *  what its busy span adds to the in-use zero-times. */
-    mutable std::uint64_t batchZero_[kBatchDepth][kLayoutWords]{};
-    mutable std::uint64_t dtPlane_[64]{};
-    mutable std::uint64_t busyPlane_[64]{};
-    mutable std::uint64_t dtOr_ = 0;
-    mutable std::uint64_t busyDtOr_ = 0;
-    mutable unsigned batchCount_ = 0;
-
-    /** Entries with a deferred release parked (bit = entry
-     *  index). */
-    mutable std::uint64_t pendingMask_ = 0;
+     *  what it adds to the in-use zero-times. */
+    std::uint64_t batchZero_[kBatchDepth][kLayoutWords]{};
+    std::uint64_t dtPlane_[64]{};
+    std::uint64_t dtOr_ = 0;
+    std::uint64_t busyLanes_ = 0;
+    unsigned batchCount_ = 0;
 
     /**
      * Bit-sliced binary counters holding drained-but-unfolded
@@ -366,18 +306,13 @@ class Scheduler
      * (fields are used whole), folded into fieldBusyTime_.  The
      * duration sums are charged at append.
      */
-    mutable std::uint64_t oneBank_[64][kLayoutWords]{};
-    mutable std::uint64_t busyZeroBank_[64][kLayoutWords]{};
-    mutable std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
-    mutable std::uint64_t busyDtGrand_ = 0; ///< sum busy-span dt
-    mutable std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live
-    mutable std::uint64_t s2DtGrand_ = 0;   ///< sum dt, Src2Data live
-    mutable std::uint64_t immDtGrand_ = 0;  ///< sum dt, Imm live
-
-    /** Valid-bit zero-time carried by merged records' idle spans
-     *  (their image keeps valid = 1 from the busy span; the one
-     *  bit the release would have dropped is credited here). */
-    mutable std::uint64_t validIdleGrand_ = 0;
+    std::uint64_t oneBank_[64][kLayoutWords]{};
+    std::uint64_t busyZeroBank_[64][kLayoutWords]{};
+    std::uint64_t dtGrand_ = 0;     ///< sum dt, all records
+    std::uint64_t busyDtGrand_ = 0; ///< sum dt, busy records
+    std::uint64_t s1DtGrand_ = 0;   ///< sum dt, Src1Data live
+    std::uint64_t s2DtGrand_ = 0;   ///< sum dt, Src2Data live
+    std::uint64_t immDtGrand_ = 0;  ///< sum dt, Imm live
 
     /** Total flushed residence time (identical for every bit:
      *  each entry flush covers the whole layout). */

@@ -23,8 +23,8 @@ namespace {
 TEST(Netlist, PrimitiveTruthTables)
 {
     Netlist n;
-    const SignalId a = n.addInput("a");
-    const SignalId b = n.addInput("b");
+    const SignalId a = n.addInput();
+    const SignalId b = n.addInput();
     const SignalId inv = n.addInv(a);
     const SignalId nand2 = n.addNand({a, b});
     const SignalId nor2 = n.addNor({a, b});

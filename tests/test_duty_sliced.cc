@@ -21,6 +21,7 @@
 #include "common/rng.hh"
 #include "scheduler/scheduler.hh"
 #include "scheduler/techniques.hh"
+#include "trace/generator.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -367,8 +368,65 @@ TEST(SlicedDuty, ObserveBatchMergesWithScalarHistory)
 
 // ------------------------------------------------- repair kernel
 
-/** Scalar reference of the per-bit repair switch, applied through
- *  the public repairValue(); pins the mask-based recipe. */
+/** Field @p f of a packed slot image (test-local layout walk). */
+std::uint64_t
+imageField(const Scheduler::LayoutWords &image, unsigned f)
+{
+    const FieldSpec &spec = fieldLayout().spec(f);
+    std::uint64_t v = 0;
+    for (unsigned b = 0; b < spec.width; ++b) {
+        const unsigned g = spec.offset + b;
+        v |= ((image[g / 64] >> (g % 64)) & 1) << b;
+    }
+    return v;
+}
+
+void
+setImageField(Scheduler::LayoutWords &image, unsigned f,
+              std::uint64_t v)
+{
+    const FieldSpec &spec = fieldLayout().spec(f);
+    for (unsigned b = 0; b < spec.width; ++b) {
+        const unsigned g = spec.offset + b;
+        const std::uint64_t bit = std::uint64_t(1) << (g % 64);
+        image[g / 64] = ((v >> b) & 1) ? image[g / 64] | bit
+                                       : image[g / 64] & ~bit;
+    }
+}
+
+/** Bit f = field f, for every field of the layout. */
+constexpr std::uint32_t kAllFields = (std::uint32_t(1) << numFields) - 1;
+
+/** Every bit of the image except those of the fields in
+ *  @p fields (bit f = field f). */
+Scheduler::LayoutWords
+liveOutside(std::uint32_t fields)
+{
+    Scheduler::LayoutWords live{~std::uint64_t(0), ~std::uint64_t(0),
+                                ~std::uint64_t(0)};
+    for (unsigned f = 0; f < fieldLayout().count(); ++f) {
+        if ((fields >> f) & 1)
+            setImageField(live, f, 0);
+    }
+    return live;
+}
+
+/** Repair field @p f alone, allocate-shaped: repairImage with only
+ *  @p f selected and every other bit live. */
+BitWord
+repairField(Scheduler &sched, unsigned f, const BitWord &current,
+            bool write_isv)
+{
+    Scheduler::LayoutWords image{};
+    setImageField(image, f, current.lo());
+    const std::uint32_t bit = std::uint32_t(1) << f;
+    const Scheduler::LayoutWords out = sched.repairImage(
+        image, write_isv ? bit : 0u, bit, liveOutside(bit));
+    return BitWord(fieldLayout().spec(f).width, imageField(out, f));
+}
+
+/** Scalar reference of the per-bit repair switch, applied to one
+ *  field through repairImage(); pins the mask-based recipe. */
 TEST(RepairKernel, MaskRecipeMatchesPerBitSwitch)
 {
     const FieldLayout &layout = fieldLayout();
@@ -432,41 +490,17 @@ TEST(RepairKernel, MaskRecipeMatchesPerBitSwitch)
         Scheduler fresh{SchedulerConfig{}};
         fresh.configureProtection(decisions);
         const BitWord got =
-            fresh.repairValue(field, current, write_isv);
+            repairField(fresh, field, current, write_isv);
         EXPECT_EQ(got, expected) << "write_isv = " << write_isv;
     }
 }
 
-/** Field @p f of a packed slot image (test-local layout walk). */
-std::uint64_t
-imageField(const Scheduler::LayoutWords &image, unsigned f)
-{
-    const FieldSpec &spec = fieldLayout().spec(f);
-    std::uint64_t v = 0;
-    for (unsigned b = 0; b < spec.width; ++b) {
-        const unsigned g = spec.offset + b;
-        v |= ((image[g / 64] >> (g % 64)) & 1) << b;
-    }
-    return v;
-}
-
-void
-setImageField(Scheduler::LayoutWords &image, unsigned f,
-              std::uint64_t v)
-{
-    const FieldSpec &spec = fieldLayout().spec(f);
-    for (unsigned b = 0; b < spec.width; ++b) {
-        const unsigned g = spec.offset + b;
-        const std::uint64_t bit = std::uint64_t(1) << (g % 64);
-        image[g / 64] = ((v >> b) & 1) ? image[g / 64] | bit
-                                       : image[g / 64] & ~bit;
-    }
-}
-
 /**
- * The one-pass release repair equals repairValue applied field by
- * field (valid bit kept): random decisions over every technique,
- * both ISV polarities per field, K% bits, and the fields straddling
+ * The one-pass repair equals one-field repairs applied field by
+ * field, in both shapes: a release (every field, valid bit kept)
+ * and an allocation (a random subset of the capture fields, the
+ * other fields live).  Random decisions over every technique, both
+ * ISV polarities per field, K% bits, and the fields straddling
  * layout words (Src1Data across words 0/1, Imm across 1/2).  Two
  * schedulers fed the same allocations carry the same RINV samples
  * and duty-generator states; one repairs whole images, the other
@@ -476,6 +510,11 @@ TEST(RepairKernel, WordMaskReleaseMatchesPerField)
 {
     const FieldLayout &layout = fieldLayout();
     const unsigned valid = static_cast<unsigned>(FieldId::Valid);
+    const unsigned capture[3] = {
+        static_cast<unsigned>(FieldId::Src1Data),
+        static_cast<unsigned>(FieldId::Src2Data),
+        static_cast<unsigned>(FieldId::Imm),
+    };
     const Technique kinds[7] = {
         Technique::Isv,  Technique::All1K, Technique::None,
         Technique::All0K, Technique::All1, Technique::All0,
@@ -531,25 +570,38 @@ TEST(RepairKernel, WordMaskReleaseMatchesPerField)
 
             Scheduler::LayoutWords current{rng(), rng(), rng() & 0xffff};
             // Polarity: all inverted, all plain, then random per field.
-            const std::uint32_t write_isv = step == 0 ? 0x3ffffu
+            const std::uint32_t write_isv = step == 0 ? kAllFields
                 : step == 1 ? 0u
-                : static_cast<std::uint32_t>(rng()) & 0x3ffffu;
-            const Scheduler::LayoutWords got =
-                word_mask.repairImage(current, write_isv);
-
-            Scheduler::LayoutWords want = current;
-            for (unsigned f = 0; f < layout.count(); ++f) {
-                if (f == valid)
-                    continue;
-                const BitWord v = per_field.repairValue(
-                    f, BitWord(layout.spec(f).width, imageField(current, f)),
-                    (write_isv >> f) & 1);
-                setImageField(want, f, v.lo());
+                : static_cast<std::uint32_t>(rng()) & kAllFields;
+            // Release-shaped, then allocate-shaped: a random subset
+            // of the capture fields, every other field live.
+            std::uint32_t unused = 0;
+            for (const unsigned f : capture) {
+                if (rng.nextBool())
+                    unused |= std::uint32_t(1) << f;
             }
-            for (unsigned w = 0; w < Scheduler::kLayoutWords; ++w) {
-                ASSERT_EQ(got[w], want[w])
-                    << "round " << round << " step " << step
-                    << " word " << w;
+            for (const std::uint32_t fields : {kAllFields, unused}) {
+                const Scheduler::LayoutWords live = fields == kAllFields
+                    ? Scheduler::LayoutWords{} : liveOutside(fields);
+                const Scheduler::LayoutWords got = word_mask.repairImage(
+                    current, write_isv, fields, live);
+
+                Scheduler::LayoutWords want = current;
+                for (unsigned f = 0; f < layout.count(); ++f) {
+                    if (f == valid || !((fields >> f) & 1))
+                        continue;
+                    const BitWord v = repairField(
+                        per_field, f,
+                        BitWord(layout.spec(f).width,
+                                imageField(current, f)),
+                        (write_isv >> f) & 1);
+                    setImageField(want, f, v.lo());
+                }
+                for (unsigned w = 0; w < Scheduler::kLayoutWords; ++w) {
+                    ASSERT_EQ(got[w], want[w])
+                        << "round " << round << " step " << step
+                        << " fields " << fields << " word " << w;
+                }
             }
         }
     }
@@ -583,9 +635,112 @@ TEST(RepairKernel, DutyGeneratorSequencingIsPreserved)
                                      : !gens[b].next();
             expected.setBit(b, one);
         }
-        const BitWord got = sched.repairValue(
-            static_cast<unsigned>(FieldId::Imm), current, false);
+        const BitWord got = repairField(
+            sched, static_cast<unsigned>(FieldId::Imm), current, false);
         EXPECT_EQ(got, expected) << "round " << round;
+    }
+}
+
+/**
+ * RINV sampling against the field spec: with ISV on every field and
+ * a sample every allocation, RINV holds, field by field, the
+ * inversion of the last value fieldUsedByUop / fieldValue put
+ * through the allocate port -- a capture field the uop leaves dead
+ * keeps its older sample.  Every repair with all-inverted polarity
+ * writes RINV itself, so repairImage reads it.  Midway the
+ * decisions change to ISV on the even bits only: a sample still
+ * refreshes whole fields, so after ISV returns on every bit the odd
+ * bits hold the samples taken in between.
+ */
+TEST(RepairKernel, RinvSamplesLiveFieldsAtAllocation)
+{
+    const FieldLayout &layout = fieldLayout();
+    const unsigned valid = static_cast<unsigned>(FieldId::Valid);
+    std::vector<BitDecision> all_isv(layout.totalBits());
+    std::vector<BitDecision> even_isv(layout.totalBits());
+    for (unsigned g = 0; g < layout.totalBits(); ++g) {
+        all_isv[g].technique = Technique::Isv;
+        even_isv[g].technique = g % 2 ? Technique::None : Technique::Isv;
+    }
+
+    SchedulerConfig cfg;
+    cfg.isvSampleInterval = 1;
+    Scheduler sched(cfg);
+    sched.configureProtection(all_isv);
+    sched.enableProtection(true);
+
+    // RINV starts as the inversion of zero.
+    Scheduler::LayoutWords want{~std::uint64_t(0), ~std::uint64_t(0),
+                                ~std::uint64_t(0)};
+    const auto expectRinv = [&](int step) {
+        const Scheduler::LayoutWords got = sched.repairImage(
+            Scheduler::LayoutWords{}, kAllFields, kAllFields,
+            Scheduler::LayoutWords{});
+        for (unsigned f = 0; f < layout.count(); ++f) {
+            if (f == valid)
+                continue;
+            ASSERT_EQ(imageField(got, f), imageField(want, f))
+                << "step " << step << " field " << layout.spec(f).name;
+        }
+    };
+
+    // A sample refreshes the fields holding any ISV bit (never the
+    // valid bit, which is never repaired).
+    const auto isvFields = [&](const std::vector<BitDecision> &d) {
+        std::uint32_t fields = 0;
+        for (unsigned f = 0; f < layout.count(); ++f) {
+            const FieldSpec &spec = layout.spec(f);
+            for (unsigned b = 0; b < spec.width; ++b) {
+                if (f != valid &&
+                    d[spec.offset + b].technique == Technique::Isv)
+                    fields |= std::uint32_t(1) << f;
+            }
+        }
+        return fields;
+    };
+
+    WorkloadSet workload;
+    TraceGenerator gen = workload.generator(3);
+    Rng rng(0x41b5);
+    Cycle now = 0;
+    std::uint32_t sampled = isvFields(all_isv);
+    for (int step = 0; step < 96; ++step) {
+        if (step == 32 || step == 64) {
+            const std::vector<BitDecision> &d =
+                step == 32 ? even_isv : all_isv;
+            sched.configureProtection(d);
+            sampled = isvFields(d);
+        }
+
+        // Each capture field live and dead across the steps: step
+        // bits 0..2 pick which source operands are read and whether
+        // the uop carries an immediate; bits 3..4 the ready flags.
+        Uop uop = gen.next();
+        uop.srcReg1 = step & 1 ? 3 : 0xff;
+        uop.srcReg2 = step & 2 ? 5 : 0xff;
+        uop.hasImm = step & 4;
+        uop.srcVal1 = rng();
+        uop.srcVal2 = rng();
+        uop.imm = static_cast<std::uint16_t>(rng());
+        RenameTags tags;
+        tags.dstTag = static_cast<std::uint8_t>(rng.nextInt(128));
+        tags.src1Tag = static_cast<std::uint8_t>(rng.nextInt(128));
+        tags.src2Tag = static_cast<std::uint8_t>(rng.nextInt(128));
+        tags.ready1 = step & 8;
+        tags.ready2 = step & 16;
+
+        now += 1 + rng.nextInt(4);
+        const int e = sched.allocate(uop, tags, now);
+        ASSERT_GE(e, 0);
+        for (unsigned f = 0; f < layout.count(); ++f) {
+            const FieldSpec &spec = layout.spec(f);
+            if (((sampled >> f) & 1) && fieldUsedByUop(spec.id, uop, tags))
+                setImageField(want, f, ~fieldValue(spec.id, uop, tags).lo());
+        }
+        now += 1 + rng.nextInt(4);
+        sched.release(static_cast<unsigned>(e), now);
+        if (step < 32 || step >= 64)
+            expectRinv(step);
     }
 }
 

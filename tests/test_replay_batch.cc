@@ -3,16 +3,16 @@
  * Absolute anchors for the scheduler and cache replay accounting.
  *
  * The scheduler parks slot-image residences in 64-record batches and
- * folds them with one transposed drain; the cache charges its
- * data-bias tracker on every image change.  Both are exact integer
- * sums, so fixed traces pin them literally: the replay counters, the
- * per-field in-use times and a digest of every per-bit zero-time.
+ * folds them with one transposed drain.  Its sums are exact
+ * integers, so fixed traces pin them literally: the replay counters,
+ * the per-field in-use times and a digest of every per-bit
+ * zero-time; the cache's hit/miss counts are pinned the same way.
  * The pins are the values a scalar per-event accounting path
  * produced (the batched drain matched it bit for bit), so the
  * "MatchScalar" tests hold the one remaining path to that scalar
  * form.  Uop counts straddle batch boundaries (partial,
  * exactly-full and multi-batch runs), with protection and ISV off
- * and on.  The batched-only properties -- mid-run reads fold the
+ * and on.  The batched-only properties -- mid-run snapshots fold the
  * pending batch without changing the final snapshot, and snapshots
  * merge in any order -- are checked alongside.  (The register file's
  * anchors live in test_regfile.cc.)  Both replays' streamed feeds
@@ -182,9 +182,9 @@ TEST(SchedulerReplayBatch, ProtectionAndIsvOnMatchScalar)
 
 TEST(SchedulerReplayBatch, MidRunReadsFoldPendingBatch)
 {
-    // Mid-run statistic reads force a fold of the pending batch
-    // (including deferred releases).  Reading after every leg, after
-    // one leg only, or never must leave the same final state.
+    // Mid-run snapshots force a fold of the pending batch.  Taking
+    // one after every leg, after one leg only, or never must leave
+    // the same final state.
     WorkloadSet w;
     Scheduler every{SchedulerConfig{}};
     Scheduler once{SchedulerConfig{}};
@@ -201,9 +201,10 @@ TEST(SchedulerReplayBatch, MidRunReadsFoldPendingBatch)
         ro.run(go, 997);
         rq.run(gq, 997);
         EXPECT_GT(every.occupancy(now), 0.0);
-        EXPECT_GT(every.fieldOccupancy(FieldId::Src1Data, now), 0.0);
-        EXPECT_EQ(every.snapshotStress(now).biasVector().size(),
-                  fieldLayout().totalBits());
+        const SchedulerStress mid = every.snapshotStress(now);
+        EXPECT_GT(mid.fieldUseTime[static_cast<unsigned>(
+                      FieldId::Src1Data)], 0u);
+        EXPECT_EQ(mid.biasVector().size(), fieldLayout().totalBits());
         if (leg == 1) {
             EXPECT_EQ(once.snapshotStress(now).bitProfiles().size(),
                       fieldLayout().totalBits());

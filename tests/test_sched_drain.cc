@@ -6,14 +6,18 @@
  * The model keeps every slot's 144 layout bits and in-use flags as
  * plain values and charges each bit's zero-time on every image
  * change -- the per-event definition the bit-sliced drain must
- * reproduce exactly.  A Scheduler is driven by hand (allocate and
- * release at chosen cycles) next to the model, with protection off
- * (deferred, merged releases) and on (ALL1/ALL0/K% repairs;
- * ISV is pinned by the replay anchors in test_replay_batch.cc), and
- * every per-bit totalBias/busyBias zero-time and per-field in-use
- * time must match.  Residences of 1, 63, 64, 65 and 2^32+1 cycles,
- * partial, exactly-full and multi-batch record counts, mid-run reads
- * and the mod-2^64 wrap of the per-bit sums are covered.
+ * reproduce exactly.  It fills a slot field by field from the spec
+ * (fieldUsedByUop / fieldValue) and repairs bit by bit, so it also
+ * holds the scheduler's packed allocate path and masked repairs to
+ * that spec.  A Scheduler is driven by hand (allocate and release at
+ * chosen cycles) next to the model, with protection off and on
+ * (ALL1/ALL0/K% repairs; ISV is pinned by the replay anchors in
+ * test_replay_batch.cc and RINV sampling by test_duty_sliced.cc),
+ * and every per-bit totalBias/busyBias zero-time and per-field
+ * in-use time must match.  Residences of 1, 63, 64, 65 and 2^32+1
+ * cycles, partial, exactly-full and multi-batch record counts,
+ * mid-run snapshots and the mod-2^64 wrap of the per-bit sums are
+ * covered.
  */
 
 #include <gtest/gtest.h>
@@ -318,10 +322,9 @@ TEST(SchedulerDrainModel, MidRunReadsMatchScalar)
             now += gaps.nextBool(0.02) ? kResidences[gaps.nextInt(5)]
                                        : gaps.nextInt(6);
             h.step(now);
-            // Folding reads (no flush) move the drain points; a
-            // snapshot also flushes every entry.
+            // Unchecked mid-run snapshots move the drain points.
             if (i % 97 == 0)
-                h.sched.fieldOccupancy(FieldId::Imm, now);
+                h.sched.snapshotStress(now);
             if (i % 701 == 0)
                 h.model.expectMatches(h.sched, now);
         }
@@ -348,7 +351,11 @@ TEST(SchedulerDrainModel, SumsWrapModulo2To64)
             while (!h.busy.empty())
                 h.release(0, ++now);
             now += end / 6;
-            h.sched.fieldOccupancy(FieldId::Valid, now);
+            // One mid-run snapshot, taken before the sums wrap (its
+            // trackers need every zero-time <= the total time), so
+            // the final fold adds across the wrap.
+            if (round == 0)
+                h.sched.snapshotStress(now);
         }
         ASSERT_LT(now, end);
         h.model.expectMatches(h.sched, end);
