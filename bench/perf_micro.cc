@@ -445,8 +445,9 @@ BENCHMARK(BM_CacheAccess);
 void
 BM_CacheAccessLineFixed(benchmark::State &state)
 {
-    Cache cache{CacheConfig()};
-    cache.setPolicy(std::make_unique<LineFixedInversion>(0.5));
+    Cache cache(CacheConfig(),
+                mechanismParams(MechanismKind::LineFixed50, CacheConfig(),
+                                false));
     Rng rng(3);
     Cycle now = 0;
     for (auto _ : state) {

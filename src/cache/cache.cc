@@ -4,8 +4,6 @@
 #include <bit>
 #include <cassert>
 
-#include "inversion.hh"
-
 namespace penelope {
 
 CacheConfig
@@ -20,7 +18,8 @@ CacheConfig::tlb(std::uint32_t entries, std::uint32_t ways,
     return cfg;
 }
 
-Cache::Cache(const CacheConfig &config)
+Cache::Cache(const CacheConfig &config,
+             const MechanismParams &mechanism)
     : config_(config),
       numSets_(config.numSets()),
       lineShift_(static_cast<unsigned>(
@@ -32,58 +31,15 @@ Cache::Cache(const CacheConfig &config)
       usableSetCount_(config.numSets()),
       usableSetsPow2_(std::has_single_bit(config.numSets())),
       usableWayCount_(config.ways),
-      rng_(0xcac4e + config.sizeBytes + config.ways)
+      rng_(0xcac4e + config.sizeBytes + config.ways),
+      mechanism_(mechanism)
 {
     assert(numSets_ >= 1);
     assert(config_.ways >= 1);
     assert(std::has_single_bit(config_.lineBytes));
     // Line numbers stay below 2^63, so none equals kNoLine.
     assert(config_.lineBytes >= 2);
-}
-
-Cache::~Cache() = default;
-
-void
-InversionPolicy::attach(Cache &cache, Cycle now)
-{
-    (void)cache;
-    (void)now;
-}
-
-void
-InversionPolicy::onCycle(Cache &cache, Cycle now)
-{
-    (void)cache;
-    (void)now;
-}
-
-void
-InversionPolicy::onFill(Cache &cache, unsigned set, unsigned way,
-                        Cycle now, bool consumed_inverted)
-{
-    (void)cache;
-    (void)set;
-    (void)way;
-    (void)now;
-    (void)consumed_inverted;
-}
-
-void
-InversionPolicy::onShadowHit(Cache &cache, unsigned set,
-                             unsigned way, Cycle now)
-{
-    (void)cache;
-    (void)set;
-    (void)way;
-    (void)now;
-}
-
-void
-Cache::setPolicy(std::unique_ptr<InversionPolicy> policy)
-{
-    policy_ = std::move(policy);
-    if (policy_)
-        policy_->attach(*this, lastRatioUpdate_);
+    mechanism_.attach(*this);
 }
 
 unsigned
@@ -201,8 +157,7 @@ Cache::access(Addr addr, Cycle now)
         lastUse_[at] = now;
         if (shadowCount_ != 0 && lines_[at].shadow) {
             result.shadowExtraMiss = true;
-            if (policy_)
-                policy_->onShadowHit(*this, set, w, now);
+            mechanism_.onShadowHit(*this, set, w);
         }
         return result;
     }
@@ -231,10 +186,6 @@ Cache::access(Addr addr, Cycle now)
     // data image): the mechanisms share this stream, and Table 3's
     // results depend on its position.
     (void)rng_();
-
-    if (policy_)
-        policy_->onFill(*this, set, victim, now,
-                        result.consumedInvertedLine);
     return result;
 }
 
@@ -262,64 +213,50 @@ Cache::invertLine(unsigned set, unsigned way, Cycle now)
     return true;
 }
 
-bool
-Cache::invertLruLineOfSet(unsigned set, Cycle now)
+int
+Cache::inversionTarget(unsigned set, bool skip_shadow) const
 {
     // Plain-invalid lines hold dead data: inverting one is free.
     // Only a fully valid set sacrifices its LRU line, which is the
     // steady-state case the paper describes (most cache contents
-    // are useless and about to be evicted anyway).
+    // are useless and about to be evicted anyway).  The shadow test
+    // takes the same preference, or it would overestimate the
+    // induced extra misses.
     unsigned w = usableWayFirst_;
     for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
         const std::size_t at = slot(set, w);
-        if (key_[at] == kNoLine && !lines_[at].inverted)
-            return invertLine(set, w, now);
+        if (key_[at] == kNoLine && !lines_[at].inverted &&
+            !(skip_shadow && lines_[at].shadow))
+            return static_cast<int>(w);
     }
-    const int way = lruValidWay(set, false);
-    if (way < 0)
-        return false;
-    return invertLine(set, static_cast<unsigned>(way), now);
+    return lruValidWay(set, skip_shadow);
+}
+
+bool
+Cache::invertLruLineOfSet(unsigned set, Cycle now)
+{
+    const int way = inversionTarget(set, false);
+    return way >= 0 && invertLine(set, static_cast<unsigned>(way), now);
 }
 
 void
-Cache::setUsableSets(unsigned first, unsigned count, Cycle now)
+Cache::setUsableWindow(bool sets, unsigned first, unsigned count,
+                       Cycle now)
 {
-    assert(count >= 1 && count <= numSets_);
-    assert(first < numSets_);
-    usableSetFirst_ = first;
-    usableSetCount_ = count;
-    usableSetsPow2_ = std::has_single_bit(count);
-    // Every line in the now-unusable sets becomes inverted (valid
-    // contents are complemented in place; dead lines hold inverted
-    // garbage, which balances their cells just the same).
-    for (unsigned s = 0; s < numSets_; ++s) {
-        const bool usable =
-            ((s + numSets_ - first) % numSets_) < count;
-        if (usable)
-            continue;
-        for (unsigned w = 0; w < config_.ways; ++w) {
-            Line &line = lineAt(s, w);
-            if (!line.inverted)
-                invertLine(s, w, now);
-        }
-    }
-}
-
-void
-Cache::setUsableWays(unsigned first, unsigned count, Cycle now)
-{
-    assert(count >= 1 && count <= config_.ways);
-    assert(first < config_.ways);
-    usableWayFirst_ = first;
-    usableWayCount_ = count;
+    const unsigned n = sets ? numSets_ : config_.ways;
+    assert(count >= 1 && count <= n);
+    assert(first < n);
+    (sets ? usableSetFirst_ : usableWayFirst_) = first;
+    (sets ? usableSetCount_ : usableWayCount_) = count;
+    usableSetsPow2_ = std::has_single_bit(usableSetCount_);
+    // Every line outside the window becomes inverted (valid contents
+    // are complemented in place; dead lines hold inverted garbage,
+    // which balances their cells just the same).
     for (unsigned s = 0; s < numSets_; ++s) {
         for (unsigned w = 0; w < config_.ways; ++w) {
             const bool usable =
-                ((w + config_.ways - first) % config_.ways) < count;
-            if (usable)
-                continue;
-            Line &line = lineAt(s, w);
-            if (!line.inverted)
+                ((sets ? s : w) + n - first) % n < count;
+            if (!usable && !lineAt(s, w).inverted)
                 invertLine(s, w, now);
         }
     }
@@ -349,19 +286,7 @@ Cache::clearShadows()
 bool
 Cache::shadowMarkLruLineOfSet(unsigned set)
 {
-    // Mirror invertLruLineOfSet: the shadow test must model the
-    // same target preference (dead lines first) or it would
-    // overestimate the induced extra misses.
-    unsigned w = usableWayFirst_;
-    for (unsigned i = 0; i < usableWayCount_; ++i, w = nextWay(w)) {
-        const std::size_t at = slot(set, w);
-        if (key_[at] == kNoLine && !lines_[at].inverted &&
-            !lines_[at].shadow) {
-            setShadow(set, w, true);
-            return true;
-        }
-    }
-    const int way = lruValidWay(set, true);
+    const int way = inversionTarget(set, true);
     if (way < 0)
         return false;
     setShadow(set, static_cast<unsigned>(way), true);

@@ -8,6 +8,11 @@
  * the recency position of a hit (hitRecency) for the pipeline's MRU
  * survey.
  *
+ * Each cache owns one InversionMechanism (inversion.hh), chosen by
+ * the MechanismParams it is built with: tick() steps it, a hit on a
+ * shadow-marked line reports to it, and it acts through the
+ * inversion manipulators below.
+ *
  * Inversion state: a line is either valid (holding program data) or
  * *inverted* -- invalid for lookups, its cells holding the bitwise
  * complement of a sampled value so both PMOS devices of every cell
@@ -37,44 +42,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
+#include "inversion.hh"
 
 namespace penelope {
-
-class Cache;
-
-/** Hook interface caches drive; implementations mutate the cache
- *  through its public inversion manipulators (the mechanisms live
- *  in inversion.hh). */
-class InversionPolicy
-{
-  public:
-    virtual ~InversionPolicy() = default;
-
-    /** Called once when installed. */
-    virtual void attach(Cache &cache, Cycle now);
-
-    /** Called every cycle by Cache::tick. */
-    virtual void onCycle(Cache &cache, Cycle now);
-
-    /** Called after a miss fill. */
-    virtual void onFill(Cache &cache, unsigned set, unsigned way,
-                        Cycle now, bool consumed_inverted);
-
-    /** Called on a hit to a shadow-marked line (test phase). */
-    virtual void onShadowHit(Cache &cache, unsigned set,
-                             unsigned way, Cycle now);
-
-    virtual std::string name() const = 0;
-
-    /** Whether the mechanism is currently inverting. */
-    virtual bool active() const { return true; }
-};
 
 /** Static cache geometry and behaviour. */
 struct CacheConfig
@@ -129,29 +104,28 @@ struct AccessResult
 class Cache
 {
   public:
-    explicit Cache(const CacheConfig &config);
-    ~Cache();
+    /** A cache running @p mechanism, installed at cycle 0. */
+    explicit Cache(const CacheConfig &config,
+                   const MechanismParams &mechanism = MechanismParams());
 
     Cache(const Cache &) = delete;
     Cache &operator=(const Cache &) = delete;
 
-    /** Install an inversion policy (may be null). */
-    void setPolicy(std::unique_ptr<InversionPolicy> policy);
-    InversionPolicy *policy() { return policy_.get(); }
+    const InversionMechanism &mechanism() const { return mechanism_; }
 
     /** Look up @p addr; allocate on miss. */
     AccessResult access(Addr addr, Cycle now);
 
-    /** Advance policy machinery by one cycle.  Inline: the timing
+    /** Advance the mechanism by one cycle.  Inline: the timing
      *  model ticks every cache once per simulated uop. */
     void
     tick(Cycle now)
     {
-        if (policy_)
-            policy_->onCycle(*this, now);
+        if (mechanism_.kind() != MechanismKind::None)
+            mechanism_.onCycle(*this, now);
     }
 
-    /** @name Inversion manipulators (used by policies) */
+    /** @name Inversion manipulators (used by the mechanism) */
     /// @{
     /** Invalidate and invert a specific line; returns false if the
      *  line was already inverted. */
@@ -160,12 +134,11 @@ class Cache
     /** Invert the LRU valid line of @p set; false if none valid. */
     bool invertLruLineOfSet(unsigned set, Cycle now);
 
-    /** Restrict lookups/allocation to a rotating window of sets
-     *  (other sets become inverted). */
-    void setUsableSets(unsigned first, unsigned count, Cycle now);
-
-    /** Restrict lookups/allocation to a rotating window of ways. */
-    void setUsableWays(unsigned first, unsigned count, Cycle now);
+    /** Restrict lookups/allocation to the @p count sets (@p sets)
+     *  or ways from @p first on, wrapping; the lines outside the
+     *  window become inverted. */
+    void setUsableWindow(bool sets, unsigned first, unsigned count,
+                         Cycle now);
 
     /** Mark/unmark a line as shadow-inverted (test phase). */
     void setShadow(unsigned set, unsigned way, bool shadow);
@@ -262,13 +235,18 @@ class Cache
     /** LRU valid non-inverted way of @p set, or -1. */
     int lruValidWay(unsigned set, bool skip_shadow) const;
 
+    /** The way of @p set an inversion (or, @p skip_shadow, a shadow
+     *  mark) takes: a plain-invalid way first, else the LRU valid
+     *  one; ways already shadow-marked are skipped with
+     *  @p skip_shadow.  -1 if none. */
+    int inversionTarget(unsigned set, bool skip_shadow) const;
+
     CacheConfig config_;
     unsigned numSets_;
     unsigned lineShift_; ///< log2(lineBytes)
     std::vector<std::uint64_t> key_;
     std::vector<Cycle> lastUse_;
     std::vector<Line> lines_;
-    std::unique_ptr<InversionPolicy> policy_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
@@ -290,6 +268,7 @@ class Cache
     Cycle lastRatioUpdate_ = 0;
 
     Rng rng_;
+    InversionMechanism mechanism_;
 };
 
 } // namespace penelope

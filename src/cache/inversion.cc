@@ -4,160 +4,123 @@
 #include <cassert>
 #include <cmath>
 
+#include "cache.hh"
+
 namespace penelope {
 
-// ---------------------------------------------------------------- Set
-
-SetFixedInversion::SetFixedInversion(double invert_ratio,
-                                     Cycle rotate_period)
-    : ratio_(invert_ratio), rotatePeriod_(rotate_period)
+const char *
+mechanismName(MechanismKind kind)
 {
-    assert(ratio_ >= 0.0 && ratio_ < 1.0);
+    switch (kind) {
+      case MechanismKind::None:
+        return "Baseline";
+      case MechanismKind::SetFixed50:
+        return "SetFixed50%";
+      case MechanismKind::WayFixed50:
+        return "WayFixed50%";
+      case MechanismKind::LineFixed50:
+        return "LineFixed50%";
+      case MechanismKind::LineDynamic60:
+        return "LineDynamic60%";
+    }
+    return "?";
+}
+
+InversionMechanism::InversionMechanism(const MechanismParams &params)
+    : params_(params)
+{
+    assert(params_.invertRatio >= 0.0 && params_.invertRatio < 1.0);
+    assert(params_.kind != MechanismKind::LineDynamic60 ||
+           params_.warmupCycles + params_.testCycles <=
+               params_.periodCycles);
 }
 
 void
-SetFixedInversion::applyWindow(Cache &cache, Cycle now)
+InversionMechanism::attach(Cache &cache)
 {
-    const unsigned sets = cache.numSets();
-    const unsigned inverted = std::min<unsigned>(
-        sets - 1,
-        static_cast<unsigned>(std::lround(ratio_ * sets)));
-    cache.setUsableSets(firstUsable_, sets - inverted, now);
-}
-
-void
-SetFixedInversion::attach(Cache &cache, Cycle now)
-{
-    firstUsable_ = 0;
-    lastRotate_ = now;
-    applyWindow(cache, now);
-}
-
-void
-SetFixedInversion::onCycle(Cache &cache, Cycle now)
-{
-    if (now - lastRotate_ < rotatePeriod_)
-        return;
-    lastRotate_ = now;
-    firstUsable_ = (firstUsable_ + 1) % cache.numSets();
-    applyWindow(cache, now);
-}
-
-std::string
-SetFixedInversion::name() const
-{
-    return "SetFixed" +
-        std::to_string(static_cast<int>(ratio_ * 100)) + "%";
-}
-
-// ---------------------------------------------------------------- Way
-
-WayFixedInversion::WayFixedInversion(double invert_ratio,
-                                     Cycle rotate_period)
-    : ratio_(invert_ratio), rotatePeriod_(rotate_period)
-{
-    assert(ratio_ >= 0.0 && ratio_ < 1.0);
-}
-
-void
-WayFixedInversion::applyWindow(Cache &cache, Cycle now)
-{
-    const unsigned ways = cache.numWays();
-    const unsigned inverted = std::min<unsigned>(
-        ways - 1,
-        static_cast<unsigned>(std::lround(ratio_ * ways)));
-    cache.setUsableWays(firstUsable_, ways - inverted, now);
-}
-
-void
-WayFixedInversion::attach(Cache &cache, Cycle now)
-{
-    firstUsable_ = 0;
-    lastRotate_ = now;
-    applyWindow(cache, now);
-}
-
-void
-WayFixedInversion::onCycle(Cache &cache, Cycle now)
-{
-    if (now - lastRotate_ < rotatePeriod_)
-        return;
-    lastRotate_ = now;
-    firstUsable_ = (firstUsable_ + 1) % cache.numWays();
-    applyWindow(cache, now);
-}
-
-std::string
-WayFixedInversion::name() const
-{
-    return "WayFixed" +
-        std::to_string(static_cast<int>(ratio_ * 100)) + "%";
-}
-
-// --------------------------------------------------------------- Line
-
-LineFixedInversion::LineFixedInversion(double invert_ratio)
-    : ratio_(invert_ratio)
-{
-    assert(ratio_ >= 0.0 && ratio_ < 1.0);
-}
-
-void
-LineFixedInversion::attach(Cache &cache, Cycle now)
-{
-    (void)now;
     threshold_ = static_cast<unsigned>(
-        std::lround(ratio_ * cache.numLines()));
+        std::lround(params_.invertRatio * cache.numLines()));
+    if (params_.kind == MechanismKind::SetFixed50 ||
+        params_.kind == MechanismKind::WayFixed50)
+        applyWindow(cache, 0);
 }
 
 void
-LineFixedInversion::onCycle(Cache &cache, Cycle now)
+InversionMechanism::applyWindow(Cache &cache, Cycle now)
+{
+    const bool sets = params_.kind == MechanismKind::SetFixed50;
+    const unsigned n = sets ? cache.numSets() : cache.numWays();
+    const unsigned inverted = std::min<unsigned>(
+        n - 1,
+        static_cast<unsigned>(std::lround(params_.invertRatio * n)));
+    firstUsable_ %= n;
+    cache.setUsableWindow(sets, firstUsable_, n - inverted, now);
+}
+
+void
+InversionMechanism::step(Cache &cache, Cycle now, bool shadow)
 {
     // INVCOUNT below INVTHRESHOLD: invert the LRU valid line of a
     // random set, provided a write port is free this cycle.  If the
     // set has no valid line the counter is left unchanged and a new
     // attempt happens on a later cycle (Section 3.2.1).
-    if (cache.invertedCount() >= threshold_)
+    if ((shadow ? cache.shadowCount() : cache.invertedCount()) >=
+        threshold_)
         return;
     if (!cache.rng().nextBool(cache.config().writePortFreeProb))
         return;
     const unsigned set =
         static_cast<unsigned>(cache.rng().nextInt(cache.numSets()));
-    cache.invertLruLineOfSet(set, now);
-}
-
-std::string
-LineFixedInversion::name() const
-{
-    return "LineFixed" +
-        std::to_string(static_cast<int>(ratio_ * 100)) + "%";
-}
-
-// ------------------------------------------------------------ Dynamic
-
-LineDynamicInversion::LineDynamicInversion(
-    const DynamicInversionParams &p)
-    : params_(p)
-{
-    assert(params_.invertRatio >= 0.0 && params_.invertRatio < 1.0);
-    assert(params_.warmupCycles + params_.testCycles <=
-           params_.periodCycles);
+    if (shadow)
+        cache.shadowMarkLruLineOfSet(set);
+    else
+        cache.invertLruLineOfSet(set, now);
 }
 
 void
-LineDynamicInversion::attach(Cache &cache, Cycle now)
+InversionMechanism::onCycle(Cache &cache, Cycle now)
 {
-    threshold_ = static_cast<unsigned>(
-        std::lround(params_.invertRatio * cache.numLines()));
-    periodStart_ = now;
-    enterPhase(cache, Phase::Warmup, now);
+    switch (params_.kind) {
+      case MechanismKind::None:
+        return;
+      case MechanismKind::SetFixed50:
+      case MechanismKind::WayFixed50:
+        if (now - periodStart_ < params_.periodCycles)
+            return;
+        periodStart_ = now;
+        ++firstUsable_;
+        applyWindow(cache, now);
+        return;
+      case MechanismKind::LineFixed50:
+        step(cache, now, false);
+        return;
+      case MechanismKind::LineDynamic60:
+        break;
+    }
+
+    const Cycle in_period = now - periodStart_;
+    if (in_period >= params_.periodCycles) {
+        periodStart_ = now;
+        enterPhase(cache, Phase::Warmup);
+        return;
+    }
+    if (phase_ == Phase::Warmup &&
+        in_period >= params_.warmupCycles) {
+        enterPhase(cache, Phase::Test);
+    } else if (phase_ == Phase::Test &&
+               in_period >= params_.warmupCycles +
+                   params_.testCycles) {
+        enterPhase(cache, Phase::Run);
+    }
+    // The test phase shadow-runs the mechanism: it marks (but keeps
+    // valid) the lines that would have been inverted.
+    if (phase_ == Phase::Test || (phase_ == Phase::Run && active_))
+        step(cache, now, phase_ == Phase::Test);
 }
 
 void
-LineDynamicInversion::enterPhase(Cache &cache, Phase phase,
-                                 Cycle now)
+InversionMechanism::enterPhase(Cache &cache, Phase phase)
 {
-    (void)now;
     phase_ = phase;
     switch (phase) {
       case Phase::Warmup:
@@ -186,49 +149,11 @@ LineDynamicInversion::enterPhase(Cache &cache, Phase phase,
 }
 
 void
-LineDynamicInversion::onCycle(Cache &cache, Cycle now)
+InversionMechanism::onShadowHit(Cache &cache, unsigned set,
+                                unsigned way)
 {
-    const Cycle in_period = now - periodStart_;
-    if (in_period >= params_.periodCycles) {
-        periodStart_ = now;
-        enterPhase(cache, Phase::Warmup, now);
+    if (params_.kind != MechanismKind::LineDynamic60)
         return;
-    }
-    if (phase_ == Phase::Warmup &&
-        in_period >= params_.warmupCycles) {
-        enterPhase(cache, Phase::Test, now);
-    } else if (phase_ == Phase::Test &&
-               in_period >= params_.warmupCycles +
-                   params_.testCycles) {
-        enterPhase(cache, Phase::Run, now);
-    }
-
-    if (phase_ == Phase::Test) {
-        // Shadow-run the mechanism: mark (but keep valid) the lines
-        // that would have been inverted.
-        if (cache.shadowCount() < threshold_ &&
-            cache.rng().nextBool(
-                cache.config().writePortFreeProb)) {
-            const unsigned set = static_cast<unsigned>(
-                cache.rng().nextInt(cache.numSets()));
-            cache.shadowMarkLruLineOfSet(set);
-        }
-    } else if (phase_ == Phase::Run && active_) {
-        if (cache.invertedCount() < threshold_ &&
-            cache.rng().nextBool(
-                cache.config().writePortFreeProb)) {
-            const unsigned set = static_cast<unsigned>(
-                cache.rng().nextInt(cache.numSets()));
-            cache.invertLruLineOfSet(set, now);
-        }
-    }
-}
-
-void
-LineDynamicInversion::onShadowHit(Cache &cache, unsigned set,
-                                  unsigned way, Cycle now)
-{
-    (void)now;
     // The line would have been inverted: the hit would have been a
     // miss, and the refill would have inverted another line.
     ++extraMisses_;
@@ -238,16 +163,8 @@ LineDynamicInversion::onShadowHit(Cache &cache, unsigned set,
     cache.shadowMarkLruLineOfSet(other_set);
 }
 
-std::string
-LineDynamicInversion::name() const
-{
-    return "LineDynamic" +
-        std::to_string(
-            static_cast<int>(params_.invertRatio * 100)) + "%";
-}
-
 double
-LineDynamicInversion::activeFraction() const
+InversionMechanism::activeFraction() const
 {
     if (decisionsTotal_ == 0)
         return 0.0;

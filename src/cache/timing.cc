@@ -97,55 +97,36 @@ struct MemLossPass
 
 } // namespace
 
-const char *
-mechanismName(MechanismKind kind)
+MechanismParams
+mechanismParams(MechanismKind kind, const CacheConfig &config,
+                bool is_tlb, double time_scale)
 {
+    MechanismParams p;
+    p.kind = kind;
+    const Cycle period = static_cast<Cycle>(10'000'000 * time_scale);
     switch (kind) {
       case MechanismKind::None:
-        return "Baseline";
+        break;
       case MechanismKind::SetFixed50:
-        return "SetFixed50%";
       case MechanismKind::WayFixed50:
-        return "WayFixed50%";
+        p.invertRatio = 0.5;
+        p.periodCycles = period;
+        break;
       case MechanismKind::LineFixed50:
-        return "LineFixed50%";
+        p.invertRatio = 0.5;
+        break;
       case MechanismKind::LineDynamic60:
-        return "LineDynamic60%";
-    }
-    return "?";
-}
-
-std::unique_ptr<InversionPolicy>
-makeMechanism(MechanismKind kind, const CacheConfig &config,
-              bool is_tlb, double time_scale)
-{
-    switch (kind) {
-      case MechanismKind::None:
-        return nullptr;
-      case MechanismKind::SetFixed50:
-        return std::make_unique<SetFixedInversion>(
-            0.5, static_cast<Cycle>(10'000'000 * time_scale));
-      case MechanismKind::WayFixed50:
-        return std::make_unique<WayFixedInversion>(
-            0.5, static_cast<Cycle>(10'000'000 * time_scale));
-      case MechanismKind::LineFixed50:
-        return std::make_unique<LineFixedInversion>(0.5);
-      case MechanismKind::LineDynamic60: {
-        DynamicInversionParams p;
         p.invertRatio = 0.6;
-        p.warmupCycles =
-            static_cast<Cycle>(200'000 * time_scale);
+        p.periodCycles = period;
+        p.warmupCycles = static_cast<Cycle>(200'000 * time_scale);
         p.testCycles = static_cast<Cycle>(200'000 * time_scale);
-        p.periodCycles =
-            static_cast<Cycle>(10'000'000 * time_scale);
         p.extraMissThreshold = is_tlb
             ? dtlbExtraMissThreshold(
                   config.sizeBytes / config.lineBytes)
             : dl0ExtraMissThreshold(config.sizeBytes);
-        return std::make_unique<LineDynamicInversion>(p);
-      }
+        break;
     }
-    return nullptr;
+    return p;
 }
 
 MemTimingSim::MemTimingSim(const CacheConfig &dl0_config,
@@ -154,14 +135,13 @@ MemTimingSim::MemTimingSim(const CacheConfig &dl0_config,
                            MechanismKind dl0_mechanism,
                            MechanismKind dtlb_mechanism,
                            double time_scale)
-    : params_(params), dl0_(dl0_config), dtlb_(dtlb_config)
-{
-    dl0_.setPolicy(
-        makeMechanism(dl0_mechanism, dl0_config, false, time_scale));
-    dtlb_.setPolicy(
-        makeMechanism(dtlb_mechanism, dtlb_config, true,
-                      time_scale));
-}
+    : params_(params),
+      dl0_(dl0_config,
+           mechanismParams(dl0_mechanism, dl0_config, false, time_scale)),
+      dtlb_(dtlb_config,
+            mechanismParams(dtlb_mechanism, dtlb_config, true,
+                            time_scale))
+{}
 
 void
 MemTimingSim::readMisses(MemTimingSim *dl0_source,
@@ -218,7 +198,8 @@ MemTimingSim::step(const Uop &uop, std::size_t i, double &cycles)
 void
 MemTimingSim::feed(const Uop *uops, std::size_t n)
 {
-    // Alone, the cycle count stays in a register.
+    // Alone, the cycle count stays in a register: BM_MemTimingSim
+    // measures 14-19% slower through feedLockstep over this one sim.
     beginChunk(n);
     double cycles = cycles_;
     for (std::size_t i = 0; i < n; ++i)

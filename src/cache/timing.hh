@@ -10,6 +10,11 @@
  * proprietary core model; the additive model preserves orderings and
  * magnitudes of the deltas).
  *
+ * A sim's DL0 and DTLB each run the mechanism its MechanismKind
+ * names (inversion.hh), with the parameters mechanismParams derives
+ * from the kind, the geometry and the time scale: the one place the
+ * production mechanism parameters come from.
+ *
  * One pass per trace: simulateMemLosses() prices a whole list of
  * MemLossQuery configurations through Engine::streamCached, each
  * query a slot with its own key, and the engine hands a trace's
@@ -44,12 +49,10 @@
 #define PENELOPE_CACHE_TIMING_HH
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "cache.hh"
-#include "inversion.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
 
@@ -66,28 +69,17 @@ struct MemTimingParams
     unsigned dtlbMissPenalty = 30;  ///< cycles per DTLB miss (walk)
 };
 
-/** Selectable inversion mechanism for experiment configuration. */
-enum class MechanismKind : std::uint8_t
-{
-    None,
-    SetFixed50,
-    WayFixed50,
-    LineFixed50,
-    LineDynamic60,
-};
-
-const char *mechanismName(MechanismKind kind);
-
 /**
- * Instantiate a mechanism for a cache configuration.  Dynamic
- * thresholds follow the paper's per-geometry values; @p is_tlb
- * selects the DTLB threshold table.  Time constants are scaled by
- * @p time_scale (1.0 = the paper's 200K/200K/10M cycles) so short
- * synthetic traces exercise the full warmup/test/decide machinery.
+ * The production parameters of @p kind on a cache of @p config: the
+ * ratio its name states, and for LineDynamic the paper's
+ * per-geometry extra-miss threshold (@p is_tlb selects the DTLB
+ * table).  Time constants are scaled by @p time_scale (1.0 = the
+ * paper's 200K/200K/10M cycles) so short synthetic traces exercise
+ * the full warmup/test/decide machinery.
  */
-std::unique_ptr<InversionPolicy>
-makeMechanism(MechanismKind kind, const CacheConfig &config,
-              bool is_tlb, double time_scale = 1.0);
+MechanismParams mechanismParams(MechanismKind kind,
+                                const CacheConfig &config, bool is_tlb,
+                                double time_scale = 1.0);
 
 /** Result of one trace run through the memory hierarchy. */
 struct MemSimResult

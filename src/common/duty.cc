@@ -84,10 +84,11 @@ BitBiasTracker::fromTimes(unsigned width,
 {
     BitBiasTracker t(width);
     std::vector<std::uint64_t> ones(width);
-    for (unsigned i = 0; i < width; ++i) {
-        assert(zero_times[i] <= total_time);
+    // The times are exact modulo 2^64 (a long run's sums wrap), so
+    // a zero-time may exceed the total: the difference is still the
+    // exact one-time modulo 2^64.
+    for (unsigned i = 0; i < width; ++i)
         ones[i] = total_time - zero_times[i];
-    }
     t.one_.loadTimes(ones.data());
     t.totalTime_ = total_time;
     return t;

@@ -189,8 +189,9 @@ class BitBiasTracker
     explicit BitBiasTracker(unsigned width);
 
     /** Tracker snapshot from raw per-bit zero-times and a shared
-     *  total time (used to materialise per-field views of wider
-     *  sliced accounting, e.g.\ the scheduler's slot layout). */
+     *  total time, exact modulo 2^64 (used to materialise per-field
+     *  views of wider sliced accounting, e.g.\ the scheduler's slot
+     *  layout). */
     static BitBiasTracker fromTimes(unsigned width,
                                     const std::uint64_t *zero_times,
                                     std::uint64_t total_time);

@@ -10,18 +10,15 @@ Pipeline::Pipeline(const PipelineConfig &config)
       intRegs_(config.intRegs),
       fpRegs_(config.fpRegs),
       sched_(config.schedEntries),
-      dl0_(config.dl0),
-      dtlb_(config.dtlb),
+      dl0_(config.dl0,
+           mechanismParams(config.dl0Mechanism, config.dl0, false,
+                           config.mechanismTimeScale)),
+      dtlb_(config.dtlb,
+            mechanismParams(config.dtlbMechanism, config.dtlb, true,
+                            config.mechanismTimeScale)),
       dl0Mru_(config.dl0.ways),
       rng_(0x9090)
 {
-    dl0_.setPolicy(makeMechanism(config_.dl0Mechanism, config_.dl0,
-                                 false,
-                                 config_.mechanismTimeScale));
-    dtlb_.setPolicy(makeMechanism(config_.dtlbMechanism,
-                                  config_.dtlb, true,
-                                  config_.mechanismTimeScale));
-
     intMap_.assign(numArchIntRegs, -1);
     fpMap_.assign(numArchFpRegs, -1);
     intReady_.assign(config_.intRegs, false);

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -161,8 +163,8 @@ TEST(Inversion, InvertFallsBackToLruValid)
 
 TEST(Inversion, LineFixedReachesThreshold)
 {
-    Cache c(smallCache());
-    c.setPolicy(std::make_unique<LineFixedInversion>(0.5));
+    Cache c(smallCache(), {.kind = MechanismKind::LineFixed50,
+                           .invertRatio = 0.5});
     WorkloadSet w;
     TraceGenerator gen = w.generator(5);
     Cycle now = 0;
@@ -174,15 +176,13 @@ TEST(Inversion, LineFixedReachesThreshold)
             c.access(uop.addr, now);
     }
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.05);
-    EXPECT_EQ(c.invertedCount(),
-              static_cast<LineFixedInversion *>(c.policy())
-                  ->threshold());
+    EXPECT_EQ(c.invertedCount(), c.mechanism().threshold());
 }
 
 TEST(Inversion, SetFixedHalvesCapacity)
 {
-    Cache c(smallCache());
-    c.setPolicy(std::make_unique<SetFixedInversion>(0.5));
+    Cache c(smallCache(), mechanismParams(MechanismKind::SetFixed50,
+                                          smallCache(), false));
     // Inverted ratio should be 0.5 immediately (8 of 16 sets).
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.01);
     // 64 distinct lines exceed the 32-line effective capacity.
@@ -196,8 +196,8 @@ TEST(Inversion, SetFixedHalvesCapacity)
 
 TEST(Inversion, WayFixedHalvesAssociativity)
 {
-    Cache c(smallCache());
-    c.setPolicy(std::make_unique<WayFixedInversion>(0.5));
+    Cache c(smallCache(), mechanismParams(MechanismKind::WayFixed50,
+                                          smallCache(), false));
     EXPECT_NEAR(c.invertRatio(), 0.5, 0.01);
     // 4 lines in one set, only 2 usable ways.
     for (int i = 0; i < 4; ++i)
@@ -210,8 +210,9 @@ TEST(Inversion, WayFixedHalvesAssociativity)
 
 TEST(Inversion, SetRotationMovesWindow)
 {
-    Cache c(smallCache());
-    c.setPolicy(std::make_unique<SetFixedInversion>(0.5, 100));
+    Cache c(smallCache(), {.kind = MechanismKind::SetFixed50,
+                           .invertRatio = 0.5,
+                           .periodCycles = 100});
     c.access(0, 1);
     // Force a rotation.
     c.tick(200);
@@ -234,15 +235,13 @@ TEST(Inversion, ShadowMarking)
 
 TEST(Inversion, ShadowHitCountsExtraMiss)
 {
-    Cache c(smallCache());
-    DynamicInversionParams p;
-    p.warmupCycles = 10;
-    p.testCycles = 100000;
-    p.periodCycles = 1000000;
-    p.extraMissThreshold = 0.0; // any extra miss deactivates
-    auto policy = std::make_unique<LineDynamicInversion>(p);
-    LineDynamicInversion *dyn = policy.get();
-    c.setPolicy(std::move(policy));
+    // Any extra miss deactivates.
+    Cache c(smallCache(), {.kind = MechanismKind::LineDynamic60,
+                           .invertRatio = 0.6,
+                           .periodCycles = 1000000,
+                           .warmupCycles = 10,
+                           .testCycles = 100000,
+                           .extraMissThreshold = 0.0});
     // Fill the whole cache with valid lines so shadow marks must
     // land on live data, then keep hitting them during the test
     // phase: some hits must be flagged as induced extra misses.
@@ -259,21 +258,18 @@ TEST(Inversion, ShadowHitCountsExtraMiss)
         ++now;
     }
     EXPECT_TRUE(shadow_hit);
-    EXPECT_TRUE(dyn != nullptr);
 }
 
 TEST(Inversion, DynamicDeactivatesForCacheHungryProgram)
 {
     // A program hammering every line of the cache should fail the
     // extra-miss test and keep the mechanism off.
-    CacheConfig cfg = smallCache();
-    Cache c(cfg);
-    DynamicInversionParams p;
-    p.warmupCycles = 500;
-    p.testCycles = 500;
-    p.periodCycles = 20000;
-    p.extraMissThreshold = 0.01;
-    c.setPolicy(std::make_unique<LineDynamicInversion>(p));
+    Cache c(smallCache(), {.kind = MechanismKind::LineDynamic60,
+                           .invertRatio = 0.6,
+                           .periodCycles = 20000,
+                           .warmupCycles = 500,
+                           .testCycles = 500,
+                           .extraMissThreshold = 0.01});
     Cycle now = 0;
     Rng rng(3);
     for (int i = 0; i < 40000; ++i) {
@@ -287,16 +283,12 @@ TEST(Inversion, DynamicDeactivatesForCacheHungryProgram)
 
 TEST(Inversion, DynamicActivatesForSmallFootprint)
 {
-    CacheConfig cfg = smallCache();
-    Cache c(cfg);
-    DynamicInversionParams p;
-    p.warmupCycles = 500;
-    p.testCycles = 500;
-    p.periodCycles = 50000;
-    p.extraMissThreshold = 0.02;
-    auto policy = std::make_unique<LineDynamicInversion>(p);
-    LineDynamicInversion *dyn = policy.get();
-    c.setPolicy(std::move(policy));
+    Cache c(smallCache(), {.kind = MechanismKind::LineDynamic60,
+                           .invertRatio = 0.6,
+                           .periodCycles = 50000,
+                           .warmupCycles = 500,
+                           .testCycles = 500,
+                           .extraMissThreshold = 0.02});
     Cycle now = 0;
     for (int i = 0; i < 40000; ++i) {
         ++now;
@@ -304,16 +296,8 @@ TEST(Inversion, DynamicActivatesForSmallFootprint)
         // Footprint of 8 lines: trivially fits half the cache.
         c.access((i % 8) * 64, now);
     }
-    EXPECT_GT(dyn->activeFraction(), 0.9);
+    EXPECT_GT(c.mechanism().activeFraction(), 0.9);
     EXPECT_GT(c.invertRatio(), 0.4);
-}
-
-TEST(Inversion, MechanismNames)
-{
-    EXPECT_EQ(SetFixedInversion(0.5).name(), "SetFixed50%");
-    EXPECT_EQ(LineFixedInversion(0.5).name(), "LineFixed50%");
-    EXPECT_EQ(WayFixedInversion(0.5).name(), "WayFixed50%");
-    EXPECT_EQ(LineDynamicInversion().name(), "LineDynamic60%");
 }
 
 TEST(Inversion, PaperThresholdTables)
@@ -324,6 +308,58 @@ TEST(Inversion, PaperThresholdTables)
     EXPECT_DOUBLE_EQ(dtlbExtraMissThreshold(128), 0.005);
     EXPECT_DOUBLE_EQ(dtlbExtraMissThreshold(64), 0.01);
     EXPECT_DOUBLE_EQ(dtlbExtraMissThreshold(32), 0.02);
+}
+
+TEST(Inversion, ProductionParams)
+{
+    // Every kind on Table 3's DL0 (8-way 32/16/8 KB) and DTLB
+    // (128/64/32 entries) geometries, at the catalog's mechanism
+    // time scale and at --full's.
+    struct Structure
+    {
+        CacheConfig config;
+        bool isTlb;
+        double threshold;
+    };
+    std::vector<Structure> structures;
+    for (const auto &[kb, threshold] :
+         {std::pair{32u, 0.02}, {16u, 0.03}, {8u, 0.04}}) {
+        CacheConfig dl0;
+        dl0.sizeBytes = kb * 1024;
+        structures.push_back({dl0, false, threshold});
+    }
+    for (const auto &[entries, threshold] :
+         {std::pair{128u, 0.005}, {64u, 0.01}, {32u, 0.02}})
+        structures.push_back(
+            {CacheConfig::tlb(entries, 8), true, threshold});
+
+    for (const auto &[time_scale, period, phase] :
+         {std::tuple{0.05, Cycle(500'000), Cycle(10'000)},
+          {0.2, Cycle(2'000'000), Cycle(40'000)}}) {
+        for (const Structure &s : structures) {
+            SCOPED_TRACE(::testing::Message()
+                         << s.config.name << " " << s.config.sizeBytes
+                         << " B at time scale " << time_scale);
+            const auto params = [&](MechanismKind kind) {
+                const MechanismParams p =
+                    mechanismParams(kind, s.config, s.isTlb, time_scale);
+                EXPECT_EQ(p.kind, kind);
+                return std::tuple{p.invertRatio, p.periodCycles,
+                                  p.warmupCycles, p.testCycles,
+                                  p.extraMissThreshold};
+            };
+            using Pin = std::tuple<double, Cycle, Cycle, Cycle, double>;
+            EXPECT_EQ(params(MechanismKind::None), Pin(0.0, 0, 0, 0, 0.0));
+            EXPECT_EQ(params(MechanismKind::SetFixed50),
+                      Pin(0.5, period, 0, 0, 0.0));
+            EXPECT_EQ(params(MechanismKind::WayFixed50),
+                      Pin(0.5, period, 0, 0, 0.0));
+            EXPECT_EQ(params(MechanismKind::LineFixed50),
+                      Pin(0.5, 0, 0, 0, 0.0));
+            EXPECT_EQ(params(MechanismKind::LineDynamic60),
+                      Pin(0.6, period, phase, phase, s.threshold));
+        }
+    }
 }
 
 // ---------------------------------------------------------- Timing
@@ -676,8 +712,9 @@ TEST(CacheAnchor, SetFixedNonPowerOfTwoWindow)
     // 16 sets, a quarter inverted: 12 usable sets (the modulo
     // fallback), rotating every 5000 cycles so the window wraps
     // past the last set.
-    Cache c(smallCache());
-    c.setPolicy(std::make_unique<SetFixedInversion>(0.25, 5000));
+    Cache c(smallCache(), {.kind = MechanismKind::SetFixed50,
+                           .invertRatio = 0.25,
+                           .periodCycles = 5000});
     EXPECT_EQ(c.invertedCount(), 16u);
     expectAnchorStream(c, 0x5e7f, 20000, 128,
                        {15274, 4726, {4946, 4545, 3629, 2154}, 17,
@@ -691,8 +728,9 @@ TEST(CacheAnchor, WayFixedWindowWraps)
     CacheConfig cfg = smallCache();
     cfg.sizeBytes = 8 * 1024;
     cfg.ways = 8;
-    Cache c(cfg);
-    c.setPolicy(std::make_unique<WayFixedInversion>(0.25, 3000));
+    Cache c(cfg, {.kind = MechanismKind::WayFixed50,
+                  .invertRatio = 0.25,
+                  .periodCycles = 3000});
     EXPECT_EQ(c.invertedCount(), 32u);
     expectAnchorStream(c, 0x3a7f, 20000, 192,
                        {17126, 2874,
@@ -704,21 +742,18 @@ TEST(CacheAnchor, LineDynamicShadowMarking)
 {
     // Short warmup/test/decide periods: the test phase shadow-marks
     // lines and counts the hits on them as induced extra misses.
-    Cache c(smallCache());
-    DynamicInversionParams p;
-    p.warmupCycles = 1000;
-    p.testCycles = 2000;
-    p.periodCycles = 6000;
-    p.extraMissThreshold = 0.2;
-    auto policy = std::make_unique<LineDynamicInversion>(p);
-    const LineDynamicInversion *dyn = policy.get();
-    c.setPolicy(std::move(policy));
+    Cache c(smallCache(), {.kind = MechanismKind::LineDynamic60,
+                           .invertRatio = 0.6,
+                           .periodCycles = 6000,
+                           .warmupCycles = 1000,
+                           .testCycles = 2000,
+                           .extraMissThreshold = 0.2});
     expectAnchorStream(c, 0xd1a, 20000, 48,
                        {19661, 339, {14657, 3357, 1647, 0}, 16,
                         0.25840159966520088, 3234, 291});
     // One of the seven decisions found the extra-miss rate low
     // enough to invert.
-    EXPECT_EQ(dyn->activeFraction(), 1.0 / 7.0);
+    EXPECT_EQ(c.mechanism().activeFraction(), 1.0 / 7.0);
 }
 
 // ------------------------------------------- absolute Table 3 anchor
@@ -841,8 +876,7 @@ TEST_P(CacheGeometry, InvariantsHold)
     const int stream = std::get<2>(GetParam());
     const auto mech =
         static_cast<MechanismKind>(std::get<3>(GetParam()));
-    Cache c(cfg);
-    c.setPolicy(makeMechanism(mech, cfg, false, 0.01));
+    Cache c(cfg, mechanismParams(mech, cfg, false, 0.01));
 
     Rng rng(cfg.sizeBytes + cfg.ways);
     Cycle now = 0;

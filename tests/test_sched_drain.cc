@@ -351,11 +351,9 @@ TEST(SchedulerDrainModel, SumsWrapModulo2To64)
             while (!h.busy.empty())
                 h.release(0, ++now);
             now += end / 6;
-            // One mid-run snapshot, taken before the sums wrap (its
-            // trackers need every zero-time <= the total time), so
-            // the final fold adds across the wrap.
-            if (round == 0)
-                h.sched.snapshotStress(now);
+            // A snapshot every round: the later ones read sums that
+            // have wrapped, and the final fold adds across the wrap.
+            h.sched.snapshotStress(now);
         }
         ASSERT_LT(now, end);
         h.model.expectMatches(h.sched, end);
