@@ -200,36 +200,6 @@ BM_AdderAgingPipeline(benchmark::State &state)
 }
 BENCHMARK(BM_AdderAgingPipeline)->Unit(benchmark::kMicrosecond);
 
-/** zeroProbsForOperands on both sides of its prefix rule, 2048
- *  samples each: an attack candidate's stream (two distinct
- *  vectors, so two weighted lanes) and a workload stream (mostly
- *  distinct, so one lane per sample). */
-void
-BM_ZeroProbsForOperands(benchmark::State &state, bool attack)
-{
-    std::vector<OperandSample> ops;
-    if (attack) {
-        Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
-        ops = candidateOperands(randomAttackCandidate(rng), 2048);
-    } else {
-        WorkloadSet workload;
-        TraceGenerator gen = workload.generator(0);
-        ops = collectAdderOperands(gen, 2048);
-    }
-    LadnerFischerAdder adder(32);
-    AdderAgingAnalysis analysis(adder,
-                                GuardbandModel::paperCalibrated());
-    for (auto _ : state) {
-        const auto probs = analysis.zeroProbsForOperands(ops);
-        benchmark::DoNotOptimize(probs.data());
-    }
-    state.SetItemsProcessed(state.iterations() * ops.size());
-}
-BENCHMARK_CAPTURE(BM_ZeroProbsForOperands, attack, true)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ZeroProbsForOperands, workload, false)
-    ->Unit(benchmark::kMicrosecond);
-
 // ---------------------------------------------- surrogate triage
 
 /** One exact candidate evaluation: the unit the surrogate's triage
@@ -253,8 +223,8 @@ BM_AttackCandidateExact(benchmark::State &state)
 }
 BENCHMARK(BM_AttackCandidateExact)->Unit(benchmark::kMicrosecond);
 
-/** Feature extraction for one candidate: generate the 64-sample
- *  stream prefix and reduce it to per-input-bit zero duties. */
+/** Feature extraction for one candidate: the per-input-bit zero
+ *  duties of its 64-sample stream prefix, in closed form. */
 void
 BM_SurrogateFeatures(benchmark::State &state)
 {
@@ -462,8 +432,10 @@ BENCHMARK(BM_CacheAccessLineFixed);
  *  sim (arg 0 = baseline, 1 = LineFixed50% on both) built and fed
  *  10k pre-generated uops of workload trace 7, which hit the
  *  baseline DL0 92% and the DTLB 98% of the time, about Table 3's
- *  rates (BM_CacheAccess almost always misses).  time_per_uop is
- *  the time per fed uop. */
+ *  rates (BM_CacheAccess almost always misses).  items_per_second
+ *  counts fed uops; its inverse is the time per uop.  (No custom
+ *  counter: the CSV reporter needs every row to carry the same
+ *  ones.) */
 void
 BM_MemTimingSim(benchmark::State &state)
 {
@@ -484,9 +456,6 @@ BM_MemTimingSim(benchmark::State &state)
     }
     benchmark::DoNotOptimize(cycles);
     state.SetItemsProcessed(state.iterations() * kUops);
-    state.counters["time_per_uop"] = benchmark::Counter(
-        static_cast<double>(state.iterations() * kUops),
-        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_MemTimingSim)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/bitword.hh"
-#include "common/duty.hh"
 #include "obs/metrics.hh"
 
 namespace penelope {
@@ -15,45 +13,39 @@ collectAdderOperands(TraceGenerator &gen, std::size_t count)
     return collectAdderOperandsFrom(gen, count);
 }
 
-std::vector<double>
-operandDutyFeatures(const std::vector<OperandSample> &ops,
-                    unsigned width)
+namespace {
+
+/** Hit counts of the first kSubtractPrefix subtract draws, and the
+ *  stream right after them. */
+struct SubtractPrefix
 {
-    assert(width <= 32);
-    // One BitBiasTracker bit per input signal: a-bits, b-bits,
-    // carry-in.  Each 64-sample chunk is transposed into the
-    // lane-word layout observeBatch consumes, so the per-bit duty
-    // sums cost one popcount per input bit per chunk.
-    BitBiasTracker tracker(operandFeatureCount(width));
-    std::vector<std::uint64_t> words(operandFeatureCount(width));
-    std::uint64_t ta[64];
-    std::uint64_t tb[64];
-    for (std::size_t begin = 0; begin < ops.size(); begin += 64) {
-        const std::size_t count =
-            std::min<std::size_t>(64, ops.size() - begin);
-        std::uint64_t cin_mask = 0;
-        for (std::size_t l = 0; l < count; ++l) {
-            const OperandSample &op = ops[begin + l];
-            ta[l] = op.a;
-            tb[l] = op.b;
-            if (op.cin)
-                cin_mask |= std::uint64_t(1) << l;
+    std::uint16_t hits[kSubtractPrefix + 1] = {};
+    Rng tail{kSubtractSeed};
+
+    SubtractPrefix()
+    {
+        for (std::uint64_t k = 0; k < kSubtractPrefix; ++k) {
+            hits[k + 1] = static_cast<std::uint16_t>(
+                hits[k] + (tail.nextBool(kSubtractShare) ? 1 : 0));
         }
-        std::fill(ta + count, ta + 64, 0);
-        std::fill(tb + count, tb + 64, 0);
-        transpose64x64(ta);
-        transpose64x64(tb);
-        for (unsigned bit = 0; bit < width; ++bit) {
-            words[bit] = ta[bit];
-            words[width + bit] = tb[bit];
-        }
-        words[2 * width] = cin_mask;
-        const std::uint64_t lane_mask = count == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << count) - 1;
-        tracker.observeBatch(words.data(), lane_mask);
     }
-    return tracker.biasVector();
+};
+
+} // namespace
+
+std::uint64_t
+subtractCount(std::uint64_t samples)
+{
+    // A function-local static: initialised once, thread-safely, on
+    // first use by whichever engine worker gets there first.
+    static const SubtractPrefix prefix;
+    if (samples <= kSubtractPrefix)
+        return prefix.hits[samples];
+    Rng rng = prefix.tail;
+    std::uint64_t hits = prefix.hits[kSubtractPrefix];
+    for (std::uint64_t k = kSubtractPrefix; k < samples; ++k)
+        hits += rng.nextBool(kSubtractShare) ? 1 : 0;
+    return hits;
 }
 
 AdderAgingAnalysis::AdderAgingAnalysis(const Adder &adder,
@@ -142,44 +134,6 @@ AdderAgingAnalysis::zeroProbsForInputs(
 
 namespace {
 
-/** Distinct operand vectors that get a weighted lane of their own:
- *  an attack stream holds two, its pinned vector {a, imm, 0} and
- *  the subtract twin {a, ~imm, 1}. */
-constexpr std::size_t kOperandSlots = 2;
-
-/** Samples the prefix scan reads before choosing weighted lanes. */
-constexpr std::size_t kOperandProbe = 64;
-
-/** Index of @p op among the first @p n of @p slots, or @p n. */
-std::size_t
-findOperands(const OperandSample *slots, std::size_t n,
-             const OperandSample &op)
-{
-    std::size_t k = 0;
-    while (k < n && !(slots[k].a == op.a && slots[k].b == op.b &&
-                      slots[k].cin == op.cin))
-        ++k;
-    return k;
-}
-
-/** True when the first kOperandProbe samples of @p ops hold at most
- *  kOperandSlots distinct vectors. */
-bool
-repetitivePrefix(const std::vector<OperandSample> &ops)
-{
-    OperandSample seen[kOperandSlots] = {};
-    std::size_t distinct = 0;
-    const std::size_t probe = std::min(ops.size(), kOperandProbe);
-    for (std::size_t i = 0; i < probe; ++i) {
-        if (findOperands(seen, distinct, ops[i]) < distinct)
-            continue;
-        if (distinct == kOperandSlots)
-            return false;
-        seen[distinct++] = ops[i];
-    }
-    return true;
-}
-
 /**
  * Evaluate @p count operand lanes (a[l], b[l], bit l of the
  * cin_masks words) in one netlist pass and charge each to
@@ -212,16 +166,6 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    // Repeated vectors share a slot and its count, and the slots
-    // are charged last as weighted lanes.  Samples that find no
-    // slot -- all of them when the prefix scan sees a mostly
-    // distinct stream -- are lanes of weight 1, 64 *
-    // preferredBatchWords() per pass.
-    const std::size_t capacity =
-        repetitivePrefix(ops) ? kOperandSlots : 0;
-    OperandSample slot[kOperandSlots] = {};
-    std::uint64_t weight[kOperandSlots] = {};
-    std::size_t slots = 0;
     const unsigned net_w = Netlist::preferredBatchWords();
     assert(net_w <= 4);
     const unsigned chunk = 64 * net_w;
@@ -232,19 +176,6 @@ AdderAgingAnalysis::zeroProbsForOperands(
     std::uint64_t cin_masks[4] = {};
     unsigned count = 0;
     for (const OperandSample &op : ops) {
-        // Loop-invariant, so a per-sample stream pays no lookup.
-        if (capacity != 0) {
-            const std::size_t k = findOperands(slot, slots, op);
-            if (k < slots) {
-                ++weight[k];
-                continue;
-            }
-            if (slots < capacity) {
-                slot[slots] = op;
-                weight[slots++] = 1;
-                continue;
-            }
-        }
         a[count] = op.a;
         b[count] = op.b;
         if (op.cin)
@@ -257,24 +188,98 @@ AdderAgingAnalysis::zeroProbsForOperands(
     }
     if (count != 0)
         chargeLanes(adder_, tracker, a, b, cin_masks, count, words);
-    if (slots != 0) {
-        // One word evaluates every slot; slot k is then charged
-        // alone with its count as the observe's dt.
-        std::uint64_t cin_mask = 0;
-        for (std::size_t k = 0; k < slots; ++k) {
-            a[k] = slot[k].a;
-            b[k] = slot[k].b;
-            if (slot[k].cin)
-                cin_mask |= std::uint64_t(1) << k;
+    return trackerProbs(tracker);
+}
+
+StreamAging
+AdderAgingAnalysis::twoVectorAging(const OperandSample &first,
+                                   std::uint64_t first_count,
+                                   const OperandSample &second,
+                                   std::uint64_t second_count) const
+{
+    // Lane 0 is the first vector, lane 1 the second.
+    std::uint64_t a[64] = {first.a, second.a};
+    std::uint64_t b[64] = {first.b, second.b};
+    const std::uint64_t cin_mask = (first.cin ? 1u : 0u) |
+        (second.cin ? 2u : 0u);
+    std::vector<std::uint64_t> words;
+    PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes").add(2);
+    adder_.evaluateBatchWide(a, b, &cin_mask, 1, words);
+
+    // Zero probability per class (bit 0: gate at 0 under the first
+    // vector, bit 1: under the second): the zero-time a tracker
+    // would hold over the total time, as PmosAgingTracker::zeroProb
+    // divides them.
+    const std::uint64_t total = first_count + second_count;
+    double class_prob[4];
+    for (unsigned c = 0; c < 4; ++c) {
+        const std::uint64_t zero = ((c & 1) ? first_count : 0) +
+            ((c & 2) ? second_count : 0);
+        class_prob[c] = total == 0
+            ? 0.5
+            : static_cast<double>(zero) / static_cast<double>(total);
+    }
+
+    // Slot classes, partition by partition (PmosSlotMap): a plain
+    // slot is at 0 where its word is clear, a complemented one where
+    // it is set, const-0 always and const-1 never.
+    const PmosSlotMap &slots = adder_.netlist().pmosSlots();
+    std::vector<std::uint8_t> slot_class(slots.numSlots(), 0);
+    for (std::size_t s = 0; s < slots.wordEnd; ++s)
+        slot_class[s] = static_cast<std::uint8_t>(
+            ~words[slots.slotWord[s]] & 3);
+    for (std::size_t s = slots.wordEnd; s < slots.invEnd; ++s)
+        slot_class[s] =
+            static_cast<std::uint8_t>(words[slots.slotWord[s]] & 3);
+    for (std::size_t s = slots.invEnd; s < slots.const0End; ++s)
+        slot_class[s] = 3;
+
+    // Per (class, width): the device guardband.
+    double guardband[4][2];
+    for (unsigned c = 0; c < 4; ++c) {
+        guardband[c][0] = model_.guardbandForZeroProb(
+            class_prob[c], WidthClass::Narrow);
+        guardband[c][1] = model_.guardbandForZeroProb(
+            class_prob[c], WidthClass::Wide);
+    }
+
+    // One walk in device order: the mean's sum adds the same
+    // doubles in the same order as meanDeviceGuardband, and the
+    // rest are a max and counts.
+    const auto &devices = adder_.netlist().pmosDevices();
+    StreamAging out;
+    if (devices.empty())
+        return out;
+    double sum = 0.0;
+    std::size_t count[4][2] = {};
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const unsigned c = slot_class[slots.deviceSlot[i]];
+        const unsigned wide =
+            devices[i].width == WidthClass::Wide ? 1 : 0;
+        sum += guardband[c][wide];
+        ++count[c][wide];
+    }
+    std::size_t wide = 0;
+    std::size_t wide_full = 0;
+    std::size_t narrow_full = 0;
+    for (unsigned c = 0; c < 4; ++c) {
+        for (unsigned w = 0; w < 2; ++w) {
+            if (count[c][w] != 0)
+                out.guardband = std::max(out.guardband, guardband[c][w]);
         }
-        PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes").add(slots);
-        adder_.evaluateBatchWide(a, b, &cin_mask, 1, words);
-        for (std::size_t k = 0; k < slots; ++k) {
-            const std::uint64_t lane = std::uint64_t(1) << k;
-            tracker.observeBatchWide(words.data(), 1, &lane, weight[k]);
+        wide += count[c][1];
+        if (class_prob[c] >= kFullyStressedZeroProb) {
+            narrow_full += count[c][0];
+            wide_full += count[c][1];
         }
     }
-    return trackerProbs(tracker);
+    const double n = static_cast<double>(devices.size());
+    out.score = sum / n;
+    out.narrowFullyStressed = static_cast<double>(narrow_full) / n;
+    out.wideFullyStressed = wide == 0
+        ? 0.0
+        : static_cast<double>(wide_full) / static_cast<double>(wide);
+    return out;
 }
 
 std::vector<PairSweepEntry>
@@ -363,7 +368,7 @@ AdderAgingAnalysis::wideFullyStressedFraction(
         if (devices[i].width != WidthClass::Wide)
             continue;
         ++wide;
-        if (zero_probs[i] >= 0.9999)
+        if (zero_probs[i] >= kFullyStressedZeroProb)
             ++full;
     }
     return wide == 0

@@ -52,25 +52,44 @@ template <class Gen>
 std::vector<OperandSample>
 collectAdderOperandsFrom(Gen &gen, std::size_t count);
 
-/**
- * Per-input-bit zero-duty features of an operand stream: the zero
- * probability of every a-bit and b-bit plus the carry-in, in that
- * order (2 * width + 1 values).  This is the surrogate's feature
- * vector.  Extraction is batch-wise: 64 samples per pass through
- * transpose64x64 into BitBiasTracker::observeBatch, no scalar
- * per-sample loops, so the cost per candidate is a small constant
- * times the sample count / 64.
- */
-std::vector<double>
-operandDutyFeatures(const std::vector<OperandSample> &ops,
-                    unsigned width = 32);
+/** Seed of the subtract stream: IntAlu sample k of
+ *  collectAdderOperandsFrom() is a subtract when draw k of
+ *  Rng(kSubtractSeed).nextBool(kSubtractShare) hits. */
+constexpr std::uint64_t kSubtractSeed = 0xadde7;
 
-/** Feature count of operandDutyFeatures() for @p width. */
-constexpr unsigned
-operandFeatureCount(unsigned width)
+/** Share of ALU adds that are subtracts (A + ~B + 1). */
+constexpr double kSubtractShare = 0.08;
+
+/** Draws of the subtract stream subtractCount() tabulates: twice
+ *  the attack search's default sample count. */
+constexpr std::uint64_t kSubtractPrefix = 4096;
+
+/**
+ * Subtracts among the first @p samples IntAlu samples of
+ * collectAdderOperandsFrom(): the hits in the first @p samples
+ * draws of the fixed subtract stream.  A prefix table built once
+ * per process answers counts up to kSubtractPrefix; larger counts
+ * continue the stream from the table's end.  Safe to call from
+ * any number of threads.
+ */
+std::uint64_t subtractCount(std::uint64_t samples);
+
+/**
+ * The four aging figures of one operand stream, each equal bit for
+ * bit to what AdderAgingAnalysis' per-device-vector forms give on
+ * zeroProbsForOperands() of that stream.
+ */
+struct StreamAging
 {
-    return 2 * width + 1;
-}
+    /** meanDeviceGuardband(): the attack search's objective. */
+    double score = 0.0;
+    /** summarize().guardband: the saturated worst case. */
+    double guardband = 0.0;
+    /** wideFullyStressedFraction(). */
+    double wideFullyStressed = 0.0;
+    /** summarize().narrowFullyStressedFraction. */
+    double narrowFullyStressed = 0.0;
+};
 
 /** Result of the Figure-4 pair sweep for one pair. */
 struct PairSweepEntry
@@ -111,26 +130,30 @@ class AdderAgingAnalysis
     zeroProbsForInputs(const std::vector<unsigned> &indices) const;
 
     /**
-     * Per-device zero probability under operand samples @p ops.
-     *
-     * Each netlist lane is one (a, b, cin) vector with a weight,
-     * the number of samples it stands for; a weighted lane is
-     * charged with one PmosAgingTracker::observeBatchWide that
-     * passes its weight as the dt.  A lane of weight w adds w times
-     * what one sample-lane of the same vector adds, and the
-     * tracker's sums are integers, so every probability is
-     * bit-identical to one lane (or one scalar applyInput) per
-     * sample.
-     *
-     * Prefix rule: when the first 64 samples hold at most two
-     * distinct vectors (an attack stream holds exactly two), the
-     * first two distinct vectors get a weighted lane each and any
-     * further vector a lane per sample; otherwise (workload
-     * operands are ~90% distinct) every sample is its own lane of
-     * weight 1.
+     * Per-device zero probability under operand samples @p ops:
+     * one netlist lane per sample, 64 * preferredBatchWords()
+     * lanes per pass, bit-identical to one scalar applyInput per
+     * sample (the tracker's sums are integers).
      */
     std::vector<double>
     zeroProbsForOperands(const std::vector<OperandSample> &ops) const;
+
+    /**
+     * Aging of a stream that applies @p first @p first_count times
+     * and @p second @p second_count times, in any order.  The two
+     * vectors are evaluated in one 1-word netlist pass, which gives
+     * every stress slot a 2-bit class (is its gate at 0 under each
+     * vector?); each class has one zero probability, the integer
+     * ratio PmosAgingTracker::zeroProb divides, and one walk over
+     * the devices in order yields all four figures.  Equal bit for
+     * bit to the per-device-vector forms on zeroProbsForOperands()
+     * of such a stream (probability 0.5 everywhere when both counts
+     * are 0).
+     */
+    StreamAging twoVectorAging(const OperandSample &first,
+                               std::uint64_t first_count,
+                               const OperandSample &second,
+                               std::uint64_t second_count) const;
 
     /** Figure 4: all 28 pairs with their stressed-narrow fraction. */
     std::vector<PairSweepEntry> sweepPairs() const;
@@ -188,7 +211,7 @@ collectAdderOperandsFrom(Gen &gen, std::size_t count)
     // Bounded scan: some streams are branch/FP heavy, so cap the
     // number of uops inspected to avoid unbounded loops.
     const std::size_t max_uops = count * 16 + 1024;
-    Rng rng(0xadde7);
+    Rng rng(kSubtractSeed);
     for (std::size_t scanned = 0;
          out.size() < count && scanned < max_uops; ++scanned) {
         const Uop uop = gen.next();
@@ -200,7 +223,7 @@ collectAdderOperandsFrom(Gen &gen, std::size_t count)
             const std::uint32_t b = static_cast<std::uint32_t>(
                 uop.hasImm ? uop.imm : uop.srcVal2);
             // ~8% of ALU adds are subtracts: A + ~B + 1.
-            if (rng.nextBool(0.08)) {
+            if (rng.nextBool(kSubtractShare)) {
                 s = {a, ~b, true};
             } else {
                 s = {a, b, false};

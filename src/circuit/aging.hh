@@ -48,6 +48,10 @@
 
 namespace penelope {
 
+/** Zero-signal probability from which a device counts as "100%
+ *  stressed" (the Figure-4 metric and the wearout attack's). */
+constexpr double kFullyStressedZeroProb = 0.9999;
+
 /** Aggregate aging summary of a combinational block. */
 struct AgingSummary
 {
@@ -119,14 +123,15 @@ class PmosAgingTracker
      */
     AgingSummary summarize(const GuardbandModel &model,
                            double fully_stressed_threshold =
-                               0.9999) const;
+                               kFullyStressedZeroProb) const;
 
     /** Summarise an arbitrary per-device zero-prob vector. */
     static AgingSummary
     summarizeZeroProbs(const Netlist &netlist,
                        const std::vector<double> &zero_probs,
                        const GuardbandModel &model,
-                       double fully_stressed_threshold = 0.9999);
+                       double fully_stressed_threshold =
+                           kFullyStressedZeroProb);
 
     void reset();
 

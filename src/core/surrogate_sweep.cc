@@ -26,18 +26,64 @@ decodeResult(ByteReader &r, CandidateEval &v)
     return r.ok();
 }
 
-std::vector<OperandSample>
-candidateOperands(const AttackConfig &attack, std::size_t count)
+namespace {
+
+/** The two operand vectors of @p attack's adder stream and how many
+ *  of its first @p samples adder operations are each.  Every uop is
+ *  an IntAlu op with the pinned value and immediate, or a branch,
+ *  which adds no sample; a branch period of 1 leaves no ALU op, so
+ *  the bounded scan finds no sample at all.  Any other period
+ *  yields all @p samples well inside the scan's bound. */
+struct AttackVectors
 {
-    AttackTraceGenerator gen(attack);
-    return collectAdderOperandsFrom(gen, count);
+    OperandSample add;
+    OperandSample sub;
+    std::uint64_t adds = 0;
+    std::uint64_t subs = 0;
+};
+
+AttackVectors
+attackVectors(const AttackConfig &attack, std::size_t samples)
+{
+    const auto a = static_cast<std::uint32_t>(attack.dataValue);
+    const std::uint32_t imm = attack.imm;
+    AttackVectors v{{a, imm, false}, {a, ~imm, true}};
+    const std::uint64_t n = attack.branchPeriod == 1 ? 0 : samples;
+    v.subs = subtractCount(n);
+    v.adds = n - v.subs;
+    return v;
 }
+
+} // namespace
 
 std::vector<double>
 candidateFeatures(const AttackConfig &attack, unsigned width)
 {
-    return operandDutyFeatures(
-        candidateOperands(attack, kSurrogateFeatureSamples), width);
+    assert(width <= 32);
+    const AttackVectors v =
+        attackVectors(attack, kSurrogateFeatureSamples);
+    // Zero duty of a bit by the vectors that set it (bit 0: the
+    // add, bit 1: the subtract), the ratio BitBiasTracker divides.
+    const std::uint64_t total = v.adds + v.subs;
+    double duty[4];
+    for (unsigned c = 0; c < 4; ++c) {
+        const std::uint64_t one =
+            ((c & 1) ? v.adds : 0) + ((c & 2) ? v.subs : 0);
+        duty[c] = total == 0
+            ? 0.5
+            : static_cast<double>(total - one) /
+                static_cast<double>(total);
+    }
+    std::vector<double> features;
+    features.reserve(operandFeatureCount(width));
+    for (unsigned bit = 0; bit < width; ++bit)
+        features.push_back(duty[((v.add.a >> bit) & 1) * 3]);
+    for (unsigned bit = 0; bit < width; ++bit) {
+        features.push_back(duty[((v.add.b >> bit) & 1) |
+                                (((v.sub.b >> bit) & 1) << 1)]);
+    }
+    features.push_back(duty[2]); // carry-in: set in the subtract only
+    return features;
 }
 
 Hash128
@@ -66,16 +112,8 @@ evaluateCandidateExact(const AdderAgingAnalysis &analysis,
                        const AttackConfig &attack,
                        std::size_t exact_samples)
 {
-    const auto ops = candidateOperands(attack, exact_samples);
-    const auto probs = analysis.zeroProbsForOperands(ops);
-    const AgingSummary summary = analysis.summarize(probs);
-    CandidateEval eval;
-    eval.score = analysis.meanDeviceGuardband(probs);
-    eval.guardband = summary.guardband;
-    eval.wideFullyStressed =
-        analysis.wideFullyStressedFraction(probs);
-    eval.narrowFullyStressed = summary.narrowFullyStressedFraction;
-    return eval;
+    const AttackVectors v = attackVectors(attack, exact_samples);
+    return analysis.twoVectorAging(v.add, v.adds, v.sub, v.subs);
 }
 
 AttackConfig

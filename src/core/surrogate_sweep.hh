@@ -5,12 +5,17 @@
  * the exact adder aging engine (adder/analysis.hh).
  *
  * A *candidate* is a set of adversarial trace parameters
- * (AttackConfig); its exact degradation is measured by generating
- * the candidate's operand stream and replaying it through the
- * batched netlist engine.  A sweep over N candidates therefore
- * costs N exact replays -- unless the surrogate prunes it: score
- * every candidate from a cheap 64-sample feature prefix, then run
- * the exact engine only on the predicted top-K plus a seeded audit
+ * (AttackConfig).  Its operand stream is known in closed form: with
+ * a pinned source value a and immediate imm, every adder sample is
+ * the add {a, imm, 0} or the seeded subtract {a, ~imm, 1}, and the
+ * subtract count of the first n samples is a fixed function of n
+ * (subtractCount).  Exact pricing therefore evaluates two vectors in
+ * one netlist pass and walks the devices once
+ * (AdderAgingAnalysis::twoVectorAging), bit-identical to replaying
+ * the stream sample by sample.  A sweep over N candidates costs N
+ * such evaluations -- unless the surrogate prunes it: score every
+ * candidate from its 64-sample-prefix duty features, then run the
+ * exact engine only on the predicted top-K plus a seeded audit
  * sample.
  *
  * Contract (shared with the rest of the repo):
@@ -38,31 +43,30 @@
 
 namespace penelope {
 
-/** Exact engine verdict on one candidate stream. */
-struct CandidateEval
-{
-    /** Mean per-device guardband -- the search objective. */
-    double score = 0.0;
-    /** Saturated worst-case guardband. */
-    double guardband = 0.0;
-    double wideFullyStressed = 0.0;
-    double narrowFullyStressed = 0.0;
-};
+/** Exact engine verdict on one candidate stream; `score`, its mean
+ *  per-device guardband, is the search objective. */
+using CandidateEval = StreamAging;
 
 void encodeResult(ByteWriter &w, const CandidateEval &v);
 bool decodeResult(ByteReader &r, CandidateEval &v);
 
-/** Number of operand samples in the surrogate's feature prefix
- *  (one transpose batch). */
+/** Number of operand samples in the surrogate's feature prefix. */
 constexpr std::size_t kSurrogateFeatureSamples = 64;
 
-/** Operand stream of a candidate: the first @p count adder
- *  operations of its adversarial uop stream. */
-std::vector<OperandSample>
-candidateOperands(const AttackConfig &attack, std::size_t count);
+/** Feature count of candidateFeatures() for @p width: every a-bit
+ *  and b-bit plus the carry-in. */
+constexpr unsigned
+operandFeatureCount(unsigned width)
+{
+    return 2 * width + 1;
+}
 
-/** Surrogate feature vector of a candidate: per-input-bit zero
- *  duties of the 64-sample stream prefix. */
+/** Surrogate feature vector of a candidate: the zero duty of every
+ *  a-bit, b-bit and the carry-in (in that order) over the first
+ *  kSurrogateFeatureSamples adder operations of its uop stream,
+ *  computed in closed form from a, imm and the subtract count --
+ *  the same (total - one) / total doubles BitBiasTracker::biasVector
+ *  gives on the materialised samples. */
 std::vector<double>
 candidateFeatures(const AttackConfig &attack, unsigned width);
 
@@ -74,8 +78,11 @@ Hash128
 attackCandidateKey(const Adder &adder, const AttackConfig &attack,
                    std::size_t exact_samples);
 
-/** Exact evaluation of one candidate: replay @p exact_samples
- *  operands through the batched netlist engine and summarise. */
+/** Exact evaluation of one candidate over the first
+ *  @p exact_samples adder operations of its uop stream: the add and
+ *  subtract vectors weighted by their counts, priced by
+ *  AdderAgingAnalysis::twoVectorAging.  Bit-identical to collecting
+ *  the samples and summarising zeroProbsForOperands() of them. */
 CandidateEval
 evaluateCandidateExact(const AdderAgingAnalysis &analysis,
                        const AttackConfig &attack,

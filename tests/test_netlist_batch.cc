@@ -23,6 +23,7 @@
 #include "adder/adder.hh"
 #include "adder/analysis.hh"
 #include "adder/idle_inputs.hh"
+#include "attack_reference.hh"
 #include "circuit/aging.hh"
 #include "circuit/netlist.hh"
 #include "common/bitword.hh"
@@ -399,9 +400,8 @@ TEST(AgingBatch, LadnerFischerOperandIdentity)
 TEST(AgingBatch, AttackCandidateOperandIdentity)
 {
     // Attack streams repeat two vectors ({a, imm, 0} and the seeded
-    // subtract {a, ~imm, 1}), so each is one lane charged with its
-    // multiplicity; the integer sums must be those of one lane per
-    // sample.
+    // subtract {a, ~imm, 1}); batched lanes must add the integer
+    // sums of one scalar applyInput per sample.
     Rng rng(0xa77ac4);
     for (unsigned c = 0; c < 8; ++c) {
         AttackConfig attack = randomAttackCandidate(rng);
@@ -409,7 +409,7 @@ TEST(AgingBatch, AttackCandidateOperandIdentity)
             attack.branchPeriod = 0;
         else if (c == 1)
             attack.branchPeriod = 2;
-        const auto ops = candidateOperands(attack, 2048);
+        const auto ops = reference::candidateOperands(attack, 2048);
         ASSERT_EQ(ops.size(), 2048u);
         expectOperandIdentity(ops, "candidate " + std::to_string(c));
     }
@@ -417,10 +417,9 @@ TEST(AgingBatch, AttackCandidateOperandIdentity)
 
 TEST(AgingBatch, DistinctMultiplicitiesOperandIdentity)
 {
-    // Every vector has its own multiplicity.  The prefix holds two
-    // vectors (44 and 22 samples), which take the weighted lanes;
-    // ten more follow with multiplicities 1..10, interleaved, so a
-    // repeated vector also fills several lanes of weight 1.
+    // Every vector has its own multiplicity: two vectors of 44 and
+    // 22 samples, then ten more with multiplicities 1..10,
+    // interleaved, so a repeated vector fills several lanes.
     Rng rng(0xd15c);
     std::vector<OperandSample> vectors;
     for (unsigned k = 0; k < 12; ++k) {
@@ -445,7 +444,7 @@ TEST(AgingBatch, SampleCountEdgesOperandIdentity)
     // Empty, single-sample, and one-word boundary lists, on both a
     // two-vector attack stream and a mostly distinct workload one.
     Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
-    const auto attack = candidateOperands(
+    const auto attack = reference::candidateOperands(
         randomAttackCandidate(rng), 257);
     WorkloadSet workload;
     TraceGenerator gen = workload.generator(0);
@@ -463,8 +462,7 @@ TEST(AgingBatch, SampleCountEdgesOperandIdentity)
 TEST(AgingBatch, MisguessedPrefixOperandIdentity)
 {
     // A low-entropy prefix (two vectors) followed by all-distinct
-    // samples: the prefix scan picks weighted lanes, and the
-    // distinct tail must still be charged exactly once per sample.
+    // samples: every sample must be charged exactly once.
     std::vector<OperandSample> ops;
     for (unsigned i = 0; i < 100; ++i)
         ops.push_back(i % 7 == 0 ? OperandSample{5, ~3u, true}
@@ -495,20 +493,20 @@ lanesUsed(const AdderAgingAnalysis &analysis,
     return read() - before;
 }
 
-TEST(AgingBatch, OperandLanesFollowThePrefixScan)
+TEST(AgingBatch, OperandLanesOnePerSample)
 {
-    // The prefix scan's choice, seen through the lane counter: an
-    // attack stream evaluates its two distinct vectors, a workload
-    // stream one lane per sample.
+    // Seen through the lane counter: an attack stream of two
+    // distinct vectors and a mostly distinct workload stream both
+    // take one netlist lane per sample.
     if (!obs::kCompiledIn)
         GTEST_SKIP() << "PENELOPE_NO_OBS build: no lane counter";
     const LadnerFischerAdder adder(32);
     const AdderAgingAnalysis analysis(
         adder, GuardbandModel::paperCalibrated());
     Rng rng(mixSeed(0x5a11'7e57'0b5eULL, 0xbe9c4));
-    EXPECT_EQ(lanesUsed(analysis, candidateOperands(
+    EXPECT_EQ(lanesUsed(analysis, reference::candidateOperands(
                                       randomAttackCandidate(rng), 2048)),
-              2u);
+              2048u);
     WorkloadSet workload;
     TraceGenerator gen = workload.generator(0);
     EXPECT_EQ(lanesUsed(analysis, collectAdderOperands(gen, 2048)),
