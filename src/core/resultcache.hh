@@ -278,9 +278,8 @@ class ResultCache
      * @p already, and add every exported key to @p already.  The
      * worker protocol uses this to resend, per connection, only
      * what the coordinator has not acknowledged yet (a received
-     * Result on a live connection is the acknowledgement; a
-     * reconnect resets the set, and the resulting duplicates
-     * deduplicate on import).
+     * Result on a live connection is the acknowledgement, and
+     * duplicates deduplicate on import).
      */
     void exportNewEntries(
         std::unordered_set<Hash128, Hash128Hasher> &already,

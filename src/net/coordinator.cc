@@ -14,11 +14,11 @@ namespace {
 
 /** Listener/handler poll granularity: how often blocked loops
  *  re-check deadlines and the external stop predicate (job
- *  completion and requestStop() wake the listener at once). */
+ *  completion wakes the listener at once). */
 constexpr int kPollMs = 100;
 
-/** Bounded grace period for in-flight slices once a stop is
- *  requested. */
+/** Bounded grace period for in-flight slices once the stop
+ *  predicate fires. */
 constexpr int kDrainMs = 5'000;
 
 using Clock = std::chrono::steady_clock;
@@ -47,13 +47,8 @@ Coordinator::Coordinator(const ShardPlan &plan, ResultCache &cache,
                          const CoordinatorConfig &config)
     : cache_(cache), config_(config), job_(plan)
 {
-    backoff_.baseMs = config_.backoffBaseMs;
-    backoff_.capMs = std::max(config_.backoffCapMs,
-                              config_.backoffBaseMs);
-    backoff_.seed = config_.backoffSeed;
-    const Clock::time_point now = Clock::now();
     for (std::uint32_t s = 0; s < plan.sliceCount; ++s)
-        ready_.push_back(Ready{s, now});
+        ready_.push_back(s);
     stats_.slices = plan.sliceCount;
 }
 
@@ -98,17 +93,6 @@ Coordinator::wakeAccept() const
         [[maybe_unused]] const ssize_t n = ::write(wake_[1], "", 1);
 }
 
-void
-Coordinator::requestStop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    cv_.notify_all();
-    wakeAccept();
-}
-
 JobState
 Coordinator::jobState() const
 {
@@ -123,8 +107,8 @@ Coordinator::incompleteSlices(std::uint32_t) const
     std::vector<std::uint32_t> manifest;
     if (job_.state != JobState::Partial)
         return manifest;
-    for (std::uint32_t s = 0; s < job_.slices.size(); ++s) {
-        if (job_.slices[s] != SliceState::Done)
+    for (std::uint32_t s = 0; s < job_.done.size(); ++s) {
+        if (!job_.done[s])
             manifest.push_back(s);
     }
     return manifest;
@@ -133,11 +117,9 @@ Coordinator::incompleteSlices(std::uint32_t) const
 void
 Coordinator::finalizeJobLocked()
 {
-    if (jobStateFinal(job_.state) ||
-        job_.doneCount + job_.failedCount < job_.slices.size())
+    if (jobStateFinal(job_.state) || job_.doneCount < job_.done.size())
         return;
-    job_.state = job_.failedCount ? JobState::Partial
-                                  : JobState::Complete;
+    job_.state = JobState::Complete;
     wakeAccept();
 }
 
@@ -147,21 +129,11 @@ Coordinator::run()
     if (!listener_.valid())
         return false;
 
-    const auto doneServing = [this] {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return stopping_ || jobStateFinal(job_.state);
-    };
-
-    while (!doneServing()) {
-        if (config_.stopRequested && config_.stopRequested()) {
-            requestStop();
+    while (!jobStateFinal(jobState())) {
+        if (config_.stopRequested && config_.stopRequested())
             break;
-        }
         Socket conn = listener_.accept(kPollMs, wake_[0]);
         if (conn.valid()) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (stopping_)
-                continue; // dropped: no new work past a stop
             handlers_.emplace_back(
                 [this, sock = std::move(conn)]() mutable {
                     serveConnection(std::move(sock));
@@ -188,7 +160,6 @@ Coordinator::run()
         // set of slices not Done) instead of hanging the caller.
         if (!jobStateFinal(job_.state))
             job_.state = JobState::Partial;
-        ready_.clear();
     }
 
     // Release everything still blocked and join.
@@ -204,33 +175,18 @@ bool
 Coordinator::claimSlice(std::uint32_t &slice)
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        if (stopping_)
-            return false;
-        const Clock::time_point now = Clock::now();
-        Clock::time_point nearest = Clock::time_point::max();
-        for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-            if (it->notBefore <= now) {
-                slice = it->slice;
-                job_.slices[slice] = SliceState::Assigned;
-                ++job_.attempts[slice];
-                if (job_.state == JobState::Accepted)
-                    job_.state = JobState::Running;
-                ready_.erase(it);
-                ++inFlight_;
-                ++stats_.assignments;
-                cv_.notify_all();
-                return true;
-            }
-            nearest = std::min(nearest, it->notBefore);
-        }
-        // Sleep until something becomes dispatchable: a forfeit, a
-        // stop, or the nearest backoff expiry.
-        if (nearest == Clock::time_point::max())
-            cv_.wait(lock);
-        else
-            cv_.wait_until(lock, nearest);
-    }
+    // Sleep until something becomes dispatchable (a forfeit
+    // requeues its slice) or the run stops.
+    cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
+    if (stopping_)
+        return false;
+    slice = ready_.front();
+    ready_.pop_front();
+    if (job_.state == JobState::Accepted)
+        job_.state = JobState::Running;
+    ++inFlight_;
+    ++stats_.assignments;
+    return true;
 }
 
 void
@@ -238,31 +194,14 @@ Coordinator::forfeitSlice(std::uint32_t slice, bool hung)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     --inFlight_;
-    if (jobStateFinal(job_.state) ||
-        job_.slices[slice] != SliceState::Assigned) {
-        cv_.notify_all();
-        return;
-    }
-    ++stats_.reassignments;
-    if (hung)
-        ++stats_.hungForfeits;
-    if (stopping_) {
-        // Draining: nothing will claim it again; the stop sequence
-        // folds it into the job's incomplete manifest.
-        job_.slices[slice] = SliceState::Pending;
-    } else if (job_.attempts[slice] > config_.retryBudget) {
-        job_.slices[slice] = SliceState::Failed;
-        ++job_.failedCount;
-        ++stats_.slicesFailed;
-        finalizeJobLocked();
-    } else {
-        // Deterministic backoff: the delay is a pure function of
-        // (seed, slice, attempt), so a seeded test replays the
-        // exact schedule.
-        job_.slices[slice] = SliceState::Pending;
-        ready_.push_back(Ready{
-            slice, Clock::now() + ms(backoff_.delayMs(
-                                      slice, job_.attempts[slice]))});
+    if (!jobStateFinal(job_.state)) {
+        // Straight back to the queue: the next claim redoes it.
+        // Past a stop nothing claims it, and the stop sequence
+        // lists it in the job's incomplete manifest.
+        ++stats_.reassignments;
+        if (hung)
+            ++stats_.hungForfeits;
+        ready_.push_back(slice);
     }
     cv_.notify_all();
 }
@@ -283,11 +222,10 @@ Coordinator::completeSlice(std::uint32_t slice,
     --inFlight_;
     stats_.workerSimSeconds += result.simSeconds;
     stats_.importSeconds += import_seconds;
-    if (job_.slices[slice] == SliceState::Done) {
+    if (job_.done[slice]) {
         ++stats_.duplicateResults;
-    } else if (!jobStateFinal(job_.state) &&
-               job_.slices[slice] == SliceState::Assigned) {
-        job_.slices[slice] = SliceState::Done;
+    } else if (!jobStateFinal(job_.state)) {
+        job_.done[slice] = true;
         ++job_.doneCount;
         finalizeJobLocked();
     }
@@ -301,22 +239,17 @@ Coordinator::serveConnection(Socket sock)
         return abandon_.load(std::memory_order_relaxed);
     };
 
-    // The first frame must be a Hello.  Anything else is a protocol
-    // breach and the connection is dropped (cleanly: no work was
-    // claimed).
+    // The first frame must be an empty Hello.  Anything else is a
+    // protocol breach and the connection is dropped (cleanly: no
+    // work was claimed).
     Frame frame;
-    HelloMessage hello;
     if (recvFrame(sock, frame, config_.sliceTimeoutMs, abort) !=
             RecvStatus::Ok ||
-        frame.type != MessageType::Hello)
-        return;
-    ByteReader r(frame.payload);
-    if (!hello.decode(r))
+        frame.type != MessageType::Hello || !frame.payload.empty())
         return;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.workersSeen;
-        stats_.workerCpus.push_back(hello.hostCpus);
     }
     serveWorker(sock, frame.flags);
 }

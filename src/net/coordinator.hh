@@ -5,34 +5,30 @@
  * Carves one ShardPlan's evaluation work into round-robin slices and
  * serves them to connecting workers over the framed protocol
  * (protocol.hh); run() returns once that one job reaches a final
- * state or a stop is requested.  A connection whose first frame is
- * not a Hello is dropped.
+ * state or the stop predicate fires.  A connection whose first
+ * frame is not an empty Hello is dropped.
  *
  * Failure semantics:
  *
  *  - a worker that disconnects, times out or sends a corrupt frame
- *    forfeits its slice;
+ *    forfeits its slice, which goes straight back to the ready
+ *    queue for the next claim;
  *  - a worker that goes silent past heartbeatTimeoutMs forfeits its
  *    slice long before the slice timeout -- the hung-but-connected
  *    case a healthy TCP stream never surfaces (the forfeit closes
  *    the connection, so a worker that wakes up later sees EOF and
  *    exits bounded);
- *  - a forfeited slice is re-dispatched at most retryBudget times,
- *    each retry delayed by deterministic exponential backoff with
- *    decorrelated jitter (backoff.hh, seeded by backoffSeed);
- *  - a slice that exhausts its budget is marked Failed and the job
- *    finishes *Partial* with an explicit incomplete-slice manifest
- *    instead of hanging -- the caller decides whether to recompute
- *    locally (rendering through the ResultCache does, so stdout
- *    stays byte-identical) or surface the gap;
+ *  - the stop predicate is the one give-up rule: once it fires, the
+ *    coordinator stops accepting connections and handing out work,
+ *    gives in-flight slices a bounded drain to land, then abandons
+ *    the stragglers and finalizes an unresolved job as *Partial*
+ *    with an explicit incomplete-slice manifest -- the caller
+ *    decides whether to recompute locally (rendering through the
+ *    ResultCache does, so stdout stays byte-identical) or surface
+ *    the gap.  Without a predicate, run() serves until the job
+ *    completes, however many forfeits that takes;
  *  - duplicate completions are harmless: entry streams are
  *    content-addressed, so importing twice deduplicates by key.
- *
- * Graceful stop: requestStop() (or the stop predicate) stops
- * accepting connections and handing out work, gives in-flight
- * slices a bounded drain to land, then abandons the stragglers and
- * finalizes an unresolved job as Partial.  The caller then flushes
- * the ResultCache, so a rerun with the same store starts warm.
  *
  * Telemetry: while this process's registry records, the coordinator
  * advertises kCapMetrics and acks each heartbeat, so a worker can
@@ -43,16 +39,15 @@
 #define PENELOPE_NET_COORDINATOR_HH
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/shardplan.hh"
-#include "net/backoff.hh"
 #include "net/protocol.hh"
 
 namespace penelope {
@@ -92,18 +87,8 @@ struct CoordinatorConfig
      *  exceed the worker's heartbeat interval with margin. */
     int heartbeatTimeoutMs = 5'000;
 
-    /** Re-dispatches allowed per slice after its first assignment
-     *  before the slice is marked Failed and the job degrades to
-     *  Partial. */
-    unsigned retryBudget = 3;
-
-    /** Retry backoff (deterministic decorrelated jitter). */
-    int backoffBaseMs = 50;
-    int backoffCapMs = 2'000;
-    std::uint64_t backoffSeed = 0x9e3779b97f4a7c15ULL;
-
-    /** Optional external stop signal (e.g. SIGINT), polled by
-     *  run()'s accept loop; equivalent to requestStop(). */
+    /** Optional external stop signal (e.g. a deadline), polled by
+     *  run()'s accept loop: the one way to end a run early. */
     AbortFn stopRequested;
 };
 
@@ -117,11 +102,9 @@ struct CoordinatorStats
     unsigned workersSeen = 0;     ///< accepted Hello handshakes
     double workerSimSeconds = 0.0; ///< sum of worker-reported times
     double importSeconds = 0.0;   ///< coordinator-side entry import
-    std::vector<std::uint32_t> workerCpus; ///< per accepted worker
 
     std::uint64_t heartbeats = 0; ///< Heartbeat frames received
     unsigned hungForfeits = 0;    ///< heartbeat-deadline forfeits
-    unsigned slicesFailed = 0;    ///< retry budget exhausted
 };
 
 class Coordinator
@@ -144,16 +127,11 @@ class Coordinator
     std::uint16_t port() const { return port_; }
 
     /**
-     * Serve until the job is final or a stop is requested.  Blocks;
-     * returns false only when start() was never called
+     * Serve until the job is final or the stop predicate fires.
+     * Blocks; returns false only when start() was never called
      * successfully.
      */
     bool run();
-
-    /** Begin a graceful stop: no new connections or claims;
-     *  in-flight work gets a bounded drain, then run() returns.
-     *  Callable from any thread (and from within handlers). */
-    void requestStop();
 
     /** Accounting (stable once run() returned). */
     const CoordinatorStats &stats() const { return stats_; }
@@ -168,36 +146,17 @@ class Coordinator
         std::uint32_t job = 0) const;
 
   private:
-    enum class SliceState : std::uint8_t
-    {
-        Pending,
-        Assigned,
-        Done,
-        Failed,
-    };
-
     struct Job
     {
         explicit Job(const ShardPlan &p)
-            : plan(p), slices(p.sliceCount, SliceState::Pending),
-              attempts(p.sliceCount, 0)
+            : plan(p), done(p.sliceCount, false)
         {
         }
 
         const ShardPlan plan; ///< immutable: read without the lock
         JobState state = JobState::Accepted;
-        std::vector<SliceState> slices;
-        std::vector<unsigned> attempts; ///< dispatches so far
+        std::vector<bool> done; ///< per slice: its Result landed
         unsigned doneCount = 0;
-        unsigned failedCount = 0;
-    };
-
-    /** One dispatchable slice, eligible from notBefore on (the
-     *  backoff delay of a retry). */
-    struct Ready
-    {
-        std::uint32_t slice = 0;
-        std::chrono::steady_clock::time_point notBefore;
     };
 
     void serveConnection(Socket sock);
@@ -213,20 +172,19 @@ class Coordinator
 
     ResultCache &cache_;
     CoordinatorConfig config_;
-    BackoffPolicy backoff_;
 
     Socket listener_;
     std::uint16_t port_ = 0;
 
     /** Self-pipe polled beside the listener: wakeAccept() makes
-     *  run() re-check at once when the job goes final or a stop is
-     *  requested, so a run ends with its job. */
+     *  run() re-check at once when the job goes final, so a run
+     *  ends with its job. */
     int wake_[2] = {-1, -1};
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     Job job_;
-    std::vector<Ready> ready_;
+    std::deque<std::uint32_t> ready_; ///< slices awaiting a claim
     unsigned inFlight_ = 0; ///< claimed, neither done nor forfeited
 
     bool stopping_ = false;          ///< no new work or connections

@@ -1,9 +1,7 @@
 #include "protocol.hh"
 
-#include <chrono>
-#include <thread>
+#include <atomic>
 
-#include "net/faultinject.hh"
 #include "obs/metrics.hh"
 
 namespace penelope {
@@ -79,53 +77,9 @@ bool
 sendFrame(Socket &sock, MessageType type, std::string_view payload,
           std::uint32_t flags)
 {
-    std::string frame = encodeFrame(type, payload, flags);
+    const std::string frame = encodeFrame(type, payload, flags);
     g_framesSent.add();
     g_bytesSent.add(frame.size());
-
-    FaultInjector &injector = FaultInjector::instance();
-    if (injector.enabled()) {
-        std::size_t cut = 0;
-        const FaultAction action = injector.sendAction(
-            sock.connectionId(), sock.nextSendOp(), frame.size(),
-            cut);
-        injector.note(action);
-        switch (action) {
-          case FaultAction::Drop:
-            // The frame vanishes but the sender believes it went
-            // out -- the peer's deadline machinery must recover.
-            return true;
-          case FaultAction::Flip:
-            frame[cut] = static_cast<char>(frame[cut] ^ 0x40);
-            break;
-          case FaultAction::Truncate: {
-            // A strict prefix, then EOF on the write side: the
-            // peer sees a mid-frame stream end.
-            const bool sent = sock.sendAll(frame.data(), cut);
-            sock.shutdownWrite();
-            return sent;
-          }
-          case FaultAction::HalfClose: {
-            const bool sent =
-                sock.sendAll(frame.data(), frame.size());
-            sock.shutdownWrite();
-            return sent;
-          }
-          case FaultAction::Delay:
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                injector.config().delayMs));
-            break;
-          case FaultAction::Stall:
-            // A peer that is alive at the TCP level but no longer
-            // talking: block (bounded), then report failure.
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                injector.config().stallMs));
-            return false;
-          case FaultAction::None:
-            break;
-        }
-    }
-
     return sock.sendAll(frame.data(), frame.size());
 }
 
@@ -133,17 +87,6 @@ RecvStatus
 recvFrame(Socket &sock, Frame &frame, int timeout_ms,
           const AbortFn &abort)
 {
-    FaultInjector &injector = FaultInjector::instance();
-    if (injector.enabled()) {
-        const FaultAction action = injector.recvAction(
-            sock.connectionId(), sock.nextRecvOp());
-        if (action == FaultAction::Delay) {
-            injector.note(action);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                injector.config().delayMs));
-        }
-    }
-
     char header[kFrameHeaderBytes];
     if (!sock.recvAll(header, sizeof(header), timeout_ms, abort))
         return RecvStatus::Closed;
@@ -178,19 +121,6 @@ recvFrame(Socket &sock, Frame &frame, int timeout_ms,
 }
 
 // ------------------------------------------------ message payloads
-
-void
-HelloMessage::encode(ByteWriter &w) const
-{
-    w.u32(hostCpus);
-}
-
-bool
-HelloMessage::decode(ByteReader &r)
-{
-    hostCpus = r.u32();
-    return r.ok() && r.atEnd();
-}
 
 void
 AssignMessage::encode(ByteWriter &w) const

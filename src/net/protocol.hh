@@ -29,7 +29,7 @@
  *
  * Worker conversation:
  *
- *   worker -> coordinator   Hello      (host CPUs)
+ *   worker -> coordinator   Hello      (empty payload)
  *   coordinator -> worker   Assign     (slice index + ShardPlan)
  *   worker -> coordinator   Heartbeat  repeated while the slice runs
  *   coordinator -> worker   HeartbeatAck  [kCapMetrics] per beat
@@ -38,7 +38,7 @@
  *   ... Assign/Result repeat ...
  *   coordinator -> worker   Shutdown
  *
- * A connection whose first frame is not a Hello is dropped.
+ * A connection whose first frame is not an empty Hello is dropped.
  *
  * The Result entry bytes are exactly a
  * ResultCache::exportToBytes() stream -- the same merge-ready
@@ -62,7 +62,7 @@ namespace penelope {
 namespace net {
 
 inline constexpr std::uint32_t kProtocolMagic = 0x504e4c50; // PNLP
-inline constexpr std::uint32_t kProtocolVersion = 5;
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /** Serialized frame header size in bytes. */
 inline constexpr std::size_t kFrameHeaderBytes = 32;
@@ -124,8 +124,7 @@ enum class RecvStatus
 std::string encodeFrame(MessageType type, std::string_view payload,
                         std::uint32_t flags = localCapabilities());
 
-/** Send one frame; false on any socket error.  Consults the
- *  process FaultInjector (faultinject.hh) when enabled. */
+/** Send one frame; false on any socket error. */
 bool sendFrame(Socket &sock, MessageType type,
                std::string_view payload,
                std::uint32_t flags = localCapabilities());
@@ -141,20 +140,9 @@ RecvStatus recvFrame(Socket &sock, Frame &frame,
 
 // ------------------------------------------------ message payloads
 //
-// Every message has an encode()/decode() pair in ByteWriter/
-// ByteReader form; decode() validates and returns false on any
-// inconsistency.
-
-/** worker -> coordinator: introduction.  Sent again after every
- *  reconnect; the coordinator treats a repeated Hello on one
- *  connection as idempotent. */
-struct HelloMessage
-{
-    std::uint32_t hostCpus = 0; ///< worker hardware threads
-
-    void encode(ByteWriter &w) const;
-    bool decode(ByteReader &r);
-};
+// Every message with a payload has an encode()/decode() pair in
+// ByteWriter/ByteReader form; decode() validates and returns false
+// on any inconsistency.  Hello and Shutdown carry no payload.
 
 /** coordinator -> worker: one slice of the plan. */
 struct AssignMessage

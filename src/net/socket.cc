@@ -8,7 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -17,9 +17,6 @@ namespace penelope {
 namespace net {
 
 namespace {
-
-/** Source of process-unique connection ids (0 = never assigned). */
-std::atomic<std::uint64_t> g_nextConnectionId{1};
 
 /** Poll granularity: the longest a blocked receive goes without
  *  consulting its abort predicate. */
@@ -52,13 +49,6 @@ remainingSlice(std::chrono::steady_clock::time_point deadline,
 
 } // namespace
 
-Socket::Socket(int fd) : fd_(fd)
-{
-    if (fd_ >= 0)
-        connId_ = g_nextConnectionId.fetch_add(
-            1, std::memory_order_relaxed);
-}
-
 void
 Socket::close()
 {
@@ -66,13 +56,6 @@ Socket::close()
         ::close(fd_);
         fd_ = -1;
     }
-}
-
-void
-Socket::shutdownWrite()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
 }
 
 bool

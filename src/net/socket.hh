@@ -35,21 +35,13 @@ class Socket
 {
   public:
     Socket() = default;
-    explicit Socket(int fd);
+    explicit Socket(int fd) : fd_(fd) {}
     ~Socket() { close(); }
 
     Socket(const Socket &) = delete;
     Socket &operator=(const Socket &) = delete;
 
-    Socket(Socket &&other) noexcept
-        : fd_(other.fd_), connId_(other.connId_),
-          sendOps_(other.sendOps_), recvOps_(other.recvOps_)
-    {
-        other.fd_ = -1;
-        other.connId_ = 0;
-        other.sendOps_ = 0;
-        other.recvOps_ = 0;
-    }
+    Socket(Socket &&other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
 
     Socket &
     operator=(Socket &&other) noexcept
@@ -57,13 +49,7 @@ class Socket
         if (this != &other) {
             close();
             fd_ = other.fd_;
-            connId_ = other.connId_;
-            sendOps_ = other.sendOps_;
-            recvOps_ = other.recvOps_;
             other.fd_ = -1;
-            other.connId_ = 0;
-            other.sendOps_ = 0;
-            other.recvOps_ = 0;
         }
         return *this;
     }
@@ -71,27 +57,7 @@ class Socket
     bool valid() const { return fd_ >= 0; }
     int fd() const { return fd_; }
 
-    /** Process-unique id of this connection (assigned when the
-     *  descriptor is adopted).  The fault-injection layer keys its
-     *  deterministic schedule off (connection, frame-op) pairs so a
-     *  seeded schedule replays identically regardless of thread
-     *  interleaving. */
-    std::uint64_t connectionId() const { return connId_; }
-
-    /** Frame-level operation counters, bumped by the protocol
-     *  layer (one per sent / received frame).  Kept separate so a
-     *  sender thread and the receiver thread never touch the same
-     *  counter: frame sends on one socket are serialized by the
-     *  owning endpoint, receives happen on a single thread. */
-    std::uint64_t nextSendOp() { return sendOps_++; }
-    std::uint64_t nextRecvOp() { return recvOps_++; }
-
     void close();
-
-    /** Shut down the write side only (the peer sees EOF after the
-     *  bytes in flight); reads stay possible.  Used by the
-     *  fault-injection layer to model half-closed connections. */
-    void shutdownWrite();
 
     /**
      * Wait until the socket is readable (data, EOF or error), at
@@ -143,9 +109,6 @@ class Socket
 
   private:
     int fd_ = -1;
-    std::uint64_t connId_ = 0;
-    std::uint64_t sendOps_ = 0;
-    std::uint64_t recvOps_ = 0;
 };
 
 } // namespace net

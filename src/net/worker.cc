@@ -1,6 +1,5 @@
 #include "worker.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -15,8 +14,6 @@ namespace net {
 
 namespace {
 
-constexpr int kPollMs = 100;
-
 /** Worker-side RTT of the heartbeat/ack round trip [kCapMetrics]:
  *  send time to ack receipt on the shared monotonic clock. */
 const obs::Histogram g_heartbeatRtt =
@@ -29,62 +26,6 @@ std::chrono::milliseconds
 ms(int n)
 {
     return std::chrono::milliseconds(n);
-}
-
-/** Sleep @p total_ms in short chunks, returning early (true) when
- *  @p stop fires. */
-bool
-interruptibleSleep(int total_ms, const AbortFn &stop)
-{
-    Clock::time_point deadline = Clock::now() + ms(total_ms);
-    while (Clock::now() < deadline) {
-        if (stop && stop())
-            return true;
-        std::this_thread::sleep_for(ms(std::min(
-            kPollMs,
-            static_cast<int>(
-                std::chrono::duration_cast<
-                    std::chrono::milliseconds>(deadline -
-                                               Clock::now())
-                    .count()) +
-                1)));
-    }
-    return stop && stop();
-}
-
-/**
- * Connect, retrying every kConnectRetryMs until @p budget_ms of
- * wall time has passed.  @p stopped is set when the stop predicate
- * ended the loop.
- */
-Socket
-connectWithBudget(const WorkerConfig &config, int budget_ms,
-                  bool &stopped, std::string *error)
-{
-    stopped = false;
-    std::string last_error;
-    const Clock::time_point t0 = Clock::now();
-    for (;;) {
-        if (config.stopRequested && config.stopRequested()) {
-            stopped = true;
-            return {};
-        }
-        Socket sock = Socket::connectTo(config.host, config.port,
-                                        &last_error);
-        if (sock.valid())
-            return sock;
-        if (Clock::now() - t0 >= ms(budget_ms))
-            break;
-        if (interruptibleSleep(kConnectRetryMs,
-                               config.stopRequested)) {
-            stopped = true;
-            return {};
-        }
-    }
-    if (error)
-        *error = last_error.empty() ? "connect budget exhausted"
-                                    : last_error;
-    return {};
 }
 
 /**
@@ -215,155 +156,94 @@ runWorker(const WorkerConfig &config, const WorkloadSet &workload,
     // Every exit path reports the stats accumulated so far: a
     // worker that ran slices and then lost its coordinator still
     // shows the work it did.
-    const auto finish = [&](WorkerOutcome outcome) {
+    const auto finish = [&](WorkerOutcome outcome, const char *what) {
         if (stats)
             *stats = local_stats;
+        if (error && what)
+            *error = what;
         return outcome;
     };
 
-    // Entry keys already sent on the current connection (delta
-    // streams).  Cleared on reconnect: the restarted coordinator's
-    // cache may have lost everything.
+    Socket sock = Socket::connectTo(config.host, config.port, error);
+    if (!sock.valid())
+        return finish(WorkerOutcome::ConnectFailed, nullptr);
+
+    std::mutex send_mutex;
+    if (!sendFrame(sock, MessageType::Hello, {}))
+        return finish(WorkerOutcome::ConnectionLost,
+                      "sending hello failed");
+
+    // Entry keys already sent on this connection (delta streams).
     std::unordered_set<Hash128, Hash128Hasher> sent_keys;
-
-    /** One connection's conversation; ConnectionLost may be
-     *  retried by the reconnect loop below. */
-    const auto runSession = [&](Socket &sock) -> WorkerOutcome {
-        std::mutex send_mutex;
-
-        HelloMessage hello;
-        hello.hostCpus = config.hostCpus;
-        {
-            ByteWriter w;
-            hello.encode(w);
-            std::lock_guard<std::mutex> lock(send_mutex);
-            if (!sendFrame(sock, MessageType::Hello, w.view())) {
-                if (error)
-                    *error = "sending hello failed";
-                return WorkerOutcome::ConnectionLost;
-            }
-        }
-
-        for (;;) {
-            // Wait for the next frame, honouring stop requests
-            // between assignments (the slice in hand always
-            // finishes; see below).
-            while (!sock.waitReadable(kPollMs)) {
-                if (config.stopRequested && config.stopRequested())
-                    return WorkerOutcome::Drained;
-            }
-            Frame frame;
-            const RecvStatus status =
-                recvFrame(sock, frame, 60'000);
-            if (status != RecvStatus::Ok) {
-                if (error)
-                    *error = status == RecvStatus::Corrupt
-                        ? "corrupt frame from coordinator"
-                        : "connection to coordinator lost";
-                return WorkerOutcome::ConnectionLost;
-            }
-            if (frame.type == MessageType::HeartbeatAck)
-                continue; // late ack from the previous slice
-            if (frame.type == MessageType::Shutdown)
-                return WorkerOutcome::Finished;
-            if (frame.type != MessageType::Assign) {
-                if (error)
-                    *error = "unexpected frame from coordinator";
-                return WorkerOutcome::ConnectionLost;
-            }
-
-            AssignMessage assign;
-            {
-                ByteReader r(frame.payload);
-                if (!assign.decode(r)) {
-                    if (error)
-                        *error = "undecodable assignment";
-                    return WorkerOutcome::BadAssignment;
-                }
-            }
-            const auto t0 = Clock::now();
-            bool ran;
-            {
-                HeartbeatSender heartbeats(
-                    sock, send_mutex, assign.sliceIndex,
-                    config.heartbeatIntervalMs,
-                    local_stats.heartbeatsSent,
-                    (frame.flags & kCapMetrics) != 0);
-                ran = runPlanSlice(workload, assign.plan,
-                                   assign.sliceIndex, config.jobs,
-                                   config.pool, cache);
-                // ~HeartbeatSender joins here: no heartbeat can
-                // interleave with the Result below.
-            }
-            if (!ran) {
-                // A plan this binary cannot run (unknown
-                // experiment: version skew between coordinator and
-                // worker).  Close so the coordinator reassigns;
-                // retrying here could never succeed.
-                if (error)
-                    *error =
-                        "assignment names an unknown experiment "
-                        "(binary version skew?)";
-                return WorkerOutcome::BadAssignment;
-            }
-            const double sim_seconds =
-                std::chrono::duration<double>(Clock::now() - t0)
-                    .count();
-            ++local_stats.slicesRun;
-            local_stats.simSeconds += sim_seconds;
-
-            ResultMessage result;
-            result.sliceIndex = assign.sliceIndex;
-            result.simSeconds = sim_seconds;
-            cache.exportNewEntries(sent_keys, result.entries);
-            local_stats.sentBytes += result.entries.size();
-            local_stats.fullExportBytes += cache.exportByteSize();
-            ByteWriter w;
-            result.encode(w);
-            bool sent;
-            {
-                std::lock_guard<std::mutex> lock(send_mutex);
-                sent = sendFrame(sock, MessageType::Result,
-                                 w.view());
-            }
-            if (!sent) {
-                if (error)
-                    *error =
-                        "sending result failed (run finished or "
-                        "coordinator gone)";
-                return WorkerOutcome::ConnectionLost;
-            }
-        }
-    };
-
-    bool first_connect = true;
     for (;;) {
-        bool stopped = false;
-        Socket sock = connectWithBudget(
-            config,
-            first_connect ? config.connectBudgetMs
-                          : config.reconnectBudgetMs,
-            stopped, error);
-        if (stopped)
-            return finish(WorkerOutcome::Drained);
-        if (!sock.valid())
-            return finish(first_connect
-                              ? WorkerOutcome::ConnectFailed
-                              : WorkerOutcome::ConnectionLost);
-        if (!first_connect)
-            ++local_stats.reconnects;
-        first_connect = false;
+        // The next frame may take as long as the coordinator needs
+        // to free a slice; once it starts, it must finish promptly.
+        sock.waitReadable(-1);
+        Frame frame;
+        const RecvStatus status = recvFrame(sock, frame, 60'000);
+        if (status != RecvStatus::Ok)
+            return finish(WorkerOutcome::ConnectionLost,
+                          status == RecvStatus::Corrupt
+                              ? "corrupt frame from coordinator"
+                              : "connection to coordinator lost");
+        if (frame.type == MessageType::HeartbeatAck)
+            continue; // late ack from the previous slice
+        if (frame.type == MessageType::Shutdown)
+            return finish(WorkerOutcome::Finished, nullptr);
+        if (frame.type != MessageType::Assign)
+            return finish(WorkerOutcome::ConnectionLost,
+                          "unexpected frame from coordinator");
 
-        const WorkerOutcome outcome = runSession(sock);
-        if (outcome != WorkerOutcome::ConnectionLost ||
-            config.reconnectBudgetMs <= 0)
-            return finish(outcome);
-        if (config.stopRequested && config.stopRequested())
-            return finish(WorkerOutcome::Drained);
-        // Reconnect across the outage: fresh connection, fresh
-        // Hello, fresh delta state (the coordinator may have
-        // restarted with an empty cache).
-        sent_keys.clear();
+        AssignMessage assign;
+        ByteReader r(frame.payload);
+        if (!assign.decode(r))
+            return finish(WorkerOutcome::BadAssignment,
+                          "undecodable assignment");
+        const auto t0 = Clock::now();
+        bool ran;
+        {
+            HeartbeatSender heartbeats(
+                sock, send_mutex, assign.sliceIndex,
+                config.heartbeatIntervalMs,
+                local_stats.heartbeatsSent,
+                (frame.flags & kCapMetrics) != 0);
+            ran = runPlanSlice(workload, assign.plan,
+                               assign.sliceIndex, config.jobs,
+                               config.pool, cache);
+            // ~HeartbeatSender joins here: no heartbeat can
+            // interleave with the Result below.
+        }
+        if (!ran) {
+            // A plan this binary cannot run (unknown experiment:
+            // version skew between coordinator and worker).  Close
+            // so the coordinator reassigns; retrying here could
+            // never succeed.
+            return finish(WorkerOutcome::BadAssignment,
+                          "assignment names an unknown experiment "
+                          "(binary version skew?)");
+        }
+        const double sim_seconds =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        ++local_stats.slicesRun;
+        local_stats.simSeconds += sim_seconds;
+
+        ResultMessage result;
+        result.sliceIndex = assign.sliceIndex;
+        result.simSeconds = sim_seconds;
+        cache.exportNewEntries(sent_keys, result.entries);
+        local_stats.sentBytes += result.entries.size();
+        local_stats.fullExportBytes += cache.exportByteSize();
+        ByteWriter w;
+        result.encode(w);
+        bool sent;
+        {
+            std::lock_guard<std::mutex> lock(send_mutex);
+            sent = sendFrame(sock, MessageType::Result, w.view());
+        }
+        if (!sent)
+            return finish(WorkerOutcome::ConnectionLost,
+                          "sending result failed (run finished or "
+                          "coordinator gone)");
     }
 }
 

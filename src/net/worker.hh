@@ -2,8 +2,9 @@
  * @file
  * The distributed experiment worker.
  *
- * Connects to a coordinator (coordinator.hh), introduces itself
- * with a Hello, then loops: receive a slice assignment, run it
+ * Connects once to a coordinator (coordinator.hh), introduces
+ * itself with a Hello, then loops until the coordinator sends
+ * Shutdown or the connection ends: receive a slice assignment, run it
  * through the regular Engine/ResultCache experiment path
  * (runPlanSlice), and stream the resulting content-addressed
  * entries back as one Result frame.  The worker keeps a single
@@ -17,12 +18,11 @@
  * each beat, and the worker records the round trip as
  * net.heartbeat_rtt_us if its own registry records; no frame turns
  * the registry on or off.  Each Result carries only the entries
- * not yet sent on this connection; a reconnect resets that set,
- * and duplicates deduplicate on import.  With reconnectBudgetMs > 0 the worker
- * survives coordinator restarts: a lost connection is retried at a
- * fixed pace inside the budget, and the fresh connection replays
- * the Hello (idempotent -- the worker is stateless about the run;
- * the plan travels inside each Assign).
+ * not yet sent on this connection, and duplicates deduplicate on
+ * import.  The worker is stateless about the run: the plan travels
+ * inside each Assign.  A refused connect is ConnectFailed at once,
+ * so start the coordinator first; a lost connection ends the
+ * worker.
  *
  * The only thing an operator must match across machines is the
  * binary version.
@@ -32,7 +32,6 @@
 #define PENELOPE_NET_WORKER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "core/shardplan.hh"
@@ -40,10 +39,6 @@
 
 namespace penelope {
 namespace net {
-
-/** Pause between connect attempts: a connect budget ends at most
- *  this late. */
-inline constexpr int kConnectRetryMs = 250;
 
 struct WorkerConfig
 {
@@ -56,29 +51,9 @@ struct WorkerConfig
     /** Optional persistent worker pool (not owned). */
     ThreadPool *pool = nullptr;
 
-    /** Hardware threads reported in the Hello (0 = unknown). */
-    std::uint32_t hostCpus = 0;
-
-    /** Wall-clock budget for the first connect: the worker retries
-     *  an unreachable coordinator (commonly one still binding)
-     *  every kConnectRetryMs and fails ConnectFailed once the
-     *  budget is spent. */
-    int connectBudgetMs = 30'000;
-
     /** Heartbeat cadence while a slice runs (> 0; must be
      *  comfortably below the coordinator's heartbeat timeout). */
     int heartbeatIntervalMs = 1'000;
-
-    /** The same budget for re-establishing a *lost* connection
-     *  (coordinator restart, transient network failure), measured
-     *  per outage.  0 = no reconnection: a lost connection ends
-     *  the worker. */
-    int reconnectBudgetMs = 0;
-
-    /** Optional external stop signal (SIGINT/SIGTERM): polled
-     *  between assignments and while waiting; the worker finishes
-     *  the slice in hand, then leaves cleanly (Drained). */
-    AbortFn stopRequested;
 };
 
 /** Worker-side accounting. */
@@ -89,7 +64,6 @@ struct WorkerStats
     std::uint64_t sentBytes = 0; ///< Result entry bytes sent
     std::uint64_t fullExportBytes = 0; ///< what full (non-delta)
                                        ///< resends would have cost
-    unsigned reconnects = 0;     ///< successful re-connections
     std::uint64_t heartbeatsSent = 0;
 };
 
@@ -98,9 +72,8 @@ enum class WorkerOutcome
 {
     Finished,       ///< coordinator sent Shutdown
     ConnectFailed,  ///< could not reach the coordinator
-    ConnectionLost, ///< stream failed mid-run (budget exhausted)
+    ConnectionLost, ///< stream failed mid-run
     BadAssignment,  ///< undecodable/unknown plan from coordinator
-    Drained,        ///< external stop request honoured
 };
 
 /**

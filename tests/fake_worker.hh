@@ -4,10 +4,11 @@
  *
  * Each fake speaks the worker side of the protocol by hand: it sends
  * a Hello, takes an Assign, and then fails in one scripted way --
- * closing the connection, going silent, or heartbeating past the
- * coordinator's deadline before answering with real entries.  The
- * production worker (src/net/worker.cc) carries no such behaviour;
- * socket-level faults come from the FaultInjector seam.
+ * closing the connection, going silent, answering with a corrupt or
+ * cut-off Result frame, or heartbeating past the coordinator's
+ * deadline before answering with real entries.  The production
+ * worker (src/net/worker.cc) carries no such behaviour: every
+ * socket-level fault is scripted here, as raw frame bytes.
  */
 
 #ifndef PENELOPE_TESTS_FAKE_WORKER_HH
@@ -42,14 +43,8 @@ introduce(std::uint16_t port)
 {
     std::string error;
     net::Socket sock = net::Socket::connectTo("127.0.0.1", port, &error);
-    if (sock.valid()) {
-        net::HelloMessage hello;
-        hello.hostCpus = 1;
-        ByteWriter w;
-        hello.encode(w);
-        if (!net::sendFrame(sock, net::MessageType::Hello, w.view()))
-            sock.close();
-    }
+    if (sock.valid() && !net::sendFrame(sock, net::MessageType::Hello, {}))
+        sock.close();
     return sock;
 }
 
@@ -94,6 +89,61 @@ closeAfterAssign(std::uint16_t port)
     net::AssignMessage assign;
     if (sock.valid())
         nextAssign(sock, assign, report);
+    return report;
+}
+
+/** Wait up to @p timeout_ms for the coordinator to hang up,
+ *  recording it in @p report. */
+inline void
+awaitHangUp(net::Socket &sock, Report &report, int timeout_ms = 10'000)
+{
+    net::Frame frame;
+    report.hungUp =
+        net::recvFrame(sock, frame, timeout_ms) != net::RecvStatus::Ok;
+}
+
+/** The Result frame a worker would send for @p assign with no
+ *  entries. */
+inline std::string
+emptyResultFrame(const net::AssignMessage &assign)
+{
+    net::ResultMessage result;
+    result.sliceIndex = assign.sliceIndex;
+    ByteWriter w;
+    result.encode(w);
+    return net::encodeFrame(net::MessageType::Result, w.view());
+}
+
+/** Take one assignment and answer it with a Result frame whose
+ *  checksum does not match its payload, then wait for the
+ *  coordinator to hang up: a frame corrupted in transit. */
+inline Report
+corruptResultAfterAssign(std::uint16_t port)
+{
+    Report report;
+    net::Socket sock = introduce(port);
+    net::AssignMessage assign;
+    if (!sock.valid() || !nextAssign(sock, assign, report))
+        return report;
+    std::string frame = emptyResultFrame(assign);
+    frame[net::kFrameHeaderBytes - 1] ^= 0x01; // last checksum byte
+    if (sock.sendAll(frame.data(), frame.size()))
+        awaitHangUp(sock, report);
+    return report;
+}
+
+/** Take one assignment, send its Result frame short of the last
+ *  byte, and close: a worker that dies mid-send. */
+inline Report
+truncatedResultAfterAssign(std::uint16_t port)
+{
+    Report report;
+    net::Socket sock = introduce(port);
+    net::AssignMessage assign;
+    if (!sock.valid() || !nextAssign(sock, assign, report))
+        return report;
+    const std::string frame = emptyResultFrame(assign);
+    sock.sendAll(frame.data(), frame.size() - 1);
     return report;
 }
 

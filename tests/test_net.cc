@@ -3,7 +3,8 @@
  * Tests for the networked scale-out subsystem (src/net): frame
  * codec round-trips, rejection of truncated/corrupt/version-
  * mismatched frames without crashing, ShardPlan wire validation,
- * worker-drop-mid-slice reassignment, and a loopback coordinator +
+ * reassignment of slices whose worker drops or sends a corrupt or
+ * truncated Result, and a loopback coordinator +
  * two workers end-to-end run asserted byte-identical to the
  * unsharded output.
  */
@@ -34,7 +35,6 @@ using net::AssignMessage;
 using net::Coordinator;
 using net::CoordinatorConfig;
 using net::Frame;
-using net::HelloMessage;
 using net::MessageType;
 using net::RecvStatus;
 using net::ResultMessage;
@@ -242,19 +242,18 @@ v2HelloPayload(std::uint32_t host_cpus)
     return std::string(w.view());
 }
 
+/** A protocol-version-5 Hello payload: u32 host CPUs.  Since
+ *  version 6 a Hello carries nothing. */
+std::string
+v5HelloPayload(std::uint32_t host_cpus)
+{
+    ByteWriter w;
+    w.u32(host_cpus);
+    return std::string(w.view());
+}
+
 TEST(NetProtocol, MessageCodecsRoundTrip)
 {
-    {
-        HelloMessage in;
-        in.hostCpus = 12;
-        ByteWriter w;
-        in.encode(w);
-        HelloMessage out;
-        ByteReader r(w.view());
-        ASSERT_TRUE(out.decode(r));
-        EXPECT_EQ(out.hostCpus, 12u);
-        EXPECT_EQ(w.view().size(), 4u);
-    }
     {
         AssignMessage in;
         in.sliceIndex = 2;
@@ -285,14 +284,6 @@ TEST(NetProtocol, MessageCodecsRoundTrip)
 
 TEST(NetProtocol, MessageDecodersRejectBadPayloads)
 {
-    // A Hello in the version-2 layout: its bytes run past the one
-    // field of the current layout.
-    {
-        HelloMessage out;
-        const std::string v2 = v2HelloPayload(8);
-        ByteReader r(v2);
-        EXPECT_FALSE(out.decode(r));
-    }
     // Assign whose slice index is outside the plan.
     {
         AssignMessage in;
@@ -439,7 +430,6 @@ TEST(Distributed, LoopbackCoordinatorWithTwoWorkersIsBitIdentical)
         WorkerConfig wc;
         wc.host = "127.0.0.1";
         wc.port = coordinator.port();
-        wc.hostCpus = 1;
         ResultCache local;
         std::string werr;
         *outcome =
@@ -515,6 +505,55 @@ TEST(Distributed, WorkerDroppedMidSliceIsReassigned)
     EXPECT_EQ(good_stats.slicesRun, plan.sliceCount);
     EXPECT_GE(coordinator.stats().reassignments, 1u);
 
+    const std::string merged =
+        renderPlan(workload, plan, &collected);
+    EXPECT_EQ(merged, reference);
+    EXPECT_EQ(collected.stats().stores, 0u);
+}
+
+TEST(Distributed, CorruptAndTruncatedResultsAreForfeited)
+{
+    const WorkloadSet workload;
+    const ShardPlan plan = samplePlan();
+    const std::string reference =
+        renderPlan(workload, plan, nullptr);
+
+    ResultCache collected;
+    CoordinatorConfig config;
+    config.sliceTimeoutMs = 60'000;
+    Coordinator coordinator(plan, collected, config);
+    std::string error;
+    ASSERT_TRUE(coordinator.start(&error)) << error;
+    std::thread serve([&] { coordinator.run(); });
+
+    // One peer answers its Assign with a checksum that does not
+    // match, the next sends its Result one byte short and closes.
+    // Each forfeits its slice, and the coordinator hangs up on the
+    // corrupt one.
+    const fake::Report corrupt =
+        fake::corruptResultAfterAssign(coordinator.port());
+    EXPECT_TRUE(corrupt.assigned);
+    EXPECT_TRUE(corrupt.hungUp);
+    const fake::Report truncated =
+        fake::truncatedResultAfterAssign(coordinator.port());
+    EXPECT_TRUE(truncated.assigned);
+
+    // A healthy worker then completes the job, both forfeited
+    // slices included.
+    WorkerConfig good;
+    good.port = coordinator.port();
+    ResultCache good_cache;
+    WorkerStats good_stats;
+    std::string werr;
+    EXPECT_EQ(net::runWorker(good, workload, good_cache, &good_stats,
+                             &werr),
+              WorkerOutcome::Finished)
+        << werr;
+    serve.join();
+
+    EXPECT_EQ(good_stats.slicesRun, plan.sliceCount);
+    EXPECT_EQ(coordinator.stats().reassignments, 2u);
+    EXPECT_EQ(coordinator.jobState(), net::JobState::Complete);
     const std::string merged =
         renderPlan(workload, plan, &collected);
     EXPECT_EQ(merged, reference);
@@ -619,9 +658,9 @@ withVersion(std::string frame, std::uint32_t version)
 TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 {
     // A corpus of one valid frame per conversation direction, plus
-    // older-version frames (version-1 headers, a version-2 Hello
-    // payload) and frames of the retired types that must never be
-    // accepted as they stand.
+    // older-version frames (version-1 headers, version-2 and
+    // version-5 Hello payloads) and frames of the retired types that
+    // must never be accepted as they stand.
     struct Seed
     {
         MessageType type;
@@ -635,12 +674,12 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
         message.encode(w);
         corpus.push_back({type, std::string(w.view()), version});
     };
-    net::HelloMessage hello;
-    hello.hostCpus = 8;
-    add(MessageType::Hello, hello);
-    add(MessageType::Hello, hello, 1);
+    corpus.push_back({MessageType::Hello, "", net::kProtocolVersion});
+    corpus.push_back({MessageType::Hello, "", 1});
     corpus.push_back(
         {MessageType::Hello, v2HelloPayload(8), net::kProtocolVersion});
+    corpus.push_back(
+        {MessageType::Hello, v5HelloPayload(8), net::kProtocolVersion});
     net::HeartbeatMessage beat;
     beat.sliceIndex = 1;
     beat.sequence = 42;
@@ -660,9 +699,10 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
     for (const MessageType type : kRetiredTypes)
         corpus.push_back({type, "penelope_x 1\n", net::kProtocolVersion});
 
-    // Unmutated: current-version frames verify, version-1 and
-    // retired-type frames are rejected at the header, and a
-    // version-2 Hello payload fails its decode.
+    // Unmutated: current-version frames verify (an old Hello
+    // payload is the coordinator's to drop, as the next test
+    // checks), and version-1 and retired-type frames are rejected at
+    // the header.
     for (const Seed &seed : corpus) {
         LoopbackPair pair = LoopbackPair::make();
         const std::string frame = withVersion(
@@ -677,12 +717,7 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
             continue;
         }
         ASSERT_EQ(status, RecvStatus::Ok);
-        if (seed.type == MessageType::Hello) {
-            net::HelloMessage decoded;
-            ByteReader r(out.payload);
-            EXPECT_EQ(decoded.decode(r),
-                      seed.payload != v2HelloPayload(8));
-        }
+        EXPECT_EQ(out.payload, seed.payload);
     }
 
     FuzzRng rng(0x5eed0002);
@@ -729,8 +764,9 @@ TEST(NetFuzz, MutatedFramesNeverDeliverAlteredPayloads)
 }
 
 /** An older peer is dropped at its Hello -- by the frame header
- *  (versions 1 to 4) or by the Hello payload (the version-2
- *  layout) -- before it can claim a slice. */
+ *  (versions 1 to 5) or by a non-empty Hello payload (the
+ *  version-2 and version-5 layouts) -- before it can claim a
+ *  slice. */
 TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
 {
     const WorkloadSet workload;
@@ -743,20 +779,16 @@ TEST(NetFuzz, V1HelloIsDroppedWithoutClaimingASlice)
     ASSERT_TRUE(coordinator.start(&error)) << error;
     std::thread serve([&] { coordinator.run(); });
 
-    HelloMessage hello;
-    hello.hostCpus = 2;
-    ByteWriter current;
-    hello.encode(current);
+    const std::string empty_hello =
+        net::encodeFrame(MessageType::Hello, {});
     const std::string frames[] = {
-        withVersion(
-            net::encodeFrame(MessageType::Hello, current.view()), 1),
-        withVersion(
-            net::encodeFrame(MessageType::Hello, current.view()), 2),
-        withVersion(
-            net::encodeFrame(MessageType::Hello, current.view()), 3),
-        withVersion(
-            net::encodeFrame(MessageType::Hello, current.view()), 4),
+        withVersion(empty_hello, 1),
+        withVersion(empty_hello, 2),
+        withVersion(empty_hello, 3),
+        withVersion(empty_hello, 4),
+        withVersion(empty_hello, 5),
         net::encodeFrame(MessageType::Hello, v2HelloPayload(2)),
+        net::encodeFrame(MessageType::Hello, v5HelloPayload(2)),
     };
     for (const std::string &frame : frames) {
         Socket conn = Socket::connectTo("127.0.0.1",
@@ -817,17 +849,10 @@ TEST(NetFuzz, CoordinatorSurvivesFrameStormThenServesCleanly)
             conn.sendAll(blob.data(), blob.size());
             break;
           }
-          case 1: { // a Hello with a flipped payload byte
-            HelloMessage hello;
-            hello.hostCpus = 1 + rng.below(64);
-            ByteWriter w;
-            hello.encode(w);
+          case 1: { // a Hello with a flipped checksum byte
             std::string frame =
-                net::encodeFrame(MessageType::Hello, w.view());
-            frame[net::kFrameHeaderBytes +
-                  rng.below(static_cast<std::uint32_t>(
-                      frame.size() - net::kFrameHeaderBytes))] ^=
-                0x10;
+                net::encodeFrame(MessageType::Hello, {});
+            frame[net::kFrameHeaderBytes - 1 - rng.below(8)] ^= 0x10;
             conn.sendAll(frame.data(), frame.size());
             break;
           }
@@ -979,7 +1004,6 @@ TEST(Distributed, NoMetricsCapabilityDegradesCleanly)
     WorkerConfig wc;
     wc.host = "127.0.0.1";
     wc.port = coordinator.port();
-    wc.hostCpus = 1;
     wc.heartbeatIntervalMs = 5;
     ResultCache local;
     WorkerStats stats;
@@ -1025,7 +1049,6 @@ TEST(Distributed, HeartbeatAcksFeedWorkerRtt)
     WorkerConfig wc;
     wc.host = "127.0.0.1";
     wc.port = coordinator.port();
-    wc.hostCpus = 1;
     wc.heartbeatIntervalMs = 2;
     ResultCache local;
     WorkerStats stats;
@@ -1063,7 +1086,6 @@ TEST(Distributed, ObsOffCoordinatorLeavesWorkerTelemetryOff)
     WorkerConfig wc;
     wc.host = "127.0.0.1";
     wc.port = coordinator.port();
-    wc.hostCpus = 1;
     wc.heartbeatIntervalMs = 2;
     ResultCache local;
     std::string werr;
