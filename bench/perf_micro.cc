@@ -25,6 +25,7 @@
 #include "core/serialize.hh"
 #include "core/surrogate_sweep.hh"
 #include "nbti/rd_model.hh"
+#include "netlist_reference.hh"
 #include "obs/metrics.hh"
 #include "pipeline/pipeline.hh"
 #include "regfile/driver.hh"
@@ -37,6 +38,9 @@ namespace {
 
 // ------------------------------------------------------ hot paths
 
+/** The scalar gate-list interpreter of the tests' reference model
+ *  (tests/netlist_reference.hh), one vector per call: the baseline
+ *  the batched engine's per-vector speedup is measured against. */
 void
 BM_LadnerFischerEvaluate(benchmark::State &state)
 {
@@ -44,8 +48,8 @@ BM_LadnerFischerEvaluate(benchmark::State &state)
     Rng rng(1);
     std::uint64_t sum = 0;
     for (auto _ : state) {
-        sum += adder.evaluate(rng() & 0xffffffff,
-                              rng() & 0xffffffff, rng.nextBool());
+        sum += reference::evaluate(adder, rng() & 0xffffffff,
+                                   rng() & 0xffffffff, rng.nextBool());
     }
     benchmark::DoNotOptimize(sum);
     state.SetItemsProcessed(state.iterations());
@@ -80,37 +84,6 @@ BM_NetlistEvaluateBatch(benchmark::State &state)
 }
 BENCHMARK(BM_NetlistEvaluateBatch);
 
-/** Wide netlist pass: W lane words per net in one op-stream walk
- *  (arg = W, the two widths the library builds).  items/s counts
- *  vectors, so comparing /4 against /1 shows the per-vector gain
- *  from amortising the op-stream decode (the CI floor asserts
- *  >= 1.1x). */
-void
-BM_NetlistEvaluateBatchWide(benchmark::State &state)
-{
-    const unsigned net_w = static_cast<unsigned>(state.range(0));
-    LadnerFischerAdder adder(32);
-    Rng rng(1);
-    std::uint64_t a[256];
-    std::uint64_t b[256];
-    for (unsigned i = 0; i < net_w * 64; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    std::uint64_t cin_masks[4];
-    for (unsigned w = 0; w < net_w; ++w)
-        cin_masks[w] = rng();
-    std::vector<std::uint64_t> words;
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        adder.evaluateBatchWide(a, b, cin_masks, net_w, words);
-        acc += words.back();
-    }
-    benchmark::DoNotOptimize(acc);
-    state.SetItemsProcessed(state.iterations() * net_w * 64);
-}
-BENCHMARK(BM_NetlistEvaluateBatchWide)->Arg(1)->Arg(4);
-
 /** Batched throughput on the Kogge-Stone adder, the INV-heaviest
  *  topology and the one the optimizing compiler shrinks most.
  *  items/s counts vectors. */
@@ -137,24 +110,6 @@ BM_KoggeStoneEvaluateBatch(benchmark::State &state)
 }
 BENCHMARK(BM_KoggeStoneEvaluateBatch);
 
-/** Scalar aging observe: one evaluated vector, one pass over the
- *  per-net slots. */
-void
-BM_AgingObserve(benchmark::State &state)
-{
-    LadnerFischerAdder adder(32);
-    PmosAgingTracker tracker(adder.netlist());
-    std::vector<std::uint8_t> signals;
-    adder.netlist().evaluate(
-        adder.makeInputVector(0x12345678, 0x9abcdef0, false),
-        signals);
-    for (auto _ : state)
-        tracker.observe(signals);
-    benchmark::DoNotOptimize(tracker.zeroProb(0));
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_AgingObserve);
-
 /** Batched aging observe: 64 vectors charged per call as popcounts
  *  of the complemented net lane words. */
 void
@@ -172,9 +127,8 @@ BM_AgingObserveBatch(benchmark::State &state)
     const std::uint64_t cin_mask = rng();
     std::vector<std::uint64_t> words;
     adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
-    const std::uint64_t all_lanes = ~std::uint64_t(0);
     for (auto _ : state)
-        tracker.observeBatchWide(words.data(), 1, &all_lanes);
+        tracker.observeBatch(words.data(), ~std::uint64_t(0));
     benchmark::DoNotOptimize(tracker.zeroProb(0));
     state.SetItemsProcessed(state.iterations() * 64);
 }

@@ -8,7 +8,9 @@
  * the required guardband at different adder utilisations.
  */
 
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 #include "adder/adder.hh"
 #include "adder/analysis.hh"
@@ -25,9 +27,21 @@ main()
               << adder.netlist().numPmos() << " PMOS, depth "
               << adder.netlist().depth() << "\n";
 
-    // Sanity: the netlist really adds.
-    std::cout << "1234567 + 7654321 = "
-              << adder.evaluate(1234567, 7654321, false) << "\n\n";
+    // Sanity: the netlist really adds.  One batched pass with the
+    // operands in lane 0; bit 0 of each sum net's lane word is that
+    // sum bit.
+    const std::uint64_t a[64] = {1234567};
+    const std::uint64_t b[64] = {7654321};
+    const std::uint64_t cin_mask = 0;
+    std::vector<std::uint64_t> words;
+    adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
+    std::uint64_t sum = 0;
+    for (unsigned i = 0; i < adder.width(); ++i) {
+        const std::uint64_t lanes =
+            adder.netlist().laneWord(words.data(), adder.sumSignals()[i]);
+        sum |= (lanes & 1) << i;
+    }
+    std::cout << "1234567 + 7654321 = " << sum << "\n\n";
 
     const GuardbandModel model = GuardbandModel::paperCalibrated();
     AdderAgingAnalysis analysis(adder, model);

@@ -92,73 +92,28 @@ Adder::buildInputs()
     cin_ = netlist_.addInput();
 }
 
-std::vector<bool>
-Adder::makeInputVector(std::uint64_t a, std::uint64_t b,
-                       bool cin) const
-{
-    std::vector<bool> in;
-    fillInputVector(in, a, b, cin);
-    return in;
-}
-
-void
-Adder::fillInputVector(std::vector<bool> &in, std::uint64_t a,
-                       std::uint64_t b, bool cin) const
-{
-    in.resize(2 * width_ + 1);
-    for (unsigned i = 0; i < width_; ++i) {
-        in[i] = (a >> i) & 1;
-        in[width_ + i] = (b >> i) & 1;
-    }
-    in[2 * width_] = cin;
-}
-
 void
 Adder::evaluateBatchWide(const std::uint64_t *a,
                          const std::uint64_t *b,
                          const std::uint64_t *cin_masks,
-                         unsigned net_w,
+                         [[maybe_unused]] unsigned net_w,
                          std::vector<std::uint64_t> &net_words) const
 {
+    assert(net_w == 1);
     // Per-thread scratch: a const Adder is shared across the
     // engine's worker threads (transpose64x64 is destructive, so
     // operands are copied into the block first).
     thread_local std::vector<std::uint64_t> input_words;
     std::uint64_t block[64];
-    input_words.resize((2 * width_ + 1) * net_w);
-
-    // Per word: transpose that word's 64 operand rows, then scatter
-    // into the interleaved [input * net_w + w] layout the wide
-    // engine consumes.
-    for (unsigned w = 0; w < net_w; ++w) {
-        std::copy(a + w * 64, a + w * 64 + 64, block);
-        transpose64x64(block);
-        for (unsigned i = 0; i < width_; ++i)
-            input_words[i * net_w + w] = block[i];
-        std::copy(b + w * 64, b + w * 64 + 64, block);
-        transpose64x64(block);
-        for (unsigned i = 0; i < width_; ++i)
-            input_words[(width_ + i) * net_w + w] = block[i];
-        input_words[2 * width_ * net_w + w] = cin_masks[w];
-    }
-
-    netlist_.evaluateBatchWide(input_words.data(), net_words, net_w);
-}
-
-std::uint64_t
-Adder::evaluate(std::uint64_t a, std::uint64_t b, bool cin,
-                bool *cout) const
-{
-    const auto in = makeInputVector(a, b, cin);
-    thread_local std::vector<std::uint8_t> values;
-    netlist_.evaluate(in, values);
-    std::uint64_t sum = 0;
-    for (unsigned i = 0; i < width_; ++i)
-        if (values[sum_[i]])
-            sum |= std::uint64_t(1) << i;
-    if (cout)
-        *cout = values[cout_] != 0;
-    return sum;
+    input_words.resize(2 * width_ + 1);
+    std::copy(a, a + 64, block);
+    transpose64x64(block);
+    std::copy(block, block + width_, input_words.begin());
+    std::copy(b, b + 64, block);
+    transpose64x64(block);
+    std::copy(block, block + width_, input_words.begin() + width_);
+    input_words[2 * width_] = cin_masks[0];
+    netlist_.evaluateBatch(input_words.data(), net_words);
 }
 
 LadnerFischerAdder::LadnerFischerAdder(unsigned width)

@@ -38,34 +38,17 @@ class Adder
     /** Topology name for reports. */
     virtual const char *name() const = 0;
 
-    /** Pack (a, b, cin) into a primary-input vector. */
-    std::vector<bool> makeInputVector(std::uint64_t a,
-                                      std::uint64_t b,
-                                      bool cin) const;
-
-    /** makeInputVector into a caller-owned buffer (no per-call
-     *  allocation; @p in is resized once and reused). */
-    void fillInputVector(std::vector<bool> &in, std::uint64_t a,
-                         std::uint64_t b, bool cin) const;
-
     /**
-     * Functionally evaluate the netlist.
-     * @return sum (width bits); carry-out via @p cout if non-null.
-     */
-    std::uint64_t evaluate(std::uint64_t a, std::uint64_t b, bool cin,
-                           bool *cout = nullptr) const;
-
-    /**
-     * Evaluate 64 * @p net_w operand triples in one netlist pass.
-     * @p a and @p b hold net_w * 64 operand values (word w covers
-     * lanes [w * 64, w * 64 + 64), lane l of word w uses bit l of
-     * @p cin_masks[w]); pad unused lanes with zeros.  The operands
-     * are bit-transposed into per-input lane words and run through
-     * Netlist::evaluateBatchWide; @p net_words receives net_w
-     * interleaved lane words per physical word of the compiled
-     * stream (resolve a net with Netlist::laneWordWide), ready for
-     * PmosAgingTracker::observeBatchWide.  @p net_w must be 1 or
-     * Netlist::preferredBatchWords().
+     * Evaluate 64 operand triples in one netlist pass.  Lane l
+     * uses @p a[l], @p b[l] and bit l of @p cin_masks[0]; pad
+     * unused lanes with zeros.  The operands are bit-transposed
+     * into per-input lane words and run through
+     * Netlist::evaluateBatch; @p net_words receives one lane word
+     * per physical word of the compiled stream (resolve a net with
+     * Netlist::laneWord), ready for PmosAgingTracker::observeBatch.
+     * @p net_w must be 1 (Netlist::preferredBatchWords()): the
+     * parameter is kept only for the repository benchmark's netlist
+     * probe, which compiles against this signature.
      */
     void evaluateBatchWide(const std::uint64_t *a,
                            const std::uint64_t *b,

@@ -121,13 +121,13 @@ AdderAgingAnalysis::zeroProbsForInputs(
     evaluateSyntheticLanes(adder_, words);
     // Round-robin over the requested inputs: each occurrence
     // selects its synthetic lane once (a repeated index charges its
-    // lane repeatedly, matching one applyInput per occurrence --
-    // one observe per occurrence keeps the integer sums identical).
+    // lane repeatedly, matching one scalar observe per occurrence:
+    // the integer sums are identical).
     PmosAgingTracker tracker(adder_.netlist());
     for (unsigned index : indices) {
         assert(index < 8);
         const std::uint64_t lane = std::uint64_t(1) << index;
-        tracker.observeBatchWide(words.data(), 1, &lane);
+        tracker.observeBatch(words.data(), lane);
     }
     return trackerProbs(tracker);
 }
@@ -135,29 +135,20 @@ AdderAgingAnalysis::zeroProbsForInputs(
 namespace {
 
 /**
- * Evaluate @p count operand lanes (a[l], b[l], bit l of the
- * cin_masks words) in one netlist pass and charge each to
- * @p tracker once.  Up to 64 lanes are evaluated as one word, a
- * quarter of a full pass.
+ * Evaluate @p count operand lanes (a[l], b[l], bit l of @p cin_mask)
+ * in one netlist pass and charge each to @p tracker once.
  */
 void
 chargeLanes(const Adder &adder, PmosAgingTracker &tracker,
             const std::uint64_t *a, const std::uint64_t *b,
-            const std::uint64_t *cin_masks, unsigned count,
+            std::uint64_t cin_mask, unsigned count,
             std::vector<std::uint64_t> &words)
 {
-    const unsigned net_w =
-        count <= 64 ? 1 : Netlist::preferredBatchWords();
     PENELOPE_OBS_COUNTER("netlist.lanes_used", "lanes").add(count);
-    adder.evaluateBatchWide(a, b, cin_masks, net_w, words);
-    std::uint64_t lane_masks[4];
-    for (unsigned w = 0; w < net_w; ++w) {
-        const unsigned lanes =
-            count > 64 * w ? std::min(64u, count - 64 * w) : 0;
-        lane_masks[w] = lanes == 64 ? ~std::uint64_t(0)
-                                    : (std::uint64_t(1) << lanes) - 1;
-    }
-    tracker.observeBatchWide(words.data(), net_w, lane_masks);
+    adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
+    tracker.observeBatch(words.data(),
+                         count == 64 ? ~std::uint64_t(0)
+                                     : (std::uint64_t(1) << count) - 1);
 }
 
 } // namespace
@@ -166,28 +157,25 @@ std::vector<double>
 AdderAgingAnalysis::zeroProbsForOperands(
     const std::vector<OperandSample> &ops) const
 {
-    const unsigned net_w = Netlist::preferredBatchWords();
-    assert(net_w <= 4);
-    const unsigned chunk = 64 * net_w;
     PmosAgingTracker tracker(adder_.netlist());
     std::vector<std::uint64_t> words;
-    std::uint64_t a[256] = {};
-    std::uint64_t b[256] = {};
-    std::uint64_t cin_masks[4] = {};
+    std::uint64_t a[64] = {};
+    std::uint64_t b[64] = {};
+    std::uint64_t cin_mask = 0;
     unsigned count = 0;
     for (const OperandSample &op : ops) {
         a[count] = op.a;
         b[count] = op.b;
         if (op.cin)
-            cin_masks[count / 64] |= std::uint64_t(1) << (count % 64);
-        if (++count == chunk) {
-            chargeLanes(adder_, tracker, a, b, cin_masks, count, words);
-            std::fill(cin_masks, cin_masks + net_w, 0);
+            cin_mask |= std::uint64_t(1) << count;
+        if (++count == 64) {
+            chargeLanes(adder_, tracker, a, b, cin_mask, count, words);
+            cin_mask = 0;
             count = 0;
         }
     }
     if (count != 0)
-        chargeLanes(adder_, tracker, a, b, cin_masks, count, words);
+        chargeLanes(adder_, tracker, a, b, cin_mask, count, words);
     return trackerProbs(tracker);
 }
 
@@ -297,7 +285,7 @@ AdderAgingAnalysis::sweepPairs() const
         tracker.reset();
         const std::uint64_t lanes = (std::uint64_t(1) << pair.first) |
             (std::uint64_t(1) << pair.second);
-        tracker.observeBatchWide(words.data(), 1, &lanes);
+        tracker.observeBatch(words.data(), lanes);
         const AgingSummary s = summarize(trackerProbs(tracker));
         entries.push_back({pair, s.narrowFullyStressedFraction});
     }

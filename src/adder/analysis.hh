@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "adder.hh"
 #include "circuit/aging.hh"
 #include "common/rng.hh"
 #include "idle_inputs.hh"
@@ -131,9 +132,9 @@ class AdderAgingAnalysis
 
     /**
      * Per-device zero probability under operand samples @p ops:
-     * one netlist lane per sample, 64 * preferredBatchWords()
-     * lanes per pass, bit-identical to one scalar applyInput per
-     * sample (the tracker's sums are integers).
+     * one netlist lane per sample, 64 lanes per pass,
+     * bit-identical to one scalar observe per sample (the
+     * tracker's sums are integers).
      */
     std::vector<double>
     zeroProbsForOperands(const std::vector<OperandSample> &ops) const;

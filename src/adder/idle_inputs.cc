@@ -1,7 +1,5 @@
 #include "idle_inputs.hh"
 
-#include <cassert>
-
 namespace penelope {
 
 const std::array<SyntheticInput, 8> &
@@ -18,27 +16,6 @@ syntheticInputs()
         {true, true, true},    // 8: <1,1,1>
     }};
     return inputs;
-}
-
-std::vector<bool>
-syntheticVector(const Adder &adder, unsigned index)
-{
-    std::vector<bool> in;
-    syntheticVector(adder, index, in);
-    return in;
-}
-
-void
-syntheticVector(const Adder &adder, unsigned index,
-                std::vector<bool> &in)
-{
-    assert(index < 8);
-    const SyntheticInput &s = syntheticInputs()[index];
-    const std::uint64_t ones = adder.width() >= 64
-        ? ~std::uint64_t(0)
-        : (std::uint64_t(1) << adder.width()) - 1;
-    adder.fillInputVector(in, s.inputA ? ones : 0,
-                          s.inputB ? ones : 0, s.carryIn);
 }
 
 std::vector<InputPair>

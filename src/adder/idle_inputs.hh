@@ -14,11 +14,8 @@
 #define PENELOPE_ADDER_IDLE_INPUTS_HH
 
 #include <array>
-#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "adder.hh"
 
 namespace penelope {
 
@@ -36,14 +33,6 @@ struct SyntheticInput
  * (<InputA, InputB, CarryIn> in ascending binary order).
  */
 const std::array<SyntheticInput, 8> &syntheticInputs();
-
-/** Input vector for synthetic input @p index (0-based: 0..7). */
-std::vector<bool> syntheticVector(const Adder &adder, unsigned index);
-
-/** syntheticVector into a caller-owned buffer (no per-call
- *  allocation; loops over inputs reuse one vector). */
-void syntheticVector(const Adder &adder, unsigned index,
-                     std::vector<bool> &in);
 
 /** Unordered pair of synthetic inputs (0-based indices). */
 struct InputPair

@@ -14,31 +14,16 @@ PmosAgingTracker::PmosAgingTracker(const Netlist &netlist)
 }
 
 void
-PmosAgingTracker::observe(const std::vector<std::uint8_t> &signals,
-                          std::uint64_t dt)
+PmosAgingTracker::observeBatch(const std::uint64_t *net_words,
+                               std::uint64_t lane_mask,
+                               std::uint64_t dt)
 {
-    for (std::size_t s = 0; s < slots_.numSlots(); ++s) {
-        if (!signals[slots_.slotNet[s]])
-            slotZeroTime_[s] += dt;
-    }
-    totalTime_ += dt;
-}
-
-void
-PmosAgingTracker::observeBatchWide(const std::uint64_t *net_words,
-                                   unsigned net_w,
-                                   const std::uint64_t *lane_masks,
-                                   std::uint64_t dt)
-{
-    std::uint64_t lanes = 0;
-    for (unsigned w = 0; w < net_w; ++w) {
-        lanes += static_cast<std::uint64_t>(
-            std::popcount(lane_masks[w]));
-    }
+    const auto lanes =
+        static_cast<std::uint64_t>(std::popcount(lane_mask));
     if (lanes == 0 || dt == 0)
         return;
     // One branch-free sweep per partition: a slot's zero lanes are
-    // the clear bits of its words (plain), the set bits
+    // the clear bits of its word (plain), the set bits
     // (complemented), or every valid lane (const-0); const-1 slots
     // never charge.  Locals, not members: the uint64_t zero-time
     // stores may alias the size_t partition ends.
@@ -48,36 +33,18 @@ PmosAgingTracker::observeBatchWide(const std::uint64_t *net_words,
     const std::size_t inv_end = slots_.invEnd;
     const std::size_t const0_end = slots_.const0End;
     for (std::size_t s = 0; s < word_end; ++s) {
-        const std::uint64_t *words =
-            net_words + std::size_t(slot_word[s]) * net_w;
-        std::uint64_t zeros = 0;
-        for (unsigned w = 0; w < net_w; ++w) {
-            zeros += static_cast<std::uint64_t>(
-                std::popcount(~words[w] & lane_masks[w]));
-        }
-        zero_time[s] += zeros * dt;
+        const std::uint64_t zeros = ~net_words[slot_word[s]] & lane_mask;
+        zero_time[s] += static_cast<std::uint64_t>(std::popcount(zeros)) *
+            dt;
     }
     for (std::size_t s = word_end; s < inv_end; ++s) {
-        const std::uint64_t *words =
-            net_words + std::size_t(slot_word[s]) * net_w;
-        std::uint64_t zeros = 0;
-        for (unsigned w = 0; w < net_w; ++w) {
-            zeros += static_cast<std::uint64_t>(
-                std::popcount(words[w] & lane_masks[w]));
-        }
-        zero_time[s] += zeros * dt;
+        const std::uint64_t zeros = net_words[slot_word[s]] & lane_mask;
+        zero_time[s] += static_cast<std::uint64_t>(std::popcount(zeros)) *
+            dt;
     }
     for (std::size_t s = inv_end; s < const0_end; ++s)
         zero_time[s] += lanes * dt;
     totalTime_ += lanes * dt;
-}
-
-void
-PmosAgingTracker::applyInput(const std::vector<bool> &input_values,
-                             std::uint64_t dt)
-{
-    netlist_.evaluate(input_values, scratch_);
-    observe(scratch_, dt);
 }
 
 double

@@ -25,15 +25,15 @@
  * Netlist::finalize() builds it once and every tracker on the
  * netlist reads it shared: a tracker owns only its zero-time array
  * and total time, and constructing one is a single allocation.
- * observeBatchWide() charges a whole 64-vector lane word in one step --
+ * observeBatch() charges a whole 64-vector lane word in one step --
  * the zero-time of a class is popcount of its complemented lane
  * word (masked to the valid lanes) -- so a batch costs a couple of
- * word ops per *class* instead of 64 branchy updates per *device*.  Scalar
- * observe() (fed by the gate-list interpreter Netlist::evaluate)
- * and the batched forms add exactly the same integers, so every
- * probability (and everything downstream: summaries, guardbands,
- * experiment stdout) is bit-identical between them; the AgingBatch
- * suites in tests/test_netlist_batch.cc pin that on the Figure-2
+ * word ops per *class* instead of 64 branchy updates per *device*.
+ * The sums are integers, so every probability (and everything
+ * downstream: summaries, guardbands, experiment stdout) is
+ * independent of how the vectors are batched; the AgingBatch suites
+ * in tests/test_netlist_batch.cc hold the tracker to a per-device
+ * scalar reference (tests/netlist_reference.hh) on the Figure-2
  * circuit and all three adder topologies.
  */
 
@@ -85,29 +85,15 @@ class PmosAgingTracker
     explicit PmosAgingTracker(const Netlist &netlist);
 
     /**
-     * Account @p dt time units with the given net values (as
-     * produced by Netlist::evaluate).
-     */
-    void observe(const std::vector<std::uint8_t> &signals,
-                 std::uint64_t dt = 1);
-
-    /**
      * Account a batch of net lane words (as produced by
-     * Netlist::evaluateBatchWide): @p net_words holds @p net_w
-     * lane words per net, interleaved [net * net_w + w], and
-     * @p lane_masks selects the valid lanes of each word.  Every
-     * selected lane contributes @p dt time units, exactly as one
-     * observe() per valid lane would; lanes outside the masks
-     * (padding of a partial batch) are ignored entirely.
+     * Netlist::evaluateBatch): @p net_words holds one lane word per
+     * physical word of the compiled stream, and @p lane_mask
+     * selects the valid lanes.  Every selected lane contributes
+     * @p dt time units; lanes outside the mask (padding of a
+     * partial batch) are ignored entirely.
      */
-    void observeBatchWide(const std::uint64_t *net_words,
-                          unsigned net_w,
-                          const std::uint64_t *lane_masks,
-                          std::uint64_t dt = 1);
-
-    /** Evaluate and observe an input vector in one step. */
-    void applyInput(const std::vector<bool> &input_values,
-                    std::uint64_t dt = 1);
+    void observeBatch(const std::uint64_t *net_words,
+                      std::uint64_t lane_mask, std::uint64_t dt = 1);
 
     /** Zero-signal probability of device @p i. */
     double zeroProb(std::size_t i) const;
@@ -146,8 +132,6 @@ class PmosAgingTracker
 
     /** Shared total observed time (identical for every device). */
     std::uint64_t totalTime_ = 0;
-
-    std::vector<std::uint8_t> scratch_; ///< applyInput net values
 };
 
 } // namespace penelope

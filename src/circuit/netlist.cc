@@ -9,11 +9,11 @@ namespace penelope {
 
 namespace {
 
-/** File-scope handles: evaluateBatchWide runs ~10^5-10^6 times per
+/** File-scope handles: evaluateBatch runs ~10^5-10^6 times per
  *  second, so the emission cost budget here is two relaxed adds
  *  (and a single relaxed bool when disabled).  Lane utilization
  *  is lanes-used (reported by the feeding drivers) over
- *  lane-capacity (64 x word width charged here). */
+ *  lane-capacity (64 per pass, charged here). */
 const obs::Counter g_batchEvals =
     obs::Registry::instance().counter("netlist.batch_evals");
 const obs::Counter g_laneCapacity =
@@ -170,146 +170,55 @@ Netlist::markWide(SignalId s)
 }
 
 void
-Netlist::evaluate(const std::vector<bool> &input_values,
-                  std::vector<std::uint8_t> &signals) const
+Netlist::evaluateBatch(const std::uint64_t *input_words,
+                       std::vector<std::uint64_t> &net_words) const
 {
-    assert(input_values.size() == inputs_.size());
-    signals.resize(producers_.size());
-    std::size_t next_input = 0;
-    for (std::size_t i = 0; i < gates_.size(); ++i) {
-        const Gate &g = gates_[i];
-        switch (g.type) {
-          case GateType::Input:
-            signals[g.output] = input_values[next_input++] ? 1 : 0;
-            break;
-          case GateType::Const0:
-            signals[g.output] = 0;
-            break;
-          case GateType::Const1:
-            signals[g.output] = 1;
-            break;
-          case GateType::Inv:
-            signals[g.output] = signals[g.inputs[0]] ^ 1;
-            break;
-          case GateType::Nand: {
-            std::uint8_t all = 1;
-            for (auto s : g.inputs)
-                all &= signals[s];
-            signals[g.output] = all ^ 1;
-            break;
-          }
-          case GateType::Nor: {
-            std::uint8_t any = 0;
-            for (auto s : g.inputs)
-                any |= signals[s];
-            signals[g.output] = any ^ 1;
-            break;
-          }
-          case GateType::TgPass:
-            signals[g.output] =
-                signals[g.inputs[0]] ^ signals[g.inputs[1]];
-            break;
-        }
-    }
-}
-
-template <unsigned W>
-void
-Netlist::evaluateBatchImpl(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const
-{
-    // One switch over the compiled stream with W consecutive lane
-    // words per physical slot ([word * W + w] interleaving).  Each
-    // word is computed with exactly the ops the W=1 pass would use,
-    // so lane values are bit-identical at every width.  The
-    // optimizing compiler emits outputs in strictly increasing slot
-    // order with depth-first operand locality, so the store stream
-    // is sequential and operands are usually still L1-resident.
-    std::uint64_t *w = net_words;
+    assert(finalized_);
+    g_batchEvals.add();
+    g_laneCapacity.add(64);
+    net_words.resize(wordCount_);
+    // One switch over the compiled stream.  The optimizing compiler
+    // emits outputs in strictly increasing slot order with
+    // depth-first operand locality, so the store stream is
+    // sequential and operands are usually still L1-resident.
+    std::uint64_t *w = net_words.data();
     for (const CompiledOp &op : ops_) {
-        std::uint64_t *out = w + std::size_t(op.out) * W;
-        const std::uint64_t *a = w + std::size_t(op.a) * W;
-        const std::uint64_t *b = w + std::size_t(op.b) * W;
+        std::uint64_t &out = w[op.out];
         switch (op.kind) {
-          case CompiledOp::Kind::Input: {
-            const std::uint64_t *in =
-                input_words + std::size_t(op.a) * W;
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = in[k];
+          case CompiledOp::Kind::Input:
+            out = input_words[op.a];
             break;
-          }
           case CompiledOp::Kind::Inv:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~a[k];
+            out = ~w[op.a];
             break;
           case CompiledOp::Kind::Nand2:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~(a[k] & b[k]);
+            out = ~(w[op.a] & w[op.b]);
             break;
           case CompiledOp::Kind::NandK: {
-            std::uint64_t all[W];
-            for (unsigned k = 0; k < W; ++k)
-                all[k] = a[k] & b[k];
-            for (std::uint32_t e = 0; e < op.extraCount; ++e) {
-                const std::uint64_t *x = w +
-                    std::size_t(extraFanins_[op.extra + e]) * W;
-                for (unsigned k = 0; k < W; ++k)
-                    all[k] &= x[k];
-            }
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~all[k];
+            std::uint64_t all = w[op.a] & w[op.b];
+            for (std::uint32_t e = 0; e < op.extraCount; ++e)
+                all &= w[extraFanins_[op.extra + e]];
+            out = ~all;
             break;
           }
           case CompiledOp::Kind::NorK: {
-            std::uint64_t any[W];
-            for (unsigned k = 0; k < W; ++k)
-                any[k] = a[k] | b[k];
-            for (std::uint32_t e = 0; e < op.extraCount; ++e) {
-                const std::uint64_t *x = w +
-                    std::size_t(extraFanins_[op.extra + e]) * W;
-                for (unsigned k = 0; k < W; ++k)
-                    any[k] |= x[k];
-            }
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = ~any[k];
+            std::uint64_t any = w[op.a] | w[op.b];
+            for (std::uint32_t e = 0; e < op.extraCount; ++e)
+                any |= w[extraFanins_[op.extra + e]];
+            out = ~any;
             break;
           }
           case CompiledOp::Kind::TgPass:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = a[k] ^ b[k];
+            out = w[op.a] ^ w[op.b];
             break;
           case CompiledOp::Kind::Nand2ca:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = a[k] | ~b[k];
+            out = w[op.a] | ~w[op.b];
             break;
           case CompiledOp::Kind::Or2:
-            for (unsigned k = 0; k < W; ++k)
-                out[k] = a[k] | b[k];
+            out = w[op.a] | w[op.b];
             break;
         }
     }
-}
-
-unsigned
-Netlist::preferredBatchWords()
-{
-    return 4;
-}
-
-void
-Netlist::evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words,
-                           unsigned net_w) const
-{
-    assert(finalized_);
-    assert(net_w == 1 || net_w == preferredBatchWords());
-    g_batchEvals.add();
-    g_laneCapacity.add(64ull * net_w);
-    net_words.resize(std::size_t(wordCount_) * net_w);
-    if (net_w == 1)
-        evaluateBatchImpl<1>(input_words, net_words.data());
-    else
-        evaluateBatchImpl<4>(input_words, net_words.data());
 }
 
 void
@@ -424,19 +333,15 @@ Netlist::buildPmosSlots()
             ++m.const0End;
     }
 
-    m.slotNet.assign(uniq.size(), invalidSignal);
-    m.slotWord.assign(uniq.size(), 0);
+    m.slotWord.resize(uniq.size());
+    for (std::size_t slot = 0; slot < uniq.size(); ++slot)
+        m.slotWord[slot] =
+            static_cast<std::uint32_t>(uniq[slot] & 0xffffffffu);
     m.deviceSlot.resize(pmos_.size());
     for (std::size_t i = 0; i < pmos_.size(); ++i) {
-        const auto slot = static_cast<std::uint32_t>(
+        m.deviceSlot[i] = static_cast<std::uint32_t>(
             std::lower_bound(uniq.begin(), uniq.end(), keys[i]) -
             uniq.begin());
-        if (m.slotNet[slot] == invalidSignal) {
-            m.slotNet[slot] = pmos_[i].gateSignal;
-            m.slotWord[slot] =
-                static_cast<std::uint32_t>(keys[i] & 0xffffffffu);
-        }
-        m.deviceSlot[i] = slot;
     }
 }
 

@@ -26,15 +26,14 @@
  * constant folding, INV fusion, cache-blocked scheduling), which
  * shrinks it well below one op per gate; ops therefore address
  * *physical lane words*, and a net's value is recovered through its
- * NetRef (ref() / laneWordWide()).  evaluateBatchWide() runs the
- * stream over 64 input vectors per lane word at once: every lane
- * word is one `uint64_t` whose bit v is the producing op's value
- * under input vector v.
- * Lane words are exact: bit v of every net's resolved word equals
- * what a scalar evaluate() of vector v would produce, which is what
- * keeps the batched aging statistics bit-identical to the scalar
- * ones.  evaluate() interprets the gate list directly and is the
- * reference the batched engine is tested against.
+ * NetRef (ref() / laneWord()).  evaluateBatch() is the one
+ * evaluator: it runs the stream over 64 input vectors at once, and
+ * every lane word is one `uint64_t` whose bit v is the producing
+ * op's value under input vector v.  Lane words are exact: bit v of
+ * every net's resolved word is that net's logic value under vector
+ * v, which is what keeps the aging statistics independent of how
+ * the vectors are batched.  The tests hold the stream to a scalar
+ * gate-list interpreter (tests/netlist_reference.hh).
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_HH
@@ -96,10 +95,8 @@ struct PmosSlotMap
     /** Per device: its slot. */
     std::vector<std::uint32_t> deviceSlot;
 
-    /** Per slot: a representative gate net (for the scalar path)
-     *  and the physical lane word it reads (plain/complemented
-     *  partitions only; 0 for constants). */
-    std::vector<SignalId> slotNet;
+    /** Per slot: the physical lane word it reads (plain and
+     *  complemented partitions only; 0 for constants). */
     std::vector<std::uint32_t> slotWord;
 
     /** Partition ends: slots [0, wordEnd) read their word directly,
@@ -110,7 +107,7 @@ struct PmosSlotMap
     std::size_t invEnd = 0;
     std::size_t const0End = 0;
 
-    std::size_t numSlots() const { return slotNet.size(); }
+    std::size_t numSlots() const { return slotWord.size(); }
 
     bool operator==(const PmosSlotMap &) const = default;
 };
@@ -177,45 +174,25 @@ class Netlist
     const std::vector<SignalId> &inputs() const { return inputs_; }
 
     /**
-     * Evaluate the netlist.  @p input_values must supply one value
-     * per primary input, in creation order.  @p signals is resized
-     * to numSignals() and receives every net's value.  (The scalar
-     * path interprets the gate list directly; it never goes through
-     * the compiled op stream, so it is also the oracle the batched
-     * paths are tested against.)
-     */
-    void evaluate(const std::vector<bool> &input_values,
-                  std::vector<std::uint8_t> &signals) const;
-
-    /**
-     * Evaluate up to 64 * @p net_w input vectors at once (valid
-     * after finalize()).  @p input_words holds @p net_w lane words
-     * per primary input, in creation order, interleaved
-     * [input * net_w + w]: bit v of word w of input i is input i's
-     * value under vector w * 64 + v.  @p net_words is resized to
-     * wordCount() * net_w with the same interleaving -- the
+     * Evaluate 64 input vectors at once (valid after finalize()).
+     * @p input_words holds one lane word per primary input, in
+     * creation order: bit v of word i is input i's value under
+     * vector v.  @p net_words is resized to wordCount() -- the
      * physical word array of the compiled op stream, NOT one word
-     * per net.  Use laneWordWide() to read a net's lanes: each bit
-     * is exactly what evaluate() of that vector would leave in
-     * signals[s].  The width only changes how many lanes one
-     * op-stream pass covers, never any lane's value.  Unused lanes
+     * per net.  Use laneWord() to read a net's lanes.  Unused lanes
      * cost nothing extra and carry whatever the padded input bits
      * imply; consumers mask them out (see
-     * PmosAgingTracker::observeBatchWide).  @p net_w must be 1 or
-     * preferredBatchWords().
+     * PmosAgingTracker::observeBatch).
      */
-    void evaluateBatchWide(const std::uint64_t *input_words,
-                           std::vector<std::uint64_t> &net_words,
-                           unsigned net_w) const;
+    void evaluateBatch(const std::uint64_t *input_words,
+                       std::vector<std::uint64_t> &net_words) const;
 
-    /** The evaluateBatchWide word count the batch feeders use: 4,
-     *  which amortises the op-stream decode over 256 lanes.  It was
-     *  chosen over 8 when both widths had SIMD kernels
-     *  (BENCH_perf.json, BM_NetlistEvaluateBatchWide: W = 4 at
-     *  51.1M vectors/s, W = 8 at 46.2M, and W = 8 clamped back to
-     *  4 once a lane-word array outgrew L1).  No caller uses W = 8
-     *  on the portable kernel, so it is not built. */
-    static unsigned preferredBatchWords();
+    /** Lane words per pass: always 1.  Kept, with the word-count
+     *  parameter of Adder::evaluateBatchWide, only because the
+     *  repository benchmark's netlist probe (perfbench/probes.cc)
+     *  compiles against both; they go with the next change to that
+     *  benchmark. */
+    static unsigned preferredBatchWords() { return 1; }
 
     /**
      * Finalise the netlist: derive fanout counts, assign width
@@ -259,19 +236,16 @@ class Netlist
     /** How net @p s reads out of an evaluated word array. */
     NetRef ref(SignalId s) const { return refs_[s]; }
 
-    /** Net @p s's w-th lane word from an evaluateBatchWide()
-     *  result computed at width @p net_w. */
-    std::uint64_t laneWordWide(const std::uint64_t *net_words,
-                               unsigned net_w, unsigned w,
-                               SignalId s) const
+    /** Net @p s's lane word from an evaluateBatch() result. */
+    std::uint64_t laneWord(const std::uint64_t *net_words,
+                           SignalId s) const
     {
         const NetRef r = refs_[s];
-        const std::size_t at = std::size_t(r.word) * net_w + w;
         switch (r.kind) {
           case NetRefKind::Word:
-            return net_words[at];
+            return net_words[r.word];
           case NetRefKind::InvWord:
-            return ~net_words[at];
+            return ~net_words[r.word];
           case NetRefKind::Const0:
             return 0;
           default:
@@ -290,11 +264,6 @@ class Netlist
     /** Group pmos_ into pmosSlots_ by canonical NetRef (after
      *  compile()). */
     void buildPmosSlots();
-
-    /** Portable W-word op-stream pass (W lane words per net). */
-    template <unsigned W>
-    void evaluateBatchImpl(const std::uint64_t *input_words,
-                           std::uint64_t *net_words) const;
 
     std::vector<Gate> gates_;
     std::vector<CompiledOp> ops_;

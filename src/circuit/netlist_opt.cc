@@ -32,8 +32,8 @@
  * order, assigning output words sequentially -- the cache-blocked
  * schedule: an op's operands were emitted moments before it, so a
  * batch pass writes a strictly sequential store stream whose
- * operands are still in L1 even at W=8 (wordCount * 8 * 8 bytes of
- * live data per block instead of numSignals * ...).  K-ary fanins
+ * operands are still in L1 (wordCount * 8 bytes of live data
+ * instead of numSignals * 8).  K-ary fanins
  * that need a complement materialize one memoized Inv op right
  * before their first consumer.
  */

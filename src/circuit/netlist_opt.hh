@@ -29,23 +29,25 @@
  *     written strictly sequentially, so a batch pass streams stores
  *     and finds its operands still L1-resident.  The physical array
  *     shrinks from one lane word per *net* to one per *surviving
- *     op*, which is what lets wide (W=4/8) batches stay cache
- *     resident.
+ *     op*.  At one lane word per pass the depth-first order has
+ *     measured no faster than plain node order (README, "The
+ *     optimizing netlist compiler").
  *
  * Because nets do not own words 1:1, every consumer resolves a
  * SignalId through a NetRef {word, kind}: the net's value is the
  * word, its complement, or a constant.  Statistics stay bit-identical
  * to the gate-by-gate form: an aliased net's resolved lane word
- * equals what the scalar interpreter Netlist::evaluate computes for
- * it, and PmosAgingTracker charges one popcount per *equivalence
- * class* of nets (aliased zero-time slots) -- the same integers in
- * the same modular arithmetic.
+ * equals what a scalar gate-list interpreter computes for it, and
+ * PmosAgingTracker charges one popcount per *equivalence class* of
+ * nets (aliased zero-time slots) -- the same integers in the same
+ * modular arithmetic.
  *
  * There is no unoptimized mode.  The scalar gate-list interpreter
- * is the reference: tests/test_netlist_batch.cc checks every net's
- * lane word against it on random netlists, and every batched aging
- * probability on the Figure-2 circuit and all three adders.  A
- * second, 1:1 op stream only duplicated that oracle.
+ * of tests/netlist_reference.hh is the reference:
+ * tests/test_netlist_batch.cc checks every net's lane word against
+ * it on random netlists, and every batched aging probability on the
+ * Figure-2 circuit and all three adders.  A second, 1:1 op stream
+ * only duplicated that oracle.
  */
 
 #ifndef PENELOPE_CIRCUIT_NETLIST_OPT_HH

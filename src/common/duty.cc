@@ -4,36 +4,6 @@
 
 namespace penelope {
 
-double
-DutyCycleCounter::zeroProbability() const
-{
-    if (totalTime_ == 0)
-        return 0.5;
-    return static_cast<double>(zeroTime_) /
-        static_cast<double>(totalTime_);
-}
-
-double
-DutyCycleCounter::worstCaseStress() const
-{
-    const double p0 = zeroProbability();
-    return std::max(p0, 1.0 - p0);
-}
-
-void
-DutyCycleCounter::merge(const DutyCycleCounter &other)
-{
-    zeroTime_ += other.zeroTime_;
-    totalTime_ += other.totalTime_;
-}
-
-void
-DutyCycleCounter::reset()
-{
-    zeroTime_ = 0;
-    totalTime_ = 0;
-}
-
 // ------------------------------------------- MaskedTimeAccumulator
 
 MaskedTimeAccumulator::MaskedTimeAccumulator(unsigned width)
@@ -176,13 +146,6 @@ BitBiasTracker::biasVector() const
     for (const std::uint64_t one : one_.times())
         v.push_back(probability(one));
     return v;
-}
-
-DutyCycleCounter
-BitBiasTracker::counter(unsigned bit) const
-{
-    return DutyCycleCounter(totalTime_ - one_.time(bit),
-                            totalTime_);
 }
 
 std::uint64_t

