@@ -448,26 +448,6 @@ BM_BitBiasObserve(benchmark::State &state)
 }
 BENCHMARK(BM_BitBiasObserve)->Arg(32)->Arg(64)->Arg(80);
 
-/** The batched sibling: 64 values per observeBatch call, packed
- *  as per-bit lane words (the transpose64x64 layout).  Items =
- *  values observed, directly comparable per item to
- *  BM_BitBiasObserve at dt-heavy call mixes. */
-void
-BM_BitBiasObserveBatch(benchmark::State &state)
-{
-    const unsigned width = static_cast<unsigned>(state.range(0));
-    Rng rng(4);
-    std::vector<std::uint64_t> words(width);
-    for (std::uint64_t &word : words)
-        word = rng();
-    BitBiasTracker tracker(width);
-    for (auto _ : state)
-        tracker.observeBatch(words.data(), ~std::uint64_t(0));
-    benchmark::DoNotOptimize(tracker.maxZeroProbability());
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_BitBiasObserveBatch)->Arg(32)->Arg(64)->Arg(80);
-
 void
 BM_RdModelObserve(benchmark::State &state)
 {
@@ -840,7 +820,7 @@ BM_ObsCounterIncDisabled(benchmark::State &state)
 }
 BENCHMARK(BM_ObsCounterIncDisabled);
 
-/** One histogram record: bucket index (bit_width) + two bumps. */
+/** One histogram record: two bumps (count and sum). */
 void
 BM_ObsHistogramRecord(benchmark::State &state)
 {

@@ -176,14 +176,13 @@ Netlist::evaluateBatch(const std::uint64_t *input_words,
     assert(finalized_);
     g_batchEvals.add();
     g_laneCapacity.add(64);
-    net_words.resize(wordCount_);
-    // One switch over the compiled stream.  The optimizing compiler
-    // emits outputs in strictly increasing slot order with
-    // depth-first operand locality, so the store stream is
-    // sequential and operands are usually still L1-resident.
+    net_words.resize(ops_.size());
+    // One forward switch over the compiled stream: op i writes word
+    // i and reads only earlier words, so the stores are sequential.
     std::uint64_t *w = net_words.data();
-    for (const CompiledOp &op : ops_) {
-        std::uint64_t &out = w[op.out];
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+        const CompiledOp &op = ops_[i];
+        std::uint64_t &out = w[i];
         switch (op.kind) {
           case CompiledOp::Kind::Input:
             out = input_words[op.a];
@@ -311,9 +310,7 @@ Netlist::buildPmosSlots()
         }
     };
 
-    // Sort-based grouping rather than a map: the optimizer's
-    // schedule renumbers words into an order that defeats a
-    // node-based tree's nearly-sorted-insert fast path.  Built once
+    // One sort and a dedup rank the refs into slots.  Built once
     // here, so every tracker on this netlist shares the layout and
     // costs one zero-time allocation to construct.
     PmosSlotMap &m = pmosSlots_;

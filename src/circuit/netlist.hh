@@ -18,21 +18,20 @@
  *
  * Word-parallel evaluation: finalize() also compiles the gate list
  * into a flat op stream (one fixed-size record per surviving op --
- * op kind, fanin word slots, output word slot -- with the common
- * arities specialised, so the evaluator is a single switch over a
- * contiguous array with no per-gate heap indirection and no
- * `vector<bool>` proxy objects).  The stream is built by the
- * optimizing compiler of netlist_opt.{hh,cc} (CSE,
- * constant folding, INV fusion, cache-blocked scheduling), which
- * shrinks it well below one op per gate; ops therefore address
- * *physical lane words*, and a net's value is recovered through its
- * NetRef (ref() / laneWord()).  evaluateBatch() is the one
- * evaluator: it runs the stream over 64 input vectors at once, and
- * every lane word is one `uint64_t` whose bit v is the producing
- * op's value under input vector v.  Lane words are exact: bit v of
- * every net's resolved word is that net's logic value under vector
- * v, which is what keeps the aging statistics independent of how
- * the vectors are batched.  The tests hold the stream to a scalar
+ * op kind and fanin word slots, with the common arities
+ * specialised; op i writes word i -- so the evaluator is a single
+ * switch over a contiguous array with no per-gate heap indirection
+ * and no `vector<bool>` proxy objects).  The stream is built by the
+ * optimizing compiler of netlist_opt.{hh,cc} (CSE, constant
+ * folding, INV fusion), which shrinks it well below one op per
+ * gate; ops therefore address *physical lane words*, and a net's
+ * value is recovered through its NetRef (ref() / laneWord()).
+ * evaluateBatch() is the one evaluator: it runs the stream over 64
+ * input vectors at once, and every lane word is one `uint64_t`
+ * whose bit v is the producing op's value under input vector v.
+ * Lane words are exact: bit v of every net's resolved word is that
+ * net's logic value under vector v, which is what keeps the aging
+ * statistics independent of how the vectors are batched.  The tests hold the stream to a scalar
  * gate-list interpreter (tests/netlist_reference.hh).
  */
 
@@ -225,13 +224,20 @@ class Netlist
     /// @{
 
     /** Physical lane words per batch pass (= surviving ops). */
-    std::size_t wordCount() const { return wordCount_; }
+    std::size_t wordCount() const { return ops_.size(); }
 
     /** Length of the compiled op stream. */
     std::size_t numCompiledOps() const { return ops_.size(); }
 
-    /** Per-pass op accounting of the last compilation. */
-    const NetlistOptStats &optStats() const { return optStats_; }
+    /** The compiled op stream; op i writes word i. */
+    const std::vector<CompiledOp> &compiledOps() const { return ops_; }
+
+    /** Fanins beyond the first two of the K-ary ops (CompiledOp::
+     *  extra / extraCount index into it). */
+    const std::vector<std::uint32_t> &extraFanins() const
+    {
+        return extraFanins_;
+    }
 
     /** How net @p s reads out of an evaluated word array. */
     NetRef ref(SignalId s) const { return refs_[s]; }
@@ -278,8 +284,6 @@ class Netlist
     std::vector<unsigned> fanout_;
     std::vector<PmosDevice> pmos_;
     std::vector<std::uint32_t> forcedWide_;
-    std::uint32_t wordCount_ = 0;
-    NetlistOptStats optStats_;
     unsigned depth_ = 0;
     bool finalized_ = false;
 };

@@ -27,15 +27,12 @@
  * interning: an identical canonical key returns the existing node
  * (CSE).
  *
- * Materialization then runs a depth-first post-order walk from the
- * unconsumed (root) nodes and emits one CompiledOp per node in that
- * order, assigning output words sequentially -- the cache-blocked
- * schedule: an op's operands were emitted moments before it, so a
- * batch pass writes a strictly sequential store stream whose
- * operands are still in L1 (wordCount * 8 bytes of live data
- * instead of numSignals * 8).  K-ary fanins
- * that need a complement materialize one memoized Inv op right
- * before their first consumer.
+ * Materialization emits one CompiledOp per node in node (interning)
+ * order.  A node's fanins were interned before it, so every operand
+ * word is smaller than the op that reads it and an op's output word
+ * is its position in the stream: one forward pass over the stream
+ * evaluates it.  K-ary fanins that need a complement materialize one
+ * memoized Inv op right before their first consumer.
  */
 
 #include "netlist.hh"
@@ -121,17 +118,13 @@ struct Builder
 {
     std::vector<Node> nodes;
     std::map<std::vector<std::uint64_t>, std::uint32_t> memo;
-    NetlistOptStats *stats = nullptr;
 
     std::uint32_t intern(std::vector<std::uint64_t> key, Node n)
     {
         const auto next = static_cast<std::uint32_t>(nodes.size());
         auto [it, inserted] = memo.try_emplace(std::move(key), next);
-        if (!inserted) {
-            ++stats->cseReused;
-            return it->second;
-        }
-        nodes.push_back(std::move(n));
+        if (inserted)
+            nodes.push_back(std::move(n));
         return it->second;
     }
 
@@ -159,7 +152,6 @@ struct Builder
             if (isConst(l)) {
                 if (!constVal(l)) {
                     // AND with 0 is 0; NAND is constant 1.
-                    ++stats->constFolded;
                     return constLit(true);
                 }
                 continue; // const-1 fanins drop out of the AND
@@ -176,18 +168,15 @@ struct Builder
         for (std::size_t i = 1; i < real.size(); ++i) {
             if (real[i].node == real[i - 1].node) {
                 // x AND ~x: the gate output is constant 1.
-                ++stats->constFolded;
                 return constLit(true);
             }
         }
         if (real.empty()) {
             // Every fanin was constant 1: NAND of all-ones is 0.
-            ++stats->constFolded;
             return constLit(false);
         }
         if (real.size() == 1) {
             // NAND(x) degenerates to an inverter: pure alias.
-            ++stats->constFolded;
             return ~real[0];
         }
         if (real.size() == 2) {
@@ -232,20 +221,16 @@ struct Builder
     /** Fold and intern @p la XOR @p lb (TG-XOR cells). */
     Lit litXor(Lit la, Lit lb)
     {
-        if (isConst(la) && isConst(lb)) {
-            ++stats->constFolded;
+        if (isConst(la) && isConst(lb))
             return constLit(constVal(la) != constVal(lb));
-        }
         if (isConst(la))
             std::swap(la, lb);
         if (isConst(lb)) {
             // x XOR const is x or ~x: pure alias.
-            ++stats->constFolded;
             return {la.node, la.inv != constVal(lb)};
         }
         if (la.node == lb.node) {
             // x XOR x = 0, x XOR ~x = 1.
-            ++stats->constFolded;
             return constLit(la.inv != lb.inv);
         }
         // Fanin parity folds into the output literal, so the node
@@ -262,28 +247,6 @@ struct Builder
     }
 };
 
-unsigned
-faninCount(const Node &n)
-{
-    switch (n.kind) {
-      case Node::Kind::Input:
-        return 0;
-      case Node::Kind::And2:
-      case Node::Kind::Xor2:
-        return 2;
-      default:
-        return static_cast<unsigned>(n.lits.size());
-    }
-}
-
-std::uint32_t
-faninAt(const Node &n, unsigned i)
-{
-    if (n.kind == Node::Kind::And2 || n.kind == Node::Kind::Xor2)
-        return i == 0 ? n.a.node : n.b.node;
-    return n.lits[i].node;
-}
-
 } // namespace
 
 void
@@ -291,13 +254,10 @@ Netlist::compile()
 {
     assert(ops_.empty() &&
            "compiled op stream must be built exactly once");
-    optStats_ = {};
-    optStats_.opsBaseline = gates_.size();
 
     // ---- Fold every gate to a literal (CSE + folding + INV
     // ---- fusion happen here, before anything materializes).
     Builder b;
-    b.stats = &optStats_;
     std::vector<Lit> lits(producers_.size());
     std::uint32_t next_input = 0;
     std::vector<Lit> scratch;
@@ -308,21 +268,13 @@ Netlist::compile()
             break;
           case GateType::Const0:
             lits[g.output] = constLit(false);
-            ++optStats_.constFolded;
             break;
           case GateType::Const1:
             lits[g.output] = constLit(true);
-            ++optStats_.constFolded;
             break;
-          case GateType::Inv: {
-            const Lit l = lits[g.inputs[0]];
-            lits[g.output] = ~l;
-            if (isConst(l))
-                ++optStats_.constFolded;
-            else
-                ++optStats_.invFused;
+          case GateType::Inv:
+            lits[g.output] = ~lits[g.inputs[0]];
             break;
-          }
           case GateType::Nand:
             scratch.clear();
             for (auto s : g.inputs)
@@ -343,65 +295,32 @@ Netlist::compile()
         }
     }
 
-    // ---- Cache-blocked schedule: depth-first post-order from the
-    // ---- root (unconsumed) nodes.  Node fanins always have
-    // ---- smaller indices, so the walk is cycle-free and every
-    // ---- node lands after all of its operands.
-    std::vector<std::uint8_t> consumed(b.nodes.size(), 0);
-    for (const Node &n : b.nodes)
-        for (unsigned i = 0; i < faninCount(n); ++i)
-            consumed[faninAt(n, i)] = 1;
-
-    std::vector<std::uint8_t> done(b.nodes.size(), 0);
-    std::vector<std::uint32_t> order;
-    order.reserve(b.nodes.size());
-    std::vector<std::pair<std::uint32_t, unsigned>> stack;
-    for (std::uint32_t r = 0; r < b.nodes.size(); ++r) {
-        if (consumed[r] || done[r])
-            continue;
-        stack.push_back({r, 0});
-        while (!stack.empty()) {
-            auto &top = stack.back();
-            const Node &n = b.nodes[top.first];
-            if (top.second < faninCount(n)) {
-                const std::uint32_t f = faninAt(n, top.second);
-                ++top.second;
-                if (!done[f])
-                    stack.push_back({f, 0});
-            } else {
-                done[top.first] = 1;
-                order.push_back(top.first);
-                stack.pop_back();
-            }
-        }
-    }
-
-    // ---- Emission: one op per node in schedule order, output
-    // ---- words assigned sequentially.  K-ary complemented fanins
-    // ---- demote to a memoized Inv op right before their first
-    // ---- consumer.
+    // ---- Emission: one op per node in node order; an op's output
+    // ---- word is its position in the stream.  K-ary complemented
+    // ---- fanins demote to a memoized Inv op right before their
+    // ---- first consumer.
     ops_.clear();
-    ops_.reserve(order.size());
+    ops_.reserve(b.nodes.size());
     extraFanins_.clear();
     std::vector<std::uint32_t> nodeWord(b.nodes.size(), kNoWord);
     std::vector<std::uint32_t> invWord(b.nodes.size(), kNoWord);
-    std::uint32_t pos = 0;
+    auto push = [&](const CompiledOp &op) {
+        ops_.push_back(op);
+        return static_cast<std::uint32_t>(ops_.size() - 1);
+    };
     auto demote = [&](std::uint32_t m) {
         if (invWord[m] != kNoWord)
             return invWord[m];
         CompiledOp op;
         op.kind = CompiledOp::Kind::Inv;
         op.a = nodeWord[m];
-        op.out = pos++;
-        ops_.push_back(op);
-        ++optStats_.invMaterialized;
-        return invWord[m] = op.out;
+        return invWord[m] = push(op);
     };
     auto wordOf = [&](Lit l) {
         return l.inv ? demote(l.node) : nodeWord[l.node];
     };
     std::vector<std::uint32_t> ws;
-    for (const std::uint32_t ni : order) {
+    for (std::uint32_t ni = 0; ni < b.nodes.size(); ++ni) {
         const Node &n = b.nodes[ni];
         CompiledOp op;
         switch (n.kind) {
@@ -456,12 +375,9 @@ Netlist::compile()
             break;
           }
         }
-        op.out = pos++;
-        nodeWord[ni] = op.out;
-        ops_.push_back(op);
+        nodeWord[ni] = push(op);
     }
 
-    wordCount_ = pos;
     refs_.resize(producers_.size());
     for (std::size_t s = 0; s < producers_.size(); ++s) {
         const Lit l = lits[s];
@@ -474,8 +390,6 @@ Netlist::compile()
                               : NetRefKind::Word};
         }
     }
-
-    optStats_.opsFinal = ops_.size();
 }
 
 } // namespace penelope

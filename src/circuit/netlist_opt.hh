@@ -1,10 +1,10 @@
 /**
  * @file
  * The optimizing netlist compiler: types shared between the Netlist
- * front-end and the pass pipeline in netlist_opt.cc.
+ * front-end and the compiler in netlist_opt.cc.
  *
  * finalize() compiles the gate list into a flat op stream: the
- * output of four classic netlist transforms, run in one
+ * output of three classic netlist transforms, run in one
  * deterministic walk:
  *
  *  1. Structural hashing / CSE -- ops with identical (kind,
@@ -23,15 +23,14 @@
  *     K-ary NAND/NOR consumers that cannot absorb a complemented
  *     fanin demote the alias back to one materialized Inv op,
  *     memoized per source.
- *  4. Cache-blocked scheduling -- the surviving ops are re-ordered
- *     by an operand-locality-aware depth-first topological schedule
- *     and their outputs renumbered into a dense physical word array
- *     written strictly sequentially, so a batch pass streams stores
- *     and finds its operands still L1-resident.  The physical array
- *     shrinks from one lane word per *net* to one per *surviving
- *     op*.  At one lane word per pass the depth-first order has
- *     measured no faster than plain node order (README, "The
- *     optimizing netlist compiler").
+ *
+ * The surviving ops are emitted in node (interning) order, and op
+ * i writes physical word i: the word array shrinks from one lane
+ * word per *net* to one per *surviving op*, and every operand word
+ * is smaller than the op that reads it, so one forward pass
+ * evaluates the stream.  Node order measured no slower than the
+ * operand-locality schedule it replaced (README, "The optimizing
+ * netlist compiler").
  *
  * Because nets do not own words 1:1, every consumer resolves a
  * SignalId through a NetRef {word, kind}: the net's value is the
@@ -53,15 +52,14 @@
 #ifndef PENELOPE_CIRCUIT_NETLIST_OPT_HH
 #define PENELOPE_CIRCUIT_NETLIST_OPT_HH
 
-#include <cstddef>
 #include <cstdint>
 
 namespace penelope {
 
 /**
- * One record of the compiled op stream.  All operand/output fields
- * address *physical lane words* (positions in the evaluated word
- * array), not SignalIds.  The two-input forms are specialised so the
+ * One record of the compiled op stream.  Op i writes physical lane
+ * word i (its position in the stream); its operand fields address
+ * earlier words, not SignalIds.  The two-input forms are specialised so the
  * evaluator loop never touches the spill array for them; wider
  * gates read their remaining fanins from the extra-fanin array.
  */
@@ -69,18 +67,17 @@ struct CompiledOp
 {
     enum class Kind : std::uint8_t
     {
-        Input,   ///< out = input word [a = input ordinal]
-        Inv,     ///< out = ~a
-        Nand2,   ///< out = ~(a & b)
-        NandK,   ///< out = ~(a & b & extras...)
-        NorK,    ///< out = ~(a | b | extras...)
-        TgPass,  ///< out = a ^ b
-        Nand2ca, ///< out = ~(~a & b) = a | ~b (fused INV on fanin a)
-        Or2,     ///< out = a | b = ~(~a & ~b) (fused INV on both)
+        Input,   ///< input word [a = input ordinal]
+        Inv,     ///< ~a
+        Nand2,   ///< ~(a & b)
+        NandK,   ///< ~(a & b & extras...)
+        NorK,    ///< ~(a | b | extras...)
+        TgPass,  ///< a ^ b
+        Nand2ca, ///< ~(~a & b) = a | ~b (fused INV on fanin a)
+        Or2,     ///< a | b = ~(~a & ~b) (fused INV on both)
     };
 
     Kind kind;
-    std::uint32_t out;
     std::uint32_t a = 0;
     std::uint32_t b = 0;
     std::uint32_t extra = 0;
@@ -107,40 +104,6 @@ struct NetRef
 {
     std::uint32_t word = 0;
     NetRefKind kind = NetRefKind::Word;
-};
-
-/** Per-pass op accounting of one finalize() compilation. */
-struct NetlistOptStats
-{
-    /** Primitive gates (including inputs and constants): one op
-     *  per gate before optimization. */
-    std::size_t opsBaseline = 0;
-
-    /** Ops surviving in the optimized stream (= physical words). */
-    std::size_t opsFinal = 0;
-
-    /** Gates that value-numbered to an already-materialized op. */
-    std::size_t cseReused = 0;
-
-    /** Gates folded away by constant / tied-input propagation. */
-    std::size_t constFolded = 0;
-
-    /** Inverters absorbed into aliases / consumer op variants. */
-    std::size_t invFused = 0;
-
-    /** Aliased complements demoted back to a materialized Inv op
-     *  for a K-ary consumer (counted inside opsFinal). */
-    std::size_t invMaterialized = 0;
-
-    double reductionPercent() const
-    {
-        if (opsBaseline == 0)
-            return 0.0;
-        return 100.0 *
-            (1.0 -
-             static_cast<double>(opsFinal) /
-                 static_cast<double>(opsBaseline));
-    }
 };
 
 } // namespace penelope

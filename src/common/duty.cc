@@ -64,29 +64,6 @@ BitBiasTracker::fromTimes(unsigned width,
     return t;
 }
 
-void
-BitBiasTracker::observeBatch(const std::uint64_t *bit_words,
-                             std::uint64_t lane_mask,
-                             std::uint64_t dt)
-{
-    const unsigned lanes = static_cast<unsigned>(
-        std::popcount(lane_mask));
-    if (lanes == 0 || dt == 0)
-        return;
-    // Per bit, the selected values with the bit at "1" each
-    // contribute dt of one-time: popcount * dt in one direct add.
-    // Identical integer sums to `lanes` scalar observe() calls, in
-    // per-value order -- addition commutes -- so every derived
-    // statistic matches the scalar path bit for bit.
-    for (unsigned b = 0; b < width_; ++b) {
-        const auto ones = static_cast<std::uint64_t>(
-            std::popcount(bit_words[b] & lane_mask));
-        if (ones)
-            one_.addBit(b, ones * dt);
-    }
-    totalTime_ += static_cast<std::uint64_t>(lanes) * dt;
-}
-
 double
 BitBiasTracker::probability(std::uint64_t one_time) const
 {

@@ -80,8 +80,7 @@ class MaskedTimeAccumulator
     }
 
     /** Add @p dt to one bit's counter (the batched scheduler drain
-     *  and BitBiasTracker::observeBatch charge per-bit sums this
-     *  way). */
+     *  charges per-bit sums this way). */
     void
     addBit(unsigned bit, std::uint64_t dt)
     {
@@ -170,25 +169,6 @@ class BitBiasTracker
         one_.add(ones, dt);
         totalTime_ += dt;
     }
-
-    /**
-     * Record 64 values at once, transposed into per-bit lane
-     * words: bit v of @p bit_words[b] is bit b of value v -- the
-     * same lane-word layout Netlist::evaluateBatch produces and
-     * transpose64x64 packs.  Every lane (value)
-     * selected by @p lane_mask contributes @p dt cycles, exactly
-     * as one observe() per selected value would; padding lanes of
-     * a partial batch are ignored entirely.  @p bit_words must
-     * hold width() words.
-     *
-     * Cost is one popcount per *bit* instead of one sliced add per
-     * *value*; both add exactly the same integers, so every
-     * derived statistic is bit-identical to the scalar path (the
-     * observeBatch contract of PmosAgingTracker, kept here too).
-     */
-    void observeBatch(const std::uint64_t *bit_words,
-                      std::uint64_t lane_mask,
-                      std::uint64_t dt = 1);
 
     /** Per-bit zero probability. */
     double zeroProbability(unsigned bit) const;

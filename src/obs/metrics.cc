@@ -23,8 +23,8 @@ struct State
     mutable std::mutex mutex;
     std::vector<MetricDef> defs;
     std::map<std::string, std::size_t, std::less<>> byName;
-    /** First unallocated slot (after the sink region). */
-    std::uint32_t nextSlot = kHistSlots;
+    /** First unallocated slot (after the two-slot sink). */
+    std::uint32_t nextSlot = 2;
 };
 
 State &
@@ -37,7 +37,7 @@ state()
 std::size_t
 slotCount(MetricKind kind)
 {
-    return kind == MetricKind::Histogram ? kHistSlots : 1;
+    return kind == MetricKind::Histogram ? 2 : 1;
 }
 
 std::uint32_t
@@ -78,22 +78,6 @@ monotonicMicros()
         std::chrono::duration_cast<std::chrono::microseconds>(
             clock::now() - base)
             .count());
-}
-
-std::uint64_t
-SnapshotMetric::count() const
-{
-    std::uint64_t n = 0;
-    for (std::size_t b = 0;
-         b < kHistBuckets && b < values.size(); ++b)
-        n += values[b];
-    return n;
-}
-
-std::uint64_t
-SnapshotMetric::sum() const
-{
-    return values.size() == kHistSlots ? values[kHistBuckets] : 0;
 }
 
 const SnapshotMetric *

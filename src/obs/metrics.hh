@@ -2,9 +2,9 @@
  * @file
  * Zero-cost-when-off metrics registry.
  *
- * A process-wide registry of named counters and power-of-two
- * histograms, built for instrumenting hot loops that must stay
- * bit-identical and fast whether observability is on or off:
+ * A process-wide registry of named counters and histograms, built
+ * for instrumenting hot loops that must stay bit-identical and fast
+ * whether observability is on or off:
  *
  *  - Counters and histograms write to one process-wide array of
  *    `std::atomic<uint64_t>` slots with a relaxed fetch_add.  The
@@ -23,10 +23,8 @@
  * stream: the printed statistics of any run are byte-identical
  * with observability on, off, or compiled out (CI asserts this).
  *
- * Histogram buckets are consecutive powers of two: bucket 0 holds
- * exactly the value 0 and bucket b (1..64) holds values in
- * [2^(b-1), 2^b) -- i.e. bucket(v) == std::bit_width(v).  One
- * extra slot accumulates the raw sum so scrapes can report means.
+ * A histogram is two slots: the observation count and the raw sum,
+ * so scrapes can report means.
  */
 
 #ifndef PENELOPE_OBS_METRICS_HH
@@ -34,7 +32,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -56,34 +53,14 @@ inline constexpr bool kCompiledIn = false;
 inline constexpr bool kCompiledIn = true;
 #endif
 
-/** Power-of-two histogram geometry: buckets 0..64 plus a sum
- *  slot.  bucketIndex(0) == 0; bucketIndex(v) == bit_width(v). */
-inline constexpr std::size_t kHistBuckets = 65;
-inline constexpr std::size_t kHistSlots = kHistBuckets + 1;
-
-inline constexpr std::size_t
-bucketIndex(std::uint64_t v)
-{
-    return static_cast<std::size_t>(std::bit_width(v));
-}
-
-/** Inclusive upper bound of bucket @p b. */
-inline constexpr std::uint64_t
-bucketBound(std::size_t b)
-{
-    return b == 0 ? 0
-        : b >= 64 ? ~std::uint64_t{0}
-                  : (std::uint64_t{1} << b) - 1;
-}
-
 /** Size of the process-wide slot array; registration fails fast
  *  (std::abort) if the process ever outgrows it. */
 inline constexpr std::size_t kSlotCapacity = 4096;
 
 /** Default-constructed handles point at a sacrificial sink (slots
- *  [0, kHistSlots)) so an uninitialized add/record is harmless
- *  instead of out of bounds or aliasing a registered metric; real
- *  allocation starts after it. */
+ *  0 and 1, room for a histogram's count and sum) so an
+ *  uninitialized add/record is harmless instead of out of bounds or
+ *  aliasing a registered metric; real allocation starts after it. */
 inline constexpr std::uint32_t kInvalidSlot = 0;
 
 namespace detail {
@@ -145,8 +122,8 @@ class Counter
     std::uint32_t slot_ = kInvalidSlot;
 };
 
-/** Power-of-two-bucketed value distribution (durations in us,
- *  sizes in bytes, ...).  record() bumps one bucket and the sum. */
+/** Value distribution (durations in us, sizes in bytes, ...) kept
+ *  as a count and a sum.  record() bumps both. */
 class Histogram
 {
   public:
@@ -158,10 +135,8 @@ class Histogram
 #ifndef PENELOPE_NO_OBS
         if (!detail::g_enabled.load(std::memory_order_relaxed))
             return;
-        detail::bump(base_ + static_cast<std::uint32_t>(
-                                 bucketIndex(v)),
-                     1);
-        detail::bump(base_ + kHistBuckets, v);
+        detail::bump(base_, 1);
+        detail::bump(base_ + 1, v);
 #else
         (void)v;
 #endif
@@ -173,8 +148,8 @@ class Histogram
     std::uint32_t base_ = kInvalidSlot;
 };
 
-/** One scraped metric: name, kind, unit and its value slots (1 for
- *  counters, kHistSlots for histograms). */
+/** One scraped metric: name, kind, unit and its value slots (one
+ *  for counters; count then sum for histograms). */
 struct SnapshotMetric
 {
     std::string name;
@@ -188,10 +163,14 @@ struct SnapshotMetric
         return values.empty() ? 0 : values[0];
     }
 
-    /** Histogram observation count (sum over buckets). */
-    std::uint64_t count() const;
+    /** Histogram observation count. */
+    std::uint64_t count() const { return scalar(); }
     /** Histogram raw sum slot. */
-    std::uint64_t sum() const;
+    std::uint64_t
+    sum() const
+    {
+        return values.size() == 2 ? values[1] : 0;
+    }
 
     bool operator==(const SnapshotMetric &) const = default;
 };

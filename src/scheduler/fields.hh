@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bitword.hh"
-#include "trace/uop.hh"
 
 namespace penelope {
 
@@ -96,18 +94,6 @@ struct RenameTags
     bool ready1 = true;
     bool ready2 = true;
 };
-
-/** Whether @p field carries live data for @p uop (unused fields are
- *  free to hold repair values even while the slot is busy).  The
- *  rename tags matter for the data-capture fields: an operand that
- *  was ready at allocation is read from the register file, so its
- *  capture field stays free. */
-bool fieldUsedByUop(FieldId field, const Uop &uop,
-                    const RenameTags &tags);
-
-/** Program value of @p field for @p uop (width-matched BitWord). */
-BitWord fieldValue(FieldId field, const Uop &uop,
-                   const RenameTags &tags);
 
 } // namespace penelope
 

@@ -490,8 +490,9 @@ Scheduler::allocate(const Uop &uop, const RenameTags &tags,
     // Fused field deposit: compose the uop's whole 144-bit image
     // and in-use mask with shifts against the constant layout, then
     // merge in one read-modify-write per word.  Field for field
-    // this is fieldUsedByUop / fieldValue, values masked to their
-    // field widths, without touching the spec table.
+    // this is the spec-table model of tests/scheduler_reference.hh,
+    // values masked to their field widths, without touching the
+    // spec table.
     const bool use_s1 = uop.usesSrc1() && !tags.ready1;
     const bool use_s2 = uop.usesSrc2() && !tags.ready2;
     const bool use_imm = uop.hasImm;

@@ -38,6 +38,7 @@
 #include "common/types.hh"
 #include "fields.hh"
 #include "techniques.hh"
+#include "trace/uop.hh"
 
 namespace penelope {
 

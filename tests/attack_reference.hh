@@ -11,13 +11,11 @@
 #ifndef PENELOPE_TESTS_ATTACK_REFERENCE_HH
 #define PENELOPE_TESTS_ATTACK_REFERENCE_HH
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "adder/analysis.hh"
-#include "common/bitword.hh"
 #include "common/duty.hh"
 #include "core/surrogate_sweep.hh"
 #include "trace/attack.hh"
@@ -35,45 +33,25 @@ candidateOperands(const AttackConfig &attack, std::size_t count)
 
 /**
  * Per-input-bit zero duties of an operand stream: every a-bit and
- * b-bit plus the carry-in, in that order.  Each 64-sample chunk is
- * transposed into the lane-word layout BitBiasTracker::observeBatch
- * consumes.
+ * b-bit plus the carry-in, in that order, counted sample by sample.
  */
 inline std::vector<double>
 operandDutyFeatures(const std::vector<OperandSample> &ops,
                     unsigned width)
 {
     assert(width <= 32);
-    BitBiasTracker tracker(operandFeatureCount(width));
-    std::vector<std::uint64_t> words(operandFeatureCount(width));
-    std::uint64_t ta[64];
-    std::uint64_t tb[64];
-    for (std::size_t begin = 0; begin < ops.size(); begin += 64) {
-        const std::size_t count =
-            std::min<std::size_t>(64, ops.size() - begin);
-        std::uint64_t cin_mask = 0;
-        for (std::size_t l = 0; l < count; ++l) {
-            const OperandSample &op = ops[begin + l];
-            ta[l] = op.a;
-            tb[l] = op.b;
-            if (op.cin)
-                cin_mask |= std::uint64_t(1) << l;
-        }
-        std::fill(ta + count, ta + 64, 0);
-        std::fill(tb + count, tb + 64, 0);
-        transpose64x64(ta);
-        transpose64x64(tb);
+    const unsigned features = operandFeatureCount(width);
+    std::vector<std::uint64_t> zeros(features, 0);
+    for (const OperandSample &op : ops) {
         for (unsigned bit = 0; bit < width; ++bit) {
-            words[bit] = ta[bit];
-            words[width + bit] = tb[bit];
+            zeros[bit] += ((op.a >> bit) & 1) ^ 1;
+            zeros[width + bit] += ((op.b >> bit) & 1) ^ 1;
         }
-        words[2 * width] = cin_mask;
-        const std::uint64_t lane_mask = count == 64
-            ? ~std::uint64_t(0)
-            : (std::uint64_t(1) << count) - 1;
-        tracker.observeBatch(words.data(), lane_mask);
+        zeros[2 * width] += op.cin ? 0 : 1;
     }
-    return tracker.biasVector();
+    return BitBiasTracker::fromTimes(features, zeros.data(),
+                                     ops.size())
+        .biasVector();
 }
 
 /** Surrogate features of @p attack from its materialised

@@ -5,11 +5,12 @@
  *
  * ScalarBitBiasTracker is the per-bit implementation (one branchy
  * DutyCycleCounter per bit), kept as the executable specification;
- * the DutyCycle suite pins the counter itself.  BitBiasTracker -- whose MaskedTimeAccumulator has
- * one strategy, a direct add per set bit -- must match it bit for
- * bit -- same integers, same doubles -- across widths 1..128,
- * arbitrary dt (from 0 to beyond 2^40), interleaved reads, both
- * observe overloads, the batched observe, and any merge order.
+ * the DutyCycle suite pins the counter itself.  BitBiasTracker --
+ * whose MaskedTimeAccumulator has one strategy, a direct add per
+ * set bit -- must match it bit for bit -- same integers, same
+ * doubles -- across widths 1..128, arbitrary dt (from 0 to beyond
+ * 2^40), interleaved reads, both observe overloads, and any merge
+ * order.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +23,15 @@
 #include "common/rng.hh"
 #include "scheduler/scheduler.hh"
 #include "scheduler/techniques.hh"
+#include "scheduler_reference.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
 namespace {
+
+using reference::fieldUsedByUop;
+using reference::fieldValue;
 
 /**
  * Accumulates the amount of time a single digital signal spends at
@@ -359,99 +364,6 @@ TEST(SlicedDuty, FromTimesRoundTrips)
         EXPECT_EQ(copy.zeroTime(b), t.zeroTime(b));
         EXPECT_EQ(copy.zeroProbability(b), t.zeroProbability(b));
     }
-}
-
-/** Pack @p values (lane v = value for vector v) into per-bit lane
- *  words: bit v of word b = bit b of value v -- the observeBatch
- *  layout. */
-std::vector<std::uint64_t>
-toBitWords(const std::vector<BitWord> &values, unsigned width)
-{
-    std::vector<std::uint64_t> words(width, 0);
-    for (unsigned b = 0; b < width; ++b) {
-        for (std::size_t v = 0; v < values.size(); ++v) {
-            if (values[v].bit(b))
-                words[b] |= std::uint64_t(1) << v;
-        }
-    }
-    return words;
-}
-
-TEST(SlicedDuty, ObserveBatchMatchesScalarObserves)
-{
-    for (unsigned width : {1u, 7u, 32u, 64u, 65u, 80u, 128u}) {
-        Rng rng(0xba7c4 + width);
-        BitBiasTracker batched(width);
-        BitBiasTracker scalar(width);
-        for (int round = 0; round < 40; ++round) {
-            // Partial batches too: 1..64 selected lanes, possibly
-            // non-contiguous, with garbage in the padding lanes
-            // (which must be ignored entirely).
-            const unsigned lanes =
-                1 + static_cast<unsigned>(rng.nextInt(64));
-            std::uint64_t lane_mask = lanes == 64
-                ? ~std::uint64_t(0)
-                : (std::uint64_t(1) << lanes) - 1;
-            if (rng.nextBool(0.5))
-                lane_mask &= rng() | 1; // keep at least lane 0
-            const std::uint64_t dt = randomDt(rng);
-
-            std::vector<BitWord> values;
-            for (unsigned v = 0; v < 64; ++v)
-                values.push_back(randomWord(rng, width));
-            auto words = toBitWords(values, width);
-
-            batched.observeBatch(words.data(), lane_mask, dt);
-            for (unsigned v = 0; v < 64; ++v) {
-                if ((lane_mask >> v) & 1)
-                    scalar.observe(values[v], dt);
-            }
-        }
-        ASSERT_EQ(batched.totalTime(), scalar.totalTime());
-        for (unsigned b = 0; b < width; ++b) {
-            ASSERT_EQ(batched.zeroTime(b), scalar.zeroTime(b))
-                << "width " << width << " bit " << b;
-            ASSERT_EQ(batched.zeroProbability(b),
-                      scalar.zeroProbability(b));
-        }
-        ASSERT_EQ(batched.maxWorstCaseStress(),
-                  scalar.maxWorstCaseStress());
-    }
-}
-
-TEST(SlicedDuty, ObserveBatchEmptyMaskIsANoOp)
-{
-    BitBiasTracker t(32);
-    const std::vector<std::uint64_t> words(32, ~std::uint64_t(0));
-    t.observeBatch(words.data(), 0, 5);
-    EXPECT_EQ(t.totalTime(), 0u);
-    t.observeBatch(words.data(), ~std::uint64_t(0), 0); // dt = 0
-    EXPECT_EQ(t.totalTime(), 0u);
-}
-
-TEST(SlicedDuty, ObserveBatchMergesWithScalarHistory)
-{
-    // Batched and scalar observations interleave and merge freely:
-    // the representation is shared, so mixing paths stays exact.
-    Rng rng(0x5eed);
-    BitBiasTracker mixed(48);
-    BitBiasTracker reference(48);
-    for (int round = 0; round < 20; ++round) {
-        std::vector<BitWord> values;
-        for (unsigned v = 0; v < 64; ++v)
-            values.push_back(randomWord(rng, 48));
-        const auto words = toBitWords(values, 48);
-        mixed.observeBatch(words.data(), ~std::uint64_t(0), 3);
-        for (unsigned v = 0; v < 64; ++v)
-            reference.observe(values[v], 3);
-
-        const BitWord single = randomWord(rng, 48);
-        mixed.observe(single, 7);
-        reference.observe(single, 7);
-    }
-    for (unsigned b = 0; b < 48; ++b)
-        ASSERT_EQ(mixed.zeroTime(b), reference.zeroTime(b));
-    EXPECT_EQ(mixed.totalTime(), reference.totalTime());
 }
 
 // ------------------------------------------------- repair kernel

@@ -4,7 +4,8 @@
  * evaluateBatch of the optimized op stream against the scalar
  * gate-list interpreter of tests/netlist_reference.hh bit-for-bit on
  * random netlists (every gate type, batch sizes 1..128 including
- * partial final batches), batched adder sums against plain integer
+ * partial final batches), the compiled stream's topological, dense
+ * word numbering, batched adder sums against plain integer
  * addition and the scalar sums, and batched-vs-scalar aging identity
  * on the Figure-2 circuit and all three adder topologies (per-sample
  * and multiplicity-weighted operand lanes alike), plus the
@@ -189,6 +190,64 @@ TEST(NetlistBatch, RandomNetlistsMatchScalar)
             checkBatchMatchesScalar(n, rng, vectors);
         }
     }
+}
+
+/**
+ * The invariant the single forward pass of evaluateBatch rests on:
+ * op i writes word i and reads only words < i (a, b and every extra
+ * fanin), each primary input is read by exactly one Input op, and
+ * every net resolves to a constant or to a word the stream writes.
+ */
+void
+expectStreamTopologicalAndDense(const Netlist &n)
+{
+    const std::vector<CompiledOp> &ops = n.compiledOps();
+    const std::vector<std::uint32_t> &extra = n.extraFanins();
+    ASSERT_EQ(n.wordCount(), ops.size());
+    std::vector<unsigned> input_reads(n.numInputs(), 0);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const CompiledOp &op = ops[i];
+        switch (op.kind) {
+          case CompiledOp::Kind::Input:
+            ASSERT_LT(op.a, n.numInputs()) << "op " << i;
+            ++input_reads[op.a];
+            break;
+          case CompiledOp::Kind::Inv:
+            EXPECT_LT(op.a, i) << "op " << i;
+            break;
+          default:
+            EXPECT_LT(op.a, i) << "op " << i;
+            EXPECT_LT(op.b, i) << "op " << i;
+            break;
+        }
+        for (std::uint32_t e = 0; e < op.extraCount; ++e) {
+            ASSERT_LT(op.extra + e, extra.size()) << "op " << i;
+            EXPECT_LT(extra[op.extra + e], i) << "op " << i;
+        }
+    }
+    for (unsigned reads : input_reads)
+        EXPECT_EQ(reads, 1u);
+    for (SignalId s = 0; s < n.numSignals(); ++s) {
+        const NetRef r = n.ref(s);
+        if (r.kind == NetRefKind::Word ||
+            r.kind == NetRefKind::InvWord) {
+            EXPECT_LT(r.word, n.numCompiledOps()) << "net " << s;
+        }
+    }
+}
+
+TEST(NetlistOpt, StreamIsTopologicalAndDense)
+{
+    Rng rng(0xba7c4);
+    for (int trial = 0; trial < 20; ++trial) {
+        const unsigned num_inputs = 1 + rng.nextInt(12);
+        const unsigned num_gates = 1 + rng.nextInt(60);
+        expectStreamTopologicalAndDense(
+            randomNetlist(rng, num_inputs, num_gates));
+    }
+    expectStreamTopologicalAndDense(RippleCarryAdder(32).netlist());
+    expectStreamTopologicalAndDense(KoggeStoneAdder(32).netlist());
+    expectStreamTopologicalAndDense(LadnerFischerAdder(32).netlist());
 }
 
 TEST(NetlistBatch, Figure2MatchesScalar)

@@ -7,7 +7,7 @@
  * plain values and charges each bit's zero-time on every image
  * change -- the per-event definition the bit-sliced drain must
  * reproduce exactly.  It fills a slot field by field from the spec
- * (fieldUsedByUop / fieldValue) and repairs bit by bit, so it also
+ * (tests/scheduler_reference.hh) and repairs bit by bit, so it also
  * holds the scheduler's packed allocate path and masked repairs to
  * that spec.  A Scheduler is driven by hand (allocate and release at
  * chosen cycles) next to the model, with protection off and on
@@ -29,11 +29,15 @@
 #include "common/rng.hh"
 #include "scheduler/fields.hh"
 #include "scheduler/scheduler.hh"
+#include "scheduler_reference.hh"
 #include "trace/generator.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
 namespace {
+
+using reference::fieldUsedByUop;
+using reference::fieldValue;
 
 /** Scalar per-bit model of the scheduler's stress accounting. */
 class ScalarSchedModel

@@ -14,10 +14,14 @@
 #include "scheduler/profile.hh"
 #include "scheduler/scheduler.hh"
 #include "scheduler/techniques.hh"
+#include "scheduler_reference.hh"
 #include "trace/workload.hh"
 
 namespace penelope {
 namespace {
+
+using reference::fieldUsedByUop;
+using reference::fieldValue;
 
 // ---------------------------------------------------------- Fields
 
